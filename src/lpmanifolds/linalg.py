@@ -210,7 +210,7 @@ def lyapunov_form(A, omega: float) -> LyapunovForm:
 
     Equivalently the unique symmetric solution of A^T L + L A - 2 omega L = -I,
     which exists iff omega exceeds the spectral abscissa of A.  Solved by
-    Kronecker vectorization (desk-scale dimensions).
+    the Bartels-Stewart (Schur) method.
     """
     M = _as_matrix(A)
     abscissa = np.linalg.eigvals(M).real.max()
@@ -219,13 +219,8 @@ def lyapunov_form(A, omega: float) -> LyapunovForm:
             f"spectral abscissa violated: omega={omega} <= max Re sigma(A)="
             f"{abscissa}")
     n = M.shape[0]
-    if n > 64:
-        raise ValueError("Kronecker Lyapunov solve limited to dimension <= 64")
-    B = M - omega * np.eye(n)
-    # vec(B^T L + L B) = (I (x) B^T + B^T (x) I) vec(L) = -vec(I)
-    K = np.kron(np.eye(n), B.T) + np.kron(B.T, np.eye(n))
-    vecL = np.linalg.solve(K, -np.eye(n).reshape(-1))
-    L = vecL.reshape(n, n)
+    # B^T L + L B = -I with B = A - omega I
+    L = sla.solve_continuous_lyapunov((M - omega * np.eye(n)).T, -np.eye(n))
     L = 0.5 * (L + L.T)
     residual = np.linalg.norm(M.T @ L + L @ M - 2 * omega * L + np.eye(n))
     if residual > 1e-10:

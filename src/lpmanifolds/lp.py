@@ -100,7 +100,8 @@ class SplitPieces:
 
     Coordinates: y = Binv @ (u - equilibrium), with the first d_plus entries
     spanning the unstable subspace.  f_split returns the remainder
-    Binv (F(eq + B y) - A0 B y), which vanishes to second order at 0.
+    Binv (F(eq + B y) - A0 B y), which vanishes to second order at 0;
+    A0 = DF(equilibrium) is computed once and kept.
     """
 
     model: ModelSystem
@@ -125,16 +126,24 @@ class SplitPieces:
         return self.dim - self.d_plus
 
     def f_split(self, Y: np.ndarray) -> np.ndarray:
-        if not self.autonomous:
-            Y2 = np.atleast_2d(Y)
-            out = np.array([self.remainder_at(y) for y in Y2])
-            return out if Y.ndim > 1 else out[0]
-        A0 = self.model.jacobian(self.model.equilibrium)
+        return self.remainder_and_field(Y)[0]
+
+    def remainder_and_field(
+            self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(f_split(Y), F(to_ambient(Y))); the ambient field is the one the
+        remainder is built from, and None on the quasilinear route."""
         Y2 = np.atleast_2d(Y)
-        U = Y2 @ self.B.T + self.model.equilibrium[None, :]
-        Famb = self.model.field_many(U) - (Y2 @ self.B.T) @ A0.T
-        out = Famb @ self.Binv.T
-        return out if Y.ndim > 1 else out[0]
+        if not self.autonomous:
+            out = np.array([self.remainder_at(y) for y in Y2])
+            return (out if Y.ndim > 1 else out[0]), None
+        if "A0" not in self._cache:
+            self._cache["A0"] = self.model.jacobian(self.model.equilibrium)
+        A0 = self._cache["A0"]
+        field = self.model.field_many(self.to_ambient(Y2))
+        out = (field - (Y2 @ self.B.T) @ A0.T) @ self.Binv.T
+        if Y.ndim > 1:
+            return out, field
+        return out[0], field[0]
 
     def to_ambient(self, Y: np.ndarray) -> np.ndarray:
         return np.atleast_2d(Y) @ self.B.T + self.model.equilibrium[None, :]
@@ -347,14 +356,19 @@ def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
     Returns the new split-coordinate orbit and the analytic bound on the
     truncated tail of the complement integral.
     """
+    return _lp_sweep(pieces, cfg, as_state(v0_plus, pieces.d_plus), Y,
+                     pieces.f_split(Y))
+
+
+def _lp_sweep(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
+              Y: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """lp_apply with the remainder g = f_split(Y) already evaluated."""
+    if not np.all(np.isfinite(g)):
+        raise FloatingPointError("non-finite remainder evaluation in lp_apply")
     times = lp_grid(cfg)
     m = len(times)
     h = times[1] - times[0]
     d = pieces.d_plus
-    v0_plus = as_state(v0_plus, d)
-    g = pieces.f_split(Y)
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError("non-finite remainder evaluation in lp_apply")
     gp, gr = g[:, :d], g[:, d:]
     new = np.empty_like(Y)
 
@@ -487,19 +501,21 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
                 f"fixed point not reached in {cfg.max_iter} sweeps "
                 f"(last increment {prev_inc:.3e})")
 
-    # fixed-point residual: one more sweep, measured in the same norm
-    Ychk, _ = lp_apply(pieces, cfg, v0_plus, Y)
+    # fixed-point residual: one more sweep, measured in the same norm; its
+    # remainder and ambient field also serve the two checks below
+    g, field = pieces.remainder_and_field(Y)
+    Ychk, _ = _lp_sweep(pieces, cfg, v0_plus, Y, g)
     fp_res = _deviation_weighted_norm(pieces, times, Ychk - Y, cfg.lam, rlow)
 
     orbit = _orbit_from_Y(pieces, times, Y)
     # centered-difference trajectory residual against the full field
     deriv = np.gradient(orbit.states, times, axis=0)
-    field = pieces.model.field_many(orbit.states)
+    if field is None:
+        field = pieces.model.field_many(orbit.states)
     traj_res = float(np.max(np.linalg.norm(
         (deriv - field)[1:-1], axis=1))) if m > 2 else 0.0
 
     # quadrature error budget from measured second differences of f
-    g = pieces.f_split(Y)
     if m > 2:
         second = np.linalg.norm(g[2:] - 2 * g[1:-1] + g[:-2], axis=1)
         quad_budget = float((times[1] - times[0]) * second.sum() / 12.0)

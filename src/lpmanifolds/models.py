@@ -173,32 +173,16 @@ def mmt_unstable_scan(p: MmtParams, xi_range: Sequence[int],
     return rows
 
 
-def _mmt_terms(modes: Sequence[int]):
-    """Index lists of the cubic sum over retained modes.
-
-    Term (i, j, k) contributes w_i conj(w_j) w_k to output mode
-    xi_i - xi_j + xi_k whenever that mode is retained; no aliasing arises
-    because the sum is taken directly.
-    """
-    modes = list(modes)
-    pos = {xi: n for n, xi in enumerate(modes)}
-    I, J, K, OUT = [], [], [], []
-    for i, x1 in enumerate(modes):
-        for j, x2 in enumerate(modes):
-            for k, x3 in enumerate(modes):
-                xo = x1 - x2 + x3
-                n = pos.get(xo)
-                if n is not None:
-                    I.append(i); J.append(j); K.append(k); OUT.append(n)
-    return (np.array(I), np.array(J), np.array(K), np.array(OUT))
-
-
 def mmt_galerkin(p: MmtParams) -> ModelSystem:
     """Rotating-frame Galerkin truncation of the MMT flow over (Re, Im) pairs.
 
     The equilibrium is the plane wave a*e^{i xi0 x}; by the plane-wave
-    relation its vector field vanishes identically.  The cubic term is the
-    direct triple sum over retained modes.
+    relation its vector field vanishes identically.  The cubic term is
+    evaluated pseudo-spectrally: with W = sum |xi|^b z_xi e^{i xi x}, it is
+    |xi|^b times the Fourier coefficient of |W|^2 W on each retained mode.
+    The mode set is embedded in [min, max] and zero-padded to at least three
+    times that span, so the product has no aliasing and the result equals
+    the direct sum over retained triads.
     """
     if len(p.mode_set) > 64:
         raise ValueError("mode_set too large (desk scale is <= 64 modes)")
@@ -207,8 +191,12 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
     om = mmt_plane_wave_frequency(p)
     disp = np.array([_mult(xi, 2 * p.alpha) for xi in modes]) + om
     wmul = np.array([_mult(xi, p.beta) for xi in modes])
-    I, J, K, OUT = _mmt_terms(modes)
-    coef = wmul[I] * wmul[J] * wmul[K]
+    q = np.array(modes) - min(modes)  # slots of the modes in [min, max]
+    span = int(q.max()) + 1
+    L = 3 * span                      # alias-free grid for the cubic
+    # Jacobian gather indices: lag xi_n - xi_m and sum xi_n + xi_m
+    diff_idx = q[:, None] - q[None, :] + span - 1
+    sum_idx = q[:, None] + q[None, :]
 
     def to_complex(u: np.ndarray) -> np.ndarray:
         return u[..., 0::2] + 1j * u[..., 1::2]
@@ -219,19 +207,20 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
         out[..., 1::2] = z.imag
         return out
 
-    def cubic(z: np.ndarray) -> np.ndarray:
-        terms = coef * z[..., I] * np.conj(z[..., J]) * z[..., K]
-        out = np.zeros(z.shape[:-1] + (N,), dtype=complex)
-        if z.ndim == 1:
-            np.add.at(out, OUT, terms)
-        else:
-            for n in range(N):
-                sel = OUT == n
-                out[..., n] = terms[..., sel].sum(axis=-1)
-        return out
+    def embed(w: np.ndarray, length: int) -> np.ndarray:
+        """Coefficients of e^{-i min x} W in slots 0..length-1."""
+        c = np.zeros(w.shape[:-1] + (length,), dtype=complex)
+        c[..., q] = w
+        return c
+
+    def cubic(w: np.ndarray) -> np.ndarray:
+        """Coefficients of |W|^2 W on the retained modes (single or batch)."""
+        v = np.fft.ifft(embed(w, L), norm="forward")
+        v *= v.real ** 2 + v.imag ** 2
+        return np.fft.fft(v, norm="forward")[..., q]
 
     def field_c(z: np.ndarray) -> np.ndarray:
-        return -1j * (disp * z + p.sigma * wmul * cubic(z))
+        return -1j * (disp * z + p.sigma * wmul * cubic(wmul * z))
 
     def F(u: np.ndarray) -> np.ndarray:
         return to_real(field_c(to_complex(as_state(u, 2 * N))))
@@ -241,15 +230,14 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
 
     def jac(u: np.ndarray) -> np.ndarray:
         z = to_complex(as_state(u, 2 * N))
-        # d(cubic)_n / dz_m and / dconj(z)_m from the triple sum
-        Gz = np.zeros((N, N), dtype=complex)
-        Gzb = np.zeros((N, N), dtype=complex)
-        t_jk = coef * np.conj(z[J]) * z[K]
-        t_ij = coef * z[I] * np.conj(z[J])
-        t_ik = coef * z[I] * z[K]
-        np.add.at(Gz, (OUT, I), t_jk)
-        np.add.at(Gz, (OUT, K), t_ij)
-        np.add.at(Gzb, (OUT, J), t_ik)
+        v = embed(wmul * z, span)
+        # d(cubic)_n / dz_m = 2 c(|W|^2)[xi_n - xi_m] w_m (Toeplitz) and
+        # d(cubic)_n / dconj(z)_m = c(W^2)[xi_n + xi_m] w_m (Hankel).  The
+        # coefficients come from direct O(N^2) convolutions rather than the
+        # FFT: they are exact on the plane wave, where roundoff would split
+        # the zero eigenvalue of the phase-symmetry Jordan block by ~1e-8.
+        Gz = 2.0 * np.correlate(v, v, "full")[diff_idx] * wmul
+        Gzb = np.convolve(v, v)[sum_idx] * wmul
         Az = -1j * (np.diag(disp) + p.sigma * wmul[:, None] * Gz)
         Bz = -1j * (p.sigma * wmul[:, None] * Gzb)
         # real form of phi -> Az phi + Bz conj(phi)
@@ -265,10 +253,7 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
         z = to_complex(as_state(u, 2 * N))
         w = wmul * z
         quad = 0.5 * float(np.sum(disp * np.abs(z) ** 2))
-        quart_terms = w[I] * np.conj(w[J]) * w[K]
-        inner = np.zeros(N, dtype=complex)
-        np.add.at(inner, OUT, quart_terms)
-        quart = 0.25 * p.sigma * float(np.real(np.sum(inner * np.conj(w))))
+        quart = 0.25 * p.sigma * float(np.real(np.sum(cubic(w) * np.conj(w))))
         return quad + quart
 
     eq_c = np.zeros(N, dtype=complex)

@@ -1,5 +1,6 @@
 """Independent brute-force references: backward shooting, finite-difference
-Jacobians, and quartic root formulas for the mode-pair blocks.
+Jacobians, quartic root formulas for the mode-pair blocks, and the direct
+triad sum of the MMT cubic.
 
 These deliberately use their own integrators and step sizes so their
 discretization error is uncorrelated with the methods they check.
@@ -15,11 +16,13 @@ import scipy.linalg as sla
 
 from .graded import as_state
 from .linalg import SpectralSplitting
+from .models import MmtParams, mmt_plane_wave_frequency
 
 __all__ = [
     "ShootingResult",
     "backward_shoot",
     "finite_difference_jacobian",
+    "mmt_cubic_direct",
     "quartic_roots",
 ]
 
@@ -143,3 +146,51 @@ def quartic_roots(c_plus: float, c_minus: float, c: float) -> np.ndarray:
         r = np.sqrt(complex(z))
         roots.extend([r, -r])
     return np.array(sorted(roots, key=lambda w: (w.real, w.imag)))
+
+
+def mmt_cubic_direct(p: MmtParams, u) -> tuple[np.ndarray, np.ndarray, float]:
+    """(field, Jacobian, energy) of the MMT Galerkin truncation at one state.
+
+    The cubic is the direct sum over every retained triad (i, j, k) with
+    xi_i - xi_j + xi_k retained, term w_i conj(w_j) w_k, w = |xi|^beta z.
+    Memory grows like N^3, so this is a reference for small mode sets only.
+    State and Jacobian use the interleaved (Re, Im) coordinates of
+    models.mmt_galerkin.
+    """
+    modes = list(p.mode_set)
+    N = len(modes)
+    u = as_state(u, 2 * N)
+    z = u[0::2] + 1j * u[1::2]
+    mult = np.array([abs(xi) ** p.beta for xi in modes], dtype=float)
+    disp = (np.array([abs(xi) ** (2 * p.alpha) for xi in modes], dtype=float)
+            + mmt_plane_wave_frequency(p))
+    pos = {xi: n for n, xi in enumerate(modes)}
+    I, J, K, OUT = [], [], [], []
+    for i, x1 in enumerate(modes):
+        for j, x2 in enumerate(modes):
+            for k, x3 in enumerate(modes):
+                n = pos.get(x1 - x2 + x3)
+                if n is not None:
+                    I.append(i); J.append(j); K.append(k); OUT.append(n)
+    I, J, K, OUT = map(np.array, (I, J, K, OUT))
+    coef = mult[I] * mult[J] * mult[K]
+    cubic = np.zeros(N, dtype=complex)
+    np.add.at(cubic, OUT, coef * z[I] * np.conj(z[J]) * z[K])
+    field_c = -1j * (disp * z + p.sigma * mult * cubic)
+    Gz = np.zeros((N, N), dtype=complex)
+    Gzb = np.zeros((N, N), dtype=complex)
+    np.add.at(Gz, (OUT, I), coef * np.conj(z[J]) * z[K])
+    np.add.at(Gz, (OUT, K), coef * z[I] * np.conj(z[J]))
+    np.add.at(Gzb, (OUT, J), coef * z[I] * z[K])
+    Az = -1j * (np.diag(disp) + p.sigma * mult[:, None] * Gz)
+    Bz = -1j * p.sigma * mult[:, None] * Gzb
+    field = np.empty(2 * N)
+    field[0::2], field[1::2] = field_c.real, field_c.imag
+    jac = np.empty((2 * N, 2 * N))
+    jac[0::2, 0::2] = Az.real + Bz.real
+    jac[0::2, 1::2] = -Az.imag + Bz.imag
+    jac[1::2, 0::2] = Az.imag + Bz.imag
+    jac[1::2, 1::2] = Az.real - Bz.real
+    quart = float(np.real(np.sum(cubic * np.conj(mult * z))))
+    energy = 0.5 * float(np.sum(disp * np.abs(z) ** 2)) + 0.25 * p.sigma * quart
+    return field, jac, energy

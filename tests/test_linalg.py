@@ -149,6 +149,20 @@ def test_dissipativity_of_lyapunov_form_random():
         assert res <= 1e-10
 
 
+def test_lyapunov_random_stable_dimension_100():
+    # beyond the old Kronecker solve's n <= 64 limit
+    rng = np.random.default_rng(5)
+    n = 100
+    R = rng.normal(size=(n, n)) / math.sqrt(n)
+    A = R - (np.linalg.eigvals(R).real.max() + 0.5) * np.eye(n)
+    om = np.linalg.eigvals(A).real.max() + 0.2
+    form = lyapunov_form(A, om)
+    res = np.linalg.norm(A.T @ form.L + form.L @ A - 2 * om * form.L
+                         + np.eye(n))
+    assert res <= 1e-10
+    assert dissipativity_check(form, A, om) <= 0.0
+
+
 # ------------------------------------------------------------------ evolution
 
 def test_evolve_scalar_exponential():

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from lpmanifolds.graded import NormLadder, OrbitGrid
-from lpmanifolds.linalg import Timeline, eigen_split, growth_bound_check
+from lpmanifolds.linalg import (
+    Timeline,
+    dissipativity_check,
+    eigen_split,
+    growth_bound_check,
+    lyapunov_form,
+)
 from lpmanifolds.lp import (
     LpConfig,
     NoContractionError,
@@ -231,6 +237,21 @@ def test_lp_parameter_robustness():
             np.array([0.1])).h_value
         assert np.abs(other - base).max() <= 10 * CFG1.tol + 1e-7
     assert np.abs(long_T - base).max() <= 10 * CFG1.tol + 1e-7
+
+
+def test_lp_solve_mmt_63_modes():
+    # the declared scope: 63 retained modes, state dimension 126
+    m, sp, pieces = mmt_mi_pieces(half=31)
+    assert m.dimension == 126 and pieces.d_rest == 124
+    cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
+                   dt=0.005, eps=0.05, tol=1e-9)
+    base = 0.03 * np.ones(sp.dim_plus) / math.sqrt(sp.dim_plus)
+    res = lp_solve(pieces, cfg, base)
+    assert res.diagnostics["iterations"] < cfg.max_iter
+    assert res.diagnostics["fp_residual"] <= 1e-8
+    omega = 0.5 * (sp.rest_max_re + sp.lambda_plus)
+    form = lyapunov_form(pieces.A_rest, omega)   # its residual gate: 1e-10
+    assert dissipativity_check(form, pieces.A_rest, omega) <= 0.0
 
 
 # ---------------------------------------------------------------- decay fits

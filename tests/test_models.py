@@ -15,7 +15,7 @@ from lpmanifolds.models import (
     reaction_diffusion,
     saddle_toy,
 )
-from lpmanifolds.oracles import finite_difference_jacobian
+from lpmanifolds.oracles import finite_difference_jacobian, mmt_cubic_direct
 
 
 def _p(alpha=1.0, beta=1.0, sigma=1, a=1.0, xi0=1, half=2):
@@ -202,6 +202,42 @@ def test_galerkin_zero_mode_linearly_decoupled():
     rows = J[2 * i0:2 * i0 + 2, :].copy()
     rows[:, 2 * i0:2 * i0 + 2] = 0.0   # keep only the coupling entries
     assert np.abs(rows).max() <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("xi0,modes", [
+    (0, mmt_mode_set(0, 4)),
+    (2, mmt_mode_set(2, 5)),
+    (1, (-5, -2, 0, 1, 4, 7)),   # non-contiguous, embedded in [-5, 7]
+])
+def test_galerkin_fft_matches_direct_triad_sum(beta, xi0, modes):
+    p = MmtParams(alpha=1.0, beta=beta, sigma=-1, a=1.2, xi0=xi0,
+                  mode_set=modes)
+    m = mmt_galerkin(p)
+    rng = np.random.default_rng(11)
+    states = m.equilibrium + 0.2 * rng.normal(size=(4, m.dimension))
+    refs = [mmt_cubic_direct(p, u) for u in states]
+
+    def rel(x, ref):
+        return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+    for u, (F, J, E) in zip(states, refs):
+        assert rel(m.vector_field(u), F) <= 1e-13
+        assert rel(m.jacobian(u), J) <= 1e-13
+        assert abs(m.energy(u) - E) <= 1e-13 * abs(E)
+    batch = m.field_many(states)
+    assert batch.shape == states.shape
+    assert rel(batch, np.array([F for F, _, _ in refs])) <= 1e-13
+
+
+def test_galerkin_jacobian_exact_at_plane_wave():
+    # the phase-symmetry Jordan block at 0 must stay exactly nilpotent:
+    # roundoff of size 1e-16 would split its eigenvalue by ~1e-8
+    p = MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
+                  mode_set=mmt_mode_set(0, 3))
+    m = mmt_galerkin(p)
+    _, J_direct, _ = mmt_cubic_direct(p, m.equilibrium)
+    assert np.array_equal(m.jacobian(m.equilibrium), J_direct)
 
 
 def test_galerkin_mode_cap():
