@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,16 +20,13 @@ from . import (
     LpConfig,
     OneFluidConfig,
     TwoFluidConfig,
-    OrbitGrid,
     capillary_multiplier,
-    decay_rate_fit,
     dn_flat_symbol,
     eigen_split,
     froude_bond,
     invariance_residual,
     kh_bound,
     kh_rt_multiplier,
-    lp_solve,
     mmt_galerkin,
     mmt_mode_set,
     mmt_unstable_scan,
@@ -128,8 +124,11 @@ def build_model(args) -> tuple:
 def default_gap(model, suggested) -> float:
     if suggested is not None:
         return suggested
-    ev = np.linalg.eigvals(model.jacobian(model.equilibrium))
-    pos = sorted(abs(z.real) for z in ev if abs(z.real) > 1e-8)
+    A = model.jacobian(model.equilibrium)
+    # real parts at roundoff scale count as zero: a Jordan block at 0 whose
+    # entries carry roundoff eps splits by about sqrt(eps ||A||)
+    tol = 1e-6 * max(1.0, float(np.linalg.norm(A, 2)))
+    pos = sorted(abs(z.real) for z in np.linalg.eigvals(A) if abs(z.real) > tol)
     return 0.5 * pos[0] if pos else 0.5
 
 
@@ -203,17 +202,7 @@ def cmd_manifold(args) -> int:
             f"({sp.rest_max_re}, {sp.lambda_plus})")
     n_grid = int(merged(args, "grid", 11, int))
     seed = int(merged(args, "seed", 0, int))
-    jobs = int(merged(args, "jobs", 1, int))
-    if jobs > 1:
-        # solve samples concurrently; assemble in base-point order
-        from .lp import _ball_grid, ManifoldGraph
-        pts = _ball_grid(sp.dim_plus, cfg.eps, n_grid, seed=seed)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(_solve_sample, pieces, cfg, pt) for pt in pts]
-            outcomes = [f.result() for f in futs]
-        graph = _assemble_graph(pieces, cfg, pts, outcomes)
-    else:
-        graph = build_manifold_graph(pieces, cfg, grid_spec=n_grid, seed=seed)
+    graph = build_manifold_graph(pieces, cfg, grid_spec=n_grid, seed=seed)
     inv = invariance_residual(graph, pieces, cfg,
                               merged(args, "delta_t", 0.1))
     header = ([f"base{i}" for i in range(sp.dim_plus)]
@@ -240,48 +229,6 @@ def cmd_manifold(args) -> int:
     if not graph.ok.any():
         raise NoContractionError("empty manifold graph: every sample failed")
     return 0
-
-
-def _solve_sample(pieces, cfg, pt):
-    try:
-        return lp_solve(pieces, cfg, pt)
-    except Exception as exc:
-        return exc
-
-
-def _assemble_graph(pieces, cfg, pts, outcomes):
-    from .lp import ManifoldGraph
-    import numpy as _np
-    n = len(pts)
-    dr = pieces.d_rest
-    values = _np.full((n, dr), _np.nan)
-    lam_fit = _np.full(n, _np.nan)
-    r2 = _np.full(n, _np.nan)
-    iters = _np.zeros(n)
-    fp = _np.full(n, _np.nan)
-    budget = _np.full(n, _np.nan)
-    status = []
-    for i, res in enumerate(outcomes):
-        if isinstance(res, Exception):
-            status.append(f"failed: {res}")
-            continue
-        status.append("ok")
-        values[i] = res.h_value
-        iters[i] = res.diagnostics["iterations"]
-        fp[i] = res.diagnostics["fp_residual"]
-        budget[i] = res.diagnostics["error_budget"]
-        if _np.linalg.norm(pts[i]) > 0:
-            dev = OrbitGrid(res.orbit.times,
-                            res.orbit.states - pieces.model.equilibrium)
-            try:
-                lam_fit[i], r2[i] = decay_rate_fit(dev, pieces.model.ladder,
-                                                   cfg.r)
-            except ValueError:
-                pass
-    return ManifoldGraph(base_points=_np.asarray(pts), values=values,
-                         lambda_fit=lam_fit, r2=r2, iterations=iters,
-                         fp_residual=fp, status=status, error_budget=budget,
-                         diagnostics={})
 
 
 def cmd_mmt_scan(args) -> int:
@@ -450,7 +397,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_lp(sp)
     sp.add_argument("--side", choices=["unstable", "stable"])
     sp.add_argument("--grid", type=int, help="grid resolution per dimension")
-    sp.add_argument("--jobs", type=int, help="concurrent sample solves")
     sp.add_argument("--delta-t", dest="delta_t", type=float,
                     help="invariance check horizon")
 

@@ -51,6 +51,12 @@ class NoContractionError(RuntimeError):
     pass
 
 
+# failures that mark one manifold sample as failed instead of aborting a
+# graph; numpy's LinAlgError is a ValueError
+_SAMPLE_FAILURES = (NoContractionError, ValueError, RuntimeError,
+                   FloatingPointError)
+
+
 @dataclass
 class LpConfig:
     """Parameters of the Lyapunov-Perron iteration.
@@ -112,9 +118,11 @@ class SplitPieces:
     A_rest: np.ndarray
     d_plus: int
     autonomous: bool = True
-    # quasilinear route: block operators and remainder evaluated along states
+    # quasilinear route: block operators, and the remainder with the field it
+    # is built from, evaluated along states
     blocks_at: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    remainder_at: Callable[[np.ndarray], np.ndarray] | None = None
+    remainder_at: Callable[[np.ndarray],
+                           tuple[np.ndarray, np.ndarray]] | None = None
     _cache: dict = field(default_factory=dict)
 
     @property
@@ -129,13 +137,17 @@ class SplitPieces:
         return self.remainder_and_field(Y)[0]
 
     def remainder_and_field(
-            self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+            self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(f_split(Y), F(to_ambient(Y))); the ambient field is the one the
-        remainder is built from, and None on the quasilinear route."""
+        remainder is built from."""
         Y2 = np.atleast_2d(Y)
         if not self.autonomous:
-            out = np.array([self.remainder_at(y) for y in Y2])
-            return (out if Y.ndim > 1 else out[0]), None
+            pairs = [self.remainder_at(y) for y in Y2]
+            out = np.array([p[0] for p in pairs])
+            field = np.array([p[1] for p in pairs])
+            if Y.ndim > 1:
+                return out, field
+            return out[0], field[0]
         if "A0" not in self._cache:
             self._cache["A0"] = self.model.jacobian(self.model.equilibrium)
         A0 = self._cache["A0"]
@@ -327,13 +339,15 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         return Afull[:d, :d], Afull[d:, d:]
 
     def remainder_at(y):
+        """(remainder, transformed field G(B y)) in one inversion of B."""
         v_amb = base.B @ y
         u = invert_B(v_amb)
-        g = base.Binv @ (dbmat(u) @ model.vector_field(eq + u))
+        field = dbmat(u) @ model.vector_field(eq + u)
+        g = base.Binv @ field
         Afull = base.Binv @ model.jacobian(eq + u) @ base.B
         g[:d] -= Afull[:d, :d] @ y[:d]
         g[d:] -= Afull[d:, d:] @ y[d:]
-        return g
+        return g, field
 
     qpieces = SplitPieces(
         model=tmodel, splitting=splitting, B=base.B, Binv=base.Binv,
@@ -348,6 +362,53 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
 
 # ---------------------------------------------------------------------------
 # the integral operator and its fixed point
+
+def _linear_scan(E: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """x_0 = X[0], x_{j+1} = E x_j + X[j+1] along axis 0; X is left intact.
+
+    The states lie along the last axis of X; axes in between hold
+    independent recurrences with the same E.  Recursive doubling: after the
+    pass with shift s, x[j] holds the sum of E^(j-i) X[i] over j-2s < i <= j,
+    so about log2(m) batched matmuls replace the m-step loop.
+    """
+    x = np.array(X, dtype=float)
+    m, d = x.shape[0], x.shape[-1]
+    if x.size == 0:
+        return x
+    rows = x.reshape(m, -1, d)
+    Es, s = E, 1
+    while s < m:
+        rows[s:] += (rows[:-s].reshape(-1, d) @ Es.T).reshape(m - s, -1, d)
+        s *= 2
+        if s < m:
+            Es = Es @ Es
+    return x
+
+
+def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
+                   g: np.ndarray) -> np.ndarray:
+    """Exponential-trapezoid LP quadrature on the autonomous split.
+
+    g holds the forcing at the m grid nodes, with the split coordinates on
+    its last axis; axes in between are independent orbits, each with its own
+    row of v0_plus.  The unstable part runs backward from v0_plus at t = 0,
+    S_j = Em S_{j+1} + c_j, and the complement forward from 0 at t = -T_max,
+    R_{j+1} = Ep R_j + c_j.
+    """
+    d = pieces.d_plus
+    Em, p1m, p12m, Ep, p1p, p2p = pieces.propagators(h)
+    gp, gr = g[..., :d], g[..., d:]
+    new = np.empty_like(g)
+    X = np.empty_like(gp)
+    X[0] = v0_plus
+    X[1:] = (-h * (gp[:-1] @ p1m.T + np.diff(gp, axis=0) @ p12m.T))[::-1]
+    new[..., :d] = _linear_scan(Em, X)[::-1]
+    X = np.empty_like(gr)
+    X[0] = 0.0
+    X[1:] = h * (gr[:-1] @ p1p.T + np.diff(gr, axis=0) @ p2p.T)
+    new[..., d:] = _linear_scan(Ep, X)
+    return new
+
 
 def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
              Y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -370,25 +431,11 @@ def _lp_sweep(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
     h = times[1] - times[0]
     d = pieces.d_plus
     gp, gr = g[:, :d], g[:, d:]
-    new = np.empty_like(Y)
 
     if pieces.autonomous:
-        Em, p1m, p12m, Ep, p1p, p2p = pieces.propagators(h)
-        # unstable part backward from t = 0
-        P = v0_plus.copy()
-        S = np.zeros(d)
-        new[m - 1, :d] = P + S
-        for j in range(m - 2, -1, -1):
-            P = Em @ P
-            S = Em @ S - h * (p1m @ gp[j] + p12m @ (gp[j + 1] - gp[j]))
-            new[j, :d] = P + S
-        # complement forward from t = -T_max
-        R = np.zeros(pieces.d_rest)
-        new[0, d:] = R
-        for j in range(m - 1):
-            R = Ep @ R + h * (p1p @ gr[j] + p2p @ (gr[j + 1] - gr[j]))
-            new[j + 1, d:] = R
+        new = _lp_quadrature(pieces, h, v0_plus, g)
     else:
+        new = np.empty_like(Y)
         blocks = [pieces.blocks_at(Y[j]) for j in range(m)]
         Ap = [b[0] for b in blocks]
         Ar = [b[1] for b in blocks]
@@ -510,8 +557,6 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     orbit = _orbit_from_Y(pieces, times, Y)
     # centered-difference trajectory residual against the full field
     deriv = np.gradient(orbit.states, times, axis=0)
-    if field is None:
-        field = pieces.model.field_many(orbit.states)
     traj_res = float(np.max(np.linalg.norm(
         (deriv - field)[1:-1], axis=1))) if m > 2 else 0.0
 
@@ -636,8 +681,7 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
                     pass
             status.append("ok")
             results.append(res)
-        except (NoContractionError, ValueError, RuntimeError,
-                FloatingPointError) as exc:
+        except _SAMPLE_FAILURES as exc:
             status.append(f"failed: {exc}")
             results.append(None)
     ok = np.array([s == "ok" for s in status])
@@ -777,7 +821,7 @@ def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
             continue
         try:
             res1 = lp_solve(pieces, cfg, base1)
-        except (NoContractionError, ValueError, RuntimeError):
+        except _SAMPLE_FAILURES:
             skipped += 1
             residuals.append(np.nan)
             continue
@@ -801,49 +845,29 @@ def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig,
     times = lp_grid(cfg)
     m = len(times)
     h = times[1] - times[0]
-    d, dr, n = pieces.d_plus, pieces.d_rest, pieces.dim
-    eq = pieces.model.equilibrium
+    d, n = pieces.d_plus, pieces.dim
     Adiag = np.zeros((n, n))
     Adiag[:d, :d] = pieces.A_plus
     Adiag[d:, d:] = pieces.A_rest
     # coupling along the base orbit: full Jacobian minus the frozen blocks
-    Atil = np.empty((m, n, n))
-    for j in range(m):
-        Afull = pieces.Binv @ pieces.model.jacobian(
-            base.orbit.states[j]) @ pieces.B
-        Atil[j] = Afull - Adiag
+    J = np.array([pieces.model.jacobian(u) for u in base.orbit.states])
+    AtilT = (pieces.Binv @ J @ pieces.B - Adiag).transpose(0, 2, 1)
 
-    Em, p1m, p12m, Ep, p1p, p2p = pieces.propagators(h)
-    V = np.zeros((m, n, d))
-    # initial iterate: homogeneous unstable propagation of the identity
-    V[m - 1, :d, :] = np.eye(d)
-    for j in range(m - 2, -1, -1):
-        V[j, :d, :] = Em @ V[j + 1, :d, :]
-
+    # W[j] = U^1(t_j)^T, one row per derivative direction; the initial
+    # iterate is the homogeneous unstable propagation of the identity
+    eye = np.eye(d)
+    W = _lp_quadrature(pieces, h, eye, np.zeros((m, d, n)))
     prev = None
     for it in range(max_iter):
-        G = np.einsum("jab,jbc->jac", Atil, V)
-        Gp, Gr = G[:, :d, :], G[:, d:, :]
-        Vn = np.zeros_like(V)
-        P = np.eye(d)
-        S = np.zeros((d, d))
-        Vn[m - 1, :d, :] = P
-        for j in range(m - 2, -1, -1):
-            P = Em @ P
-            S = Em @ S - h * (p1m @ Gp[j] + p12m @ (Gp[j + 1] - Gp[j]))
-            Vn[j, :d, :] = P + S
-        if dr:
-            R = np.zeros((dr, d))
-            for j in range(m - 1):
-                R = Ep @ R + h * (p1p @ Gr[j] + p2p @ (Gr[j + 1] - Gr[j]))
-                Vn[j + 1, d:, :] = R
+        Wn = _lp_quadrature(pieces, h, eye, W @ AtilT)
         inc = float(np.max(np.exp(-cfg.lam * times)
-                           * np.linalg.norm(Vn - V, axis=(1, 2))))
-        V = Vn
+                           * np.linalg.norm(Wn - W, axis=(1, 2))))
+        W = Wn
         if prev is not None and inc > prev and inc > tol and it > 3:
             raise NoContractionError("variational LP system not contracting")
         prev = inc
         if inc <= tol:
             break
+    V = W.transpose(0, 2, 1)
     Dq = V[m - 1, d:, :].copy()
     return V, Dq

@@ -279,24 +279,29 @@ def saddle_toy(name: str) -> ModelSystem:
     saddle2: x' = 2x + y^2, y' = -y, unstable manifold y = 0, stable x = -y^2/4.
     """
     if name == "saddle1":
-        def F(u):
-            x, y = u
-            return np.array([x, -y + x * x])
+        def F_many(S):
+            x, y = S[..., 0], S[..., 1]
+            return np.stack([x, -y + x * x], axis=-1)
 
         def jac(u):
             x, _ = u
             return np.array([[1.0, 0.0], [2.0 * x, -1.0]])
     elif name == "saddle2":
-        def F(u):
-            x, y = u
-            return np.array([2.0 * x + y * y, -y])
+        def F_many(S):
+            x, y = S[..., 0], S[..., 1]
+            return np.stack([2.0 * x + y * y, -y], axis=-1)
 
         def jac(u):
             _, y = u
             return np.array([[2.0, 2.0 * y], [0.0, -1.0]])
     else:
         raise ValueError(f"unknown saddle toy {name!r}")
-    return custom_model(name, F, jac, np.zeros(2), suggested_gap=0.5)
+
+    def F(u):
+        return F_many(np.asarray(u, dtype=float))
+
+    return custom_model(name, F, jac, np.zeros(2), suggested_gap=0.5,
+                        vector_field_many=F_many)
 
 
 # ---------------------------------------------------------------------------
@@ -314,31 +319,46 @@ def reaction_diffusion(lambda_param: float, n_modes: int) -> ModelSystem:
     lin = np.array([lambda_param - k * k for k in range(n)])
 
     def to_full(a):
-        """Cosine coefficients -> full exponential coefficients (index shift n-1)."""
-        full = np.zeros(2 * n - 1)
-        full[n - 1] = a[0]
-        for k in range(1, n):
-            full[n - 1 + k] = 0.5 * a[k]
-            full[n - 1 - k] = 0.5 * a[k]
-        return full
+        """Cosine coefficients -> exponential coefficients at offsets
+        -(n-1)..n-1 along the last axis."""
+        half = 0.5 * a[..., 1:]
+        return np.concatenate([half[..., ::-1], a[..., :1], half], axis=-1)
 
     def from_full(full, width):
-        m = (len(full) - 1) // 2
-        out = np.zeros(width)
-        out[0] = full[m]
-        for k in range(1, width):
-            out[k] = 2.0 * full[m + k]
+        m = (full.shape[-1] - 1) // 2
+        out = 2.0 * full[..., m:m + width]
+        out[..., 0] = full[..., m]
         return out
 
     def cube_coeffs(a):
         full = to_full(a)
-        sq = np.convolve(full, full)
-        cu = np.convolve(sq, full)
-        return from_full(cu, n)
+        return from_full(np.convolve(np.convolve(full, full), full), n)
+
+    def cube_coeffs_many(states):
+        """cube_coeffs on each row: the same two convolutions, with the
+        coefficient index on the leading axis so that each step is one
+        vector operation over all rows.  Only the offsets 0..n-1 of the cube
+        are formed.  A product with an exactly-zero coefficient adds an exact
+        zero, so modes that vanish by symmetry stay exactly zero."""
+        c = to_full(states).T.copy()
+        L = 2 * n - 1
+        sq = np.zeros((2 * L - 1, c.shape[1]))
+        for i in range(L):
+            sq[i:i + L] += c[i] * c
+        cube = np.zeros((n, c.shape[1]))
+        for i in range(L):
+            cube += c[i] * sq[3 * n - 3 - i:4 * n - 3 - i]
+        out = 2.0 * cube.T
+        out[:, 0] = cube[0]
+        return out
 
     def F(u):
         a = as_state(u, n)
         return lin * a - cube_coeffs(a)
+
+    def F_many(states):
+        a = np.asarray(states, dtype=float)
+        return lin * a - cube_coeffs_many(a)
 
     def mult_matrix_usq(a):
         """Matrix of phi -> (u^2 * phi) projected on cosine modes."""
@@ -357,7 +377,7 @@ def reaction_diffusion(lambda_param: float, n_modes: int) -> ModelSystem:
 
     return custom_model("rd", F, jac, np.zeros(n),
                         ladder=NormLadder(n, lambda i, r: (1.0 + i * i) ** (r / 2.0)),
-                        suggested_gap=None)
+                        suggested_gap=None, vector_field_many=F_many)
 
 
 # ---------------------------------------------------------------------------

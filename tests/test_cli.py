@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lpmanifolds.cli import main
+from lpmanifolds.cli import default_gap, main
+from lpmanifolds.linalg import eigen_split
+from lpmanifolds.models import MmtParams, custom_model, mmt_galerkin, mmt_mode_set
 
 
 def run_cli(capsys, *argv):
@@ -76,14 +78,35 @@ def test_manifold_deterministic_output(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_manifold_jobs_matches_serial(capsys, tmp_path):
-    p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
-    args = ["manifold", "--model", "saddle1", "--eps", "0.1", "--grid", "9",
-            "--dt", "0.005", "--lam", "0.9"]
-    assert main(args + ["--out", str(p1)]) == 0
-    assert main(args + ["--jobs", "3", "--out", str(p2)]) == 0
-    capsys.readouterr()
-    assert p1.read_text() == p2.read_text()
+def test_manifold_summary_reports_graph_diagnostics(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "manifold", "--model", "saddle1",
+                           "--eps", "0.1", "--grid", "9", "--dt", "0.005",
+                           "--lam", "0.9", "--out", str(tmp_path / "g.csv"))
+    assert code == 0
+    fields = dict(kv.split("=") for kv in out.split())
+    # the exact graph is x^2/3: ||h||/||v|| = |x|/3 has slope 1/3
+    assert abs(float(fields["tangency_slope"]) - 1.0 / 3.0) <= 1e-3
+    assert 0.0 < float(fields["lipschitz_low"]) < 1.0
+
+
+@pytest.mark.parametrize("half_width", [3, 8])
+def test_default_gap_ignores_roundoff_split_of_jordan_block(half_width):
+    # the plane-wave Jacobian has a Jordan block at 0 (phase symmetry); a
+    # 1e-16 perturbation splits it by ~1e-8, which is not a growth rate
+    p = MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
+                  mode_set=mmt_mode_set(0, half_width))
+    model = mmt_galerkin(p)
+    A = model.jacobian(model.equilibrium)
+    gap = default_gap(model, None)
+    dim_plus = eigen_split(A, gap).dim_plus
+    assert dim_plus == 2
+    for seed in range(5):
+        Ap = A + 1e-16 * np.random.default_rng(seed).normal(size=A.shape)
+        noisy = custom_model("noisy", model.vector_field,
+                             lambda u, Ap=Ap: Ap, model.equilibrium)
+        gap_p = default_gap(noisy, None)
+        assert gap_p == pytest.approx(gap, rel=1e-9)
+        assert eigen_split(Ap, gap_p).dim_plus == dim_plus
 
 
 def test_mmt_scan_csv(capsys, tmp_path):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from lpmanifolds import lp
 from lpmanifolds.graded import NormLadder, OrbitGrid
 from lpmanifolds.linalg import (
     Timeline,
@@ -111,6 +113,88 @@ def test_lp_apply_zero_remainder_is_linear_flow():
     assert Ynew[:, 0] == pytest.approx(0.5 * np.exp(times), abs=1e-12)
     assert np.abs(Ynew[:, 1]).max() == 0.0
     assert tail == 0.0
+
+
+def _scan_loop(E, X):
+    """Reference for lp._linear_scan: x_0 = X[0], x_{j+1} = E x_j + X[j+1],
+    with the states along the last axis."""
+    x = np.empty_like(X)
+    x[0] = X[0]
+    for j in range(1, len(X)):
+        x[j] = x[j - 1] @ E.T + X[j]
+    return x
+
+
+def _scan_matrix(kind, d, rng):
+    if kind == "nonnormal":
+        # spectral radius 0.999, norm far above 1
+        E = np.triu(rng.normal(size=(d, d)), 1) * 3.0
+        return E + np.diag(rng.uniform(0.5, 0.999, size=d))
+    # Jordan block at 0 (as in the MMT complement): polynomial growth
+    return sla.expm(0.005 * np.eye(d, k=1))
+
+
+@pytest.mark.parametrize("kind", ["nonnormal", "jordan"])
+@pytest.mark.parametrize("d", [0, 1, 5])
+@pytest.mark.parametrize("m", [2, 3, 1000, 3201])
+def test_linear_scan_matches_loop(m, d, kind):
+    rng = np.random.default_rng([m, d])
+    E = _scan_matrix(kind, d, rng)
+    for X in (rng.normal(size=(m, d)), rng.normal(size=(m, 3, d))):
+        keep = X.copy()
+        got = lp._linear_scan(E, X)
+        assert np.array_equal(X, keep)
+        ref = _scan_loop(E, X)
+        assert got.shape == ref.shape
+        if ref.size:
+            scale = np.abs(ref).max()
+            assert np.abs(got - ref).max() <= 1e-13 * scale
+
+
+def _lp_apply_loop(pieces, cfg, v0_plus, Y):
+    """Reference for the autonomous lp_apply: the node-by-node recurrences."""
+    g = pieces.f_split(Y)
+    times = lp_grid(cfg)
+    m, h, d = len(times), times[1] - times[0], pieces.d_plus
+    gp, gr = g[:, :d], g[:, d:]
+    Em, p1m, p12m, Ep, p1p, p2p = pieces.propagators(h)
+    new = np.empty_like(Y)
+    P, S = v0_plus.copy(), np.zeros(d)
+    new[m - 1, :d] = P + S
+    for j in range(m - 2, -1, -1):
+        P = Em @ P
+        S = Em @ S - h * (p1m @ gp[j] + p12m @ (gp[j + 1] - gp[j]))
+        new[j, :d] = P + S
+    R = np.zeros(pieces.d_rest)
+    new[0, d:] = R
+    for j in range(m - 1):
+        R = Ep @ R + h * (p1p @ gr[j] + p2p @ (gr[j + 1] - gr[j]))
+        new[j + 1, d:] = R
+    return new
+
+
+@pytest.mark.parametrize("which", ["saddle1", "mmt7"])
+def test_lp_apply_matches_loop_reference(which):
+    if which == "saddle1":
+        _, sp, pieces = saddle1_pieces()
+        cfg = LpConfig(lam=0.9, T_max=16.0, dt=0.005, eps=0.1, tol=1e-9)
+        v0 = np.array([0.1])
+    else:
+        _, sp, pieces = mmt_mi_pieces(3)
+        cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
+                       dt=0.005, eps=0.05, tol=1e-9)
+        v0 = np.array([0.03, 0.0])
+    # two sweeps from the zero orbit give an orbit with forcing in every
+    # coordinate; apply the scan and the loop to it
+    Y = np.zeros((len(lp_grid(cfg)), pieces.dim))
+    for _ in range(2):
+        Y, _ = lp_apply(pieces, cfg, v0, Y)
+    got, _ = lp_apply(pieces, cfg, v0, Y)
+    ref = _lp_apply_loop(pieces, cfg, v0, Y)
+    for cols in (slice(0, pieces.d_plus), slice(pieces.d_plus, None)):
+        scale = np.abs(ref[:, cols]).max()
+        assert scale > 0
+        assert np.abs(got[:, cols] - ref[:, cols]).max() <= 1e-12 * scale
 
 
 def test_lp_apply_first_and_second_iterate_saddle1():
@@ -431,6 +515,30 @@ def test_invariance_mmt_within_budget():
     assert rep["max_residual"] <= 10 * (cfg.tol + budget) + 1e-8
 
 
+def test_invariance_counts_floating_point_failure_as_skipped(monkeypatch):
+    # a non-finite remainder in a re-solve raises FloatingPointError; the
+    # sample is skipped, as build_manifold_graph marks it failed
+    _, _, pieces = saddle1_pieces()
+    pts = np.array([[-0.08], [0.05], [0.08]])
+    graph = build_manifold_graph(pieces, CFG1, grid_spec=pts)
+    real = lp.lp_solve
+    calls = []
+
+    def flaky(pieces_, cfg_, v0):
+        calls.append(v0)
+        if len(calls) == 2:
+            raise FloatingPointError("non-finite remainder evaluation")
+        return real(pieces_, cfg_, v0)
+
+    monkeypatch.setattr(lp, "lp_solve", flaky)
+    rep = invariance_residual(graph, pieces, CFG1, 0.1)
+    assert len(calls) == 3
+    assert rep["skipped"] == 1
+    assert np.isnan(rep["residuals"][1])
+    assert math.isfinite(rep["max_residual"])
+    assert rep["max_residual"] <= 1e-6
+
+
 # -------------------------------------------------------------- variational
 
 def test_variational_zero_base():
@@ -475,7 +583,7 @@ def test_quasilinearize_linear_model():
     rng = np.random.default_rng(1)
     for _ in range(5):
         y = rng.normal(size=2) * 0.3
-        assert np.abs(q.pieces.remainder_at(y)).max() <= 1e-10
+        assert np.abs(q.pieces.remainder_at(y)[0]).max() <= 1e-10
 
 
 def test_quasilinearize_roundtrip_saddle1():
@@ -495,7 +603,8 @@ def test_quasilinearize_remainder_gradient_vanishes():
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        df = (q.pieces.remainder_at(e) - q.pieces.remainder_at(-e)) / (2 * h)
+        df = (q.pieces.remainder_at(e)[0]
+              - q.pieces.remainder_at(-e)[0]) / (2 * h)
         assert np.abs(df).max() <= 1e-6
 
 
@@ -525,6 +634,39 @@ def test_quasilinearized_route_agrees_on_coupled_model():
     budget = 10 * (res_v.diagnostics["error_budget"]
                    + direct.diagnostics["error_budget"])
     assert abs(u_pt[1] - direct.h_value[0]) <= budget
+
+
+def test_quasilinear_solve_reuses_field_for_trajectory_residual():
+    # the trajectory residual takes the transformed field from the residual
+    # sweep's remainder_at calls instead of a field_many pass over the orbit,
+    # which would run one more invert_B per node
+    m, sp, _ = _coupled_saddle()
+    cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.15, tol=1e-11)
+    q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
+    rem = q.pieces.remainder_at
+    cell = rem.__closure__[rem.__code__.co_freevars.index("invert_B")]
+    inner = cell.cell_contents
+    count = [0]
+
+    def counted(v):
+        count[0] += 1
+        return inner(v)
+
+    cell.cell_contents = counted
+    try:
+        res = lp_solve(q.pieces, cfg, np.array([0.06]))
+    finally:
+        cell.cell_contents = inner
+    nodes = len(lp_grid(cfg))
+    assert nodes == 2001
+    # one inversion per node in blocks_at and one in remainder_at, for each
+    # iteration sweep and for the residual sweep
+    assert count[0] == 2 * nodes * (res.diagnostics["iterations"] + 1)
+    times = res.orbit.times
+    deriv = np.gradient(res.orbit.states, times, axis=0)
+    field = q.transformed.field_many(res.orbit.states)
+    ref = float(np.max(np.linalg.norm((deriv - field)[1:-1], axis=1)))
+    assert abs(res.diagnostics["trajectory_residual"] - ref) <= 1e-10
 
 
 def test_random_quadratic_saddles_cross_checked():

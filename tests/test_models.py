@@ -280,6 +280,49 @@ def test_saddle_unknown_name():
 
 # -------------------------------------------------------- reaction-diffusion
 
+def _rd_field_loop(lam_param, n, a):
+    """Reference rd field: cosine coefficients through np.convolve."""
+    full = np.zeros(2 * n - 1)
+    full[n - 1] = a[0]
+    for k in range(1, n):
+        full[n - 1 + k] = full[n - 1 - k] = 0.5 * a[k]
+    cube = np.convolve(np.convolve(full, full), full)
+    mid = (len(cube) - 1) // 2
+    cu = np.array([cube[mid]] + [2.0 * cube[mid + k] for k in range(1, n)])
+    return np.array([lam_param - k * k for k in range(n)]) * a - cu
+
+
+@pytest.mark.parametrize("name", ["saddle1", "saddle2", "rd"])
+def test_field_many_matches_stacked_vector_field(name):
+    rng = np.random.default_rng(21)
+    if name == "rd":
+        m = reaction_diffusion(2.0, 6)
+        S = 0.3 * rng.normal(size=(3201, 6))
+        ref = np.array([_rd_field_loop(2.0, 6, s) for s in S])
+    else:
+        m = saddle_toy(name)
+        S = 0.3 * rng.normal(size=(3201, 2))
+        x, y = S[:, 0], S[:, 1]
+        ref = (np.stack([x, -y + x * x], axis=1) if name == "saddle1"
+               else np.stack([2.0 * x + y * y, -y], axis=1))
+    got = m.field_many(S)
+    stacked = np.array([m.vector_field(s) for s in S])
+    for other in (stacked, ref):
+        err = np.abs(got - other).max(axis=1)
+        assert np.all(err <= 1e-15 * np.abs(other).max(axis=1))
+
+
+def test_rd_field_many_keeps_odd_modes_exactly_zero():
+    # u -> u(x + pi) flips the odd cosine modes; a state with only even
+    # modes stays there, and its odd field components are exact zeros
+    m = reaction_diffusion(2.0, 6)
+    S = np.random.default_rng(5).normal(size=(500, 6))
+    S[:, 1::2] = 0.0
+    F = m.field_many(S)
+    assert np.all(F[:, 1::2] == 0.0)
+    assert np.all(np.abs(F[:, 0::2]) > 0.0)
+
+
 def test_rd_unstable_dimension_half():
     m = reaction_diffusion(0.5, 5)
     sp = eigen_split(m.jacobian(m.equilibrium), 0.25)
