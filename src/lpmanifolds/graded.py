@@ -23,6 +23,7 @@ __all__ = [
     "OrbitGrid",
     "as_state",
     "graded_norm",
+    "lerp_nodes",
     "weighted_orbit_norm",
 ]
 
@@ -129,10 +130,19 @@ class OrbitGrid:
         t0, t1 = self.times[0], self.times[-1]
         if t < t0 - 1e-12 or t > t1 + 1e-12:
             raise ValueError(f"time {t} outside orbit span [{t0}, {t1}]")
-        out = np.empty(self.dim)
-        for k in range(self.dim):
-            out[k] = np.interp(t, self.times, self.states[:, k])
-        return out
+        return lerp_nodes(self.times, self.states, t)
+
+
+def lerp_nodes(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+    """values (one entry per node along axis 0) linearly interpolated at t:
+    np.interp on every component at once, exact at the nodes and clamped to
+    the end values outside [times[0], times[-1]]."""
+    t = min(max(t, times[0]), times[-1])
+    j = int(np.searchsorted(times, t, side="right")) - 1
+    if j >= len(times) - 1:
+        return values[-1].copy()
+    slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
+    return slope * (t - times[j]) + values[j]
 
 
 def weighted_orbit_norm(orbit: OrbitGrid, lam: float, ladder: NormLadder,

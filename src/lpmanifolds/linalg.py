@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .graded import OrbitGrid, as_state
+from .graded import OrbitGrid, as_state, lerp_nodes
 
 __all__ = [
     "AmbiguousSplitError",
@@ -36,6 +36,8 @@ __all__ = [
     "variational_flow",
     "rk4_step",
     "integrate_rk4",
+    "linear_scan",
+    "rk4_affine",
 ]
 
 
@@ -279,13 +281,80 @@ def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float, dt: float,
     y_cur, t_cur = y, t0
     for tr in rec:
         sub = tr - t_cur
-        m = max(0, int(round(abs(sub) / abs(h))))
+        # at least one substep whenever the record time moves, even by
+        # less than h/2
+        m = max(int(sub != 0), int(round(abs(sub) / abs(h))))
         hh = sub / m if m else 0.0
         for _ in range(m):
             y_cur = rk4_step(f, t_cur, y_cur, hh)
             t_cur += hh
         out.append(y_cur.copy())
     return np.array(rec), np.array(out)
+
+
+def linear_scan(E: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """x_0 = X[0], x_{j+1} = E_j x_j + X[j+1] along axis 0; X is left intact.
+
+    E is either one (d, d) matrix for every step or a stack of m - 1
+    matrices, E[j] taking x_j to x_{j+1}.  The states lie along the last
+    axis of X; axes in between hold independent recurrences with the same
+    matrices.  Recursive doubling: after the pass with shift s, x[j] holds
+    the sum of E_{j-1} ... E_i X[i] over j-2s < i <= j, so about log2(m)
+    batched matmuls replace the m-step loop.
+    """
+    x = np.array(X, dtype=float)
+    m, d = x.shape[0], x.shape[-1]
+    if E.ndim == 3 and E.shape != (m - 1, d, d):
+        raise ValueError(f"expected {m - 1} step matrices of size {d}, got "
+                         f"shape {E.shape}")
+    if x.size == 0:
+        return x
+    rows = x.reshape(m, -1, d)
+    s = 1
+    if E.ndim == 2:
+        Es = E
+        while s < m:
+            rows[s:] += (rows[:-s].reshape(-1, d) @ Es.T).reshape(m - s, -1, d)
+            s *= 2
+            if s < m:
+                Es = Es @ Es
+        return x
+    # Q[j-1] holds the transposed product of the matrices of the steps
+    # ending at node j, over a window that doubles with s
+    Q = E.transpose(0, 2, 1).copy()
+    while s < m:
+        rows[s:] += rows[:-s] @ Q[s - 1:]
+        if 2 * s < m:
+            Q[2 * s - 1:] = Q[s - 1:-s] @ Q[2 * s - 1:]
+        s *= 2
+    return x
+
+
+def rk4_affine(A: np.ndarray, g: np.ndarray, y0: np.ndarray,
+               h: float) -> np.ndarray:
+    """Classical RK4 for y' = A(t) y + g(t) on a uniform grid of m nodes,
+    one step per interval, with A and g linear between the nodes; returns y
+    at every node, y[0] = y0.
+
+    A has shape (m, d, d) and g (m, d).  A negative h steps backward in
+    time (pass the node arrays in the order of the steps).  With A and g
+    frozen, each step is an affine map y_{j+1} = M_j y_j + c_j; the
+    augmented maps [M_j | c_j] come from three batched matmuls, and
+    linear_scan solves the recurrence.
+    """
+    m, d = g.shape
+    Am = 0.5 * (A[:-1] + A[1:])
+    # stage k as an affine function of y: [K_k | c_k], k_k = K_k y + c_k
+    K1 = np.concatenate([A[:-1], g[:-1, :, None]], axis=2)
+    Kmid = np.concatenate([Am, 0.5 * (g[:-1] + g[1:])[:, :, None]], axis=2)
+    K2 = Kmid + (0.5 * h) * (Am @ K1)
+    K3 = Kmid + (0.5 * h) * (Am @ K2)
+    K4 = np.concatenate([A[1:], g[1:, :, None]], axis=2) + h * (A[1:] @ K3)
+    S = (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+    X = np.empty((m, d))
+    X[0] = y0
+    X[1:] = S[:, :, d]
+    return linear_scan(S[:, :, :d] + np.eye(d), X)
 
 
 @dataclass
@@ -326,26 +395,14 @@ class Timeline:
     def hull(self):
         return float(self.times[0]), float(self.times[-1])
 
-    def _interp_states(self, t: float) -> np.ndarray:
-        out = np.empty(self._states.shape[1])
-        for k in range(self._states.shape[1]):
-            out[k] = np.interp(t, self.times, self._states[:, k])
-        return out
-
     def operator_at(self, t: float) -> np.ndarray:
         lo, hi = self.hull
         if t < lo - 1e-9 or t > hi + 1e-9:
             raise ValueError(f"time {t} outside timeline hull [{lo}, {hi}]")
         t = min(max(t, lo), hi)
         if self._matrices is not None:
-            n = self._matrices.shape[1]
-            out = np.empty((n, n))
-            for i in range(n):
-                for j in range(n):
-                    out[i, j] = np.interp(t, self.times,
-                                          self._matrices[:, i, j])
-            return out
-        return self._model.jacobian(self._interp_states(t))
+            return lerp_nodes(self.times, self._matrices, t)
+        return self._model.jacobian(lerp_nodes(self.times, self._states, t))
 
 
 def evolve(tl: Timeline, v0, t0: float, t1: float, dt: float) -> np.ndarray:
@@ -478,20 +535,9 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
-        A_nodes = [model.jacobian(states[j]) for j in range(m)]
-        g_nodes = [model.vector_field(states[j]) - A_nodes[j] @ states[j]
-                   for j in range(m)]
-        new = np.empty_like(states)
-        new[0] = v0
-        for j in range(m - 1):
-            Am = 0.5 * (A_nodes[j] + A_nodes[j + 1])
-            gm = 0.5 * (g_nodes[j] + g_nodes[j + 1])
-            y = new[j]
-            k1 = A_nodes[j] @ y + g_nodes[j]
-            k2 = Am @ (y + 0.5 * h * k1) + gm
-            k3 = Am @ (y + 0.5 * h * k2) + gm
-            k4 = A_nodes[j + 1] @ (y + h * k3) + g_nodes[j + 1]
-            new[j + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        A = model.jacobian_many(states)
+        g = model.field_many(states) - (A @ states[:, :, None])[:, :, 0]
+        new = rk4_affine(A, g, v0, h)
         inc = float(np.max(np.linalg.norm(new - states, axis=1)))
         states = new
         if prev_inc is not None and prev_inc > 0:
@@ -525,15 +571,12 @@ def variational_flow(model, orbit: OrbitGrid, dt: float,
         raise ValueError("orbit too short for a variational flow")
     gdt = orbit.dt
     scale = max(1.0, float(np.abs(orbit.states).max()))
+    F = model.field_many(orbit.states)
     if residual_tol is None:
-        fmax = max(np.linalg.norm(model.vector_field(orbit.states[j]))
-                   for j in range(m))
+        fmax = float(np.linalg.norm(F, axis=1).max())
         residual_tol = 10.0 * gdt ** 2 * max(fmax, 1.0) * scale + 1e-9
     deriv = np.gradient(orbit.states, orbit.times, axis=0)
-    worst = 0.0
-    for j in range(1, m - 1):
-        worst = max(worst, float(np.linalg.norm(
-            deriv[j] - model.vector_field(orbit.states[j]))))
+    worst = float(np.linalg.norm(deriv - F, axis=1)[1:-1].max())
     if worst > residual_tol:
         raise ValueError(
             f"not a trajectory: residual {worst:.3e} > {residual_tol:.3e}")

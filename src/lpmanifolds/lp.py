@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .graded import NormLadder, OrbitGrid, as_state, graded_norm, weighted_orbit_norm
-from .linalg import SpectralSplitting, integrate_rk4
+from .linalg import SpectralSplitting, integrate_rk4, linear_scan, rk4_affine
 from .models import ModelSystem, custom_model
 from .oracles import finite_difference_jacobian
 
@@ -118,11 +118,11 @@ class SplitPieces:
     A_rest: np.ndarray
     d_plus: int
     autonomous: bool = True
-    # quasilinear route: block operators, and the remainder with the field it
-    # is built from, evaluated along states
-    blocks_at: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    remainder_at: Callable[[np.ndarray],
-                           tuple[np.ndarray, np.ndarray]] | None = None
+    # quasilinear route: along states Y (rows), the block operators
+    # (m, d_plus, d_plus) and (m, d_rest, d_rest), the remainder and the
+    # field it is built from, all from one inversion of B per state
+    frozen_along: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
+                                               np.ndarray, np.ndarray]] | None = None
     _cache: dict = field(default_factory=dict)
 
     @property
@@ -142,17 +142,14 @@ class SplitPieces:
         remainder is built from."""
         Y2 = np.atleast_2d(Y)
         if not self.autonomous:
-            pairs = [self.remainder_at(y) for y in Y2]
-            out = np.array([p[0] for p in pairs])
-            field = np.array([p[1] for p in pairs])
-            if Y.ndim > 1:
-                return out, field
-            return out[0], field[0]
-        if "A0" not in self._cache:
-            self._cache["A0"] = self.model.jacobian(self.model.equilibrium)
-        A0 = self._cache["A0"]
-        field = self.model.field_many(self.to_ambient(Y2))
-        out = (field - (Y2 @ self.B.T) @ A0.T) @ self.Binv.T
+            _, _, out, field = self.frozen_along(Y2)
+        else:
+            if "A0" not in self._cache:
+                self._cache["A0"] = self.model.jacobian(
+                    self.model.equilibrium)
+            A0 = self._cache["A0"]
+            field = self.model.field_many(self.to_ambient(Y2))
+            out = (field - (Y2 @ self.B.T) @ A0.T) @ self.Binv.T
         if Y.ndim > 1:
             return out, field
         return out[0], field[0]
@@ -229,7 +226,9 @@ def reversed_model(model: ModelSystem) -> ModelSystem:
         equilibrium=model.equilibrium, ladder=model.ladder,
         vector_field_many=(None if model.vector_field_many is None
                            else (lambda S: -model.vector_field_many(S))),
-        suggested_gap=model.suggested_gap)
+        suggested_gap=model.suggested_gap,
+        batch_jacobian=(None if model.batch_jacobian is None
+                        else (lambda S: -model.batch_jacobian(S))))
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +253,7 @@ class QuasiTransform:
     pieces: SplitPieces
     db0_condition: float
     invert_B: Callable[[np.ndarray], np.ndarray]
+    invert_B_many: Callable[[np.ndarray], np.ndarray]
     bmap: Callable[[np.ndarray], np.ndarray]
 
 
@@ -270,52 +270,82 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     Pr = splitting.projection.projector_rest
     eq = model.equilibrium
     n = model.dimension
+    SPp = sigma_scale * Pp
+    eye = np.eye(n)
 
-    def bmap(u_dev):
-        Fu = model.vector_field(eq + u_dev)
-        return (sigma_scale * Pp @ (Fu - sp * u_dev)
-                + Pr @ (Fu - sm * u_dev))
+    def bmap_many(U):
+        """B on deviations U (rows)."""
+        Fu = model.field_many(eq + U)
+        return (Fu - sp * U) @ SPp.T + (Fu - sm * U) @ Pr.T
 
-    def dbmat(u_dev):
-        A = model.jacobian(eq + u_dev)
-        return (sigma_scale * Pp @ (A - sp * np.eye(n))
-                + Pr @ (A - sm * np.eye(n)))
+    def db_of(J):
+        """DB(u) from the Jacobians J = DF(eq + u), one per leading index."""
+        return SPp @ (J - sp * eye) + Pr @ (J - sm * eye)
 
-    DB0 = dbmat(np.zeros(n))
+    DB0 = db_of(model.jacobian(eq))
     cond = float(np.linalg.cond(DB0))
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError(
             f"DB(0) numerically singular (condition number {cond:.3e}); "
             "choose different omega shifts")
 
-    def invert_B(v):
-        v = as_state(v, n)
-        u = np.zeros(n)
-        res = bmap(u) - v
-        rnorm = np.linalg.norm(res)
+    def invert_B_many(V):
+        """u with B(u) = v for each row v of V.
+
+        Damped Newton from u = 0 on all rows at once: a row stops once its
+        residual norm is at most newton_tol, and each step of a row is
+        halved until that row's residual norm strictly drops.
+        """
+        V = np.asarray(V, dtype=float)
+        if V.ndim != 2 or V.shape[1] != n:
+            raise ValueError(f"expected states of length {n} as rows, got "
+                             f"shape {V.shape}")
+        if not np.all(np.isfinite(V)):
+            raise ValueError("state contains non-finite entries")
+        U = np.zeros_like(V)
+        res = bmap_many(U) - V
+        rnorm = np.linalg.norm(res, axis=1)
         for _ in range(newton_max_iter):
-            if rnorm <= newton_tol:
-                return u
-            step = np.linalg.solve(dbmat(u), -res)
+            act = np.flatnonzero(rnorm > newton_tol)
+            if act.size == 0:
+                return U
+            DB = db_of(model.jacobian_many(eq + U[act]))
+            step = np.linalg.solve(DB, -res[act][:, :, None])[:, :, 0]
             lam = 1.0
-            while lam > 1e-8:
-                cand = u + lam * step
-                rc = bmap(cand) - v
-                if np.linalg.norm(rc) < rnorm:
-                    u, res, rnorm = cand, rc, np.linalg.norm(rc)
-                    break
+            while act.size:
+                if lam <= 1e-8:
+                    raise RuntimeError(
+                        "Newton stagnation inverting B (residual "
+                        f"{rnorm[act].max():.3e})")
+                cand = U[act] + lam * step
+                rc = bmap_many(cand) - V[act]
+                rcn = np.linalg.norm(rc, axis=1)
+                ok = rcn < rnorm[act]
+                done = act[ok]
+                U[done], res[done], rnorm[done] = cand[ok], rc[ok], rcn[ok]
+                act, step = act[~ok], step[~ok]
                 lam *= 0.5
-            else:
-                raise RuntimeError(
-                    f"Newton stagnation inverting B (residual {rnorm:.3e})")
-        if rnorm > newton_tol:
+        if np.any(rnorm > newton_tol):
             raise RuntimeError(
-                f"Newton failed inverting B (residual {rnorm:.3e})")
-        return u
+                f"Newton failed inverting B (residual {rnorm.max():.3e})")
+        return U
+
+    def invert_B(v):
+        return invert_B_many(as_state(v, n)[None, :])[0]
+
+    def bmap(u_dev):
+        return bmap_many(np.asarray(u_dev, dtype=float)[None, :])[0]
+
+    def jac_and_G(U):
+        """(DF(eq + u), G(B(u)) = DB(u) F(eq + u)) for deviations U (rows)."""
+        J = model.jacobian_many(eq + U)
+        return J, (db_of(J) @ model.field_many(eq + U)[:, :, None])[:, :, 0]
+
+    def G_many(V):
+        return jac_and_G(invert_B_many(V))[1]
 
     def G(v):
-        u = invert_B(v)
-        return dbmat(u) @ model.vector_field(eq + u)
+        return G_many(as_state(v, n)[None, :])[0]
 
     A_v0 = DB0 @ model.jacobian(eq) @ np.linalg.inv(DB0)
 
@@ -325,65 +355,39 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         return finite_difference_jacobian(G, v, 1e-6)
 
     tmodel = custom_model(model.name + "_quasilinearized", G, G_jac,
-                          np.zeros(n), ladder=model.ladder)
+                          np.zeros(n), ladder=model.ladder,
+                          vector_field_many=G_many)
 
     # the transformed system keeps the original projections; its blocks are
     # the diagonal blocks of the full state-dependent Jacobian
     base = split_field(model, splitting)
     d = base.d_plus
 
-    def blocks_at(y):
-        v_amb = base.B @ y
-        u = invert_B(v_amb)
-        Afull = base.Binv @ model.jacobian(eq + u) @ base.B
-        return Afull[:d, :d], Afull[d:, d:]
-
-    def remainder_at(y):
-        """(remainder, transformed field G(B y)) in one inversion of B."""
-        v_amb = base.B @ y
-        u = invert_B(v_amb)
-        field = dbmat(u) @ model.vector_field(eq + u)
-        g = base.Binv @ field
-        Afull = base.Binv @ model.jacobian(eq + u) @ base.B
-        g[:d] -= Afull[:d, :d] @ y[:d]
-        g[d:] -= Afull[d:, d:] @ y[d:]
-        return g, field
+    def frozen_along(Y):
+        """Node blocks, remainder and transformed field G(B y) along split
+        states Y (rows), from one inversion of B per row."""
+        J, field = jac_and_G(invert_B_many(Y @ base.B.T))
+        Afull = base.Binv @ J @ base.B
+        Ap, Ar = Afull[:, :d, :d], Afull[:, d:, d:]
+        g = field @ base.Binv.T
+        g[:, :d] -= (Ap @ Y[:, :d, None])[:, :, 0]
+        g[:, d:] -= (Ar @ Y[:, d:, None])[:, :, 0]
+        return Ap, Ar, g, field
 
     qpieces = SplitPieces(
         model=tmodel, splitting=splitting, B=base.B, Binv=base.Binv,
         A_plus=base.A_plus, A_rest=base.A_rest, d_plus=d, autonomous=False,
-        blocks_at=blocks_at, remainder_at=remainder_at)
+        frozen_along=frozen_along)
 
     return QuasiTransform(
         model=model, splitting=splitting, shift_plus=sp, shift_rest=sm,
         sigma_plus=sigma_scale, transformed=tmodel, pieces=qpieces,
-        db0_condition=cond, invert_B=invert_B, bmap=bmap)
+        db0_condition=cond, invert_B=invert_B,
+        invert_B_many=invert_B_many, bmap=bmap)
 
 
 # ---------------------------------------------------------------------------
 # the integral operator and its fixed point
-
-def _linear_scan(E: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """x_0 = X[0], x_{j+1} = E x_j + X[j+1] along axis 0; X is left intact.
-
-    The states lie along the last axis of X; axes in between hold
-    independent recurrences with the same E.  Recursive doubling: after the
-    pass with shift s, x[j] holds the sum of E^(j-i) X[i] over j-2s < i <= j,
-    so about log2(m) batched matmuls replace the m-step loop.
-    """
-    x = np.array(X, dtype=float)
-    m, d = x.shape[0], x.shape[-1]
-    if x.size == 0:
-        return x
-    rows = x.reshape(m, -1, d)
-    Es, s = E, 1
-    while s < m:
-        rows[s:] += (rows[:-s].reshape(-1, d) @ Es.T).reshape(m - s, -1, d)
-        s *= 2
-        if s < m:
-            Es = Es @ Es
-    return x
-
 
 def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
                    g: np.ndarray) -> np.ndarray:
@@ -402,11 +406,11 @@ def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
     X = np.empty_like(gp)
     X[0] = v0_plus
     X[1:] = (-h * (gp[:-1] @ p1m.T + np.diff(gp, axis=0) @ p12m.T))[::-1]
-    new[..., :d] = _linear_scan(Em, X)[::-1]
+    new[..., :d] = linear_scan(Em, X)[::-1]
     X = np.empty_like(gr)
     X[0] = 0.0
     X[1:] = h * (gr[:-1] @ p1p.T + np.diff(gr, axis=0) @ p2p.T)
-    new[..., d:] = _linear_scan(Ep, X)
+    new[..., d:] = linear_scan(Ep, X)
     return new
 
 
@@ -417,17 +421,22 @@ def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
     Returns the new split-coordinate orbit and the analytic bound on the
     truncated tail of the complement integral.
     """
-    return _lp_sweep(pieces, cfg, as_state(v0_plus, pieces.d_plus), Y,
-                     pieces.f_split(Y))
+    v0_plus = as_state(v0_plus, pieces.d_plus)
+    if pieces.autonomous:
+        return _lp_sweep(pieces, cfg, v0_plus, pieces.f_split(Y))
+    Ap, Ar, g, _ = pieces.frozen_along(Y)
+    return _lp_sweep(pieces, cfg, v0_plus, g, (Ap, Ar))
 
 
 def _lp_sweep(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
-              Y: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """lp_apply with the remainder g = f_split(Y) already evaluated."""
+              g: np.ndarray,
+              blocks: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> tuple[np.ndarray, float]:
+    """lp_apply with the remainder g = f_split(Y) already evaluated, and on
+    the quasilinear route the node blocks (A_plus, A_rest) along Y."""
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite remainder evaluation in lp_apply")
     times = lp_grid(cfg)
-    m = len(times)
     h = times[1] - times[0]
     d = pieces.d_plus
     gp, gr = g[:, :d], g[:, d:]
@@ -435,39 +444,12 @@ def _lp_sweep(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
     if pieces.autonomous:
         new = _lp_quadrature(pieces, h, v0_plus, g)
     else:
-        new = np.empty_like(Y)
-        blocks = [pieces.blocks_at(Y[j]) for j in range(m)]
-        Ap = [b[0] for b in blocks]
-        Ar = [b[1] for b in blocks]
-        yp = np.empty((m, d))
-        yp[m - 1] = v0_plus
-        for j in range(m - 2, -1, -1):
-            A0_, A1_ = Ap[j + 1], Ap[j]
-            Am = 0.5 * (A0_ + A1_)
-            g0, g1 = gp[j + 1], gp[j]
-            gm = 0.5 * (g0 + g1)
-            y = yp[j + 1]
-            hh = -h
-            k1 = A0_ @ y + g0
-            k2 = Am @ (y + 0.5 * hh * k1) + gm
-            k3 = Am @ (y + 0.5 * hh * k2) + gm
-            k4 = A1_ @ (y + hh * k3) + g1
-            yp[j] = y + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        yr = np.empty((m, pieces.d_rest))
-        yr[0] = 0.0
-        for j in range(m - 1):
-            A0_, A1_ = Ar[j], Ar[j + 1]
-            Am = 0.5 * (A0_ + A1_)
-            g0, g1 = gr[j], gr[j + 1]
-            gm = 0.5 * (g0 + g1)
-            y = yr[j]
-            k1 = A0_ @ y + g0
-            k2 = Am @ (y + 0.5 * h * k1) + gm
-            k3 = Am @ (y + 0.5 * h * k2) + gm
-            k4 = A1_ @ (y + h * k3) + g1
-            yr[j + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        new[:, :d] = yp
-        new[:, d:] = yr
+        # the unstable part runs backward from v0_plus at t = 0, the
+        # complement forward from 0 at t = -T_max
+        Ap, Ar = blocks
+        new = np.empty_like(g)
+        new[:, :d] = rk4_affine(Ap[::-1], gp[::-1], v0_plus, -h)[::-1]
+        new[:, d:] = rk4_affine(Ar, gr, np.zeros(pieces.d_rest), h)
 
     if pieces.d_rest and pieces.autonomous:
         c_rest = pieces.rest_growth_constant(cfg.T_max)
@@ -550,8 +532,13 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
 
     # fixed-point residual: one more sweep, measured in the same norm; its
     # remainder and ambient field also serve the two checks below
-    g, field = pieces.remainder_and_field(Y)
-    Ychk, _ = _lp_sweep(pieces, cfg, v0_plus, Y, g)
+    if pieces.autonomous:
+        g, field = pieces.remainder_and_field(Y)
+        blocks = None
+    else:
+        Ap, Ar, g, field = pieces.frozen_along(Y)
+        blocks = (Ap, Ar)
+    Ychk, _ = _lp_sweep(pieces, cfg, v0_plus, g, blocks)
     fp_res = _deviation_weighted_norm(pieces, times, Ychk - Y, cfg.lam, rlow)
 
     orbit = _orbit_from_Y(pieces, times, Y)
@@ -850,7 +837,7 @@ def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig,
     Adiag[:d, :d] = pieces.A_plus
     Adiag[d:, d:] = pieces.A_rest
     # coupling along the base orbit: full Jacobian minus the frozen blocks
-    J = np.array([pieces.model.jacobian(u) for u in base.orbit.states])
+    J = pieces.model.jacobian_many(base.orbit.states)
     AtilT = (pieces.Binv @ J @ pieces.B - Adiag).transpose(0, 2, 1)
 
     # W[j] = U^1(t_j)^T, one row per derivative direction; the initial

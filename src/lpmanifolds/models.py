@@ -47,12 +47,20 @@ class ModelSystem:
     energy: Callable[[np.ndarray], float] | None = None
     vector_field_many: Callable[[np.ndarray], np.ndarray] | None = None
     suggested_gap: float | None = None
+    batch_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def field_many(self, states: np.ndarray) -> np.ndarray:
         """Vector field on a batch of states (rows); loops unless overridden."""
         if self.vector_field_many is not None:
             return self.vector_field_many(states)
         return np.array([self.vector_field(s) for s in states])
+
+    def jacobian_many(self, states: np.ndarray) -> np.ndarray:
+        """Jacobians on a batch of states (rows), one (n, n) matrix per row;
+        calls batch_jacobian, or loops over jacobian when it is absent."""
+        if self.batch_jacobian is not None:
+            return self.batch_jacobian(states)
+        return np.array([self.jacobian(s) for s in states])
 
 
 def custom_model(name: str, F, jac, equilibrium, ladder=None, **kw) -> ModelSystem:
@@ -283,25 +291,34 @@ def saddle_toy(name: str) -> ModelSystem:
             x, y = S[..., 0], S[..., 1]
             return np.stack([x, -y + x * x], axis=-1)
 
-        def jac(u):
-            x, _ = u
-            return np.array([[1.0, 0.0], [2.0 * x, -1.0]])
+        def jac_many(S):
+            J = np.zeros(S.shape + (2,))
+            J[..., 0, 0] = 1.0
+            J[..., 1, 0] = 2.0 * S[..., 0]
+            J[..., 1, 1] = -1.0
+            return J
     elif name == "saddle2":
         def F_many(S):
             x, y = S[..., 0], S[..., 1]
             return np.stack([2.0 * x + y * y, -y], axis=-1)
 
-        def jac(u):
-            _, y = u
-            return np.array([[2.0, 2.0 * y], [0.0, -1.0]])
+        def jac_many(S):
+            J = np.zeros(S.shape + (2,))
+            J[..., 0, 0] = 2.0
+            J[..., 0, 1] = 2.0 * S[..., 1]
+            J[..., 1, 1] = -1.0
+            return J
     else:
         raise ValueError(f"unknown saddle toy {name!r}")
 
     def F(u):
         return F_many(np.asarray(u, dtype=float))
 
+    def jac(u):
+        return jac_many(np.asarray(u, dtype=float))
+
     return custom_model(name, F, jac, np.zeros(2), suggested_gap=0.5,
-                        vector_field_many=F_many)
+                        vector_field_many=F_many, batch_jacobian=jac_many)
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +351,25 @@ def reaction_diffusion(lambda_param: float, n_modes: int) -> ModelSystem:
         full = to_full(a)
         return from_full(np.convolve(np.convolve(full, full), full), n)
 
-    def cube_coeffs_many(states):
-        """cube_coeffs on each row: the same two convolutions, with the
-        coefficient index on the leading axis so that each step is one
-        vector operation over all rows.  Only the offsets 0..n-1 of the cube
-        are formed.  A product with an exactly-zero coefficient adds an exact
-        zero, so modes that vanish by symmetry stay exactly zero."""
-        c = to_full(states).T.copy()
-        L = 2 * n - 1
+    L = 2 * n - 1
+
+    def square_many(states):
+        """(c, sq): the exponential coefficients of u and of u^2 for each
+        row of states, one column per row, with the coefficient index
+        (offsets -(L-1)..L-1 for sq) on the leading axis so that each step
+        of the convolution is one vector operation over all rows.  A product
+        with an exactly-zero coefficient adds an exact zero, so modes that
+        vanish by symmetry stay exactly zero."""
+        c = to_full(np.asarray(states, dtype=float)).T.copy()
         sq = np.zeros((2 * L - 1, c.shape[1]))
         for i in range(L):
             sq[i:i + L] += c[i] * c
+        return c, sq
+
+    def cube_coeffs_many(states):
+        """cube_coeffs on each row by the same two convolutions; only the
+        offsets 0..n-1 of the cube are formed."""
+        c, sq = square_many(states)
         cube = np.zeros((n, c.shape[1]))
         for i in range(L):
             cube += c[i] * sq[3 * n - 3 - i:4 * n - 3 - i]
@@ -360,24 +385,24 @@ def reaction_diffusion(lambda_param: float, n_modes: int) -> ModelSystem:
         a = np.asarray(states, dtype=float)
         return lin * a - cube_coeffs_many(a)
 
-    def mult_matrix_usq(a):
-        """Matrix of phi -> (u^2 * phi) projected on cosine modes."""
-        full = to_full(a)
-        sq = np.convolve(full, full)
-        M = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            M[:, j] = from_full(np.convolve(sq, to_full(e)), n)
-        return M
+    # the matrix of phi -> u^2 phi projected on cosine modes has entry
+    # (k, j) = sq[k - j] + sq[k + j], halved on row 0
+    rows, cols = np.indices((n, n))
+    lag_idx, sum_idx = rows - cols + L - 1, rows + cols + L - 1
+
+    def jac_many(states):
+        _, sq = square_many(states)
+        M = sq[lag_idx] + sq[sum_idx]
+        M[0] *= 0.5
+        return np.diag(lin) - 3.0 * M.transpose(2, 0, 1)
 
     def jac(u):
-        a = as_state(u, n)
-        return np.diag(lin) - 3.0 * mult_matrix_usq(a)
+        return jac_many(as_state(u, n)[None, :])[0]
 
     return custom_model("rd", F, jac, np.zeros(n),
                         ladder=NormLadder(n, lambda i, r: (1.0 + i * i) ** (r / 2.0)),
-                        suggested_gap=None, vector_field_many=F_many)
+                        suggested_gap=None, vector_field_many=F_many,
+                        batch_jacobian=jac_many)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from lpmanifolds.linalg import (
     evolve,
     growth_bound_check,
     hamiltonian_symmetry_check,
+    integrate_rk4,
     lyapunov_form,
     metric_variation_bound,
     picard_solve,
+    rk4_affine,
     transition_matrix,
     variational_flow,
 )
@@ -164,6 +166,85 @@ def test_lyapunov_random_stable_dimension_100():
 
 
 # ------------------------------------------------------------------ evolution
+
+def test_integrate_rk4_record_times_closer_than_half_step():
+    # record times 0.02 apart with h = 0.1 still advance the state
+    times, states = integrate_rk4(lambda t, y: y, [1.0], 0.0, 1.0, 0.1,
+                                  record_times=[0, 0.02, 0.04, 0.5, 1])
+    assert np.all(np.abs(states[:, 0] - np.exp(times)) <= 1e-6 * np.exp(times))
+
+
+def test_interpolation_matches_np_interp():
+    rng = np.random.default_rng(4)
+    times = np.cumsum(rng.uniform(0.1, 1.0, size=40)) - 3.0
+    states = rng.normal(size=(40, 3))
+    mats = rng.normal(size=(40, 3, 3))
+    orbit = OrbitGrid(times, states)
+    tl_mats = Timeline.from_matrices(times, mats)
+    # operator_at of an orbit timeline is the Jacobian at the interpolated
+    # state; with DF(u) = diag(u) its diagonal is that state
+    diag = custom_model("diag", lambda u: 0.5 * u * u, np.diag, np.zeros(3))
+    tl_orbit = Timeline.from_orbit(diag, orbit)
+
+    def ref(values, t):
+        flat = values.reshape(len(times), -1)
+        return np.array([np.interp(t, times, flat[:, k])
+                         for k in range(flat.shape[1])]).reshape(
+                             values.shape[1:])
+
+    samples = np.concatenate([rng.uniform(times[0], times[-1], size=200),
+                              times, [times[0] - 1e-13, times[-1] + 1e-13]])
+    for t in samples:
+        for got, values in ((orbit.state_at(t), states),
+                            (tl_mats.operator_at(t), mats),
+                            (np.diag(tl_orbit.operator_at(t)), states)):
+            expect = ref(values, t)
+            assert got.shape == expect.shape
+            assert np.abs(got - expect).max() <= 1e-15 * np.abs(values).max()
+    for j, t in enumerate(times):
+        assert np.array_equal(orbit.state_at(t), states[j])
+        assert np.array_equal(tl_mats.operator_at(t), mats[j])
+    assert np.array_equal(orbit.state_at(times[-1] + 1e-13), states[-1])
+    assert np.array_equal(tl_mats.operator_at(times[0] - 1e-10), mats[0])
+    with pytest.raises(ValueError, match="outside"):
+        orbit.state_at(times[-1] + 1e-6)
+    with pytest.raises(ValueError, match="hull"):
+        tl_mats.operator_at(times[0] - 1e-6)
+
+
+def _rk4_stage_loop(A, g, y0, h):
+    """Reference for rk4_affine: the node-by-node RK4 stages with A and g
+    averaged at the midpoint of each step."""
+    y = np.empty(g.shape)
+    y[0] = y0
+    for j in range(len(g) - 1):
+        Am = 0.5 * (A[j] + A[j + 1])
+        gm = 0.5 * (g[j] + g[j + 1])
+        k1 = A[j] @ y[j] + g[j]
+        k2 = Am @ (y[j] + 0.5 * h * k1) + gm
+        k3 = Am @ (y[j] + 0.5 * h * k2) + gm
+        k4 = A[j + 1] @ (y[j] + h * k3) + g[j + 1]
+        y[j + 1] = y[j] + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+@pytest.mark.parametrize("h", [0.01, -0.01])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_rk4_affine_matches_stage_loop(d, h):
+    # a slowly varying operator with decay in the direction of the steps,
+    # as in both sweeps of the Lyapunov-Perron iteration
+    rng = np.random.default_rng([d, h > 0])
+    m = 2001
+    s = np.linspace(0.0, 1.0, m)[:, None, None]
+    base = -np.sign(h) * np.eye(d) + 0.3 * rng.normal(size=(d, d))
+    A = base + 0.2 * np.sin(3.0 * s) * rng.normal(size=(d, d))
+    g = 0.1 * np.cos(5.0 * s[:, :, 0] + rng.normal(size=d))
+    y0 = rng.normal(size=d)
+    got = rk4_affine(A, g, y0, h)
+    ref = _rk4_stage_loop(A, g, y0, h)
+    assert got.shape == (m, d)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
 
 def test_evolve_scalar_exponential():
     lam = -1.3

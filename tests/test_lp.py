@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from lpmanifolds.linalg import (
     dissipativity_check,
     eigen_split,
     growth_bound_check,
+    linear_scan,
     lyapunov_form,
 )
 from lpmanifolds.lp import (
@@ -116,12 +118,13 @@ def test_lp_apply_zero_remainder_is_linear_flow():
 
 
 def _scan_loop(E, X):
-    """Reference for lp._linear_scan: x_0 = X[0], x_{j+1} = E x_j + X[j+1],
-    with the states along the last axis."""
+    """Reference for linear_scan: x_0 = X[0], x_{j+1} = E_j x_j + X[j+1],
+    with the states along the last axis; E is one matrix or one per step."""
     x = np.empty_like(X)
     x[0] = X[0]
     for j in range(1, len(X)):
-        x[j] = x[j - 1] @ E.T + X[j]
+        Ej = E if E.ndim == 2 else E[j - 1]
+        x[j] = x[j - 1] @ Ej.T + X[j]
     return x
 
 
@@ -140,15 +143,41 @@ def _scan_matrix(kind, d, rng):
 def test_linear_scan_matches_loop(m, d, kind):
     rng = np.random.default_rng([m, d])
     E = _scan_matrix(kind, d, rng)
+    # the constant matrix, and the same matrix given once per step
+    steps = np.broadcast_to(E, (m - 1, d, d))
     for X in (rng.normal(size=(m, d)), rng.normal(size=(m, 3, d))):
         keep = X.copy()
-        got = lp._linear_scan(E, X)
+        ref = _scan_loop(E, X)
+        for EE in (E, steps):
+            got = linear_scan(EE, X)
+            assert np.array_equal(X, keep)
+            assert got.shape == ref.shape
+            if ref.size:
+                scale = np.abs(ref).max()
+                assert np.abs(got - ref).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("d", [0, 1, 5])
+@pytest.mark.parametrize("m", [2, 3, 1000, 3201])
+def test_linear_scan_step_matrices_match_loop(m, d):
+    # a different matrix per step, spectral radius about 1 on average
+    rng = np.random.default_rng([m, d, 1])
+    E = (np.eye(d) + 0.01 * rng.normal(size=(m - 1, d, d))) * np.exp(
+        0.002 * rng.normal(size=(m - 1, 1, 1)))
+    for X in (rng.normal(size=(m, d)), rng.normal(size=(m, 3, d))):
+        keep = X.copy()
+        got = linear_scan(E, X)
         assert np.array_equal(X, keep)
         ref = _scan_loop(E, X)
         assert got.shape == ref.shape
         if ref.size:
             scale = np.abs(ref).max()
             assert np.abs(got - ref).max() <= 1e-13 * scale
+
+
+def test_linear_scan_rejects_wrong_step_count():
+    with pytest.raises(ValueError, match="step matrices"):
+        linear_scan(np.zeros((4, 2, 2)), np.zeros((4, 2)))
 
 
 def _lp_apply_loop(pieces, cfg, v0_plus, Y):
@@ -573,6 +602,29 @@ def test_variational_matches_graph_fd():
         assert np.linalg.norm(Dq[:, j] - fd) / denom <= 1e-3
 
 
+@pytest.mark.parametrize("which", ["rd", "mmt7"])
+def test_variational_batched_jacobian_matches_per_node(which):
+    # lp_variational stacks the Jacobians along the base orbit with
+    # jacobian_many; the per-node jacobian loop gives the same Dq
+    if which == "rd":
+        m, _, pieces = rd_pieces(2.0, 6)
+        cfg = LpConfig(lam=0.8, T_max=30.0, dt=0.01, eps=0.1, tol=1e-11)
+        base = np.array([0.05, 0.04])
+    else:
+        m, sp, pieces = mmt_mi_pieces(3)
+        cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
+                       dt=0.005, eps=0.05, tol=1e-10)
+        base = np.array([0.03, 0.0])
+    res = lp_solve(pieces, cfg, base)
+    _, Dq = lp_variational(res, pieces, cfg)
+    looped = dataclasses.replace(m, batch_jacobian=None,
+                                 vector_field_many=None)
+    _, Dq_loop = lp_variational(
+        res, dataclasses.replace(pieces, model=looped, _cache={}), cfg)
+    assert np.abs(Dq).max() > 0
+    assert np.abs(Dq - Dq_loop).max() <= 1e-13 * np.abs(Dq_loop).max()
+
+
 # ----------------------------------------------------------- quasilinearize
 
 def test_quasilinearize_linear_model():
@@ -583,7 +635,7 @@ def test_quasilinearize_linear_model():
     rng = np.random.default_rng(1)
     for _ in range(5):
         y = rng.normal(size=2) * 0.3
-        assert np.abs(q.pieces.remainder_at(y)[0]).max() <= 1e-10
+        assert np.abs(q.pieces.f_split(y)).max() <= 1e-10
 
 
 def test_quasilinearize_roundtrip_saddle1():
@@ -603,8 +655,7 @@ def test_quasilinearize_remainder_gradient_vanishes():
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        df = (q.pieces.remainder_at(e)[0]
-              - q.pieces.remainder_at(-e)[0]) / (2 * h)
+        df = (q.pieces.f_split(e) - q.pieces.f_split(-e)) / (2 * h)
         assert np.abs(df).max() <= 1e-6
 
 
@@ -637,20 +688,22 @@ def test_quasilinearized_route_agrees_on_coupled_model():
 
 
 def test_quasilinear_solve_reuses_field_for_trajectory_residual():
-    # the trajectory residual takes the transformed field from the residual
-    # sweep's remainder_at calls instead of a field_many pass over the orbit,
-    # which would run one more invert_B per node
+    # each sweep inverts B once per node, and its blocks, remainder and
+    # field all come from that inversion; the trajectory residual takes the
+    # transformed field from the residual sweep instead of a field_many pass
+    # over the orbit, which would run one more inversion per node
     m, sp, _ = _coupled_saddle()
     cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.15, tol=1e-11)
     q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
-    rem = q.pieces.remainder_at
-    cell = rem.__closure__[rem.__code__.co_freevars.index("invert_B")]
+    frozen = q.pieces.frozen_along
+    cell = frozen.__closure__[
+        frozen.__code__.co_freevars.index("invert_B_many")]
     inner = cell.cell_contents
     count = [0]
 
-    def counted(v):
-        count[0] += 1
-        return inner(v)
+    def counted(V):
+        count[0] += len(V)
+        return inner(V)
 
     cell.cell_contents = counted
     try:
@@ -659,9 +712,9 @@ def test_quasilinear_solve_reuses_field_for_trajectory_residual():
         cell.cell_contents = inner
     nodes = len(lp_grid(cfg))
     assert nodes == 2001
-    # one inversion per node in blocks_at and one in remainder_at, for each
-    # iteration sweep and for the residual sweep
-    assert count[0] == 2 * nodes * (res.diagnostics["iterations"] + 1)
+    # one inversion per node for each iteration sweep and for the residual
+    # sweep
+    assert count[0] == nodes * (res.diagnostics["iterations"] + 1)
     times = res.orbit.times
     deriv = np.gradient(res.orbit.states, times, axis=0)
     field = q.transformed.field_many(res.orbit.states)
@@ -709,6 +762,72 @@ def test_quasilinearize_newton_failure_message():
     q = quasilinearize(m, sp, omega_minus=-0.75)
     with pytest.raises(RuntimeError, match="[Nn]ewton"):
         q.invert_B(np.array([-1.0]))
+
+
+def _invert_B_loop(q, model, v, tol=1e-12, max_iter=60):
+    """Reference for the batched inversion: damped Newton on one state with
+    B and DB built from the single-state field and Jacobian."""
+    Pp = q.splitting.projection.projector_plus
+    Pr = q.splitting.projection.projector_rest
+    n = model.dimension
+
+    def bmap(u):
+        Fu = model.vector_field(u)
+        return q.sigma_plus * Pp @ (Fu - q.shift_plus * u) + Pr @ (
+            Fu - q.shift_rest * u)
+
+    def dbmat(u):
+        A = model.jacobian(u)
+        return q.sigma_plus * Pp @ (A - q.shift_plus * np.eye(n)) + Pr @ (
+            A - q.shift_rest * np.eye(n))
+
+    u = np.zeros(n)
+    res = bmap(u) - v
+    rnorm = np.linalg.norm(res)
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            return u
+        step = np.linalg.solve(dbmat(u), -res)
+        lam = 1.0
+        while lam > 1e-8:
+            cand = u + lam * step
+            rc = bmap(cand) - v
+            if np.linalg.norm(rc) < rnorm:
+                u, res, rnorm = cand, rc, np.linalg.norm(rc)
+                break
+            lam *= 0.5
+        else:
+            raise RuntimeError("Newton stagnation")
+    assert rnorm <= tol
+    return u
+
+
+def test_batched_inversion_matches_per_row():
+    m, sp, _ = _coupled_saddle()
+    q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
+    rng = np.random.default_rng(9)
+    # rows at different distances from 0 take different numbers of steps
+    V = rng.normal(size=(200, 2)) * rng.uniform(0.0, 0.1, size=(200, 1))
+    V[0] = 0.0
+    U = q.invert_B_many(V)
+    rows = np.array([q.invert_B(v) for v in V])
+    loop = np.array([_invert_B_loop(q, m, v) for v in V])
+    assert np.abs(U - rows).max() <= 1e-15
+    assert np.abs(U - loop).max() <= 1e-15
+    assert np.abs(np.array([q.bmap(u) for u in U]) - V).max() <= 1e-12
+
+
+def test_batched_inversion_reports_newton_failure():
+    # the fold model of test_quasilinearize_newton_failure_message: one row
+    # below the fold value fails the whole batch with the Newton error
+    m = custom_model("fold", lambda u: -u + u * u,
+                     lambda u: np.array([[-1.0 + 2.0 * u[0]]]), np.zeros(1))
+    sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
+    q = quasilinearize(m, sp, omega_minus=-0.75)
+    V = np.array([[0.01], [-1.0], [0.02]])
+    with pytest.raises(RuntimeError, match="Newton"):
+        q.invert_B_many(V)
+    assert np.all(np.isfinite(q.invert_B_many(V[[0, 2]])))
 
 
 def test_tangency_quadratic_coefficient_stable_across_eps():

@@ -312,6 +312,63 @@ def test_field_many_matches_stacked_vector_field(name):
         assert np.all(err <= 1e-15 * np.abs(other).max(axis=1))
 
 
+def _rd_jacobian_loop(lam_param, n, a):
+    """Reference rd Jacobian: column j is the cosine projection of
+    u^2 cos(jx), by np.convolve of exponential coefficients."""
+    def full(c):
+        f = np.zeros(2 * n - 1)
+        f[n - 1] = c[0]
+        for k in range(1, n):
+            f[n - 1 + k] = f[n - 1 - k] = 0.5 * c[k]
+        return f
+
+    sq = np.convolve(full(a), full(a))
+    M = np.empty((n, n))
+    for j in range(n):
+        prod = np.convolve(sq, full(np.eye(n)[j]))
+        mid = (len(prod) - 1) // 2
+        M[:, j] = [prod[mid]] + [2.0 * prod[mid + k] for k in range(1, n)]
+    return np.diag([lam_param - k * k for k in range(n)]) - 3.0 * M
+
+
+@pytest.mark.parametrize("name", ["saddle1", "saddle2", "rd"])
+def test_jacobian_many_matches_stacked_jacobian(name):
+    rng = np.random.default_rng(22)
+    if name == "rd":
+        m = reaction_diffusion(2.0, 6)
+        S = 0.3 * rng.normal(size=(3201, 6))
+        ref = np.array([_rd_jacobian_loop(2.0, 6, s) for s in S])
+    else:
+        m = saddle_toy(name)
+        S = 0.3 * rng.normal(size=(3201, 2))
+        ref = np.zeros((3201, 2, 2))
+        ref[:, 1, 1] = -1.0
+        if name == "saddle1":
+            ref[:, 0, 0], ref[:, 1, 0] = 1.0, 2.0 * S[:, 0]
+        else:
+            ref[:, 0, 0], ref[:, 0, 1] = 2.0, 2.0 * S[:, 1]
+    assert m.batch_jacobian is not None
+    got = m.jacobian_many(S)
+    stacked = np.array([m.jacobian(s) for s in S])
+    for other in (stacked, ref):
+        assert got.shape == other.shape
+        err = np.abs(got - other).max(axis=(1, 2))
+        assert np.all(err <= 1e-15 * np.abs(other).max(axis=(1, 2)))
+
+
+def test_rd_jacobian_many_keeps_parity_coupling_exactly_zero():
+    # at a state with only even modes, u^2 has only even modes, so the
+    # Jacobian couples no even mode to an odd one: those entries are zeros
+    m = reaction_diffusion(2.0, 6)
+    S = np.random.default_rng(6).normal(size=(500, 6))
+    S[:, 1::2] = 0.0
+    J = m.jacobian_many(S)
+    assert np.all(J[:, 0::2, 1::2] == 0.0)
+    assert np.all(J[:, 1::2, 0::2] == 0.0)
+    ref = np.array([_rd_jacobian_loop(2.0, 6, s) for s in S])
+    assert np.array_equal(J == 0.0, ref == 0.0)
+
+
 def test_rd_field_many_keeps_odd_modes_exactly_zero():
     # u -> u(x + pi) flips the odd cosine modes; a state with only even
     # modes stays there, and its odd field components are exact zeros
