@@ -38,7 +38,7 @@ from . import (
 )
 from .lp import NoContractionError, build_manifold_graph
 from .models import MmtParams, mmt_block
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 def _fmt(x) -> str:
@@ -94,6 +94,21 @@ def merged(args: argparse.Namespace, key: str, default, cast=float):
     return default
 
 
+def _mmt_params(args, half_width: int | None = None) -> MmtParams:
+    """MMT parameters from the flags; the mode set spans xi0 +- half_width
+    (default: the --half-width value)."""
+    xi0 = int(merged(args, "xi0", 0, int))
+    if half_width is None:
+        half_width = int(merged(args, "half_width", 3, int))
+    return MmtParams(
+        alpha=merged(args, "alpha", 1.0),
+        beta=merged(args, "beta", 0.0),
+        sigma=int(merged(args, "sigma", -1, int)),
+        a=merged(args, "a", 1.2),
+        xi0=xi0,
+        mode_set=mmt_mode_set(xi0, half_width))
+
+
 def build_model(args) -> tuple:
     name = merged(args, "model", None, str)
     if name is None:
@@ -109,15 +124,7 @@ def build_model(args) -> tuple:
         gap = 0.5 * re_parts[0] if re_parts else 0.5
         return model, gap
     if name == "mmt":
-        p = MmtParams(
-            alpha=merged(args, "alpha", 1.0),
-            beta=merged(args, "beta", 0.0),
-            sigma=int(merged(args, "sigma", -1, int)),
-            a=merged(args, "a", 1.2),
-            xi0=int(merged(args, "xi0", 0, int)),
-            mode_set=mmt_mode_set(int(merged(args, "xi0", 0, int)),
-                                  int(merged(args, "half_width", 3, int))))
-        return mmt_galerkin(p), None
+        return mmt_galerkin(_mmt_params(args)), None
     raise ValueError(f"unknown model {name!r}")
 
 
@@ -162,14 +169,7 @@ def cmd_split(args) -> int:
     rows = [[z.real, z.imag, b] for z, b in zip(sp.eigenvalues, sp.blocks)]
     write_csv(merged(args, "out", None, str), ["re", "im", "block"], rows)
     if merged(args, "model", None, str) == "mmt":
-        p = MmtParams(
-            alpha=merged(args, "alpha", 1.0),
-            beta=merged(args, "beta", 0.0),
-            sigma=int(merged(args, "sigma", -1, int)),
-            a=merged(args, "a", 1.2),
-            xi0=int(merged(args, "xi0", 0, int)),
-            mode_set=mmt_mode_set(int(merged(args, "xi0", 0, int)),
-                                  int(merged(args, "half_width", 3, int))))
+        p = _mmt_params(args)
         seen = set()
         print("pair blocks (xi, partner, c+, c-, c, discriminant):")
         for xi in p.mode_set:
@@ -232,14 +232,7 @@ def cmd_manifold(args) -> int:
 
 
 def cmd_mmt_scan(args) -> int:
-    p = MmtParams(
-        alpha=merged(args, "alpha", 1.0),
-        beta=merged(args, "beta", 0.0),
-        sigma=int(merged(args, "sigma", -1, int)),
-        a=merged(args, "a", 1.2),
-        xi0=int(merged(args, "xi0", 0, int)),
-        mode_set=mmt_mode_set(int(merged(args, "xi0", 0, int)),
-                              max(1, int(merged(args, "xi_max", 8, int)))))
+    p = _mmt_params(args, max(1, int(merged(args, "xi_max", 8, int))))
     lo = int(merged(args, "xi_min", -8, int))
     hi = int(merged(args, "xi_max", 8, int))
     rows = []
@@ -436,7 +429,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the invariant suite")
     sp.add_argument("--config")
-    sp.add_argument("--suite", choices=["all", "quick"])
+    sp.add_argument("--suite", choices=SUITES)
 
     return ap
 

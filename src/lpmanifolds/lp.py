@@ -117,13 +117,18 @@ class SplitPieces:
     A_plus: np.ndarray
     A_rest: np.ndarray
     d_plus: int
-    autonomous: bool = True
     # quasilinear route: along states Y (rows), the block operators
     # (m, d_plus, d_plus) and (m, d_rest, d_rest), the remainder and the
     # field it is built from, all from one inversion of B per state
     frozen_along: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
                                                np.ndarray, np.ndarray]] | None = None
     _cache: dict = field(default_factory=dict)
+
+    @property
+    def autonomous(self) -> bool:
+        """Fixed blocks A_plus, A_rest; False on the quasilinear route,
+        whose node blocks come from frozen_along."""
+        return self.frozen_along is None
 
     @property
     def dim(self) -> int:
@@ -226,7 +231,6 @@ def reversed_model(model: ModelSystem) -> ModelSystem:
         equilibrium=model.equilibrium, ladder=model.ladder,
         vector_field_many=(None if model.vector_field_many is None
                            else (lambda S: -model.vector_field_many(S))),
-        suggested_gap=model.suggested_gap,
         batch_jacobian=(None if model.batch_jacobian is None
                         else (lambda S: -model.batch_jacobian(S))))
 
@@ -376,7 +380,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
 
     qpieces = SplitPieces(
         model=tmodel, splitting=splitting, B=base.B, Binv=base.Binv,
-        A_plus=base.A_plus, A_rest=base.A_rest, d_plus=d, autonomous=False,
+        A_plus=base.A_plus, A_rest=base.A_rest, d_plus=d,
         frozen_along=frozen_along)
 
     return QuasiTransform(

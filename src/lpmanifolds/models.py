@@ -43,10 +43,8 @@ class ModelSystem:
     jacobian: Callable[[np.ndarray], np.ndarray]
     equilibrium: np.ndarray
     ladder: NormLadder
-    hessian_form: Callable[[np.ndarray], np.ndarray] | None = None
     energy: Callable[[np.ndarray], float] | None = None
     vector_field_many: Callable[[np.ndarray], np.ndarray] | None = None
-    suggested_gap: float | None = None
     batch_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def field_many(self, states: np.ndarray) -> np.ndarray:
@@ -317,7 +315,7 @@ def saddle_toy(name: str) -> ModelSystem:
     def jac(u):
         return jac_many(np.asarray(u, dtype=float))
 
-    return custom_model(name, F, jac, np.zeros(2), suggested_gap=0.5,
+    return custom_model(name, F, jac, np.zeros(2),
                         vector_field_many=F_many, batch_jacobian=jac_many)
 
 
@@ -401,8 +399,7 @@ def reaction_diffusion(lambda_param: float, n_modes: int) -> ModelSystem:
 
     return custom_model("rd", F, jac, np.zeros(n),
                         ladder=NormLadder(n, lambda i, r: (1.0 + i * i) ** (r / 2.0)),
-                        suggested_gap=None, vector_field_many=F_many,
-                        batch_jacobian=jac_many)
+                        vector_field_many=F_many, batch_jacobian=jac_many)
 
 
 # ---------------------------------------------------------------------------

@@ -1,470 +1,24 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-report.  Tolerances are fixed here, not calibrated at runtime.
+The criteria, their sample sets and their fixed tolerances live in
+`lpmanifolds.verify.CRITERIA`, which `lpman verify` runs too; criterion NN
+runs here as `test_NN_<name>`.  Run with `pytest tests/test_acceptance.py -v -s`
+to see the per-criterion report.
 """
 
-import math
-
-import numpy as np
-import pytest
-
-from lpmanifolds.graded import NormLadder, OrbitGrid
-from lpmanifolds.linalg import (
-    eigen_split,
-    dissipativity_check,
-    hamiltonian_symmetry_check,
-    integrate_rk4,
-    lyapunov_form,
-    picard_solve,
-    variational_flow,
-)
-from lpmanifolds.lp import (
-    LpConfig,
-    build_manifold_graph,
-    contraction_budget,
-    decay_rate_fit,
-    invariance_residual,
-    lp_solve,
-    lp_variational,
-    reversed_model,
-    split_field,
-)
-from lpmanifolds.models import (
-    MmtParams,
-    mmt_block,
-    mmt_galerkin,
-    mmt_mode_set,
-    reaction_diffusion,
-    saddle_toy,
-)
-from lpmanifolds.oracles import backward_shoot, quartic_roots
-from lpmanifolds.waterwave import (
-    OneFluidConfig,
-    TwoFluidConfig,
-    capillary_multiplier,
-    froude_bond,
-    kh_bound,
-)
+from lpmanifolds.verify import CRITERIA
 
 
-def report(num: int, ok: bool, detail: str) -> None:
-    print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {detail}",
-          flush=True)
-    assert ok, detail
+def _criterion_test(name, check):
+    def test():
+        ok, detail = check()
+        print(f"ACCEPTANCE {name[:2]} {'PASS' if ok else 'FAIL'}: {detail}",
+              flush=True)
+        assert ok, detail
+
+    test.__name__ = test.__qualname__ = f"test_{name}"
+    return test
 
 
-# ------------------------------------------------------------ shared setups
-
-def setup_saddle1():
-    m = saddle_toy("saddle1")
-    sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
-    pieces = split_field(m, sp)
-    cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.005, eps=0.12, tol=1e-10)
-    return m, sp, pieces, cfg
-
-
-def setup_saddle2_stable():
-    m = reversed_model(saddle_toy("saddle2"))
-    sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
-    pieces = split_field(m, sp)
-    cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.005, eps=0.25, tol=1e-10)
-    return m, sp, pieces, cfg
-
-
-def setup_saddle2_unstable():
-    m = saddle_toy("saddle2")
-    sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
-    pieces = split_field(m, sp)
-    cfg = LpConfig(lam=1.5, T_max=12.0, dt=0.005, eps=0.2, tol=1e-10)
-    return m, sp, pieces, cfg
-
-
-def setup_rd(lam_param, gap, lam, modes=6, eps=0.08):
-    m = reaction_diffusion(lam_param, modes)
-    sp = eigen_split(m.jacobian(m.equilibrium), gap)
-    pieces = split_field(m, sp)
-    cfg = LpConfig(lam=lam, T_max=40.0, dt=0.01, eps=eps, tol=1e-10)
-    return m, sp, pieces, cfg
-
-
-def setup_mmt(half=3, lam_frac=0.8, eps=0.05):
-    p = MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
-                  mode_set=mmt_mode_set(0, half))
-    m = mmt_galerkin(p)
-    sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
-    pieces = split_field(m, sp)
-    cfg = LpConfig(lam=lam_frac * sp.lambda_plus,
-                   T_max=12.0 / sp.lambda_plus, dt=0.005, eps=eps, tol=1e-9)
-    return m, sp, pieces, cfg
-
-
-ALL_MODELS = [
-    ("saddle1", setup_saddle1),
-    ("saddle2_stable", setup_saddle2_stable),
-    ("rd2", lambda: setup_rd(2.0, 0.5, 0.8)),
-    ("mmt", setup_mmt),
-]
-
-
-# ------------------------------------------------------------------ criteria
-
-def test_01_analytic_manifold_reproduction():
-    _, _, pieces, cfg = setup_saddle1()
-    xs = np.linspace(-0.1, 0.1, 21)
-    worst = 0.0
-    for x in xs:
-        h = lp_solve(pieces, cfg, np.array([x])).h_value[0]
-        worst = max(worst, abs(h - x * x / 3.0))
-    _, _, p2, c2 = setup_saddle2_stable()
-    for y in np.linspace(-0.2, 0.2, 21):
-        h = lp_solve(p2, c2, np.array([y])).h_value[0]
-        worst = max(worst, abs(h - (-y * y / 4.0)))
-    report(1, worst <= 1e-6,
-           f"saddle1/saddle2 analytic graphs, worst error {worst:.3e}")
-
-
-def test_02_oracle_equivalence():
-    cases = [
-        ("saddle1", setup_saddle1, [-0.1, -0.05, 0.05, 0.1], 15.0),
-        ("saddle2", setup_saddle2_unstable, [-0.15, 0.1, 0.15], 8.0),
-        ("rd0.5", lambda: setup_rd(0.5, 0.25, 0.4, eps=0.06),
-         [-0.05, 0.03, 0.05], 35.0),
-        ("rd2", lambda: setup_rd(2.0, 0.5, 0.8), None, 25.0),
-    ]
-    detail = []
-    ok = True
-    for name, setup, points, T in cases:
-        model, sp, pieces, cfg = setup()
-        if points is None:
-            pts = [np.array([0.05, 0.04]), np.array([-0.04, 0.02]),
-                   np.array([0.02, -0.05])]
-        else:
-            pts = [np.array([x]) for x in points]
-        worst_ratio = 0.0
-        for pt in pts:
-            res = lp_solve(pieces, cfg, pt)
-            sh = backward_shoot(model, sp, pt, T=T, tol=1e-11)
-            diff = float(np.max(np.abs(res.h_value - sh.matched_value)))
-            budget = 10.0 * (res.diagnostics["error_budget"]
-                             + sh.match_residual + 1e-8)
-            worst_ratio = max(worst_ratio, diff / budget)
-            ok = ok and diff <= budget
-        detail.append(f"{name} worst diff/budget {worst_ratio:.2f}")
-    report(2, ok, "; ".join(detail))
-
-
-def test_03_mmt_block_consistency():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    draws = 0
-    while draws < 100:
-        alpha = rng.uniform(0.6, 1.2)
-        beta = rng.uniform(0.3, min(alpha, 1.0))
-        xi0 = int(rng.integers(1, 3))
-        xi = int(rng.integers(-3, 5))
-        if xi == xi0:
-            continue
-        p = MmtParams(alpha=alpha, beta=beta,
-                      sigma=int(rng.choice([1, -1])),
-                      a=rng.uniform(0.2, 1.5), xi0=xi0,
-                      mode_set=tuple(sorted({xi0, xi, 2 * xi0 - xi})))
-        blk = mmt_block(p, xi)
-        B, C = blk.quartic_coeffs()
-        if abs(B * B - 4 * C) < 1e-6 * max(B * B, 1.0):
-            continue   # reject near-degenerate quartics (eigensolve noise)
-        roots = quartic_roots(blk.c_plus, blk.c_minus, blk.c)
-        ev = list(np.linalg.eigvals(blk.block))
-        d = 0.0
-        for rt in roots:
-            j = int(np.argmin([abs(rt - w) for w in ev]))
-            d = max(d, abs(rt - ev.pop(j)))
-        worst = max(worst, d)
-        draws += 1
-    # pairwise block-diagonality of the full Galerkin Jacobian
-    worst_off = 0.0
-    for p in (MmtParams(alpha=1.0, beta=1.0, sigma=1, a=1.0, xi0=2,
-                        mode_set=mmt_mode_set(2, 3)),
-              MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
-                        mode_set=mmt_mode_set(0, 3))):
-        m = mmt_galerkin(p)
-        J = m.jacobian(m.equilibrium)
-        modes = list(p.mode_set)
-        mask = np.zeros_like(J, dtype=bool)
-        for xi in modes:
-            partner = 2 * p.xi0 - xi
-            ii = [2 * modes.index(xi), 2 * modes.index(xi) + 1]
-            jj = (ii if partner not in modes else
-                  ii + [2 * modes.index(partner),
-                        2 * modes.index(partner) + 1])
-            for r in ii:
-                for s in jj:
-                    mask[r, s] = True
-        worst_off = max(worst_off, float(np.abs(J[~mask]).max()))
-    ok = worst <= 1e-10 and worst_off <= 1e-12
-    report(3, ok, f"quartic vs eigensolve {worst:.2e} (100 draws), "
-                  f"off-pair entries {worst_off:.2e}")
-
-
-def test_04_lyapunov_identity():
-    rng = np.random.default_rng(404)
-    worst_res, worst_margin, min_eig = 0.0, -math.inf, math.inf
-    for _ in range(200):
-        n = int(rng.integers(2, 13))
-        R = rng.normal(size=(n, n))
-        A = R - (np.linalg.eigvals(R).real.max()
-                 + rng.uniform(0.1, 2.0)) * np.eye(n)
-        om = np.linalg.eigvals(A).real.max() + rng.uniform(0.05, 1.0)
-        form = lyapunov_form(A, om)
-        res = np.linalg.norm(A.T @ form.L + form.L @ A - 2 * om * form.L
-                             + np.eye(n))
-        worst_res = max(worst_res, res)
-        min_eig = min(min_eig, np.linalg.eigvalsh(form.L).min())
-        worst_margin = max(worst_margin, dissipativity_check(form, A, om))
-    ok = worst_res <= 1e-10 and min_eig > 0 and worst_margin <= 1e-10
-    report(4, ok, f"200 matrices: residual {worst_res:.2e}, min eig "
-                  f"{min_eig:.2e}, dissipativity margin {worst_margin:.2e}")
-
-
-def test_05_hamiltonian_spectral_symmetry():
-    worst = 0.0
-    for p in (MmtParams(alpha=1.0, beta=1.0, sigma=1, a=1.0, xi0=2,
-                        mode_set=mmt_mode_set(2, 15)),      # 31 modes
-              MmtParams(alpha=0.75, beta=0.5, sigma=-1, a=0.8, xi0=1,
-                        mode_set=mmt_mode_set(1, 15)),
-              MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
-                        mode_set=mmt_mode_set(0, 15))):
-        m = mmt_galerkin(p)
-        rep = hamiltonian_symmetry_check(m.jacobian(m.equilibrium), 1e-8)
-        worst = max(worst, rep["worst"])
-    report(5, worst <= 1e-8,
-           f"lambda -> -conj(lambda) pairing defect {worst:.2e} "
-           f"(mode sets up to 31)")
-
-
-def test_06_decay_rate_window():
-    ok = True
-    details = []
-    for name, setup in ALL_MODELS:
-        model, sp, pieces, cfg = setup()
-        d = pieces.d_plus
-        base = np.zeros(d)
-        base[0] = 0.5 * cfg.eps
-        if d > 1:
-            base[1] = 0.25 * cfg.eps
-        res = lp_solve(pieces, cfg, base)
-        dev = OrbitGrid(res.orbit.times,
-                        res.orbit.states - model.equilibrium)
-        lam_fit, r2 = decay_rate_fit(dev, model.ladder, cfg.r)
-        g = sp.realized_gap
-        inside = (lam_fit >= sp.rest_max_re + 0.05 * g
-                  and lam_fit <= sp.lambda_plus_max + 0.05 * g)
-        ok = ok and inside
-        details.append(f"{name}: {lam_fit:.3f} in "
-                       f"({sp.rest_max_re:.2f}, {sp.lambda_plus_max:.2f})"
-                       f"+margin")
-    report(6, ok, "; ".join(details))
-
-
-def test_07_invariance_residual():
-    ok = True
-    details = []
-    for name, setup in ALL_MODELS:
-        model, sp, pieces, cfg = setup()
-        d = pieces.d_plus
-        # samples inside the ball so the flowed base point stays admissible
-        growth = math.exp(sp.lambda_plus_max * 0.1)
-        r0 = 0.8 * cfg.eps / growth
-        pts = [np.zeros(d)]
-        for s in (-1.0, 0.5, 1.0):
-            v = np.zeros(d)
-            v[0] = s * r0
-            if d > 1:
-                v[1] = 0.4 * s * r0
-                v /= max(np.linalg.norm(v) / r0, 1.0)
-            pts.append(v)
-        graph = build_manifold_graph(pieces, cfg, grid_spec=np.array(pts))
-        rep = invariance_residual(graph, pieces, cfg, 0.1)
-        budget = 10.0 * (cfg.tol + float(np.nanmax(graph.error_budget))
-                         + 1e-8)
-        good = rep["skipped"] == 0 and rep["max_residual"] <= budget
-        ok = ok and good
-        details.append(f"{name}: {rep['max_residual']:.2e} <= {budget:.2e}")
-    report(7, ok, "; ".join(details))
-
-
-def test_08_tangency():
-    ok = True
-    details = []
-    for name, setup in ALL_MODELS:
-        model, sp, pieces, cfg = setup()
-        d = pieces.d_plus
-        res0 = lp_solve(pieces, cfg, np.zeros(d))
-        _, Dq0 = lp_variational(res0, pieces, cfg)
-        good = np.linalg.norm(Dq0) <= 1e-6
-        # finite differences of the graph at an interior sample
-        base = np.zeros(d)
-        base[0] = 0.5 * cfg.eps
-        res = lp_solve(pieces, cfg, base)
-        _, Dq = lp_variational(res, pieces, cfg)
-        step = 1e-4 * max(cfg.eps, 1e-2)
-        worst_rel = 0.0
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = step
-            hp = lp_solve(pieces, cfg, base + e).h_value
-            hm = lp_solve(pieces, cfg, base - e).h_value
-            fd = (hp - hm) / (2 * step)
-            denom = max(np.linalg.norm(fd), 1e-7)
-            worst_rel = max(worst_rel,
-                            float(np.linalg.norm(Dq[:, j] - fd) / denom))
-        good = good and worst_rel <= 1e-3
-        ok = ok and good
-        details.append(f"{name}: |Dq(0)|={np.linalg.norm(Dq0):.1e}, "
-                       f"fd rel {worst_rel:.1e}")
-    report(8, ok, "; ".join(details))
-
-
-def test_09_parameter_robustness():
-    ok = True
-    details = []
-    for name, setup in ALL_MODELS:
-        model, sp, pieces, cfg = setup()
-        d = pieces.d_plus
-        base = np.zeros(d)
-        base[0] = 0.4 * cfg.eps
-        g = sp.realized_gap
-        lam0 = sp.rest_max_re + 0.5 * g
-        cfg0 = LpConfig(lam=lam0, T_max=cfg.T_max, dt=cfg.dt, eps=cfg.eps,
-                        tol=cfg.tol)
-        h0 = lp_solve(pieces, cfg0, base).h_value
-        worst = 0.0
-        for variant in (
-                LpConfig(lam=lam0, T_max=2 * cfg.T_max, dt=cfg.dt,
-                         eps=cfg.eps, tol=cfg.tol),
-                LpConfig(lam=lam0 + 0.2 * g, T_max=cfg.T_max, dt=cfg.dt,
-                         eps=cfg.eps, tol=cfg.tol),
-                LpConfig(lam=lam0 - 0.2 * g, T_max=cfg.T_max, dt=cfg.dt,
-                         eps=cfg.eps, tol=cfg.tol)):
-            h1 = lp_solve(pieces, variant, base).h_value
-            worst = max(worst, float(np.abs(h1 - h0).max()))
-        # 10x tol plus the shared quadrature budget: the dt-level error is
-        # common to all variants, so the comparison floor is the tol scale
-        thresh = 10 * cfg.tol + 1e-7
-        ok = ok and worst <= thresh
-        details.append(f"{name}: max shift {worst:.2e}")
-    report(9, ok, "; ".join(details))
-
-
-def test_10_contraction_budget():
-    b = contraction_budget(1.0, 0.1, 1.0, -1.0, 1.0, 0.0)
-    exact = abs(b.L1 - 0.2) < 1e-15
-    m, sp, pieces, _ = setup_saddle1()
-    cfg = LpConfig(lam=0.5, T_max=20.0, dt=0.01, eps=0.05, tol=1e-11)
-    res = lp_solve(pieces, cfg, np.array([0.05]))
-    radius = float(np.max(np.linalg.norm(res.Y, axis=1))) * 1.5 + 1e-9
-    rng = np.random.default_rng(10)
-    cf = 0.0
-    for _ in range(500):
-        y1 = rng.normal(size=2)
-        y2 = rng.normal(size=2)
-        y1 *= radius * rng.uniform(0, 1) / np.linalg.norm(y1)
-        y2 *= radius * rng.uniform(0, 1) / np.linalg.norm(y2)
-        dv = np.linalg.norm(y1 - y2)
-        if dv > 1e-12:
-            df = np.linalg.norm(pieces.f_split(y1[None])[0]
-                                - pieces.f_split(y2[None])[0])
-            cf = max(cf, df / dv)
-    pred = contraction_budget(1.0, cf, 1.0, sp.rest_max_re, sp.lambda_plus,
-                              cfg.lam)
-    measured = res.diagnostics["contraction_factor"]
-    ok = exact and measured <= pred.L1
-    report(10, ok, f"L1(0.1) = {b.L1} exact; measured {measured:.3e} <= "
-                   f"predicted {pred.L1:.3e} (sampled Cf={cf:.3f})")
-
-
-def test_11_waterwave_criteria():
-    nu = (1.0, math.sqrt(0.5))   # rho|nu|^2 sums to b = 2
-    inf_cfg = TwoFluidConfig(rho_plus=1.0, rho_minus=2.0, nu_plus=(nu[0],),
-                             nu_minus=(nu[1],), h_plus=math.inf,
-                             h_minus=math.inf, g=1.0, sigma=1.0)
-    thresh = kh_bound(inf_cfg)
-    fin_cfg = TwoFluidConfig(rho_plus=1.0, rho_minus=2.0, nu_plus=(nu[0],),
-                             nu_minus=(nu[1],), h_plus=1e3, h_minus=1e3,
-                             g=1.0, sigma=1.0)
-    gap = abs(kh_bound(fin_cfg) - thresh)
-    scan_ok = True
-    for c in (0.2, 0.5, 0.9):
-        one = OneFluidConfig(g=1.0, sigma=1.0, h0=1.0, c_vec=(c,))
-        _, _, flag = froude_bond(one)
-        if flag:
-            for k in np.logspace(-3, 3, 241):
-                if capillary_multiplier(np.array([k]), one) < 0:
-                    scan_ok = False
-    ok = thresh == 0.0 and gap <= 1e-6 and scan_ok
-    report(11, ok, f"threshold bound = {thresh} (exact), finite-depth "
-                   f"convergence {gap:.2e}, froude flag implies "
-                   f"nonnegative scan: {scan_ok}")
-
-
-def test_12_picard_integrator():
-    ok = True
-    details = []
-    cases = [
-        ("saddle1", saddle_toy("saddle1"), 0.1),
-        ("saddle2", saddle_toy("saddle2"), 0.1),
-        ("rd0.5", reaction_diffusion(0.5, 5), 0.08),
-        ("rd2", reaction_diffusion(2.0, 5), 0.08),
-        ("mmt", mmt_galerkin(MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2,
-                                       xi0=0, mode_set=mmt_mode_set(0, 2))),
-         0.05),
-    ]
-    for name, model, amp in cases:
-        v0 = model.equilibrium.copy()
-        v0[0] += amp
-        orbit, diag = picard_solve(model, v0, 0.5, 1e-3, tol=1e-11)
-        good = (diag["rk4_discrepancy"] <= 1e-6
-                and diag["contraction_factor"] < 1.0)
-        ok = ok and good
-        details.append(f"{name}: diff {diag['rk4_discrepancy']:.1e}, "
-                       f"factor {diag['contraction_factor']:.2e}")
-    report(12, ok, "; ".join(details))
-
-
-def test_13_variational_flow():
-    ok = True
-    details = []
-    cases = [
-        ("saddle1", saddle_toy("saddle1"), 0.1, 1.0),
-        ("saddle2", saddle_toy("saddle2"), 0.1, 1.0),
-        ("rd2", reaction_diffusion(2.0, 5), 0.05, 1.0),
-        ("mmt", mmt_galerkin(MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2,
-                                       xi0=0, mode_set=mmt_mode_set(0, 2))),
-         0.05, 0.5),
-    ]
-    for name, model, amp, T in cases:
-        u0 = model.equilibrium.copy()
-        u0[0] += amp
-        times = np.linspace(0.0, T, 501)
-        _, states = integrate_rk4(lambda t, y: model.vector_field(y), u0,
-                                  0.0, T, 5e-4, record_times=times)
-        orbit = OrbitGrid(times, states)
-        U = variational_flow(model, orbit, 1e-3)
-        D = U[-1]
-        h = 1e-5
-        worst = 0.0
-        n = model.dimension
-        cols = range(n) if n <= 4 else [0, 1, n - 1]
-        for j in cols:
-            e = np.zeros(n)
-            e[j] = h
-            up = integrate_rk4(lambda t, y: model.vector_field(y), u0 + e,
-                               0.0, T, 5e-4)
-            um = integrate_rk4(lambda t, y: model.vector_field(y), u0 - e,
-                               0.0, T, 5e-4)
-            fd = (up - um) / (2 * h)
-            worst = max(worst, float(np.linalg.norm(D[:, j] - fd)
-                                     / max(np.linalg.norm(fd), 1e-9)))
-        ok = ok and worst <= 1e-3
-        details.append(f"{name}: rel {worst:.1e}")
-    report(13, ok, "; ".join(details))
+for _name, _check in CRITERIA:
+    globals()[f"test_{_name}"] = _criterion_test(_name, _check)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lpmanifolds import verify
 from lpmanifolds.cli import default_gap, main
 from lpmanifolds.linalg import eigen_split
 from lpmanifolds.models import MmtParams, custom_model, mmt_galerkin, mmt_mode_set
@@ -195,5 +196,36 @@ def test_csv_seventeen_digits(capsys, tmp_path):
 def test_verify_quick_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "quick")
     assert code == 0
-    assert "PASS" in out.upper()
-    assert "FAIL" not in out.split("first failing")[0].upper() or code == 2
+    names = [n for n, _ in verify.CHECKS]
+    assert verify.QUICK <= set(names)
+    lines = out.splitlines()
+    assert all(line.startswith("PASS ") for line in lines)
+    assert ([line[len("PASS "):].split(":")[0] for line in lines]
+            == [n for n in names if n in verify.QUICK])
+
+
+def test_verify_reports_a_raising_check(capsys, monkeypatch):
+    def raises():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "CHECKS", [
+        ("fine", lambda: (True, "ok")),
+        ("raises", raises),
+        ("fails", lambda: (False, "off by one")),
+    ])
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 2
+    assert out.splitlines() == [
+        "PASS fine: ok",
+        "FAIL raises: exception: boom",
+        "FAIL fails: off by one",
+        "first failing invariant: raises",
+    ]
+
+
+def test_verify_unknown_suite_in_config_file(capsys, tmp_path):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("suite = quik\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 1
+    assert "unknown suite 'quik'" in err and out == ""
