@@ -333,7 +333,7 @@ def cmd_picard(args) -> int:
               [[t] + list(s) for t, s in zip(orbit.times, orbit.states)])
     print(f"iterations={diag['iterations']} "
           f"contraction_factor={_fmt(diag['contraction_factor'])} "
-          f"rk4_discrepancy={_fmt(diag['rk4_discrepancy'])}")
+          f"reference_discrepancy={_fmt(diag['reference_discrepancy'])}")
     if diag["contraction_factor"] >= 1.0:
         raise NoContractionError("picard iteration did not contract")
     return 0

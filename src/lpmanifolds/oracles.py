@@ -1,14 +1,15 @@
-"""Independent brute-force references: backward shooting, finite-difference
-Jacobians, quartic root formulas for the mode-pair blocks, and the direct
-triad sum of the MMT cubic.
+"""Independent brute-force references: an adaptive reference flow, backward
+shooting, finite-difference Jacobians, quartic root formulas for the
+mode-pair blocks, and the direct triad sum of the MMT cubic.
 
-These deliberately use their own integrators and step sizes so their
-discretization error is uncorrelated with the methods they check.
+The reference flow is SciPy's adaptive Dormand-Prince 8(5,3) (DOP853) at
+tight tolerances, not the fixed-step RK4 of `linalg` or the exponential
+quadrature of the Lyapunov-Perron sweep, so its error is uncorrelated with
+the methods it checks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "finite_difference_jacobian",
     "mmt_cubic_direct",
     "quartic_roots",
+    "reference_flow",
 ]
 
 
@@ -36,30 +38,34 @@ class ShootingResult:
     newton_iterations: int
 
 
-def _rk4(f, y, t0, t1, dt):
-    """Local fixed-step RK4 (kept separate from the main integration path)."""
-    span = t1 - t0
-    n = max(1, int(math.ceil(abs(span) / dt)))
-    h = span / n
-    t = t0
-    for _ in range(n):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return y
+def reference_flow(field, y0, t0: float, t1: float, t_eval=None):
+    """Flow of the autonomous system y' = field(y) from t0 to t1 (either
+    direction) by DOP853 at rtol 1e-12, atol 1e-14.
+
+    Returns the state at t1, or one row per time of t_eval (monotone from t0
+    towards t1).  Raises RuntimeError when the solver gives up, e.g. at a
+    blow-up.
+    """
+    # imported here: at module level scipy.integrate would add 0.2-0.3 s to
+    # every import of the package, and so to every `lpman` start
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(lambda t, y: field(y), (t0, t1),
+                    np.asarray(y0, dtype=float), method="DOP853",
+                    rtol=1e-12, atol=1e-14, t_eval=t_eval)
+    if not sol.success:
+        raise RuntimeError(f"reference flow failed: {sol.message}")
+    return sol.y[:, -1] if t_eval is None else sol.y.T
 
 
 def backward_shoot(model, splitting: SpectralSplitting, target_plus,
-                   T: float, tol: float = 1e-9, dt: float = 2e-3,
+                   T: float, tol: float = 1e-9,
                    max_iter: int = 50) -> ShootingResult:
     """Manifold value at a base point by shooting from near the equilibrium.
 
     Initial conditions at t = -T are parameterized as eps*w in the unstable
-    subspace (complement part zero), integrated forward by RK4, and the
-    parameters solved so the unstable projection of u(0) hits target_plus.
+    subspace (complement part zero), carried forward by `reference_flow`, and
+    the parameters solved so the unstable projection of u(0) hits target_plus.
     Exponentially decaying orbits lie on the manifold, so the matched
     complement part of u(0) is the oracle value.  Requires dim X_+ <= 3.
     """
@@ -77,7 +83,7 @@ def backward_shoot(model, splitting: SpectralSplitting, target_plus,
 
     def flow_plus(theta):
         u = eq + Bp @ (back @ theta)
-        u_end = _rk4(lambda y: model.vector_field(y), u, -T, 0.0, dt)
+        u_end = reference_flow(model.vector_field, u, -T, 0.0)
         y_end = u_end - eq
         return Bp.T @ y_end, Br.T @ y_end
 

@@ -49,7 +49,7 @@ from . import (
     split_field,
     variational_flow,
 )
-from .linalg import integrate_rk4
+from .oracles import reference_flow
 
 __all__ = ["CHECKS", "CRITERIA", "QUICK", "SUITES", "run_suite"]
 
@@ -428,10 +428,10 @@ def check_picard_integrator():
         v0 = model.equilibrium.copy()
         v0[0] += amp
         orbit, diag = picard_solve(model, v0, 0.5, 1e-3, tol=1e-11)
-        good = (diag["rk4_discrepancy"] <= 1e-7
+        good = (diag["reference_discrepancy"] <= 1e-7
                 and diag["contraction_factor"] < 1.0)
         ok = ok and good
-        details.append(f"{name}: diff {diag['rk4_discrepancy']:.1e}, "
+        details.append(f"{name}: diff {diag['reference_discrepancy']:.1e}, "
                        f"factor {diag['contraction_factor']:.2e}")
     return ok, "; ".join(details)
 
@@ -451,9 +451,8 @@ def check_variational_flow():
         u0 = model.equilibrium.copy()
         u0[0] += amp
         times = np.linspace(0.0, T, 501)
-        _, states = integrate_rk4(lambda t, y: model.vector_field(y), u0,
-                                  0.0, T, 5e-4, record_times=times)
-        orbit = OrbitGrid(times, states)
+        orbit = OrbitGrid(times, reference_flow(model.vector_field, u0, 0.0,
+                                                T, t_eval=times))
         U = variational_flow(model, orbit, 1e-3)
         D = U[-1]
         h = 1e-5
@@ -463,10 +462,8 @@ def check_variational_flow():
         for j in cols:
             e = np.zeros(n)
             e[j] = h
-            up = integrate_rk4(lambda t, y: model.vector_field(y), u0 + e,
-                               0.0, T, 5e-4)
-            um = integrate_rk4(lambda t, y: model.vector_field(y), u0 - e,
-                               0.0, T, 5e-4)
+            up = reference_flow(model.vector_field, u0 + e, 0.0, T)
+            um = reference_flow(model.vector_field, u0 - e, 0.0, T)
             fd = (up - um) / (2 * h)
             worst = max(worst, float(np.linalg.norm(D[:, j] - fd)
                                      / max(np.linalg.norm(fd), 1e-9)))
@@ -552,7 +549,7 @@ CHECKS = CRITERIA + [
 ]
 
 # the entries that each run in under 0.2 s; the whole registry takes about
-# a minute, most of it criterion 02's backward_shoot runs
+# 5 s on 2 cores, the longest check being criterion 02 at about 2 s
 QUICK = {"03_mmt_block_consistency", "04_lyapunov_identity",
          "05_hamiltonian_spectral_symmetry", "10_contraction_budget",
          "11_waterwave_criteria", "graded_monotone", "projector_algebra",
@@ -573,7 +570,7 @@ def run_suite(suite: str = "all", out=print) -> bool:
         try:
             ok, detail = fn()
         except Exception as exc:   # a crash is a failure, keep scanning
-            ok, detail = False, f"exception: {exc}"
+            ok, detail = False, f"exception: {type(exc).__name__}: {exc}"
         out(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if not ok and first_fail is None:
             first_fail = name

@@ -152,7 +152,7 @@ def test_picard_runs(capsys):
                            "--x0", "0.1", "--t-final", "0.5", "--dt", "1e-3")
     assert code == 0
     assert "contraction_factor=" in out
-    assert "rk4_discrepancy=" in out
+    assert "reference_discrepancy=" in out
 
 
 def test_unknown_model_exit_code(capsys):
@@ -206,7 +206,7 @@ def test_verify_quick_suite(capsys):
 
 def test_verify_reports_a_raising_check(capsys, monkeypatch):
     def raises():
-        raise RuntimeError("boom")
+        raise KeyError("x")
 
     monkeypatch.setattr(verify, "CHECKS", [
         ("fine", lambda: (True, "ok")),
@@ -217,7 +217,7 @@ def test_verify_reports_a_raising_check(capsys, monkeypatch):
     assert code == 2
     assert out.splitlines() == [
         "PASS fine: ok",
-        "FAIL raises: exception: boom",
+        "FAIL raises: exception: KeyError: 'x'",
         "FAIL fails: off by one",
         "first failing invariant: raises",
     ]

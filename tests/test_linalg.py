@@ -382,7 +382,7 @@ def test_picard_saddle_matches_rk4():
     model = saddle_toy("saddle1")
     orbit, diag = picard_solve(model, np.array([0.1, 0.0]), 0.5, 1e-3,
                                tol=1e-10)
-    assert diag["rk4_discrepancy"] <= 1e-6
+    assert diag["reference_discrepancy"] <= 1e-6
     assert diag["contraction_factor"] < 1.0
 
 

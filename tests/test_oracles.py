@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lpmanifolds
 from lpmanifolds.linalg import eigen_split
+from lpmanifolds.lp import reversed_model
 from lpmanifolds.models import reaction_diffusion, saddle_toy
 from lpmanifolds.oracles import (
     backward_shoot,
     finite_difference_jacobian,
     quartic_roots,
+    reference_flow,
 )
 
 
@@ -16,6 +24,19 @@ def test_shoot_saddle1_exact_manifold():
     res = backward_shoot(m, sp, np.array([0.1]), T=15.0, tol=1e-10)
     assert res.matched_value[0] == pytest.approx(1.0 / 300.0, abs=1e-6)
     assert res.match_residual <= 1e-10
+
+
+@pytest.mark.parametrize("model, T, exact", [
+    (saddle_toy("saddle1"), 15.0, lambda x: x * x / 3.0),
+    (reversed_model(saddle_toy("saddle2")), 8.0, lambda y: -y * y / 4.0),
+], ids=["saddle1", "saddle2_reversed"])
+def test_shoot_matches_exact_manifold(model, T, exact):
+    # saddle1: y = x^2/3.  The stable manifold x = -y^2/4 of saddle2 is the
+    # unstable one of its time reversal.  Both splittings use the axes.
+    sp = eigen_split(model.jacobian(model.equilibrium), 0.5)
+    for b in (-0.1, -0.05, 0.05, 0.1):
+        res = backward_shoot(model, sp, np.array([b]), T=T, tol=1e-12)
+        assert abs(res.matched_value[0] - exact(b)) <= 1e-13
 
 
 def test_shoot_trivial_target():
@@ -65,3 +86,37 @@ def test_quartic_double_real_pair():
 def test_quartic_carrier_case_imaginary():
     roots = quartic_roots(-11.0, 61.0, 12.0)
     assert np.max(np.abs([z.real for z in roots])) <= 1e-10
+
+
+def test_reference_flow_exponential():
+    for t1 in (1.0, 5.0, -3.0):
+        y = reference_flow(lambda y: y, [1.0], 0.0, t1)
+        assert y.shape == (1,)
+        assert abs(y[0] - np.exp(t1)) <= 1e-12 * np.exp(t1)
+
+
+@pytest.mark.parametrize("t1", [2.0, -2.0])
+def test_reference_flow_t_eval_rows(t1):
+    times = np.linspace(0.0, t1, 7)
+    states = reference_flow(lambda y: np.array([y[1], -y[0]]),
+                            [1.0, 0.0], 0.0, t1, t_eval=times)
+    assert states.shape == (7, 2)
+    exact = np.stack([np.cos(times), -np.sin(times)], axis=1)
+    assert np.abs(states - exact).max() <= 1e-11
+
+
+def test_reference_flow_blow_up_raises():
+    # y' = y^2, y(0) = 1 blows up at t = 1
+    with pytest.raises(RuntimeError, match="reference flow failed"):
+        reference_flow(lambda y: y * y, [1.0], 0.0, 2.0)
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is imported on first use only, so `lpman` starts fast
+    src = str(Path(lpmanifolds.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, lpmanifolds; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
