@@ -451,13 +451,14 @@ def main(argv=None) -> int:
     try:
         args._file_config = load_config_file(cfg_path) if cfg_path else {}
         code = COMMANDS[args.cmd](args)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # LinAlgError subclasses ValueError, so it is caught first
     except (NoContractionError, RuntimeError, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -532,14 +532,24 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
     times = np.linspace(0.0, T, m)
     h = times[1] - times[0]
     states = np.tile(v0, (m, 1))
+
+    def frozen(S):
+        """A = DF and g = F - A v at the states S (rows)."""
+        A = model.jacobian_many(S)
+        return A, model.field_many(S) - (A @ S[:, :, None])[:, :, 0]
+
     ratios: list[float] = []
     prev_inc = None
     n_bad = 0
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
-        A = model.jacobian_many(states)
-        g = model.field_many(states) - (A @ states[:, :, None])[:, :, 0]
+        if it == 0:
+            # every node of the first iterate is v0
+            A, g = (np.broadcast_to(x, (m,) + x.shape[1:])
+                    for x in frozen(v0[None, :]))
+        else:
+            A, g = frozen(states)
         new = rk4_affine(A, g, v0, h)
         inc = float(np.max(np.linalg.norm(new - states, axis=1)))
         states = new

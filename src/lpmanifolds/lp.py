@@ -278,28 +278,27 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     eye = np.eye(n)
 
     def bmap_many(U):
-        """B on deviations U (rows)."""
+        """(B(U), F(eq + U)) on deviations U (rows)."""
         Fu = model.field_many(eq + U)
-        return (Fu - sp * U) @ SPp.T + (Fu - sm * U) @ Pr.T
+        return (Fu - sp * U) @ SPp.T + (Fu - sm * U) @ Pr.T, Fu
 
     def db_of(J):
         """DB(u) from the Jacobians J = DF(eq + u), one per leading index."""
         return SPp @ (J - sp * eye) + Pr @ (J - sm * eye)
 
-    DB0 = db_of(model.jacobian(eq))
+    # the model at u = 0, where every inversion starts
+    J0 = model.jacobian(eq)
+    B0, F0 = bmap_many(np.zeros((1, n)))
+    DB0 = db_of(J0)
     cond = float(np.linalg.cond(DB0))
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError(
             f"DB(0) numerically singular (condition number {cond:.3e}); "
             "choose different omega shifts")
 
-    def invert_B_many(V):
-        """u with B(u) = v for each row v of V.
-
-        Damped Newton from u = 0 on all rows at once: a row stops once its
-        residual norm is at most newton_tol, and each step of a row is
-        halved until that row's residual norm strictly drops.
-        """
+    def _invert(V):
+        """(U, F(eq + U)): the damped Newton of invert_B_many, with the
+        field of each row's accepted iterate."""
         V = np.asarray(V, dtype=float)
         if V.ndim != 2 or V.shape[1] != n:
             raise ValueError(f"expected states of length {n} as rows, got "
@@ -307,13 +306,15 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         if not np.all(np.isfinite(V)):
             raise ValueError("state contains non-finite entries")
         U = np.zeros_like(V)
-        res = bmap_many(U) - V
+        FU = np.repeat(F0, len(V), axis=0)
+        res = B0 - V
         rnorm = np.linalg.norm(res, axis=1)
-        for _ in range(newton_max_iter):
+        for it in range(newton_max_iter):
             act = np.flatnonzero(rnorm > newton_tol)
             if act.size == 0:
-                return U
-            DB = db_of(model.jacobian_many(eq + U[act]))
+                return U, FU
+            # the first step leaves u = 0, where DB is DB0
+            DB = DB0 if it == 0 else db_of(model.jacobian_many(eq + U[act]))
             step = np.linalg.solve(DB, -res[act][:, :, None])[:, :, 0]
             lam = 1.0
             while act.size:
@@ -322,36 +323,53 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
                         "Newton stagnation inverting B (residual "
                         f"{rnorm[act].max():.3e})")
                 cand = U[act] + lam * step
-                rc = bmap_many(cand) - V[act]
+                rc, fc = bmap_many(cand)
+                rc -= V[act]
                 rcn = np.linalg.norm(rc, axis=1)
                 ok = rcn < rnorm[act]
                 done = act[ok]
                 U[done], res[done], rnorm[done] = cand[ok], rc[ok], rcn[ok]
+                FU[done] = fc[ok]
                 act, step = act[~ok], step[~ok]
                 lam *= 0.5
         if np.any(rnorm > newton_tol):
             raise RuntimeError(
                 f"Newton failed inverting B (residual {rnorm.max():.3e})")
-        return U
+        return U, FU
+
+    def invert_B_many(V):
+        """u with B(u) = v for each row v of V.
+
+        Damped Newton from u = 0 on all rows at once: a row stops once its
+        residual norm is at most newton_tol, and each step of a row is
+        halved until that row's residual norm strictly drops.  Rows at
+        u = 0 reuse the model values at the equilibrium taken at setup, so
+        a batch whose rows all satisfy B(0) = v makes no model call.
+        """
+        return _invert(V)[0]
 
     def invert_B(v):
         return invert_B_many(as_state(v, n)[None, :])[0]
 
     def bmap(u_dev):
-        return bmap_many(np.asarray(u_dev, dtype=float)[None, :])[0]
+        return bmap_many(np.asarray(u_dev, dtype=float)[None, :])[0][0]
 
-    def jac_and_G(U):
-        """(DF(eq + u), G(B(u)) = DB(u) F(eq + u)) for deviations U (rows)."""
-        J = model.jacobian_many(eq + U)
-        return J, (db_of(J) @ model.field_many(eq + U)[:, :, None])[:, :, 0]
+    def jac_and_G(U, FU):
+        """(DF(eq + u), G(B(u)) = DB(u) F(eq + u)) for deviations U (rows)
+        with their fields FU; rows at u = 0 take DF(eq) from setup."""
+        J = np.repeat(J0[None], len(U), axis=0)
+        moved = np.flatnonzero(np.any(U != 0.0, axis=1))
+        if moved.size:
+            J[moved] = model.jacobian_many(eq + U[moved])
+        return J, (db_of(J) @ FU[:, :, None])[:, :, 0]
 
     def G_many(V):
-        return jac_and_G(invert_B_many(V))[1]
+        return jac_and_G(*_invert(V))[1]
 
     def G(v):
         return G_many(as_state(v, n)[None, :])[0]
 
-    A_v0 = DB0 @ model.jacobian(eq) @ np.linalg.inv(DB0)
+    A_v0 = DB0 @ J0 @ np.linalg.inv(DB0)
 
     def G_jac(v):
         if np.linalg.norm(v) < 1e-14:
@@ -370,7 +388,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     def frozen_along(Y):
         """Node blocks, remainder and transformed field G(B y) along split
         states Y (rows), from one inversion of B per row."""
-        J, field = jac_and_G(invert_B_many(Y @ base.B.T))
+        J, field = jac_and_G(*_invert(Y @ base.B.T))
         Afull = base.Binv @ J @ base.B
         Ap, Ar = Afull[:, :d, :d], Afull[:, d:, d:]
         g = field @ base.Binv.T

@@ -62,6 +62,13 @@ class ModelSystem:
 
 
 def custom_model(name: str, F, jac, equilibrium, ladder=None, **kw) -> ModelSystem:
+    """ModelSystem from a single-state field F and Jacobian jac, with the
+    Euclidean norm ladder unless ladder is given.
+
+    Keyword arguments such as vector_field_many= and batch_jacobian= are
+    forwarded to ModelSystem.  Without them, field_many and jacobian_many
+    make one Python call of F or jac per row.
+    """
     eq = as_state(equilibrium)
     dim = eq.shape[0]
     return ModelSystem(name=name, dimension=dim, vector_field=F, jacobian=jac,

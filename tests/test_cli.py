@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lpmanifolds import verify
+from lpmanifolds import cli, verify
 from lpmanifolds.cli import default_gap, main
-from lpmanifolds.linalg import eigen_split
+from lpmanifolds.linalg import AmbiguousSplitError, eigen_split
 from lpmanifolds.models import MmtParams, custom_model, mmt_galerkin, mmt_mode_set
 
 
@@ -166,6 +166,22 @@ def test_numerical_failure_exit_code(capsys):
     code, _, err = run_cli(capsys, "manifold", "--model", "saddle1",
                            "--lam", "5.0", "--eps", "0.1")
     assert code == 1
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (np.linalg.LinAlgError("Singular matrix"), 2, "numerical failure: "),
+    (AmbiguousSplitError("eigenvalue in band"), 1, "error: "),
+    (ValueError("bad input"), 1, "error: "),
+], ids=["LinAlgError", "AmbiguousSplitError", "ValueError"])
+def test_exit_code_by_exception_type(capsys, monkeypatch, exc, code, prefix):
+    # LinAlgError subclasses ValueError but is a numerical failure
+    def fails(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "picard_solve", fails)
+    got, _, err = run_cli(capsys, "picard", "--model", "saddle1")
+    assert got == code
+    assert err == f"{prefix}{exc}\n"
 
 
 def test_config_file_and_override(capsys, tmp_path):

@@ -386,6 +386,37 @@ def test_picard_saddle_matches_rk4():
     assert diag["contraction_factor"] < 1.0
 
 
+def _picard_loop(model, v0, T, dt, iterations):
+    """Reference for picard_solve's sweeps, the first one evaluated on the
+    tiled start state."""
+    m = max(2, int(round(T / dt)) + 1)
+    times = np.linspace(0.0, T, m)
+    states = np.tile(v0, (m, 1))
+    for _ in range(iterations):
+        A = model.jacobian_many(states)
+        g = model.field_many(states) - (A @ states[:, :, None])[:, :, 0]
+        states = rk4_affine(A, g, v0, times[1] - times[0])
+    return states
+
+
+def test_picard_first_sweep_evaluates_start_once(monkeypatch):
+    model = saddle_toy("saddle1")
+    v0 = np.array([0.1, 0.05])
+    rows = {"field_many": 0, "jacobian_many": 0}
+    for name in rows:
+        def counted(S, name=name, inner=getattr(model, name)):
+            rows[name] += len(S)
+            return inner(S)
+        monkeypatch.setattr(model, name, counted)
+    orbit, diag = picard_solve(model, v0, 0.5, 1e-3, tol=1e-10)
+    it, m = diag["iterations"], len(orbit.times)
+    assert it >= 3
+    assert rows == {"field_many": 1 + (it - 1) * m,
+                    "jacobian_many": 1 + (it - 1) * m}
+    ref = _picard_loop(model, v0, 0.5, 1e-3, it)
+    assert np.abs(orbit.states - ref).max() <= 1e-15
+
+
 def test_picard_no_contraction_error():
     # v' = v^2 from v0 = 1 blows up at t = 1; the iteration cannot contract
     model = custom_model("blow", lambda u: u * u,

@@ -695,21 +695,23 @@ def test_quasilinear_solve_reuses_field_for_trajectory_residual():
     m, sp, _ = _coupled_saddle()
     cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.15, tol=1e-11)
     q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
-    frozen = q.pieces.frozen_along
-    cell = frozen.__closure__[
-        frozen.__code__.co_freevars.index("invert_B_many")]
-    inner = cell.cell_contents
     count = [0]
 
-    def counted(V):
-        count[0] += len(V)
-        return inner(V)
+    def counted(Y):
+        count[0] += len(Y)
+        return q.pieces.frozen_along(Y)
 
-    cell.cell_contents = counted
-    try:
-        res = lp_solve(q.pieces, cfg, np.array([0.06]))
-    finally:
-        cell.cell_contents = inner
+    def unexpected(*args):
+        raise AssertionError("lp_solve called the transformed model")
+
+    # frozen_along inverts B once per row; every other inversion would go
+    # through the transformed model, which is made to fail here
+    tmodel = dataclasses.replace(
+        q.transformed, vector_field=unexpected, jacobian=unexpected,
+        vector_field_many=unexpected, batch_jacobian=unexpected)
+    pieces = dataclasses.replace(q.pieces, model=tmodel,
+                                 frozen_along=counted)
+    res = lp_solve(pieces, cfg, np.array([0.06]))
     nodes = len(lp_grid(cfg))
     assert nodes == 2001
     # one inversion per node for each iteration sweep and for the residual
@@ -800,6 +802,47 @@ def _invert_B_loop(q, model, v, tol=1e-12, max_iter=60):
             raise RuntimeError("Newton stagnation")
     assert rnorm <= tol
     return u
+
+
+def _recording(model):
+    """Single-state copy of model that records the state of every call."""
+    calls = {"F": [], "J": []}
+
+    def F(u):
+        calls["F"].append(tuple(u))
+        return model.vector_field(u)
+
+    def jac(u):
+        calls["J"].append(tuple(u))
+        return model.jacobian(u)
+
+    return custom_model(model.name, F, jac, model.equilibrium), calls
+
+
+def test_inversion_evaluates_model_once_per_new_state():
+    # the Newton of every row starts at u = 0, whose F and DF are taken at
+    # setup, and the field of each accepted iterate is carried to G
+    base, sp, _ = _coupled_saddle()
+    m, calls = _recording(base)
+    cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.15, tol=1e-11)
+    q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
+    res = lp_solve(q.pieces, cfg, np.array([0.06]))
+    calls["F"].clear()
+    calls["J"].clear()
+    q.pieces.frozen_along(res.Y)
+    eq = tuple(m.equilibrium)
+    assert calls["F"] and calls["J"]
+    assert eq not in calls["F"] and eq not in calls["J"]
+    assert len(set(calls["F"])) == len(calls["F"])
+    # every row of V = 0 is solved by u = 0: the blocks are those at the
+    # equilibrium and nothing calls the model
+    calls["F"].clear()
+    calls["J"].clear()
+    Ap, Ar, g, field = q.pieces.frozen_along(np.zeros((4, 2)))
+    assert calls == {"F": [], "J": []}
+    assert np.abs(Ap - q.pieces.A_plus).max() <= 1e-15
+    assert np.abs(Ar - q.pieces.A_rest).max() <= 1e-15
+    assert not g.any() and not field.any()
 
 
 def test_batched_inversion_matches_per_row():
