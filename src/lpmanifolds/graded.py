@@ -33,7 +33,7 @@ def as_state(v, dim: int | None = None) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"state must be a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("state contains non-finite entries")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"state has length {arr.shape[0]}, expected {dim}")

@@ -22,7 +22,7 @@ import scipy.linalg as sla
 
 from .graded import NormLadder, OrbitGrid, as_state, graded_norm, weighted_orbit_norm
 from .linalg import SpectralSplitting, integrate_rk4, linear_scan, rk4_affine
-from .models import ModelSystem, custom_model
+from .models import ModelSystem, _per_row, _states
 from .oracles import finite_difference_jacobian
 
 __all__ = [
@@ -143,24 +143,19 @@ class SplitPieces:
 
     def remainder_and_field(
             self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(f_split(Y), F(to_ambient(Y))); the ambient field is the one the
-        remainder is built from."""
-        Y2 = np.atleast_2d(Y)
+        """(f_split(Y), F(to_ambient(Y))) for split states Y (..., n); the
+        ambient field is the one the remainder is built from."""
         if not self.autonomous:
-            _, _, out, field = self.frozen_along(Y2)
-        else:
-            if "A0" not in self._cache:
-                self._cache["A0"] = self.model.jacobian(
-                    self.model.equilibrium)
-            A0 = self._cache["A0"]
-            field = self.model.field_many(self.to_ambient(Y2))
-            out = (field - (Y2 @ self.B.T) @ A0.T) @ self.Binv.T
-        if Y.ndim > 1:
-            return out, field
-        return out[0], field[0]
+            _, _, out, field = self.frozen_along(np.atleast_2d(Y))
+            return out.reshape(Y.shape), field.reshape(Y.shape)
+        if "A0" not in self._cache:
+            self._cache["A0"] = self.model.jacobian(self.model.equilibrium)
+        field = self.model.field_many(self.to_ambient(Y))
+        lin = (Y @ self.B.T) @ self._cache["A0"].T
+        return (field - lin) @ self.Binv.T, field
 
     def to_ambient(self, Y: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(Y) @ self.B.T + self.model.equilibrium[None, :]
+        return Y @ self.B.T + self.model.equilibrium
 
     def propagators(self, h: float):
         key = ("prop", round(h, 15))
@@ -225,14 +220,10 @@ def split_field(model: ModelSystem, splitting: SpectralSplitting,
 def reversed_model(model: ModelSystem) -> ModelSystem:
     """Time-reversed system; its unstable manifold is the stable manifold."""
     return ModelSystem(
-        name=model.name + "_reversed", dimension=model.dimension,
+        name=model.name + "_reversed",
         vector_field=lambda u: -model.vector_field(u),
         jacobian=lambda u: -model.jacobian(u),
-        equilibrium=model.equilibrium, ladder=model.ladder,
-        vector_field_many=(None if model.vector_field_many is None
-                           else (lambda S: -model.vector_field_many(S))),
-        batch_jacobian=(None if model.batch_jacobian is None
-                        else (lambda S: -model.batch_jacobian(S))))
+        equilibrium=model.equilibrium, ladder=model.ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +237,7 @@ class QuasiTransform:
     complement; u is the deviation from the equilibrium.  The transformed
     evolution v' = DB(u) F(u) is quasilinear with block operators equal to the
     diagonal blocks of the full Jacobian and a remainder with Df(0) = 0.
+    invert_B and bmap take states (..., n), as the model's field does.
     """
 
     model: ModelSystem
@@ -257,7 +249,6 @@ class QuasiTransform:
     pieces: SplitPieces
     db0_condition: float
     invert_B: Callable[[np.ndarray], np.ndarray]
-    invert_B_many: Callable[[np.ndarray], np.ndarray]
     bmap: Callable[[np.ndarray], np.ndarray]
 
 
@@ -297,12 +288,9 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
             "choose different omega shifts")
 
     def _invert(V):
-        """(U, F(eq + U)): the damped Newton of invert_B_many, with the
-        field of each row's accepted iterate."""
-        V = np.asarray(V, dtype=float)
-        if V.ndim != 2 or V.shape[1] != n:
-            raise ValueError(f"expected states of length {n} as rows, got "
-                             f"shape {V.shape}")
+        """(U, F(eq + U)) as rows for the states V (..., n): the damped
+        Newton of invert_B, with the field of each row's accepted iterate."""
+        V = _states(V, n).reshape(-1, n)
         if not np.all(np.isfinite(V)):
             raise ValueError("state contains non-finite entries")
         U = np.zeros_like(V)
@@ -337,22 +325,20 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
                 f"Newton failed inverting B (residual {rnorm.max():.3e})")
         return U, FU
 
-    def invert_B_many(V):
-        """u with B(u) = v for each row v of V.
+    def invert_B(V):
+        """u with B(u) = v for each state v of V (..., n).
 
-        Damped Newton from u = 0 on all rows at once: a row stops once its
-        residual norm is at most newton_tol, and each step of a row is
-        halved until that row's residual norm strictly drops.  Rows at
-        u = 0 reuse the model values at the equilibrium taken at setup, so
-        a batch whose rows all satisfy B(0) = v makes no model call.
+        Damped Newton from u = 0 on all states at once: a state stops once
+        its residual norm is at most newton_tol, and each step of a state is
+        halved until its residual norm strictly drops.  States at u = 0
+        reuse the model values at the equilibrium taken at setup, so a
+        batch whose states all satisfy B(0) = v makes no model call.
         """
-        return _invert(V)[0]
+        return _invert(V)[0].reshape(np.shape(V))
 
-    def invert_B(v):
-        return invert_B_many(as_state(v, n)[None, :])[0]
-
-    def bmap(u_dev):
-        return bmap_many(np.asarray(u_dev, dtype=float)[None, :])[0][0]
+    def bmap(U):
+        """B(u) for deviations u of shape (..., n)."""
+        return bmap_many(_states(U, n).reshape(-1, n))[0].reshape(np.shape(U))
 
     def jac_and_G(U, FU):
         """(DF(eq + u), G(B(u)) = DB(u) F(eq + u)) for deviations U (rows)
@@ -363,11 +349,8 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
             J[moved] = model.jacobian_many(eq + U[moved])
         return J, (db_of(J) @ FU[:, :, None])[:, :, 0]
 
-    def G_many(V):
-        return jac_and_G(*_invert(V))[1]
-
-    def G(v):
-        return G_many(as_state(v, n)[None, :])[0]
+    def G(V):
+        return jac_and_G(*_invert(V))[1].reshape(np.shape(V))
 
     A_v0 = DB0 @ J0 @ np.linalg.inv(DB0)
 
@@ -376,9 +359,9 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
             return A_v0
         return finite_difference_jacobian(G, v, 1e-6)
 
-    tmodel = custom_model(model.name + "_quasilinearized", G, G_jac,
-                          np.zeros(n), ladder=model.ladder,
-                          vector_field_many=G_many)
+    tmodel = ModelSystem(name=model.name + "_quasilinearized",
+                         vector_field=G, jacobian=_per_row(G_jac, n, (n, n)),
+                         equilibrium=np.zeros(n), ladder=model.ladder)
 
     # the transformed system keeps the original projections; its blocks are
     # the diagonal blocks of the full state-dependent Jacobian
@@ -404,8 +387,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     return QuasiTransform(
         model=model, splitting=splitting, shift_plus=sp, shift_rest=sm,
         sigma_plus=sigma_scale, transformed=tmodel, pieces=qpieces,
-        db0_condition=cond, invert_B=invert_B,
-        invert_B_many=invert_B_many, bmap=bmap)
+        db0_condition=cond, invert_B=invert_B, bmap=bmap)
 
 
 # ---------------------------------------------------------------------------

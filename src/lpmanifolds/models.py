@@ -3,13 +3,16 @@ a reaction-diffusion gradient flow, and KdV traveling-wave profiles.
 
 Every model implements the ModelSystem contract: a vector field F with
 F(equilibrium) = 0, its Jacobian, a norm ladder, and an optional energy.
-Complex fields are stored as interleaved (Re, Im) real coordinates.
+F and its Jacobian take states of shape (..., n), one state per leading
+index, and return shapes (..., n) and (..., n, n).  A state whose last axis
+is not n is refused with ValueError.  Complex fields are stored as
+interleaved (Re, Im) real coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,45 +38,68 @@ __all__ = [
 
 @dataclass
 class ModelSystem:
-    """A vector field F, its Jacobian A(u) = DF(u), an equilibrium, and norms."""
+    """A vector field F, its Jacobian A(u) = DF(u), an equilibrium, and norms;
+    F and DF take states (..., n), with n the length of the equilibrium."""
 
     name: str
-    dimension: int
     vector_field: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     equilibrium: np.ndarray
     ladder: NormLadder
     energy: Callable[[np.ndarray], float] | None = None
-    vector_field_many: Callable[[np.ndarray], np.ndarray] | None = None
-    batch_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @property
+    def dimension(self) -> int:
+        return self.equilibrium.shape[0]
 
     def field_many(self, states: np.ndarray) -> np.ndarray:
-        """Vector field on a batch of states (rows); loops unless overridden."""
-        if self.vector_field_many is not None:
-            return self.vector_field_many(states)
-        return np.array([self.vector_field(s) for s in states])
+        """Vector field on a batch of states (rows)."""
+        return self.vector_field(states)
 
     def jacobian_many(self, states: np.ndarray) -> np.ndarray:
-        """Jacobians on a batch of states (rows), one (n, n) matrix per row;
-        calls batch_jacobian, or loops over jacobian when it is absent."""
-        if self.batch_jacobian is not None:
-            return self.batch_jacobian(states)
-        return np.array([self.jacobian(s) for s in states])
+        """Jacobians on a batch of states (rows), one (n, n) matrix per row."""
+        return self.jacobian(states)
 
 
-def custom_model(name: str, F, jac, equilibrium, ladder=None, **kw) -> ModelSystem:
+def _states(u, n: int) -> np.ndarray:
+    """u as float states (..., n).  A single state goes through as_state,
+    which also refuses non-finite entries; a batch has its length checked."""
+    arr = np.asarray(u, dtype=float)
+    if arr.ndim <= 1:
+        return as_state(arr, n)
+    if arr.shape[-1] != n:
+        raise ValueError(f"states have length {arr.shape[-1]}, expected {n}")
+    return arr
+
+
+def _per_row(f, n: int, out_shape: tuple[int, ...]):
+    """Lift a single-state callable f, returning out_shape, to states of
+    shape (..., n): one call of f per state."""
+    def lifted(u):
+        arr = _states(u, n)
+        if arr.ndim == 1:
+            return f(arr)
+        out = np.empty(arr.shape[:-1] + out_shape)
+        for s, o in zip(arr.reshape(-1, n), out.reshape((-1,) + out_shape)):
+            o[...] = f(s)
+        return out
+    return lifted
+
+
+def custom_model(name: str, F, jac, equilibrium, ladder=None) -> ModelSystem:
     """ModelSystem from a single-state field F and Jacobian jac, with the
     Euclidean norm ladder unless ladder is given.
 
-    Keyword arguments such as vector_field_many= and batch_jacobian= are
-    forwarded to ModelSystem.  Without them, field_many and jacobian_many
-    make one Python call of F or jac per row.
+    The model's vector_field and jacobian lift F and jac to states (..., n)
+    with one Python call per state; a model whose arithmetic broadcasts
+    builds ModelSystem directly instead.
     """
     eq = as_state(equilibrium)
     dim = eq.shape[0]
-    return ModelSystem(name=name, dimension=dim, vector_field=F, jacobian=jac,
+    return ModelSystem(name=name, vector_field=_per_row(F, dim, (dim,)),
+                       jacobian=_per_row(jac, dim, (dim, dim)),
                        equilibrium=eq,
-                       ladder=ladder or NormLadder.euclidean(dim), **kw)
+                       ladder=ladder or NormLadder.euclidean(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +262,11 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
         return -1j * (disp * z + p.sigma * wmul * cubic(wmul * z))
 
     def F(u: np.ndarray) -> np.ndarray:
-        return to_real(field_c(to_complex(as_state(u, 2 * N))))
-
-    def F_many(states: np.ndarray) -> np.ndarray:
-        return to_real(field_c(to_complex(np.asarray(states, dtype=float))))
+        return to_real(field_c(to_complex(_states(u, 2 * N))))
 
     def jac(u: np.ndarray) -> np.ndarray:
-        z = to_complex(as_state(u, 2 * N))
+        """Jacobian at one state; np.correlate has no batched form."""
+        z = to_complex(u)
         v = embed(wmul * z, span)
         # d(cubic)_n / dz_m = 2 c(|W|^2)[xi_n - xi_m] w_m (Toeplitz) and
         # d(cubic)_n / dconj(z)_m = c(W^2)[xi_n + xi_m] w_m (Hankel).  The
@@ -277,9 +301,9 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
     ladder = NormLadder.fourier(modes, s_of_r)
 
     return ModelSystem(
-        name="mmt", dimension=2 * N, vector_field=F, jacobian=jac,
-        equilibrium=equilibrium, ladder=ladder, energy=energy,
-        vector_field_many=F_many)
+        name="mmt", vector_field=F,
+        jacobian=_per_row(jac, 2 * N, (2 * N, 2 * N)),
+        equilibrium=equilibrium, ladder=ladder, energy=energy)
 
 
 # ---------------------------------------------------------------------------
@@ -291,39 +315,28 @@ def saddle_toy(name: str) -> ModelSystem:
     saddle1: x' = x, y' = -y + x^2, unstable manifold y = x^2/3, stable x = 0.
     saddle2: x' = 2x + y^2, y' = -y, unstable manifold y = 0, stable x = -y^2/4.
     """
-    if name == "saddle1":
-        def F_many(S):
-            x, y = S[..., 0], S[..., 1]
-            return np.stack([x, -y + x * x], axis=-1)
-
-        def jac_many(S):
-            J = np.zeros(S.shape + (2,))
-            J[..., 0, 0] = 1.0
-            J[..., 1, 0] = 2.0 * S[..., 0]
-            J[..., 1, 1] = -1.0
-            return J
-    elif name == "saddle2":
-        def F_many(S):
-            x, y = S[..., 0], S[..., 1]
-            return np.stack([2.0 * x + y * y, -y], axis=-1)
-
-        def jac_many(S):
-            J = np.zeros(S.shape + (2,))
-            J[..., 0, 0] = 2.0
-            J[..., 0, 1] = 2.0 * S[..., 1]
-            J[..., 1, 1] = -1.0
-            return J
-    else:
+    if name not in ("saddle1", "saddle2"):
         raise ValueError(f"unknown saddle toy {name!r}")
+    # x' = a x, y' = -y, plus the square of coordinate j in the other one
+    a, j = (1.0, 0) if name == "saddle1" else (2.0, 1)
+    lin = np.array([a, -1.0])
 
     def F(u):
-        return F_many(np.asarray(u, dtype=float))
+        S = _states(u, 2)
+        out = lin * S
+        out[..., 1 - j] += S[..., j] * S[..., j]
+        return out
 
     def jac(u):
-        return jac_many(np.asarray(u, dtype=float))
+        S = _states(u, 2)
+        J = np.zeros(S.shape + (2,))
+        J[..., [0, 1], [0, 1]] = lin
+        J[..., 1 - j, j] = 2.0 * S[..., j]
+        return J
 
-    return custom_model(name, F, jac, np.zeros(2),
-                        vector_field_many=F_many, batch_jacobian=jac_many)
+    return ModelSystem(name=name, vector_field=F, jacobian=jac,
+                       equilibrium=np.zeros(2),
+                       ladder=NormLadder.euclidean(2))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +378,7 @@ def reaction_diffusion(lambda_param: float, n_modes: int) -> ModelSystem:
         of the convolution is one vector operation over all rows.  A product
         with an exactly-zero coefficient adds an exact zero, so modes that
         vanish by symmetry stay exactly zero."""
-        c = to_full(np.asarray(states, dtype=float)).T.copy()
+        c = to_full(states).T.copy()
         sq = np.zeros((2 * L - 1, c.shape[1]))
         for i in range(L):
             sq[i:i + L] += c[i] * c
@@ -383,30 +396,28 @@ def reaction_diffusion(lambda_param: float, n_modes: int) -> ModelSystem:
         return out
 
     def F(u):
-        a = as_state(u, n)
-        return lin * a - cube_coeffs(a)
-
-    def F_many(states):
-        a = np.asarray(states, dtype=float)
-        return lin * a - cube_coeffs_many(a)
+        # np.convolve is about 5x faster than cube_coeffs_many on one state
+        a = _states(u, n)
+        if a.ndim == 1:
+            return lin * a - cube_coeffs(a)
+        return lin * a - cube_coeffs_many(a.reshape(-1, n)).reshape(a.shape)
 
     # the matrix of phi -> u^2 phi projected on cosine modes has entry
     # (k, j) = sq[k - j] + sq[k + j], halved on row 0
     rows, cols = np.indices((n, n))
     lag_idx, sum_idx = rows - cols + L - 1, rows + cols + L - 1
 
-    def jac_many(states):
-        _, sq = square_many(states)
+    def jac(u):
+        a = _states(u, n)
+        _, sq = square_many(a.reshape(-1, n))
         M = sq[lag_idx] + sq[sum_idx]
         M[0] *= 0.5
-        return np.diag(lin) - 3.0 * M.transpose(2, 0, 1)
+        J = np.diag(lin) - 3.0 * M.transpose(2, 0, 1)
+        return J.reshape(a.shape + (n,))
 
-    def jac(u):
-        return jac_many(as_state(u, n)[None, :])[0]
-
-    return custom_model("rd", F, jac, np.zeros(n),
-                        ladder=NormLadder(n, lambda i, r: (1.0 + i * i) ** (r / 2.0)),
-                        vector_field_many=F_many, batch_jacobian=jac_many)
+    return ModelSystem(
+        name="rd", vector_field=F, jacobian=jac, equilibrium=np.zeros(n),
+        ladder=NormLadder(n, lambda i, r: (1.0 + i * i) ** (r / 2.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -604,8 +604,9 @@ def test_variational_matches_graph_fd():
 
 @pytest.mark.parametrize("which", ["rd", "mmt7"])
 def test_variational_batched_jacobian_matches_per_node(which):
-    # lp_variational stacks the Jacobians along the base orbit with
-    # jacobian_many; the per-node jacobian loop gives the same Dq
+    # lp_variational stacks the Jacobians along the base orbit with one
+    # batched jacobian call; a single-state copy of the model, evaluated
+    # node by node, gives the same Dq
     if which == "rd":
         m, _, pieces = rd_pieces(2.0, 6)
         cfg = LpConfig(lam=0.8, T_max=30.0, dt=0.01, eps=0.1, tol=1e-11)
@@ -617,8 +618,8 @@ def test_variational_batched_jacobian_matches_per_node(which):
         base = np.array([0.03, 0.0])
     res = lp_solve(pieces, cfg, base)
     _, Dq = lp_variational(res, pieces, cfg)
-    looped = dataclasses.replace(m, batch_jacobian=None,
-                                 vector_field_many=None)
+    looped = custom_model(m.name, m.vector_field, m.jacobian, m.equilibrium,
+                          ladder=m.ladder)
     _, Dq_loop = lp_variational(
         res, dataclasses.replace(pieces, model=looped, _cache={}), cfg)
     assert np.abs(Dq).max() > 0
@@ -707,8 +708,7 @@ def test_quasilinear_solve_reuses_field_for_trajectory_residual():
     # frozen_along inverts B once per row; every other inversion would go
     # through the transformed model, which is made to fail here
     tmodel = dataclasses.replace(
-        q.transformed, vector_field=unexpected, jacobian=unexpected,
-        vector_field_many=unexpected, batch_jacobian=unexpected)
+        q.transformed, vector_field=unexpected, jacobian=unexpected)
     pieces = dataclasses.replace(q.pieces, model=tmodel,
                                  frozen_along=counted)
     res = lp_solve(pieces, cfg, np.array([0.06]))
@@ -852,7 +852,7 @@ def test_batched_inversion_matches_per_row():
     # rows at different distances from 0 take different numbers of steps
     V = rng.normal(size=(200, 2)) * rng.uniform(0.0, 0.1, size=(200, 1))
     V[0] = 0.0
-    U = q.invert_B_many(V)
+    U = q.invert_B(V)
     rows = np.array([q.invert_B(v) for v in V])
     loop = np.array([_invert_B_loop(q, m, v) for v in V])
     assert np.abs(U - rows).max() <= 1e-15
@@ -869,8 +869,8 @@ def test_batched_inversion_reports_newton_failure():
     q = quasilinearize(m, sp, omega_minus=-0.75)
     V = np.array([[0.01], [-1.0], [0.02]])
     with pytest.raises(RuntimeError, match="Newton"):
-        q.invert_B_many(V)
-    assert np.all(np.isfinite(q.invert_B_many(V[[0, 2]])))
+        q.invert_B(V)
+    assert np.all(np.isfinite(q.invert_B(V[[0, 2]])))
 
 
 def test_tangency_quadratic_coefficient_stable_across_eps():

@@ -1,11 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from lpmanifolds.linalg import eigen_split, integrate_rk4
+from lpmanifolds.lp import quasilinearize, reversed_model
 from lpmanifolds.models import (
     MmtParams,
+    custom_model,
     kdv_wave_profile,
     mmt_block,
     mmt_galerkin,
@@ -331,6 +334,22 @@ def _rd_jacobian_loop(lam_param, n, a):
     return np.diag([lam_param - k * k for k in range(n)]) - 3.0 * M
 
 
+def _python_calls(fn, arg):
+    """Number of Python function and builtin calls made by fn(arg)."""
+    count = [0]
+
+    def profile(frame, event, _):
+        if event in ("call", "c_call"):
+            count[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(arg)
+    finally:
+        sys.setprofile(None)
+    return count[0]
+
+
 @pytest.mark.parametrize("name", ["saddle1", "saddle2", "rd"])
 def test_jacobian_many_matches_stacked_jacobian(name):
     rng = np.random.default_rng(22)
@@ -347,8 +366,11 @@ def test_jacobian_many_matches_stacked_jacobian(name):
             ref[:, 0, 0], ref[:, 1, 0] = 1.0, 2.0 * S[:, 0]
         else:
             ref[:, 0, 0], ref[:, 0, 1] = 2.0, 2.0 * S[:, 1]
-    assert m.batch_jacobian is not None
     got = m.jacobian_many(S)
+    # evaluated as one batch: the Python calls made do not grow with the
+    # number of rows, as they would in a loop over rows
+    assert _python_calls(m.jacobian_many, S) == _python_calls(
+        m.jacobian_many, S[:2])
     stacked = np.array([m.jacobian(s) for s in S])
     for other in (stacked, ref):
         assert got.shape == other.shape
@@ -378,6 +400,75 @@ def test_rd_field_many_keeps_odd_modes_exactly_zero():
     F = m.field_many(S)
     assert np.all(F[:, 1::2] == 0.0)
     assert np.all(np.abs(F[:, 0::2]) > 0.0)
+
+
+# ------------------------------------------------------------ model contract
+
+def _coupled_single_state():
+    # x' = x + y^2, y' = -y + x^2 from callables that see one state each
+    def F(u):
+        x, y = u
+        return np.array([x + y * y, -y + x * x])
+
+    def jac(u):
+        x, y = u
+        return np.array([[1.0, 2.0 * y], [2.0 * x, -1.0]])
+
+    return custom_model("coupled", F, jac, np.zeros(2))
+
+
+def _contract_model(name):
+    if name in ("saddle1", "saddle2"):
+        return saddle_toy(name)
+    if name == "rd":
+        return reaction_diffusion(2.0, 6)
+    if name == "mmt7":
+        return mmt_galerkin(MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2,
+                                      xi0=0, mode_set=mmt_mode_set(0, 3)))
+    if name == "custom":
+        return _coupled_single_state()
+    if name == "reversed":
+        return reversed_model(saddle_toy("saddle2"))
+    m = saddle_toy("saddle1")
+    sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
+    return quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0).transformed
+
+
+CONTRACT_MODELS = ["saddle1", "saddle2", "rd", "mmt7", "custom", "reversed",
+                   "quasilinearized"]
+
+
+@pytest.mark.parametrize("name", CONTRACT_MODELS)
+def test_model_contract_broadcasts_over_leading_axes(name):
+    # vector_field and jacobian take states of shape (..., n) and agree with
+    # single-state calls stacked in the same shape: bit for bit, except rd,
+    # whose single state takes np.convolve and its batch a column-wise
+    # convolution that sums in another order
+    m = _contract_model(name)
+    n = m.dimension
+    rng = np.random.default_rng(31)
+    bound = 1e-15 if name == "rd" else 0.0
+    for lead in ((), (0,), (5,), (2, 3)):
+        S = m.equilibrium + 0.05 * rng.normal(size=lead + (n,))
+        rows = S.reshape(-1, n)
+        for fn, tail in ((m.vector_field, (n,)), (m.jacobian, (n, n))):
+            got = fn(S)
+            assert got.shape == lead + tail
+            stacked = np.array([fn(s) for s in rows]).reshape(lead + tail)
+            per_row = (len(rows), math.prod(tail))
+            err = np.abs(got - stacked).reshape(per_row).max(axis=1)
+            scale = np.abs(stacked).reshape(per_row).max(axis=1)
+            assert np.all(err <= bound * scale)
+
+
+@pytest.mark.parametrize("name", CONTRACT_MODELS)
+def test_model_refuses_states_of_the_wrong_length(name):
+    m = _contract_model(name)
+    n = m.dimension
+    for bad in (np.zeros(n + 1), np.zeros((3, n + 1)), np.zeros((2, 3, n - 1))):
+        for fn in (m.vector_field, m.jacobian):
+            with pytest.raises(ValueError, match=f"expected {n}$"):
+                fn(bad)
 
 
 def test_rd_unstable_dimension_half():
