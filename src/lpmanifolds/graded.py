@@ -25,6 +25,7 @@ __all__ = [
     "graded_norm",
     "lerp_nodes",
     "weighted_orbit_norm",
+    "weighted_sup_norm",
 ]
 
 
@@ -150,6 +151,14 @@ def weighted_orbit_norm(orbit: OrbitGrid, lam: float, ladder: NormLadder,
     """max_j e^(-lam*t_j) ||v(t_j)||_r over the grid (lam = 0: plain sup)."""
     if len(orbit.times) == 0:
         raise ValueError("empty orbit")
-    w = ladder.weights(r)
-    norms = np.sqrt(np.sum((orbit.states * w[None, :]) ** 2, axis=1))
-    return float(np.max(np.exp(-lam * orbit.times) * norms))
+    return weighted_sup_norm(orbit.states, np.exp(-lam * orbit.times),
+                             ladder.weights(r))
+
+
+def weighted_sup_norm(states: np.ndarray, decay: np.ndarray,
+                      weights: np.ndarray) -> float:
+    """max_j decay_j sqrt(sum_i (weights_i states_ji)^2): weighted_orbit_norm
+    with decay = e^(-lam*t_j) and the level weights computed by the caller,
+    who can keep them over many orbits on one grid."""
+    norms = np.sqrt(np.sum((states * weights[None, :]) ** 2, axis=1))
+    return float(np.max(decay * norms))

@@ -36,6 +36,8 @@ __all__ = [
     "variational_flow",
     "rk4_step",
     "integrate_rk4",
+    "ScanPlan",
+    "scan_plan",
     "linear_scan",
     "rk4_affine",
 ]
@@ -292,36 +294,134 @@ def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float, dt: float,
     return np.array(rec), np.array(out)
 
 
-def linear_scan(E: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _block_nodes(d: int) -> int:
+    """Nodes per block of linear_scan's blocked route for states of size d:
+    b = 64 // d, so the plan's table is about 64 wide, or 0 below 4 nodes
+    (d > 16), where the doubling is about as fast."""
+    b = 64 // d if d else 0
+    return b if b >= 4 else 0
+
+
+@dataclass(frozen=True)
+class ScanPlan:
+    """Tables of linear_scan's blocked route for one (d, d) matrix E.
+
+    b is the number of nodes per block, 0 when the route does not apply to
+    this d (the plan then only carries E).  `within` is the (b*d, b*d)
+    block upper-triangular Toeplitz matrix whose block (l, i) is
+    (E^{i-l})^T for l <= i: a row of b stacked inputs times `within` is the
+    scan inside the block.  `carry` is the (d, b*d) row of blocks
+    (E^{i+1})^T taking the state at the end of one block to each node of
+    the next, and Eb = E^b steps from one block end to the next.
+    """
+
+    E: np.ndarray
+    b: int
+    within: np.ndarray | None = None
+    carry: np.ndarray | None = None
+    Eb: np.ndarray | None = None
+
+
+def scan_plan(E) -> ScanPlan:
+    """The ScanPlan of E; build it once to reuse it over many scans."""
+    E = np.asarray(E, dtype=float)
+    if E.ndim != 2 or E.shape[0] != E.shape[1]:
+        raise ValueError(f"expected a square step matrix, got shape {E.shape}")
+    d = E.shape[0]
+    b = _block_nodes(d)
+    if not b:
+        return ScanPlan(E, 0)
+    # powers[k] = (E^k)^T; a diagonal E keeps exact zeros off the diagonal
+    powers = np.empty((b + 1, d, d))
+    powers[0], powers[1] = np.eye(d), E.T
+    k = 1
+    while k < b:
+        n = min(k, b - k)
+        powers[k + 1:k + 1 + n] = powers[1:1 + n] @ powers[k]
+        k += n
+    lo, hi = np.triu_indices(b)
+    within = np.zeros((b, d, b, d))
+    within[lo, :, hi, :] = powers[hi - lo]
+    carry = powers[1:].transpose(1, 0, 2).reshape(d, b * d)
+    return ScanPlan(E, b, within.reshape(b * d, b * d), carry,
+                    powers[b].T.copy())
+
+
+def _doubling_scan(E: np.ndarray, rows: np.ndarray) -> None:
+    """The constant-matrix scan in place on rows (m, r, d)."""
+    m, d = rows.shape[0], rows.shape[-1]
+    s = 1
+    while s < m:
+        rows[s:] += (rows[:-s].reshape(-1, d) @ E.T).reshape(m - s, -1, d)
+        s *= 2
+        if s < m:
+            E = E @ E
+
+
+def _blocked_scan(plan: ScanPlan, rows: np.ndarray) -> np.ndarray:
+    """The constant-matrix scan of rows (m, r, d), returned as a new array."""
+    m, r, d = rows.shape
+    b = plan.b
+    nb = -(-m // b)
+    if nb * b > m:
+        rows = np.concatenate([rows, np.zeros((nb * b - m, r, d))])
+    # one row of b stacked inputs per block and recurrence
+    flat = rows.reshape(nb, b, r, d).transpose(0, 2, 1, 3).reshape(-1, b * d)
+    Z = (flat @ plan.within).reshape(nb, r, b, d)
+    # block ends: z_k = E^b z_{k-1} + (scan of block k alone at its end)
+    ends = Z[:, :, -1].copy()
+    _doubling_scan(plan.Eb, ends)
+    Z[1:] += (ends[:-1].reshape(-1, d) @ plan.carry).reshape(nb - 1, r, b, d)
+    return Z.transpose(0, 2, 1, 3).reshape(nb * b, r, d)[:m]
+
+
+def linear_scan(E, X: np.ndarray) -> np.ndarray:
     """x_0 = X[0], x_{j+1} = E_j x_j + X[j+1] along axis 0; X is left intact.
 
-    E is either one (d, d) matrix for every step or a stack of m - 1
-    matrices, E[j] taking x_j to x_{j+1}.  The states lie along the last
-    axis of X; axes in between hold independent recurrences with the same
-    matrices.  Recursive doubling: after the pass with shift s, x[j] holds
-    the sum of E_{j-1} ... E_i X[i] over j-2s < i <= j, so about log2(m)
-    batched matmuls replace the m-step loop.
+    E is one (d, d) matrix for every step, a ScanPlan of one (scan_plan(E),
+    whose tables are then reused), or a stack of m - 1 matrices, E[j]
+    taking x_j to x_{j+1}.  The states lie along the last axis of X; axes
+    in between hold independent recurrences with the same matrices.
+
+    One matrix with b = 64 // d >= 4 and m >= 2b takes the blocked route:
+    the m nodes fall into blocks of b, one gemm against the plan's
+    (b*d, b*d) table scans every block at once, a doubling scan with E^b
+    over the ceil(m/b) block ends gives the carries, and a second gemm adds
+    carry times E^{i+1} at node i of the next block.  That is O(m*b*d^2)
+    work in two passes over the grid; a plan costs b small matmuls, so pass
+    one when the same E is scanned repeatedly.
+
+    Otherwise (larger d, few nodes, or step stacks) recursive doubling:
+    after the pass with shift s, x[j] holds the sum of E_{j-1} ... E_i X[i]
+    over j-2s < i <= j, so about log2(m) batched matmuls over the whole
+    grid replace the m-step loop.
     """
-    x = np.array(X, dtype=float)
-    m, d = x.shape[0], x.shape[-1]
-    if E.ndim == 3 and E.shape != (m - 1, d, d):
-        raise ValueError(f"expected {m - 1} step matrices of size {d}, got "
-                         f"shape {E.shape}")
-    if x.size == 0:
-        return x
+    X = np.asarray(X, dtype=float)
+    m, d = X.shape[0], X.shape[-1]
+    plan = E if isinstance(E, ScanPlan) else None
+    E = plan.E if plan is not None else E
+    if E.ndim == 3:
+        if E.shape != (m - 1, d, d):
+            raise ValueError(f"expected {m - 1} step matrices of size {d}, "
+                             f"got shape {E.shape}")
+    elif E.shape != (d, d):
+        raise ValueError(f"expected one step matrix of size {d}, got shape "
+                         f"{E.shape}")
+    if X.size == 0:
+        return X.copy()
+    b = _block_nodes(d)
+    if E.ndim == 2 and b and m >= 2 * b:
+        plan = plan if plan is not None else scan_plan(E)
+        return _blocked_scan(plan, X.reshape(m, -1, d)).reshape(X.shape)
+    x = X.copy()
     rows = x.reshape(m, -1, d)
-    s = 1
     if E.ndim == 2:
-        Es = E
-        while s < m:
-            rows[s:] += (rows[:-s].reshape(-1, d) @ Es.T).reshape(m - s, -1, d)
-            s *= 2
-            if s < m:
-                Es = Es @ Es
+        _doubling_scan(E, rows)
         return x
     # Q[j-1] holds the transposed product of the matrices of the steps
     # ending at node j, over a window that doubles with s
     Q = E.transpose(0, 2, 1).copy()
+    s = 1
     while s < m:
         rows[s:] += rows[:-s] @ Q[s - 1:]
         if 2 * s < m:

@@ -13,6 +13,7 @@ operators vary along the iterate (quasilinearized route).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -20,8 +21,9 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .graded import NormLadder, OrbitGrid, as_state, graded_norm, weighted_orbit_norm
-from .linalg import SpectralSplitting, integrate_rk4, linear_scan, rk4_affine
+from .graded import NormLadder, OrbitGrid, as_state, graded_norm, weighted_sup_norm
+from .linalg import (SpectralSplitting, integrate_rk4, linear_scan, rk4_affine,
+                     scan_plan)
 from .models import ModelSystem, _per_row, _states
 from .oracles import finite_difference_jacobian
 
@@ -82,8 +84,20 @@ class LpConfig:
 
 
 def lp_grid(cfg: LpConfig) -> np.ndarray:
-    m = int(round(cfg.T_max / cfg.dt)) + 1
-    return np.linspace(-cfg.T_max, 0.0, m)
+    return _grid(cfg.T_max, cfg.dt)
+
+
+def _grid(T_max: float, dt: float) -> np.ndarray:
+    m = int(round(T_max / dt)) + 1
+    return np.linspace(-T_max, 0.0, m)
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_step(T_max: float, dt: float) -> float:
+    """times[1] - times[0] of lp_grid, kept so that a sweep does not
+    rebuild the grid."""
+    times = _grid(T_max, dt)
+    return float(times[1] - times[0])
 
 
 def _phi_matrices(A: np.ndarray, h: float):
@@ -107,7 +121,8 @@ class SplitPieces:
     Coordinates: y = Binv @ (u - equilibrium), with the first d_plus entries
     spanning the unstable subspace.  f_split returns the remainder
     Binv (F(eq + B y) - A0 B y), which vanishes to second order at 0;
-    A0 = DF(equilibrium) is computed once and kept.
+    A0 = DF(equilibrium) is computed once and kept.  The cache is not a
+    field of the constructor, so dataclasses.replace starts a fresh one.
     """
 
     model: ModelSystem
@@ -122,7 +137,8 @@ class SplitPieces:
     # field it is built from, all from one inversion of B per state
     frozen_along: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
                                                np.ndarray, np.ndarray]] | None = None
-    _cache: dict = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def autonomous(self) -> bool:
@@ -158,11 +174,22 @@ class SplitPieces:
         return Y @ self.B.T + self.model.equilibrium
 
     def propagators(self, h: float):
-        key = ("prop", round(h, 15))
-        if key not in self._cache:
+        """(Em, psi1, psi1 - psi2) of -A_plus and (Ep, phi1, phi2) of
+        A_rest for the step h, built once per h together with the
+        linear_scan plans of Em and Ep (scan_plans)."""
+        key = round(h, 15)
+        if ("prop", key) not in self._cache:
             Em, p1m, p2m = _phi_matrices(-self.A_plus, h)
             Ep, p1p, p2p = _phi_matrices(self.A_rest, h)
-            self._cache[key] = (Em, p1m, p1m - p2m, Ep, p1p, p2p)
+            self._cache["prop", key] = (Em, p1m, p1m - p2m, Ep, p1p, p2p)
+            self._cache["plans", key] = (scan_plan(Em), scan_plan(Ep))
+        return self._cache["prop", key]
+
+    def scan_plans(self, h: float):
+        """linear_scan plans of the exponentials Em and Ep of propagators(h)."""
+        key = ("plans", round(h, 15))
+        if key not in self._cache:
+            self.propagators(h)
         return self._cache[key]
 
     def rest_growth_constant(self, T: float) -> float:
@@ -404,17 +431,18 @@ def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
     R_{j+1} = Ep R_j + c_j.
     """
     d = pieces.d_plus
-    Em, p1m, p12m, Ep, p1p, p2p = pieces.propagators(h)
+    _, p1m, p12m, _, p1p, p2p = pieces.propagators(h)
+    plan_m, plan_p = pieces.scan_plans(h)
     gp, gr = g[..., :d], g[..., d:]
     new = np.empty_like(g)
     X = np.empty_like(gp)
     X[0] = v0_plus
     X[1:] = (-h * (gp[:-1] @ p1m.T + np.diff(gp, axis=0) @ p12m.T))[::-1]
-    new[..., :d] = linear_scan(Em, X)[::-1]
+    new[..., :d] = linear_scan(plan_m, X)[::-1]
     X = np.empty_like(gr)
     X[0] = 0.0
     X[1:] = h * (gr[:-1] @ p1p.T + np.diff(gr, axis=0) @ p2p.T)
-    new[..., d:] = linear_scan(Ep, X)
+    new[..., d:] = linear_scan(plan_p, X)
     return new
 
 
@@ -426,22 +454,22 @@ def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
     truncated tail of the complement integral.
     """
     v0_plus = as_state(v0_plus, pieces.d_plus)
+    h = _grid_step(cfg.T_max, cfg.dt)
     if pieces.autonomous:
-        return _lp_sweep(pieces, cfg, v0_plus, pieces.f_split(Y))
+        return _lp_sweep(pieces, cfg, h, v0_plus, pieces.f_split(Y))
     Ap, Ar, g, _ = pieces.frozen_along(Y)
-    return _lp_sweep(pieces, cfg, v0_plus, g, (Ap, Ar))
+    return _lp_sweep(pieces, cfg, h, v0_plus, g, (Ap, Ar))
 
 
-def _lp_sweep(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
-              g: np.ndarray,
+def _lp_sweep(pieces: SplitPieces, cfg: LpConfig, h: float,
+              v0_plus: np.ndarray, g: np.ndarray,
               blocks: tuple[np.ndarray, np.ndarray] | None = None
               ) -> tuple[np.ndarray, float]:
-    """lp_apply with the remainder g = f_split(Y) already evaluated, and on
-    the quasilinear route the node blocks (A_plus, A_rest) along Y."""
+    """lp_apply on the grid of step h with the remainder g = f_split(Y)
+    already evaluated, and on the quasilinear route the node blocks
+    (A_plus, A_rest) along Y."""
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite remainder evaluation in lp_apply")
-    times = lp_grid(cfg)
-    h = times[1] - times[0]
     d = pieces.d_plus
     gp, gr = g[:, :d], g[:, d:]
 
@@ -481,12 +509,6 @@ def _orbit_from_Y(pieces: SplitPieces, times: np.ndarray,
     return OrbitGrid(times, pieces.to_ambient(Y))
 
 
-def _deviation_weighted_norm(pieces: SplitPieces, times, Ydiff, lam, r):
-    amb = np.atleast_2d(Ydiff) @ pieces.B.T
-    orbit = OrbitGrid(times, amb)
-    return weighted_orbit_norm(orbit, lam, pieces.model.ladder, r)
-
-
 def lp_solve(pieces: SplitPieces, cfg: LpConfig,
              v0_plus: np.ndarray) -> LpResult:
     """Iterate the Lyapunov-Perron operator from the zero orbit to its fixed
@@ -506,8 +528,18 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
         raise ValueError("base point outside the eps-ball")
     times = lp_grid(cfg)
     m = len(times)
+    h = times[1] - times[0]
     Y = np.zeros((m, pieces.dim))
-    rlow = max(cfg.r - 1.0, 0.0)
+    # the norm of the increments: weighted at level r-1 and rate lam
+    decay = np.exp(-cfg.lam * times)
+    weights = pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
+
+    def increment(Ydiff: np.ndarray) -> float:
+        amb = Ydiff @ pieces.B.T
+        if not np.isfinite(amb).all():
+            raise ValueError("orbit states contain non-finite entries")
+        return weighted_sup_norm(amb, decay, weights)
+
     ratios: list[float] = []
     prev_inc = None
     n_bad = 0
@@ -516,7 +548,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     for it in range(cfg.max_iter):
         iterations = it + 1
         Ynew, tail = lp_apply(pieces, cfg, v0_plus, Y)
-        inc = _deviation_weighted_norm(pieces, times, Ynew - Y, cfg.lam, rlow)
+        inc = increment(Ynew - Y)
         Y = Ynew
         if prev_inc is not None and prev_inc > 0:
             ratio = inc / prev_inc
@@ -542,8 +574,8 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     else:
         Ap, Ar, g, field = pieces.frozen_along(Y)
         blocks = (Ap, Ar)
-    Ychk, _ = _lp_sweep(pieces, cfg, v0_plus, g, blocks)
-    fp_res = _deviation_weighted_norm(pieces, times, Ychk - Y, cfg.lam, rlow)
+    Ychk, _ = _lp_sweep(pieces, cfg, h, v0_plus, g, blocks)
+    fp_res = increment(Ychk - Y)
 
     orbit = _orbit_from_Y(pieces, times, Y)
     # centered-difference trajectory residual against the full field
@@ -554,7 +586,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     # quadrature error budget from measured second differences of f
     if m > 2:
         second = np.linalg.norm(g[2:] - 2 * g[1:-1] + g[:-2], axis=1)
-        quad_budget = float((times[1] - times[0]) * second.sum() / 12.0)
+        quad_budget = float(h * second.sum() / 12.0)
     else:
         quad_budget = 0.0
     h_val = Y[-1, d:]
@@ -785,7 +817,8 @@ def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
                         cfg: LpConfig, delta_t: float = 0.1,
                         dt_forward: float | None = None) -> dict:
     """Flow each graph sample forward by delta_t and re-solve the graph at the
-    new base point; reports ||h(u_+(dt)) - u_-(dt)|| per sample."""
+    new base point; reports ||h(u_+(dt)) - u_-(dt)|| per sample.  The
+    samples flow together, as one batch of states."""
     if delta_t <= 0:
         raise ValueError("delta_t must be positive")
     model = pieces.model
@@ -793,31 +826,27 @@ def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
     if dt_forward is None:
         A0 = model.jacobian(model.equilibrium)
         dt_forward = min(cfg.dt, 0.1 / max(np.linalg.norm(A0, 2), 1.0))
-    residuals = []
-    skipped = 0
-    for i in range(graph.base_points.shape[0]):
-        if graph.status[i] != "ok":
-            skipped += 1
-            residuals.append(np.nan)
-            continue
-        y0 = np.concatenate([graph.base_points[i], graph.values[i]])
-        u0 = model.equilibrium + pieces.B @ y0
-        u1 = integrate_rk4(lambda t, y: model.vector_field(y), u0, 0.0,
+    arr = np.full(graph.base_points.shape[0], np.nan)
+    ok = np.flatnonzero(graph.ok)
+    skipped = len(arr) - len(ok)
+    # the ok samples in split coordinates, before and after the flow
+    ys = np.concatenate([graph.base_points[ok], graph.values[ok]], axis=1)
+    if ok.size:
+        u1 = integrate_rk4(lambda t, y: model.vector_field(y),
+                           model.equilibrium + ys @ pieces.B.T, 0.0,
                            delta_t, dt_forward)
-        y1 = pieces.Binv @ (u1 - model.equilibrium)
-        base1 = y1[:d]
+        ys = (u1 - model.equilibrium) @ pieces.Binv.T
+    for i, yi in zip(ok, ys):
+        base1 = yi[:d]
         if np.linalg.norm(base1) > cfg.eps:
             skipped += 1
-            residuals.append(np.nan)
             continue
         try:
             res1 = lp_solve(pieces, cfg, base1)
         except _SAMPLE_FAILURES:
             skipped += 1
-            residuals.append(np.nan)
             continue
-        residuals.append(float(np.linalg.norm(res1.h_value - y1[d:])))
-    arr = np.array(residuals)
+        arr[i] = float(np.linalg.norm(res1.h_value - yi[d:]))
     finite = arr[np.isfinite(arr)]
     return {"residuals": arr,
             "max_residual": float(finite.max()) if finite.size else 0.0,

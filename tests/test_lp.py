@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from lpmanifolds import lp
+from lpmanifolds import linalg, lp
 from lpmanifolds.graded import NormLadder, OrbitGrid
 from lpmanifolds.linalg import (
     Timeline,
     dissipativity_check,
     eigen_split,
     growth_bound_check,
+    integrate_rk4,
     linear_scan,
     lyapunov_form,
+    scan_plan,
 )
 from lpmanifolds.lp import (
     LpConfig,
@@ -178,6 +180,111 @@ def test_linear_scan_step_matrices_match_loop(m, d):
 def test_linear_scan_rejects_wrong_step_count():
     with pytest.raises(ValueError, match="step matrices"):
         linear_scan(np.zeros((4, 2, 2)), np.zeros((4, 2)))
+
+
+def test_linear_scan_rejects_wrong_matrix_size():
+    for X in (np.zeros((5, 2)), np.zeros((5, 0)), np.zeros((5, 3, 2))):
+        with pytest.raises(ValueError, match="one step matrix of size"):
+            linear_scan(np.eye(3), X)
+    with pytest.raises(ValueError, match="one step matrix of size"):
+        linear_scan(scan_plan(np.eye(3)), np.zeros((40, 2)))
+    with pytest.raises(ValueError, match="one step matrix of size"):
+        linear_scan(np.ones(2), np.zeros((5, 2)))
+    # no states: nothing to scan
+    out = linear_scan(np.zeros((0, 0)), np.zeros((5, 0)))
+    assert out.shape == (5, 0)
+
+
+def _route_spy(monkeypatch):
+    """Count the calls of linear_scan's blocked route."""
+    calls = []
+    real = linalg._blocked_scan
+
+    def spy(plan, rows):
+        calls.append(plan.b)
+        return real(plan, rows)
+
+    monkeypatch.setattr(linalg, "_blocked_scan", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["nonnormal", "jordan"])
+@pytest.mark.parametrize("d", [1, 2, 15, 16, 17])
+def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
+    # b = 64 // d nodes per block while b >= 4 (d <= 16), on m >= 2b nodes
+    rng = np.random.default_rng([d, 2])
+    E = _scan_matrix(kind, d, rng)
+    plan = scan_plan(E)
+    b = plan.b
+    assert b == (64 // d if d <= 16 else 0)
+    calls = _route_spy(monkeypatch)
+    # around the m = 2b threshold and not a multiple of b; d = 17 is
+    # past the cut-off and runs the doubling at every m
+    for m in ([2 * b - 1, 2 * b, 2 * b + 1, 7 * b + 3] if b else [8, 9, 75]):
+        # recurrences on in-between axes, as lp_variational has them
+        for X in (rng.normal(size=(m, d)), rng.normal(size=(m, 3, d)),
+                  rng.normal(size=(m, 2, 3, d))):
+            keep = X.copy()
+            ref = _scan_loop(E, X)
+            for EE in (E, plan):
+                calls.clear()
+                got = linear_scan(EE, X)
+                assert calls == ([b] if b and m >= 2 * b else [])
+                assert np.array_equal(X, keep)
+                assert got.shape == ref.shape
+                scale = np.abs(ref).max()
+                assert np.abs(got - ref).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("m", [7, 32, 33, 3201])
+def test_linear_scan_diagonal_matrix_keeps_exact_zeros(m):
+    # a diagonal E (saddle, rd) never mixes components, so an input
+    # component that is exactly zero stays exactly zero on either route
+    E = np.diag([0.99, 0.5, 1.01, 0.7])
+    X = np.random.default_rng(m).normal(size=(m, 3, 4))
+    X[..., 1] = 0.0
+    X[:, 2, 3] = 0.0
+    for EE in (E, scan_plan(E)):
+        got = linear_scan(EE, X)
+        assert np.all(got[..., 1] == 0.0)
+        assert np.all(got[:, 2, 3] == 0.0)
+        assert np.all(got[:, :2, 3] != 0.0)
+
+
+def test_lp_sweeps_reuse_the_scan_plans(monkeypatch):
+    # the plans of Em and Ep are built once per step h, with the
+    # propagators; later sweeps and bare scans of them build none
+    _, _, pieces = saddle1_pieces()
+    built = []
+    real = linalg.scan_plan
+
+    def counting(E):
+        built.append(E.shape)
+        return real(E)
+
+    monkeypatch.setattr(lp, "scan_plan", counting)
+    monkeypatch.setattr(linalg, "scan_plan", counting)
+    calls = _route_spy(monkeypatch)
+    Y = np.zeros((len(lp_grid(CFG1)), pieces.dim))
+    Y, _ = lp_apply(pieces, CFG1, np.array([0.1]), Y)
+    assert built == [(1, 1), (1, 1)]
+    lp_apply(pieces, CFG1, np.array([0.1]), Y)
+    lp_solve(pieces, CFG1, np.array([0.05]))
+    assert built == [(1, 1), (1, 1)]
+    assert len(calls) > 4
+
+
+def test_split_pieces_replace_starts_a_fresh_cache():
+    _, _, pieces = saddle1_pieces()
+    Em = pieces.propagators(0.01)[0]
+    assert Em[0, 0] == pytest.approx(math.exp(-0.01), rel=1e-14)
+    twice = dataclasses.replace(pieces, A_plus=2 * pieces.A_plus)
+    assert twice.propagators(0.01)[0][0, 0] == pytest.approx(
+        math.exp(-0.02), rel=1e-14)
+    assert twice.scan_plans(0.01)[0].E[0, 0] == pytest.approx(
+        math.exp(-0.02), rel=1e-14)
+    # the original keeps its own
+    assert pieces.propagators(0.01)[0] is Em
 
 
 def _lp_apply_loop(pieces, cfg, v0_plus, Y):
@@ -568,6 +675,61 @@ def test_invariance_counts_floating_point_failure_as_skipped(monkeypatch):
     assert rep["max_residual"] <= 1e-6
 
 
+@pytest.mark.parametrize("which", ["saddle1", "rd"])
+def test_invariance_flows_the_samples_as_one_batch(which, monkeypatch):
+    # one integrate_rk4 call over the ok samples gives the flows that one
+    # call per sample gives: bit-equal for saddle1, whose batched field
+    # does the same arithmetic per row, and within 1e-15 for rd, whose
+    # single-state field convolves with np.convolve
+    if which == "saddle1":
+        m, _, pieces = saddle1_pieces()
+        cfg = CFG1
+        # the last sample lies outside the eps-ball and fails
+        pts = np.array([[-0.08], [0.0], [0.05], [0.08], [0.5]])
+    else:
+        m, _, pieces = rd_pieces(2.0, 6)
+        cfg = LpConfig(lam=0.5, T_max=16.0, dt=0.01, eps=0.08, tol=1e-9)
+        pts = np.array([[0.05, 0.04], [-0.03, 0.06], [0.0, 0.0], [1.0, 0.0]])
+    graph = build_manifold_graph(pieces, cfg, grid_spec=pts)
+    assert graph.status[-1] != "ok" and all(graph.ok[:-1])
+    flows = []
+
+    def recording(f, y0, *args):
+        out = integrate_rk4(f, y0, *args)
+        flows.append((f, np.array(y0), args, out))
+        return out
+
+    monkeypatch.setattr(lp, "integrate_rk4", recording)
+    rep = invariance_residual(graph, pieces, cfg, 0.1)
+    assert len(flows) == 1
+    f, U0, args, U1 = flows[0]
+    assert U0.shape == (len(pts) - 1, m.dimension)
+    assert rep["skipped"] == 1 and np.isnan(rep["residuals"][-1])
+    assert np.all(np.isfinite(rep["residuals"][:-1]))
+    for u0, u1 in zip(U0, U1):
+        single = integrate_rk4(f, u0, *args)
+        if which == "saddle1":
+            assert np.array_equal(u1, single)
+        else:
+            assert np.abs(u1 - single).max() <= 1e-15 * np.abs(single).max()
+
+
+def test_lp_solve_refuses_non_finite_orbit(monkeypatch):
+    # a sweep that returns non-finite states fails the increment norm with
+    # the message OrbitGrid gives, though no OrbitGrid is built per sweep
+    _, _, pieces = saddle1_pieces()
+    real = lp.lp_apply
+
+    def overflowing(*args):
+        Y, tail = real(*args)
+        Y[3, 1] = np.nan
+        return Y, tail
+
+    monkeypatch.setattr(lp, "lp_apply", overflowing)
+    with pytest.raises(ValueError, match="orbit states contain non-finite"):
+        lp_solve(pieces, CFG1, np.array([0.1]))
+
+
 # -------------------------------------------------------------- variational
 
 def test_variational_zero_base():
@@ -621,7 +783,7 @@ def test_variational_batched_jacobian_matches_per_node(which):
     looped = custom_model(m.name, m.vector_field, m.jacobian, m.equilibrium,
                           ladder=m.ladder)
     _, Dq_loop = lp_variational(
-        res, dataclasses.replace(pieces, model=looped, _cache={}), cfg)
+        res, dataclasses.replace(pieces, model=looped), cfg)
     assert np.abs(Dq).max() > 0
     assert np.abs(Dq - Dq_loop).max() <= 1e-13 * np.abs(Dq_loop).max()
 
