@@ -297,7 +297,7 @@ def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float, dt: float,
 def _block_nodes(d: int) -> int:
     """Nodes per block of linear_scan's blocked route for states of size d:
     b = 64 // d, so the plan's table is about 64 wide, or 0 below 4 nodes
-    (d > 16), where the doubling is about as fast."""
+    (d > 16), whose scans take the chunked route instead."""
     b = 64 // d if d else 0
     return b if b >= 4 else 0
 
@@ -348,7 +348,9 @@ def scan_plan(E) -> ScanPlan:
 
 
 def _doubling_scan(E: np.ndarray, rows: np.ndarray) -> None:
-    """The constant-matrix scan in place on rows (m, r, d)."""
+    """The constant-matrix scan in place on rows (m, r, d), by recursive
+    doubling: about log2(m) passes, for the short recurrences over block
+    and chunk ends."""
     m, d = rows.shape[0], rows.shape[-1]
     s = 1
     while s < m:
@@ -375,6 +377,58 @@ def _blocked_scan(plan: ScanPlan, rows: np.ndarray) -> np.ndarray:
     return Z.transpose(0, 2, 1, 3).reshape(nb * b, r, d)[:m]
 
 
+def _chunked_scan(Q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The scan of rows (m, r, d), returned as a new array, with the
+    transposed step matrices Q: one (d, d) matrix E^T, or a stack
+    (m - 1, d, d) whose Q[j] = E_j^T takes node j to node j + 1.
+
+    The nodes fall into K chunks of c = ceil(sqrt(m)) (the last one padded
+    with zeros), laid out so that position i of every chunk is one slab.
+    The recurrence steps inside all chunks at once, one matmul per
+    position, where the rows of a constant E stack into a single gemm.
+    Step stacks carry d extra rows per chunk, started at the step into the
+    chunk, which the same matmuls turn into the chunk's transfer matrices.
+    The K - 1 chunk ends then form a short recurrence: a doubling scan with
+    E^c, or this scan again on the stacked transfers.  Each true chunk end
+    finally enters the next chunk through the powers of E, one matmul per
+    position, or through the stored transfers in a single batched matmul.
+    """
+    m, r, d = rows.shape
+    c = math.isqrt(m - 1) + 1
+    K, full = -(-m // c), m // c
+    stack = Q.ndim == 3
+    t = d if stack else 0
+    # W[i, k] holds node k*c + i: its r rows, then its t transfer rows
+    W = np.zeros((c, K, r + t, d))
+    Wk = W.swapaxes(0, 1)
+    Wk[:full, :, :r] = rows[:full * c].reshape(full, c, r, d)
+    if full < K:
+        Wk[full, :m - full * c, :r] = rows[full * c:]
+    if stack:
+        P = np.zeros((K * c, d, d))
+        P[1:m] = Q
+        P = P.reshape(K, c, d, d).swapaxes(0, 1)
+        W[0, 1:, r:] = P[0, 1:]
+    else:
+        P = np.broadcast_to(Q, (c, 1, d, d))
+    grid = W.reshape(c, P.shape[1], -1, d)
+    for i in range(1, c):
+        grid[i] += grid[i - 1] @ P[i]
+    Z, T = W[:, :, :r], W[:, :, r:]
+    if K > 1:
+        ends = Z[-1, :-1].copy()
+        if stack:
+            ends = _chunked_scan(T[-1, 1:-1], ends)
+            Z[:, 1:] += ends @ T[:, 1:]
+        else:
+            _doubling_scan(np.linalg.matrix_power(Q, c).T, ends)
+            carry = ends.reshape(-1, d)
+            for i in range(c):
+                carry = carry @ Q
+                Z[i, 1:] += carry.reshape(K - 1, r, d)
+    return Z.swapaxes(0, 1).reshape(K * c, r, d)[:m]
+
+
 def linear_scan(E, X: np.ndarray) -> np.ndarray:
     """x_0 = X[0], x_{j+1} = E_j x_j + X[j+1] along axis 0; X is left intact.
 
@@ -391,10 +445,13 @@ def linear_scan(E, X: np.ndarray) -> np.ndarray:
     work in two passes over the grid; a plan costs b small matmuls, so pass
     one when the same E is scanned repeatedly.
 
-    Otherwise (larger d, few nodes, or step stacks) recursive doubling:
-    after the pass with shift s, x[j] holds the sum of E_{j-1} ... E_i X[i]
-    over j-2s < i <= j, so about log2(m) batched matmuls over the whole
-    grid replace the m-step loop.
+    Otherwise (d > 16, few nodes, or step stacks) the chunked route: the
+    nodes fall into about sqrt(m) chunks of about sqrt(m) nodes, a
+    sequential pass steps inside every chunk at once, the short recurrence
+    over the chunk ends gives the carries, and a second pass adds them.
+    That is O(m*d^2) work for one matrix and O(m*d^3) for a stack (the
+    transfer matrix of every chunk), with no log(m) factor, in about
+    2*sqrt(m) matmuls.
     """
     X = np.asarray(X, dtype=float)
     m, d = X.shape[0], X.shape[-1]
@@ -409,25 +466,12 @@ def linear_scan(E, X: np.ndarray) -> np.ndarray:
                          f"{E.shape}")
     if X.size == 0:
         return X.copy()
+    rows = X.reshape(m, -1, d)
     b = _block_nodes(d)
     if E.ndim == 2 and b and m >= 2 * b:
         plan = plan if plan is not None else scan_plan(E)
-        return _blocked_scan(plan, X.reshape(m, -1, d)).reshape(X.shape)
-    x = X.copy()
-    rows = x.reshape(m, -1, d)
-    if E.ndim == 2:
-        _doubling_scan(E, rows)
-        return x
-    # Q[j-1] holds the transposed product of the matrices of the steps
-    # ending at node j, over a window that doubles with s
-    Q = E.transpose(0, 2, 1).copy()
-    s = 1
-    while s < m:
-        rows[s:] += rows[:-s] @ Q[s - 1:]
-        if 2 * s < m:
-            Q[2 * s - 1:] = Q[s - 1:-s] @ Q[2 * s - 1:]
-        s *= 2
-    return x
+        return _blocked_scan(plan, rows).reshape(X.shape)
+    return _chunked_scan(np.swapaxes(E, -1, -2), rows).reshape(X.shape)
 
 
 def rk4_affine(A: np.ndarray, g: np.ndarray, y0: np.ndarray,
@@ -440,7 +484,9 @@ def rk4_affine(A: np.ndarray, g: np.ndarray, y0: np.ndarray,
     time (pass the node arrays in the order of the steps).  With A and g
     frozen, each step is an affine map y_{j+1} = M_j y_j + c_j; the
     augmented maps [M_j | c_j] come from three batched matmuls, and
-    linear_scan solves the recurrence.
+    linear_scan solves the recurrence with the stack of M_j on its chunked
+    route: O(m*d^3) work for the chunk transfer matrices, in about
+    2*sqrt(m) batched matmuls.
     """
     m, d = g.shape
     Am = 0.5 * (A[:-1] + A[1:])

@@ -166,9 +166,9 @@ class SplitPieces:
             return out.reshape(Y.shape), field.reshape(Y.shape)
         if "A0" not in self._cache:
             self._cache["A0"] = self.model.jacobian(self.model.equilibrium)
-        field = self.model.field_many(self.to_ambient(Y))
-        lin = (Y @ self.B.T) @ self._cache["A0"].T
-        return (field - lin) @ self.Binv.T, field
+        BY = Y @ self.B.T
+        field = self.model.field_many(BY + self.model.equilibrium)
+        return (field - BY @ self._cache["A0"].T) @ self.Binv.T, field
 
     def to_ambient(self, Y: np.ndarray) -> np.ndarray:
         return Y @ self.B.T + self.model.equilibrium

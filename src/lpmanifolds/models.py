@@ -237,14 +237,13 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
     diff_idx = q[:, None] - q[None, :] + span - 1
     sum_idx = q[:, None] + q[None, :]
 
+    # a state interleaves (Re, Im) of each mode, which is the memory layout
+    # of complex128, so both conversions are views
     def to_complex(u: np.ndarray) -> np.ndarray:
-        return u[..., 0::2] + 1j * u[..., 1::2]
+        return np.ascontiguousarray(u).view(np.complex128)
 
     def to_real(z: np.ndarray) -> np.ndarray:
-        out = np.empty(z.shape[:-1] + (2 * N,))
-        out[..., 0::2] = z.real
-        out[..., 1::2] = z.imag
-        return out
+        return np.ascontiguousarray(z).view(float)
 
     def embed(w: np.ndarray, length: int) -> np.ndarray:
         """Coefficients of e^{-i min x} W in slots 0..length-1."""

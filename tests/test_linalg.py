@@ -229,12 +229,14 @@ def _rk4_stage_loop(A, g, y0, h):
 
 
 @pytest.mark.parametrize("h", [0.01, -0.01])
-@pytest.mark.parametrize("d", [1, 2, 5])
-def test_rk4_affine_matches_stage_loop(d, h):
+@pytest.mark.parametrize(("d", "m"), [(1, 2001), (2, 2001), (5, 2001),
+                                      (2, 4001)],
+                         ids=["1", "2", "5", "2-4001"])
+def test_rk4_affine_matches_stage_loop(d, m, h):
     # a slowly varying operator with decay in the direction of the steps,
-    # as in both sweeps of the Lyapunov-Perron iteration
+    # as in both sweeps of the Lyapunov-Perron iteration; d = 2 on 4001
+    # nodes is the size of a Picard solve in the benchmark
     rng = np.random.default_rng([d, h > 0])
-    m = 2001
     s = np.linspace(0.0, 1.0, m)[:, None, None]
     base = -np.sign(h) * np.eye(d) + 0.3 * rng.normal(size=(d, d))
     A = base + 0.2 * np.sin(3.0 * s) * rng.normal(size=(d, d))

@@ -139,9 +139,18 @@ def _scan_matrix(kind, d, rng):
     return sla.expm(0.005 * np.eye(d, k=1))
 
 
+# Widths past the blocked route's d <= 16 take the chunked route for one
+# matrix too; 63, 64 and 65 nodes make 8 chunks of c = ceil(sqrt(m)) = 8, 8
+# and 9 nodes (the last one padded, full, padded), and 1751 (the MMT grid)
+# makes 42 chunks whose 41 carries scan again in chunks.  Width 64 stops
+# at 1751 nodes to keep the (m, d, d) step stacks small.
+SCAN_SIZES = [(m, d) for d in (0, 1, 5, 17, 64)
+              for m in (2, 3, 63, 64, 65, 1000, 1751, 3201)
+              if d < 64 or m <= 1751]
+
+
 @pytest.mark.parametrize("kind", ["nonnormal", "jordan"])
-@pytest.mark.parametrize("d", [0, 1, 5])
-@pytest.mark.parametrize("m", [2, 3, 1000, 3201])
+@pytest.mark.parametrize(("m", "d"), SCAN_SIZES)
 def test_linear_scan_matches_loop(m, d, kind):
     rng = np.random.default_rng([m, d])
     E = _scan_matrix(kind, d, rng)
@@ -159,8 +168,7 @@ def test_linear_scan_matches_loop(m, d, kind):
                 assert np.abs(got - ref).max() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("d", [0, 1, 5])
-@pytest.mark.parametrize("m", [2, 3, 1000, 3201])
+@pytest.mark.parametrize(("m", "d"), SCAN_SIZES)
 def test_linear_scan_step_matrices_match_loop(m, d):
     # a different matrix per step, spectral radius about 1 on average
     rng = np.random.default_rng([m, d, 1])
@@ -219,7 +227,7 @@ def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
     assert b == (64 // d if d <= 16 else 0)
     calls = _route_spy(monkeypatch)
     # around the m = 2b threshold and not a multiple of b; d = 17 is
-    # past the cut-off and runs the doubling at every m
+    # past the cut-off and runs the chunked route at every m
     for m in ([2 * b - 1, 2 * b, 2 * b + 1, 7 * b + 3] if b else [8, 9, 75]):
         # recurrences on in-between axes, as lp_variational has them
         for X in (rng.normal(size=(m, d)), rng.normal(size=(m, 3, d)),
