@@ -486,7 +486,7 @@ def rk4_affine(A: np.ndarray, g: np.ndarray, y0: np.ndarray,
     augmented maps [M_j | c_j] come from three batched matmuls, and
     linear_scan solves the recurrence with the stack of M_j on its chunked
     route: O(m*d^3) work for the chunk transfer matrices, in about
-    2*sqrt(m) batched matmuls.
+    sqrt(m) batched matmuls.
     """
     m, d = g.shape
     Am = 0.5 * (A[:-1] + A[1:])

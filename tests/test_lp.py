@@ -142,8 +142,8 @@ def _scan_matrix(kind, d, rng):
 # Widths past the blocked route's d <= 16 take the chunked route for one
 # matrix too; 63, 64 and 65 nodes make 8 chunks of c = ceil(sqrt(m)) = 8, 8
 # and 9 nodes (the last one padded, full, padded), and 1751 (the MMT grid)
-# makes 42 chunks whose 41 carries scan again in chunks.  Width 64 stops
-# at 1751 nodes to keep the (m, d, d) step stacks small.
+# makes 42 chunks, whose ends a step stack scans again in chunks.  Width 64
+# stops at 1751 nodes to keep the (m, d, d) step stacks small.
 SCAN_SIZES = [(m, d) for d in (0, 1, 5, 17, 64)
               for m in (2, 3, 63, 64, 65, 1000, 1751, 3201)
               if d < 64 or m <= 1751]
