@@ -133,10 +133,11 @@ class SplitPieces:
     A_rest: np.ndarray
     d_plus: int
     # quasilinear route: along states Y (rows), the block operators
-    # (m, d_plus, d_plus) and (m, d_rest, d_rest), the remainder and the
-    # field it is built from, all from one inversion of B per state
-    frozen_along: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
-                                               np.ndarray, np.ndarray]] | None = None
+    # (m, d_plus, d_plus) and (m, d_rest, d_rest), the remainder, the field
+    # it is built from and the inversion state, all from one inversion of B
+    # per state; frozen_along(Y, start) starts each row's inversion from the
+    # state an earlier call returned for the same rows
+    frozen_along: Callable[..., tuple] | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -162,7 +163,7 @@ class SplitPieces:
         """(f_split(Y), F(to_ambient(Y))) for split states Y (..., n); the
         ambient field is the one the remainder is built from."""
         if not self.autonomous:
-            _, _, out, field = self.frozen_along(np.atleast_2d(Y))
+            _, _, out, field, _ = self.frozen_along(np.atleast_2d(Y))
             return out.reshape(Y.shape), field.reshape(Y.shape)
         if "A0" not in self._cache:
             self._cache["A0"] = self.model.jacobian(self.model.equilibrium)
@@ -264,7 +265,9 @@ class QuasiTransform:
     complement; u is the deviation from the equilibrium.  The transformed
     evolution v' = DB(u) F(u) is quasilinear with block operators equal to the
     diagonal blocks of the full Jacobian and a remainder with Df(0) = 0.
-    invert_B and bmap take states (..., n), as the model's field does.
+    invert_B and bmap take states (..., n), as the model's field does;
+    invert_B starts every state cold at u = 0, while pieces.frozen_along can
+    start each row from the inversion state of an earlier call.
     """
 
     model: ModelSystem
@@ -277,6 +280,24 @@ class QuasiTransform:
     db0_condition: float
     invert_B: Callable[[np.ndarray], np.ndarray]
     bmap: Callable[[np.ndarray], np.ndarray]
+
+
+def _shift_clash(splitting: SpectralSplitting, sp: float, sm: float) -> str:
+    """The shift that meets an eigenvalue of A(0) on its own block: DB(0) is
+    sigma (A(0) - s+) on the unstable block and A(0) - s- on the complement."""
+    eig = np.asarray(splitting.eigenvalues)
+    plus = np.array([b == "+" for b in splitting.blocks])
+    clashes = []
+    for name, shift, on, block in (("s+", sp, plus, "unstable"),
+                                   ("s-", sm, ~plus, "complement")):
+        if on.any():
+            near = eig[on][np.argmin(np.abs(eig[on] - shift))]
+            clashes.append((abs(near - shift), name, shift, near, block))
+    _, name, shift, near, block = min(clashes, key=lambda c: c[0])
+    if abs(near.imag) <= 1e-12 * max(abs(near), 1.0):
+        near = near.real
+    return (f"the {block} shift {name} = {shift:g} meets the eigenvalue "
+            f"{near:.3g} of A(0) on that block")
 
 
 def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
@@ -295,42 +316,69 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     SPp = sigma_scale * Pp
     eye = np.eye(n)
 
+    def bvals(U, FU):
+        """B(U) from deviations U (rows) and their fields FU = F(eq + U)."""
+        return (FU - sp * U) @ SPp.T + (FU - sm * U) @ Pr.T
+
     def bmap_many(U):
         """(B(U), F(eq + U)) on deviations U (rows)."""
         Fu = model.field_many(eq + U)
-        return (Fu - sp * U) @ SPp.T + (Fu - sm * U) @ Pr.T, Fu
+        return bvals(U, Fu), Fu
 
     def db_of(J):
         """DB(u) from the Jacobians J = DF(eq + u), one per leading index."""
         return SPp @ (J - sp * eye) + Pr @ (J - sm * eye)
 
-    # the model at u = 0, where every inversion starts
+    # the model at u = 0, where a cold inversion starts
     J0 = model.jacobian(eq)
-    B0, F0 = bmap_many(np.zeros((1, n)))
+    F0 = model.field_many(eq[None])
     DB0 = db_of(J0)
     cond = float(np.linalg.cond(DB0))
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError(
-            f"DB(0) numerically singular (condition number {cond:.3e}); "
-            "choose different omega shifts")
+            f"DB(0) numerically singular (condition number {cond:.3e}): "
+            f"{_shift_clash(splitting, sp, sm)}; choose different omega "
+            "shifts")
 
-    def _invert(V):
-        """(U, F(eq + U)) as rows for the states V (..., n): the damped
-        Newton of invert_B, with the field of each row's accepted iterate."""
+    def _invert(V, start=None):
+        """The inversion state (U, F(eq + U), DF(eq + U)) as rows, with
+        B(U) = V for the states V (..., n).
+
+        Damped Newton from start, the state of an earlier inversion of the
+        same rows, or from u = 0 with the model values taken at setup.  The
+        starting residual comes from the carried field, and a row's DF is
+        taken again only once its U has moved.  Every row with a nonzero
+        residual takes at least one full step: a row that starts within
+        newton_tol of its state, but far from it relative to its own size
+        (the tiny rows near t = -T_max), must not keep the start, since the
+        weight e^{lam |t|} of the LP increment multiplies that error.  A
+        row already within newton_tol stops when its step does not lower
+        the residual, instead of halving the step."""
         V = _states(V, n).reshape(-1, n)
         if not np.all(np.isfinite(V)):
             raise ValueError("state contains non-finite entries")
-        U = np.zeros_like(V)
-        FU = np.repeat(F0, len(V), axis=0)
-        res = B0 - V
+        if start is None:
+            U = np.zeros_like(V)
+            FU = np.repeat(F0, len(V), axis=0)
+            J = np.repeat(J0[None], len(V), axis=0)
+        else:
+            U, FU, J = (np.array(a, dtype=float) for a in start)
+            if U.shape != V.shape:
+                raise ValueError(
+                    f"start state has {len(U)} rows for {len(V)} states")
+        stale = np.zeros(len(V), dtype=bool)
+        res = bvals(U, FU) - V
         rnorm = np.linalg.norm(res, axis=1)
-        for it in range(newton_max_iter):
-            act = np.flatnonzero(rnorm > newton_tol)
+        act = np.flatnonzero(rnorm > 0.0)
+        for _ in range(newton_max_iter):
             if act.size == 0:
-                return U, FU
-            # the first step leaves u = 0, where DB is DB0
-            DB = DB0 if it == 0 else db_of(model.jacobian_many(eq + U[act]))
-            step = np.linalg.solve(DB, -res[act][:, :, None])[:, :, 0]
+                break
+            moved = act[stale[act]]
+            if moved.size:
+                J[moved] = model.jacobian_many(eq + U[moved])
+                stale[moved] = False
+            step = np.linalg.solve(db_of(J[act]),
+                                   -res[act][:, :, None])[:, :, 0]
             lam = 1.0
             while act.size:
                 if lam <= 1e-8:
@@ -345,21 +393,30 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
                 done = act[ok]
                 U[done], res[done], rnorm[done] = cand[ok], rc[ok], rcn[ok]
                 FU[done] = fc[ok]
-                act, step = act[~ok], step[~ok]
+                stale[done] = True
+                halve = ~ok & (rnorm[act] > newton_tol)
+                act, step = act[halve], step[halve]
                 lam *= 0.5
+            act = np.flatnonzero(rnorm > newton_tol)
         if np.any(rnorm > newton_tol):
             raise RuntimeError(
                 f"Newton failed inverting B (residual {rnorm.max():.3e})")
-        return U, FU
+        moved = np.flatnonzero(stale)
+        if moved.size:
+            J[moved] = model.jacobian_many(eq + U[moved])
+        return U, FU, J
 
     def invert_B(V):
         """u with B(u) = v for each state v of V (..., n).
 
-        Damped Newton from u = 0 on all states at once: a state stops once
-        its residual norm is at most newton_tol, and each step of a state is
-        halved until its residual norm strictly drops.  States at u = 0
-        reuse the model values at the equilibrium taken at setup, so a
-        batch whose states all satisfy B(0) = v makes no model call.
+        Damped Newton from u = 0 on all states at once: a state with a
+        nonzero residual takes at least one full step and stops once its
+        residual norm is at most newton_tol; each step of a state is halved
+        until its residual norm strictly drops.  The start u = 0 reuses the
+        model values at the equilibrium taken at setup, so a batch whose
+        states all satisfy B(0) = v makes no model call.  The LP sweeps
+        invert through pieces.frozen_along instead, each node starting from
+        its state at the previous sweep.
         """
         return _invert(V)[0].reshape(np.shape(V))
 
@@ -367,17 +424,13 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         """B(u) for deviations u of shape (..., n)."""
         return bmap_many(_states(U, n).reshape(-1, n))[0].reshape(np.shape(U))
 
-    def jac_and_G(U, FU):
-        """(DF(eq + u), G(B(u)) = DB(u) F(eq + u)) for deviations U (rows)
-        with their fields FU; rows at u = 0 take DF(eq) from setup."""
-        J = np.repeat(J0[None], len(U), axis=0)
-        moved = np.flatnonzero(np.any(U != 0.0, axis=1))
-        if moved.size:
-            J[moved] = model.jacobian_many(eq + U[moved])
-        return J, (db_of(J) @ FU[:, :, None])[:, :, 0]
+    def transformed_field(state):
+        """G(B(u)) = DB(u) F(eq + u) from an inversion state (rows)."""
+        _, FU, J = state
+        return (db_of(J) @ FU[:, :, None])[:, :, 0]
 
     def G(V):
-        return jac_and_G(*_invert(V))[1].reshape(np.shape(V))
+        return transformed_field(_invert(V)).reshape(np.shape(V))
 
     A_v0 = DB0 @ J0 @ np.linalg.inv(DB0)
 
@@ -386,8 +439,9 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
             return A_v0
         return finite_difference_jacobian(G, v, 1e-6)
 
-    tmodel = ModelSystem(name=model.name + "_quasilinearized",
-                         vector_field=G, jacobian=_per_row(G_jac, n, (n, n)),
+    name = model.name + "_quasilinearized"
+    tmodel = ModelSystem(name=name, vector_field=G,
+                         jacobian=_per_row(G_jac, n, (n, n), name),
                          equilibrium=np.zeros(n), ladder=model.ladder)
 
     # the transformed system keeps the original projections; its blocks are
@@ -395,16 +449,19 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     base = split_field(model, splitting)
     d = base.d_plus
 
-    def frozen_along(Y):
-        """Node blocks, remainder and transformed field G(B y) along split
-        states Y (rows), from one inversion of B per row."""
-        J, field = jac_and_G(*_invert(Y @ base.B.T))
-        Afull = base.Binv @ J @ base.B
+    def frozen_along(Y, start=None):
+        """Node blocks, remainder, transformed field G(B y) and the
+        inversion state along split states Y (rows), from one inversion of
+        B per row.  The inversion starts from start, the state an earlier
+        call returned for the same rows, or cold at u = 0."""
+        state = _invert(Y @ base.B.T, start)
+        field = transformed_field(state)
+        Afull = base.Binv @ state[2] @ base.B
         Ap, Ar = Afull[:, :d, :d], Afull[:, d:, d:]
         g = field @ base.Binv.T
         g[:, :d] -= (Ap @ Y[:, :d, None])[:, :, 0]
         g[:, d:] -= (Ar @ Y[:, d:, None])[:, :, 0]
-        return Ap, Ar, g, field
+        return Ap, Ar, g, field, state
 
     qpieces = SplitPieces(
         model=tmodel, splitting=splitting, B=base.B, Binv=base.Binv,
@@ -447,18 +504,23 @@ def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
 
 
 def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
-             Y: np.ndarray) -> tuple[np.ndarray, float]:
+             Y: np.ndarray, start=None
+             ) -> tuple[np.ndarray, float, tuple | None]:
     """One application of the Lyapunov-Perron operator on the grid.
 
-    Returns the new split-coordinate orbit and the analytic bound on the
-    truncated tail of the complement integral.
+    Returns the new split-coordinate orbit, the analytic bound on the
+    truncated tail of the complement integral and, on the quasilinear
+    route, the inversion state of B along Y (None on the autonomous route).
+    Passed as start to the next sweep, that state starts each node's
+    inversion from its value at this sweep; without start the inversions
+    start cold at the equilibrium.
     """
     v0_plus = as_state(v0_plus, pieces.d_plus)
     h = _grid_step(cfg.T_max, cfg.dt)
     if pieces.autonomous:
-        return _lp_sweep(pieces, cfg, h, v0_plus, pieces.f_split(Y))
-    Ap, Ar, g, _ = pieces.frozen_along(Y)
-    return _lp_sweep(pieces, cfg, h, v0_plus, g, (Ap, Ar))
+        return (*_lp_sweep(pieces, cfg, h, v0_plus, pieces.f_split(Y)), None)
+    Ap, Ar, g, _, state = pieces.frozen_along(Y, start)
+    return (*_lp_sweep(pieces, cfg, h, v0_plus, g, (Ap, Ar)), state)
 
 
 def _lp_sweep(pieces: SplitPieces, cfg: LpConfig, h: float,
@@ -537,7 +599,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     def increment(Ydiff: np.ndarray) -> float:
         amb = Ydiff @ pieces.B.T
         if not np.isfinite(amb).all():
-            raise ValueError("orbit states contain non-finite entries")
+            raise FloatingPointError("orbit states contain non-finite entries")
         return weighted_sup_norm(amb, decay, weights)
 
     ratios: list[float] = []
@@ -545,9 +607,12 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     n_bad = 0
     tail = 0.0
     iterations = 0
+    # the quasilinear route starts each sweep's inversions of B from the
+    # previous sweep's
+    state = None
     for it in range(cfg.max_iter):
         iterations = it + 1
-        Ynew, tail = lp_apply(pieces, cfg, v0_plus, Y)
+        Ynew, tail, state = lp_apply(pieces, cfg, v0_plus, Y, state)
         inc = increment(Ynew - Y)
         Y = Ynew
         if prev_inc is not None and prev_inc > 0:
@@ -572,7 +637,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
         g, field = pieces.remainder_and_field(Y)
         blocks = None
     else:
-        Ap, Ar, g, field = pieces.frozen_along(Y)
+        Ap, Ar, g, field, _ = pieces.frozen_along(Y, state)
         blocks = (Ap, Ar)
     Ychk, _ = _lp_sweep(pieces, cfg, h, v0_plus, g, blocks)
     fp_res = increment(Ychk - Y)

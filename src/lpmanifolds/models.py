@@ -72,17 +72,35 @@ def _states(u, n: int) -> np.ndarray:
     return arr
 
 
-def _per_row(f, n: int, out_shape: tuple[int, ...]):
+def _per_row(f, n: int, out_shape: tuple[int, ...], name: str):
     """Lift a single-state callable f, returning out_shape, to states of
-    shape (..., n): one call of f per state."""
+    shape (..., n): one call of f per state.  A return of another shape is
+    refused with ValueError naming the model, on one state as on a batch."""
+    what = "Jacobian" if len(out_shape) == 2 else "field"
+
+    def refuse(shape):
+        raise ValueError(
+            f"model {name!r}: the single-state {what} returned shape "
+            f"{shape}, expected {out_shape}")
+
     def lifted(u):
         arr = _states(u, n)
         if arr.ndim == 1:
-            return f(arr)
-        out = np.empty(arr.shape[:-1] + out_shape)
-        for s, o in zip(arr.reshape(-1, n), out.reshape((-1,) + out_shape)):
-            o[...] = f(s)
-        return out
+            out = np.asarray(f(arr), dtype=float)
+            if out.shape != out_shape:
+                refuse(out.shape)
+            return out
+        rows = arr.reshape(-1, n)
+        if not len(rows):
+            return np.empty(arr.shape[:-1] + out_shape)
+        vals = [f(s) for s in rows]
+        try:
+            out = np.array(vals, dtype=float)
+        except ValueError:
+            refuse("varying by state")
+        if out.shape[1:] != out_shape:
+            refuse(out.shape[1:])
+        return out.reshape(arr.shape[:-1] + out_shape)
     return lifted
 
 
@@ -96,8 +114,8 @@ def custom_model(name: str, F, jac, equilibrium, ladder=None) -> ModelSystem:
     """
     eq = as_state(equilibrium)
     dim = eq.shape[0]
-    return ModelSystem(name=name, vector_field=_per_row(F, dim, (dim,)),
-                       jacobian=_per_row(jac, dim, (dim, dim)),
+    return ModelSystem(name=name, vector_field=_per_row(F, dim, (dim,), name),
+                       jacobian=_per_row(jac, dim, (dim, dim), name),
                        equilibrium=eq,
                        ladder=ladder or NormLadder.euclidean(dim))
 
@@ -301,7 +319,7 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
 
     return ModelSystem(
         name="mmt", vector_field=F,
-        jacobian=_per_row(jac, 2 * N, (2 * N, 2 * N)),
+        jacobian=_per_row(jac, 2 * N, (2 * N, 2 * N), "mmt"),
         equilibrium=equilibrium, ladder=ladder, energy=energy)
 
 

@@ -170,11 +170,15 @@ def test_numerical_failure_exit_code(capsys):
 
 @pytest.mark.parametrize("exc, code, prefix", [
     (np.linalg.LinAlgError("Singular matrix"), 2, "numerical failure: "),
+    (FloatingPointError("orbit states contain non-finite entries"), 2,
+     "numerical failure: "),
     (AmbiguousSplitError("eigenvalue in band"), 1, "error: "),
     (ValueError("bad input"), 1, "error: "),
-], ids=["LinAlgError", "AmbiguousSplitError", "ValueError"])
+], ids=["LinAlgError", "FloatingPointError", "AmbiguousSplitError",
+        "ValueError"])
 def test_exit_code_by_exception_type(capsys, monkeypatch, exc, code, prefix):
-    # LinAlgError subclasses ValueError but is a numerical failure
+    # LinAlgError subclasses ValueError but is a numerical failure, as is a
+    # non-finite orbit
     def fails(*args, **kwargs):
         raise exc
 

@@ -41,6 +41,7 @@ from lpmanifolds.models import (
     saddle_toy,
 )
 from lpmanifolds.oracles import backward_shoot
+from lpmanifolds.verify import setup_mmt
 
 
 def saddle1_pieces():
@@ -113,7 +114,7 @@ def test_lp_apply_zero_remainder_is_linear_flow():
     cfg = LpConfig(lam=0.9, T_max=5.0, dt=0.01, eps=1.0, tol=1e-12)
     times = lp_grid(cfg)
     Y = np.zeros((len(times), 2))
-    Ynew, tail = lp_apply(pieces, cfg, np.array([0.5]), Y)
+    Ynew, tail, _ = lp_apply(pieces, cfg, np.array([0.5]), Y)
     assert Ynew[:, 0] == pytest.approx(0.5 * np.exp(times), abs=1e-12)
     assert np.abs(Ynew[:, 1]).max() == 0.0
     assert tail == 0.0
@@ -274,7 +275,7 @@ def test_lp_sweeps_reuse_the_scan_plans(monkeypatch):
     monkeypatch.setattr(linalg, "scan_plan", counting)
     calls = _route_spy(monkeypatch)
     Y = np.zeros((len(lp_grid(CFG1)), pieces.dim))
-    Y, _ = lp_apply(pieces, CFG1, np.array([0.1]), Y)
+    Y, _, _ = lp_apply(pieces, CFG1, np.array([0.1]), Y)
     assert built == [(1, 1), (1, 1)]
     lp_apply(pieces, CFG1, np.array([0.1]), Y)
     lp_solve(pieces, CFG1, np.array([0.05]))
@@ -332,8 +333,8 @@ def test_lp_apply_matches_loop_reference(which):
     # coordinate; apply the scan and the loop to it
     Y = np.zeros((len(lp_grid(cfg)), pieces.dim))
     for _ in range(2):
-        Y, _ = lp_apply(pieces, cfg, v0, Y)
-    got, _ = lp_apply(pieces, cfg, v0, Y)
+        Y, _, _ = lp_apply(pieces, cfg, v0, Y)
+    got, _, _ = lp_apply(pieces, cfg, v0, Y)
     ref = _lp_apply_loop(pieces, cfg, v0, Y)
     for cols in (slice(0, pieces.d_plus), slice(pieces.d_plus, None)):
         scale = np.abs(ref[:, cols]).max()
@@ -347,10 +348,10 @@ def test_lp_apply_first_and_second_iterate_saddle1():
     times = lp_grid(cfg)
     x0 = 0.1
     Y = np.zeros((len(times), 2))
-    Y1, _ = lp_apply(pieces, cfg, np.array([x0]), Y)
+    Y1, _, _ = lp_apply(pieces, cfg, np.array([x0]), Y)
     assert Y1[:, 0] == pytest.approx(x0 * np.exp(times), abs=1e-12)
     assert np.abs(Y1[:, 1]).max() <= 1e-14
-    Y2, _ = lp_apply(pieces, cfg, np.array([x0]), Y1)
+    Y2, _, _ = lp_apply(pieces, cfg, np.array([x0]), Y1)
     # closed form of the second iterate: y(t) = x0^2 e^{2t} / 3
     expect = x0 * x0 * np.exp(2.0 * times) / 3.0
     assert np.max(np.abs(Y2[:, 1] - expect)) <= 1e-7
@@ -724,17 +725,19 @@ def test_invariance_flows_the_samples_as_one_batch(which, monkeypatch):
 
 def test_lp_solve_refuses_non_finite_orbit(monkeypatch):
     # a sweep that returns non-finite states fails the increment norm with
-    # the message OrbitGrid gives, though no OrbitGrid is built per sweep
+    # the message OrbitGrid gives, though no OrbitGrid is built per sweep;
+    # it is a numerical failure, as in the sweep's own check
     _, _, pieces = saddle1_pieces()
     real = lp.lp_apply
 
     def overflowing(*args):
-        Y, tail = real(*args)
+        Y, tail, state = real(*args)
         Y[3, 1] = np.nan
-        return Y, tail
+        return Y, tail, state
 
     monkeypatch.setattr(lp, "lp_apply", overflowing)
-    with pytest.raises(ValueError, match="orbit states contain non-finite"):
+    with pytest.raises(FloatingPointError,
+                       match="orbit states contain non-finite"):
         lp_solve(pieces, CFG1, np.array([0.1]))
 
 
@@ -868,9 +871,9 @@ def test_quasilinear_solve_reuses_field_for_trajectory_residual():
     q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
     count = [0]
 
-    def counted(Y):
+    def counted(Y, start=None):
         count[0] += len(Y)
-        return q.pieces.frozen_along(Y)
+        return q.pieces.frozen_along(Y, start)
 
     def unexpected(*args):
         raise AssertionError("lp_solve called the transformed model")
@@ -1008,7 +1011,7 @@ def test_inversion_evaluates_model_once_per_new_state():
     # equilibrium and nothing calls the model
     calls["F"].clear()
     calls["J"].clear()
-    Ap, Ar, g, field = q.pieces.frozen_along(np.zeros((4, 2)))
+    Ap, Ar, g, field, _ = q.pieces.frozen_along(np.zeros((4, 2)))
     assert calls == {"F": [], "J": []}
     assert np.abs(Ap - q.pieces.A_plus).max() <= 1e-15
     assert np.abs(Ar - q.pieces.A_rest).max() <= 1e-15
@@ -1041,6 +1044,94 @@ def test_batched_inversion_reports_newton_failure():
     with pytest.raises(RuntimeError, match="Newton"):
         q.invert_B(V)
     assert np.all(np.isfinite(q.invert_B(V[[0, 2]])))
+
+
+def test_quasilinearize_names_the_singular_shift():
+    # MMT at the acceptance setup with shifts (1, -1): s- = 0 meets the
+    # phase-symmetry eigenvalue 0 of the complement block
+    m, sp, _, _ = setup_mmt()
+    with pytest.raises(ValueError, match=r"DB\(0\) numerically singular.*"
+                       r"complement shift s- = 0 meets the eigenvalue 0 "):
+        quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
+
+
+def test_warm_inversion_follows_every_row():
+    # frozen_along started from the state of nearby rows (the previous
+    # sweep's) agrees with a cold inversion converged to 1e-15 of each row's
+    # scale: within newton_tol on every row, and within 1e-14 of the row's
+    # scale where the start is already within newton_tol.  Such a row must
+    # still take its own Newton step; left at its start it would be off by
+    # 1e-3 of its scale, which the e^{lam |t|} weight of the LP increment
+    # (7e7 at t = -20) carries past the fixed-point tolerance
+    m, sp, _ = _coupled_saddle()
+    q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
+    rng = np.random.default_rng(5)
+    close = 0
+    for scale in (1e-1, 1e-4, 1e-7, 1e-10, 1e-12):
+        Y = rng.normal(size=(50, 2))
+        Y *= scale / np.linalg.norm(Y, axis=1, keepdims=True)
+        prev = Y * (1.0 + 1e-3 * rng.normal(size=Y.shape))
+        start = q.pieces.frozen_along(prev)[4]
+        U, FU, J = q.pieces.frozen_along(Y, start)[4]
+        ref = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0,
+                             newton_tol=1e-15 * scale)
+        err = np.linalg.norm(U - ref.invert_B(Y @ q.pieces.B.T), axis=1)
+        near = np.linalg.norm(q.bmap(start[0]) - Y @ q.pieces.B.T,
+                              axis=1) <= 1e-12
+        close += near.sum()
+        assert np.all(err <= 1e-12)
+        assert np.all(err[near] <= 1e-14 * scale)
+        # the state is that of its own U: no model value is left stale
+        assert np.array_equal(FU, m.vector_field(m.equilibrium + U))
+        assert np.array_equal(J, m.jacobian(m.equilibrium + U))
+    assert close >= 100
+
+
+def test_warm_start_from_converged_solve_calls_model_once_per_row():
+    base, sp, _ = _coupled_saddle()
+    m, calls = _recording(base)
+    cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.15, tol=1e-11)
+    q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
+    res = lp_solve(q.pieces, cfg, np.array([0.06]))
+    state = q.pieces.frozen_along(res.Y)[4]
+    calls["F"].clear()
+    calls["J"].clear()
+    q.pieces.frozen_along(res.Y, state)
+    assert 0 < len(calls["F"]) <= len(res.Y)
+    assert len(calls["J"]) <= len(res.Y)
+
+
+@pytest.mark.parametrize("b", [0.048, 0.061, 0.073])
+def test_warm_started_solve_matches_cold_start(b):
+    # lp_solve hands each sweep's inversion state to the next; starting
+    # every inversion cold from u = 0 instead gives the same sweeps
+    m, sp, _ = _coupled_saddle()
+    cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.15, tol=1e-11)
+    q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
+    cold = dataclasses.replace(
+        q.pieces, frozen_along=lambda Y, start=None: q.pieces.frozen_along(Y))
+    warm = lp_solve(q.pieces, cfg, np.array([b]))
+    ref = lp_solve(cold, cfg, np.array([b]))
+    assert warm.diagnostics["iterations"] == ref.diagnostics["iterations"]
+    assert np.abs(warm.h_value - ref.h_value).max() <= 1e-12
+
+
+def test_quasilinear_route_agrees_on_mmt7():
+    # the acceptance setup of MMT-7 with shifts (1, -2): the quasilinear
+    # graph point, mapped back through invert_B, against the direct graph
+    # in the split coordinates of A(0), which both routes share
+    m, sp, pieces, cfg = setup_mmt()
+    q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-2.0)
+    d = sp.dim_plus
+    v0 = np.zeros(d)
+    v0[0] = 0.3 * cfg.eps
+    res_v = lp_solve(q.pieces, cfg, v0)
+    v_pt = q.pieces.B @ np.concatenate([res_v.base_point, res_v.h_value])
+    y_pt = pieces.Binv @ q.invert_B(v_pt)
+    direct = lp_solve(pieces, cfg, y_pt[:d])
+    budget = 10 * (res_v.diagnostics["error_budget"]
+                   + direct.diagnostics["error_budget"])
+    assert np.abs(y_pt[d:] - direct.h_value).max() <= budget
 
 
 def test_tangency_quadratic_coefficient_stable_across_eps():

@@ -471,6 +471,29 @@ def test_model_refuses_states_of_the_wrong_length(name):
                 fn(bad)
 
 
+def test_single_state_model_refuses_wrong_shaped_returns():
+    # a single-state callable of the wrong shape would broadcast into the
+    # batch: a (1,) field as rows [x, x], a scalar Jacobian as all ones
+    def field(u):
+        return np.array([u[0], -u[1]])
+
+    def jac(u):
+        return np.diag([1.0, -1.0])
+
+    short = custom_model("short", lambda u: u[:1], jac, np.zeros(2))
+    scalar = custom_model("scalar", field, lambda u: 1.0, np.zeros(2))
+    for fn, msg in ((short.vector_field, r"'short'.*field.*shape \(1,\)"),
+                    (scalar.jacobian, r"'scalar'.*Jacobian.*shape \(\)")):
+        for lead in ((), (3,), (2, 2)):
+            with pytest.raises(ValueError, match=msg):
+                fn(np.full(lead + (2,), 0.1))
+    # a return whose shape varies by state cannot be stacked at all
+    ragged = custom_model("ragged", lambda u: np.zeros(1 + (u[0] > 0)), jac,
+                          np.zeros(2))
+    with pytest.raises(ValueError, match="'ragged'.*varying by state"):
+        ragged.vector_field(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
 def test_rd_unstable_dimension_half():
     m = reaction_diffusion(0.5, 5)
     sp = eigen_split(m.jacobian(m.equilibrium), 0.25)
