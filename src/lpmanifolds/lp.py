@@ -314,7 +314,9 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     eq = model.equilibrium
     n = model.dimension
     SPp = sigma_scale * Pp
-    eye = np.eye(n)
+    # DB(u) = PS DF(eq + u) - CS
+    PS = SPp + Pr
+    CS = sp * SPp + sm * Pr
 
     def bvals(U, FU):
         """B(U) from deviations U (rows) and their fields FU = F(eq + U)."""
@@ -327,7 +329,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
 
     def db_of(J):
         """DB(u) from the Jacobians J = DF(eq + u), one per leading index."""
-        return SPp @ (J - sp * eye) + Pr @ (J - sm * eye)
+        return PS @ J - CS
 
     # the model at u = 0, where a cold inversion starts
     J0 = model.jacobian(eq)
@@ -427,7 +429,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     def transformed_field(state):
         """G(B(u)) = DB(u) F(eq + u) from an inversion state (rows)."""
         _, FU, J = state
-        return (db_of(J) @ FU[:, :, None])[:, :, 0]
+        return (PS @ (J @ FU[:, :, None]))[:, :, 0] - FU @ CS.T
 
     def G(V):
         return transformed_field(_invert(V)).reshape(np.shape(V))
