@@ -1099,6 +1099,8 @@ def test_warm_start_from_converged_solve_calls_model_once_per_row():
     q.pieces.frozen_along(res.Y, state)
     assert 0 < len(calls["F"]) <= len(res.Y)
     assert len(calls["J"]) <= len(res.Y)
+    with pytest.raises(ValueError, match="start state has 2001 rows for 5"):
+        q.pieces.frozen_along(res.Y[:5], state)
 
 
 @pytest.mark.parametrize("b", [0.048, 0.061, 0.073])
