@@ -506,7 +506,7 @@ def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
 
 
 def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
-             Y: np.ndarray, start=None
+             Y: np.ndarray, start: tuple | None = None
              ) -> tuple[np.ndarray, float, tuple | None]:
     """One application of the Lyapunov-Perron operator on the grid.
 
