@@ -364,73 +364,55 @@ def reaction_diffusion(lambda_param: float, n_modes: int) -> ModelSystem:
 
     State a_k, k = 0..n_modes-1, for u = sum a_k cos(kx).  Linearization at 0
     is diag(lam - k^2); the unstable dimension is #{k : k^2 < lam}.
+
+    The cubic is a contraction with the table of cosine products, built once:
+    entry (j, k, i) is the coefficient of cos(kx) in cos(jx) cos(ix), which
+    is 0, 1/2 or 1.  The table gives the coefficients of u^2 on modes
+    0..2n-2, and from them the matrix M of phi -> u^2 phi on modes 0..n-1.
+    The field is lam a - k^2 a - M a and, the cubic form being symmetric,
+    the Jacobian is diag(lam - k^2) - 3 M.  Every entry is a sum of products
+    with exact table entries, so a product with an exactly-zero coefficient
+    adds an exact zero: modes that vanish by symmetry stay exactly zero.
+    One state and batches of any leading shape take the same code.
     """
     if n_modes < 2:
         raise ValueError("need at least two cosine modes")
     n = n_modes
-    lin = np.array([lambda_param - k * k for k in range(n)])
-
-    def to_full(a):
-        """Cosine coefficients -> exponential coefficients at offsets
-        -(n-1)..n-1 along the last axis."""
-        half = 0.5 * a[..., 1:]
-        return np.concatenate([half[..., ::-1], a[..., :1], half], axis=-1)
-
-    def from_full(full, width):
-        m = (full.shape[-1] - 1) // 2
-        out = 2.0 * full[..., m:m + width]
-        out[..., 0] = full[..., m]
-        return out
-
-    def cube_coeffs(a):
-        full = to_full(a)
-        return from_full(np.convolve(np.convolve(full, full), full), n)
-
     L = 2 * n - 1
+    lin = np.array([lambda_param - k * k for k in range(n)])
+    # cos(jx) cos(ix) = (cos((j + i)x) + cos((j - i)x)) / 2; for j = i = 0
+    # both halves land on k = 0
+    prod = np.zeros((L, L, n))
+    j, i = np.indices((L, n))
+    for k in (j + i, np.abs(j - i)):
+        keep = k < L
+        prod[j[keep], k[keep], i[keep]] += 0.5
+    # square_table (k, j*n + i): u^2 from the products a_j a_i, j, i < n;
+    # times_table (j, k*n + i): M from the coefficients of u^2
+    square_table = prod[:n].transpose(1, 0, 2).reshape(L, n * n)
+    times_table = prod[:, :n].reshape(L, n * n)
 
-    def square_many(states):
-        """(c, sq): the exponential coefficients of u and of u^2 for each
-        row of states, one column per row, with the coefficient index
-        (offsets -(L-1)..L-1 for sq) on the leading axis so that each step
-        of the convolution is one vector operation over all rows.  A product
-        with an exactly-zero coefficient adds an exact zero, so modes that
-        vanish by symmetry stay exactly zero."""
-        c = to_full(states).T.copy()
-        sq = np.zeros((2 * L - 1, c.shape[1]))
-        for i in range(L):
-            sq[i:i + L] += c[i] * c
-        return c, sq
+    def square(cols):
+        """Coefficients of u^2 on modes 0..L-1, one column per column of
+        states cols (n, rows)."""
+        return square_table @ (cols[:, None] * cols[None]).reshape(n * n, -1)
 
-    def cube_coeffs_many(states):
-        """cube_coeffs on each row by the same two convolutions; only the
-        offsets 0..n-1 of the cube are formed."""
-        c, sq = square_many(states)
-        cube = np.zeros((n, c.shape[1]))
-        for i in range(L):
-            cube += c[i] * sq[3 * n - 3 - i:4 * n - 3 - i]
-        out = 2.0 * cube.T
-        out[:, 0] = cube[0]
-        return out
+    def columns(a):
+        return np.ascontiguousarray(a.reshape(-1, n).T)
 
     def F(u):
-        # np.convolve is about 5x faster than cube_coeffs_many on one state
         a = _states(u, n)
-        if a.ndim == 1:
-            return lin * a - cube_coeffs(a)
-        return lin * a - cube_coeffs_many(a.reshape(-1, n)).reshape(a.shape)
-
-    # the matrix of phi -> u^2 phi projected on cosine modes has entry
-    # (k, j) = sq[k - j] + sq[k + j], halved on row 0
-    rows, cols = np.indices((n, n))
-    lag_idx, sum_idx = rows - cols + L - 1, rows + cols + L - 1
+        cols = columns(a)
+        M = (times_table.T @ square(cols)).reshape(n, n, -1)
+        M *= cols
+        return lin * a - M.sum(axis=1).T.reshape(a.shape)
 
     def jac(u):
         a = _states(u, n)
-        _, sq = square_many(a.reshape(-1, n))
-        M = sq[lag_idx] + sq[sum_idx]
-        M[0] *= 0.5
-        J = np.diag(lin) - 3.0 * M.transpose(2, 0, 1)
-        return J.reshape(a.shape + (n,))
+        J = (square(columns(a)).T @ times_table).reshape(a.shape + (n,))
+        J *= -3.0
+        J += np.diag(lin)
+        return J
 
     return ModelSystem(
         name="rd", vector_field=F, jacobian=jac, equilibrium=np.zeros(n),

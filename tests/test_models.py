@@ -295,13 +295,18 @@ def _rd_field_loop(lam_param, n, a):
     return np.array([lam_param - k * k for k in range(n)]) * a - cu
 
 
-@pytest.mark.parametrize("name", ["saddle1", "saddle2", "rd"])
+# rd cases by number of cosine modes
+RD_MODES = {"rd": 6, "rd2": 2, "rd5": 5, "rd10": 10}
+
+
+@pytest.mark.parametrize("name", ["saddle1", "saddle2", *RD_MODES])
 def test_field_many_matches_stacked_vector_field(name):
     rng = np.random.default_rng(21)
-    if name == "rd":
-        m = reaction_diffusion(2.0, 6)
-        S = 0.3 * rng.normal(size=(3201, 6))
-        ref = np.array([_rd_field_loop(2.0, 6, s) for s in S])
+    if name in RD_MODES:
+        n = RD_MODES[name]
+        m = reaction_diffusion(2.0, n)
+        S = 0.3 * rng.normal(size=(3201, n))
+        ref = np.array([_rd_field_loop(2.0, n, s) for s in S])
     else:
         m = saddle_toy(name)
         S = 0.3 * rng.normal(size=(3201, 2))
@@ -309,10 +314,20 @@ def test_field_many_matches_stacked_vector_field(name):
         ref = (np.stack([x, -y + x * x], axis=1) if name == "saddle1"
                else np.stack([2.0 * x + y * y, -y], axis=1))
     got = m.field_many(S)
+    # evaluated as one batch: the Python calls made do not grow with the
+    # number of rows, as they would in a loop over rows
+    assert _python_calls(m.field_many, S) == _python_calls(
+        m.field_many, S[:2])
     stacked = np.array([m.vector_field(s) for s in S])
+    # roundoff is relative to the terms summed: the rd field is its linear
+    # part minus the cubic, and a row can cancel them to a fraction of
+    # their size (at n = 2, 0.18 = 1.05 - 0.87)
+    terms = np.abs(m.jacobian(m.equilibrium) @ S.T).max(axis=0)
     for other in (stacked, ref):
         err = np.abs(got - other).max(axis=1)
-        assert np.all(err <= 1e-15 * np.abs(other).max(axis=1))
+        scale = np.maximum(np.abs(other).max(axis=1),
+                           terms if name in RD_MODES else 0.0)
+        assert np.all(err <= 1e-15 * scale)
 
 
 def _rd_jacobian_loop(lam_param, n, a):
@@ -350,13 +365,14 @@ def _python_calls(fn, arg):
     return count[0]
 
 
-@pytest.mark.parametrize("name", ["saddle1", "saddle2", "rd"])
+@pytest.mark.parametrize("name", ["saddle1", "saddle2", *RD_MODES])
 def test_jacobian_many_matches_stacked_jacobian(name):
     rng = np.random.default_rng(22)
-    if name == "rd":
-        m = reaction_diffusion(2.0, 6)
-        S = 0.3 * rng.normal(size=(3201, 6))
-        ref = np.array([_rd_jacobian_loop(2.0, 6, s) for s in S])
+    if name in RD_MODES:
+        n = RD_MODES[name]
+        m = reaction_diffusion(2.0, n)
+        S = 0.3 * rng.normal(size=(3201, n))
+        ref = np.array([_rd_jacobian_loop(2.0, n, s) for s in S])
     else:
         m = saddle_toy(name)
         S = 0.3 * rng.normal(size=(3201, 2))
@@ -378,28 +394,51 @@ def test_jacobian_many_matches_stacked_jacobian(name):
         assert np.all(err <= 1e-15 * np.abs(other).max(axis=(1, 2)))
 
 
-def test_rd_jacobian_many_keeps_parity_coupling_exactly_zero():
+@pytest.mark.parametrize("n", [2, 5, 6, 10])
+def test_rd_jacobian_many_keeps_parity_coupling_exactly_zero(n):
     # at a state with only even modes, u^2 has only even modes, so the
     # Jacobian couples no even mode to an odd one: those entries are zeros
-    m = reaction_diffusion(2.0, 6)
-    S = np.random.default_rng(6).normal(size=(500, 6))
+    m = reaction_diffusion(2.0, n)
+    S = np.random.default_rng(6).normal(size=(500, n))
     S[:, 1::2] = 0.0
     J = m.jacobian_many(S)
     assert np.all(J[:, 0::2, 1::2] == 0.0)
     assert np.all(J[:, 1::2, 0::2] == 0.0)
-    ref = np.array([_rd_jacobian_loop(2.0, 6, s) for s in S])
+    ref = np.array([_rd_jacobian_loop(2.0, n, s) for s in S])
     assert np.array_equal(J == 0.0, ref == 0.0)
 
 
-def test_rd_field_many_keeps_odd_modes_exactly_zero():
+@pytest.mark.parametrize("n", [2, 5, 6, 10])
+def test_rd_field_many_keeps_odd_modes_exactly_zero(n):
     # u -> u(x + pi) flips the odd cosine modes; a state with only even
     # modes stays there, and its odd field components are exact zeros
-    m = reaction_diffusion(2.0, 6)
-    S = np.random.default_rng(5).normal(size=(500, 6))
+    m = reaction_diffusion(2.0, n)
+    S = np.random.default_rng(5).normal(size=(500, n))
     S[:, 1::2] = 0.0
     F = m.field_many(S)
     assert np.all(F[:, 1::2] == 0.0)
     assert np.all(np.abs(F[:, 0::2]) > 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 5, 6, 10])
+def test_rd_states_of_any_shape_take_one_path(n):
+    # one state is bit for bit its one-row batch, and a (2, 7, n) batch bit
+    # for bit its rows as one (14, n) batch; both agree with the np.convolve
+    # references
+    m = reaction_diffusion(2.0, n)
+    S = 0.3 * np.random.default_rng(23).normal(size=(2, 7, n))
+    rows = S.reshape(-1, n)
+    for fn, tail, loop in ((m.vector_field, (n,), _rd_field_loop),
+                           (m.jacobian, (n, n), _rd_jacobian_loop)):
+        one = fn(rows[3])
+        assert one.shape == tail
+        assert np.array_equal(one, fn(rows[3:4])[0])
+        got = fn(S)
+        assert got.shape == (2, 7) + tail
+        assert np.array_equal(got.reshape((14,) + tail), fn(rows))
+        ref = np.array([loop(2.0, n, s) for s in rows])
+        err = np.abs(got.reshape(ref.shape) - ref).reshape(14, -1).max(axis=1)
+        assert np.all(err <= 1e-15 * np.abs(ref).reshape(14, -1).max(axis=1))
 
 
 # ------------------------------------------------------------ model contract
@@ -442,8 +481,8 @@ CONTRACT_MODELS = ["saddle1", "saddle2", "rd", "mmt7", "custom", "reversed",
 def test_model_contract_broadcasts_over_leading_axes(name):
     # vector_field and jacobian take states of shape (..., n) and agree with
     # single-state calls stacked in the same shape: bit for bit, except rd,
-    # whose single state takes np.convolve and its batch a column-wise
-    # convolution that sums in another order
+    # whose table contraction goes through BLAS, which may sum one row in
+    # another order than a row of a larger batch
     m = _contract_model(name)
     n = m.dimension
     rng = np.random.default_rng(31)
