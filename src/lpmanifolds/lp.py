@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .graded import NormLadder, OrbitGrid, as_state, graded_norm, weighted_sup_norm
+from .graded import NormLadder, OrbitGrid, as_state, weighted_sup_norm
 from .linalg import (SpectralSplitting, integrate_rk4, linear_scan, rk4_affine,
                      scan_plan)
 from .models import ModelSystem, _per_row, _states
@@ -348,7 +348,9 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
 
         Damped Newton from start, the state of an earlier inversion of the
         same rows, or from u = 0 with the model values taken at setup.  The
-        starting residual comes from the carried field, and a row's DF is
+        start is consumed: its arrays are updated in place and returned, so
+        a sweep holds one (m, n, n) Jacobian stack, not two.  The starting
+        residual comes from the carried field, and a row's DF is
         taken again only once its U has moved.  Every row with a nonzero
         residual takes at least one full step: a row that starts within
         newton_tol of its state, but far from it relative to its own size
@@ -364,7 +366,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
             FU = np.repeat(F0, len(V), axis=0)
             J = np.repeat(J0[None], len(V), axis=0)
         else:
-            U, FU, J = (np.array(a, dtype=float) for a in start)
+            U, FU, J = start
             if U.shape != V.shape:
                 raise ValueError(
                     f"start state has {len(U)} rows for {len(V)} states")
@@ -455,7 +457,8 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         """Node blocks, remainder, transformed field G(B y) and the
         inversion state along split states Y (rows), from one inversion of
         B per row.  The inversion starts from start, the state an earlier
-        call returned for the same rows, or cold at u = 0."""
+        call returned for the same rows, or cold at u = 0.  The start is
+        consumed: the returned state holds its arrays, updated in place."""
         state = _invert(Y @ base.B.T, start)
         field = transformed_field(state)
         Afull = base.Binv @ state[2] @ base.B
@@ -515,7 +518,8 @@ def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
     route, the inversion state of B along Y (None on the autonomous route).
     Passed as start to the next sweep, that state starts each node's
     inversion from its value at this sweep; without start the inversions
-    start cold at the equilibrium.
+    start cold at the equilibrium.  The start is consumed: the returned
+    state holds its arrays, updated in place.
     """
     v0_plus = as_state(v0_plus, pieces.d_plus)
     h = _grid_step(cfg.T_max, cfg.dt)
@@ -778,20 +782,19 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
 
     diagnostics: dict = {"results": results}
     if ok.sum() >= 2:
-        rlow = max(cfg.r - 1.0, 0.0)
-        Bp, Br = pieces.B[:, :d], pieces.B[:, d:]
-        lip = 0.0
-        idx = np.where(ok)[0]
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = idx[a], idx[b]
-                dv = graded_norm(Bp @ (pts[i] - pts[j]),
-                                 pieces.model.ladder, rlow)
-                dh = graded_norm(Br @ (values[i] - values[j]),
-                                 pieces.model.ladder, rlow)
-                if dv > 1e-14:
-                    lip = max(lip, dh / dv)
-        diagnostics["lipschitz_low"] = lip
+        # over all pairs of ok samples, in the ambient norm at level r-1
+        w = pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
+        i, j = np.triu_indices(int(ok.sum()), 1)
+
+        def pair_norms(X, Bx):
+            D = X[ok][i] - X[ok][j]
+            return np.sqrt(np.sum((w * (D @ Bx.T)) ** 2, axis=1))
+
+        dv = pair_norms(pts, pieces.B[:, :d])
+        dh = pair_norms(values, pieces.B[:, d:])
+        far = dv > 1e-14
+        diagnostics["lipschitz_low"] = (
+            float(np.max(dh[far] / dv[far])) if far.any() else 0.0)
         vn = np.linalg.norm(pts[ok], axis=1)
         hn = np.linalg.norm(values[ok], axis=1)
         nz = vn > 1e-14

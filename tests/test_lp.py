@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 from lpmanifolds import linalg, lp
-from lpmanifolds.graded import NormLadder, OrbitGrid
+from lpmanifolds.graded import NormLadder, OrbitGrid, graded_norm
 from lpmanifolds.linalg import (
     Timeline,
     dissipativity_check,
@@ -565,6 +565,34 @@ def test_graph_rd2_lipschitz_and_tangency():
     assert abs(graph.diagnostics["tangency_intercept"]) <= 1e-3
 
 
+def test_graph_lipschitz_is_the_largest_pairwise_ratio():
+    # lipschitz_low is the largest |h_i - h_j| / |v_i - v_j| over pairs of
+    # ok samples in the ambient norm at level r-1; a failed sample and a
+    # pair of equal base points (|v_i - v_j| = 0) take no part
+    _, _, pieces = rd_pieces(2.0, 6)
+    cfg = LpConfig(lam=0.8, T_max=30.0, dt=0.01, eps=0.08, tol=1e-10,
+                   r=2.5)
+    pts = np.array([[0.01, 0.0], [0.02, 0.01], [0.5, 0.0], [-0.03, 0.02],
+                    [0.02, 0.01], [0.0, -0.05]])
+    graph = build_manifold_graph(pieces, cfg, grid_spec=pts)
+    assert graph.status[2].startswith("failed")
+    ok = [i for i, s in enumerate(graph.status) if s == "ok"]
+    assert len(ok) == 5
+    ladder, d = pieces.model.ladder, pieces.d_plus
+    ref = 0.0
+    for a, i in enumerate(ok):
+        for j in ok[a + 1:]:
+            dv = graded_norm(pieces.B[:, :d] @ (pts[i] - pts[j]), ladder, 1.5)
+            dh = graded_norm(pieces.B[:, d:] @ (graph.values[i]
+                                                - graph.values[j]),
+                             ladder, 1.5)
+            if dv > 1e-14:
+                ref = max(ref, dh / dv)
+    assert ref > 0.0
+    assert graph.diagnostics["lipschitz_low"] == pytest.approx(ref,
+                                                               rel=1e-12)
+
+
 def test_graph_mmt_decay_window():
     m, sp, pieces = mmt_mi_pieces()
     cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
@@ -1072,12 +1100,13 @@ def test_warm_inversion_follows_every_row():
         Y *= scale / np.linalg.norm(Y, axis=1, keepdims=True)
         prev = Y * (1.0 + 1e-3 * rng.normal(size=Y.shape))
         start = q.pieces.frozen_along(prev)[4]
+        # the call consumes start, so its rows are read before
+        near = np.linalg.norm(q.bmap(start[0]) - Y @ q.pieces.B.T,
+                              axis=1) <= 1e-12
         U, FU, J = q.pieces.frozen_along(Y, start)[4]
         ref = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0,
                              newton_tol=1e-15 * scale)
         err = np.linalg.norm(U - ref.invert_B(Y @ q.pieces.B.T), axis=1)
-        near = np.linalg.norm(q.bmap(start[0]) - Y @ q.pieces.B.T,
-                              axis=1) <= 1e-12
         close += near.sum()
         assert np.all(err <= 1e-12)
         assert np.all(err[near] <= 1e-14 * scale)
@@ -1085,6 +1114,22 @@ def test_warm_inversion_follows_every_row():
         assert np.array_equal(FU, m.vector_field(m.equilibrium + U))
         assert np.array_equal(J, m.jacobian(m.equilibrium + U))
     assert close >= 100
+
+
+def test_warm_inversion_updates_the_start_state_in_place():
+    # frozen_along consumes its start: the returned state holds the start's
+    # arrays, so a sweep carries one stack of Jacobians, not two; the values
+    # are those of a start that is left alone
+    m, sp, _ = _coupled_saddle()
+    q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
+    Y = 0.05 * np.random.default_rng(8).normal(size=(40, 2))
+    start = q.pieces.frozen_along(1.01 * Y)[4]
+    want = q.pieces.frozen_along(Y, tuple(a.copy() for a in start))
+    got = q.pieces.frozen_along(Y, start)
+    for new, old in zip(got[4], start):
+        assert np.shares_memory(new, old)
+    for g, w in zip(got[:4] + got[4], want[:4] + want[4]):
+        assert np.array_equal(g, w)
 
 
 def test_warm_start_from_converged_solve_calls_model_once_per_row():
