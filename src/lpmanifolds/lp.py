@@ -734,6 +734,30 @@ def _ball_grid(d: int, eps: float, n_per_dim: int, seed: int = 0,
     return cube[keep] * eps
 
 
+def _largest_pair_ratio(V: np.ndarray, Bv: np.ndarray, H: np.ndarray,
+                        Bh: np.ndarray, w: np.ndarray,
+                        pairs: int = 2 ** 16) -> float:
+    """Largest |w Bh (H_i - H_j)| / |w Bv (V_i - V_j)| over pairs i < j
+    whose denominator exceeds 1e-14, 0 if none does.  The rows i go in
+    blocks of about pairs / len(V), so the differences held at once number
+    about pairs, not len(V)^2 / 2."""
+    N = len(V)
+    block = max(1, pairs // N)
+
+    def norms(X, Bx, a):
+        D = X[a, None] - X[None, a[0] + 1:]
+        return np.sqrt(np.sum((w * (D @ Bx.T)) ** 2, axis=-1))
+
+    lip = 0.0
+    for s in range(0, N - 1, block):
+        a = np.arange(s, min(s + block, N - 1))
+        dv, dh = norms(V, Bv, a), norms(H, Bh, a)
+        far = (np.arange(s + 1, N) > a[:, None]) & (dv > 1e-14)
+        if far.any():
+            lip = max(lip, float(np.max(dh[far] / dv[far])))
+    return lip
+
+
 def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
                          grid_spec: int | np.ndarray = 11,
                          seed: int = 0) -> ManifoldGraph:
@@ -784,19 +808,11 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
     if ok.sum() >= 2:
         # over all pairs of ok samples, in the ambient norm at level r-1
         w = pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
-        i, j = np.triu_indices(int(ok.sum()), 1)
-
-        def pair_norms(X, Bx):
-            D = X[ok][i] - X[ok][j]
-            return np.sqrt(np.sum((w * (D @ Bx.T)) ** 2, axis=1))
-
-        dv = pair_norms(pts, pieces.B[:, :d])
-        dh = pair_norms(values, pieces.B[:, d:])
-        far = dv > 1e-14
-        diagnostics["lipschitz_low"] = (
-            float(np.max(dh[far] / dv[far])) if far.any() else 0.0)
-        vn = np.linalg.norm(pts[ok], axis=1)
-        hn = np.linalg.norm(values[ok], axis=1)
+        V, H = pts[ok], values[ok]
+        diagnostics["lipschitz_low"] = _largest_pair_ratio(
+            V, pieces.B[:, :d], H, pieces.B[:, d:], w)
+        vn = np.linalg.norm(V, axis=1)
+        hn = np.linalg.norm(H, axis=1)
         nz = vn > 1e-14
         if nz.sum() >= 2:
             x, y = vn[nz], hn[nz] / vn[nz]
