@@ -744,15 +744,17 @@ def _largest_pair_ratio(V: np.ndarray, Bv: np.ndarray, H: np.ndarray,
     N = len(V)
     block = max(1, pairs // N)
 
-    def norms(X, Bx, a):
-        D = X[a, None] - X[None, a[0] + 1:]
+    def norms(X, Bx, s, e):
+        D = X[s:e, None] - X[None, s + 1:]
         return np.sqrt(np.sum((w * (D @ Bx.T)) ** 2, axis=-1))
 
     lip = 0.0
     for s in range(0, N - 1, block):
-        a = np.arange(s, min(s + block, N - 1))
-        dv, dh = norms(V, Bv, a), norms(H, Bh, a)
-        far = (np.arange(s + 1, N) > a[:, None]) & (dv > 1e-14)
+        # rows i in [s, e) against j > s: a pair with j < i is the pair
+        # (j, i) of the same block, and j = i has dv = 0
+        e = min(s + block, N - 1)
+        dv, dh = norms(V, Bv, s, e), norms(H, Bh, s, e)
+        far = dv > 1e-14
         if far.any():
             lip = max(lip, float(np.max(dh[far] / dv[far])))
     return lip

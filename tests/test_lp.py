@@ -593,24 +593,30 @@ def test_graph_lipschitz_is_the_largest_pairwise_ratio():
                                                                rel=1e-12)
 
 
-@pytest.mark.parametrize("pairs", [1, 7, 30, 2 ** 16])
-def test_largest_pair_ratio_is_the_same_in_any_blocks(pairs):
-    # the rows go in blocks of pairs // N (at least one): every split gives
-    # the largest ratio of the pair loop, and a repeated point takes no part
+@pytest.mark.parametrize("pairs", [1, 30, 60, 2 ** 16])
+def test_largest_pair_ratio_finds_every_pair_in_any_blocks(pairs):
+    # the 12 rows go in blocks of 1, 2, 5 or 12 rows; whichever pair (p, q)
+    # is made the steep one, the result is the pair loop's, and a repeated
+    # point (rows 2 and 7, where no other pair is moved there) takes no part
     rng = np.random.default_rng(41)
-    V, H = rng.normal(size=(12, 2)), rng.normal(size=(12, 4))
-    V[7], H[7] = V[2], H[2] + 1.0
-    Bv, Bh = rng.normal(size=(5, 2)), rng.normal(size=(5, 4))
-    w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    ref = 0.0
-    for i in range(12):
-        for j in range(i + 1, 12):
-            dv = np.linalg.norm(w * (Bv @ (V[i] - V[j])))
-            if dv > 1e-14:
-                ref = max(ref, np.linalg.norm(w * (Bh @ (H[i] - H[j]))) / dv)
-    got = lp._largest_pair_ratio(V, Bv, H, Bh, w, pairs=pairs)
-    assert got == pytest.approx(ref, rel=1e-12)
-    assert lp._largest_pair_ratio(V[:1], Bv, H[:1], Bh, w) == 0.0
+    V0, H0 = rng.normal(size=(12, 2)), rng.normal(size=(12, 3))
+    V0[7], H0[7] = V0[2], H0[2] + 1.0
+    Bv, Bh = rng.normal(size=(4, 2)), rng.normal(size=(4, 3))
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    for p in range(12):
+        for q in range(p + 1, 12):
+            V, H = V0.copy(), H0.copy()
+            V[q], H[q] = V[p] + 1e-3, H[p] + 1.0
+            ref = 0.0
+            for i in range(12):
+                for j in range(i + 1, 12):
+                    dv = np.linalg.norm(w * (Bv @ (V[i] - V[j])))
+                    if dv > 1e-14:
+                        dh = np.linalg.norm(w * (Bh @ (H[i] - H[j])))
+                        ref = max(ref, dh / dv)
+            got = lp._largest_pair_ratio(V, Bv, H, Bh, w, pairs=pairs)
+            assert got == pytest.approx(ref, rel=1e-12)
+    assert lp._largest_pair_ratio(V0[:1], Bv, H0[:1], Bh, w) == 0.0
 
 
 def test_graph_mmt_decay_window():
