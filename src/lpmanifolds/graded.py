@@ -160,5 +160,9 @@ def weighted_sup_norm(states: np.ndarray, decay: np.ndarray,
     """max_j decay_j sqrt(sum_i (weights_i states_ji)^2): weighted_orbit_norm
     with decay = e^(-lam*t_j) and the level weights computed by the caller,
     who can keep them over many orbits on one grid."""
-    norms = np.sqrt(np.sum((states * weights[None, :]) ** 2, axis=1))
-    return float(np.max(decay * norms))
+    return float(np.max(decay * _row_norms(states * weights)))
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of X (k, n), in one einsum pass."""
+    return np.sqrt(np.einsum("ij,ij->i", X, X))

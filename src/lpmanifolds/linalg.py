@@ -304,33 +304,48 @@ def _block_nodes(d: int) -> int:
 
 @dataclass(frozen=True)
 class ScanPlan:
-    """Tables of linear_scan's blocked route for one (d, d) matrix E.
+    """Tables of linear_scan for one (d, d) matrix E and the forcing taps
+    (P, Q) of x_j = E x_{j-1} + P u_{j-1} + Q u_j.
 
-    b is the number of nodes per block, 0 when the route does not apply to
-    this d (the plan then only carries E).  `within` is the (b*d, b*d)
-    block upper-triangular Toeplitz matrix whose block (l, i) is
-    (E^{i-l})^T for l <= i: a row of b stacked inputs times `within` is the
-    scan inside the block.  `carry` is the (d, b*d) row of blocks
-    (E^{i+1})^T taking the state at the end of one block to each node of
-    the next, and Eb = E^b steps from one block end to the next.
+    P and Q are None for the plain form x_j = E x_{j-1} + u_j (taps 0 and
+    I).  b is the number of nodes per block of the blocked route, 0 when
+    the route does not apply to this d (the plan then carries only E and
+    the taps).  `table` is the ((b+1)*d, b*d) matrix whose block (l, i) is
+    (E^{i-l+1} Q + E^{i-l} P)^T, a power below 0 counting as 0, without
+    the Q term in block row l = 0: a row of the b + 1 inputs
+    u_{k-1}, ..., u_{k+b-1} times `table` is the scan of the b nodes
+    k, ..., k+b-1 from x_{k-1} = 0.  `carry` is the (d, b*d) row of blocks
+    (E^{i+1})^T taking the state before a block to each of its nodes, and
+    `Eb` holds E^b, E^{2b}, E^{4b}, ...: the steps of the doubling scan over
+    the block ends, squared once and kept as longer grids need them.
     """
 
     E: np.ndarray
     b: int
-    within: np.ndarray | None = None
+    P: np.ndarray | None = None
+    Q: np.ndarray | None = None
+    table: np.ndarray | None = None
     carry: np.ndarray | None = None
-    Eb: np.ndarray | None = None
+    Eb: list = field(default_factory=list)
 
 
-def scan_plan(E) -> ScanPlan:
-    """The ScanPlan of E; build it once to reuse it over many scans."""
+def scan_plan(E, P=None, Q=None) -> ScanPlan:
+    """The ScanPlan of E with the forcing taps P and Q (both None, or both
+    (d, d) matrices); build it once to reuse it over many scans."""
     E = np.asarray(E, dtype=float)
     if E.ndim != 2 or E.shape[0] != E.shape[1]:
         raise ValueError(f"expected a square step matrix, got shape {E.shape}")
     d = E.shape[0]
+    if (P is None) != (Q is None):
+        raise ValueError("give both forcing taps P and Q, or neither")
+    if P is not None:
+        P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+        if P.shape != (d, d) or Q.shape != (d, d):
+            raise ValueError(f"expected forcing taps of size {d}, got shapes "
+                             f"{P.shape} and {Q.shape}")
     b = _block_nodes(d)
     if not b:
-        return ScanPlan(E, 0)
+        return ScanPlan(E, 0, P, Q)
     # powers[k] = (E^k)^T; a diagonal E keeps exact zeros off the diagonal
     powers = np.empty((b + 1, d, d))
     powers[0], powers[1] = np.eye(d), E.T
@@ -339,42 +354,71 @@ def scan_plan(E) -> ScanPlan:
         n = min(k, b - k)
         powers[k + 1:k + 1 + n] = powers[1:1 + n] @ powers[k]
         k += n
-    lo, hi = np.triu_indices(b)
-    within = np.zeros((b, d, b, d))
-    within[lo, :, hi, :] = powers[hi - lo]
+    # tap[k] = (E^k Q + E^{k-1} P)^T is the weight of u_{j-k} in x_j, and
+    # head[i] = (E^i P)^T that of the input just before a block in its
+    # node i, which the block's scan from 0 does not see through Q
+    if P is None:
+        tap, head = powers[:b], None
+    else:
+        head = P.T @ powers[:b]
+        tap = Q.T @ powers[:b]
+        tap[1:] += head[:-1]
+    l, i = np.triu_indices(b + 1, -1, b)
+    keep = l > 0
+    table = np.zeros((b + 1, d, b, d))
+    table[l[keep], :, i[keep], :] = tap[i[keep] - l[keep] + 1]
+    if head is not None:
+        table[0] = head.transpose(1, 0, 2)
     carry = powers[1:].transpose(1, 0, 2).reshape(d, b * d)
-    return ScanPlan(E, b, within.reshape(b * d, b * d), carry,
-                    powers[b].T.copy())
+    return ScanPlan(E, b, P, Q, table.reshape((b + 1) * d, b * d), carry,
+                    [powers[b].T.copy()])
 
 
-def _doubling_scan(E: np.ndarray, rows: np.ndarray) -> None:
+def _doubling_scan(powers: list, rows: np.ndarray) -> None:
     """The constant-matrix scan in place on rows (m, r, d), by recursive
     doubling: about log2(m) passes, for the short recurrences over block
-    and chunk ends."""
+    and chunk ends.  powers starts with the step matrix E; the squares
+    E^2, E^4, ... a pass needs are appended to it once, so a list kept
+    across calls squares no matrix again."""
     m, d = rows.shape[0], rows.shape[-1]
-    s = 1
+    s, k = 1, 0
     while s < m:
-        rows[s:] += (rows[:-s].reshape(-1, d) @ E.T).reshape(m - s, -1, d)
+        rows[s:] += (rows[:-s].reshape(-1, d) @ powers[k].T
+                     ).reshape(m - s, -1, d)
         s *= 2
-        if s < m:
-            E = E @ E
+        k += 1
+        if s < m and k == len(powers):
+            powers.append(powers[-1] @ powers[-1])
 
 
-def _blocked_scan(plan: ScanPlan, rows: np.ndarray) -> np.ndarray:
-    """The constant-matrix scan of rows (m, r, d), returned as a new array."""
+def _blocked_scan(plan: ScanPlan, rows: np.ndarray,
+                  x0: np.ndarray) -> np.ndarray:
+    """The scan of rows (m, r, d) from x0 (r, d) with the plan's taps,
+    returned as a new array."""
     m, r, d = rows.shape
     b = plan.b
-    nb = -(-m // b)
-    if nb * b > m:
-        rows = np.concatenate([rows, np.zeros((nb * b - m, r, d))])
-    # one row of b stacked inputs per block and recurrence
-    flat = rows.reshape(nb, b, r, d).transpose(0, 2, 1, 3).reshape(-1, b * d)
-    Z = (flat @ plan.within).reshape(nb, r, b, d)
-    # block ends: z_k = E^b z_{k-1} + (scan of block k alone at its end)
-    ends = Z[:, :, -1].copy()
+    nb = -(-(m - 1) // b)
+    # node k*b + i + 1 of block k is the window of inputs k*b .. k*b + b
+    # times the table: windows of b + 1 rows, b rows apart, of each
+    # recurrence's contiguous (nb*b + 1, d) inputs
+    n = nb * b + 1
+    U = np.zeros((r, n, d))
+    U[:, :m] = rows.swapaxes(0, 1)
+    step = U.itemsize
+    win = np.ndarray((r, nb, (b + 1) * d), buffer=U,
+                     strides=(n * d * step, b * d * step, step))
+    Z = (win @ plan.table).reshape(r, nb, b, d)
+    # the state before block k: z_0 = x0, z_k = E^b z_{k-1} + (scan of
+    # block k - 1 alone at its end)
+    ends = np.empty((nb, r, d))
+    ends[0] = x0
+    ends[1:] = Z[:, :-1, -1].swapaxes(0, 1)
     _doubling_scan(plan.Eb, ends)
-    Z[1:] += (ends[:-1].reshape(-1, d) @ plan.carry).reshape(nb - 1, r, b, d)
-    return Z.transpose(0, 2, 1, 3).reshape(nb * b, r, d)[:m]
+    Z += (ends.reshape(-1, d) @ plan.carry).reshape(nb, r, b, d).swapaxes(0, 1)
+    out = np.empty((m, r, d))
+    out[0] = x0
+    out[1:] = Z.reshape(r, nb * b, d)[:, :m - 1].swapaxes(0, 1)
+    return out
 
 
 def _chunked_scan(Q: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -421,7 +465,7 @@ def _chunked_scan(Q: np.ndarray, rows: np.ndarray) -> np.ndarray:
             ends = _chunked_scan(T[-1, 1:-1], ends)
             Z[:, 1:] += ends @ T[:, 1:]
         else:
-            _doubling_scan(np.linalg.matrix_power(Q, c).T, ends)
+            _doubling_scan([np.linalg.matrix_power(Q, c).T], ends)
             carry = ends.reshape(-1, d)
             for i in range(c):
                 carry = carry @ Q
@@ -429,24 +473,29 @@ def _chunked_scan(Q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return Z.swapaxes(0, 1).reshape(K * c, r, d)[:m]
 
 
-def linear_scan(E, X: np.ndarray) -> np.ndarray:
-    """x_0 = X[0], x_{j+1} = E_j x_j + X[j+1] along axis 0; X is left intact.
+def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
+    """x_0 = x0 (X[0] when x0 is None), x_j = E_j x_{j-1} + X[j] along
+    axis 0, or with a ScanPlan's forcing taps x_j = E x_{j-1} + P X[j-1]
+    + Q X[j]; X is left intact.
 
-    E is one (d, d) matrix for every step, a ScanPlan of one (scan_plan(E),
-    whose tables are then reused), or a stack of m - 1 matrices, E[j]
-    taking x_j to x_{j+1}.  The states lie along the last axis of X; axes
-    in between hold independent recurrences with the same matrices.
+    E is one (d, d) matrix for every step, a ScanPlan of one (scan_plan(E)
+    or scan_plan(E, P, Q), whose tables are then reused), or a stack of
+    m - 1 matrices, E[j - 1] taking x_{j-1} to x_j.  The states lie along
+    the last axis of X; axes in between hold independent recurrences with
+    the same matrices, and x0 broadcasts against X[0].
 
     One matrix with b = 64 // d >= 4 and m >= 2b takes the blocked route:
-    the m nodes fall into blocks of b, one gemm against the plan's
-    (b*d, b*d) table scans every block at once, a doubling scan with E^b
-    over the ceil(m/b) block ends gives the carries, and a second gemm adds
-    carry times E^{i+1} at node i of the next block.  That is O(m*b*d^2)
-    work in two passes over the grid; a plan costs b small matmuls, so pass
-    one when the same E is scanned repeatedly.
+    nodes 1 .. m-1 fall into blocks of b, one gemm of the plan's
+    ((b+1)*d, b*d) table with a strided window of b + 1 input rows per
+    block scans every block at once, taps included, a doubling scan with
+    the plan's powers of E^b over the block ends gives the carries, and a
+    second gemm adds carry times E^{i+1} at node i of each block.  That is
+    O(m*b*d^2) work in two passes over the grid; a plan costs b small
+    matmuls, so pass one when the same E is scanned repeatedly.
 
     Otherwise (d > 16, few nodes, or step stacks) the chunked route: the
-    nodes fall into about sqrt(m) chunks of about sqrt(m) nodes, a
+    taps first form the plain inputs P X[j-1] + Q X[j] in two gemms, then
+    the nodes fall into about sqrt(m) chunks of about sqrt(m) nodes, a
     sequential pass steps inside every chunk at once, the short recurrence
     over the chunk ends gives the carries, and a second pass adds them.
     That is O(m*d^2) work for one matrix and O(m*d^3) for a stack (the
@@ -467,10 +516,30 @@ def linear_scan(E, X: np.ndarray) -> np.ndarray:
     if X.size == 0:
         return X.copy()
     rows = X.reshape(m, -1, d)
+    if x0 is None:
+        start = rows[0]
+    else:
+        # a scalar or one state broadcasts over the recurrences as it is
+        start = np.asarray(x0, dtype=float)
+        if start.ndim > 1:
+            start = start.reshape(-1, d)
     b = _block_nodes(d)
     if E.ndim == 2 and b and m >= 2 * b:
         plan = plan if plan is not None else scan_plan(E)
-        return _blocked_scan(plan, rows).reshape(X.shape)
+        return _blocked_scan(plan, rows, start).reshape(X.shape)
+    taps = plan is not None and plan.P is not None
+    if taps or x0 is not None:
+        inputs = np.empty(rows.shape)
+        inputs[0] = start
+        if taps:
+            # the taps on the (m - 1) * r input rows, as two 2-D gemms
+            flat, r = rows.reshape(-1, d), rows.shape[1]
+            forced = inputs[1:].reshape(-1, d)
+            np.matmul(flat[:-r], plan.P.T, out=forced)
+            forced += flat[r:] @ plan.Q.T
+        else:
+            inputs[1:] = rows[1:]
+        rows = inputs
     return _chunked_scan(np.swapaxes(E, -1, -2), rows).reshape(X.shape)
 
 

@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .graded import NormLadder, OrbitGrid, as_state, weighted_sup_norm
+from .graded import (NormLadder, OrbitGrid, _row_norms, as_state,
+                     weighted_sup_norm)
 from .linalg import (SpectralSplitting, integrate_rk4, linear_scan, rk4_affine,
                      scan_plan)
 from .models import ModelSystem, _per_row, _states
@@ -177,17 +178,22 @@ class SplitPieces:
     def propagators(self, h: float):
         """(Em, psi1, psi1 - psi2) of -A_plus and (Ep, phi1, phi2) of
         A_rest for the step h, built once per h together with the
-        linear_scan plans of Em and Ep (scan_plans)."""
+        linear_scan plans of the quadrature (scan_plans)."""
         key = round(h, 15)
         if ("prop", key) not in self._cache:
             Em, p1m, p2m = _phi_matrices(-self.A_plus, h)
             Ep, p1p, p2p = _phi_matrices(self.A_rest, h)
-            self._cache["prop", key] = (Em, p1m, p1m - p2m, Ep, p1p, p2p)
-            self._cache["plans", key] = (scan_plan(Em), scan_plan(Ep))
+            p12m = p1m - p2m
+            self._cache["prop", key] = (Em, p1m, p12m, Ep, p1p, p2p)
+            self._cache["plans", key] = (
+                scan_plan(Em, -h * p12m, -h * p2m),
+                scan_plan(Ep, h * (p1p - p2p), h * p2p))
         return self._cache["prop", key]
 
     def scan_plans(self, h: float):
-        """linear_scan plans of the exponentials Em and Ep of propagators(h)."""
+        """linear_scan plans of the exponential-trapezoid quadrature for
+        the step h: Em with the taps (-h (psi1 - psi2), -h psi2) and Ep with
+        (h (phi1 - phi2), h phi2), from propagators(h)."""
         key = ("plans", round(h, 15))
         if key not in self._cache:
             self.propagators(h)
@@ -489,22 +495,16 @@ def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
     g holds the forcing at the m grid nodes, with the split coordinates on
     its last axis; axes in between are independent orbits, each with its own
     row of v0_plus.  The unstable part runs backward from v0_plus at t = 0,
-    S_j = Em S_{j+1} + c_j, and the complement forward from 0 at t = -T_max,
-    R_{j+1} = Ep R_j + c_j.
+    S_j = Em S_{j+1} - h (psi1 - psi2) g_{j+1} - h psi2 g_j, and the
+    complement forward from 0 at t = -T_max,
+    R_{j+1} = Ep R_j + h (phi1 - phi2) g_j + h phi2 g_{j+1}: each one
+    linear_scan of the remainder rows with the taps of scan_plans(h).
     """
     d = pieces.d_plus
-    _, p1m, p12m, _, p1p, p2p = pieces.propagators(h)
     plan_m, plan_p = pieces.scan_plans(h)
-    gp, gr = g[..., :d], g[..., d:]
     new = np.empty_like(g)
-    X = np.empty_like(gp)
-    X[0] = v0_plus
-    X[1:] = (-h * (gp[:-1] @ p1m.T + np.diff(gp, axis=0) @ p12m.T))[::-1]
-    new[..., :d] = linear_scan(plan_m, X)[::-1]
-    X = np.empty_like(gr)
-    X[0] = 0.0
-    X[1:] = h * (gr[:-1] @ p1p.T + np.diff(gr, axis=0) @ p2p.T)
-    new[..., d:] = linear_scan(plan_p, X)
+    new[..., :d] = linear_scan(plan_m, g[::-1, ..., :d], v0_plus)[::-1]
+    new[..., d:] = linear_scan(plan_p, g[..., d:], 0.0)
     return new
 
 
@@ -603,10 +603,11 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     weights = pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
 
     def increment(Ydiff: np.ndarray) -> float:
-        amb = Ydiff @ pieces.B.T
-        if not np.isfinite(amb).all():
+        # a non-finite state makes its row norm, and so the max, non-finite
+        inc = weighted_sup_norm(Ydiff @ pieces.B.T, decay, weights)
+        if not math.isfinite(inc):
             raise FloatingPointError("orbit states contain non-finite entries")
-        return weighted_sup_norm(amb, decay, weights)
+        return inc
 
     ratios: list[float] = []
     prev_inc = None
@@ -650,13 +651,13 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
 
     orbit = _orbit_from_Y(pieces, times, Y)
     # centered-difference trajectory residual against the full field
-    deriv = np.gradient(orbit.states, times, axis=0)
-    traj_res = float(np.max(np.linalg.norm(
-        (deriv - field)[1:-1], axis=1))) if m > 2 else 0.0
+    deriv = np.gradient(orbit.states, h, axis=0)
+    traj_res = float(np.max(_row_norms(
+        (deriv - field)[1:-1]))) if m > 2 else 0.0
 
     # quadrature error budget from measured second differences of f
     if m > 2:
-        second = np.linalg.norm(g[2:] - 2 * g[1:-1] + g[:-2], axis=1)
+        second = _row_norms(g[2:] - 2 * g[1:-1] + g[:-2])
         quad_budget = float(h * second.sum() / 12.0)
     else:
         quad_budget = 0.0
@@ -680,8 +681,7 @@ def decay_rate_fit(orbit: OrbitGrid, ladder: NormLadder, r: float,
                    floor: float = 1e-12) -> tuple[float, float]:
     """Least-squares slope of log ||v(t)||_r over the window where the norm
     exceeds the floor; returns (lambda_fit, R^2)."""
-    w = ladder.weights(r)
-    norms = np.sqrt(np.sum((orbit.states * w[None, :]) ** 2, axis=1))
+    norms = _row_norms(orbit.states * ladder.weights(r))
     if np.max(norms) <= 1e-300:
         raise ValueError("trivial orbit")
     mask = norms > floor

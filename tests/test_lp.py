@@ -199,9 +199,23 @@ def test_linear_scan_rejects_wrong_matrix_size():
         linear_scan(scan_plan(np.eye(3)), np.zeros((40, 2)))
     with pytest.raises(ValueError, match="one step matrix of size"):
         linear_scan(np.ones(2), np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="both forcing taps"):
+        scan_plan(np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match="forcing taps of size 2"):
+        scan_plan(np.eye(2), np.eye(2), np.eye(3))
     # no states: nothing to scan
     out = linear_scan(np.zeros((0, 0)), np.zeros((5, 0)))
     assert out.shape == (5, 0)
+
+
+def _tap_scan_loop(E, P, Q, U, x0):
+    """Reference for linear_scan with forcing taps: x_0 = x0,
+    x_j = E x_{j-1} + P u_{j-1} + Q u_j, states along the last axis."""
+    x = np.empty_like(U)
+    x[0] = x0
+    for j in range(1, len(U)):
+        x[j] = x[j - 1] @ E.T + U[j - 1] @ P.T + U[j] @ Q.T
+    return x
 
 
 def _route_spy(monkeypatch):
@@ -209,9 +223,9 @@ def _route_spy(monkeypatch):
     calls = []
     real = linalg._blocked_scan
 
-    def spy(plan, rows):
+    def spy(plan, rows, x0):
         calls.append(plan.b)
-        return real(plan, rows)
+        return real(plan, rows, x0)
 
     monkeypatch.setattr(linalg, "_blocked_scan", spy)
     return calls
@@ -223,9 +237,12 @@ def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
     # b = 64 // d nodes per block while b >= 4 (d <= 16), on m >= 2b nodes
     rng = np.random.default_rng([d, 2])
     E = _scan_matrix(kind, d, rng)
+    # nonzero forcing taps of the size of the quadrature's h * phi weights
+    P, Q = 0.01 * rng.normal(size=(2, d, d))
     plan = scan_plan(E)
+    tapped = scan_plan(E, P, Q)
     b = plan.b
-    assert b == (64 // d if d <= 16 else 0)
+    assert b == tapped.b == (64 // d if d <= 16 else 0)
     calls = _route_spy(monkeypatch)
     # around the m = 2b threshold and not a multiple of b; d = 17 is
     # past the cut-off and runs the chunked route at every m
@@ -234,15 +251,63 @@ def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
         for X in (rng.normal(size=(m, d)), rng.normal(size=(m, 3, d)),
                   rng.normal(size=(m, 2, 3, d))):
             keep = X.copy()
-            ref = _scan_loop(E, X)
-            for EE in (E, plan):
+            x0 = rng.normal(size=X.shape[1:])
+            cases = [(E, None, _scan_loop(E, X)),
+                     (plan, None, _scan_loop(E, X)),
+                     (tapped, x0, _tap_scan_loop(E, P, Q, X, x0)),
+                     (tapped, None, _tap_scan_loop(E, P, Q, X, X[0]))]
+            for EE, start, ref in cases:
                 calls.clear()
-                got = linear_scan(EE, X)
+                got = linear_scan(EE, X, start)
                 assert calls == ([b] if b and m >= 2 * b else [])
                 assert np.array_equal(X, keep)
                 assert got.shape == ref.shape
                 scale = np.abs(ref).max()
                 assert np.abs(got - ref).max() <= 1e-13 * scale
+
+
+def _doubling_squaring(E, rows):
+    """Reference for the doubling scan over block ends: squares E on each
+    call, as before the plans kept the powers."""
+    m, d = rows.shape[0], rows.shape[-1]
+    s = 1
+    while s < m:
+        rows[s:] += (rows[:-s].reshape(-1, d) @ E.T).reshape(m - s, -1, d)
+        s *= 2
+        if s < m:
+            E = E @ E
+
+
+@pytest.mark.parametrize("d", [1, 4, 16])
+def test_blocked_scan_keeps_the_carry_powers(d):
+    # a scan squares E^b into E^{2b}, E^{4b}, ... once and keeps them in
+    # the plan; later scans use them and agree bit for bit with squaring
+    # on each call
+    rng = np.random.default_rng([d, 5])
+    E = _scan_matrix("nonnormal", d, rng)
+    P, Q = 0.01 * rng.normal(size=(2, d, d))
+    b = 64 // d
+    m = 40 * b + 3
+    X = rng.normal(size=(m, 2, d))
+    kept = scan_plan(E, P, Q)
+    assert len(kept.Eb) == 1
+    first = linear_scan(kept, X)
+    # 41 block ends: doubling steps 1, 2, 4, ..., 32
+    assert len(kept.Eb) == 6
+    for k in range(5):
+        assert np.array_equal(kept.Eb[k + 1], kept.Eb[k] @ kept.Eb[k])
+    assert np.array_equal(linear_scan(kept, X), first)
+    for mm in (2 * b, 7 * b + 1, 20 * b + 5):
+        fresh = scan_plan(E, P, Q)
+        assert np.array_equal(linear_scan(kept, X[:mm]),
+                              linear_scan(fresh, X[:mm]))
+    assert len(kept.Eb) == 6
+    for nb in (2, 3, 41, 64, 65):
+        ends = rng.normal(size=(nb, 3, d))
+        ref = ends.copy()
+        _doubling_squaring(kept.Eb[0], ref)
+        linalg._doubling_scan(kept.Eb, ends)
+        assert np.array_equal(ends, ref)
 
 
 @pytest.mark.parametrize("m", [7, 32, 33, 3201])
@@ -253,23 +318,32 @@ def test_linear_scan_diagonal_matrix_keeps_exact_zeros(m):
     X = np.random.default_rng(m).normal(size=(m, 3, 4))
     X[..., 1] = 0.0
     X[:, 2, 3] = 0.0
-    for EE in (E, scan_plan(E)):
-        got = linear_scan(EE, X)
+    # diagonal taps, as the quadrature's on a diagonal split
+    tapped = scan_plan(E, np.diag([0.1, -0.2, 0.3, 0.4]),
+                       np.diag([0.5, 0.6, -0.7, 0.8]))
+    x0 = np.ones((3, 4))
+    x0[:, 1] = 0.0
+    x0[2, 3] = 0.0
+    for EE, start in ((E, None), (scan_plan(E), None), (tapped, None),
+                      (tapped, x0)):
+        got = linear_scan(EE, X, start)
         assert np.all(got[..., 1] == 0.0)
         assert np.all(got[:, 2, 3] == 0.0)
         assert np.all(got[:, :2, 3] != 0.0)
 
 
 def test_lp_sweeps_reuse_the_scan_plans(monkeypatch):
-    # the plans of Em and Ep are built once per step h, with the
-    # propagators; later sweeps and bare scans of them build none
+    # the plans of Em and Ep with the quadrature's taps are built once per
+    # step h, with the propagators; later sweeps and bare scans of them
+    # build none
     _, _, pieces = saddle1_pieces()
     built = []
     real = linalg.scan_plan
 
-    def counting(E):
+    def counting(E, P=None, Q=None):
+        assert P is not None and Q is not None
         built.append(E.shape)
-        return real(E)
+        return real(E, P, Q)
 
     monkeypatch.setattr(lp, "scan_plan", counting)
     monkeypatch.setattr(linalg, "scan_plan", counting)
@@ -340,6 +414,74 @@ def test_lp_apply_matches_loop_reference(which):
         scale = np.abs(ref[:, cols]).max()
         assert scale > 0
         assert np.abs(got[:, cols] - ref[:, cols]).max() <= 1e-12 * scale
+
+
+def _lp_quadrature_formula(pieces, h, v0_plus, g):
+    """Reference for the tapped quadrature scans: the exponential-trapezoid
+    forcing built by two matmuls on g and its differences, then the plain
+    recurrences by a loop; axes in between are independent orbits."""
+    d = pieces.d_plus
+    Em, p1m, p12m, Ep, p1p, p2p = pieces.propagators(h)
+    gp, gr = g[..., :d], g[..., d:]
+    new = np.empty_like(g)
+    X = np.empty_like(gp)
+    X[0] = v0_plus
+    X[1:] = (-h * (gp[:-1] @ p1m.T + np.diff(gp, axis=0) @ p12m.T))[::-1]
+    new[..., :d] = _scan_loop(Em, X)[::-1]
+    X = np.empty_like(gr)
+    X[0] = 0.0
+    X[1:] = h * (gr[:-1] @ p1p.T + np.diff(gr, axis=0) @ p2p.T)
+    new[..., d:] = _scan_loop(Ep, X)
+    return new
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "mmt17"])
+def test_lp_quadrature_matches_forcing_formula(which, monkeypatch):
+    # saddle1, rd (n = 6) and MMT-7 scan both parts on the blocked route;
+    # MMT-17's 32-wide complement takes the chunked route
+    pieces = {"saddle1": lambda: saddle1_pieces()[2],
+              "rd": lambda: rd_pieces(2.0, 6)[2],
+              "mmt7": lambda: mmt_mi_pieces(3)[2],
+              "mmt17": lambda: mmt_mi_pieces(8)[2]}[which]()
+    d, n = pieces.d_plus, pieces.dim
+    assert (linalg._block_nodes(d) > 0,
+            linalg._block_nodes(pieces.d_rest) > 0) == (
+                True, which != "mmt17")
+    calls = _route_spy(monkeypatch)
+    h, m = 0.005, 1201
+    rng = np.random.default_rng(list(map(ord, which)))
+    # one orbit, and orbits on an in-between axis as lp_variational has them
+    for g, v0 in ((rng.normal(size=(m, n)), rng.normal(size=d)),
+                  (rng.normal(size=(m, 3, n)), rng.normal(size=(3, d)))):
+        calls.clear()
+        got = lp._lp_quadrature(pieces, h, v0, g)
+        assert len(calls) == (1 if which == "mmt17" else 2)
+        ref = _lp_quadrature_formula(pieces, h, v0, g)
+        for cols in (slice(0, d), slice(d, None)):
+            scale = np.abs(ref[..., cols]).max()
+            assert np.abs(got[..., cols] - ref[..., cols]).max() <= (
+                1e-13 * scale)
+
+
+@pytest.mark.parametrize("which", ["rd", "mmt7"])
+def test_variational_matches_forcing_formula(which, monkeypatch):
+    # the (m, d, n) rows of lp_variational through the tapped scans give
+    # the Dq of the forcing formula
+    if which == "rd":
+        _, _, pieces = rd_pieces(2.0, 6)
+        cfg = LpConfig(lam=0.8, T_max=30.0, dt=0.01, eps=0.1, tol=1e-11)
+        base = np.array([0.05, 0.04])
+    else:
+        _, sp, pieces = mmt_mi_pieces(3)
+        cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
+                       dt=0.005, eps=0.05, tol=1e-10)
+        base = np.array([0.03, 0.0])
+    res = lp_solve(pieces, cfg, base)
+    _, Dq = lp_variational(res, pieces, cfg)
+    monkeypatch.setattr(lp, "_lp_quadrature", _lp_quadrature_formula)
+    _, Dq_ref = lp_variational(res, pieces, cfg)
+    assert np.abs(Dq_ref).max() > 1e-3
+    assert np.abs(Dq - Dq_ref).max() <= 1e-12
 
 
 def test_lp_apply_first_and_second_iterate_saddle1():
