@@ -252,8 +252,11 @@ def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
                   rng.normal(size=(m, 2, 3, d))):
             keep = X.copy()
             x0 = rng.normal(size=X.shape[1:])
+            started = X.copy()
+            started[0] = x0
             cases = [(E, None, _scan_loop(E, X)),
                      (plan, None, _scan_loop(E, X)),
+                     (plan, x0, _scan_loop(E, started)),
                      (tapped, x0, _tap_scan_loop(E, P, Q, X, x0)),
                      (tapped, None, _tap_scan_loop(E, P, Q, X, X[0]))]
             for EE, start, ref in cases:
@@ -292,7 +295,7 @@ def test_blocked_scan_keeps_the_carry_powers(d):
     kept = scan_plan(E, P, Q)
     assert len(kept.Eb) == 1
     first = linear_scan(kept, X)
-    # 41 block ends: doubling steps 1, 2, 4, ..., 32
+    # 41 carries (x0 and 40 block ends): doubling steps 1, 2, 4, ..., 32
     assert len(kept.Eb) == 6
     for k in range(5):
         assert np.array_equal(kept.Eb[k + 1], kept.Eb[k] @ kept.Eb[k])
