@@ -16,13 +16,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
 
-from .graded import (NormLadder, OrbitGrid, _row_norms, as_state,
-                     weighted_sup_norm)
+from .graded import NormLadder, OrbitGrid, _row_norms, as_state
 from .linalg import (SpectralSplitting, integrate_rk4, linear_scan, rk4_affine,
                      scan_plan)
 from .models import ModelSystem, _per_row, _states
@@ -167,9 +166,13 @@ class SplitPieces:
             _, _, out, field, _ = self.frozen_along(np.atleast_2d(Y))
             return out.reshape(Y.shape), field.reshape(Y.shape)
         if "A0" not in self._cache:
-            self._cache["A0"] = self.model.jacobian(self.model.equilibrium)
+            eq = self.model.equilibrium
+            self._cache["A0"] = self.model.jacobian(eq)
+            # an exactly zero equilibrium is not added to the states
+            self._cache["eq"] = eq if np.any(eq) else None
         BY = Y @ self.B.T
-        field = self.model.field_many(BY + self.model.equilibrium)
+        eq = self._cache["eq"]
+        field = self.model.field_many(BY if eq is None else BY + eq)
         return (field - BY @ self._cache["A0"].T) @ self.Binv.T, field
 
     def to_ambient(self, Y: np.ndarray) -> np.ndarray:
@@ -577,34 +580,47 @@ def _orbit_from_Y(pieces: SplitPieces, times: np.ndarray,
     return OrbitGrid(times, pieces.to_ambient(Y))
 
 
-def lp_solve(pieces: SplitPieces, cfg: LpConfig,
-             v0_plus: np.ndarray) -> LpResult:
-    """Iterate the Lyapunov-Perron operator from the zero orbit to its fixed
-    point; h(v0_plus) is the complement part of v(0).
+class _FixedPoint(NamedTuple):
+    """The converged orbit Y of _lp_fixed_point, the sweeps it took, and
+    what lp_solve's diagnostics read: the increment ratios, the last tail
+    bound, the quasilinear inversion state along Y and the increment norm."""
 
-    Raises NoContractionError when the weighted-norm increments fail to
-    contract for three consecutive sweeps.
+    Y: np.ndarray
+    iterations: int
+    ratios: list
+    tail: float
+    state: tuple | None
+    increment: Callable[[np.ndarray], float]
+
+
+def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
+                    v0_plus: np.ndarray) -> _FixedPoint:
+    """Iterate the Lyapunov-Perron operator from the zero orbit until the
+    weighted-norm increment is at most cfg.tol; lp_solve without its
+    diagnostics, all that a re-solve of h needs.
+
+    Raises ValueError for lam outside the dichotomy gap or a base point
+    outside the eps-ball, and NoContractionError when the increments fail
+    to contract for three consecutive sweeps.
     """
     sp = pieces.splitting
     lo, hi = sp.rest_max_re, sp.lambda_plus
     if not (lo < cfg.lam < hi):
         raise ValueError(
             f"lambda={cfg.lam} outside the dichotomy gap ({lo}, {hi})")
-    d = pieces.d_plus
-    v0_plus = as_state(v0_plus, d)
+    v0_plus = as_state(v0_plus, pieces.d_plus)
     if np.linalg.norm(v0_plus) > cfg.eps * (1 + 1e-12):
         raise ValueError("base point outside the eps-ball")
     times = lp_grid(cfg)
-    m = len(times)
-    h = times[1] - times[0]
-    Y = np.zeros((m, pieces.dim))
-    # the norm of the increments: weighted at level r-1 and rate lam
+    Y = np.zeros((len(times), pieces.dim))
+    # the norm of the increments: weighted at level r-1 and rate lam, with
+    # the level weights folded into the map to ambient coordinates
     decay = np.exp(-cfg.lam * times)
-    weights = pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
+    WB = pieces.B.T * pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
 
     def increment(Ydiff: np.ndarray) -> float:
         # a non-finite state makes its row norm, and so the max, non-finite
-        inc = weighted_sup_norm(Ydiff @ pieces.B.T, decay, weights)
+        inc = float(np.max(decay * _row_norms(Ydiff @ WB)))
         if not math.isfinite(inc):
             raise FloatingPointError("orbit states contain non-finite entries")
         return inc
@@ -637,6 +653,26 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
             raise NoContractionError(
                 f"fixed point not reached in {cfg.max_iter} sweeps "
                 f"(last increment {prev_inc:.3e})")
+    return _FixedPoint(Y, iterations, ratios, tail, state, increment)
+
+
+def lp_solve(pieces: SplitPieces, cfg: LpConfig,
+             v0_plus: np.ndarray) -> LpResult:
+    """Iterate the Lyapunov-Perron operator from the zero orbit to its fixed
+    point; h(v0_plus) is the complement part of v(0).  The diagnostics add
+    one more sweep (the fixed-point residual), the trajectory residual and
+    the quadrature budget.
+
+    Raises NoContractionError when the weighted-norm increments fail to
+    contract for three consecutive sweeps.
+    """
+    fp = _lp_fixed_point(pieces, cfg, v0_plus)
+    Y, state = fp.Y, fp.state
+    v0_plus = as_state(v0_plus)
+    d = pieces.d_plus
+    times = lp_grid(cfg)
+    m = len(times)
+    h = times[1] - times[0]
 
     # fixed-point residual: one more sweep, measured in the same norm; its
     # remainder and ambient field also serve the two checks below
@@ -647,7 +683,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
         Ap, Ar, g, field, _ = pieces.frozen_along(Y, state)
         blocks = (Ap, Ar)
     Ychk, _ = _lp_sweep(pieces, cfg, h, v0_plus, g, blocks)
-    fp_res = increment(Ychk - Y)
+    fp_res = fp.increment(Ychk - Y)
 
     orbit = _orbit_from_Y(pieces, times, Y)
     # centered-difference trajectory residual against the full field
@@ -662,16 +698,15 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     else:
         quad_budget = 0.0
     h_val = Y[-1, d:]
-    contraction = max(ratios) if ratios else 0.0
     diag = {
-        "iterations": iterations,
-        "contraction_factor": contraction,
-        "contraction_ratios": ratios,
+        "iterations": fp.iterations,
+        "contraction_factor": max(fp.ratios) if fp.ratios else 0.0,
+        "contraction_ratios": fp.ratios,
         "fp_residual": fp_res,
-        "tail_bound": tail,
+        "tail_bound": fp.tail,
         "quad_budget": quad_budget,
         "trajectory_residual": traj_res,
-        "error_budget": cfg.tol + tail + quad_budget,
+        "error_budget": cfg.tol + fp.tail + quad_budget,
     }
     return LpResult(base_point=v0_plus, h_value=h_val, orbit=orbit, Y=Y,
                     diagnostics=diag)
@@ -687,15 +722,15 @@ def decay_rate_fit(orbit: OrbitGrid, ladder: NormLadder, r: float,
     mask = norms > floor
     if mask.sum() < 10:
         raise ValueError("orbit too short for a decay fit (need 10 nodes)")
+    # the least-squares line through the centred points
     t = orbit.times[mask]
+    t -= t.mean()
     y = np.log(norms[mask])
-    A = np.vstack([t, np.ones_like(t)]).T
-    coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
-    slope = float(coef[0])
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ss_res = float(res[0]) if len(res) else float(
-        np.sum((y - A @ coef) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    y -= y.mean()
+    slope = float(t @ y / (t @ t))
+    res = y - slope * t
+    ss_tot = float(y @ y)
+    r2 = 1.0 - float(res @ res) / ss_tot if ss_tot > 0 else 1.0
     return slope, r2
 
 
@@ -783,7 +818,6 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
     fp_res = np.full(nsamp, np.nan)
     budget = np.full(nsamp, np.nan)
     status: list[str] = []
-    results: list[LpResult | None] = []
     for i in range(nsamp):
         try:
             res = lp_solve(pieces, cfg, pts[i])
@@ -800,13 +834,11 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
                 except ValueError:
                     pass
             status.append("ok")
-            results.append(res)
         except _SAMPLE_FAILURES as exc:
             status.append(f"failed: {exc}")
-            results.append(None)
     ok = np.array([s == "ok" for s in status])
 
-    diagnostics: dict = {"results": results}
+    diagnostics: dict = {}
     if ok.sum() >= 2:
         # over all pairs of ok samples, in the ambient norm at level r-1
         w = pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
@@ -906,7 +938,9 @@ def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
                         dt_forward: float | None = None) -> dict:
     """Flow each graph sample forward by delta_t and re-solve the graph at the
     new base point; reports ||h(u_+(dt)) - u_-(dt)|| per sample.  The
-    samples flow together, as one batch of states."""
+    samples flow together, as one batch of states.  A re-solve stops at the
+    fixed point, without lp_solve's diagnostics; a sample that flows out of
+    the eps-ball, or whose re-solve fails, is skipped."""
     if delta_t <= 0:
         raise ValueError("delta_t must be positive")
     model = pieces.model
@@ -925,16 +959,12 @@ def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
                            delta_t, dt_forward)
         ys = (u1 - model.equilibrium) @ pieces.Binv.T
     for i, yi in zip(ok, ys):
-        base1 = yi[:d]
-        if np.linalg.norm(base1) > cfg.eps:
-            skipped += 1
-            continue
         try:
-            res1 = lp_solve(pieces, cfg, base1)
+            Y1 = _lp_fixed_point(pieces, cfg, yi[:d]).Y
         except _SAMPLE_FAILURES:
             skipped += 1
             continue
-        arr[i] = float(np.linalg.norm(res1.h_value - yi[d:]))
+        arr[i] = float(np.linalg.norm(Y1[-1, d:] - yi[d:]))
     finite = arr[np.isfinite(arr)]
     return {"residuals": arr,
             "max_residual": float(finite.max()) if finite.size else 0.0,

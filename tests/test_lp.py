@@ -665,6 +665,43 @@ def test_decay_fit_trivial_orbit_rejected():
         decay_rate_fit(OrbitGrid(times, np.zeros((51, 1))), ladder, 0.0)
 
 
+def test_decay_fit_short_window_rejected():
+    # nine nodes above the floor are too few for a fit
+    ladder = NormLadder.euclidean(1)
+    times = np.linspace(-5.0, 0.0, 51)
+    states = np.zeros((51, 1))
+    states[-9:, 0] = 1.0
+    with pytest.raises(ValueError, match="too short"):
+        decay_rate_fit(OrbitGrid(times, states), ladder, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_decay_fit_matches_lstsq_on_noisy_lines(seed):
+    # the centred closed-form line is the least-squares line: slope and R^2
+    # agree with np.linalg.lstsq on the same window, including the nodes
+    # below the floor that the window drops
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(12, 400)), int(rng.integers(1, 4))
+    times = np.linspace(-rng.uniform(2.0, 30.0), 0.0, n)
+    logs = (rng.uniform(0.2, 3.0) * times + rng.normal()
+            + rng.normal(scale=10.0 ** rng.uniform(-6, 0), size=n))
+    direction = rng.normal(size=dim)
+    states = np.exp(logs)[:, None] * direction / np.linalg.norm(direction)
+    ladder = NormLadder(dim, lambda i, r: (1.0 + i) ** r)
+    r = float(rng.uniform(0.0, 2.0))
+    floor = float(np.quantile(np.exp(logs), 0.1))
+    slope, r2 = decay_rate_fit(OrbitGrid(times, states), ladder, r, floor)
+
+    norms = np.linalg.norm(states * ladder.weights(r), axis=1)
+    keep = norms > floor
+    t, y = times[keep], np.log(norms[keep])
+    A = np.vstack([t, np.ones_like(t)]).T
+    coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
+    r2_ref = 1.0 - res[0] / np.sum((y - y.mean()) ** 2)
+    assert slope == pytest.approx(coef[0], rel=1e-12)
+    assert r2 == pytest.approx(r2_ref, rel=1e-12)
+
+
 # -------------------------------------------------------------------- graphs
 
 def test_graph_saddle1_pointwise():
@@ -861,11 +898,12 @@ def test_invariance_mmt_within_budget():
 
 def test_invariance_counts_floating_point_failure_as_skipped(monkeypatch):
     # a non-finite remainder in a re-solve raises FloatingPointError; the
-    # sample is skipped, as build_manifold_graph marks it failed
+    # sample is skipped, as build_manifold_graph marks it failed.  A re-solve
+    # runs the fixed-point iteration alone, so that is where the failure goes
     _, _, pieces = saddle1_pieces()
     pts = np.array([[-0.08], [0.05], [0.08]])
     graph = build_manifold_graph(pieces, CFG1, grid_spec=pts)
-    real = lp.lp_solve
+    real = lp._lp_fixed_point
     calls = []
 
     def flaky(pieces_, cfg_, v0):
@@ -874,7 +912,7 @@ def test_invariance_counts_floating_point_failure_as_skipped(monkeypatch):
             raise FloatingPointError("non-finite remainder evaluation")
         return real(pieces_, cfg_, v0)
 
-    monkeypatch.setattr(lp, "lp_solve", flaky)
+    monkeypatch.setattr(lp, "_lp_fixed_point", flaky)
     rep = invariance_residual(graph, pieces, CFG1, 0.1)
     assert len(calls) == 3
     assert rep["skipped"] == 1
@@ -920,6 +958,82 @@ def test_invariance_flows_the_samples_as_one_batch(which, monkeypatch):
             assert np.array_equal(u1, single)
         else:
             assert np.abs(u1 - single).max() <= 1e-15 * np.abs(single).max()
+
+
+def _fixed_point_case(which):
+    if which == "saddle1":
+        _, _, pieces = saddle1_pieces()
+        return pieces, CFG1, np.array([0.09])
+    if which == "rd":
+        _, _, pieces = rd_pieces(2.0, 6)
+        cfg = LpConfig(lam=0.5, T_max=16.0, dt=0.01, eps=0.08, tol=1e-9)
+        return pieces, cfg, np.array([0.05, -0.04])
+    if which == "mmt7":
+        _, sp, pieces = mmt_mi_pieces(half=3)
+        cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
+                       dt=0.01, eps=0.05, tol=1e-9)
+        return pieces, cfg, np.array([0.03, 0.01])
+    # the quasilinear route, whose sweeps go through frozen_along
+    m, sp, _ = _coupled_saddle()
+    q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
+    cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.15, tol=1e-11)
+    return q.pieces, cfg, np.array([0.06])
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "quasi"])
+def test_fixed_point_is_lp_solves_orbit(which):
+    # lp_solve runs the fixed-point iteration and only adds diagnostics:
+    # the orbit and the sweep count are the same, bit for bit
+    pieces, cfg, base = _fixed_point_case(which)
+    if which == "mmt7":
+        assert pieces.model.dimension == 14
+    else:
+        assert pieces.autonomous == (which != "quasi")
+    fp = lp._lp_fixed_point(pieces, cfg, base)
+    res = lp_solve(pieces, cfg, base)
+    assert np.array_equal(fp.Y, res.Y)
+    assert fp.iterations == res.diagnostics["iterations"]
+    assert np.array_equal(fp.Y[-1, pieces.d_plus:], res.h_value)
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd"])
+def test_invariance_residual_is_lp_solve_residual(which, monkeypatch):
+    # the re-solves stop at the fixed point, yet every residual is the one
+    # a full lp_solve at the flowed base point gives, bit for bit; a flowed
+    # base outside the eps-ball fails lp_solve's own check and is skipped
+    if which == "saddle1":
+        _, _, pieces = saddle1_pieces()
+        cfg, grid = CFG1, 21
+    else:
+        _, _, pieces = rd_pieces(2.0, 6)
+        cfg = LpConfig(lam=0.5, T_max=16.0, dt=0.01, eps=0.08, tol=1e-9)
+        grid = 5
+    graph = build_manifold_graph(pieces, cfg, grid_spec=grid)
+    assert all(graph.ok)
+    flows = []
+
+    def recording(*args):
+        flows.append(integrate_rk4(*args))
+        return flows[-1]
+
+    monkeypatch.setattr(lp, "integrate_rk4", recording)
+    rep = invariance_residual(graph, pieces, cfg, 0.1)
+    ys = (flows[0] - pieces.model.equilibrium) @ pieces.Binv.T
+    d = pieces.d_plus
+    outside = 0
+    for i, yi in enumerate(ys):
+        try:
+            h1 = lp_solve(pieces, cfg, yi[:d]).h_value
+        except ValueError:
+            outside += 1
+            assert np.isnan(rep["residuals"][i])
+            continue
+        assert rep["residuals"][i] == float(np.linalg.norm(h1 - yi[d:]))
+    assert rep["skipped"] == outside
+    if which == "saddle1":
+        # the two end samples flow out of the ball
+        assert outside == 2
+        assert np.isnan(rep["residuals"][[0, -1]]).all()
 
 
 def test_lp_solve_refuses_non_finite_orbit(monkeypatch):
