@@ -985,10 +985,7 @@ def test_fixed_point_is_lp_solves_orbit(which):
     # lp_solve runs the fixed-point iteration and only adds diagnostics:
     # the orbit and the sweep count are the same, bit for bit
     pieces, cfg, base = _fixed_point_case(which)
-    if which == "mmt7":
-        assert pieces.model.dimension == 14
-    else:
-        assert pieces.autonomous == (which != "quasi")
+    assert pieces.autonomous == (which != "quasi")
     fp = lp._lp_fixed_point(pieces, cfg, base)
     res = lp_solve(pieces, cfg, base)
     assert np.array_equal(fp.Y, res.Y)
