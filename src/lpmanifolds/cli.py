@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -444,9 +445,13 @@ COMMANDS = {
 }
 
 
+# main's parser, built once per process: parse_args keeps no state between
+# calls
+_parser = functools.cache(make_parser)
+
+
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     cfg_path = getattr(args, "config", None)
     try:
         args._file_config = load_config_file(cfg_path) if cfg_path else {}

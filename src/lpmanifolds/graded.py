@@ -52,9 +52,6 @@ class NormLadder:
     dim: int
     weight_fn: Callable[[int, float], float]
 
-    def weight(self, i: int, r: float) -> float:
-        return self.weight_fn(i, r)
-
     def weights(self, r: float) -> np.ndarray:
         return np.array([self.weight_fn(i, r) for i in range(self.dim)])
 

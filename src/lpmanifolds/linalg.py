@@ -3,8 +3,9 @@
 Splits the equilibrium linearization into unstable/center/stable blocks with
 true spectral projections (ordered Schur + Sylvester), builds the quadratic
 forms L solving A^T L + L A - 2 w L = -I that certify dissipativity at rate w,
-and integrates linear systems v' = A(t)v along stored trajectories with
-growth-bound and metric-variation diagnostics.
+integrates linear systems v' = A(t)v along stored trajectories with
+growth-bound and metric-variation diagnostics, and iterates contractions to
+their fixed points under one stopping rule.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .graded import OrbitGrid, as_state, lerp_nodes
 
 __all__ = [
     "AmbiguousSplitError",
+    "NoContractionError",
     "ProjectionPair",
     "SpectralSplitting",
     "LyapunovForm",
@@ -45,6 +47,10 @@ __all__ = [
 
 class AmbiguousSplitError(ValueError):
     """An eigenvalue sits inside the forbidden band around the gap boundary."""
+
+
+class NoContractionError(RuntimeError):
+    """A fixed-point iteration stopped with its increment above tol."""
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -184,14 +190,9 @@ def hamiltonian_symmetry_check(A, tol: float = 1e-8) -> dict:
     """
     M = _as_matrix(A)
     lam = np.linalg.eigvals(M)
-    remaining = list(lam)
-    worst = 0.0
-    for z in lam:
-        target = -np.conj(z)
-        dists = [abs(w - target) for w in remaining]
-        j = int(np.argmin(dists))
-        worst = max(worst, dists[j])
-    return {"worst": float(worst), "symmetric": bool(worst <= tol)}
+    # row i: the distances |lambda_j - (-conj(lambda_i))| over all j
+    worst = float(np.abs(lam + np.conj(lam)[:, None]).min(axis=1).max())
+    return {"worst": worst, "symmetric": bool(worst <= tol)}
 
 
 @dataclass
@@ -728,6 +729,37 @@ def metric_variation_bound(L_path: Sequence[np.ndarray],
     return {"direct": direct, "bound": bound, "CL2": CL2}
 
 
+def _contract(sweep: Callable, x, increment: Callable[..., float],
+              tol: float, max_iter: int) -> tuple:
+    """Iterate x <- sweep(x) until increment(sweep(x) - x) is at most tol;
+    returns the last iterate and the list of per-sweep increments.
+
+    Raises NoContractionError once three consecutive sweeps above tol did
+    not shrink the increment, or when max_iter sweeps end above tol, and
+    ValueError for max_iter < 1.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    incs: list[float] = []
+    n_bad = 0
+    for _ in range(max_iter):
+        new = sweep(x)
+        inc = increment(new - x)
+        x = new
+        if incs and incs[-1] > 0:
+            n_bad = n_bad + 1 if inc / incs[-1] >= 1.0 else 0
+        incs.append(inc)
+        if inc <= tol:
+            return x, incs
+        if n_bad >= 3:
+            raise NoContractionError(
+                f"no contraction: the increment did not shrink in 3 "
+                f"sweeps (last {inc:.3e})")
+    raise NoContractionError(
+        f"fixed point not reached in {max_iter} sweeps "
+        f"(last increment {inc:.3e})")
+
+
 def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
                  tol: float = 1e-10) -> tuple[OrbitGrid, dict]:
     """Fixed point of v(t) = U(t,0)v0 + int_0^t U(t,s) f(v(s)) ds on [0, T].
@@ -736,7 +768,8 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
     integrates the linear system v' = A(t)v + f(v_prev(t)) with
     f(v) = F(v) - DF(v)v.  Diagnostics report the measured per-iteration
     contraction factor and the discrepancy at T against the adaptive
-    `oracles.reference_flow`.
+    `oracles.reference_flow`.  Raises NoContractionError when the sweeps
+    stop above tol.
     """
     from .oracles import reference_flow   # oracles imports this module
 
@@ -746,44 +779,33 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
     m = max(2, int(round(T / dt)) + 1)
     times = np.linspace(0.0, T, m)
     h = times[1] - times[0]
-    states = np.tile(v0, (m, 1))
+    start = np.tile(v0, (m, 1))
 
     def frozen(S):
         """A = DF and g = F - A v at the states S (rows)."""
         A = model.jacobian_many(S)
         return A, model.field_many(S) - (A @ S[:, :, None])[:, :, 0]
 
-    ratios: list[float] = []
-    prev_inc = None
-    n_bad = 0
-    iterations = 0
-    for it in range(max_iter):
-        iterations = it + 1
-        if it == 0:
+    def sweep(S):
+        if S is start:
             # every node of the first iterate is v0
             A, g = (np.broadcast_to(x, (m,) + x.shape[1:])
                     for x in frozen(v0[None, :]))
         else:
-            A, g = frozen(states)
-        new = rk4_affine(A, g, v0, h)
-        inc = float(np.max(np.linalg.norm(new - states, axis=1)))
-        states = new
-        if prev_inc is not None and prev_inc > 0:
-            ratio = inc / prev_inc
-            ratios.append(ratio)
-            n_bad = n_bad + 1 if ratio >= 1.0 else 0
-            if n_bad >= 3:
-                raise RuntimeError("no contraction at this T")
-        prev_inc = inc
-        if inc <= tol:
-            break
+            A, g = frozen(S)
+        return rk4_affine(A, g, v0, h)
+
+    states, incs = _contract(
+        sweep, start, lambda diff: float(np.max(np.linalg.norm(diff, axis=1))),
+        tol, max_iter)
+    ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0]
     orbit = OrbitGrid(times, states)
     ref = reference_flow(model.vector_field, v0, 0.0, T)
     ref_diff = float(np.linalg.norm(states[-1] - ref))
-    factor = max(ratios) if ratios else 0.0
-    return orbit, {"contraction_factor": factor, "iterations": iterations,
+    return orbit, {"contraction_factor": max(ratios) if ratios else 0.0,
+                   "iterations": len(incs),
                    "reference_discrepancy": ref_diff,
-                   "final_increment": prev_inc}
+                   "final_increment": incs[-1]}
 
 
 def variational_flow(model, orbit: OrbitGrid, dt: float,

@@ -22,8 +22,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .graded import NormLadder, OrbitGrid, _row_norms, as_state
-from .linalg import (SpectralSplitting, integrate_rk4, linear_scan, rk4_affine,
-                     scan_plan)
+from .linalg import (NoContractionError, SpectralSplitting, _contract,
+                     integrate_rk4, linear_scan, rk4_affine, scan_plan)
 from .models import ModelSystem, _per_row, _states
 from .oracles import finite_difference_jacobian
 
@@ -47,10 +47,6 @@ __all__ = [
     "decay_rate_fit",
     "lp_variational",
 ]
-
-
-class NoContractionError(RuntimeError):
-    pass
 
 
 # failures that mark one manifold sample as failed instead of aborting a
@@ -81,6 +77,9 @@ class LpConfig:
             raise ValueError("need 0 < dt < T_max")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if self.max_iter < 1:
+            raise ValueError(
+                f"max_iter must be at least 1, got {self.max_iter}")
 
 
 def lp_grid(cfg: LpConfig) -> np.ndarray:
@@ -554,16 +553,13 @@ def _lp_sweep(pieces: SplitPieces, cfg: LpConfig, h: float,
         new[:, :d] = rk4_affine(Ap[::-1], gp[::-1], v0_plus, -h)[::-1]
         new[:, d:] = rk4_affine(Ar, gr, np.zeros(pieces.d_rest), h)
 
-    if pieces.d_rest and pieces.autonomous:
-        c_rest = pieces.rest_growth_constant(cfg.T_max)
-        denom = cfg.lam - pieces.splitting.rest_max_re
-        tail = c_rest * float(np.linalg.norm(gr[0])) / max(denom, 1e-12)
-    elif pieces.d_rest:
-        denom = cfg.lam - pieces.splitting.rest_max_re
-        tail = float(np.linalg.norm(gr[0])) / max(denom, 1e-12)
-    else:
-        tail = 0.0
-    return new, tail
+    if not pieces.d_rest:
+        return new, 0.0
+    # the quasilinear route carries no dichotomy constant
+    c_rest = (pieces.rest_growth_constant(cfg.T_max) if pieces.autonomous
+              else 1.0)
+    denom = cfg.lam - pieces.splitting.rest_max_re
+    return new, c_rest * float(np.linalg.norm(gr[0])) / max(denom, 1e-12)
 
 
 @dataclass
@@ -575,22 +571,20 @@ class LpResult:
     diagnostics: dict
 
 
-def _orbit_from_Y(pieces: SplitPieces, times: np.ndarray,
-                  Y: np.ndarray) -> OrbitGrid:
-    return OrbitGrid(times, pieces.to_ambient(Y))
-
-
 class _FixedPoint(NamedTuple):
-    """The converged orbit Y of _lp_fixed_point, the sweeps it took, and
-    what lp_solve's diagnostics read: the increment ratios, the last tail
-    bound, the quasilinear inversion state along Y and the increment norm."""
+    """The converged orbit Y of _lp_fixed_point, the increment of each
+    sweep, and what else lp_solve's diagnostics read: the last tail bound,
+    the quasilinear inversion state along Y and the increment norm."""
 
     Y: np.ndarray
-    iterations: int
-    ratios: list
+    increments: list
     tail: float
     state: tuple | None
-    increment: Callable[[np.ndarray], float]
+    norm: Callable[[np.ndarray], float]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.increments)
 
 
 def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
@@ -600,8 +594,8 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
     diagnostics, all that a re-solve of h needs.
 
     Raises ValueError for lam outside the dichotomy gap or a base point
-    outside the eps-ball, and NoContractionError when the increments fail
-    to contract for three consecutive sweeps.
+    outside the eps-ball, and NoContractionError when the sweeps stop above
+    cfg.tol (linalg._contract).
     """
     sp = pieces.splitting
     lo, hi = sp.rest_max_re, sp.lambda_plus
@@ -612,48 +606,30 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
     if np.linalg.norm(v0_plus) > cfg.eps * (1 + 1e-12):
         raise ValueError("base point outside the eps-ball")
     times = lp_grid(cfg)
-    Y = np.zeros((len(times), pieces.dim))
     # the norm of the increments: weighted at level r-1 and rate lam, with
     # the level weights folded into the map to ambient coordinates
     decay = np.exp(-cfg.lam * times)
     WB = pieces.B.T * pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
 
-    def increment(Ydiff: np.ndarray) -> float:
+    def norm(Ydiff: np.ndarray) -> float:
         # a non-finite state makes its row norm, and so the max, non-finite
         inc = float(np.max(decay * _row_norms(Ydiff @ WB)))
         if not math.isfinite(inc):
             raise FloatingPointError("orbit states contain non-finite entries")
         return inc
 
-    ratios: list[float] = []
-    prev_inc = None
-    n_bad = 0
-    tail = 0.0
-    iterations = 0
     # the quasilinear route starts each sweep's inversions of B from the
     # previous sweep's
-    state = None
-    for it in range(cfg.max_iter):
-        iterations = it + 1
+    state = tail = None
+
+    def sweep(Y):
+        nonlocal state, tail
         Ynew, tail, state = lp_apply(pieces, cfg, v0_plus, Y, state)
-        inc = increment(Ynew - Y)
-        Y = Ynew
-        if prev_inc is not None and prev_inc > 0:
-            ratio = inc / prev_inc
-            ratios.append(ratio)
-            n_bad = n_bad + 1 if ratio >= 1.0 else 0
-            if n_bad >= 3 and inc > cfg.tol:
-                raise NoContractionError(
-                    "no contraction: shrink eps or adjust lambda")
-        prev_inc = inc
-        if inc <= cfg.tol:
-            break
-    else:
-        if prev_inc is not None and prev_inc > cfg.tol:
-            raise NoContractionError(
-                f"fixed point not reached in {cfg.max_iter} sweeps "
-                f"(last increment {prev_inc:.3e})")
-    return _FixedPoint(Y, iterations, ratios, tail, state, increment)
+        return Ynew
+
+    Y, incs = _contract(sweep, np.zeros((len(times), pieces.dim)), norm,
+                        cfg.tol, cfg.max_iter)
+    return _FixedPoint(Y, incs, tail, state, norm)
 
 
 def lp_solve(pieces: SplitPieces, cfg: LpConfig,
@@ -663,8 +639,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     one more sweep (the fixed-point residual), the trajectory residual and
     the quadrature budget.
 
-    Raises NoContractionError when the weighted-norm increments fail to
-    contract for three consecutive sweeps.
+    Raises NoContractionError when the sweeps stop above cfg.tol.
     """
     fp = _lp_fixed_point(pieces, cfg, v0_plus)
     Y, state = fp.Y, fp.state
@@ -683,9 +658,9 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
         Ap, Ar, g, field, _ = pieces.frozen_along(Y, state)
         blocks = (Ap, Ar)
     Ychk, _ = _lp_sweep(pieces, cfg, h, v0_plus, g, blocks)
-    fp_res = fp.increment(Ychk - Y)
+    fp_res = fp.norm(Ychk - Y)
 
-    orbit = _orbit_from_Y(pieces, times, Y)
+    orbit = OrbitGrid(times, pieces.to_ambient(Y))
     # centered-difference trajectory residual against the full field
     deriv = np.gradient(orbit.states, h, axis=0)
     traj_res = float(np.max(_row_norms(
@@ -698,10 +673,12 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     else:
         quad_budget = 0.0
     h_val = Y[-1, d:]
+    incs = fp.increments
+    ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0]
     diag = {
         "iterations": fp.iterations,
-        "contraction_factor": max(fp.ratios) if fp.ratios else 0.0,
-        "contraction_ratios": fp.ratios,
+        "contraction_factor": max(ratios) if ratios else 0.0,
+        "contraction_ratios": ratios,
         "fp_residual": fp_res,
         "tail_bound": fp.tail,
         "quad_budget": quad_budget,
@@ -978,7 +955,8 @@ def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig,
     Solves the linear Lyapunov-Perron system for U^1(t) (columns = derivative
     directions) by the same quadrature; returns (U1 trajectory, Dq) where Dq
     is the complement block of U^1(0) -- the graph derivative at the base
-    point.  At the equilibrium Dq = 0 exactly (tangency).
+    point.  At the equilibrium Dq = 0 exactly (tangency).  Raises
+    NoContractionError when the sweeps stop above tol.
     """
     times = lp_grid(cfg)
     m = len(times)
@@ -995,17 +973,11 @@ def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig,
     # iterate is the homogeneous unstable propagation of the identity
     eye = np.eye(d)
     W = _lp_quadrature(pieces, h, eye, np.zeros((m, d, n)))
-    prev = None
-    for it in range(max_iter):
-        Wn = _lp_quadrature(pieces, h, eye, W @ AtilT)
-        inc = float(np.max(np.exp(-cfg.lam * times)
-                           * np.linalg.norm(Wn - W, axis=(1, 2))))
-        W = Wn
-        if prev is not None and inc > prev and inc > tol and it > 3:
-            raise NoContractionError("variational LP system not contracting")
-        prev = inc
-        if inc <= tol:
-            break
+    decay = np.exp(-cfg.lam * times)
+    W, _ = _contract(
+        lambda X: _lp_quadrature(pieces, h, eye, X @ AtilT), W,
+        lambda dW: float(np.max(decay * np.linalg.norm(dW, axis=(1, 2)))),
+        tol, max_iter)
     V = W.transpose(0, 2, 1)
     Dq = V[m - 1, d:, :].copy()
     return V, Dq

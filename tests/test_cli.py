@@ -204,6 +204,42 @@ def test_config_file_and_override(capsys, tmp_path):
     assert len(p2.read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_manifold_refuses_max_iter_below_one(capsys, max_iter):
+    # without a sweep every sample would report h = 0 as converged
+    code, out, err = run_cli(capsys, "manifold", "--model", "saddle1",
+                             "--grid", "5", "--max-iter", max_iter)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: max_iter must be at least 1, got {max_iter}\n"
+
+
+def test_consecutive_mains_do_not_share_values(capsys, tmp_path):
+    # main builds its parser once; each call still parses its own flags and
+    # reads its own config file
+    c1 = tmp_path / "one.cfg"
+    c1.write_text("model=saddle1\neps=0.1\ngrid=3\ndt=0.005\nlam=0.9\n")
+    c2 = tmp_path / "two.cfg"
+    c2.write_text("model=rd\nmodes=5\nlambda_param=2\n")
+    p1 = tmp_path / "a.csv"
+    code, _, _ = run_cli(capsys, "manifold", "--config", str(c1),
+                         "--grid", "4", "--out", str(p1))
+    assert code == 0
+    assert len(p1.read_text().splitlines()) == 5
+    code, out, _ = run_cli(capsys, "split", "--config", str(c2))
+    assert code == 0
+    assert "dim_plus=2" in out
+    # nothing of the first call is left: its grid flag and file are gone
+    p2 = tmp_path / "b.csv"
+    code, _, _ = run_cli(capsys, "manifold", "--config", str(c1),
+                         "--out", str(p2))
+    assert code == 0
+    assert len(p2.read_text().splitlines()) == 4
+    code, out, _ = run_cli(capsys, "split", "--model", "saddle1")
+    assert code == 0
+    assert "dim_plus=1" in out
+
+
 def test_csv_seventeen_digits(capsys, tmp_path):
     out_path = tmp_path / "g.csv"
     run_cli(capsys, "manifold", "--model", "saddle1", "--eps", "0.1",

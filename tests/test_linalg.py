@@ -6,7 +6,9 @@ import pytest
 from lpmanifolds.graded import NormLadder, OrbitGrid
 from lpmanifolds.linalg import (
     AmbiguousSplitError,
+    NoContractionError,
     Timeline,
+    _contract,
     dissipativity_check,
     eigen_split,
     evolve,
@@ -425,6 +427,55 @@ def test_picard_no_contraction_error():
                          lambda u: np.array([[2.0 * u[0]]]), np.zeros(1))
     with pytest.raises(RuntimeError, match="no contraction"):
         picard_solve(model, np.array([1.0]), 0.999, 1e-3, max_iter=40)
+
+
+def test_picard_stopping_above_tol_raises():
+    # two sweeps cannot reach 1e-30: the unconverged orbit is refused
+    with pytest.raises(NoContractionError, match="not reached in 2 sweeps"):
+        picard_solve(saddle_toy("saddle1"), np.array([0.1, 0.05]), 0.5, 1e-3,
+                     max_iter=2, tol=1e-30)
+
+
+# ------------------------------------------------------- contraction loop
+
+def _counted(f):
+    """f with a count of its calls in .calls."""
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+def test_contract_halving_map_converges():
+    x, incs = _contract(lambda x: x / 2, 1.0, abs, 1e-6, 60)
+    assert incs[-1] <= 1e-6 < incs[-2]
+    assert x == incs[-1]
+    assert all(b == a / 2 for a, b in zip(incs, incs[1:]))
+
+
+def test_contract_doubling_map_raises_after_three_growing_sweeps():
+    sweep = _counted(lambda x: 2 * x)
+    with pytest.raises(NoContractionError, match="^no contraction"):
+        _contract(sweep, 1.0, abs, 1e-6, 60)
+    # increments 1, 2, 4, 8: the fourth sweep is the third that grew
+    assert sweep.calls == 4
+
+
+def test_contract_slow_map_raises_at_max_iter():
+    sweep = _counted(lambda x: 0.99 * x)
+    with pytest.raises(NoContractionError,
+                       match="fixed point not reached in 3 sweeps"):
+        _contract(sweep, 1.0, abs, 1e-12, 3)
+    assert sweep.calls == 3
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_contract_refuses_max_iter_below_one(max_iter):
+    sweep = _counted(lambda x: x / 2)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        _contract(sweep, 1.0, abs, 1e-6, max_iter)
+    assert sweep.calls == 0
 
 
 # ----------------------------------------------------------- variational flow

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from lpmanifolds import linalg, lp
+import lpmanifolds
+from lpmanifolds import cli, linalg, lp
 from lpmanifolds.graded import NormLadder, OrbitGrid, graded_norm
 from lpmanifolds.linalg import (
     Timeline,
@@ -537,6 +538,13 @@ def test_lp_solve_eps_validation():
     _, _, pieces = saddle1_pieces()
     with pytest.raises(ValueError, match="ball"):
         lp_solve(pieces, CFG1, np.array([0.5]))
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_lp_config_refuses_max_iter_below_one(max_iter):
+    # without a sweep the iteration would return the zero orbit as h
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.12, max_iter=max_iter)
 
 
 def _coupled_saddle():
@@ -1083,6 +1091,20 @@ def test_variational_matches_graph_fd():
         fd = (hp - hm) / (2 * h_step)
         denom = max(np.linalg.norm(fd), 1e-8)
         assert np.linalg.norm(Dq[:, j] - fd) / denom <= 1e-3
+
+
+def test_variational_stopping_above_tol_raises():
+    # two sweeps cannot reach 1e-30 on rd: the unconverged Dq is refused
+    _, _, pieces = rd_pieces(2.0, 6)
+    cfg = LpConfig(lam=0.8, T_max=30.0, dt=0.01, eps=0.1, tol=1e-11)
+    res = lp_solve(pieces, cfg, np.array([0.05, 0.04]))
+    with pytest.raises(NoContractionError, match="not reached in 2 sweeps"):
+        lp_variational(res, pieces, cfg, max_iter=2, tol=1e-30)
+
+
+def test_no_contraction_error_is_one_class():
+    assert (lp.NoContractionError is linalg.NoContractionError
+            is lpmanifolds.NoContractionError is cli.NoContractionError)
 
 
 @pytest.mark.parametrize("which", ["rd", "mmt7"])
