@@ -120,8 +120,9 @@ class SplitPieces:
     Coordinates: y = Binv @ (u - equilibrium), with the first d_plus entries
     spanning the unstable subspace.  f_split returns the remainder
     Binv (F(eq + B y) - A0 B y), which vanishes to second order at 0;
-    A0 = DF(equilibrium) is computed once and kept.  The cache is not a
-    field of the constructor, so dataclasses.replace starts a fresh one.
+    A0 = DF(equilibrium) is computed once and kept, with whether F(eq) is
+    exactly zero (rests_exactly).  The cache is not a field of the
+    constructor, so dataclasses.replace starts a fresh one.
     """
 
     model: ModelSystem
@@ -164,15 +165,30 @@ class SplitPieces:
         if not self.autonomous:
             _, _, out, field, _ = self.frozen_along(np.atleast_2d(Y))
             return out.reshape(Y.shape), field.reshape(Y.shape)
+        cache = self._at_equilibrium()
+        BY = Y @ self.B.T
+        eq = cache["eq"]
+        field = self.model.field_many(BY if eq is None else BY + eq)
+        return (field - BY @ cache["A0"].T) @ self.Binv.T, field
+
+    @property
+    def rests_exactly(self) -> bool:
+        """F(equilibrium) is exactly zero, so the remainder of the zero
+        orbit is exactly zero and the first Lyapunov-Perron sweep is the
+        linear flow (_linear_flow)."""
+        return self._at_equilibrium()["rests"]
+
+    def _at_equilibrium(self) -> dict:
+        """The cache, holding the model at the equilibrium from its first
+        call on: A0 = DF(eq), eq itself (None when exactly zero, so it is
+        not added to the states) and whether F(eq) is exactly zero."""
         if "A0" not in self._cache:
             eq = self.model.equilibrium
             self._cache["A0"] = self.model.jacobian(eq)
-            # an exactly zero equilibrium is not added to the states
             self._cache["eq"] = eq if np.any(eq) else None
-        BY = Y @ self.B.T
-        eq = self._cache["eq"]
-        field = self.model.field_many(BY if eq is None else BY + eq)
-        return (field - BY @ self._cache["A0"].T) @ self.Binv.T, field
+            self._cache["rests"] = not np.any(
+                self.model.field_many(eq[None]))
+        return self._cache
 
     def to_ambient(self, Y: np.ndarray) -> np.ndarray:
         return Y @ self.B.T + self.model.equilibrium
@@ -510,6 +526,20 @@ def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
     return new
 
 
+def _linear_flow(pieces: SplitPieces, h: float, m: int,
+                 v0_plus: np.ndarray) -> np.ndarray:
+    """_lp_quadrature of zero forcing on m nodes of step h: the linear flow
+    U_+(t, 0) v0_plus, one unstable scan from v0_plus, with exact zeros in
+    the complement.  Axes of v0_plus before its last are independent
+    orbits, as in _lp_quadrature."""
+    d = pieces.d_plus
+    lead = (m,) + np.shape(v0_plus)[:-1]
+    new = np.zeros(lead + (pieces.dim,))
+    new[..., :d] = linear_scan(pieces.scan_plans(h)[0], np.zeros(lead + (d,)),
+                               v0_plus)[::-1]
+    return new
+
+
 def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
              Y: np.ndarray, start: tuple | None = None
              ) -> tuple[np.ndarray, float, tuple | None]:
@@ -593,6 +623,13 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
     weighted-norm increment is at most cfg.tol; lp_solve without its
     diagnostics, all that a re-solve of h needs.
 
+    On the autonomous route with F(eq) exactly zero (pieces.rests_exactly)
+    the remainder of the zero orbit is zero, so the first sweep is the
+    linear flow U_+(t, 0) v0_plus with a zero complement and tail bound 0:
+    one unstable scan, no model call.  It still counts as a sweep.  The
+    quasilinear route, and a model whose F(eq) is only zero to roundoff,
+    take the full first sweep.
+
     Raises ValueError for lam outside the dichotomy gap or a base point
     outside the eps-ball, and NoContractionError when the sweeps stop above
     cfg.tol (linalg._contract).
@@ -621,9 +658,16 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
     # the quasilinear route starts each sweep's inversions of B from the
     # previous sweep's
     state = tail = None
+    # the first sweep acts on the zero orbit: where F(eq) is exactly zero
+    # its remainder is zero, and the sweep is the linear flow with tail 0
+    linear = pieces.autonomous and pieces.rests_exactly
 
     def sweep(Y):
-        nonlocal state, tail
+        nonlocal state, tail, linear
+        if linear:
+            linear, tail = False, 0.0
+            return _linear_flow(pieces, _grid_step(cfg.T_max, cfg.dt),
+                                len(Y), v0_plus)
         Ynew, tail, state = lp_apply(pieces, cfg, v0_plus, Y, state)
         return Ynew
 
@@ -637,7 +681,10 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     """Iterate the Lyapunov-Perron operator from the zero orbit to its fixed
     point; h(v0_plus) is the complement part of v(0).  The diagnostics add
     one more sweep (the fixed-point residual), the trajectory residual and
-    the quadrature budget.
+    the quadrature budget.  Where F(eq) is exactly zero on the autonomous
+    route, the first sweep is the linear flow and evaluates no model
+    (_lp_fixed_point), so a solve of k sweeps evaluates the field on
+    k grids: k - 1 sweeps and the residual sweep.
 
     Raises NoContractionError when the sweeps stop above cfg.tol.
     """
@@ -778,12 +825,19 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
     """Sample the manifold graph over a ball in the unstable coordinates.
 
     Samples are solved independently; failures are marked in the status
-    column rather than aborting the graph.  Diagnostics carry the Lipschitz
-    estimate at level r-1 and the tangency fit of ||h|| / ||v|| vs ||v||.
+    column rather than aborting the graph; an integer grid_spec that puts
+    no point in the eps-ball is refused with ValueError.  Diagnostics carry
+    the Lipschitz estimate at level r-1 and the tangency fit of
+    ||h|| / ||v|| vs ||v||.
     """
     d = pieces.d_plus
     if isinstance(grid_spec, (int, np.integer)):
         pts = _ball_grid(d, cfg.eps, int(grid_spec), seed=seed)
+        if not len(pts):
+            raise ValueError(
+                f"no base point to sample: a grid of {int(grid_spec)} per "
+                f"dimension (--grid) has none in the eps-ball "
+                f"(eps = {cfg.eps:g})")
     else:
         pts = np.atleast_2d(np.asarray(grid_spec, dtype=float))
     nsamp = pts.shape[0]
@@ -972,7 +1026,7 @@ def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig,
     # W[j] = U^1(t_j)^T, one row per derivative direction; the initial
     # iterate is the homogeneous unstable propagation of the identity
     eye = np.eye(d)
-    W = _lp_quadrature(pieces, h, eye, np.zeros((m, d, n)))
+    W = _linear_flow(pieces, h, m, eye)
     decay = np.exp(-cfg.lam * times)
     W, _ = _contract(
         lambda X: _lp_quadrature(pieces, h, eye, X @ AtilT), W,

@@ -155,6 +155,34 @@ def test_picard_runs(capsys):
     assert "reference_discrepancy=" in out
 
 
+def test_picard_converged_after_a_growing_sweep_exits_zero(capsys, tmp_path):
+    # the second increment is larger than the first, yet the sweeps reach
+    # tol; convergence is the rule, not the largest increment ratio
+    out_path = tmp_path / "p.csv"
+    code, out, err = run_cli(capsys, "picard", "--model", "saddle1",
+                             "--x0", "0.8", "--t-final", "2",
+                             "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert "iterations=3 " in out
+    factor = float(out.split("contraction_factor=")[1].split()[0])
+    assert factor > 1.0
+    assert len(out_path.read_text().splitlines()) == 2002
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "saddle1", "--grid", "0"],
+    ["--model", "rd", "--lambda-param", "2", "--modes", "6", "--grid", "1"],
+    ["--model", "rd", "--lambda-param", "2", "--modes", "6", "--grid", "2"],
+], ids=["saddle1-grid0", "rd-grid1", "rd-grid2"])
+def test_manifold_grid_without_base_points_is_refused(capsys, argv):
+    # no sample was tried: a validation error, not a numerical failure
+    code, out, err = run_cli(capsys, "manifold", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no base point to sample")
+    assert "--grid" in err and "eps" in err
+
+
 def test_unknown_model_exit_code(capsys):
     code, _, err = run_cli(capsys, "split", "--model", "nope")
     assert code == 1

@@ -1001,6 +1001,115 @@ def test_fixed_point_is_lp_solves_orbit(which):
     assert np.array_equal(fp.Y[-1, pieces.d_plus:], res.h_value)
 
 
+def _counted_saddle1():
+    """saddle1 as a single-state custom_model that counts its field rows."""
+    rows = []
+
+    def F(u):
+        rows.append(1)
+        x, y = u
+        return np.array([x, -y + x * x])
+
+    def jac(u):
+        return np.array([[1.0, 0.0], [2.0 * u[0], -1.0]])
+
+    m = custom_model("counted_saddle1", F, jac, np.zeros(2))
+    sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
+    return split_field(m, sp), rows
+
+
+def test_linear_first_sweep_makes_no_field_call():
+    # the first sweep from the zero orbit is the linear flow: a fixed point
+    # of k sweeps evaluates the field on k - 1 grids, lp_solve on k (its
+    # residual sweep included); the first solve adds the one row of F(eq)
+    pieces, rows = _counted_saddle1()
+    cfg = LpConfig(lam=0.9, T_max=10.0, dt=0.01, eps=0.12, tol=1e-10)
+    m = len(lp_grid(cfg))
+    rows.clear()
+    fp = lp._lp_fixed_point(pieces, cfg, np.array([0.1]))
+    assert fp.iterations >= 3
+    assert len(rows) == (fp.iterations - 1) * m + 1
+    rows.clear()
+    assert lp._lp_fixed_point(pieces, cfg, np.array([0.1])).iterations == (
+        fp.iterations)
+    assert len(rows) == (fp.iterations - 1) * m
+    rows.clear()
+    res = lp_solve(pieces, cfg, np.array([0.1]))
+    assert res.diagnostics["iterations"] == fp.iterations
+    assert len(rows) == fp.iterations * m
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd"])
+def test_linear_first_sweep_is_the_sweep_of_the_zero_orbit(which,
+                                                           monkeypatch):
+    # a tolerance the first sweep meets stops the fixed point there: its
+    # orbit is lp_apply's of the zero orbit, bit for bit, with an exactly
+    # zero complement and tail 0, and no sweep went through lp_apply
+    pieces, cfg, base = _fixed_point_case(which)
+    assert pieces.rests_exactly
+    Y0 = np.zeros((len(lp_grid(cfg)), pieces.dim))
+    want, want_tail, _ = lp_apply(pieces, cfg, base, Y0)
+    applied = []
+    monkeypatch.setattr(lp, "lp_apply",
+                        lambda *a: applied.append(1) or lp_apply(*a))
+    fp = lp._lp_fixed_point(pieces, dataclasses.replace(cfg, tol=1.0), base)
+    assert fp.iterations == 1 and not applied
+    assert np.array_equal(fp.Y, want)
+    assert np.all(fp.Y[:, pieces.d_plus:] == 0.0)
+    assert fp.tail == want_tail == 0.0
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd"])
+def test_linear_first_sweep_keeps_every_sweep(which, monkeypatch):
+    # with the first sweep taken through lp_apply, as where F(eq) is not
+    # exactly zero, the orbit, increments and tail are the same, bit for bit
+    pieces, cfg, base = _fixed_point_case(which)
+    fp = lp._lp_fixed_point(pieces, cfg, base)
+    monkeypatch.setattr(lp.SplitPieces, "rests_exactly",
+                        property(lambda self: False))
+    full = lp._lp_fixed_point(pieces, cfg, base)
+    assert np.array_equal(fp.Y, full.Y)
+    assert fp.increments == full.increments
+    assert fp.tail == full.tail
+
+
+def test_mmt7_first_sweep_evaluates_the_zero_orbit(monkeypatch):
+    # the plane wave's F(eq) is roundoff, not zero: the first sweep still
+    # evaluates the model on the zero orbit
+    pieces, cfg, base = _fixed_point_case("mmt7")
+    assert not pieces.rests_exactly
+    seen = []
+    real = lp.lp_apply
+
+    def recording(pieces, cfg, v0, Y, start=None):
+        seen.append(not np.any(Y))
+        return real(pieces, cfg, v0, Y, start)
+
+    monkeypatch.setattr(lp, "lp_apply", recording)
+    fp = lp._lp_fixed_point(pieces, cfg, base)
+    assert seen[0] and not any(seen[1:])
+    assert len(seen) == fp.iterations
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd"])
+def test_variational_starts_from_the_linear_flow(which, monkeypatch):
+    # lp_variational's first iterate is the linear flow of the identity,
+    # the quadrature of zero forcing: V and Dq are those of that start
+    pieces, cfg, base = _fixed_point_case(which)
+    res = lp_solve(pieces, cfg, base)
+    V, Dq = lp_variational(res, pieces, cfg)
+    d, m = pieces.d_plus, len(lp_grid(cfg))
+    h = lp._grid_step(cfg.T_max, cfg.dt)
+    flow = lp._linear_flow(pieces, h, m, np.eye(d))
+    assert np.array_equal(flow, lp._lp_quadrature(
+        pieces, h, np.eye(d), np.zeros((m, d, pieces.dim))))
+    monkeypatch.setattr(lp, "_linear_flow", lambda p, h, m, v0: (
+        lp._lp_quadrature(p, h, v0, np.zeros((m, d, p.dim)))))
+    V_ref, Dq_ref = lp_variational(res, pieces, cfg)
+    assert np.abs(Dq).max() > 0
+    assert np.array_equal(V, V_ref) and np.array_equal(Dq, Dq_ref)
+
+
 @pytest.mark.parametrize("which", ["saddle1", "rd"])
 def test_invariance_residual_is_lp_solve_residual(which, monkeypatch):
     # the re-solves stop at the fixed point, yet every residual is the one
