@@ -6,7 +6,7 @@ lp.build_manifold_graph).  Independent checks live in oracles; linear
 water-wave criteria in waterwave; the command line front end in cli.
 """
 
-from .graded import NormLadder, OrbitGrid, graded_norm, weighted_orbit_norm
+from .graded import NormLadder, OrbitGrid, graded_norm
 from .linalg import (
     AmbiguousSplitError,
     LyapunovForm,

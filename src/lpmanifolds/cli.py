@@ -89,8 +89,6 @@ def merged(args: argparse.Namespace, key: str, default, cast=float):
         return val
     fileval = args._file_config.get(key)
     if fileval is not None:
-        if cast is bool:
-            return fileval.lower() in ("1", "true", "yes")
         return cast(fileval)
     return default
 
@@ -197,10 +195,6 @@ def cmd_manifold(args) -> int:
         raise ValueError("no unstable directions at this gap")
     pieces = split_field(model, sp)
     cfg = make_lp_config(args, sp)
-    if not (sp.rest_max_re < cfg.lam < sp.lambda_plus):
-        raise ValueError(
-            f"lambda={cfg.lam} outside the dichotomy gap "
-            f"({sp.rest_max_re}, {sp.lambda_plus})")
     n_grid = int(merged(args, "grid", 11, int))
     seed = int(merged(args, "seed", 0, int))
     graph = build_manifold_graph(pieces, cfg, grid_spec=n_grid, seed=seed)

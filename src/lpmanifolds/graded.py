@@ -1,4 +1,4 @@
-"""Graded coefficient spaces: per-coordinate weight ladders and weighted orbit norms.
+"""Graded coefficient spaces: per-coordinate weight ladders and sampled orbits.
 
 A finite Galerkin truncation carries a scale of norms indexed by a level r >= 0.
 The scale is realized by per-coordinate multiplicative weights mu_i(r), with
@@ -8,7 +8,8 @@ mu_i(0) = 1 and mu_i nondecreasing in r, so that
 
 For Fourier models the weights are Sobolev-type, mu_xi(r) = (1+|xi|^2)^(s(r)/2)
 normalized so the level-0 norm is Euclidean.  Orbits on a backward time grid
-carry the exponentially weighted sup norm max_j e^(-lam*t_j) ||v(t_j)||_r.
+carry the exponentially weighted sup norm max_j e^(-lam*t_j) ||v(t_j)||_r,
+in which lp._lp_fixed_point measures the Lyapunov-Perron increments.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ __all__ = [
     "OrbitGrid",
     "as_state",
     "graded_norm",
-    "lerp_nodes",
-    "weighted_orbit_norm",
-    "weighted_sup_norm",
 ]
 
 
@@ -122,42 +120,6 @@ class OrbitGrid:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
-    def state_at(self, t: float) -> np.ndarray:
-        """Linear interpolation between nodes (exact at nodes)."""
-        t0, t1 = self.times[0], self.times[-1]
-        if t < t0 - 1e-12 or t > t1 + 1e-12:
-            raise ValueError(f"time {t} outside orbit span [{t0}, {t1}]")
-        return lerp_nodes(self.times, self.states, t)
-
-
-def lerp_nodes(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    """values (one entry per node along axis 0) linearly interpolated at t:
-    np.interp on every component at once, exact at the nodes and clamped to
-    the end values outside [times[0], times[-1]]."""
-    t = min(max(t, times[0]), times[-1])
-    j = int(np.searchsorted(times, t, side="right")) - 1
-    if j >= len(times) - 1:
-        return values[-1].copy()
-    slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
-    return slope * (t - times[j]) + values[j]
-
-
-def weighted_orbit_norm(orbit: OrbitGrid, lam: float, ladder: NormLadder,
-                        r: float) -> float:
-    """max_j e^(-lam*t_j) ||v(t_j)||_r over the grid (lam = 0: plain sup)."""
-    if len(orbit.times) == 0:
-        raise ValueError("empty orbit")
-    return weighted_sup_norm(orbit.states, np.exp(-lam * orbit.times),
-                             ladder.weights(r))
-
-
-def weighted_sup_norm(states: np.ndarray, decay: np.ndarray,
-                      weights: np.ndarray) -> float:
-    """max_j decay_j sqrt(sum_i (weights_i states_ji)^2): weighted_orbit_norm
-    with decay = e^(-lam*t_j) and the level weights computed by the caller,
-    who can keep them over many orbits on one grid."""
-    return float(np.max(decay * _row_norms(states * weights)))
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .graded import OrbitGrid, as_state, lerp_nodes
+from .graded import OrbitGrid, as_state
 
 __all__ = [
     "AmbiguousSplitError",
@@ -36,7 +36,6 @@ __all__ = [
     "metric_variation_bound",
     "picard_solve",
     "variational_flow",
-    "rk4_step",
     "integrate_rk4",
     "ScanPlan",
     "scan_plan",
@@ -247,8 +246,8 @@ def dissipativity_check(form: LyapunovForm, A, omega: float) -> float:
 # ---------------------------------------------------------------------------
 # time stepping
 
-def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
-             y: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
+              y: np.ndarray, h: float) -> np.ndarray:
     k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
@@ -276,7 +275,7 @@ def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float, dt: float,
     if record_times is None:
         t = t0
         for _ in range(nsteps):
-            y = rk4_step(f, t, y, h)
+            y = _rk4_step(f, t, y, h)
             t += h
         return y
     rec = list(record_times)
@@ -289,7 +288,7 @@ def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float, dt: float,
         m = max(int(sub != 0), int(round(abs(sub) / abs(h))))
         hh = sub / m if m else 0.0
         for _ in range(m):
-            y_cur = rk4_step(f, t_cur, y_cur, hh)
+            y_cur = _rk4_step(f, t_cur, y_cur, hh)
             t_cur += hh
         out.append(y_cur.copy())
     return np.array(rec), np.array(out)
@@ -308,10 +307,9 @@ class ScanPlan:
     """Tables of linear_scan for one (d, d) matrix E and the forcing taps
     (P, Q) of x_j = E x_{j-1} + P u_{j-1} + Q u_j.
 
-    P and Q are None for the plain form x_j = E x_{j-1} + u_j (taps 0 and
-    I).  b is the number of nodes per block of the blocked route, 0 when
-    the route does not apply to this d (the plan then carries only E and
-    the taps).  `table` is the ((b+1)*d, b*d) matrix whose block (l, i) is
+    b is the number of nodes per block of the blocked route, 0 when the
+    route does not apply to this d (the plan then carries only E and the
+    taps).  `table` is the ((b+1)*d, b*d) matrix whose block (l, i) is
     (E^{i-l+1} Q + E^{i-l} P)^T, a power below 0 counting as 0, without
     the Q term in block row l = 0: a row of the b + 1 inputs
     u_{k-1}, ..., u_{k+b-1} times `table` is the scan of the b nodes
@@ -323,27 +321,25 @@ class ScanPlan:
 
     E: np.ndarray
     b: int
-    P: np.ndarray | None = None
-    Q: np.ndarray | None = None
+    P: np.ndarray
+    Q: np.ndarray
     table: np.ndarray | None = None
     carry: np.ndarray | None = None
     Eb: list = field(default_factory=list)
 
 
-def scan_plan(E, P=None, Q=None) -> ScanPlan:
-    """The ScanPlan of E with the forcing taps P and Q (both None, or both
-    (d, d) matrices); build it once to reuse it over many scans."""
+def scan_plan(E, P, Q) -> ScanPlan:
+    """The ScanPlan of E with the forcing taps P and Q, all (d, d)
+    matrices; build it once to reuse it over many scans.  The taps 0 and I
+    give the plain recurrence x_j = E x_{j-1} + u_j."""
     E = np.asarray(E, dtype=float)
     if E.ndim != 2 or E.shape[0] != E.shape[1]:
         raise ValueError(f"expected a square step matrix, got shape {E.shape}")
     d = E.shape[0]
-    if (P is None) != (Q is None):
-        raise ValueError("give both forcing taps P and Q, or neither")
-    if P is not None:
-        P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-        if P.shape != (d, d) or Q.shape != (d, d):
-            raise ValueError(f"expected forcing taps of size {d}, got shapes "
-                             f"{P.shape} and {Q.shape}")
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    if P.shape != (d, d) or Q.shape != (d, d):
+        raise ValueError(f"expected forcing taps of size {d}, got shapes "
+                         f"{P.shape} and {Q.shape}")
     b = _block_nodes(d)
     if not b:
         return ScanPlan(E, 0, P, Q)
@@ -358,18 +354,14 @@ def scan_plan(E, P=None, Q=None) -> ScanPlan:
     # tap[k] = (E^k Q + E^{k-1} P)^T is the weight of u_{j-k} in x_j, and
     # head[i] = (E^i P)^T that of the input just before a block in its
     # node i, which the block's scan from 0 does not see through Q
-    if P is None:
-        tap, head = powers[:b], None
-    else:
-        head = P.T @ powers[:b]
-        tap = Q.T @ powers[:b]
-        tap[1:] += head[:-1]
+    head = P.T @ powers[:b]
+    tap = Q.T @ powers[:b]
+    tap[1:] += head[:-1]
     l, i = np.triu_indices(b + 1, -1, b)
     keep = l > 0
     table = np.zeros((b + 1, d, b, d))
     table[l[keep], :, i[keep], :] = tap[i[keep] - l[keep] + 1]
-    if head is not None:
-        table[0] = head.transpose(1, 0, 2)
+    table[0] = head.transpose(1, 0, 2)
     carry = powers[1:].transpose(1, 0, 2).reshape(d, b * d)
     return ScanPlan(E, b, P, Q, table.reshape((b + 1) * d, b * d), carry,
                     [powers[b].T.copy()])
@@ -475,45 +467,44 @@ def _chunked_scan(Q: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
-    """x_0 = x0 (X[0] when x0 is None), x_j = E_j x_{j-1} + X[j] along
-    axis 0, or with a ScanPlan's forcing taps x_j = E x_{j-1} + P X[j-1]
-    + Q X[j]; X is left intact.
+    """x_0 = x0 (X[0] when x0 is None), then with a ScanPlan's forcing taps
+    x_j = E x_{j-1} + P X[j-1] + Q X[j], or with a stack of step matrices
+    x_j = E_j x_{j-1} + X[j], along axis 0; X is left intact.
 
-    E is one (d, d) matrix for every step, a ScanPlan of one (scan_plan(E)
-    or scan_plan(E, P, Q), whose tables are then reused), or a stack of
-    m - 1 matrices, E[j - 1] taking x_{j-1} to x_j.  The states lie along
-    the last axis of X; axes in between hold independent recurrences with
-    the same matrices, and x0 broadcasts against X[0].
+    E is a ScanPlan (scan_plan(E, P, Q), whose tables are reused) or a
+    stack of m - 1 matrices, E[j - 1] taking x_{j-1} to x_j.  The states
+    lie along the last axis of X; axes in between hold independent
+    recurrences with the same matrices, and x0 broadcasts against X[0].
 
-    One matrix with b = 64 // d >= 4 and m >= 2b takes the blocked route:
+    A plan with b = 64 // d >= 4 on m >= 2b nodes takes the blocked route:
     nodes 1 .. m-1 fall into blocks of b, one gemm of the plan's
     ((b+1)*d, b*d) table with a strided window of b + 1 input rows per
     block scans every block at once, taps included, a doubling scan with
     the plan's powers of E^b over the block ends gives the carries, and a
     second gemm adds carry times E^{i+1} at node i of each block.  That is
     O(m*b*d^2) work in two passes over the grid; a plan costs b small
-    matmuls, so pass one when the same E is scanned repeatedly.
+    matmuls, so keep it when the same E is scanned repeatedly.
 
-    Otherwise (d > 16, few nodes, or step stacks) the chunked route: the
-    taps first form the plain inputs P X[j-1] + Q X[j] in two gemms, then
-    the nodes fall into about sqrt(m) chunks of about sqrt(m) nodes, a
-    sequential pass steps inside every chunk at once, the short recurrence
-    over the chunk ends gives the carries, and a second pass adds them.
-    That is O(m*d^2) work for one matrix and O(m*d^3) for a stack (the
-    transfer matrix of every chunk), with no log(m) factor, in about
+    Otherwise (d > 16, few nodes, or step stacks) the chunked route: a
+    plan's taps first form the plain inputs P X[j-1] + Q X[j] in two gemms,
+    then the nodes fall into about sqrt(m) chunks of about sqrt(m) nodes,
+    a sequential pass steps inside every chunk at once, the short
+    recurrence over the chunk ends gives the carries, and a second pass
+    adds them.  That is O(m*d^2) work for a plan and O(m*d^3) for a stack
+    (the transfer matrix of every chunk), with no log(m) factor, in about
     2*sqrt(m) matmuls.
     """
     X = np.asarray(X, dtype=float)
     m, d = X.shape[0], X.shape[-1]
     plan = E if isinstance(E, ScanPlan) else None
-    E = plan.E if plan is not None else E
-    if E.ndim == 3:
-        if E.shape != (m - 1, d, d):
-            raise ValueError(f"expected {m - 1} step matrices of size {d}, "
-                             f"got shape {E.shape}")
-    elif E.shape != (d, d):
-        raise ValueError(f"expected one step matrix of size {d}, got shape "
-                         f"{E.shape}")
+    if plan is not None:
+        E = plan.E
+        if E.shape != (d, d):
+            raise ValueError(f"expected one step matrix of size {d}, got "
+                             f"shape {E.shape}")
+    elif np.shape(E) != (m - 1, d, d):
+        raise ValueError(f"expected a ScanPlan or {m - 1} step matrices of "
+                         f"size {d}, got shape {np.shape(E)}")
     if X.size == 0:
         return X.copy()
     rows = X.reshape(m, -1, d)
@@ -524,15 +515,12 @@ def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
         start = np.asarray(x0, dtype=float)
         if start.ndim > 1:
             start = start.reshape(-1, d)
-    b = _block_nodes(d)
-    if E.ndim == 2 and b and m >= 2 * b:
-        plan = plan if plan is not None else scan_plan(E)
+    if plan is not None and plan.b and m >= 2 * plan.b:
         return _blocked_scan(plan, rows, start).reshape(X.shape)
-    taps = plan is not None and plan.P is not None
-    if taps or x0 is not None:
+    if plan is not None or x0 is not None:
         inputs = np.empty(rows.shape)
         inputs[0] = start
-        if taps:
+        if plan is not None:
             # the taps on the (m - 1) * r input rows, as two 2-D gemms
             flat, r = rows.reshape(-1, d), rows.shape[1]
             forced = inputs[1:].reshape(-1, d)
@@ -617,8 +605,20 @@ class Timeline:
             raise ValueError(f"time {t} outside timeline hull [{lo}, {hi}]")
         t = min(max(t, lo), hi)
         if self._matrices is not None:
-            return lerp_nodes(self.times, self._matrices, t)
-        return self._model.jacobian(lerp_nodes(self.times, self._states, t))
+            return _lerp_nodes(self.times, self._matrices, t)
+        return self._model.jacobian(_lerp_nodes(self.times, self._states, t))
+
+
+def _lerp_nodes(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+    """values (one entry per node along axis 0) linearly interpolated at t:
+    np.interp on every component at once, exact at the nodes and clamped to
+    the end values outside [times[0], times[-1]]."""
+    t = min(max(t, times[0]), times[-1])
+    j = int(np.searchsorted(times, t, side="right")) - 1
+    if j >= len(times) - 1:
+        return values[-1].copy()
+    slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
+    return slope * (t - times[j]) + values[j]
 
 
 def evolve(tl: Timeline, v0, t0: float, t1: float, dt: float) -> np.ndarray:
@@ -766,10 +766,12 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
 
     Each sweep freezes A(t) = DF(v_prev(t)) along the previous iterate and
     integrates the linear system v' = A(t)v + f(v_prev(t)) with
-    f(v) = F(v) - DF(v)v.  Diagnostics report the measured per-iteration
-    contraction factor and the discrepancy at T against the adaptive
-    `oracles.reference_flow`.  Raises NoContractionError when the sweeps
-    stop above tol.
+    f(v) = F(v) - DF(v)v.  Diagnostics report the iterations, the last
+    increment, the discrepancy at T against the adaptive
+    `oracles.reference_flow`, and contraction_factor: the largest ratio of
+    consecutive sweep increments (0 with one sweep).  That is an observed
+    ratio, not a bound; a run that converges may report one above 1.
+    Raises NoContractionError when the sweeps stop above tol.
     """
     from .oracles import reference_flow   # oracles imports this module
 
@@ -808,13 +810,13 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
                    "final_increment": incs[-1]}
 
 
-def variational_flow(model, orbit: OrbitGrid, dt: float,
-                     residual_tol: float | None = None) -> np.ndarray:
+def variational_flow(model, orbit: OrbitGrid, dt: float) -> np.ndarray:
     """Integrate the matrix linearization U' = DF(u(t))U, U(first)=I, along
     an orbit, returning U at every grid node (shape m x n x n).
 
     The orbit is validated by the centered-difference trajectory residual,
-    whose natural size is O(grid_dt^2); residual_tol defaults to that scale.
+    whose natural size is O(grid_dt^2): it is refused above
+    10 grid_dt^2 max(max|F|, 1) max(max|u|, 1) + 1e-9.
     """
     m, n = orbit.states.shape
     if m < 3:
@@ -822,9 +824,8 @@ def variational_flow(model, orbit: OrbitGrid, dt: float,
     gdt = orbit.dt
     scale = max(1.0, float(np.abs(orbit.states).max()))
     F = model.field_many(orbit.states)
-    if residual_tol is None:
-        fmax = float(np.linalg.norm(F, axis=1).max())
-        residual_tol = 10.0 * gdt ** 2 * max(fmax, 1.0) * scale + 1e-9
+    fmax = float(np.linalg.norm(F, axis=1).max())
+    residual_tol = 10.0 * gdt ** 2 * max(fmax, 1.0) * scale + 1e-9
     deriv = np.gradient(orbit.states, orbit.times, axis=0)
     worst = float(np.linalg.norm(deriv - F, axis=1)[1:-1].max())
     if worst > residual_tol:

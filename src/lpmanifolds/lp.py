@@ -194,27 +194,17 @@ class SplitPieces:
         return Y @ self.B.T + self.model.equilibrium
 
     def propagators(self, h: float):
-        """(Em, psi1, psi1 - psi2) of -A_plus and (Ep, phi1, phi2) of
-        A_rest for the step h, built once per h together with the
-        linear_scan plans of the quadrature (scan_plans)."""
-        key = round(h, 15)
-        if ("prop", key) not in self._cache:
-            Em, p1m, p2m = _phi_matrices(-self.A_plus, h)
-            Ep, p1p, p2p = _phi_matrices(self.A_rest, h)
-            p12m = p1m - p2m
-            self._cache["prop", key] = (Em, p1m, p12m, Ep, p1p, p2p)
-            self._cache["plans", key] = (
-                scan_plan(Em, -h * p12m, -h * p2m),
-                scan_plan(Ep, h * (p1p - p2p), h * p2p))
-        return self._cache["prop", key]
-
-    def scan_plans(self, h: float):
-        """linear_scan plans of the exponential-trapezoid quadrature for
-        the step h: Em with the taps (-h (psi1 - psi2), -h psi2) and Ep with
-        (h (phi1 - phi2), h phi2), from propagators(h)."""
+        """The linear_scan plans of the quadrature for the step h, built
+        once per h from the phi matrices (Em, psi1, psi2) of -A_plus and
+        (Ep, phi1, phi2) of A_rest: Em with the taps (-h (psi1 - psi2),
+        -h psi2) and Ep with (h (phi1 - phi2), h phi2)."""
         key = ("plans", round(h, 15))
         if key not in self._cache:
-            self.propagators(h)
+            Em, p1m, p2m = _phi_matrices(-self.A_plus, h)
+            Ep, p1p, p2p = _phi_matrices(self.A_rest, h)
+            self._cache[key] = (
+                scan_plan(Em, -h * (p1m - p2m), -h * p2m),
+                scan_plan(Ep, h * (p1p - p2p), h * p2p))
         return self._cache[key]
 
     def rest_growth_constant(self, T: float) -> float:
@@ -233,12 +223,12 @@ class SplitPieces:
         return self._cache[key]
 
 
-def split_field(model: ModelSystem, splitting: SpectralSplitting,
-                df0_tol: float = 1e-6) -> SplitPieces:
+def split_field(model: ModelSystem, splitting: SpectralSplitting
+                ) -> SplitPieces:
     """Semilinear realization: autonomous blocks of A(0) plus remainder f.
 
     f(y) = F(y) - A(0) y has f(0) = 0 and Df(0) = 0; the latter is checked by
-    central finite differences and refused if it exceeds df0_tol.
+    central finite differences and refused if ||Df(0)|| exceeds 1e-6.
     """
     Bp = splitting.projection.basis_plus
     Br = splitting.projection.basis_rest
@@ -262,7 +252,7 @@ def split_field(model: ModelSystem, splitting: SpectralSplitting,
         return model.vector_field(u) - A0 @ y
 
     Df0 = finite_difference_jacobian(f_amb, np.zeros(model.dimension), 1e-6)
-    if np.linalg.norm(Df0) > df0_tol:
+    if np.linalg.norm(Df0) > 1e-6:
         raise ValueError(
             f"splitting inconsistent with Jacobian: ||Df(0)|| = "
             f"{np.linalg.norm(Df0):.3e}")
@@ -516,10 +506,10 @@ def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
     S_j = Em S_{j+1} - h (psi1 - psi2) g_{j+1} - h psi2 g_j, and the
     complement forward from 0 at t = -T_max,
     R_{j+1} = Ep R_j + h (phi1 - phi2) g_j + h phi2 g_{j+1}: each one
-    linear_scan of the remainder rows with the taps of scan_plans(h).
+    linear_scan of the remainder rows with the taps of propagators(h).
     """
     d = pieces.d_plus
-    plan_m, plan_p = pieces.scan_plans(h)
+    plan_m, plan_p = pieces.propagators(h)
     new = np.empty_like(g)
     new[..., :d] = linear_scan(plan_m, g[::-1, ..., :d], v0_plus)[::-1]
     new[..., d:] = linear_scan(plan_p, g[..., d:], 0.0)
@@ -535,8 +525,8 @@ def _linear_flow(pieces: SplitPieces, h: float, m: int,
     d = pieces.d_plus
     lead = (m,) + np.shape(v0_plus)[:-1]
     new = np.zeros(lead + (pieces.dim,))
-    new[..., :d] = linear_scan(pieces.scan_plans(h)[0], np.zeros(lead + (d,)),
-                               v0_plus)[::-1]
+    new[..., :d] = linear_scan(pieces.propagators(h)[0],
+                               np.zeros(lead + (d,)), v0_plus)[::-1]
     return new
 
 
@@ -617,6 +607,14 @@ class _FixedPoint(NamedTuple):
         return len(self.increments)
 
 
+def _require_lam_in_gap(pieces: SplitPieces, cfg: LpConfig) -> None:
+    """Refuse a cfg.lam outside the gap (rest_max_re, lambda_plus)."""
+    lo, hi = pieces.splitting.rest_max_re, pieces.splitting.lambda_plus
+    if not (lo < cfg.lam < hi):
+        raise ValueError(
+            f"lambda={cfg.lam} outside the dichotomy gap ({lo}, {hi})")
+
+
 def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
                     v0_plus: np.ndarray) -> _FixedPoint:
     """Iterate the Lyapunov-Perron operator from the zero orbit until the
@@ -634,11 +632,7 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
     outside the eps-ball, and NoContractionError when the sweeps stop above
     cfg.tol (linalg._contract).
     """
-    sp = pieces.splitting
-    lo, hi = sp.rest_max_re, sp.lambda_plus
-    if not (lo < cfg.lam < hi):
-        raise ValueError(
-            f"lambda={cfg.lam} outside the dichotomy gap ({lo}, {hi})")
+    _require_lam_in_gap(pieces, cfg)
     v0_plus = as_state(v0_plus, pieces.d_plus)
     if np.linalg.norm(v0_plus) > cfg.eps * (1 + 1e-12):
         raise ValueError("base point outside the eps-ball")
@@ -686,6 +680,10 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     (_lp_fixed_point), so a solve of k sweeps evaluates the field on
     k grids: k - 1 sweeps and the residual sweep.
 
+    The diagnostic contraction_factor is the largest ratio of consecutive
+    sweep increments (0 with one sweep): an observed ratio, not a bound on
+    the contraction constant.
+
     Raises NoContractionError when the sweeps stop above cfg.tol.
     """
     fp = _lp_fixed_point(pieces, cfg, v0_plus)
@@ -725,7 +723,6 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     diag = {
         "iterations": fp.iterations,
         "contraction_factor": max(ratios) if ratios else 0.0,
-        "contraction_ratios": ratios,
         "fp_residual": fp_res,
         "tail_bound": fp.tail,
         "quad_budget": quad_budget,
@@ -775,8 +772,8 @@ class ManifoldGraph:
         return np.array([s == "ok" for s in self.status])
 
 
-def _ball_grid(d: int, eps: float, n_per_dim: int, seed: int = 0,
-               n_random: int = 64) -> np.ndarray:
+def _ball_grid(d: int, eps: float, n_per_dim: int,
+               seed: int = 0) -> np.ndarray:
     if d == 1:
         return np.linspace(-eps, eps, n_per_dim).reshape(-1, 1)
     if d <= 3:
@@ -785,10 +782,10 @@ def _ball_grid(d: int, eps: float, n_per_dim: int, seed: int = 0,
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         keep = np.linalg.norm(pts, axis=1) <= eps * (1 + 1e-12)
         return pts[keep]
-    # above tensor-grid dimension: seeded low-discrepancy samples in the ball
+    # above tensor-grid dimension: 64 seeded Sobol samples, those in the ball
     from scipy.stats import qmc
     sampler = qmc.Sobol(d, scramble=True, seed=seed)
-    cube = sampler.random(n_random) * 2.0 - 1.0
+    cube = sampler.random(64) * 2.0 - 1.0
     keep = np.linalg.norm(cube, axis=1) <= 1.0
     return cube[keep] * eps
 
@@ -825,11 +822,13 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
     """Sample the manifold graph over a ball in the unstable coordinates.
 
     Samples are solved independently; failures are marked in the status
-    column rather than aborting the graph; an integer grid_spec that puts
-    no point in the eps-ball is refused with ValueError.  Diagnostics carry
+    column rather than aborting the graph.  A cfg.lam outside the dichotomy
+    gap, and an integer grid_spec that puts no point in the eps-ball, are
+    refused with ValueError before any sample.  Diagnostics carry
     the Lipschitz estimate at level r-1 and the tangency fit of
     ||h|| / ||v|| vs ||v||.
     """
+    _require_lam_in_gap(pieces, cfg)
     d = pieces.d_plus
     if isinstance(grid_spec, (int, np.integer)):
         pts = _ball_grid(d, cfg.eps, int(grid_spec), seed=seed)
@@ -965,20 +964,19 @@ def contraction_budget(C0: float, Cf: float, k: float, lambda_minus: float,
 
 
 def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
-                        cfg: LpConfig, delta_t: float = 0.1,
-                        dt_forward: float | None = None) -> dict:
+                        cfg: LpConfig, delta_t: float = 0.1) -> dict:
     """Flow each graph sample forward by delta_t and re-solve the graph at the
     new base point; reports ||h(u_+(dt)) - u_-(dt)|| per sample.  The
-    samples flow together, as one batch of states.  A re-solve stops at the
+    samples flow together, as one batch of states, by RK4 with steps of at
+    most min(cfg.dt, 0.1 / max(||DF(eq)||_2, 1)).  A re-solve stops at the
     fixed point, without lp_solve's diagnostics; a sample that flows out of
     the eps-ball, or whose re-solve fails, is skipped."""
     if delta_t <= 0:
         raise ValueError("delta_t must be positive")
     model = pieces.model
     d = pieces.d_plus
-    if dt_forward is None:
-        A0 = model.jacobian(model.equilibrium)
-        dt_forward = min(cfg.dt, 0.1 / max(np.linalg.norm(A0, 2), 1.0))
+    A0 = model.jacobian(model.equilibrium)
+    dt_forward = min(cfg.dt, 0.1 / max(np.linalg.norm(A0, 2), 1.0))
     arr = np.full(graph.base_points.shape[0], np.nan)
     ok = np.flatnonzero(graph.ok)
     skipped = len(arr) - len(ok)

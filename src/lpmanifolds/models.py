@@ -206,12 +206,11 @@ def mmt_block(p: MmtParams, xi: int) -> ModePairBlock:
     return ModePairBlock(c_plus=cp, c_minus=cm, c=c, block=block)
 
 
-def mmt_unstable_scan(p: MmtParams, xi_range: Sequence[int],
-                      confirm: bool = True) -> list[dict]:
+def mmt_unstable_scan(p: MmtParams, xi_range: Sequence[int]) -> list[dict]:
     """Per-pair discriminant c+^2 + c-^2 - 2c^2; negative flags instability.
 
-    Flagged pairs are confirmed by a dense eigensolve of the assembled block
-    (some eigenvalue with real part > 1e-8) when confirm is set.
+    Every pair also gets a dense eigensolve of its assembled block: max_re
+    is its largest real part, and confirmed says max_re > 1e-8.
     """
     rows = []
     for xi in xi_range:
@@ -219,14 +218,10 @@ def mmt_unstable_scan(p: MmtParams, xi_range: Sequence[int],
             continue
         blk = mmt_block(p, xi)
         B, _ = blk.quartic_coeffs()
-        flagged = B < 0
-        row = {"xi": int(xi), "partner": int(2 * p.xi0 - xi),
-               "discriminant": float(B), "flagged": bool(flagged)}
-        if confirm:
-            max_re = float(np.linalg.eigvals(blk.block).real.max())
-            row["max_re"] = max_re
-            row["confirmed"] = bool(max_re > 1e-8)
-        rows.append(row)
+        max_re = float(np.linalg.eigvals(blk.block).real.max())
+        rows.append({"xi": int(xi), "partner": int(2 * p.xi0 - xi),
+                     "discriminant": float(B), "flagged": bool(B < 0),
+                     "max_re": max_re, "confirmed": bool(max_re > 1e-8)})
     return rows
 
 
@@ -429,11 +424,6 @@ class WaveProfile:
     phi_x: np.ndarray
     phi_max: float
     level_residual: float
-
-    def hamiltonian(self, c: float, p: float, a: float) -> np.ndarray:
-        return (0.5 * (1.0 + a * self.phi ** 2) * self.phi_x ** 2
-                - 0.5 * c * self.phi ** 2
-                + np.abs(self.phi) ** (p + 1) / (p + 1))
 
 
 def kdv_wave_profile(c: float, p: float, a: float, x_grid) -> WaveProfile:

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from lpmanifolds.graded import (
-    NormLadder,
-    OrbitGrid,
-    graded_norm,
-    weighted_orbit_norm,
-)
+from lpmanifolds.graded import NormLadder, OrbitGrid, graded_norm
 
 
 def test_zero_vector_any_ladder():
@@ -52,40 +47,6 @@ def test_ladder_monotone_random():
 def test_fourier_ladder_level_zero_is_euclidean():
     ladder = NormLadder.fourier([0, 1, 3], lambda r: (1 + 2 * r) * 0.75)
     assert ladder.weights(0.0) == pytest.approx(np.ones(6))
-
-
-def test_orbit_single_node():
-    ladder = NormLadder.euclidean(2)
-    orbit = OrbitGrid(np.array([0.0]), np.array([[3.0, 4.0]]))
-    assert weighted_orbit_norm(orbit, 2.3, ladder, 0.0) == pytest.approx(5.0)
-
-
-def test_weights_cancel_exponential_orbit():
-    ladder = NormLadder.euclidean(1)
-    lam = 0.7
-    times = np.linspace(-5.0, 0.0, 41)
-    states = (2.0 * np.exp(lam * times)).reshape(-1, 1)
-    orbit = OrbitGrid(times, states)
-    assert weighted_orbit_norm(orbit, lam, ladder, 0.0) == pytest.approx(
-        2.0, rel=1e-12)
-
-
-def test_two_node_orbit_direct():
-    # v(t) = e^{2t} (1,0) on {-1, 0} with lam = 1: max(e*e^{-2}, 1) = 1
-    ladder = NormLadder.euclidean(2)
-    times = np.array([-1.0, 0.0])
-    states = np.array([[np.exp(-2.0), 0.0], [1.0, 0.0]])
-    orbit = OrbitGrid(times, states)
-    assert weighted_orbit_norm(orbit, 1.0, ladder, 0.0) == pytest.approx(1.0)
-
-
-def test_lambda_zero_is_plain_sup():
-    ladder = NormLadder.euclidean(1)
-    times = np.linspace(-3.0, 0.0, 7)
-    states = np.cos(times).reshape(-1, 1)
-    orbit = OrbitGrid(times, states)
-    assert weighted_orbit_norm(orbit, 0.0, ladder, 0.0) == pytest.approx(
-        np.max(np.abs(np.cos(times))))
 
 
 def test_empty_orbit_rejected():

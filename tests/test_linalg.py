@@ -197,19 +197,14 @@ def test_interpolation_matches_np_interp():
     samples = np.concatenate([rng.uniform(times[0], times[-1], size=200),
                               times, [times[0] - 1e-13, times[-1] + 1e-13]])
     for t in samples:
-        for got, values in ((orbit.state_at(t), states),
-                            (tl_mats.operator_at(t), mats),
+        for got, values in ((tl_mats.operator_at(t), mats),
                             (np.diag(tl_orbit.operator_at(t)), states)):
             expect = ref(values, t)
             assert got.shape == expect.shape
             assert np.abs(got - expect).max() <= 1e-15 * np.abs(values).max()
     for j, t in enumerate(times):
-        assert np.array_equal(orbit.state_at(t), states[j])
         assert np.array_equal(tl_mats.operator_at(t), mats[j])
-    assert np.array_equal(orbit.state_at(times[-1] + 1e-13), states[-1])
     assert np.array_equal(tl_mats.operator_at(times[0] - 1e-10), mats[0])
-    with pytest.raises(ValueError, match="outside"):
-        orbit.state_at(times[-1] + 1e-6)
     with pytest.raises(ValueError, match="hull"):
         tl_mats.operator_at(times[0] - 1e-6)
 

@@ -121,6 +121,13 @@ def test_lp_apply_zero_remainder_is_linear_flow():
     assert tail == 0.0
 
 
+def _plain_plan(E):
+    """The ScanPlan of the plain recurrence x_j = E x_{j-1} + u_j: taps 0
+    and I."""
+    d = E.shape[0]
+    return scan_plan(E, np.zeros((d, d)), np.eye(d))
+
+
 def _scan_loop(E, X):
     """Reference for linear_scan: x_0 = X[0], x_{j+1} = E_j x_j + X[j+1],
     with the states along the last axis; E is one matrix or one per step."""
@@ -156,13 +163,15 @@ SCAN_SIZES = [(m, d) for d in (0, 1, 5, 17, 64)
 def test_linear_scan_matches_loop(m, d, kind):
     rng = np.random.default_rng([m, d])
     E = _scan_matrix(kind, d, rng)
-    # the constant matrix, and the same matrix given once per step
+    # the constant matrix as a plan with taps 0 and I started at X[0], and
+    # the same matrix given once per step
+    plan = _plain_plan(E)
     steps = np.broadcast_to(E, (m - 1, d, d))
     for X in (rng.normal(size=(m, d)), rng.normal(size=(m, 3, d))):
         keep = X.copy()
         ref = _scan_loop(E, X)
-        for EE in (E, steps):
-            got = linear_scan(EE, X)
+        for EE, start in ((plan, X[0]), (steps, None)):
+            got = linear_scan(EE, X, start)
             assert np.array_equal(X, keep)
             assert got.shape == ref.shape
             if ref.size:
@@ -195,17 +204,15 @@ def test_linear_scan_rejects_wrong_step_count():
 def test_linear_scan_rejects_wrong_matrix_size():
     for X in (np.zeros((5, 2)), np.zeros((5, 0)), np.zeros((5, 3, 2))):
         with pytest.raises(ValueError, match="one step matrix of size"):
-            linear_scan(np.eye(3), X)
-    with pytest.raises(ValueError, match="one step matrix of size"):
-        linear_scan(scan_plan(np.eye(3)), np.zeros((40, 2)))
-    with pytest.raises(ValueError, match="one step matrix of size"):
-        linear_scan(np.ones(2), np.zeros((5, 2)))
-    with pytest.raises(ValueError, match="both forcing taps"):
-        scan_plan(np.eye(2), np.eye(2))
+            linear_scan(_plain_plan(np.eye(3)), X)
+    # a bare matrix is neither a plan nor a stack, even of the right size
+    for E in (np.eye(2), np.ones(2)):
+        with pytest.raises(ValueError, match="a ScanPlan or 4 step matrices"):
+            linear_scan(E, np.zeros((5, 2)))
     with pytest.raises(ValueError, match="forcing taps of size 2"):
         scan_plan(np.eye(2), np.eye(2), np.eye(3))
     # no states: nothing to scan
-    out = linear_scan(np.zeros((0, 0)), np.zeros((5, 0)))
+    out = linear_scan(_plain_plan(np.zeros((0, 0))), np.zeros((5, 0)))
     assert out.shape == (5, 0)
 
 
@@ -240,7 +247,7 @@ def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
     E = _scan_matrix(kind, d, rng)
     # nonzero forcing taps of the size of the quadrature's h * phi weights
     P, Q = 0.01 * rng.normal(size=(2, d, d))
-    plan = scan_plan(E)
+    plan = _plain_plan(E)
     tapped = scan_plan(E, P, Q)
     b = plan.b
     assert b == tapped.b == (64 // d if d <= 16 else 0)
@@ -255,7 +262,7 @@ def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
             x0 = rng.normal(size=X.shape[1:])
             started = X.copy()
             started[0] = x0
-            cases = [(E, None, _scan_loop(E, X)),
+            cases = [(plan, X[0], _scan_loop(E, X)),
                      (plan, None, _scan_loop(E, X)),
                      (plan, x0, _scan_loop(E, started)),
                      (tapped, x0, _tap_scan_loop(E, P, Q, X, x0)),
@@ -328,7 +335,8 @@ def test_linear_scan_diagonal_matrix_keeps_exact_zeros(m):
     x0 = np.ones((3, 4))
     x0[:, 1] = 0.0
     x0[2, 3] = 0.0
-    for EE, start in ((E, None), (scan_plan(E), None), (tapped, None),
+    plain = _plain_plan(E)
+    for EE, start in ((plain, X[0]), (plain, None), (tapped, None),
                       (tapped, x0)):
         got = linear_scan(EE, X, start)
         assert np.all(got[..., 1] == 0.0)
@@ -338,14 +346,12 @@ def test_linear_scan_diagonal_matrix_keeps_exact_zeros(m):
 
 def test_lp_sweeps_reuse_the_scan_plans(monkeypatch):
     # the plans of Em and Ep with the quadrature's taps are built once per
-    # step h, with the propagators; later sweeps and bare scans of them
-    # build none
+    # step h, by propagators; later sweeps build none
     _, _, pieces = saddle1_pieces()
     built = []
     real = linalg.scan_plan
 
-    def counting(E, P=None, Q=None):
-        assert P is not None and Q is not None
+    def counting(E, P, Q):
         built.append(E.shape)
         return real(E, P, Q)
 
@@ -363,15 +369,20 @@ def test_lp_sweeps_reuse_the_scan_plans(monkeypatch):
 
 def test_split_pieces_replace_starts_a_fresh_cache():
     _, _, pieces = saddle1_pieces()
-    Em = pieces.propagators(0.01)[0]
-    assert Em[0, 0] == pytest.approx(math.exp(-0.01), rel=1e-14)
+    plan_m = pieces.propagators(0.01)[0]
+    assert plan_m.E[0, 0] == pytest.approx(math.exp(-0.01), rel=1e-14)
     twice = dataclasses.replace(pieces, A_plus=2 * pieces.A_plus)
-    assert twice.propagators(0.01)[0][0, 0] == pytest.approx(
-        math.exp(-0.02), rel=1e-14)
-    assert twice.scan_plans(0.01)[0].E[0, 0] == pytest.approx(
+    assert twice.propagators(0.01)[0].E[0, 0] == pytest.approx(
         math.exp(-0.02), rel=1e-14)
     # the original keeps its own
-    assert pieces.propagators(0.01)[0] is Em
+    assert pieces.propagators(0.01)[0] is plan_m
+
+
+def _phi_loop_matrices(pieces, h):
+    """(Em, psi1, psi1 - psi2) of -A_plus and (Ep, phi1, phi2) of A_rest:
+    the phi matrices the reference loops step with."""
+    Em, p1m, p2m = lp._phi_matrices(-pieces.A_plus, h)
+    return (Em, p1m, p1m - p2m) + lp._phi_matrices(pieces.A_rest, h)
 
 
 def _lp_apply_loop(pieces, cfg, v0_plus, Y):
@@ -380,7 +391,7 @@ def _lp_apply_loop(pieces, cfg, v0_plus, Y):
     times = lp_grid(cfg)
     m, h, d = len(times), times[1] - times[0], pieces.d_plus
     gp, gr = g[:, :d], g[:, d:]
-    Em, p1m, p12m, Ep, p1p, p2p = pieces.propagators(h)
+    Em, p1m, p12m, Ep, p1p, p2p = _phi_loop_matrices(pieces, h)
     new = np.empty_like(Y)
     P, S = v0_plus.copy(), np.zeros(d)
     new[m - 1, :d] = P + S
@@ -425,7 +436,7 @@ def _lp_quadrature_formula(pieces, h, v0_plus, g):
     forcing built by two matmuls on g and its differences, then the plain
     recurrences by a loop; axes in between are independent orbits."""
     d = pieces.d_plus
-    Em, p1m, p12m, Ep, p1p, p2p = pieces.propagators(h)
+    Em, p1m, p12m, Ep, p1p, p2p = _phi_loop_matrices(pieces, h)
     gp, gr = g[..., :d], g[..., d:]
     new = np.empty_like(g)
     X = np.empty_like(gp)
@@ -732,6 +743,20 @@ def test_graph_marks_failures_without_aborting():
     graph = build_manifold_graph(pieces, cfg, grid_spec=pts)
     assert graph.status[0] == "ok"
     assert graph.status[1].startswith("failed")
+
+
+def test_graph_refuses_lambda_outside_the_gap(monkeypatch):
+    # a lam outside (rest_max_re, lambda_plus) = (-1, 1) fails every sample
+    # alike, so the graph refuses it once, before any sample is solved
+    _, _, pieces = saddle1_pieces()
+    solved = []
+    monkeypatch.setattr(lp, "lp_solve", lambda *a: solved.append(a))
+    cfg = dataclasses.replace(CFG1, lam=5.0)
+    for grid in (5, np.array([[0.05]])):
+        with pytest.raises(ValueError, match=r"lambda=5\.0 outside the "
+                           r"dichotomy gap \(-1\.0, 1\.0\)"):
+            build_manifold_graph(pieces, cfg, grid_spec=grid)
+    assert solved == []
 
 
 def test_graph_rd_tangency_through_origin():
