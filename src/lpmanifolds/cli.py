@@ -108,34 +108,37 @@ def _mmt_params(args, half_width: int | None = None) -> MmtParams:
         mode_set=mmt_mode_set(xi0, half_width))
 
 
-def build_model(args) -> tuple:
+def build_model(args):
     name = merged(args, "model", None, str)
     if name is None:
         raise ValueError("--model is required")
     if name in ("saddle1", "saddle2"):
-        return saddle_toy(name), 0.5
+        return saddle_toy(name)
     if name == "rd":
-        lam_p = merged(args, "lambda_param", 0.5)
-        n_modes = int(merged(args, "modes", 5, int))
-        model = reaction_diffusion(lam_p, n_modes)
-        re_parts = sorted(abs(lam_p - k * k)
-                          for k in range(n_modes) if abs(lam_p - k * k) > 1e-9)
-        gap = 0.5 * re_parts[0] if re_parts else 0.5
-        return model, gap
+        return reaction_diffusion(merged(args, "lambda_param", 0.5),
+                                  int(merged(args, "modes", 5, int)))
     if name == "mmt":
-        return mmt_galerkin(_mmt_params(args)), None
+        return mmt_galerkin(_mmt_params(args))
     raise ValueError(f"unknown model {name!r}")
 
 
-def default_gap(model, suggested) -> float:
-    if suggested is not None:
-        return suggested
-    A = model.jacobian(model.equilibrium)
+def default_gap(A) -> float:
+    """Half the smallest nonzero |Re| of the eigenvalues of A, or 0.5."""
     # real parts at roundoff scale count as zero: a Jordan block at 0 whose
     # entries carry roundoff eps splits by about sqrt(eps ||A||)
     tol = 1e-6 * max(1.0, float(np.linalg.norm(A, 2)))
     pos = sorted(abs(z.real) for z in np.linalg.eigvals(A) if abs(z.real) > tol)
     return 0.5 * pos[0] if pos else 0.5
+
+
+def _splitting(args, model):
+    """The gap (--gap, else default_gap) and the spectral splitting of the
+    model's Jacobian at its equilibrium."""
+    A = model.jacobian(model.equilibrium)
+    gap = merged(args, "gap", None)
+    if gap is None:
+        gap = default_gap(A)
+    return gap, eigen_split(A, gap)
 
 
 def make_lp_config(args, splitting) -> LpConfig:
@@ -153,11 +156,8 @@ def make_lp_config(args, splitting) -> LpConfig:
 
 
 def cmd_split(args) -> int:
-    model, sug = build_model(args)
-    gap = merged(args, "gap", None)
-    if gap is None:
-        gap = default_gap(model, sug)
-    sp = eigen_split(model.jacobian(model.equilibrium), gap)
+    model = build_model(args)
+    gap, sp = _splitting(args, model)
     print(f"model={model.name} dim={model.dimension} gap={gap}")
     print(f"dim_plus={sp.dim_plus} dim_center={sp.dim_center} "
           f"dim_minus={sp.dim_minus}")
@@ -184,13 +184,10 @@ def cmd_split(args) -> int:
 
 
 def cmd_manifold(args) -> int:
-    model, sug = build_model(args)
+    model = build_model(args)
     if merged(args, "side", "unstable", str) == "stable":
         model = reversed_model(model)
-    gap = merged(args, "gap", None)
-    if gap is None:
-        gap = default_gap(model, sug)
-    sp = eigen_split(model.jacobian(model.equilibrium), gap)
+    _, sp = _splitting(args, model)
     if sp.dim_plus == 0:
         raise ValueError("no unstable directions at this gap")
     pieces = split_field(model, sp)
@@ -316,7 +313,7 @@ def cmd_waterwave(args) -> int:
 
 
 def cmd_picard(args) -> int:
-    model, _ = build_model(args)
+    model = build_model(args)
     x0 = merged(args, "x0", 0.1)
     v0 = model.equilibrium.copy()
     v0[0] += x0
@@ -341,21 +338,25 @@ def cmd_verify(args) -> int:
 def _add_common(sp):
     sp.add_argument("--config", help="key=value config file; flags override")
     sp.add_argument("--out", help="CSV output path (default stdout)")
-    sp.add_argument("--plot-out", dest="plot_out",
-                    help="whitespace-delimited plot data path")
-    sp.add_argument("--model", help="saddle1 | saddle2 | rd | mmt")
-    sp.add_argument("--gap", type=float, help="spectral splitting gap")
-    sp.add_argument("--lambda-param", dest="lambda_param", type=float,
-                    help="rd: linear growth parameter")
-    sp.add_argument("--modes", type=int, help="rd: number of cosine modes")
+
+
+def _add_mmt(sp):
     sp.add_argument("--alpha", type=float, help="mmt: dispersion exponent")
     sp.add_argument("--beta", type=float, help="mmt: nonlinearity exponent")
     sp.add_argument("--sigma", type=int, help="mmt: +1 or -1")
     sp.add_argument("--a", type=float, help="mmt: plane-wave amplitude")
     sp.add_argument("--xi0", type=int, help="mmt: carrier mode")
+
+
+def _add_model(sp):
+    """The flags build_model reads."""
+    sp.add_argument("--model", help="saddle1 | saddle2 | rd | mmt")
+    sp.add_argument("--lambda-param", dest="lambda_param", type=float,
+                    help="rd: linear growth parameter")
+    sp.add_argument("--modes", type=int, help="rd: number of cosine modes")
+    _add_mmt(sp)
     sp.add_argument("--half-width", dest="half_width", type=int,
                     help="mmt: mode set half width about xi0")
-    sp.add_argument("--seed", type=int, help="random seed for scan sampling")
 
 
 def _add_lp(sp):
@@ -377,17 +378,26 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("split", help="spectral splitting report")
     _add_common(sp)
+    _add_model(sp)
+    sp.add_argument("--gap", type=float, help="spectral splitting gap")
 
     sp = sub.add_parser("manifold", help="sample a manifold graph")
     _add_common(sp)
+    _add_model(sp)
+    sp.add_argument("--gap", type=float, help="spectral splitting gap")
     _add_lp(sp)
+    sp.add_argument("--plot-out", dest="plot_out",
+                    help="whitespace-delimited plot data path")
     sp.add_argument("--side", choices=["unstable", "stable"])
     sp.add_argument("--grid", type=int, help="grid resolution per dimension")
+    sp.add_argument("--seed", type=int,
+                    help="seed of the Sobol base points above dimension 3")
     sp.add_argument("--delta-t", dest="delta_t", type=float,
                     help="invariance check horizon")
 
     sp = sub.add_parser("mmt-scan", help="mode-pair instability scan")
     _add_common(sp)
+    _add_mmt(sp)
     sp.add_argument("--xi-min", dest="xi_min", type=int)
     sp.add_argument("--xi-max", dest="xi_max", type=int)
 
@@ -415,6 +425,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("picard", help="contraction-mapping integrator")
     _add_common(sp)
+    _add_model(sp)
     sp.add_argument("--x0", type=float, help="first-coordinate offset")
     sp.add_argument("--t-final", dest="t_final", type=float)
     sp.add_argument("--dt", type=float)

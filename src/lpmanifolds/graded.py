@@ -59,8 +59,8 @@ class NormLadder:
         return NormLadder(dim, lambda i, r: 1.0)
 
     @staticmethod
-    def fourier(modes: Sequence[int], s_of_r: Callable[[float], float],
-                components_per_mode: int = 2) -> "NormLadder":
+    def fourier(modes: Sequence[int], s_of_r: Callable[[float], float]
+                ) -> "NormLadder":
         """Sobolev ladder on a Fourier mode list.
 
         mu_xi(r) = (1+|xi|^2)^((s(r)-s(0))/2), repeated for the real/imaginary
@@ -72,10 +72,10 @@ class NormLadder:
         s0 = s_of_r(0.0)
 
         def w(i: int, r: float) -> float:
-            xi = modes[i // components_per_mode]
+            xi = modes[i // 2]
             return float((1.0 + xi * xi) ** (0.5 * (s_of_r(r) - s0)))
 
-        return NormLadder(len(modes) * components_per_mode, w)
+        return NormLadder(2 * len(modes), w)
 
 
 def graded_norm(v, ladder: NormLadder, r: float) -> float:

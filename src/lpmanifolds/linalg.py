@@ -181,17 +181,17 @@ def eigen_split(A, gap: float) -> SpectralSplitting:
         rest_max_re=rest_max_re, gap=gap)
 
 
-def hamiltonian_symmetry_check(A, tol: float = 1e-8) -> dict:
+def hamiltonian_symmetry_check(A) -> dict:
     """Check the spectrum is symmetric under lambda -> -conj(lambda).
 
     Returns {'worst': max over eigenvalues of the distance to the nearest
-    partner, 'symmetric': worst <= tol}.  Report-only.
+    partner, 'symmetric': worst <= 1e-8}.  Report-only.
     """
     M = _as_matrix(A)
     lam = np.linalg.eigvals(M)
     # row i: the distances |lambda_j - (-conj(lambda_i))| over all j
     worst = float(np.abs(lam + np.conj(lam)[:, None]).min(axis=1).max())
-    return {"worst": worst, "symmetric": bool(worst <= tol)}
+    return {"worst": worst, "symmetric": bool(worst <= 1e-8)}
 
 
 @dataclass
@@ -760,6 +760,15 @@ def _contract(sweep: Callable, x, increment: Callable[..., float],
         f"(last increment {inc:.3e})")
 
 
+def _contraction_factor(incs: list) -> float:
+    """The largest ratio of consecutive increments of _contract (0 with one
+    sweep), reported as contraction_factor.  It is an observed ratio, not a
+    bound on the contraction constant: a run that converges may report one
+    above 1."""
+    ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0]
+    return max(ratios) if ratios else 0.0
+
+
 def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
                  tol: float = 1e-10) -> tuple[OrbitGrid, dict]:
     """Fixed point of v(t) = U(t,0)v0 + int_0^t U(t,s) f(v(s)) ds on [0, T].
@@ -768,10 +777,9 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
     integrates the linear system v' = A(t)v + f(v_prev(t)) with
     f(v) = F(v) - DF(v)v.  Diagnostics report the iterations, the last
     increment, the discrepancy at T against the adaptive
-    `oracles.reference_flow`, and contraction_factor: the largest ratio of
-    consecutive sweep increments (0 with one sweep).  That is an observed
-    ratio, not a bound; a run that converges may report one above 1.
-    Raises NoContractionError when the sweeps stop above tol.
+    `oracles.reference_flow`, and contraction_factor, the largest ratio of
+    consecutive sweep increments (_contraction_factor).  Raises
+    NoContractionError when the sweeps stop above tol.
     """
     from .oracles import reference_flow   # oracles imports this module
 
@@ -800,11 +808,10 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
     states, incs = _contract(
         sweep, start, lambda diff: float(np.max(np.linalg.norm(diff, axis=1))),
         tol, max_iter)
-    ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0]
     orbit = OrbitGrid(times, states)
     ref = reference_flow(model.vector_field, v0, 0.0, T)
     ref_diff = float(np.linalg.norm(states[-1] - ref))
-    return orbit, {"contraction_factor": max(ratios) if ratios else 0.0,
+    return orbit, {"contraction_factor": _contraction_factor(incs),
                    "iterations": len(incs),
                    "reference_discrepancy": ref_diff,
                    "final_increment": incs[-1]}

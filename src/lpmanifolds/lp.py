@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -23,7 +23,8 @@ import scipy.linalg as sla
 
 from .graded import NormLadder, OrbitGrid, _row_norms, as_state
 from .linalg import (NoContractionError, SpectralSplitting, _contract,
-                     integrate_rk4, linear_scan, rk4_affine, scan_plan)
+                     _contraction_factor, integrate_rk4, linear_scan,
+                     rk4_affine, scan_plan)
 from .models import ModelSystem, _per_row, _states
 from .oracles import finite_difference_jacobian
 
@@ -120,9 +121,10 @@ class SplitPieces:
     Coordinates: y = Binv @ (u - equilibrium), with the first d_plus entries
     spanning the unstable subspace.  f_split returns the remainder
     Binv (F(eq + B y) - A0 B y), which vanishes to second order at 0;
-    A0 = DF(equilibrium) is computed once and kept, with whether F(eq) is
-    exactly zero (rests_exactly).  The cache is not a field of the
-    constructor, so dataclasses.replace starts a fresh one.
+    A0 = DF(equilibrium).  rests_exactly says F(equilibrium) is exactly
+    zero, so the first Lyapunov-Perron sweep is the linear flow
+    (_linear_flow).  The cache is not a field of the constructor, so
+    dataclasses.replace starts a fresh one.
     """
 
     model: ModelSystem
@@ -132,6 +134,8 @@ class SplitPieces:
     A_plus: np.ndarray
     A_rest: np.ndarray
     d_plus: int
+    A0: np.ndarray
+    rests_exactly: bool
     # quasilinear route: along states Y (rows), the block operators
     # (m, d_plus, d_plus) and (m, d_rest, d_rest), the remainder, the field
     # it is built from and the inversion state, all from one inversion of B
@@ -165,30 +169,10 @@ class SplitPieces:
         if not self.autonomous:
             _, _, out, field, _ = self.frozen_along(np.atleast_2d(Y))
             return out.reshape(Y.shape), field.reshape(Y.shape)
-        cache = self._at_equilibrium()
         BY = Y @ self.B.T
-        eq = cache["eq"]
-        field = self.model.field_many(BY if eq is None else BY + eq)
-        return (field - BY @ cache["A0"].T) @ self.Binv.T, field
-
-    @property
-    def rests_exactly(self) -> bool:
-        """F(equilibrium) is exactly zero, so the remainder of the zero
-        orbit is exactly zero and the first Lyapunov-Perron sweep is the
-        linear flow (_linear_flow)."""
-        return self._at_equilibrium()["rests"]
-
-    def _at_equilibrium(self) -> dict:
-        """The cache, holding the model at the equilibrium from its first
-        call on: A0 = DF(eq), eq itself (None when exactly zero, so it is
-        not added to the states) and whether F(eq) is exactly zero."""
-        if "A0" not in self._cache:
-            eq = self.model.equilibrium
-            self._cache["A0"] = self.model.jacobian(eq)
-            self._cache["eq"] = eq if np.any(eq) else None
-            self._cache["rests"] = not np.any(
-                self.model.field_many(eq[None]))
-        return self._cache
+        eq = self.model.equilibrium
+        field = self.model.field_many(BY + eq if np.any(eq) else BY)
+        return (field - BY @ self.A0.T) @ self.Binv.T, field
 
     def to_ambient(self, Y: np.ndarray) -> np.ndarray:
         return Y @ self.B.T + self.model.equilibrium
@@ -242,10 +226,6 @@ def split_field(model: ModelSystem, splitting: SpectralSplitting
         off = max(np.linalg.norm(Ahat[:d, d:]), np.linalg.norm(Ahat[d:, :d]))
         if off > 1e-8 * max(np.linalg.norm(A0), 1.0):
             raise ValueError("splitting does not block-diagonalize A(0)")
-    A_plus = Ahat[:d, :d]
-    A_rest = Ahat[d:, d:]
-    pieces = SplitPieces(model=model, splitting=splitting, B=B, Binv=Binv,
-                         A_plus=A_plus, A_rest=A_rest, d_plus=d)
 
     def f_amb(y):
         u = model.equilibrium + y
@@ -256,7 +236,10 @@ def split_field(model: ModelSystem, splitting: SpectralSplitting
         raise ValueError(
             f"splitting inconsistent with Jacobian: ||Df(0)|| = "
             f"{np.linalg.norm(Df0):.3e}")
-    return pieces
+    return SplitPieces(
+        model=model, splitting=splitting, B=B, Binv=Binv,
+        A_plus=Ahat[:d, :d], A_rest=Ahat[d:, d:], d_plus=d, A0=A0,
+        rests_exactly=not np.any(model.field_many(model.equilibrium[None])))
 
 
 def reversed_model(model: ModelSystem) -> ModelSystem:
@@ -273,25 +256,19 @@ def reversed_model(model: ModelSystem) -> ModelSystem:
 
 @dataclass
 class QuasiTransform:
-    """Change of variables v = B(u) = sum_blocks sigma_b Pi_b (F(u) - shift_b u).
+    """Change of variables v = B(u) = sum_blocks Pi_b (F(u) - shift_b u).
 
     Shifts are omega_plus - 1 on the unstable block and omega_minus + 1 on the
     complement; u is the deviation from the equilibrium.  The transformed
-    evolution v' = DB(u) F(u) is quasilinear with block operators equal to the
-    diagonal blocks of the full Jacobian and a remainder with Df(0) = 0.
-    invert_B and bmap take states (..., n), as the model's field does;
-    invert_B starts every state cold at u = 0, while pieces.frozen_along can
-    start each row from the inversion state of an earlier call.
+    evolution v' = DB(u) F(u), pieces.model, is quasilinear with block
+    operators equal to the diagonal blocks of the full Jacobian and a
+    remainder with Df(0) = 0.  invert_B and bmap take states (..., n), as
+    the model's field does; invert_B starts every state cold at u = 0, while
+    pieces.frozen_along can start each row from the inversion state of an
+    earlier call.
     """
 
-    model: ModelSystem
-    splitting: SpectralSplitting
-    shift_plus: float
-    shift_rest: float
-    sigma_plus: float
-    transformed: ModelSystem
     pieces: SplitPieces
-    db0_condition: float
     invert_B: Callable[[np.ndarray], np.ndarray]
     bmap: Callable[[np.ndarray], np.ndarray]
 
@@ -317,9 +294,11 @@ def _shift_clash(splitting: SpectralSplitting, sp: float, sm: float) -> str:
 def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
                    omega_plus: float | None = None,
                    omega_minus: float | None = None,
-                   sigma_scale: float = 1.0,
-                   newton_tol: float = 1e-12,
-                   newton_max_iter: int = 60) -> QuasiTransform:
+                   newton_tol: float = 1e-12) -> QuasiTransform:
+    """The QuasiTransform of model with the shifts of omega_plus and
+    omega_minus (default: the splitting's).  B is inverted by at most 60
+    damped Newton steps to the residual newton_tol; a DB(0) of condition
+    number above 1e12 is refused with ValueError naming the shift."""
     om_p = splitting.omega_plus if omega_plus is None else omega_plus
     om_m = splitting.omega_minus if omega_minus is None else omega_minus
     sp, sm = om_p - 1.0, om_m + 1.0
@@ -327,14 +306,13 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     Pr = splitting.projection.projector_rest
     eq = model.equilibrium
     n = model.dimension
-    SPp = sigma_scale * Pp
     # DB(u) = PS DF(eq + u) - CS
-    PS = SPp + Pr
-    CS = sp * SPp + sm * Pr
+    PS = Pp + Pr
+    CS = sp * Pp + sm * Pr
 
     def bvals(U, FU):
         """B(U) from deviations U (rows) and their fields FU = F(eq + U)."""
-        return (FU - sp * U) @ SPp.T + (FU - sm * U) @ Pr.T
+        return (FU - sp * U) @ Pp.T + (FU - sm * U) @ Pr.T
 
     def bmap_many(U):
         """(B(U), F(eq + U)) on deviations U (rows)."""
@@ -345,8 +323,12 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         """DB(u) from the Jacobians J = DF(eq + u), one per leading index."""
         return PS @ J - CS
 
+    # the transformed system keeps the original projections; its blocks are
+    # the diagonal blocks of the full state-dependent Jacobian
+    base = split_field(model, splitting)
+    d = base.d_plus
     # the model at u = 0, where a cold inversion starts
-    J0 = model.jacobian(eq)
+    J0 = base.A0
     F0 = model.field_many(eq[None])
     DB0 = db_of(J0)
     cond = float(np.linalg.cond(DB0))
@@ -388,7 +370,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         res = bvals(U, FU) - V
         rnorm = np.linalg.norm(res, axis=1)
         act = np.flatnonzero(rnorm > 0.0)
-        for _ in range(newton_max_iter):
+        for _ in range(60):
             if act.size == 0:
                 break
             moved = act[stale[act]]
@@ -462,11 +444,6 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
                          jacobian=_per_row(G_jac, n, (n, n), name),
                          equilibrium=np.zeros(n), ladder=model.ladder)
 
-    # the transformed system keeps the original projections; its blocks are
-    # the diagonal blocks of the full state-dependent Jacobian
-    base = split_field(model, splitting)
-    d = base.d_plus
-
     def frozen_along(Y, start=None):
         """Node blocks, remainder, transformed field G(B y) and the
         inversion state along split states Y (rows), from one inversion of
@@ -482,15 +459,8 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         g[:, d:] -= (Ar @ Y[:, d:, None])[:, :, 0]
         return Ap, Ar, g, field, state
 
-    qpieces = SplitPieces(
-        model=tmodel, splitting=splitting, B=base.B, Binv=base.Binv,
-        A_plus=base.A_plus, A_rest=base.A_rest, d_plus=d,
-        frozen_along=frozen_along)
-
-    return QuasiTransform(
-        model=model, splitting=splitting, shift_plus=sp, shift_rest=sm,
-        sigma_plus=sigma_scale, transformed=tmodel, pieces=qpieces,
-        db0_condition=cond, invert_B=invert_B, bmap=bmap)
+    pieces = replace(base, model=tmodel, A0=A_v0, frozen_along=frozen_along)
+    return QuasiTransform(pieces=pieces, invert_B=invert_B, bmap=bmap)
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +651,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     k grids: k - 1 sweeps and the residual sweep.
 
     The diagnostic contraction_factor is the largest ratio of consecutive
-    sweep increments (0 with one sweep): an observed ratio, not a bound on
-    the contraction constant.
+    sweep increments (linalg._contraction_factor).
 
     Raises NoContractionError when the sweeps stop above cfg.tol.
     """
@@ -718,11 +687,9 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     else:
         quad_budget = 0.0
     h_val = Y[-1, d:]
-    incs = fp.increments
-    ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0]
     diag = {
         "iterations": fp.iterations,
-        "contraction_factor": max(ratios) if ratios else 0.0,
+        "contraction_factor": _contraction_factor(fp.increments),
         "fp_residual": fp_res,
         "tail_bound": fp.tail,
         "quad_budget": quad_budget,
@@ -760,7 +727,6 @@ class ManifoldGraph:
     base_points: np.ndarray
     values: np.ndarray
     lambda_fit: np.ndarray
-    r2: np.ndarray
     iterations: np.ndarray
     fp_residual: np.ndarray
     status: list[str]
@@ -843,7 +809,6 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
     dr = pieces.d_rest
     values = np.full((nsamp, dr), np.nan)
     lam_fit = np.full(nsamp, np.nan)
-    r2 = np.full(nsamp, np.nan)
     iters = np.zeros(nsamp)
     fp_res = np.full(nsamp, np.nan)
     budget = np.full(nsamp, np.nan)
@@ -859,8 +824,8 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
                 dev = OrbitGrid(res.orbit.times,
                                 res.orbit.states - pieces.model.equilibrium)
                 try:
-                    lam_fit[i], r2[i] = decay_rate_fit(
-                        dev, pieces.model.ladder, cfg.r)
+                    lam_fit[i] = decay_rate_fit(
+                        dev, pieces.model.ladder, cfg.r)[0]
                 except ValueError:
                     pass
             status.append("ok")
@@ -885,7 +850,7 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
             diagnostics["tangency_slope"] = float(coef[0])
             diagnostics["tangency_intercept"] = float(coef[1])
     return ManifoldGraph(base_points=pts, values=values, lambda_fit=lam_fit,
-                         r2=r2, iterations=iters, fp_residual=fp_res,
+                         iterations=iters, fp_residual=fp_res,
                          status=status, error_budget=budget,
                          diagnostics=diagnostics)
 
@@ -975,8 +940,7 @@ def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
         raise ValueError("delta_t must be positive")
     model = pieces.model
     d = pieces.d_plus
-    A0 = model.jacobian(model.equilibrium)
-    dt_forward = min(cfg.dt, 0.1 / max(np.linalg.norm(A0, 2), 1.0))
+    dt_forward = min(cfg.dt, 0.1 / max(np.linalg.norm(pieces.A0, 2), 1.0))
     arr = np.full(graph.base_points.shape[0], np.nan)
     ok = np.flatnonzero(graph.ok)
     skipped = len(arr) - len(ok)

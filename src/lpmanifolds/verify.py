@@ -80,22 +80,22 @@ def setup_saddle2_unstable():
     return m, sp, pieces, cfg
 
 
-def setup_rd(lam_param, gap, lam, modes=6, eps=0.08):
-    m = reaction_diffusion(lam_param, modes)
+def setup_rd(lam_param, gap, lam, eps=0.08):
+    m = reaction_diffusion(lam_param, 6)
     sp = eigen_split(m.jacobian(m.equilibrium), gap)
     pieces = split_field(m, sp)
     cfg = LpConfig(lam=lam, T_max=40.0, dt=0.01, eps=eps, tol=1e-10)
     return m, sp, pieces, cfg
 
 
-def setup_mmt(half=3, lam_frac=0.8, eps=0.05):
+def setup_mmt():
     p = MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
-                  mode_set=mmt_mode_set(0, half))
+                  mode_set=mmt_mode_set(0, 3))
     m = mmt_galerkin(p)
     sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
     pieces = split_field(m, sp)
-    cfg = LpConfig(lam=lam_frac * sp.lambda_plus,
-                   T_max=12.0 / sp.lambda_plus, dt=0.005, eps=eps, tol=1e-9)
+    cfg = LpConfig(lam=0.8 * sp.lambda_plus,
+                   T_max=12.0 / sp.lambda_plus, dt=0.005, eps=0.05, tol=1e-9)
     return m, sp, pieces, cfg
 
 
@@ -235,7 +235,7 @@ def check_hamiltonian_spectral_symmetry():
               MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
                         mode_set=mmt_mode_set(0, 15))):
         m = mmt_galerkin(p)
-        rep = hamiltonian_symmetry_check(m.jacobian(m.equilibrium), 1e-8)
+        rep = hamiltonian_symmetry_check(m.jacobian(m.equilibrium))
         worst = max(worst, rep["worst"])
     return (worst <= 1e-8,
             f"lambda -> -conj(lambda) pairing defect {worst:.2e} "
@@ -558,7 +558,7 @@ QUICK = {"03_mmt_block_consistency", "04_lyapunov_identity",
 SUITES = ("all", "quick")
 
 
-def run_suite(suite: str = "all", out=print) -> bool:
+def run_suite(suite: str = "all") -> bool:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r} (choose from "
                          f"{', '.join(SUITES)})")
@@ -571,10 +571,10 @@ def run_suite(suite: str = "all", out=print) -> bool:
             ok, detail = fn()
         except Exception as exc:   # a crash is a failure, keep scanning
             ok, detail = False, f"exception: {type(exc).__name__}: {exc}"
-        out(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if not ok and first_fail is None:
             first_fail = name
         ok_all = ok_all and ok
     if first_fail is not None:
-        out(f"first failing invariant: {first_fail}")
+        print(f"first failing invariant: {first_fail}")
     return ok_all

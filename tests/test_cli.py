@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from lpmanifolds import cli, verify
 from lpmanifolds.cli import default_gap, main
 from lpmanifolds.linalg import AmbiguousSplitError, eigen_split
-from lpmanifolds.models import MmtParams, custom_model, mmt_galerkin, mmt_mode_set
+from lpmanifolds.models import MmtParams, mmt_galerkin, mmt_mode_set
 
 
 def run_cli(capsys, *argv):
@@ -98,16 +99,66 @@ def test_default_gap_ignores_roundoff_split_of_jordan_block(half_width):
                   mode_set=mmt_mode_set(0, half_width))
     model = mmt_galerkin(p)
     A = model.jacobian(model.equilibrium)
-    gap = default_gap(model, None)
+    gap = default_gap(A)
     dim_plus = eigen_split(A, gap).dim_plus
     assert dim_plus == 2
     for seed in range(5):
         Ap = A + 1e-16 * np.random.default_rng(seed).normal(size=A.shape)
-        noisy = custom_model("noisy", model.vector_field,
-                             lambda u, Ap=Ap: Ap, model.equilibrium)
-        gap_p = default_gap(noisy, None)
+        gap_p = default_gap(Ap)
         assert gap_p == pytest.approx(gap, rel=1e-9)
         assert eigen_split(Ap, gap_p).dim_plus == dim_plus
+
+
+def _jacobian_counted(build, calls):
+    """build, with the Jacobian of the model it returns recording each call
+    at the equilibrium in calls."""
+    def counted(*args):
+        model = build(*args)
+
+        def jac(u):
+            if np.array_equal(u, model.equilibrium):
+                calls.append(1)
+            return model.jacobian(u)
+        return dataclasses.replace(model, jacobian=jac)
+    return counted
+
+
+@pytest.mark.parametrize("builder, argv", [
+    ("reaction_diffusion", ["--model", "rd", "--lambda-param", "2",
+                            "--modes", "6", "--grid", "5"]),
+    ("mmt_galerkin", ["--model", "mmt", "--half-width", "3", "--grid", "3"]),
+], ids=["rd", "mmt"])
+def test_manifold_takes_the_jacobian_at_the_equilibrium_twice(
+        capsys, monkeypatch, builder, argv):
+    # once for the gap and the splitting, once in split_field; the sweeps
+    # and the invariance check read split_field's
+    calls = []
+    monkeypatch.setattr(cli, builder,
+                        _jacobian_counted(getattr(cli, builder), calls))
+    assert main(["manifold", *argv]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 2
+
+
+# the flags of the model, splitting and sampling that a subcommand does not
+# read
+UNREAD_FLAGS = {
+    "split": ["--seed", "--plot-out"],
+    "mmt-scan": ["--model", "--gap", "--lambda-param", "--modes",
+                 "--half-width", "--seed", "--plot-out"],
+    "picard": ["--gap", "--seed", "--plot-out"],
+}
+
+
+@pytest.mark.parametrize("cmd, flag", [(cmd, flag) for cmd, flags
+                                       in UNREAD_FLAGS.items()
+                                       for flag in flags])
+def test_subcommands_refuse_flags_they_do_not_read(capsys, cmd, flag):
+    model = [] if cmd == "mmt-scan" else ["--model", "saddle1"]
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *model, flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_mmt_scan_csv(capsys, tmp_path):

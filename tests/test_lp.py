@@ -1046,14 +1046,14 @@ def _counted_saddle1():
 def test_linear_first_sweep_makes_no_field_call():
     # the first sweep from the zero orbit is the linear flow: a fixed point
     # of k sweeps evaluates the field on k - 1 grids, lp_solve on k (its
-    # residual sweep included); the first solve adds the one row of F(eq)
+    # residual sweep included); split_field took the one row of F(eq)
     pieces, rows = _counted_saddle1()
     cfg = LpConfig(lam=0.9, T_max=10.0, dt=0.01, eps=0.12, tol=1e-10)
     m = len(lp_grid(cfg))
     rows.clear()
     fp = lp._lp_fixed_point(pieces, cfg, np.array([0.1]))
     assert fp.iterations >= 3
-    assert len(rows) == (fp.iterations - 1) * m + 1
+    assert len(rows) == (fp.iterations - 1) * m
     rows.clear()
     assert lp._lp_fixed_point(pieces, cfg, np.array([0.1])).iterations == (
         fp.iterations)
@@ -1085,14 +1085,13 @@ def test_linear_first_sweep_is_the_sweep_of_the_zero_orbit(which,
 
 
 @pytest.mark.parametrize("which", ["saddle1", "rd"])
-def test_linear_first_sweep_keeps_every_sweep(which, monkeypatch):
+def test_linear_first_sweep_keeps_every_sweep(which):
     # with the first sweep taken through lp_apply, as where F(eq) is not
     # exactly zero, the orbit, increments and tail are the same, bit for bit
     pieces, cfg, base = _fixed_point_case(which)
     fp = lp._lp_fixed_point(pieces, cfg, base)
-    monkeypatch.setattr(lp.SplitPieces, "rests_exactly",
-                        property(lambda self: False))
-    full = lp._lp_fixed_point(pieces, cfg, base)
+    full = lp._lp_fixed_point(
+        dataclasses.replace(pieces, rests_exactly=False), cfg, base)
     assert np.array_equal(fp.Y, full.Y)
     assert fp.increments == full.increments
     assert fp.tail == full.tail
@@ -1284,7 +1283,29 @@ def test_quasilinearize_roundtrip_saddle1():
     q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
     u = np.array([0.05, 0.05])
     assert np.abs(q.invert_B(q.bmap(u)) - u).max() <= 1e-10
-    assert q.db0_condition < 1e3
+    # both shifts (omega_plus - 1, omega_minus + 1) are 0, so
+    # DB(0) = (Pp + Pr) A(0)
+    proj = sp.projection
+    db0 = (proj.projector_plus + proj.projector_rest) @ m.jacobian(
+        m.equilibrium)
+    assert np.linalg.cond(db0) < 1e3
+
+
+def test_quasilinearize_takes_the_jacobian_at_the_equilibrium_once():
+    # split_field's A(0) serves DB(0), the cold inversion start and the
+    # transformed Jacobian at 0
+    m, sp, _ = _coupled_saddle()
+    calls = []
+
+    def jac(u):
+        if np.array_equal(u, m.equilibrium):
+            calls.append(1)
+        return m.jacobian(u)
+
+    q = quasilinearize(dataclasses.replace(m, jacobian=jac), sp,
+                       omega_plus=1.0, omega_minus=-1.0)
+    assert len(calls) == 1
+    assert np.array_equal(q.pieces.A0, q.pieces.model.jacobian(np.zeros(2)))
 
 
 def test_quasilinearize_remainder_gradient_vanishes():
@@ -1347,7 +1368,7 @@ def test_quasilinear_solve_reuses_field_for_trajectory_residual():
     # frozen_along inverts B once per row; every other inversion would go
     # through the transformed model, which is made to fail here
     tmodel = dataclasses.replace(
-        q.transformed, vector_field=unexpected, jacobian=unexpected)
+        q.pieces.model, vector_field=unexpected, jacobian=unexpected)
     pieces = dataclasses.replace(q.pieces, model=tmodel,
                                  frozen_along=counted)
     res = lp_solve(pieces, cfg, np.array([0.06]))
@@ -1358,7 +1379,7 @@ def test_quasilinear_solve_reuses_field_for_trajectory_residual():
     assert count[0] == nodes * (res.diagnostics["iterations"] + 1)
     times = res.orbit.times
     deriv = np.gradient(res.orbit.states, times, axis=0)
-    field = q.transformed.field_many(res.orbit.states)
+    field = q.pieces.model.field_many(res.orbit.states)
     ref = float(np.max(np.linalg.norm((deriv - field)[1:-1], axis=1)))
     assert abs(res.diagnostics["trajectory_residual"] - ref) <= 1e-10
 
@@ -1405,22 +1426,22 @@ def test_quasilinearize_newton_failure_message():
         q.invert_B(np.array([-1.0]))
 
 
-def _invert_B_loop(q, model, v, tol=1e-12, max_iter=60):
+def _invert_B_loop(model, splitting, shifts, v, tol=1e-12, max_iter=60):
     """Reference for the batched inversion: damped Newton on one state with
-    B and DB built from the single-state field and Jacobian."""
-    Pp = q.splitting.projection.projector_plus
-    Pr = q.splitting.projection.projector_rest
+    B and DB built from the single-state field and Jacobian and the shifts
+    (s+, s-) of the two blocks."""
+    Pp = splitting.projection.projector_plus
+    Pr = splitting.projection.projector_rest
+    s_plus, s_rest = shifts
     n = model.dimension
 
     def bmap(u):
         Fu = model.vector_field(u)
-        return q.sigma_plus * Pp @ (Fu - q.shift_plus * u) + Pr @ (
-            Fu - q.shift_rest * u)
+        return Pp @ (Fu - s_plus * u) + Pr @ (Fu - s_rest * u)
 
     def dbmat(u):
         A = model.jacobian(u)
-        return q.sigma_plus * Pp @ (A - q.shift_plus * np.eye(n)) + Pr @ (
-            A - q.shift_rest * np.eye(n))
+        return Pp @ (A - s_plus * np.eye(n)) + Pr @ (A - s_rest * np.eye(n))
 
     u = np.zeros(n)
     res = bmap(u) - v
@@ -1493,7 +1514,8 @@ def test_batched_inversion_matches_per_row():
     V[0] = 0.0
     U = q.invert_B(V)
     rows = np.array([q.invert_B(v) for v in V])
-    loop = np.array([_invert_B_loop(q, m, v) for v in V])
+    # the shifts omega_plus - 1 and omega_minus + 1
+    loop = np.array([_invert_B_loop(m, sp, (0.0, 0.0), v) for v in V])
     assert np.abs(U - rows).max() <= 1e-15
     assert np.abs(U - loop).max() <= 1e-15
     assert np.abs(np.array([q.bmap(u) for u in U]) - V).max() <= 1e-12

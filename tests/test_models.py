@@ -469,7 +469,8 @@ def _contract_model(name):
         return reversed_model(saddle_toy("saddle2"))
     m = saddle_toy("saddle1")
     sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
-    return quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0).transformed
+    return quasilinearize(m, sp, omega_plus=1.0,
+                          omega_minus=-1.0).pieces.model
 
 
 CONTRACT_MODELS = ["saddle1", "saddle2", "rd", "mmt7", "custom", "reversed",
