@@ -309,7 +309,9 @@ class ScanPlan:
 
     b is the number of nodes per block of the blocked route, 0 when the
     route does not apply to this d (the plan then carries only E and the
-    taps).  `table` is the ((b+1)*d, b*d) matrix whose block (l, i) is
+    taps).  The taps are kept as P^T and Q^T, contiguous, the operands of
+    the chunked route's two gemms (a transposed view takes NumPy's slower
+    strided path).  `table` is the ((b+1)*d, b*d) matrix whose block (l, i) is
     (E^{i-l+1} Q + E^{i-l} P)^T, a power below 0 counting as 0, without
     the Q term in block row l = 0: a row of the b + 1 inputs
     u_{k-1}, ..., u_{k+b-1} times `table` is the scan of the b nodes
@@ -321,8 +323,8 @@ class ScanPlan:
 
     E: np.ndarray
     b: int
-    P: np.ndarray
-    Q: np.ndarray
+    PT: np.ndarray
+    QT: np.ndarray
     table: np.ndarray | None = None
     carry: np.ndarray | None = None
     Eb: list = field(default_factory=list)
@@ -341,8 +343,9 @@ def scan_plan(E, P, Q) -> ScanPlan:
         raise ValueError(f"expected forcing taps of size {d}, got shapes "
                          f"{P.shape} and {Q.shape}")
     b = _block_nodes(d)
+    PT, QT = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)
     if not b:
-        return ScanPlan(E, 0, P, Q)
+        return ScanPlan(E, 0, PT, QT)
     # powers[k] = (E^k)^T; a diagonal E keeps exact zeros off the diagonal
     powers = np.empty((b + 1, d, d))
     powers[0], powers[1] = np.eye(d), E.T
@@ -363,7 +366,7 @@ def scan_plan(E, P, Q) -> ScanPlan:
     table[l[keep], :, i[keep], :] = tap[i[keep] - l[keep] + 1]
     table[0] = head.transpose(1, 0, 2)
     carry = powers[1:].transpose(1, 0, 2).reshape(d, b * d)
-    return ScanPlan(E, b, P, Q, table.reshape((b + 1) * d, b * d), carry,
+    return ScanPlan(E, b, PT, QT, table.reshape((b + 1) * d, b * d), carry,
                     [powers[b].T.copy()])
 
 
@@ -524,8 +527,8 @@ def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
             # the taps on the (m - 1) * r input rows, as two 2-D gemms
             flat, r = rows.reshape(-1, d), rows.shape[1]
             forced = inputs[1:].reshape(-1, d)
-            np.matmul(flat[:-r], plan.P.T, out=forced)
-            forced += flat[r:] @ plan.Q.T
+            np.matmul(flat[:-r], plan.PT, out=forced)
+            forced += flat[r:] @ plan.QT
         else:
             inputs[1:] = rows[1:]
         rows = inputs

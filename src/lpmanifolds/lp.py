@@ -121,10 +121,15 @@ class SplitPieces:
     Coordinates: y = Binv @ (u - equilibrium), with the first d_plus entries
     spanning the unstable subspace.  f_split returns the remainder
     Binv (F(eq + B y) - A0 B y), which vanishes to second order at 0;
-    A0 = DF(equilibrium).  rests_exactly says F(equilibrium) is exactly
+    A0 = DF(equilibrium) and F0 = F(equilibrium), one row, both taken by
+    split_field (the quasilinear route keeps the direct model's F0, the
+    field its inversion starts from).  rests_exactly says F0 is exactly
     zero, so the first Lyapunov-Perron sweep is the linear flow
-    (_linear_flow).  The cache is not a field of the constructor, so
-    dataclasses.replace starts a fresh one.
+    (_linear_flow).  The cache holds the scan plans, the growth constant
+    and the contiguous transposes of B, A0 and Binv, which the remainder's
+    matmuls take (a transposed view takes NumPy's slower strided path); it
+    is not a field of the constructor, so dataclasses.replace starts a
+    fresh one.
     """
 
     model: ModelSystem
@@ -135,7 +140,7 @@ class SplitPieces:
     A_rest: np.ndarray
     d_plus: int
     A0: np.ndarray
-    rests_exactly: bool
+    F0: np.ndarray
     # quasilinear route: along states Y (rows), the block operators
     # (m, d_plus, d_plus) and (m, d_rest, d_rest), the remainder, the field
     # it is built from and the inversion state, all from one inversion of B
@@ -150,6 +155,10 @@ class SplitPieces:
         """Fixed blocks A_plus, A_rest; False on the quasilinear route,
         whose node blocks come from frozen_along."""
         return self.frozen_along is None
+
+    @property
+    def rests_exactly(self) -> bool:
+        return not np.any(self.F0)
 
     @property
     def dim(self) -> int:
@@ -169,13 +178,21 @@ class SplitPieces:
         if not self.autonomous:
             _, _, out, field, _ = self.frozen_along(np.atleast_2d(Y))
             return out.reshape(Y.shape), field.reshape(Y.shape)
-        BY = Y @ self.B.T
+        BT, A0T, BinvT = self._transposes()
+        BY = Y @ BT
         eq = self.model.equilibrium
         field = self.model.field_many(BY + eq if np.any(eq) else BY)
-        return (field - BY @ self.A0.T) @ self.Binv.T, field
+        return (field - BY @ A0T) @ BinvT, field
 
     def to_ambient(self, Y: np.ndarray) -> np.ndarray:
-        return Y @ self.B.T + self.model.equilibrium
+        return Y @ self._transposes()[0] + self.model.equilibrium
+
+    def _transposes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """B^T, A0^T and Binv^T as contiguous arrays, made once."""
+        if "T" not in self._cache:
+            self._cache["T"] = tuple(np.ascontiguousarray(a.T)
+                                     for a in (self.B, self.A0, self.Binv))
+        return self._cache["T"]
 
     def propagators(self, h: float):
         """The linear_scan plans of the quadrature for the step h, built
@@ -239,7 +256,7 @@ def split_field(model: ModelSystem, splitting: SpectralSplitting
     return SplitPieces(
         model=model, splitting=splitting, B=B, Binv=Binv,
         A_plus=Ahat[:d, :d], A_rest=Ahat[d:, d:], d_plus=d, A0=A0,
-        rests_exactly=not np.any(model.field_many(model.equilibrium[None])))
+        F0=model.field_many(model.equilibrium[None])[0])
 
 
 def reversed_model(model: ModelSystem) -> ModelSystem:
@@ -309,10 +326,12 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     # DB(u) = PS DF(eq + u) - CS
     PS = Pp + Pr
     CS = sp * Pp + sm * Pr
+    # the row products take contiguous transposes, made once
+    PpT, PrT, CST = (np.ascontiguousarray(a.T) for a in (Pp, Pr, CS))
 
     def bvals(U, FU):
         """B(U) from deviations U (rows) and their fields FU = F(eq + U)."""
-        return (FU - sp * U) @ Pp.T + (FU - sm * U) @ Pr.T
+        return (FU - sp * U) @ PpT + (FU - sm * U) @ PrT
 
     def bmap_many(U):
         """(B(U), F(eq + U)) on deviations U (rows)."""
@@ -327,9 +346,10 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     # the diagonal blocks of the full state-dependent Jacobian
     base = split_field(model, splitting)
     d = base.d_plus
+    BT, _, BinvT = base._transposes()
     # the model at u = 0, where a cold inversion starts
     J0 = base.A0
-    F0 = model.field_many(eq[None])
+    F0 = base.F0[None]
     DB0 = db_of(J0)
     cond = float(np.linalg.cond(DB0))
     if not np.isfinite(cond) or cond > 1e12:
@@ -427,7 +447,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     def transformed_field(state):
         """G(B(u)) = DB(u) F(eq + u) from an inversion state (rows)."""
         _, FU, J = state
-        return (PS @ (J @ FU[:, :, None]))[:, :, 0] - FU @ CS.T
+        return (PS @ (J @ FU[:, :, None]))[:, :, 0] - FU @ CST
 
     def G(V):
         return transformed_field(_invert(V)).reshape(np.shape(V))
@@ -450,11 +470,11 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         B per row.  The inversion starts from start, the state an earlier
         call returned for the same rows, or cold at u = 0.  The start is
         consumed: the returned state holds its arrays, updated in place."""
-        state = _invert(Y @ base.B.T, start)
+        state = _invert(Y @ BT, start)
         field = transformed_field(state)
         Afull = base.Binv @ state[2] @ base.B
         Ap, Ar = Afull[:, :d, :d], Afull[:, d:, d:]
-        g = field @ base.Binv.T
+        g = field @ BinvT
         g[:, :d] -= (Ap @ Y[:, :d, None])[:, :, 0]
         g[:, d:] -= (Ar @ Y[:, d:, None])[:, :, 0]
         return Ap, Ar, g, field, state
@@ -610,7 +630,8 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
     # the norm of the increments: weighted at level r-1 and rate lam, with
     # the level weights folded into the map to ambient coordinates
     decay = np.exp(-cfg.lam * times)
-    WB = pieces.B.T * pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
+    WB = np.ascontiguousarray(
+        pieces.B.T * pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0)))
 
     def norm(Ydiff: np.ndarray) -> float:
         # a non-finite state makes its row norm, and so the max, non-finite

@@ -234,7 +234,10 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
     |xi|^b times the Fourier coefficient of |W|^2 W on each retained mode.
     The mode set is embedded in [min, max] and zero-padded to at least three
     times that span, so the product has no aliasing and the result equals
-    the direct sum over retained triads.
+    the direct sum over retained triads.  A batch of states fills one padded
+    buffer, which both transforms overwrite in place; the retained modes are
+    a basic slice of it when the mode set is ascending without gaps, and at
+    beta = 0 the unit weights are not applied to the state.
     """
     if len(p.mode_set) > 64:
         raise ValueError("mode_set too large (desk scale is <= 64 modes)")
@@ -246,6 +249,10 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
     q = np.array(modes) - min(modes)  # slots of the modes in [min, max]
     span = int(q.max()) + 1
     L = 3 * span                      # alias-free grid for the cubic
+    # an ascending mode set without gaps (every mmt_mode_set) fills slots
+    # 0..N-1, a basic slice; others scatter to and gather from q
+    slots = slice(0, N) if np.array_equal(q, np.arange(N)) else q
+    sw = p.sigma * wmul
     # Jacobian gather indices: lag xi_n - xi_m and sum xi_n + xi_m
     diff_idx = q[:, None] - q[None, :] + span - 1
     sum_idx = q[:, None] + q[None, :]
@@ -261,17 +268,29 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
     def embed(w: np.ndarray, length: int) -> np.ndarray:
         """Coefficients of e^{-i min x} W in slots 0..length-1."""
         c = np.zeros(w.shape[:-1] + (length,), dtype=complex)
-        c[..., q] = w
+        c[..., slots] = w
         return c
 
     def cubic(w: np.ndarray) -> np.ndarray:
-        """Coefficients of |W|^2 W on the retained modes (single or batch)."""
-        v = np.fft.ifft(embed(w, L), norm="forward")
-        v *= v.real ** 2 + v.imag ** 2
-        return np.fft.fft(v, norm="forward")[..., q]
+        """Coefficients of |W|^2 W on the retained modes (single or batch):
+        both transforms run in place on one zero-padded buffer, and the
+        result is read from it."""
+        v = embed(w, L)
+        np.fft.ifft(v, norm="forward", out=v)
+        mod2 = np.square(v.real)
+        mod2 += np.square(v.imag)
+        v *= mod2
+        np.fft.fft(v, norm="forward", out=v)
+        return v[..., slots]
 
     def field_c(z: np.ndarray) -> np.ndarray:
-        return -1j * (disp * z + p.sigma * wmul * cubic(wmul * z))
+        """-1j (disp z + sigma wmul cubic(wmul z)), built in place; at
+        beta = 0 the weights are all ones and z enters the cubic as it is."""
+        out = disp * z
+        cub = cubic(z if p.beta == 0.0 else wmul * z)
+        np.multiply(sw, cub, out=cub)
+        out += cub
+        return np.multiply(-1j, out, out=out)
 
     def F(u: np.ndarray) -> np.ndarray:
         return to_real(field_c(to_complex(_states(u, 2 * N))))
@@ -386,6 +405,8 @@ def reaction_diffusion(lambda_param: float, n_modes: int) -> ModelSystem:
     # times_table (j, k*n + i): M from the coefficients of u^2
     square_table = prod[:n].transpose(1, 0, 2).reshape(L, n * n)
     times_table = prod[:, :n].reshape(L, n * n)
+    # the field's product takes the transpose, contiguous, made once
+    times_table_T = np.ascontiguousarray(times_table.T)
 
     def square(cols):
         """Coefficients of u^2 on modes 0..L-1, one column per column of
@@ -398,7 +419,7 @@ def reaction_diffusion(lambda_param: float, n_modes: int) -> ModelSystem:
     def F(u):
         a = _states(u, n)
         cols = columns(a)
-        M = (times_table.T @ square(cols)).reshape(n, n, -1)
+        M = (times_table_T @ square(cols)).reshape(n, n, -1)
         M *= cols
         return lin * a - M.sum(axis=1).T.reshape(a.shape)
 

@@ -1088,10 +1088,12 @@ def test_linear_first_sweep_is_the_sweep_of_the_zero_orbit(which,
 def test_linear_first_sweep_keeps_every_sweep(which):
     # with the first sweep taken through lp_apply, as where F(eq) is not
     # exactly zero, the orbit, increments and tail are the same, bit for bit
+    # (the autonomous sweeps read F0 only through rests_exactly)
     pieces, cfg, base = _fixed_point_case(which)
     fp = lp._lp_fixed_point(pieces, cfg, base)
-    full = lp._lp_fixed_point(
-        dataclasses.replace(pieces, rests_exactly=False), cfg, base)
+    moving = dataclasses.replace(pieces, F0=np.ones(pieces.dim))
+    assert not moving.rests_exactly
+    full = lp._lp_fixed_point(moving, cfg, base)
     assert np.array_equal(fp.Y, full.Y)
     assert fp.increments == full.increments
     assert fp.tail == full.tail
@@ -1306,6 +1308,25 @@ def test_quasilinearize_takes_the_jacobian_at_the_equilibrium_once():
                        omega_plus=1.0, omega_minus=-1.0)
     assert len(calls) == 1
     assert np.array_equal(q.pieces.A0, q.pieces.model.jacobian(np.zeros(2)))
+
+
+def test_quasilinearize_takes_the_field_row_at_the_equilibrium_once():
+    # split_field's F(eq) row serves rests_exactly and the cold start of the
+    # inversion; the Df(0) check's central differences are single-state
+    # calls of the oracle, not batch rows
+    m, sp, _ = _coupled_saddle()
+    rows = []
+
+    def field(u):
+        if np.ndim(u) == 2:
+            rows.extend(map(tuple, u))
+        return m.vector_field(u)
+
+    q = quasilinearize(dataclasses.replace(m, vector_field=field), sp,
+                       omega_plus=1.0, omega_minus=-1.0)
+    assert rows.count(tuple(m.equilibrium)) == 1
+    assert np.array_equal(q.pieces.F0, m.vector_field(m.equilibrium))
+    assert q.pieces.rests_exactly
 
 
 def test_quasilinearize_remainder_gradient_vanishes():

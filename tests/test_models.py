@@ -233,6 +233,62 @@ def test_galerkin_fft_matches_direct_triad_sum(beta, xi0, modes):
     assert rel(batch, np.array([F for F, _, _ in refs])) <= 1e-13
 
 
+def _mmt_field_reference(p):
+    """The MMT field as one out-of-place embed, ifft and fft, with the
+    fancy-index scatter and gather and the weights applied throughout."""
+    modes = list(p.mode_set)
+    om = mmt_plane_wave_frequency(p)
+    disp = np.array([abs(xi) ** (2 * p.alpha) for xi in modes]) + om
+    wmul = np.array([1.0 if p.beta == 0.0 else abs(xi) ** p.beta
+                     for xi in modes])
+    q = np.array(modes) - min(modes)
+    L = 3 * (int(q.max()) + 1)
+
+    def cubic(w):
+        c = np.zeros(w.shape[:-1] + (L,), dtype=complex)
+        c[..., q] = w
+        v = np.fft.ifft(c, norm="forward")
+        v *= v.real ** 2 + v.imag ** 2
+        return np.fft.fft(v, norm="forward")[..., q]
+
+    def F(u):
+        z = np.ascontiguousarray(u, dtype=float).view(np.complex128)
+        out = -1j * (disp * z + p.sigma * wmul * cubic(wmul * z))
+        return np.ascontiguousarray(out).view(float)
+    return F
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("xi0,modes", [
+    (0, mmt_mode_set(0, 3)),
+    (1, (-5, -2, 0, 1, 4, 7)),   # non-contiguous
+    (0, (1, -1, 0, 2)),          # contiguous, not ascending
+])
+def test_galerkin_field_is_the_reference_bit_for_bit(beta, xi0, modes):
+    # the in-place transforms, slice gathers and skipped unit weights give
+    # the bits of the out-of-place formula, signed zeros included, and
+    # leave the caller's states alone
+    p = MmtParams(alpha=1.0, beta=beta, sigma=-1, a=1.2, xi0=xi0,
+                  mode_set=modes)
+    m, ref = mmt_galerkin(p), _mmt_field_reference(p)
+    n = m.dimension
+    rng = np.random.default_rng(17)
+    for shape in [(n,), (5, n), (3, 4, n)]:
+        near = m.equilibrium + 0.2 * rng.normal(size=shape)
+        signed = near.copy()
+        signed[rng.random(shape) < 0.4] = -0.0
+        zeros = np.where(rng.random(shape) < 0.6, -0.0, 0.0)
+        sparse = zeros.copy()
+        sparse[..., 1] = -0.3
+        for u in (near, signed, zeros, sparse):
+            kept = u.copy()
+            got, want = m.vector_field(u), ref(u)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(u, kept)
+            assert np.array_equal(np.signbit(u), np.signbit(kept))
+
+
 def test_galerkin_jacobian_exact_at_plane_wave():
     # the phase-symmetry Jordan block at 0 must stay exactly nilpotent:
     # roundoff of size 1e-16 would split its eigenvalue by ~1e-8
