@@ -260,7 +260,8 @@ def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float, dt: float,
     """Fixed-step classical RK4 from t0 to t1 (either direction).
 
     Returns the final state, or (times, states) when record_times is given
-    (record_times must be monotone from t0 towards t1).
+    (record_times must be monotone from t0 towards t1).  Without
+    record_times the final state is the record at t1.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -271,16 +272,9 @@ def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float, dt: float,
         return np.array([t0]), np.array([y0], dtype=float)
     nsteps = max(1, int(math.ceil(abs(span) / dt)))
     h = span / nsteps
-    y = np.array(y0, dtype=float)
-    if record_times is None:
-        t = t0
-        for _ in range(nsteps):
-            y = _rk4_step(f, t, y, h)
-            t += h
-        return y
-    rec = list(record_times)
+    rec = [t1] if record_times is None else list(record_times)
     out = []
-    y_cur, t_cur = y, t0
+    y_cur, t_cur = np.array(y0, dtype=float), t0
     for tr in rec:
         sub = tr - t_cur
         # at least one substep whenever the record time moves, even by
@@ -291,6 +285,8 @@ def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float, dt: float,
             y_cur = _rk4_step(f, t_cur, y_cur, hh)
             t_cur += hh
         out.append(y_cur.copy())
+    if record_times is None:
+        return out[-1]
     return np.array(rec), np.array(out)
 
 
@@ -739,10 +735,12 @@ def _contract(sweep: Callable, x, increment: Callable[..., float],
 
     Raises NoContractionError once three consecutive sweeps above tol did
     not shrink the increment, or when max_iter sweeps end above tol, and
-    ValueError for max_iter < 1.
+    ValueError for max_iter < 1 or a tol that is negative or NaN.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     incs: list[float] = []
     n_bad = 0
     for _ in range(max_iter):
@@ -779,15 +777,15 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
     Each sweep freezes A(t) = DF(v_prev(t)) along the previous iterate and
     integrates the linear system v' = A(t)v + f(v_prev(t)) with
     f(v) = F(v) - DF(v)v.  Diagnostics report the iterations, the last
-    increment, the discrepancy at T against the adaptive
-    `oracles.reference_flow`, and contraction_factor, the largest ratio of
-    consecutive sweep increments (_contraction_factor).  Raises
-    NoContractionError when the sweeps stop above tol.
+    increment and contraction_factor, the largest ratio of consecutive
+    sweep increments (_contraction_factor).  Raises ValueError for a T or
+    dt that is not a positive finite number, and NoContractionError when
+    the sweeps stop above tol.
     """
-    from .oracles import reference_flow   # oracles imports this module
-
-    if T <= 0:
-        raise ValueError("T must be positive")
+    for name, x in (("T", T), ("dt", dt)):
+        if not (math.isfinite(x) and x > 0):
+            raise ValueError(f"{name} must be a positive finite number, "
+                             f"got {x}")
     v0 = as_state(v0, model.dimension)
     m = max(2, int(round(T / dt)) + 1)
     times = np.linspace(0.0, T, m)
@@ -811,13 +809,10 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
     states, incs = _contract(
         sweep, start, lambda diff: float(np.max(np.linalg.norm(diff, axis=1))),
         tol, max_iter)
-    orbit = OrbitGrid(times, states)
-    ref = reference_flow(model.vector_field, v0, 0.0, T)
-    ref_diff = float(np.linalg.norm(states[-1] - ref))
-    return orbit, {"contraction_factor": _contraction_factor(incs),
-                   "iterations": len(incs),
-                   "reference_discrepancy": ref_diff,
-                   "final_increment": incs[-1]}
+    return OrbitGrid(times, states), {
+        "contraction_factor": _contraction_factor(incs),
+        "iterations": len(incs),
+        "final_increment": incs[-1]}
 
 
 def variational_flow(model, orbit: OrbitGrid, dt: float) -> np.ndarray:

@@ -81,6 +81,8 @@ class LpConfig:
         if self.max_iter < 1:
             raise ValueError(
                 f"max_iter must be at least 1, got {self.max_iter}")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be non-negative, got {self.tol}")
 
 
 def lp_grid(cfg: LpConfig) -> np.ndarray:
@@ -292,7 +294,7 @@ class QuasiTransform:
 
 def _shift_clash(splitting: SpectralSplitting, sp: float, sm: float) -> str:
     """The shift that meets an eigenvalue of A(0) on its own block: DB(0) is
-    sigma (A(0) - s+) on the unstable block and A(0) - s- on the complement."""
+    A(0) - s+ on the unstable block and A(0) - s- on the complement."""
     eig = np.asarray(splitting.eigenvalues)
     plus = np.array([b == "+" for b in splitting.blocks])
     clashes = []
@@ -323,8 +325,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     Pr = splitting.projection.projector_rest
     eq = model.equilibrium
     n = model.dimension
-    # DB(u) = PS DF(eq + u) - CS
-    PS = Pp + Pr
+    # DB(u) = DF(eq + u) - CS, as Pr = I - Pp
     CS = sp * Pp + sm * Pr
     # the row products take contiguous transposes, made once
     PpT, PrT, CST = (np.ascontiguousarray(a.T) for a in (Pp, Pr, CS))
@@ -340,7 +341,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
 
     def db_of(J):
         """DB(u) from the Jacobians J = DF(eq + u), one per leading index."""
-        return PS @ J - CS
+        return J - CS
 
     # the transformed system keeps the original projections; its blocks are
     # the diagonal blocks of the full state-dependent Jacobian
@@ -447,7 +448,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     def transformed_field(state):
         """G(B(u)) = DB(u) F(eq + u) from an inversion state (rows)."""
         _, FU, J = state
-        return (PS @ (J @ FU[:, :, None]))[:, :, 0] - FU @ CST
+        return (J @ FU[:, :, None])[:, :, 0] - FU @ CST
 
     def G(V):
         return transformed_field(_invert(V)).reshape(np.shape(V))
@@ -761,8 +762,6 @@ class ManifoldGraph:
 
 def _ball_grid(d: int, eps: float, n_per_dim: int,
                seed: int = 0) -> np.ndarray:
-    if d == 1:
-        return np.linspace(-eps, eps, n_per_dim).reshape(-1, 1)
     if d <= 3:
         axes = [np.linspace(-eps, eps, n_per_dim)] * d
         mesh = np.meshgrid(*axes, indexing="ij")

@@ -124,18 +124,16 @@ def backward_shoot(model, splitting: SpectralSplitting, target_plus,
 
 
 def finite_difference_jacobian(F, u, h_step: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian, column by column."""
+    """Central-difference Jacobian, column by column; F is called only at
+    the perturbed states u +- h_step e_j."""
     if h_step <= 0:
         raise ValueError("h_step must be positive")
     u = as_state(u)
-    f0 = np.asarray(F(u), dtype=float)
-    n_out, n_in = f0.shape[0], u.shape[0]
-    J = np.empty((n_out, n_in))
-    for j in range(n_in):
-        e = np.zeros(n_in)
-        e[j] = h_step
-        J[:, j] = (np.asarray(F(u + e)) - np.asarray(F(u - e))) / (2 * h_step)
-    return J
+    if not u.size:
+        raise ValueError("finite_difference_jacobian needs a nonempty state")
+    return np.stack([(np.asarray(F(u + e)) - np.asarray(F(u - e)))
+                     / (2 * h_step) for e in h_step * np.eye(u.size)],
+                    axis=1, dtype=float)
 
 
 def quartic_roots(c_plus: float, c_minus: float, c: float) -> np.ndarray:

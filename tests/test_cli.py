@@ -6,8 +6,9 @@ import pytest
 
 from lpmanifolds import cli, verify
 from lpmanifolds.cli import default_gap, main
-from lpmanifolds.linalg import AmbiguousSplitError, eigen_split
-from lpmanifolds.models import MmtParams, mmt_galerkin, mmt_mode_set
+from lpmanifolds.linalg import AmbiguousSplitError, eigen_split, picard_solve
+from lpmanifolds.models import MmtParams, mmt_galerkin, mmt_mode_set, saddle_toy
+from lpmanifolds.oracles import reference_flow
 
 
 def run_cli(capsys, *argv):
@@ -203,7 +204,15 @@ def test_picard_runs(capsys):
                            "--x0", "0.1", "--t-final", "0.5", "--dt", "1e-3")
     assert code == 0
     assert "contraction_factor=" in out
-    assert "reference_discrepancy=" in out
+    # the front end, not picard_solve, compares v(T) with the oracle
+    model = saddle_toy("saddle1")
+    v0 = model.equilibrium.copy()
+    v0[0] += 0.1
+    orbit, _ = picard_solve(model, v0, 0.5, 1e-3, tol=1e-10)
+    ref = reference_flow(model.vector_field, v0, 0.0, 0.5)
+    discrepancy = float(np.linalg.norm(orbit.states[-1] - ref))
+    assert out.split("reference_discrepancy=")[1] == (
+        format(discrepancy, ".17g") + "\n")
 
 
 def test_picard_converged_after_a_growing_sweep_exits_zero(capsys, tmp_path):
@@ -283,14 +292,30 @@ def test_config_file_and_override(capsys, tmp_path):
     assert len(p2.read_text().splitlines()) == 4
 
 
-@pytest.mark.parametrize("max_iter", ["0", "-3"])
-def test_manifold_refuses_max_iter_below_one(capsys, max_iter):
-    # without a sweep every sample would report h = 0 as converged
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-iter", "0", "max_iter must be at least 1, got 0"),
+    ("--max-iter", "-3", "max_iter must be at least 1, got -3"),
+    ("--tol", "-1", "tol must be non-negative, got -1.0"),
+], ids=["0", "-3", "tol-1"])
+def test_manifold_refuses_max_iter_below_one(capsys, flag, value, message):
+    # without a sweep every sample would report h = 0 as converged; below
+    # tol = 0 every sample would fail as a numerical failure
     code, out, err = run_cli(capsys, "manifold", "--model", "saddle1",
-                             "--grid", "5", "--max-iter", max_iter)
+                             "--grid", "5", flag, value)
     assert code == 1
     assert out == ""
-    assert err == f"error: max_iter must be at least 1, got {max_iter}\n"
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dt", "0"], ["--dt", "-0.001"], ["--tol", "-1"],
+], ids=["dt0", "dt-negative", "tol-1"])
+def test_picard_refuses_bad_step_and_tol(capsys, argv):
+    code, out, err = run_cli(capsys, "picard", "--model", "saddle1", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_consecutive_mains_do_not_share_values(capsys, tmp_path):

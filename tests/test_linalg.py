@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lpmanifolds import oracles
 from lpmanifolds.graded import NormLadder, OrbitGrid
 from lpmanifolds.linalg import (
     AmbiguousSplitError,
@@ -174,6 +175,20 @@ def test_integrate_rk4_record_times_closer_than_half_step():
     times, states = integrate_rk4(lambda t, y: y, [1.0], 0.0, 1.0, 0.1,
                                   record_times=[0, 0.02, 0.04, 0.5, 1])
     assert np.all(np.abs(states[:, 0] - np.exp(times)) <= 1e-6 * np.exp(times))
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 1.3), (1.3, -0.4)],
+                         ids=["forward", "backward"])
+def test_integrate_rk4_final_state_is_record_at_t1(t0, t1):
+    def f(t, y):
+        return np.array([y[1] * t, -np.sin(y[0]) + y[1] ** 2])
+
+    y0 = np.array([0.3, -0.2])
+    final = integrate_rk4(f, y0, t0, t1, 0.07)
+    times, states = integrate_rk4(f, y0, t0, t1, 0.07, record_times=[t1])
+    assert times.tolist() == [t1]
+    assert np.array_equal(final, states[-1])
+    assert np.array_equal(np.signbit(final), np.signbit(states[-1]))
 
 
 def test_interpolation_matches_np_interp():
@@ -379,10 +394,32 @@ def test_picard_affine():
 
 def test_picard_saddle_matches_rk4():
     model = saddle_toy("saddle1")
-    orbit, diag = picard_solve(model, np.array([0.1, 0.0]), 0.5, 1e-3,
-                               tol=1e-10)
-    assert diag["reference_discrepancy"] <= 1e-6
+    v0 = np.array([0.1, 0.0])
+    orbit, diag = picard_solve(model, v0, 0.5, 1e-3, tol=1e-10)
+    ref = oracles.reference_flow(model.vector_field, v0, 0.0, 0.5)
+    assert np.linalg.norm(orbit.states[-1] - ref) <= 1e-6
     assert diag["contraction_factor"] < 1.0
+
+
+def test_picard_solve_runs_no_oracle(monkeypatch):
+    # the oracle stays outside the solver: its callers compare against it
+    def fails(*args, **kwargs):
+        raise AssertionError("picard_solve called reference_flow")
+
+    monkeypatch.setattr(oracles, "reference_flow", fails)
+    orbit, diag = picard_solve(saddle_toy("saddle1"), np.array([0.1, 0.0]),
+                               0.5, 1e-3, tol=1e-10)
+    assert set(diag) == {"iterations", "contraction_factor",
+                         "final_increment"}
+    assert diag["final_increment"] <= 1e-10
+
+
+@pytest.mark.parametrize("T, dt", [(0.5, 0.0), (0.5, -1e-3), (0.5, math.nan),
+                                   (0.5, math.inf), (0.0, 1e-3),
+                                   (math.nan, 1e-3)])
+def test_picard_refuses_bad_interval(T, dt):
+    with pytest.raises(ValueError, match="must be a positive finite number"):
+        picard_solve(saddle_toy("saddle1"), np.array([0.1, 0.0]), T, dt)
 
 
 def _picard_loop(model, v0, T, dt, iterations):
@@ -465,12 +502,23 @@ def test_contract_slow_map_raises_at_max_iter():
     assert sweep.calls == 3
 
 
-@pytest.mark.parametrize("max_iter", [0, -1])
-def test_contract_refuses_max_iter_below_one(max_iter):
+@pytest.mark.parametrize("max_iter, tol, message", [
+    (0, 1e-6, "max_iter must be at least 1"),
+    (-1, 1e-6, "max_iter must be at least 1"),
+    (60, -1.0, "tol must be non-negative"),
+    (60, math.nan, "tol must be non-negative"),
+], ids=["0", "-1", "tol-1", "tol-nan"])
+def test_contract_refuses_max_iter_below_one(max_iter, tol, message):
     sweep = _counted(lambda x: x / 2)
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
-        _contract(sweep, 1.0, abs, 1e-6, max_iter)
+    with pytest.raises(ValueError, match=message):
+        _contract(sweep, 1.0, abs, tol, max_iter)
     assert sweep.calls == 0
+
+
+def test_contract_allows_zero_tol():
+    # x / 2 reaches 0 in floating point, so tol = 0 is reachable
+    x, incs = _contract(lambda x: x / 2, 1.0, abs, 0.0, 2000)
+    assert x == 0.0 and incs[-1] == 0.0
 
 
 # ----------------------------------------------------------- variational flow

@@ -551,11 +551,22 @@ def test_lp_solve_eps_validation():
         lp_solve(pieces, CFG1, np.array([0.5]))
 
 
-@pytest.mark.parametrize("max_iter", [0, -3])
-def test_lp_config_refuses_max_iter_below_one(max_iter):
-    # without a sweep the iteration would return the zero orbit as h
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
-        LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.12, max_iter=max_iter)
+@pytest.mark.parametrize("max_iter, tol, message", [
+    (0, 1e-9, "max_iter must be at least 1"),
+    (-3, 1e-9, "max_iter must be at least 1"),
+    (60, -1.0, "tol must be non-negative"),
+    (60, math.nan, "tol must be non-negative"),
+], ids=["0", "-3", "tol-1", "tol-nan"])
+def test_lp_config_refuses_max_iter_below_one(max_iter, tol, message):
+    # without a sweep the iteration would return the zero orbit as h, and
+    # no sweep reaches a negative or NaN tol
+    with pytest.raises(ValueError, match=message):
+        LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.12, max_iter=max_iter,
+                 tol=tol)
+
+
+def test_lp_config_allows_zero_tol():
+    assert LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.12, tol=0.0).tol == 0
 
 
 def _coupled_saddle():

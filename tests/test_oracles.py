@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import lpmanifolds
 from lpmanifolds.linalg import eigen_split
-from lpmanifolds.lp import reversed_model
+from lpmanifolds.lp import reversed_model, split_field
 from lpmanifolds.models import reaction_diffusion, saddle_toy
 from lpmanifolds.oracles import (
     backward_shoot,
@@ -67,6 +68,28 @@ def test_fd_jacobian_hand_example():
 
     J = finite_difference_jacobian(F, np.array([1.0, 2.0]), 1e-5)
     assert J == pytest.approx(np.array([[2.0, 0.0], [2.0, 1.0]]), abs=1e-6)
+
+
+def test_fd_jacobian_refuses_empty_state():
+    with pytest.raises(ValueError, match="nonempty state"):
+        finite_difference_jacobian(lambda u: u, np.zeros(0))
+
+
+def test_split_field_makes_no_single_state_call_at_equilibrium():
+    # the Df(0) check differences F at eq +- h e_j only; F(eq) itself comes
+    # from one batch call
+    model = saddle_toy("saddle1")
+    field, eq = model.vector_field, model.equilibrium
+    at_eq = []
+
+    def recording(u):
+        if np.ndim(u) == 1 and np.array_equal(u, eq):
+            at_eq.append(u)
+        return field(u)
+
+    model = dataclasses.replace(model, vector_field=recording)
+    split_field(model, eigen_split(model.jacobian(eq), 0.5))
+    assert at_eq == []
 
 
 def test_quartic_decoupled():
