@@ -231,7 +231,8 @@ def split_field(model: ModelSystem, splitting: SpectralSplitting
     """Semilinear realization: autonomous blocks of A(0) plus remainder f.
 
     f(y) = F(y) - A(0) y has f(0) = 0 and Df(0) = 0; the latter is checked by
-    central finite differences and refused if ||Df(0)|| exceeds 1e-6.
+    central finite differences and refused if ||Df(0)|| exceeds
+    1e-6 max(||A(0)||_F, 1), the scale of the block-diagonal check.
     """
     Bp = splitting.projection.basis_plus
     Br = splitting.projection.basis_rest
@@ -240,10 +241,10 @@ def split_field(model: ModelSystem, splitting: SpectralSplitting
     A0 = model.jacobian(model.equilibrium)
     Ahat = Binv @ A0 @ B
     d = Bp.shape[1]
-    off = 0.0
+    scale = max(np.linalg.norm(A0), 1.0)
     if 0 < d < B.shape[0]:
         off = max(np.linalg.norm(Ahat[:d, d:]), np.linalg.norm(Ahat[d:, :d]))
-        if off > 1e-8 * max(np.linalg.norm(A0), 1.0):
+        if off > 1e-8 * scale:
             raise ValueError("splitting does not block-diagonalize A(0)")
 
     def f_amb(y):
@@ -251,7 +252,7 @@ def split_field(model: ModelSystem, splitting: SpectralSplitting
         return model.vector_field(u) - A0 @ y
 
     Df0 = finite_difference_jacobian(f_amb, np.zeros(model.dimension), 1e-6)
-    if np.linalg.norm(Df0) > 1e-6:
+    if np.linalg.norm(Df0) > 1e-6 * scale:
         raise ValueError(
             f"splitting inconsistent with Jacobian: ||Df(0)|| = "
             f"{np.linalg.norm(Df0):.3e}")
@@ -762,18 +763,28 @@ class ManifoldGraph:
 
 def _ball_grid(d: int, eps: float, n_per_dim: int,
                seed: int = 0) -> np.ndarray:
+    """Base points in the eps-ball of R^d: up to d = 3 the points of the
+    tensor grid of n_per_dim per dimension that lie in the ball (refused
+    with ValueError when none does), above it 64 seeded Sobol points of the
+    cube [-1, 1]^d taken radially onto the ball."""
     if d <= 3:
         axes = [np.linspace(-eps, eps, n_per_dim)] * d
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         keep = np.linalg.norm(pts, axis=1) <= eps * (1 + 1e-12)
+        if not keep.any():
+            raise ValueError(
+                f"no base point to sample: a grid of {n_per_dim} per "
+                f"dimension (--grid) has none in the eps-ball "
+                f"(eps = {eps:g})")
         return pts[keep]
-    # above tensor-grid dimension: 64 seeded Sobol samples, those in the ball
     from scipy.stats import qmc
-    sampler = qmc.Sobol(d, scramble=True, seed=seed)
-    cube = sampler.random(64) * 2.0 - 1.0
-    keep = np.linalg.norm(cube, axis=1) <= 1.0
-    return cube[keep] * eps
+    cube = qmc.Sobol(d, scramble=True, seed=seed).random(64) * 2.0 - 1.0
+    # x ||x||_inf / ||x||_2 takes each cube shell ||x||_inf = s onto the
+    # sphere of radius s, so the cube goes onto the ball
+    l2 = np.linalg.norm(cube, axis=1, keepdims=True)
+    linf = np.max(np.abs(cube), axis=1, keepdims=True)
+    return cube * (linf / l2) * eps
 
 
 def _largest_pair_ratio(V: np.ndarray, Bv: np.ndarray, H: np.ndarray,
@@ -818,11 +829,6 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
     d = pieces.d_plus
     if isinstance(grid_spec, (int, np.integer)):
         pts = _ball_grid(d, cfg.eps, int(grid_spec), seed=seed)
-        if not len(pts):
-            raise ValueError(
-                f"no base point to sample: a grid of {int(grid_spec)} per "
-                f"dimension (--grid) has none in the eps-ball "
-                f"(eps = {cfg.eps:g})")
     else:
         pts = np.atleast_2d(np.asarray(grid_spec, dtype=float))
     nsamp = pts.shape[0]

@@ -123,6 +123,15 @@ def custom_model(name: str, F, jac, equilibrium, ladder=None) -> ModelSystem:
 # ---------------------------------------------------------------------------
 # MMT model: u_t = -i(|D|^{2a} u + sigma |D|^b (||D|^b u|^2 |D|^b u))
 
+# bytes of the padded buffer through which the MMT field passes a batch,
+# one block of rows at a time.  It stays in L2 cache and is reused from the
+# heap, while a whole-batch buffer (5.3 MB at 63 modes on 1751 states) is
+# handed back to the system after a call and faulted in again by the next.
+# Of the budgets 2^16..2^20, 2^18 gave the fastest benchmark rounds
+# (BENCH_mmt_blocks.json).
+_FIELD_BLOCK_BYTES = 2 ** 18
+
+
 def _mult(xi: int, beta: float) -> float:
     """|xi|^beta with the beta = 0 operator equal to the identity."""
     if beta == 0.0:
@@ -234,10 +243,14 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
     |xi|^b times the Fourier coefficient of |W|^2 W on each retained mode.
     The mode set is embedded in [min, max] and zero-padded to at least three
     times that span, so the product has no aliasing and the result equals
-    the direct sum over retained triads.  A batch of states fills one padded
-    buffer, which both transforms overwrite in place; the retained modes are
-    a basic slice of it when the mode set is ascending without gaps, and at
-    beta = 0 the unit weights are not applied to the state.
+    the direct sum over retained triads.  A batch of states passes through
+    one padded buffer of at most _FIELD_BLOCK_BYTES, a block of rows at a
+    time (one state is a one-row batch), and both transforms overwrite it in
+    place; the retained modes are a basic slice of it when the mode set is
+    ascending without gaps, and at beta = 0 the unit weights are not applied
+    to the state.  Each block is finished in its slice of the output with
+    the operations of the whole-batch formula, so the bits do not depend on
+    the block size.
     """
     if len(p.mode_set) > 64:
         raise ValueError("mode_set too large (desk scale is <= 64 modes)")
@@ -249,6 +262,7 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
     q = np.array(modes) - min(modes)  # slots of the modes in [min, max]
     span = int(q.max()) + 1
     L = 3 * span                      # alias-free grid for the cubic
+    block = max(1, _FIELD_BLOCK_BYTES // (16 * L))  # rows per padded block
     # an ascending mode set without gaps (every mmt_mode_set) fills slots
     # 0..N-1, a basic slice; others scatter to and gather from q
     slots = slice(0, N) if np.array_equal(q, np.arange(N)) else q
@@ -265,32 +279,35 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
     def to_real(z: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(z).view(float)
 
-    def embed(w: np.ndarray, length: int) -> np.ndarray:
-        """Coefficients of e^{-i min x} W in slots 0..length-1."""
-        c = np.zeros(w.shape[:-1] + (length,), dtype=complex)
-        c[..., slots] = w
-        return c
-
-    def cubic(w: np.ndarray) -> np.ndarray:
-        """Coefficients of |W|^2 W on the retained modes (single or batch):
-        both transforms run in place on one zero-padded buffer, and the
-        result is read from it."""
-        v = embed(w, L)
+    def cubic(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Coefficients of |W|^2 W on the retained modes of the rows w:
+        both transforms run in place on the zero-padded buffer v, of shape
+        (len(w), L), and the result is read from it."""
+        v.fill(0)
+        v[:, slots] = w
         np.fft.ifft(v, norm="forward", out=v)
         mod2 = np.square(v.real)
         mod2 += np.square(v.imag)
         v *= mod2
         np.fft.fft(v, norm="forward", out=v)
-        return v[..., slots]
+        return v[:, slots]
 
     def field_c(z: np.ndarray) -> np.ndarray:
-        """-1j (disp z + sigma wmul cubic(wmul z)), built in place; at
-        beta = 0 the weights are all ones and z enters the cubic as it is."""
-        out = disp * z
-        cub = cubic(z if p.beta == 0.0 else wmul * z)
-        np.multiply(sw, cub, out=cub)
-        out += cub
-        return np.multiply(-1j, out, out=out)
+        """-1j (disp z + sigma wmul cubic(wmul z)) on the states z (..., N),
+        in blocks of rows through one padded buffer; each block is built in
+        place in its slice of the output.  At beta = 0 the weights are all
+        ones and z enters the cubic as it is."""
+        rows = z.reshape(-1, N)
+        out = np.empty(rows.shape, dtype=complex)
+        v = np.empty((min(block, len(rows)), L), dtype=complex)
+        for s in range(0, len(rows), block):
+            zb, ob = rows[s:s + block], out[s:s + block]
+            cub = cubic(zb if p.beta == 0.0 else wmul * zb, v[:len(zb)])
+            np.multiply(sw, cub, out=cub)
+            np.multiply(disp, zb, out=ob)
+            ob += cub
+            np.multiply(-1j, ob, out=ob)
+        return out.reshape(z.shape)
 
     def F(u: np.ndarray) -> np.ndarray:
         return to_real(field_c(to_complex(_states(u, 2 * N))))
@@ -298,7 +315,8 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
     def jac(u: np.ndarray) -> np.ndarray:
         """Jacobian at one state; np.correlate has no batched form."""
         z = to_complex(u)
-        v = embed(wmul * z, span)
+        v = np.zeros(span, dtype=complex)  # e^{-i min x} W in slots 0..span-1
+        v[slots] = wmul * z
         # d(cubic)_n / dz_m = 2 c(|W|^2)[xi_n - xi_m] w_m (Toeplitz) and
         # d(cubic)_n / dconj(z)_m = c(W^2)[xi_n + xi_m] w_m (Hankel).  The
         # coefficients come from direct O(N^2) convolutions rather than the
@@ -321,7 +339,8 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
         z = to_complex(as_state(u, 2 * N))
         w = wmul * z
         quad = 0.5 * float(np.sum(disp * np.abs(z) ** 2))
-        quart = 0.25 * p.sigma * float(np.real(np.sum(cubic(w) * np.conj(w))))
+        cub = cubic(w[None], np.empty((1, L), dtype=complex))[0]
+        quart = 0.25 * p.sigma * float(np.real(np.sum(cub * np.conj(w))))
         return quad + quart
 
     eq_c = np.zeros(N, dtype=complex)

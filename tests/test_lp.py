@@ -105,6 +105,28 @@ def test_split_mmt_remainder_superlinear():
     assert slope >= 1.9
 
 
+def test_split_field_scales_the_df0_check_with_a0():
+    # the 63-mode beta = 1 MMT has ||A0||_F = 3.5e3, and its right
+    # splitting has a roundoff ||Df(0)|| of 3.7e-6 (above an absolute 1e-6)
+    p = MmtParams(alpha=1.0, beta=1.0, sigma=-1, a=0.8, xi0=1,
+                  mode_set=mmt_mode_set(1, 31))
+    m = mmt_galerkin(p)
+    A0 = m.jacobian(m.equilibrium)
+    pieces = split_field(m, eigen_split(A0, cli.default_gap(A0)))
+    assert pieces.d_plus == 60
+
+
+def test_split_field_refuses_a_wrong_jacobian():
+    # the splitting block-diagonalizes the Jacobian it was built from, but
+    # the field's derivative at 0 is diag(1, -1), not diag(1, -2)
+    true = saddle_toy("saddle1")
+    wrong = lambda u: np.diag([1.0, -2.0])  # noqa: E731
+    m = custom_model("wrong_jac", true.vector_field, wrong, np.zeros(2))
+    sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
+    with pytest.raises(ValueError, match="inconsistent with Jacobian"):
+        split_field(m, sp)
+
+
 # ------------------------------------------------------------------- lp_apply
 
 def test_lp_apply_zero_remainder_is_linear_flow():
@@ -768,6 +790,37 @@ def test_graph_refuses_lambda_outside_the_gap(monkeypatch):
                            r"dichotomy gap \(-1\.0, 1\.0\)"):
             build_manifold_graph(pieces, cfg, grid_spec=grid)
     assert solved == []
+
+
+@pytest.mark.parametrize("d", [4, 8, 12])
+def test_ball_grid_takes_every_sobol_point_into_the_ball(d):
+    # above dimension 3 all 64 points are kept (at d = 8 rejecting those
+    # outside the ball kept none), each moved along its ray to the radius
+    # eps ||x||_inf of its cube shell; the grid size is not read
+    from scipy.stats import qmc
+    eps = 0.05
+    cube = qmc.Sobol(d, scramble=True, seed=3).random(64) * 2.0 - 1.0
+    pts = lp._ball_grid(d, eps, 0, seed=3)
+    assert pts.shape == (64, d)
+    r = np.linalg.norm(pts, axis=1)
+    assert r == pytest.approx(eps * np.abs(cube).max(axis=1), rel=1e-14)
+    assert np.all(r <= eps)
+    assert pts / r[:, None] == pytest.approx(
+        cube / np.linalg.norm(cube, axis=1)[:, None], rel=1e-14)
+
+
+def test_graph_samples_an_eight_dimensional_unstable_ball():
+    A = np.diag([1.0] * 8 + [-1.0])
+    m = lpmanifolds.ModelSystem(
+        "lin9", lambda u: u @ A.T,
+        lambda u: np.broadcast_to(A, np.shape(u) + (9,)).copy(),
+        np.zeros(9), NormLadder.euclidean(9))
+    pieces = split_field(m, eigen_split(A, 0.5))
+    cfg = LpConfig(lam=0.5, T_max=4.0, dt=0.05, eps=0.1)
+    graph = build_manifold_graph(pieces, cfg, grid_spec=3)
+    assert graph.base_points.shape == (64, 8)
+    assert graph.status == ["ok"] * 64
+    assert np.all(graph.values == 0.0)
 
 
 def test_graph_rd_tangency_through_origin():

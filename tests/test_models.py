@@ -1,9 +1,11 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lpmanifolds import models
 from lpmanifolds.linalg import eigen_split, integrate_rk4
 from lpmanifolds.lp import quasilinearize, reversed_model
 from lpmanifolds.models import (
@@ -258,22 +260,32 @@ def _mmt_field_reference(p):
     return F
 
 
+def _field_block(p):
+    """Rows per padded block of the MMT field of p."""
+    L = 3 * (max(p.mode_set) - min(p.mode_set) + 1)
+    return max(1, models._FIELD_BLOCK_BYTES // (16 * L))
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.5])
 @pytest.mark.parametrize("xi0,modes", [
     (0, mmt_mode_set(0, 3)),
     (1, (-5, -2, 0, 1, 4, 7)),   # non-contiguous
     (0, (1, -1, 0, 2)),          # contiguous, not ascending
+    (0, mmt_mode_set(0, 31)),    # 63 modes: many blocks to a batch
 ])
 def test_galerkin_field_is_the_reference_bit_for_bit(beta, xi0, modes):
-    # the in-place transforms, slice gathers and skipped unit weights give
-    # the bits of the out-of-place formula, signed zeros included, and
-    # leave the caller's states alone
+    # the in-place transforms, slice gathers, skipped unit weights and row
+    # blocks give the bits of the out-of-place formula, signed zeros
+    # included, on batches that end inside, at and past a block boundary,
+    # and leave the caller's states alone
     p = MmtParams(alpha=1.0, beta=beta, sigma=-1, a=1.2, xi0=xi0,
                   mode_set=modes)
     m, ref = mmt_galerkin(p), _mmt_field_reference(p)
-    n = m.dimension
+    n, b = m.dimension, _field_block(p)
     rng = np.random.default_rng(17)
-    for shape in [(n,), (5, n), (3, 4, n)]:
+    for rows in [(), (5,), (3, 4), (b - 1,), (b,), (b + 1,), (2 * b + 3,),
+                 (0,), (3, b)]:
+        shape = rows + (n,)
         near = m.equilibrium + 0.2 * rng.normal(size=shape)
         signed = near.copy()
         signed[rng.random(shape) < 0.4] = -0.0
@@ -283,10 +295,29 @@ def test_galerkin_field_is_the_reference_bit_for_bit(beta, xi0, modes):
         for u in (near, signed, zeros, sparse):
             kept = u.copy()
             got, want = m.vector_field(u), ref(u)
+            assert got.shape == shape
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
             assert np.array_equal(u, kept)
             assert np.array_equal(np.signbit(u), np.signbit(kept))
+
+
+def test_galerkin_field_holds_one_block_at_a_time():
+    # a 1751-state batch at 63 modes passes through a padded buffer of
+    # about _FIELD_BLOCK_BYTES, not one of the whole batch (5.3 MB)
+    p = MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
+                  mode_set=mmt_mode_set(0, 31))
+    m = mmt_galerkin(p)
+    u = m.equilibrium + 0.03 * np.random.default_rng(4).normal(
+        size=(1751, m.dimension))
+    m.vector_field(u)
+    tracemalloc.start()
+    try:
+        out = m.vector_field(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2 ** 20
 
 
 def test_galerkin_jacobian_exact_at_plane_wave():
