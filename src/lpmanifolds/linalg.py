@@ -314,7 +314,10 @@ class ScanPlan:
     k, ..., k+b-1 from x_{k-1} = 0.  `carry` is the (d, b*d) row of blocks
     (E^{i+1})^T taking the state before a block to each of its nodes, and
     `Eb` holds E^b, E^{2b}, E^{4b}, ...: the steps of the doubling scan over
-    the block ends, squared once and kept as longer grids need them.
+    the block ends, squared once and kept as longer grids need them.  `Ec`
+    does the same for the chunked route: keyed by the chunk length c, it
+    holds E^c, E^{2c}, E^{4c}, ..., the steps of the doubling scan over the
+    chunk ends, so repeated scans of one grid take no matrix power again.
     """
 
     E: np.ndarray
@@ -324,6 +327,7 @@ class ScanPlan:
     table: np.ndarray | None = None
     carry: np.ndarray | None = None
     Eb: list = field(default_factory=list)
+    Ec: dict = field(default_factory=dict)
 
 
 def scan_plan(E, P, Q) -> ScanPlan:
@@ -383,10 +387,10 @@ def _doubling_scan(powers: list, rows: np.ndarray) -> None:
             powers.append(powers[-1] @ powers[-1])
 
 
-def _blocked_scan(plan: ScanPlan, rows: np.ndarray,
-                  x0: np.ndarray) -> np.ndarray:
+def _blocked_scan(plan: ScanPlan, rows: np.ndarray, x0: np.ndarray,
+                  out: np.ndarray) -> None:
     """The scan of rows (m, r, d) from x0 (r, d) with the plan's taps,
-    returned as a new array."""
+    written into out (m, r, d)."""
     m, r, d = rows.shape
     b = plan.b
     nb = -(-(m - 1) // b)
@@ -407,16 +411,16 @@ def _blocked_scan(plan: ScanPlan, rows: np.ndarray,
     ends[1:] = Z[:, :-1, -1].swapaxes(0, 1)
     _doubling_scan(plan.Eb, ends)
     Z += (ends.reshape(-1, d) @ plan.carry).reshape(nb, r, b, d).swapaxes(0, 1)
-    out = np.empty((m, r, d))
     out[0] = x0
     out[1:] = Z.reshape(r, nb * b, d)[:, :m - 1].swapaxes(0, 1)
-    return out
 
 
-def _chunked_scan(Q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The scan of rows (m, r, d), returned as a new array, with the
-    transposed step matrices Q: one (d, d) matrix E^T, or a stack
-    (m - 1, d, d) whose Q[j] = E_j^T takes node j to node j + 1.
+def _chunked_scan(Q: np.ndarray, rows: np.ndarray, out: np.ndarray,
+                  ends_steps: dict | None = None) -> None:
+    """The scan of rows (m, r, d), written into out (m, r, d), which may be
+    rows itself, with the transposed step matrices Q: one (d, d) matrix
+    E^T, whose ScanPlan.Ec is ends_steps, or a stack (m - 1, d, d) whose
+    Q[j] = E_j^T takes node j to node j + 1.
 
     The nodes fall into K chunks of c = ceil(sqrt(m)) (the last one padded
     with zeros), laid out so that position i of every chunk is one slab.
@@ -425,9 +429,10 @@ def _chunked_scan(Q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Step stacks carry d extra rows per chunk, started at the step into the
     chunk, which the same matmuls turn into the chunk's transfer matrices.
     The K - 1 chunk ends then form a short recurrence: a doubling scan with
-    E^c, or this scan again on the stacked transfers.  Each true chunk end
-    finally enters the next chunk through the powers of E, one matmul per
-    position, or through the stored transfers in a single batched matmul.
+    E^c and its squares, kept in ends_steps under c, or this scan again on
+    the stacked transfers.  Each true chunk end finally enters the next
+    chunk through the powers of E, one matmul per position, or through the
+    stored transfers in a single batched matmul.
     """
     m, r, d = rows.shape
     c = math.isqrt(m - 1) + 1
@@ -454,15 +459,20 @@ def _chunked_scan(Q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if K > 1:
         ends = Z[-1, :-1].copy()
         if stack:
-            ends = _chunked_scan(T[-1, 1:-1], ends)
+            _chunked_scan(T[-1, 1:-1], ends, ends)
             Z[:, 1:] += ends @ T[:, 1:]
         else:
-            _doubling_scan([np.linalg.matrix_power(Q, c).T], ends)
+            if c not in ends_steps:
+                ends_steps[c] = [np.linalg.matrix_power(Q, c).T]
+            _doubling_scan(ends_steps[c], ends)
             carry = ends.reshape(-1, d)
             for i in range(c):
                 carry = carry @ Q
                 Z[i, 1:] += carry.reshape(K - 1, r, d)
-    return Z.swapaxes(0, 1).reshape(K * c, r, d)[:m]
+    # node k*c + i goes back from W[i, k]: the full chunks, then the rest
+    out[:full * c].reshape(full, c, r, d)[...] = Z[:, :full].swapaxes(0, 1)
+    if full < K:
+        out[full * c:] = Z[:m - full * c, full]
 
 
 def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
@@ -488,11 +498,23 @@ def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
     plan's taps first form the plain inputs P X[j-1] + Q X[j] in two gemms,
     then the nodes fall into about sqrt(m) chunks of about sqrt(m) nodes,
     a sequential pass steps inside every chunk at once, the short
-    recurrence over the chunk ends gives the carries, and a second pass
-    adds them.  That is O(m*d^2) work for a plan and O(m*d^3) for a stack
-    (the transfer matrix of every chunk), with no log(m) factor, in about
+    recurrence over the chunk ends (for a plan, a doubling scan with its
+    kept powers of E^c) gives the carries, and a second pass adds them.
+    That is O(m*d^2) work for a plan and O(m*d^3) for a stack (the
+    transfer matrix of every chunk), with no log(m) factor, in about
     2*sqrt(m) matmuls.
     """
+    X = np.asarray(X, dtype=float)
+    out = np.empty(X.shape)
+    _scan_into(E, X, x0, out)
+    return out
+
+
+def _scan_into(E, X: np.ndarray, x0, out: np.ndarray) -> None:
+    """linear_scan(E, X, x0) written into out, an array of X's shape (for
+    instance a slice of the last axis of a wider array, read backward or
+    not) whose axes between the first and the last reshape without a copy,
+    so the kernels store their rows in the caller's array."""
     X = np.asarray(X, dtype=float)
     m, d = X.shape[0], X.shape[-1]
     plan = E if isinstance(E, ScanPlan) else None
@@ -505,8 +527,9 @@ def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
         raise ValueError(f"expected a ScanPlan or {m - 1} step matrices of "
                          f"size {d}, got shape {np.shape(E)}")
     if X.size == 0:
-        return X.copy()
+        return
     rows = X.reshape(m, -1, d)
+    dest = out.reshape(rows.shape)
     if x0 is None:
         start = rows[0]
     else:
@@ -515,7 +538,8 @@ def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
         if start.ndim > 1:
             start = start.reshape(-1, d)
     if plan is not None and plan.b and m >= 2 * plan.b:
-        return _blocked_scan(plan, rows, start).reshape(X.shape)
+        _blocked_scan(plan, rows, start, dest)
+        return
     if plan is not None or x0 is not None:
         inputs = np.empty(rows.shape)
         inputs[0] = start
@@ -528,7 +552,8 @@ def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
         else:
             inputs[1:] = rows[1:]
         rows = inputs
-    return _chunked_scan(np.swapaxes(E, -1, -2), rows).reshape(X.shape)
+    _chunked_scan(np.swapaxes(E, -1, -2), rows, dest,
+                  None if plan is None else plan.Ec)
 
 
 def rk4_affine(A: np.ndarray, g: np.ndarray, y0: np.ndarray,

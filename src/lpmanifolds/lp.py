@@ -23,7 +23,7 @@ import scipy.linalg as sla
 
 from .graded import NormLadder, OrbitGrid, _row_norms, as_state
 from .linalg import (NoContractionError, SpectralSplitting, _contract,
-                     _contraction_factor, integrate_rk4, linear_scan,
+                     _contraction_factor, _scan_into, integrate_rk4,
                      rk4_affine, scan_plan)
 from .models import ModelSystem, _per_row, _states
 from .oracles import finite_difference_jacobian
@@ -170,21 +170,43 @@ class SplitPieces:
     def d_rest(self) -> int:
         return self.dim - self.d_plus
 
-    def f_split(self, Y: np.ndarray) -> np.ndarray:
-        return self.remainder_and_field(Y)[0]
+    def f_split(self, Y: np.ndarray,
+                BY: np.ndarray | None = None) -> np.ndarray:
+        return self.remainder_and_field(Y, BY)[0]
 
     def remainder_and_field(
-            self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            self, Y: np.ndarray, BY: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(f_split(Y), F(to_ambient(Y))) for split states Y (..., n); the
-        ambient field is the one the remainder is built from."""
+        ambient field is the one the remainder is built from.  On the
+        autonomous route BY is Y B^T where the caller holds it (the
+        Lyapunov-Perron sweeps carry it), so the product is not formed
+        again; the quasilinear route reads Y alone."""
         if not self.autonomous:
             _, _, out, field, _ = self.frozen_along(np.atleast_2d(Y))
             return out.reshape(Y.shape), field.reshape(Y.shape)
-        BT, A0T, BinvT = self._transposes()
-        BY = Y @ BT
+        if BY is None:
+            BY = Y @ self._transposes()[0]
         eq = self.model.equilibrium
         field = self.model.field_many(BY + eq if np.any(eq) else BY)
-        return (field - BY @ A0T) @ BinvT, field
+        return self._remainder(BY, field), field
+
+    def _remainder(self, BY: np.ndarray, field: np.ndarray) -> np.ndarray:
+        """f_split from the ambient deviations BY = Y B^T (rows) and their
+        field."""
+        _, A0T, BinvT = self._transposes()
+        return (field - BY @ A0T) @ BinvT
+
+    def _zero_orbit_remainder(self, m: int) -> np.ndarray:
+        """f_split of the zero orbit on m nodes.  Every node rests at the
+        equilibrium, so the model is evaluated on one row.  The products
+        run on two copies of that row: NumPy sends a single row to gemv,
+        whose sums round otherwise than the gemm of a whole grid, and the
+        sweep keeps the bits of the grid's evaluation."""
+        BY = np.zeros((2, self.dim))
+        field = self.model.field_many(BY[:1] + self.model.equilibrium)
+        g = self._remainder(BY, np.repeat(field, 2, axis=0))
+        return np.repeat(g[:1], m, axis=0)
 
     def to_ambient(self, Y: np.ndarray) -> np.ndarray:
         return Y @ self._transposes()[0] + self.model.equilibrium
@@ -503,8 +525,9 @@ def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
     d = pieces.d_plus
     plan_m, plan_p = pieces.propagators(h)
     new = np.empty_like(g)
-    new[..., :d] = linear_scan(plan_m, g[::-1, ..., :d], v0_plus)[::-1]
-    new[..., d:] = linear_scan(plan_p, g[..., d:], 0.0)
+    # each scan writes its rows straight into its part of new
+    _scan_into(plan_m, g[::-1, ..., :d], v0_plus, new[::-1, ..., :d])
+    _scan_into(plan_p, g[..., d:], 0.0, new[..., d:])
     return new
 
 
@@ -517,8 +540,8 @@ def _linear_flow(pieces: SplitPieces, h: float, m: int,
     d = pieces.d_plus
     lead = (m,) + np.shape(v0_plus)[:-1]
     new = np.zeros(lead + (pieces.dim,))
-    new[..., :d] = linear_scan(pieces.propagators(h)[0],
-                               np.zeros(lead + (d,)), v0_plus)[::-1]
+    _scan_into(pieces.propagators(h)[0], np.zeros(lead + (d,)), v0_plus,
+               new[::-1, ..., :d])
     return new
 
 
@@ -534,11 +557,22 @@ def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
     inversion from its value at this sweep; without start the inversions
     start cold at the equilibrium.  The start is consumed: the returned
     state holds its arrays, updated in place.
+
+    On the autonomous route start is the ambient image Y B^T of Y, where
+    the caller holds it (the fixed point forms it once per sweep, for its
+    increment), and the remainder is built from it.  Without start the
+    remainder forms it, except on the zero orbit: every node of that orbit
+    has the remainder of the equilibrium, evaluated on one row and repeated
+    over the m nodes.
     """
     v0_plus = as_state(v0_plus, pieces.d_plus)
     h = _grid_step(cfg.T_max, cfg.dt)
     if pieces.autonomous:
-        return (*_lp_sweep(pieces, cfg, h, v0_plus, pieces.f_split(Y)), None)
+        if start is None and not np.any(Y):
+            g = pieces._zero_orbit_remainder(len(Y))
+        else:
+            g = pieces.f_split(Y, start)
+        return (*_lp_sweep(pieces, cfg, h, v0_plus, g), None)
     Ap, Ar, g, _, state = pieces.frozen_along(Y, start)
     return (*_lp_sweep(pieces, cfg, h, v0_plus, g, (Ap, Ar)), state)
 
@@ -584,11 +618,14 @@ class LpResult:
 
 
 class _FixedPoint(NamedTuple):
-    """The converged orbit Y of _lp_fixed_point, the increment of each
-    sweep, and what else lp_solve's diagnostics read: the last tail bound,
-    the quasilinear inversion state along Y and the increment norm."""
+    """The converged orbit Y of _lp_fixed_point and its ambient image
+    BY = Y B^T, the increment of each sweep, and what else lp_solve's
+    diagnostics read: the last tail bound, the quasilinear inversion state
+    along Y and the increments' weighted norm, taken of a difference of
+    split orbits (the fixed-point residual)."""
 
     Y: np.ndarray
+    BY: np.ndarray
     increments: list
     tail: float
     state: tuple | None
@@ -613,12 +650,16 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
     weighted-norm increment is at most cfg.tol; lp_solve without its
     diagnostics, all that a re-solve of h needs.
 
-    On the autonomous route with F(eq) exactly zero (pieces.rests_exactly)
-    the remainder of the zero orbit is zero, so the first sweep is the
-    linear flow U_+(t, 0) v0_plus with a zero complement and tail bound 0:
-    one unstable scan, no model call.  It still counts as a sweep.  The
-    quasilinear route, and a model whose F(eq) is only zero to roundoff,
-    take the full first sweep.
+    Each sweep forms the ambient image BY = Y B^T of its new orbit once.
+    That product gives the increment, the weighted norm of the change of
+    BY, and on the autonomous route it is the start of the next sweep,
+    whose remainder is built from it.  On the autonomous route with F(eq)
+    exactly zero (pieces.rests_exactly) the remainder of the zero orbit is
+    zero, so the first sweep is the linear flow U_+(t, 0) v0_plus with a
+    zero complement and tail bound 0: one unstable scan, no model call.  It
+    still counts as a sweep.  Where F(eq) is only zero to roundoff, the
+    first sweep goes through lp_apply, which evaluates the zero orbit's
+    remainder on one row; the quasilinear route takes the full first sweep.
 
     Raises ValueError for lam outside the dichotomy gap or a base point
     outside the eps-ball, and NoContractionError when the sweeps stop above
@@ -629,38 +670,57 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
     if np.linalg.norm(v0_plus) > cfg.eps * (1 + 1e-12):
         raise ValueError("base point outside the eps-ball")
     times = lp_grid(cfg)
-    # the norm of the increments: weighted at level r-1 and rate lam, with
-    # the level weights folded into the map to ambient coordinates
+    # the norm of the increments: weighted at level r-1 and rate lam
     decay = np.exp(-cfg.lam * times)
-    WB = np.ascontiguousarray(
-        pieces.B.T * pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0)))
+    w = pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
+    # the level weights folded into the map to ambient coordinates, for
+    # differences of split orbits
+    WB = np.ascontiguousarray(pieces.B.T * w)
+    # at level 0 (r = 1) every weight is 1, and multiplying by the weights
+    # changes no bit: the ambient increments skip it
+    if np.all(w == 1.0):
+        w = None
+    BT = pieces._transposes()[0]
 
-    def norm(Ydiff: np.ndarray) -> float:
+    def weighted(X: np.ndarray) -> float:
         # a non-finite state makes its row norm, and so the max, non-finite
-        inc = float(np.max(decay * _row_norms(Ydiff @ WB)))
+        inc = float(np.max(decay * _row_norms(X)))
         if not math.isfinite(inc):
             raise FloatingPointError("orbit states contain non-finite entries")
         return inc
 
-    # the quasilinear route starts each sweep's inversions of B from the
-    # previous sweep's
+    def norm(Ydiff: np.ndarray) -> float:
+        return weighted(Ydiff @ WB)
+
+    def ambient_norm(BYdiff: np.ndarray) -> float:
+        return weighted(BYdiff if w is None else BYdiff * w)
+
+    # the split orbit of the current iterate; the quasilinear route starts
+    # each sweep's inversions of B from the previous sweep's
+    Y = np.zeros((len(times), pieces.dim))
     state = tail = None
     # the first sweep acts on the zero orbit: where F(eq) is exactly zero
     # its remainder is zero, and the sweep is the linear flow with tail 0
     linear = pieces.autonomous and pieces.rests_exactly
 
-    def sweep(Y):
-        nonlocal state, tail, linear
+    def sweep(BY):
+        # the iterate is the image BY of the orbit Y, which rides along with
+        # the state; on the autonomous route the state is BY itself
+        nonlocal Y, state, tail, linear
         if linear:
             linear, tail = False, 0.0
-            return _linear_flow(pieces, _grid_step(cfg.T_max, cfg.dt),
-                                len(Y), v0_plus)
-        Ynew, tail, state = lp_apply(pieces, cfg, v0_plus, Y, state)
-        return Ynew
+            Y = _linear_flow(pieces, _grid_step(cfg.T_max, cfg.dt), len(Y),
+                             v0_plus)
+        else:
+            Y, tail, state = lp_apply(pieces, cfg, v0_plus, Y, state)
+        image = Y @ BT
+        if pieces.autonomous:
+            state = image
+        return image
 
-    Y, incs = _contract(sweep, np.zeros((len(times), pieces.dim)), norm,
-                        cfg.tol, cfg.max_iter)
-    return _FixedPoint(Y, incs, tail, state, norm)
+    BY, incs = _contract(sweep, np.zeros_like(Y), ambient_norm, cfg.tol,
+                         cfg.max_iter)
+    return _FixedPoint(Y, BY, incs, tail, state, norm)
 
 
 def lp_solve(pieces: SplitPieces, cfg: LpConfig,
@@ -668,10 +728,14 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     """Iterate the Lyapunov-Perron operator from the zero orbit to its fixed
     point; h(v0_plus) is the complement part of v(0).  The diagnostics add
     one more sweep (the fixed-point residual), the trajectory residual and
-    the quadrature budget.  Where F(eq) is exactly zero on the autonomous
-    route, the first sweep is the linear flow and evaluates no model
-    (_lp_fixed_point), so a solve of k sweeps evaluates the field on
-    k grids: k - 1 sweeps and the residual sweep.
+    the quadrature budget.  The ambient image Y B^T that the sweeps carry
+    (one product per sweep, _lp_fixed_point) also serves the residual
+    sweep's remainder and the ambient orbit.  On the autonomous route the
+    zero orbit's remainder is one model row: where F(eq) is exactly zero
+    the first sweep is the linear flow and evaluates no model, elsewhere
+    it evaluates one row.  So a solve of k sweeps on a grid of m nodes
+    evaluates the model on k m rows, or on 1 + k m: k - 1 sweeps and the
+    residual sweep, each on the whole grid.
 
     The diagnostic contraction_factor is the largest ratio of consecutive
     sweep increments (linalg._contraction_factor).
@@ -679,7 +743,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     Raises NoContractionError when the sweeps stop above cfg.tol.
     """
     fp = _lp_fixed_point(pieces, cfg, v0_plus)
-    Y, state = fp.Y, fp.state
+    Y, BY, state = fp.Y, fp.BY, fp.state
     v0_plus = as_state(v0_plus)
     d = pieces.d_plus
     times = lp_grid(cfg)
@@ -689,7 +753,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     # fixed-point residual: one more sweep, measured in the same norm; its
     # remainder and ambient field also serve the two checks below
     if pieces.autonomous:
-        g, field = pieces.remainder_and_field(Y)
+        g, field = pieces.remainder_and_field(Y, BY)
         blocks = None
     else:
         Ap, Ar, g, field, _ = pieces.frozen_along(Y, state)
@@ -697,7 +761,9 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     Ychk, _ = _lp_sweep(pieces, cfg, h, v0_plus, g, blocks)
     fp_res = fp.norm(Ychk - Y)
 
-    orbit = OrbitGrid(times, pieces.to_ambient(Y))
+    # to_ambient(Y), from the image the sweeps carried, shifted in place
+    # (nothing reads it after the residual sweep)
+    orbit = OrbitGrid(times, np.add(BY, pieces.model.equilibrium, out=BY))
     # centered-difference trajectory residual against the full field
     deriv = np.gradient(orbit.states, h, axis=0)
     traj_res = float(np.max(_row_norms(

@@ -253,9 +253,9 @@ def _route_spy(monkeypatch):
     calls = []
     real = linalg._blocked_scan
 
-    def spy(plan, rows, x0):
+    def spy(plan, *args):
         calls.append(plan.b)
-        return real(plan, rows, x0)
+        return real(plan, *args)
 
     monkeypatch.setattr(linalg, "_blocked_scan", spy)
     return calls
@@ -341,6 +341,50 @@ def test_blocked_scan_keeps_the_carry_powers(d):
         _doubling_squaring(kept.Eb[0], ref)
         linalg._doubling_scan(kept.Eb, ends)
         assert np.array_equal(ends, ref)
+
+
+@pytest.mark.parametrize("d", [17, 64])
+def test_chunked_scan_keeps_the_chunk_end_powers(d):
+    # one plan scans every grid length of SCAN_SIZES: the chunked route
+    # keeps E^c and its squares per chunk length c = ceil(sqrt(m)), so a
+    # grid must not read the powers kept for another c, and a second scan
+    # on the kept powers gives the same bits as the first
+    rng = np.random.default_rng([d, 6])
+    E = _scan_matrix("nonnormal", d, rng)
+    plan = _plain_plan(E)
+    assert plan.b == 0 and not plan.Ec
+    sizes = [m for m, dd in SCAN_SIZES if dd == d]
+    for m in sizes:
+        X = rng.normal(size=(m, 2, d))
+        got = linear_scan(plan, X, X[0])
+        ref = _scan_loop(E, X)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(linear_scan(plan, X, X[0]), got)
+    # one entry per chunk length of a grid with more than one chunk
+    chunks = {m: math.isqrt(m - 1) + 1 for m in sizes}
+    assert set(plan.Ec) == {c for m, c in chunks.items() if m > c}
+    for c, steps in plan.Ec.items():
+        assert np.array_equal(steps[0], np.linalg.matrix_power(E.T, c).T)
+
+
+@pytest.mark.parametrize("d", [2, 17])
+def test_scan_into_a_view_keeps_the_bits(d):
+    # the quadrature's scans write into slices of its result, read backward
+    # for the unstable part; the rows are linear_scan's, bit for bit, and
+    # nothing outside the slice is touched
+    rng = np.random.default_rng([d, 8])
+    E = _scan_matrix("nonnormal", d, rng)
+    plan = scan_plan(E, *(0.01 * rng.normal(size=(2, d, d))))
+    for m in (5, 301):
+        for shape in ((m, d), (m, 3, d)):
+            X = rng.normal(size=shape)
+            x0 = rng.normal(size=shape[1:])
+            want = linear_scan(plan, X[::-1], x0)
+            wide = np.full(shape[:-1] + (d + 3,), np.nan)
+            linalg._scan_into(plan, X[::-1], x0, wide[::-1, ..., 1:d + 1])
+            assert np.array_equal(wide[::-1, ..., 1:d + 1], want)
+            assert np.isnan(wide[..., 0]).all()
+            assert np.isnan(wide[..., d + 1:]).all()
 
 
 @pytest.mark.parametrize("m", [7, 32, 33, 3201])
@@ -1163,22 +1207,100 @@ def test_linear_first_sweep_keeps_every_sweep(which):
     assert fp.tail == full.tail
 
 
-def test_mmt7_first_sweep_evaluates_the_zero_orbit(monkeypatch):
-    # the plane wave's F(eq) is roundoff, not zero: the first sweep still
-    # evaluates the model on the zero orbit
+def test_mmt7_solve_evaluates_one_row_of_the_zero_orbit():
+    # the plane wave's F(eq) is roundoff, not zero, so the first sweep is
+    # not the linear flow; but every node of the zero orbit rests at the
+    # equilibrium, and the model is evaluated on one row for all of them.
+    # A solve of k sweeps evaluates 1 + k m rows: that row, k - 1 sweeps
+    # and the residual sweep on the whole grid (not (k + 1) m)
     pieces, cfg, base = _fixed_point_case("mmt7")
     assert not pieces.rests_exactly
-    seen = []
-    real = lp.lp_apply
+    n, field = pieces.dim, pieces.model.vector_field
+    rows = []
 
-    def recording(pieces, cfg, v0, Y, start=None):
-        seen.append(not np.any(Y))
-        return real(pieces, cfg, v0, Y, start)
+    def counted(u):
+        rows.append(np.size(u) // n)
+        return field(u)
 
-    monkeypatch.setattr(lp, "lp_apply", recording)
-    fp = lp._lp_fixed_point(pieces, cfg, base)
-    assert seen[0] and not any(seen[1:])
-    assert len(seen) == fp.iterations
+    counted_pieces = dataclasses.replace(pieces, model=dataclasses.replace(
+        pieces.model, vector_field=counted))
+    res = lp_solve(counted_pieces, cfg, base)
+    k, m = res.diagnostics["iterations"], len(lp_grid(cfg))
+    assert k >= 3
+    assert rows[0] == 1 and rows[1:] == [m] * k
+    assert sum(rows) == 1 + k * m
+    want = lp_solve(pieces, cfg, base)
+    assert np.array_equal(res.Y, want.Y)
+
+
+def _ambient_reference_solve(pieces, cfg, v0):
+    """lp_solve as a plain fixed-point loop that forms Y B^T at every use:
+    each sweep evaluates the remainder of its whole orbit (the zero orbit
+    included) from Y, the increment is the weighted norm of Ynew B^T -
+    Y B^T, and the residual sweep's remainder and the orbit form the
+    product again.  Returns the fields of LpResult that lp_solve must
+    match bit for bit."""
+    times = lp_grid(cfg)
+    h = lp._grid_step(cfg.T_max, cfg.dt)
+    BT = np.ascontiguousarray(pieces.B.T)
+    w = pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
+    decay = np.exp(-cfg.lam * times)
+
+    def weighted(X):
+        return float(np.max(decay * np.sqrt(np.einsum("ij,ij->i", X, X))))
+
+    Y = np.zeros((len(times), pieces.dim))
+    for k in range(1, cfg.max_iter + 1):
+        Ynew, tail = lp._lp_sweep(pieces, cfg, h, v0, pieces.f_split(Y))
+        inc = weighted((Ynew @ BT - Y @ BT) * w)
+        Y = Ynew
+        if inc <= cfg.tol:
+            break
+    g, _ = pieces.remainder_and_field(Y)
+    Ychk, _ = lp._lp_sweep(pieces, cfg, h, v0, g)
+    D = g[2:] - 2 * g[1:-1] + g[:-2]
+    quad = float(h * np.sqrt(np.einsum("ij,ij->i", D, D)).sum() / 12.0)
+    return {"h_value": Y[-1, pieces.d_plus:], "Y": Y,
+            "orbit": pieces.to_ambient(Y), "iterations": k,
+            "fp_residual": weighted((Ychk - Y) @ np.ascontiguousarray(
+                pieces.B.T * w)),
+            "error_budget": cfg.tol + tail + quad}
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "mmt33"])
+def test_lp_solve_is_the_ambient_reference_bit_for_bit(which):
+    # the sweeps carry one Y B^T each, and the zero orbit's remainder is one
+    # model row; the loop that forms the product at every use, and the
+    # remainder of every node, gives the same bits
+    if which == "mmt33":
+        _, sp, pieces = mmt_mi_pieces(half=16)
+        cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
+                       dt=0.01, eps=0.05, tol=1e-9)
+        base = np.array([0.02, -0.02])
+    else:
+        pieces, cfg, base = _fixed_point_case(which)
+    res = lp_solve(pieces, cfg, base)
+    ref = _ambient_reference_solve(pieces, cfg, base)
+    assert ref["iterations"] >= 3
+    got = {"h_value": res.h_value, "Y": res.Y, "orbit": res.orbit.states,
+           **{key: res.diagnostics[key]
+              for key in ("iterations", "fp_residual", "error_budget")}}
+    for key, want in ref.items():
+        assert np.array_equal(got[key], want), key
+        assert np.array_equal(np.signbit(got[key]), np.signbit(want)), key
+
+
+@pytest.mark.parametrize("which", ["saddle1", "mmt7"])
+def test_lp_solve_orbit_is_to_ambient(which):
+    # the orbit comes from the ambient image the sweeps carried, plus the
+    # equilibrium, with the bits of to_ambient: signed zeros too (saddle1
+    # rests at eq = 0, where to_ambient's + 0 clears the sign of a -0)
+    pieces, cfg, base = _fixed_point_case(which)
+    assert np.any(pieces.model.equilibrium) == (which == "mmt7")
+    res = lp_solve(pieces, cfg, base)
+    want = pieces.to_ambient(res.Y)
+    assert np.array_equal(res.orbit.states, want)
+    assert np.array_equal(np.signbit(res.orbit.states), np.signbit(want))
 
 
 @pytest.mark.parametrize("which", ["saddle1", "rd"])
