@@ -12,14 +12,10 @@ from .linalg import (
     LyapunovForm,
     ProjectionPair,
     SpectralSplitting,
-    Timeline,
     dissipativity_check,
     eigen_split,
-    evolve,
-    growth_bound_check,
     hamiltonian_symmetry_check,
     lyapunov_form,
-    metric_variation_bound,
     picard_solve,
     variational_flow,
 )

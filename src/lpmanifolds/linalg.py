@@ -3,8 +3,8 @@
 Splits the equilibrium linearization into unstable/center/stable blocks with
 true spectral projections (ordered Schur + Sylvester), builds the quadratic
 forms L solving A^T L + L A - 2 w L = -I that certify dissipativity at rate w,
-integrates linear systems v' = A(t)v along stored trajectories with
-growth-bound and metric-variation diagnostics, and iterates contractions to
+integrates linear systems v' = A(t)v along stored trajectories (the
+variational flow and Picard's frozen sweeps), and iterates contractions to
 their fixed points under one stopping rule.
 """
 
@@ -25,15 +25,10 @@ __all__ = [
     "ProjectionPair",
     "SpectralSplitting",
     "LyapunovForm",
-    "Timeline",
     "eigen_split",
     "hamiltonian_symmetry_check",
     "lyapunov_form",
     "dissipativity_check",
-    "evolve",
-    "transition_matrix",
-    "growth_bound_check",
-    "metric_variation_bound",
     "picard_solve",
     "variational_flow",
     "integrate_rk4",
@@ -585,54 +580,6 @@ def rk4_affine(A: np.ndarray, g: np.ndarray, y0: np.ndarray,
     return linear_scan(S[:, :, :d] + np.eye(d), X)
 
 
-@dataclass
-class Timeline:
-    """Time-dependent operator A(t) defined on a hull [times[0], times[-1]].
-
-    Built either from stored matrices (linear interpolation, exact at nodes)
-    or from a model trajectory evaluated through the model's Jacobian.
-    """
-
-    times: np.ndarray
-    _matrices: np.ndarray | None = None
-    _model: object | None = None
-    _states: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
-            raise ValueError("timeline times must be strictly increasing")
-
-    @staticmethod
-    def autonomous(A, t_min: float = -1e6, t_max: float = 1e6) -> "Timeline":
-        M = _as_matrix(A)
-        return Timeline(np.array([t_min, t_max]),
-                        _matrices=np.array([M, M]))
-
-    @staticmethod
-    def from_matrices(times, matrices) -> "Timeline":
-        mats = np.asarray(matrices, dtype=float)
-        return Timeline(np.asarray(times, dtype=float), _matrices=mats)
-
-    @staticmethod
-    def from_orbit(model, orbit: OrbitGrid) -> "Timeline":
-        return Timeline(orbit.times.copy(), _model=model,
-                        _states=orbit.states.copy())
-
-    @property
-    def hull(self):
-        return float(self.times[0]), float(self.times[-1])
-
-    def operator_at(self, t: float) -> np.ndarray:
-        lo, hi = self.hull
-        if t < lo - 1e-9 or t > hi + 1e-9:
-            raise ValueError(f"time {t} outside timeline hull [{lo}, {hi}]")
-        t = min(max(t, lo), hi)
-        if self._matrices is not None:
-            return _lerp_nodes(self.times, self._matrices, t)
-        return self._model.jacobian(_lerp_nodes(self.times, self._states, t))
-
-
 def _lerp_nodes(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
     """values (one entry per node along axis 0) linearly interpolated at t:
     np.interp on every component at once, exact at the nodes and clamped to
@@ -643,114 +590,6 @@ def _lerp_nodes(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
         return values[-1].copy()
     slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
     return slope * (t - times[j]) + values[j]
-
-
-def evolve(tl: Timeline, v0, t0: float, t1: float, dt: float) -> np.ndarray:
-    """Propagate v' = A(t)v from t0 to t1 (both directions) by RK4."""
-    lo, hi = tl.hull
-    for t in (t0, t1):
-        if t < lo - 1e-9 or t > hi + 1e-9:
-            raise ValueError(f"time {t} outside timeline hull [{lo}, {hi}]")
-    v = as_state(v0)
-    return integrate_rk4(lambda t, y: tl.operator_at(t) @ y, v, t0, t1, dt)
-
-
-def transition_matrix(tl: Timeline, t0: float, t1: float, dt: float) -> np.ndarray:
-    """U(t1, t0) obtained by integrating the matrix equation Y' = A(t)Y."""
-    lo, hi = tl.hull
-    for t in (t0, t1):
-        if t < lo - 1e-9 or t > hi + 1e-9:
-            raise ValueError(f"time {t} outside timeline hull [{lo}, {hi}]")
-    n = tl.operator_at(t0).shape[0]
-
-    def f(t, yflat):
-        return (tl.operator_at(t) @ yflat.reshape(n, n)).reshape(-1)
-
-    out = integrate_rk4(f, np.eye(n).reshape(-1), t0, t1, dt)
-    return out.reshape(n, n)
-
-
-def growth_bound_check(tl: Timeline, splitting: SpectralSplitting,
-                       samples: Sequence[tuple[float, float]],
-                       C0: float = 1.0, dt: float = 1e-3) -> dict:
-    """Verify block growth bounds ||Pi U(t,t0) Pi|| <= C0^2 e^(rate*(t-t0)+corr).
-
-    The correction term is C0^2 * integral of |v'| along the stored trajectory
-    between t0 and t (zero for autonomous timelines).  Plus blocks are checked
-    on backward samples (t <= t0) at rate lambda_plus, rest blocks on forward
-    samples at rate rest_max_re.  Report-only: returns per-sample ratios and
-    the worst one.
-    """
-    P_plus = splitting.projection.projector_plus
-    P_rest = splitting.projection.projector_rest
-    if tl._states is not None:
-        deriv = np.gradient(tl._states, tl.times, axis=0)
-        dnorm = np.linalg.norm(deriv, axis=1)
-    else:
-        dnorm = None
-
-    def correction(ta, tb):
-        if dnorm is None:
-            return 0.0
-        lo, hi = min(ta, tb), max(ta, tb)
-        mask = (tl.times >= lo - 1e-12) & (tl.times <= hi + 1e-12)
-        if mask.sum() < 2:
-            return 0.0
-        return C0 ** 2 * float(np.trapezoid(dnorm[mask], tl.times[mask]))
-
-    rows = []
-    worst = 0.0
-    for (t, t0) in samples:
-        U = transition_matrix(tl, t0, t, dt)
-        corr = correction(t0, t)
-        if t <= t0 and splitting.dim_plus > 0:
-            norm = np.linalg.norm(P_plus @ U @ P_plus, 2)
-            bound = C0 ** 2 * math.exp(splitting.lambda_plus * (t - t0) + corr)
-            ratio = norm / bound
-            rows.append({"t": t, "t0": t0, "block": "+", "norm": norm,
-                         "bound": bound, "ratio": ratio})
-            worst = max(worst, ratio)
-        if t >= t0 and splitting.dim_plus < splitting.dim:
-            norm = np.linalg.norm(P_rest @ U @ P_rest, 2)
-            bound = C0 ** 2 * math.exp(splitting.rest_max_re * (t - t0) + corr)
-            ratio = norm / bound
-            rows.append({"t": t, "t0": t0, "block": "rest", "norm": norm,
-                         "bound": bound, "ratio": ratio})
-            worst = max(worst, ratio)
-    return {"samples": rows, "worst_ratio": worst}
-
-
-def metric_variation_bound(L_path: Sequence[np.ndarray],
-                           times: Sequence[float] | None = None) -> dict:
-    """Discrete metric-variation factor l(t0,t1) and its exponential bound.
-
-    direct: product over consecutive nodes of sup_v |v|_{L_{j+1}} / |v|_{L_j}
-    (the largest value over all node subsequences, by submultiplicativity).
-    bound: exp(0.5 * C_L^2 * sum ||L_{j+1}-L_j||) with C_L the equivalence
-    constant along the path.  Asserts direct <= bound*(1+1e-6).
-    """
-    mats = [np.asarray(L, dtype=float) for L in L_path]
-    if len(mats) < 2:
-        raise ValueError("need at least two metric samples")
-    eigs_all = []
-    for L in mats:
-        ev = np.linalg.eigvalsh(0.5 * (L + L.T))
-        if ev.min() <= 0:
-            raise ValueError("non-positive-definite metric sample")
-        eigs_all.append(ev)
-    CL2 = max(max(ev.max(), 1.0 / ev.min(), 1.0) for ev in eigs_all)
-    direct = 1.0
-    total_var = 0.0
-    for La, Lb in zip(mats[:-1], mats[1:]):
-        g2 = sla.eigh(0.5 * (Lb + Lb.T), 0.5 * (La + La.T),
-                      eigvals_only=True).max()
-        direct *= math.sqrt(g2)
-        total_var += np.linalg.norm(Lb - La, 2)
-    bound = math.exp(0.5 * CL2 * total_var)
-    if direct > bound * (1 + 1e-6):
-        raise AssertionError(
-            f"discrete l = {direct} exceeds bound {bound}")
-    return {"direct": direct, "bound": bound, "CL2": CL2}
 
 
 def _contract(sweep: Callable, x, increment: Callable[..., float],
@@ -862,10 +701,9 @@ def variational_flow(model, orbit: OrbitGrid, dt: float) -> np.ndarray:
         raise ValueError(
             f"not a trajectory: residual {worst:.3e} > {residual_tol:.3e}")
 
-    tl = Timeline.from_orbit(model, orbit)
-
     def f(t, yflat):
-        return (tl.operator_at(t) @ yflat.reshape(n, n)).reshape(-1)
+        A = model.jacobian(_lerp_nodes(orbit.times, orbit.states, t))
+        return (A @ yflat.reshape(n, n)).reshape(-1)
 
     _, flat = integrate_rk4(f, np.eye(n).reshape(-1), orbit.times[0],
                             orbit.times[-1], dt, record_times=orbit.times)

@@ -62,7 +62,8 @@ class LpConfig:
 
     lam must lie strictly inside the dichotomy gap (rest_max_re, lambda_plus)
     of the splitting; the fixed-point increment is measured in the
-    exponentially weighted norm at level r-1 and rate lam.
+    exponentially weighted norm at level r-1 and rate lam.  T_max, dt and
+    eps must be positive finite numbers, with dt < T_max.
     """
 
     lam: float
@@ -74,10 +75,13 @@ class LpConfig:
     r: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.dt < self.T_max):
+        for name in ("T_max", "dt", "eps"):
+            x = getattr(self, name)
+            if not (math.isfinite(x) and x > 0):
+                raise ValueError(f"{name} must be a positive finite number, "
+                                 f"got {x}")
+        if not self.dt < self.T_max:
             raise ValueError("need 0 < dt < T_max")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
         if self.max_iter < 1:
             raise ValueError(
                 f"max_iter must be at least 1, got {self.max_iter}")
@@ -1027,9 +1031,11 @@ def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
     samples flow together, as one batch of states, by RK4 with steps of at
     most min(cfg.dt, 0.1 / max(||DF(eq)||_2, 1)).  A re-solve stops at the
     fixed point, without lp_solve's diagnostics; a sample that flows out of
-    the eps-ball, or whose re-solve fails, is skipped."""
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
+    the eps-ball, or whose re-solve fails, is skipped.  Raises ValueError
+    for a delta_t that is not a positive finite number."""
+    if not (math.isfinite(delta_t) and delta_t > 0):
+        raise ValueError(f"delta_t must be a positive finite number, "
+                         f"got {delta_t}")
     model = pieces.model
     d = pieces.d_plus
     dt_forward = min(cfg.dt, 0.1 / max(np.linalg.norm(pieces.A0, 2), 1.0))

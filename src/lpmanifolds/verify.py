@@ -19,7 +19,6 @@ from . import (
     NormLadder,
     OneFluidConfig,
     OrbitGrid,
-    Timeline,
     TwoFluidConfig,
     backward_shoot,
     build_manifold_graph,
@@ -28,7 +27,6 @@ from . import (
     decay_rate_fit,
     dissipativity_check,
     eigen_split,
-    evolve,
     froude_bond,
     graded_norm,
     hamiltonian_symmetry_check,
@@ -49,6 +47,7 @@ from . import (
     split_field,
     variational_flow,
 )
+from .linalg import integrate_rk4
 from .oracles import reference_flow
 
 __all__ = ["CHECKS", "CRITERIA", "QUICK", "SUITES", "run_suite"]
@@ -507,13 +506,16 @@ def check_projector_algebra():
     return ok, f"projector algebra worst defect {worst:.2e}"
 
 
-def check_evolve_composition():
+def check_rk4_composition():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    tl = Timeline.autonomous(A)
+
+    def f(t, y):
+        return A @ y
+
     v0 = np.array([1.0, 0.0])
-    v_direct = evolve(tl, v0, 0.0, 1.5, 1e-3)
-    v_mid = evolve(tl, v0, 0.0, 0.7, 1e-3)
-    v_comp = evolve(tl, v_mid, 0.7, 1.5, 1e-3)
+    v_direct = integrate_rk4(f, v0, 0.0, 1.5, 1e-3)
+    v_mid = integrate_rk4(f, v0, 0.0, 0.7, 1e-3)
+    v_comp = integrate_rk4(f, v_mid, 0.7, 1.5, 1e-3)
     err = np.linalg.norm(v_direct - v_comp)
     return err <= 1e-10, f"composition defect {err:.2e}"
 
@@ -545,7 +547,7 @@ CRITERIA = [
 CHECKS = CRITERIA + [
     ("graded_monotone", check_graded_monotone),
     ("projector_algebra", check_projector_algebra),
-    ("evolve_composition", check_evolve_composition),
+    ("rk4_composition", check_rk4_composition),
     ("kdv_profile", check_kdv),
 ]
 
@@ -554,7 +556,7 @@ CHECKS = CRITERIA + [
 QUICK = {"03_mmt_block_consistency", "04_lyapunov_identity",
          "05_hamiltonian_spectral_symmetry", "10_contraction_budget",
          "11_waterwave_criteria", "graded_monotone", "projector_algebra",
-         "evolve_composition"}
+         "rk4_composition"}
 
 SUITES = ("all", "quick")
 

@@ -307,6 +307,22 @@ def test_manifold_refuses_max_iter_below_one(capsys, flag, value, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--t-max", "inf"), ("--t-max", "nan"), ("--dt", "inf"),
+    ("--dt", "nan"), ("--eps", "inf"), ("--eps", "nan"),
+    ("--delta-t", "inf"), ("--delta-t", "nan"),
+], ids=["t-max-inf", "t-max-nan", "dt-inf", "dt-nan", "eps-inf", "eps-nan",
+        "delta-t-inf", "delta-t-nan"])
+def test_manifold_refuses_non_finite_inputs(capsys, flag, value):
+    name = flag[2:].replace("t-max", "T_max").replace("-", "_")
+    code, out, err = run_cli(capsys, "manifold", "--model", "saddle1",
+                             "--grid", "3", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: {name} must be a positive finite number, "
+                   f"got {value}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["--dt", "0"], ["--dt", "-0.001"], ["--tol", "-1"],
 ], ids=["dt0", "dt-negative", "tol-1"])

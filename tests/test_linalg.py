@@ -8,19 +8,15 @@ from lpmanifolds.graded import NormLadder, OrbitGrid
 from lpmanifolds.linalg import (
     AmbiguousSplitError,
     NoContractionError,
-    Timeline,
     _contract,
+    _lerp_nodes,
     dissipativity_check,
     eigen_split,
-    evolve,
-    growth_bound_check,
     hamiltonian_symmetry_check,
     integrate_rk4,
     lyapunov_form,
-    metric_variation_bound,
     picard_solve,
     rk4_affine,
-    transition_matrix,
     variational_flow,
 )
 from lpmanifolds.models import custom_model, mmt_block, MmtParams, saddle_toy
@@ -196,12 +192,6 @@ def test_interpolation_matches_np_interp():
     times = np.cumsum(rng.uniform(0.1, 1.0, size=40)) - 3.0
     states = rng.normal(size=(40, 3))
     mats = rng.normal(size=(40, 3, 3))
-    orbit = OrbitGrid(times, states)
-    tl_mats = Timeline.from_matrices(times, mats)
-    # operator_at of an orbit timeline is the Jacobian at the interpolated
-    # state; with DF(u) = diag(u) its diagonal is that state
-    diag = custom_model("diag", lambda u: 0.5 * u * u, np.diag, np.zeros(3))
-    tl_orbit = Timeline.from_orbit(diag, orbit)
 
     def ref(values, t):
         flat = values.reshape(len(times), -1)
@@ -211,17 +201,18 @@ def test_interpolation_matches_np_interp():
 
     samples = np.concatenate([rng.uniform(times[0], times[-1], size=200),
                               times, [times[0] - 1e-13, times[-1] + 1e-13]])
-    for t in samples:
-        for got, values in ((tl_mats.operator_at(t), mats),
-                            (np.diag(tl_orbit.operator_at(t)), states)):
+    for values in (states, mats):
+        for t in samples:
+            got = _lerp_nodes(times, values, t)
             expect = ref(values, t)
             assert got.shape == expect.shape
             assert np.abs(got - expect).max() <= 1e-15 * np.abs(values).max()
-    for j, t in enumerate(times):
-        assert np.array_equal(tl_mats.operator_at(t), mats[j])
-    assert np.array_equal(tl_mats.operator_at(times[0] - 1e-10), mats[0])
-    with pytest.raises(ValueError, match="hull"):
-        tl_mats.operator_at(times[0] - 1e-6)
+        for j, t in enumerate(times):
+            assert np.array_equal(_lerp_nodes(times, values, t), values[j])
+        assert np.array_equal(_lerp_nodes(times, values, times[0] - 1.0),
+                              values[0])
+        assert np.array_equal(_lerp_nodes(times, values, times[-1] + 1.0),
+                              values[-1])
 
 
 def _rk4_stage_loop(A, g, y0, h):
@@ -260,115 +251,41 @@ def test_rk4_affine_matches_stage_loop(d, m, h):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_evolve_scalar_exponential():
-    lam = -1.3
-    tl = Timeline.autonomous(np.array([[lam]]))
-    for t in (0.5, 1.5, -1.2):
-        v = evolve(tl, np.array([1.0]), 0.0, t, 1e-3)
-        assert v[0] == pytest.approx(math.exp(lam * t), abs=1e-8)
+ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def test_evolve_rotation_quarter_turn():
-    tl = Timeline.autonomous(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    v = evolve(tl, np.array([1.0, 0.0]), 0.0, math.pi / 2, 1e-3)
-    assert v == pytest.approx(np.array([0.0, -1.0]), abs=1e-8)
+@pytest.mark.parametrize(("f", "y0", "t1", "expect"), [
+    (lambda t, y: -1.3 * y, [1.0], 0.5, [math.exp(-1.3 * 0.5)]),
+    (lambda t, y: -1.3 * y, [1.0], 1.5, [math.exp(-1.3 * 1.5)]),
+    (lambda t, y: -1.3 * y, [1.0], -1.2, [math.exp(-1.3 * -1.2)]),
+    (lambda t, y: ROTATION @ y, [1.0, 0.0], math.pi / 2, [0.0, -1.0]),
+    (lambda t, y: t * y, [1.0], 1.0, [math.exp(0.5)]),
+], ids=["exponential-0.5", "exponential-1.5", "exponential-backward",
+        "rotation-quarter-turn", "time-dependent-diagonal"])
+def test_integrate_rk4_accuracy(f, y0, t1, expect):
+    y = integrate_rk4(f, np.array(y0), 0.0, t1, 1e-3)
+    assert y == pytest.approx(np.array(expect), abs=1e-8)
 
 
-def test_evolve_time_dependent_diagonal():
-    times = np.linspace(0.0, 1.0, 3)
-    mats = np.array([[[t]] for t in times])
-    tl = Timeline.from_matrices(times, mats)
-    v = evolve(tl, np.array([1.0]), 0.0, 1.0, 1e-3)
-    assert v[0] == pytest.approx(math.exp(0.5), abs=1e-8)
+@pytest.mark.parametrize("autonomous", [True, False],
+                         ids=["autonomous", "nonautonomous"])
+def test_integrate_rk4_composition(autonomous):
+    if autonomous:
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(3, 3)) * 0.5
+        y0, t_mid = rng.normal(size=3), 0.8
 
+        def f(t, y):
+            return A @ y
+    else:
+        y0, t_mid = np.array([1.0, -0.5]), 1.1
 
-def test_evolve_outside_hull_errors():
-    tl = Timeline.from_matrices([0.0, 1.0], np.zeros((2, 1, 1)))
-    with pytest.raises(ValueError, match="hull"):
-        evolve(tl, np.array([1.0]), 0.0, 2.0, 1e-2)
-
-
-def test_evolve_composition_property():
-    rng = np.random.default_rng(2)
-    A = rng.normal(size=(3, 3)) * 0.5
-    tl = Timeline.autonomous(A)
-    v0 = rng.normal(size=3)
-    direct = evolve(tl, v0, 0.0, 2.0, 1e-3)
-    mid = evolve(tl, v0, 0.0, 0.8, 1e-3)
-    comp = evolve(tl, mid, 0.8, 2.0, 1e-3)
+        def f(t, y):
+            return np.array([[math.sin(t), 0.3], [0.0, -t]]) @ y
+    direct = integrate_rk4(f, y0, 0.0, 2.0, 1e-3)
+    mid = integrate_rk4(f, y0, 0.0, t_mid, 1e-3)
+    comp = integrate_rk4(f, mid, t_mid, 2.0, 1e-3)
     assert np.linalg.norm(direct - comp) <= 1e-9
-
-
-def test_evolve_composition_nonautonomous():
-    times = np.linspace(0.0, 2.0, 5)
-    mats = np.array([[[math.sin(t), 0.3], [0.0, -t]]
-                     for t in times])
-    tl = Timeline.from_matrices(times, mats)
-    v0 = np.array([1.0, -0.5])
-    direct = evolve(tl, v0, 0.0, 2.0, 1e-3)
-    mid = evolve(tl, v0, 0.0, 1.1, 1e-3)
-    comp = evolve(tl, mid, 1.1, 2.0, 1e-3)
-    assert np.linalg.norm(direct - comp) <= 1e-9
-
-
-def test_growth_bound_autonomous_diag():
-    A = np.diag([1.0, -1.0])
-    sp = eigen_split(A, 0.5)
-    tl = Timeline.autonomous(A)
-    rep = growth_bound_check(tl, sp, [(2.0, 0.0)], C0=1.0)
-    rest = [r for r in rep["samples"] if r["block"] == "rest"][0]
-    assert rest["ratio"] == pytest.approx(1.0, rel=1e-6)
-    rep_b = growth_bound_check(tl, sp, [(-2.0, 0.0)], C0=1.0)
-    plus = [r for r in rep_b["samples"] if r["block"] == "+"][0]
-    assert plus["ratio"] == pytest.approx(1.0, rel=1e-6)
-
-
-def test_growth_bound_rotation_block():
-    A = np.zeros((4, 4))
-    A[:2, :2] = np.diag([1.0, 1.0])
-    A[2:, 2:] = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    sp = eigen_split(A, 0.5)
-    tl = Timeline.autonomous(A)
-    rep = growth_bound_check(tl, sp, [(1.0, 0.0), (3.0, 0.0)], C0=1.0)
-    for r in rep["samples"]:
-        if r["block"] == "rest":
-            assert r["ratio"] <= 1.0 + 1e-9
-
-
-# ------------------------------------------------------------- metric bounds
-
-def test_metric_variation_constant_path():
-    rep = metric_variation_bound([np.eye(2), np.eye(2)])
-    assert rep["direct"] == pytest.approx(1.0)
-    assert rep["bound"] == pytest.approx(1.0)
-
-
-def test_metric_variation_exponential_path():
-    rep = metric_variation_bound([np.eye(2), math.e * np.eye(2)])
-    assert rep["direct"] == pytest.approx(math.sqrt(math.e), rel=1e-12)
-    assert rep["bound"] == pytest.approx(
-        math.exp(0.5 * math.e * (math.e - 1.0)), rel=1e-12)
-    assert rep["direct"] <= rep["bound"]
-
-
-def test_metric_variation_interchanged_eigenbasis():
-    L0 = np.diag([1.0, 2.0])
-    L1 = np.diag([2.0, 1.0])
-    rep = metric_variation_bound([L0, L1])
-    # brute force over the two-node sequences: best single step ratio
-    brute = 0.0
-    rng = np.random.default_rng(0)
-    for _ in range(20000):
-        v = rng.normal(size=2)
-        brute = max(brute, math.sqrt((v @ L1 @ v) / (v @ L0 @ v)))
-    assert rep["direct"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert brute <= rep["direct"] * (1 + 1e-6)
-    assert rep["direct"] <= rep["bound"] * (1 + 1e-6)
-
-
-def test_metric_variation_rejects_indefinite():
-    with pytest.raises(ValueError, match="positive"):
-        metric_variation_bound([np.eye(2), np.diag([1.0, -0.5])])
 
 
 # --------------------------------------------------------------------- picard
