@@ -37,6 +37,7 @@ from . import (
     saddle_toy,
     split_field,
 )
+from .linalg import _positive_finite
 from .lp import NoContractionError, build_manifold_graph
 from .models import MmtParams, mmt_block
 from .oracles import reference_flow
@@ -195,9 +196,10 @@ def cmd_manifold(args) -> int:
     cfg = make_lp_config(args, sp)
     n_grid = int(merged(args, "grid", 11, int))
     seed = int(merged(args, "seed", 0, int))
+    delta_t = merged(args, "delta_t", 0.1)
+    _positive_finite("delta_t", delta_t)
     graph = build_manifold_graph(pieces, cfg, grid_spec=n_grid, seed=seed)
-    inv = invariance_residual(graph, pieces, cfg,
-                              merged(args, "delta_t", 0.1))
+    inv = invariance_residual(graph, pieces, cfg, delta_t)
     header = ([f"base{i}" for i in range(sp.dim_plus)]
               + [f"h{i}" for i in range(pieces.d_rest)]
               + ["lambda_fit", "iterations", "fp_residual",

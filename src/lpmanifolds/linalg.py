@@ -47,6 +47,12 @@ class NoContractionError(RuntimeError):
     """A fixed-point iteration stopped with its increment above tol."""
 
 
+def _positive_finite(name: str, x: float) -> None:
+    """Refuse (ValueError) an x that is not a positive finite number."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {x}")
+
+
 def _as_matrix(A) -> np.ndarray:
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -104,11 +110,11 @@ def eigen_split(A, gap: float) -> SpectralSplitting:
 
     Projections come from ordered real Schur forms plus a Sylvester solve, so
     they are true spectral projectors (commute with A to roundoff).  An
-    eigenvalue with | |Re| - gap | < 0.1*gap is refused as ambiguous.
+    eigenvalue with | |Re| - gap | < 0.1*gap is refused as ambiguous, and a
+    gap that is not a positive finite number with ValueError.
     """
     M = _as_matrix(A)
-    if gap <= 0:
-        raise ValueError("gap must be positive")
+    _positive_finite("gap", gap)
     n = M.shape[0]
     lam = np.linalg.eigvals(M)
     for z in lam:
@@ -241,25 +247,16 @@ def dissipativity_check(form: LyapunovForm, A, omega: float) -> float:
 # ---------------------------------------------------------------------------
 # time stepping
 
-def _rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
-              y: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float, dt: float,
                   record_times: Sequence[float] | None = None):
     """Fixed-step classical RK4 from t0 to t1 (either direction).
 
     Returns the final state, or (times, states) when record_times is given
     (record_times must be monotone from t0 towards t1).  Without
-    record_times the final state is the record at t1.
+    record_times the final state is the record at t1.  Raises ValueError
+    for a dt that is not a positive finite number.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _positive_finite("dt", dt)
     span = t1 - t0
     if span == 0:
         if record_times is None:
@@ -277,7 +274,11 @@ def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float, dt: float,
         m = max(int(sub != 0), int(round(abs(sub) / abs(h))))
         hh = sub / m if m else 0.0
         for _ in range(m):
-            y_cur = _rk4_step(f, t_cur, y_cur, hh)
+            k1 = f(t_cur, y_cur)
+            k2 = f(t_cur + 0.5 * hh, y_cur + 0.5 * hh * k1)
+            k3 = f(t_cur + 0.5 * hh, y_cur + 0.5 * hh * k2)
+            k4 = f(t_cur + hh, y_cur + hh * k3)
+            y_cur = y_cur + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             t_cur += hh
         out.append(y_cur.copy())
     if record_times is None:
@@ -298,31 +299,28 @@ class ScanPlan:
     """Tables of linear_scan for one (d, d) matrix E and the forcing taps
     (P, Q) of x_j = E x_{j-1} + P u_{j-1} + Q u_j.
 
-    b is the number of nodes per block of the blocked route, 0 when the
-    route does not apply to this d (the plan then carries only E and the
-    taps).  The taps are kept as P^T and Q^T, contiguous, the operands of
-    the chunked route's two gemms (a transposed view takes NumPy's slower
-    strided path).  `table` is the ((b+1)*d, b*d) matrix whose block (l, i) is
+    b is the number of nodes per block of the blocked route (_block_nodes(d),
+    or fewer in a plan of block ends), 0 when the route does not apply to
+    this d (the plan then carries only E and the taps).  The taps are kept
+    as P^T and Q^T, contiguous, the operands of the chunked route's two
+    gemms (a transposed view takes NumPy's slower strided path).  `table`
+    is the ((b+1)*d, b*d) matrix whose block (l, i) is
     (E^{i-l+1} Q + E^{i-l} P)^T, a power below 0 counting as 0, without
     the Q term in block row l = 0: a row of the b + 1 inputs
     u_{k-1}, ..., u_{k+b-1} times `table` is the scan of the b nodes
     k, ..., k+b-1 from x_{k-1} = 0.  `carry` is the (d, b*d) row of blocks
-    (E^{i+1})^T taking the state before a block to each of its nodes, and
-    `Eb` holds E^b, E^{2b}, E^{4b}, ...: the steps of the doubling scan over
-    the block ends, squared once and kept as longer grids need them.  `Ec`
-    does the same for the chunked route: keyed by the chunk length c, it
-    holds E^c, E^{2c}, E^{4c}, ..., the steps of the doubling scan over the
-    chunk ends, so repeated scans of one grid take no matrix power again.
+    (E^{i+1})^T taking the state before a block to each of its nodes.
+    `ends` keeps the plans that scan the block or chunk ends of the grids
+    scanned so far (_ends_plan): plain recurrences, which keep no taps.
     """
 
     E: np.ndarray
     b: int
-    PT: np.ndarray
-    QT: np.ndarray
+    PT: np.ndarray | None = None
+    QT: np.ndarray | None = None
     table: np.ndarray | None = None
     carry: np.ndarray | None = None
-    Eb: list = field(default_factory=list)
-    Ec: dict = field(default_factory=dict)
+    ends: dict = field(default_factory=dict)
 
 
 def scan_plan(E, P, Q) -> ScanPlan:
@@ -337,10 +335,17 @@ def scan_plan(E, P, Q) -> ScanPlan:
     if P.shape != (d, d) or Q.shape != (d, d):
         raise ValueError(f"expected forcing taps of size {d}, got shapes "
                          f"{P.shape} and {Q.shape}")
-    b = _block_nodes(d)
-    PT, QT = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)
+    return _plan(E, _block_nodes(d), P, Q)
+
+
+def _plan(E: np.ndarray, b: int, P=None, Q=None) -> ScanPlan:
+    """scan_plan(E, P, Q) in blocks of b nodes, without its checks; without
+    P and Q, the plan of an ends scan, which keeps no taps."""
+    d = E.shape[0]
+    taps = () if P is None else (np.ascontiguousarray(P.T),
+                                 np.ascontiguousarray(Q.T))
     if not b:
-        return ScanPlan(E, 0, PT, QT)
+        return ScanPlan(E, 0, *taps)
     # powers[k] = (E^k)^T; a diagonal E keeps exact zeros off the diagonal
     powers = np.empty((b + 1, d, d))
     powers[0], powers[1] = np.eye(d), E.T
@@ -352,40 +357,35 @@ def scan_plan(E, P, Q) -> ScanPlan:
     # tap[k] = (E^k Q + E^{k-1} P)^T is the weight of u_{j-k} in x_j, and
     # head[i] = (E^i P)^T that of the input just before a block in its
     # node i, which the block's scan from 0 does not see through Q
-    head = P.T @ powers[:b]
-    tap = Q.T @ powers[:b]
-    tap[1:] += head[:-1]
+    if P is None:
+        head, tap = np.zeros((b, d, d)), powers[:b]
+    else:
+        head, tap = P.T @ powers[:b], Q.T @ powers[:b]
+        tap[1:] += head[:-1]
     l, i = np.triu_indices(b + 1, -1, b)
     keep = l > 0
     table = np.zeros((b + 1, d, b, d))
     table[l[keep], :, i[keep], :] = tap[i[keep] - l[keep] + 1]
     table[0] = head.transpose(1, 0, 2)
     carry = powers[1:].transpose(1, 0, 2).reshape(d, b * d)
-    return ScanPlan(E, b, PT, QT, table.reshape((b + 1) * d, b * d), carry,
-                    [powers[b].T.copy()])
+    return ScanPlan(E, b, *taps, table=table.reshape((b + 1) * d, b * d),
+                    carry=carry)
 
 
-def _doubling_scan(powers: list, rows: np.ndarray) -> None:
-    """The constant-matrix scan in place on rows (m, r, d), by recursive
-    doubling: about log2(m) passes, for the short recurrences over block
-    and chunk ends.  powers starts with the step matrix E; the squares
-    E^2, E^4, ... a pass needs are appended to it once, so a list kept
-    across calls squares no matrix again."""
-    m, d = rows.shape[0], rows.shape[-1]
-    s, k = 1, 0
-    while s < m:
-        rows[s:] += (rows[:-s].reshape(-1, d) @ powers[k].T
-                     ).reshape(m - s, -1, d)
-        s *= 2
-        k += 1
-        if s < m and k == len(powers):
-            powers.append(powers[-1] @ powers[-1])
+def _ends_plan(plan: ScanPlan, s: int, n: int) -> ScanPlan:
+    """The plan of E^s that scans the n ends of plan's blocks or chunks of
+    s nodes, kept on plan.  Its blocks hold at most n - 1 nodes, so its
+    table holds no power of E past the grid's, where a growing E overflows."""
+    key = (s, min(plan.b, n - 1))
+    if key not in plan.ends:
+        plan.ends[key] = _plan(np.linalg.matrix_power(plan.E, s), key[1])
+    return plan.ends[key]
 
 
 def _blocked_scan(plan: ScanPlan, rows: np.ndarray, x0: np.ndarray,
                   out: np.ndarray) -> None:
     """The scan of rows (m, r, d) from x0 (r, d) with the plan's taps,
-    written into out (m, r, d)."""
+    written into out (m, r, d), which may be rows itself."""
     m, r, d = rows.shape
     b = plan.b
     nb = -(-(m - 1) // b)
@@ -400,22 +400,23 @@ def _blocked_scan(plan: ScanPlan, rows: np.ndarray, x0: np.ndarray,
                      strides=(n * d * step, b * d * step, step))
     Z = (win @ plan.table).reshape(r, nb, b, d)
     # the state before block k: z_0 = x0, z_k = E^b z_{k-1} + (scan of
-    # block k - 1 alone at its end)
+    # block k - 1 alone at its end), the plain recurrence of E^b, which
+    # the blocked scan of its own plan solves
     ends = np.empty((nb, r, d))
-    ends[0] = x0
+    ends[:1] = x0  # a grid of one node has no block
     ends[1:] = Z[:, :-1, -1].swapaxes(0, 1)
-    _doubling_scan(plan.Eb, ends)
+    if nb > 1:
+        _blocked_scan(_ends_plan(plan, b, nb), ends, ends[0], ends)
     Z += (ends.reshape(-1, d) @ plan.carry).reshape(nb, r, b, d).swapaxes(0, 1)
     out[0] = x0
     out[1:] = Z.reshape(r, nb * b, d)[:, :m - 1].swapaxes(0, 1)
 
 
-def _chunked_scan(Q: np.ndarray, rows: np.ndarray, out: np.ndarray,
-                  ends_steps: dict | None = None) -> None:
+def _chunked_scan(E, rows: np.ndarray, out: np.ndarray) -> None:
     """The scan of rows (m, r, d), written into out (m, r, d), which may be
-    rows itself, with the transposed step matrices Q: one (d, d) matrix
-    E^T, whose ScanPlan.Ec is ends_steps, or a stack (m - 1, d, d) whose
-    Q[j] = E_j^T takes node j to node j + 1.
+    rows itself, with the step matrix of a ScanPlan E (the rows already
+    hold its taps' forcing) or with a stack E (m - 1, d, d) of transposed
+    step matrices: E[j] = E_j^T, E_j taking node j to node j + 1.
 
     The nodes fall into K chunks of c = ceil(sqrt(m)) (the last one padded
     with zeros), laid out so that position i of every chunk is one slab.
@@ -423,16 +424,16 @@ def _chunked_scan(Q: np.ndarray, rows: np.ndarray, out: np.ndarray,
     position, where the rows of a constant E stack into a single gemm.
     Step stacks carry d extra rows per chunk, started at the step into the
     chunk, which the same matmuls turn into the chunk's transfer matrices.
-    The K - 1 chunk ends then form a short recurrence: a doubling scan with
-    E^c and its squares, kept in ends_steps under c, or this scan again on
-    the stacked transfers.  Each true chunk end finally enters the next
-    chunk through the powers of E, one matmul per position, or through the
+    The K - 1 chunk ends then form a short recurrence, which this scan
+    solves again: with the plan of E^c kept on the plan, or with the
+    stacked transfers.  Each true chunk end finally enters the next chunk
+    through the powers of E, one matmul per position, or through the
     stored transfers in a single batched matmul.
     """
     m, r, d = rows.shape
     c = math.isqrt(m - 1) + 1
     K, full = -(-m // c), m // c
-    stack = Q.ndim == 3
+    stack = not isinstance(E, ScanPlan)
     t = d if stack else 0
     # W[i, k] holds node k*c + i: its r rows, then its t transfer rows
     W = np.zeros((c, K, r + t, d))
@@ -442,10 +443,11 @@ def _chunked_scan(Q: np.ndarray, rows: np.ndarray, out: np.ndarray,
         Wk[full, :m - full * c, :r] = rows[full * c:]
     if stack:
         P = np.zeros((K * c, d, d))
-        P[1:m] = Q
+        P[1:m] = E
         P = P.reshape(K, c, d, d).swapaxes(0, 1)
         W[0, 1:, r:] = P[0, 1:]
     else:
+        Q = E.E.T
         P = np.broadcast_to(Q, (c, 1, d, d))
     grid = W.reshape(c, P.shape[1], -1, d)
     for i in range(1, c):
@@ -457,9 +459,7 @@ def _chunked_scan(Q: np.ndarray, rows: np.ndarray, out: np.ndarray,
             _chunked_scan(T[-1, 1:-1], ends, ends)
             Z[:, 1:] += ends @ T[:, 1:]
         else:
-            if c not in ends_steps:
-                ends_steps[c] = [np.linalg.matrix_power(Q, c).T]
-            _doubling_scan(ends_steps[c], ends)
+            _chunked_scan(_ends_plan(E, c, K - 1), ends, ends)
             carry = ends.reshape(-1, d)
             for i in range(c):
                 carry = carry @ Q
@@ -480,24 +480,22 @@ def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
     lie along the last axis of X; axes in between hold independent
     recurrences with the same matrices, and x0 broadcasts against X[0].
 
-    A plan with b = 64 // d >= 4 on m >= 2b nodes takes the blocked route:
-    nodes 1 .. m-1 fall into blocks of b, one gemm of the plan's
-    ((b+1)*d, b*d) table with a strided window of b + 1 input rows per
-    block scans every block at once, taps included, a doubling scan with
-    the plan's powers of E^b over the block ends gives the carries, and a
-    second gemm adds carry times E^{i+1} at node i of each block.  That is
-    O(m*b*d^2) work in two passes over the grid; a plan costs b small
+    A plan with b = 64 // d >= 4 (d <= 16) takes the blocked route: nodes
+    1 .. m-1 fall into blocks of b, and one gemm of the plan's table with a
+    strided window of b + 1 input rows per block scans every block at once,
+    taps included.  The block ends form the plain recurrence of E^b, which
+    the same route scans with a plan of E^b kept on the plan, about
+    log(m)/log(b) levels deep, and a second gemm adds each carry times
+    E^{i+1} at node i of its block: O(m*b*d^2) work.  A plan costs b small
     matmuls, so keep it when the same E is scanned repeatedly.
 
-    Otherwise (d > 16, few nodes, or step stacks) the chunked route: a
-    plan's taps first form the plain inputs P X[j-1] + Q X[j] in two gemms,
-    then the nodes fall into about sqrt(m) chunks of about sqrt(m) nodes,
-    a sequential pass steps inside every chunk at once, the short
-    recurrence over the chunk ends (for a plan, a doubling scan with its
-    kept powers of E^c) gives the carries, and a second pass adds them.
-    That is O(m*d^2) work for a plan and O(m*d^3) for a stack (the
-    transfer matrix of every chunk), with no log(m) factor, in about
-    2*sqrt(m) matmuls.
+    Otherwise (d > 16, or step stacks) the chunked route: a plan's taps
+    first form the plain inputs P X[j-1] + Q X[j] in two gemms; the nodes
+    fall into about sqrt(m) chunks of about sqrt(m) nodes, one pass steps
+    inside every chunk at once, the same route scans the chunk ends (with
+    a plan of E^c kept on the plan, or with the chunks' transfer matrices),
+    and a second pass adds the carries: O(m*d^2) work for a plan and
+    O(m*d^3) for a stack, in about 2*sqrt(m) matmuls.
     """
     X = np.asarray(X, dtype=float)
     out = np.empty(X.shape)
@@ -532,7 +530,7 @@ def _scan_into(E, X: np.ndarray, x0, out: np.ndarray) -> None:
         start = np.asarray(x0, dtype=float)
         if start.ndim > 1:
             start = start.reshape(-1, d)
-    if plan is not None and plan.b and m >= 2 * plan.b:
+    if plan is not None and plan.b:
         _blocked_scan(plan, rows, start, dest)
         return
     if plan is not None or x0 is not None:
@@ -547,8 +545,8 @@ def _scan_into(E, X: np.ndarray, x0, out: np.ndarray) -> None:
         else:
             inputs[1:] = rows[1:]
         rows = inputs
-    _chunked_scan(np.swapaxes(E, -1, -2), rows, dest,
-                  None if plan is None else plan.Ec)
+    _chunked_scan(np.swapaxes(E, -1, -2) if plan is None else plan, rows,
+                  dest)
 
 
 def rk4_affine(A: np.ndarray, g: np.ndarray, y0: np.ndarray,
@@ -646,10 +644,8 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
     dt that is not a positive finite number, and NoContractionError when
     the sweeps stop above tol.
     """
-    for name, x in (("T", T), ("dt", dt)):
-        if not (math.isfinite(x) and x > 0):
-            raise ValueError(f"{name} must be a positive finite number, "
-                             f"got {x}")
+    _positive_finite("T", T)
+    _positive_finite("dt", dt)
     v0 = as_state(v0, model.dimension)
     m = max(2, int(round(T / dt)) + 1)
     times = np.linspace(0.0, T, m)

@@ -23,8 +23,8 @@ import scipy.linalg as sla
 
 from .graded import NormLadder, OrbitGrid, _row_norms, as_state
 from .linalg import (NoContractionError, SpectralSplitting, _contract,
-                     _contraction_factor, _scan_into, integrate_rk4,
-                     rk4_affine, scan_plan)
+                     _contraction_factor, _positive_finite, _scan_into,
+                     integrate_rk4, rk4_affine, scan_plan)
 from .models import ModelSystem, _per_row, _states
 from .oracles import finite_difference_jacobian
 
@@ -76,10 +76,7 @@ class LpConfig:
 
     def __post_init__(self):
         for name in ("T_max", "dt", "eps"):
-            x = getattr(self, name)
-            if not (math.isfinite(x) and x > 0):
-                raise ValueError(f"{name} must be a positive finite number, "
-                                 f"got {x}")
+            _positive_finite(name, getattr(self, name))
         if not self.dt < self.T_max:
             raise ValueError("need 0 < dt < T_max")
         if self.max_iter < 1:
@@ -1033,9 +1030,7 @@ def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
     fixed point, without lp_solve's diagnostics; a sample that flows out of
     the eps-ball, or whose re-solve fails, is skipped.  Raises ValueError
     for a delta_t that is not a positive finite number."""
-    if not (math.isfinite(delta_t) and delta_t > 0):
-        raise ValueError(f"delta_t must be a positive finite number, "
-                         f"got {delta_t}")
+    _positive_finite("delta_t", delta_t)
     model = pieces.model
     d = pieces.d_plus
     dt_forward = min(cfg.dt, 0.1 / max(np.linalg.norm(pieces.A0, 2), 1.0))

@@ -150,6 +150,9 @@ class MmtParams:
     period: float = 2.0 * math.pi
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "a"):
+            if not math.isfinite(x := getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {x}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.beta > self.alpha:
@@ -410,6 +413,9 @@ def reaction_diffusion(lambda_param: float, n_modes: int) -> ModelSystem:
     """
     if n_modes < 2:
         raise ValueError("need at least two cosine modes")
+    if not math.isfinite(lambda_param):
+        raise ValueError(f"lambda_param must be a finite number, got "
+                         f"{lambda_param}")
     n = n_modes
     L = 2 * n - 1
     lin = np.array([lambda_param - k * k for k in range(n)])

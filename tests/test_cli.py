@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lpmanifolds import cli, verify
+from lpmanifolds import cli, lp, verify
 from lpmanifolds.cli import default_gap, main
 from lpmanifolds.linalg import AmbiguousSplitError, eigen_split, picard_solve
 from lpmanifolds.models import MmtParams, mmt_galerkin, mmt_mode_set, saddle_toy
@@ -321,6 +321,46 @@ def test_manifold_refuses_non_finite_inputs(capsys, flag, value):
     assert out == ""
     assert err == (f"error: {name} must be a positive finite number, "
                    f"got {value}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["split", "--model", "saddle1", "--gap", "nan"],
+     "gap must be a positive finite number, got nan"),
+    (["manifold", "--model", "saddle1", "--gap", "nan"],
+     "gap must be a positive finite number, got nan"),
+    (["split", "--model", "mmt", "--alpha", "nan"],
+     "alpha must be a finite number, got nan"),
+    (["split", "--model", "mmt", "--beta", "nan"],
+     "beta must be a finite number, got nan"),
+    (["split", "--model", "mmt", "--a", "nan"],
+     "a must be a finite number, got nan"),
+    (["split", "--model", "rd", "--lambda-param", "nan"],
+     "lambda_param must be a finite number, got nan"),
+], ids=["split-gap", "manifold-gap", "alpha", "beta", "a", "lambda-param"])
+def test_non_finite_parameters_are_validation_errors(capsys, argv, message):
+    # a NaN gap used to split as if every eigenvalue were central, and a
+    # NaN model parameter reached the SVD as a numerical failure
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_manifold_refuses_delta_t_before_any_solve(capsys, monkeypatch):
+    solves = []
+    real = lp.lp_solve
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "lp_solve", counting)
+    code, out, err = run_cli(capsys, "manifold", "--model", "saddle1",
+                             "--grid", "21", "--delta-t", "nan")
+    assert code == 1
+    assert out == ""
+    assert err == "error: delta_t must be a positive finite number, got nan\n"
+    assert solves == []
 
 
 @pytest.mark.parametrize("argv", [

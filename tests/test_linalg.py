@@ -331,6 +331,15 @@ def test_picard_solve_runs_no_oracle(monkeypatch):
     assert diag["final_increment"] <= 1e-10
 
 
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
+def test_integrate_rk4_refuses_bad_step(dt):
+    # dt = inf once took a single RK4 step over the whole span: y' = -y on
+    # [0, 5] returned 13.708 instead of e^-5
+    with pytest.raises(ValueError,
+                       match=f"dt must be a positive finite number, got {dt}"):
+        integrate_rk4(lambda t, y: -y, np.array([1.0]), 0.0, 5.0, dt)
+
+
 @pytest.mark.parametrize("T, dt", [(0.5, 0.0), (0.5, -1e-3), (0.5, math.nan),
                                    (0.5, math.inf), (0.0, 1e-3),
                                    (math.nan, 1e-3)])

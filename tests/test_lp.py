@@ -247,23 +247,34 @@ def _tap_scan_loop(E, P, Q, U, x0):
     return x
 
 
-def _route_spy(monkeypatch):
-    """Count the calls of linear_scan's blocked route."""
+def _route_spy(monkeypatch, route="_blocked_scan"):
+    """Record the node count of each call of one of linear_scan's routes,
+    its scans of block or chunk ends included."""
     calls = []
-    real = linalg._blocked_scan
+    real = getattr(linalg, route)
 
-    def spy(plan, *args):
-        calls.append(plan.b)
-        return real(plan, *args)
+    def spy(E, rows, *args):
+        calls.append(len(rows))
+        return real(E, rows, *args)
 
-    monkeypatch.setattr(linalg, "_blocked_scan", spy)
+    monkeypatch.setattr(linalg, route, spy)
     return calls
+
+
+def _blocked_levels(m, b):
+    """The node counts of a blocked scan of m nodes and of its ends scans:
+    the ceil((n - 1) / b) block ends of n nodes are scanned again while
+    there are two or more."""
+    counts = [m]
+    while (n := -(-(counts[-1] - 1) // b)) > 1:
+        counts.append(n)
+    return counts
 
 
 @pytest.mark.parametrize("kind", ["nonnormal", "jordan"])
 @pytest.mark.parametrize("d", [1, 2, 15, 16, 17])
 def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
-    # b = 64 // d nodes per block while b >= 4 (d <= 16), on m >= 2b nodes
+    # b = 64 // d nodes per block while b >= 4 (d <= 16), on every grid
     rng = np.random.default_rng([d, 2])
     E = _scan_matrix(kind, d, rng)
     # nonzero forcing taps of the size of the quadrature's h * phi weights
@@ -273,8 +284,8 @@ def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
     b = plan.b
     assert b == tapped.b == (64 // d if d <= 16 else 0)
     calls = _route_spy(monkeypatch)
-    # around the m = 2b threshold and not a multiple of b; d = 17 is
-    # past the cut-off and runs the chunked route at every m
+    # one to seven blocks, not a multiple of b; d = 17 is past the cut-off
+    # and runs the chunked route at every m
     for m in ([2 * b - 1, 2 * b, 2 * b + 1, 7 * b + 3] if b else [8, 9, 75]):
         # recurrences on in-between axes, as lp_variational has them
         for X in (rng.normal(size=(m, d)), rng.normal(size=(m, 3, d)),
@@ -291,67 +302,118 @@ def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
             for EE, start, ref in cases:
                 calls.clear()
                 got = linear_scan(EE, X, start)
-                assert calls == ([b] if b and m >= 2 * b else [])
+                assert calls == (_blocked_levels(m, b) if b else [])
                 assert np.array_equal(X, keep)
                 assert got.shape == ref.shape
                 scale = np.abs(ref).max()
                 assert np.abs(got - ref).max() <= 1e-13 * scale
 
 
-def _doubling_squaring(E, rows):
-    """Reference for the doubling scan over block ends: squares E on each
-    call, as before the plans kept the powers."""
-    m, d = rows.shape[0], rows.shape[-1]
-    s = 1
-    while s < m:
-        rows[s:] += (rows[:-s].reshape(-1, d) @ E.T).reshape(m - s, -1, d)
-        s *= 2
-        if s < m:
-            E = E @ E
-
-
 @pytest.mark.parametrize("d", [1, 4, 16])
-def test_blocked_scan_keeps_the_carry_powers(d):
-    # a scan squares E^b into E^{2b}, E^{4b}, ... once and keeps them in
-    # the plan; later scans use them and agree bit for bit with squaring
-    # on each call
+def test_blocked_scan_every_short_grid(d, monkeypatch):
+    # one node, and one or two blocks with and without a partial block:
+    # the blocked route takes every grid, whatever its length
     rng = np.random.default_rng([d, 5])
     E = _scan_matrix("nonnormal", d, rng)
     P, Q = 0.01 * rng.normal(size=(2, d, d))
-    b = 64 // d
-    m = 40 * b + 3
+    plan, tapped = _plain_plan(E), scan_plan(E, P, Q)
+    b = plan.b
+    calls = _route_spy(monkeypatch)
+    for m in (1, 2, 3, b, b + 1, 2 * b):
+        X = rng.normal(size=(m, 3, d))
+        x0 = rng.normal(size=(3, d))
+        for EE, ref in ((plan, _scan_loop(E, X)),
+                        (tapped, _tap_scan_loop(E, P, Q, X, x0))):
+            calls.clear()
+            got = linear_scan(EE, X, ref[0])
+            assert calls == _blocked_levels(m, b)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # only the 2b nodes have two blocks, whose two ends are one block of
+    # one node of the plan of E^b
+    for kept in (plan, tapped):
+        assert list(kept.ends) == [(b, 1)]
+        assert kept.ends[b, 1].b == 1 and not kept.ends[b, 1].ends
+
+
+def test_blocked_scan_of_a_growing_matrix():
+    # E = 1.2 grows by 2e10 over 130 nodes, and its 64th power scans the
+    # three block ends: in blocks of two nodes, since the powers of E^64
+    # past the grid (1.2^4096 in a block of 64) would overflow
+    E = np.array([[1.2]])
+    plan = _plain_plan(E)
+    X = np.ones((130, 1))
+    got = linear_scan(plan, X)
+    ref = _scan_loop(E, X)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert list(plan.ends) == [(64, 2)]
+
+
+def _plan_tree(plan):
+    """The ends plans kept under plan, depth first, as (step count, plan)."""
+    return [node for (s, _), sub in plan.ends.items()
+            for node in [(s, sub)] + _plan_tree(sub)]
+
+
+@pytest.mark.parametrize("kind", ["nonnormal", "jordan"])
+@pytest.mark.parametrize(("route", "d", "m"),
+                         [("_blocked_scan", 12, 20001),
+                          ("_chunked_scan", 17, 3201)])
+def test_ends_scanned_levels_deep(route, d, m, kind, monkeypatch):
+    # d = 12 (b = 5) on 20001 nodes scans its block ends six levels deep;
+    # d = 17 on 3201 nodes has 56 chunk ends, themselves in 7 chunks whose
+    # 6 ends are scanned again
+    rng = np.random.default_rng([d, 6])
+    E = _scan_matrix(kind, d, rng)
+    P, Q = 0.01 * rng.normal(size=(2, d, d))
     X = rng.normal(size=(m, 2, d))
-    kept = scan_plan(E, P, Q)
-    assert len(kept.Eb) == 1
-    first = linear_scan(kept, X)
-    # 41 carries (x0 and 40 block ends): doubling steps 1, 2, 4, ..., 32
-    assert len(kept.Eb) == 6
-    for k in range(5):
-        assert np.array_equal(kept.Eb[k + 1], kept.Eb[k] @ kept.Eb[k])
-    assert np.array_equal(linear_scan(kept, X), first)
-    for mm in (2 * b, 7 * b + 1, 20 * b + 5):
-        fresh = scan_plan(E, P, Q)
-        assert np.array_equal(linear_scan(kept, X[:mm]),
-                              linear_scan(fresh, X[:mm]))
-    assert len(kept.Eb) == 6
-    for nb in (2, 3, 41, 64, 65):
-        ends = rng.normal(size=(nb, 3, d))
-        ref = ends.copy()
-        _doubling_squaring(kept.Eb[0], ref)
-        linalg._doubling_scan(kept.Eb, ends)
-        assert np.array_equal(ends, ref)
+    x0 = rng.normal(size=(2, d))
+    calls = _route_spy(monkeypatch, route)
+    built = []
+    real = linalg._plan
+
+    def counting(F, b, *taps):
+        built.append(F.shape)
+        return real(F, b, *taps)
+
+    monkeypatch.setattr(linalg, "_plan", counting)
+    for plan, ref in ((_plain_plan(E), _scan_loop(E, X)),
+                      (scan_plan(E, P, Q), _tap_scan_loop(E, P, Q, X, x0))):
+        calls.clear()
+        built.clear()
+        got = linear_scan(plan, X, ref[0])
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        if route == "_blocked_scan":
+            assert calls == _blocked_levels(m, plan.b)
+            assert calls == [20001, 4000, 800, 160, 32, 7, 2]
+        else:
+            assert calls == [3201, 56, 6, 1]
+        # one plan per level below the top, each of E to the product of
+        # the step counts above it, keeping no taps
+        tree = _plan_tree(plan)
+        assert len(built) == len(tree) == len(calls) - 1
+        power = 1
+        for s, sub in tree:
+            power *= s
+            assert sub.PT is None and sub.QT is None
+            assert np.allclose(sub.E, np.linalg.matrix_power(E, power),
+                               rtol=1e-12, atol=1e-12 * np.abs(sub.E).max())
+        # a second scan builds no plan and gives the same bits
+        kept = [id(sub) for _, sub in tree]
+        assert np.array_equal(linear_scan(plan, X, ref[0]), got)
+        assert len(built) == len(tree)
+        assert [id(sub) for _, sub in _plan_tree(plan)] == kept
 
 
 @pytest.mark.parametrize("d", [17, 64])
-def test_chunked_scan_keeps_the_chunk_end_powers(d):
+def test_chunked_scan_keeps_one_ends_plan_per_chunk_length(d):
     # one plan scans every grid length of SCAN_SIZES: the chunked route
-    # keeps E^c and its squares per chunk length c = ceil(sqrt(m)), so a
-    # grid must not read the powers kept for another c, and a second scan
-    # on the kept powers gives the same bits as the first
-    rng = np.random.default_rng([d, 6])
+    # keeps the plan of E^c per chunk length c = ceil(sqrt(m)) of a grid
+    # with two chunks or more, so a grid never reads the plan kept for
+    # another c, and a second scan gives the same bits as the first
+    rng = np.random.default_rng([d, 7])
     E = _scan_matrix("nonnormal", d, rng)
     plan = _plain_plan(E)
-    assert plan.b == 0 and not plan.Ec
+    assert plan.b == 0 and not plan.ends
     sizes = [m for m, dd in SCAN_SIZES if dd == d]
     for m in sizes:
         X = rng.normal(size=(m, 2, d))
@@ -359,11 +421,10 @@ def test_chunked_scan_keeps_the_chunk_end_powers(d):
         ref = _scan_loop(E, X)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(linear_scan(plan, X, X[0]), got)
-    # one entry per chunk length of a grid with more than one chunk
     chunks = {m: math.isqrt(m - 1) + 1 for m in sizes}
-    assert set(plan.Ec) == {c for m, c in chunks.items() if m > c}
-    for c, steps in plan.Ec.items():
-        assert np.array_equal(steps[0], np.linalg.matrix_power(E.T, c).T)
+    assert set(plan.ends) == {(c, 0) for m, c in chunks.items() if m > c}
+    for (c, _), sub in plan.ends.items():
+        assert np.array_equal(sub.E, np.linalg.matrix_power(E, c))
 
 
 @pytest.mark.parametrize("d", [2, 17])
@@ -411,25 +472,36 @@ def test_linear_scan_diagonal_matrix_keeps_exact_zeros(m):
 
 def test_lp_sweeps_reuse_the_scan_plans(monkeypatch):
     # the plans of Em and Ep with the quadrature's taps are built once per
-    # step h, by propagators; later sweeps build none
+    # step h, by propagators, and the plans of their block ends by the
+    # first sweep; later sweeps build none
     _, _, pieces = saddle1_pieces()
-    built = []
-    real = linalg.scan_plan
+    built, ends = [], []
+    real, real_plan = linalg.scan_plan, linalg._plan
 
     def counting(E, P, Q):
         built.append(E.shape)
         return real(E, P, Q)
 
+    def counting_ends(E, b, *taps):
+        if not taps:
+            ends.append(E.shape)
+        return real_plan(E, b, *taps)
+
     monkeypatch.setattr(lp, "scan_plan", counting)
     monkeypatch.setattr(linalg, "scan_plan", counting)
+    monkeypatch.setattr(linalg, "_plan", counting_ends)
     calls = _route_spy(monkeypatch)
-    Y = np.zeros((len(lp_grid(CFG1)), pieces.dim))
+    m = len(lp_grid(CFG1))
+    Y = np.zeros((m, pieces.dim))
     Y, _, _ = lp_apply(pieces, CFG1, np.array([0.1]), Y)
     assert built == [(1, 1), (1, 1)]
+    # the 2001 nodes are 32 blocks of 64, whose ends fit in one block
+    assert ends == [(1, 1), (1, 1)]
     lp_apply(pieces, CFG1, np.array([0.1]), Y)
     lp_solve(pieces, CFG1, np.array([0.05]))
     assert built == [(1, 1), (1, 1)]
-    assert len(calls) > 4
+    assert ends == [(1, 1), (1, 1)]
+    assert calls.count(m) > 4
 
 
 def test_split_pieces_replace_starts_a_fresh_cache():
@@ -535,7 +607,9 @@ def test_lp_quadrature_matches_forcing_formula(which, monkeypatch):
                   (rng.normal(size=(m, 3, n)), rng.normal(size=(3, d)))):
         calls.clear()
         got = lp._lp_quadrature(pieces, h, v0, g)
-        assert len(calls) == (1 if which == "mmt17" else 2)
+        # the scans of the remainder rows; the others scan block ends
+        assert calls.count(m) == (1 if which == "mmt17" else 2)
+        assert all(n < m for n in calls if n != m)
         ref = _lp_quadrature_formula(pieces, h, v0, g)
         for cols in (slice(0, d), slice(d, None)):
             scale = np.abs(ref[..., cols]).max()
