@@ -654,7 +654,7 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
 
     def frozen(S):
         """A = DF and g = F - A v at the states S (rows)."""
-        A = model.jacobian_many(S)
+        A = model.jacobian(S)
         return A, model.field_many(S) - (A @ S[:, :, None])[:, :, 0]
 
     def sweep(S):

@@ -119,20 +119,21 @@ def _phi_matrices(A: np.ndarray, h: float):
 
 @dataclass
 class SplitPieces:
-    """Autonomous block-diagonal linear parts and the superlinear remainder.
+    """Block-diagonal linear parts and the superlinear remainder.
 
     Coordinates: y = Binv @ (u - equilibrium), with the first d_plus entries
     spanning the unstable subspace.  f_split returns the remainder
     Binv (F(eq + B y) - A0 B y), which vanishes to second order at 0;
     A0 = DF(equilibrium) and F0 = F(equilibrium), one row, both taken by
-    split_field (the quasilinear route keeps the direct model's F0, the
-    field its inversion starts from).  rests_exactly says F0 is exactly
-    zero, so the first Lyapunov-Perron sweep is the linear flow
-    (_linear_flow).  The cache holds the scan plans, the growth constant
-    and the contiguous transposes of B, A0 and Binv, which the remainder's
-    matmuls take (a transposed view takes NumPy's slower strided path); it
-    is not a field of the constructor, so dataclasses.replace starts a
-    fresh one.
+    split_field (the quasilinear route keeps the direct model's A0 and F0,
+    the values its inversion starts from).  sweep_inputs is the one method
+    that reads the route: fixed blocks A_plus, A_rest on the autonomous
+    split, node blocks from frozen_along on the quasilinear route.  The
+    cache holds the scan plans, the growth constant, the remainder of the
+    equilibrium and the contiguous transposes of B, A0 and Binv, which the
+    remainder's matmuls take (a transposed view takes NumPy's slower
+    strided path); it is not a field of the constructor, so
+    dataclasses.replace starts a fresh one.
     """
 
     model: ModelSystem
@@ -144,11 +145,8 @@ class SplitPieces:
     d_plus: int
     A0: np.ndarray
     F0: np.ndarray
-    # quasilinear route: along states Y (rows), the block operators
-    # (m, d_plus, d_plus) and (m, d_rest, d_rest), the remainder, the field
-    # it is built from and the inversion state, all from one inversion of B
-    # per state; frozen_along(Y, start) starts each row's inversion from the
-    # state an earlier call returned for the same rows
+    # quasilinear route: sweep_inputs along split states Y (rows) with
+    # ambient image BY = Y B^T, from one inversion of B per state
     frozen_along: Callable[..., tuple] | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -160,10 +158,6 @@ class SplitPieces:
         return self.frozen_along is None
 
     @property
-    def rests_exactly(self) -> bool:
-        return not np.any(self.F0)
-
-    @property
     def dim(self) -> int:
         return self.B.shape[0]
 
@@ -171,26 +165,32 @@ class SplitPieces:
     def d_rest(self) -> int:
         return self.dim - self.d_plus
 
-    def f_split(self, Y: np.ndarray,
-                BY: np.ndarray | None = None) -> np.ndarray:
-        return self.remainder_and_field(Y, BY)[0]
+    def f_split(self, Y: np.ndarray) -> np.ndarray:
+        """The remainder at split states Y (..., n)."""
+        Y = np.asarray(Y, dtype=float)
+        rows = Y.reshape(-1, self.dim)
+        g = self.sweep_inputs(rows, rows @ self._transposes()[0])[0]
+        return g.reshape(Y.shape)
 
-    def remainder_and_field(
-            self, Y: np.ndarray, BY: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(f_split(Y), F(to_ambient(Y))) for split states Y (..., n); the
-        ambient field is the one the remainder is built from.  On the
-        autonomous route BY is Y B^T where the caller holds it (the
-        Lyapunov-Perron sweeps carry it), so the product is not formed
-        again; the quasilinear route reads Y alone."""
+    def sweep_inputs(self, Y: np.ndarray, BY: np.ndarray,
+                     state: tuple | None = None) -> tuple:
+        """(g, field, blocks, state) along the split states Y (rows), whose
+        ambient image Y B^T is BY: the remainder g = f_split(Y), the ambient
+        field it is built from, the node blocks (A_plus, A_rest) and the
+        inversion state of B.
+
+        On the autonomous route the field is the model's at eq + BY, and
+        blocks and state are None: the blocks are the fixed ones.  On the
+        quasilinear route it is frozen_along, which inverts B at BY, one
+        inversion per row, starting from state, the state an earlier call
+        returned for the same rows, or cold at u = 0.  The state is
+        consumed: the returned state holds its arrays, updated in place.
+        """
         if not self.autonomous:
-            _, _, out, field, _ = self.frozen_along(np.atleast_2d(Y))
-            return out.reshape(Y.shape), field.reshape(Y.shape)
-        if BY is None:
-            BY = Y @ self._transposes()[0]
+            return self.frozen_along(Y, BY, state)
         eq = self.model.equilibrium
         field = self.model.field_many(BY + eq if np.any(eq) else BY)
-        return self._remainder(BY, field), field
+        return self._remainder(BY, field), field, None, None
 
     def _remainder(self, BY: np.ndarray, field: np.ndarray) -> np.ndarray:
         """f_split from the ambient deviations BY = Y B^T (rows) and their
@@ -198,16 +198,16 @@ class SplitPieces:
         _, A0T, BinvT = self._transposes()
         return (field - BY @ A0T) @ BinvT
 
-    def _zero_orbit_remainder(self, m: int) -> np.ndarray:
-        """f_split of the zero orbit on m nodes.  Every node rests at the
-        equilibrium, so the model is evaluated on one row.  The products
-        run on two copies of that row: NumPy sends a single row to gemv,
-        whose sums round otherwise than the gemm of a whole grid, and the
-        sweep keeps the bits of the grid's evaluation."""
-        BY = np.zeros((2, self.dim))
-        field = self.model.field_many(BY[:1] + self.model.equilibrium)
-        g = self._remainder(BY, np.repeat(field, 2, axis=0))
-        return np.repeat(g[:1], m, axis=0)
+    def _rest_remainder(self) -> np.ndarray:
+        """f_split of the equilibrium on the autonomous split, one row built
+        from F0, with no model call.  The products run on two copies of
+        that row: NumPy sends a single row to gemv, whose sums round
+        otherwise than the gemm of a whole grid, and a sweep of the zero
+        orbit keeps the bits of the grid's evaluation."""
+        if "rest" not in self._cache:
+            two = np.repeat(self.F0[None], 2, axis=0)
+            self._cache["rest"] = self._remainder(np.zeros_like(two), two)[0]
+        return self._cache["rest"]
 
     def to_ambient(self, Y: np.ndarray) -> np.ndarray:
         return Y @ self._transposes()[0] + self.model.equilibrium
@@ -307,7 +307,7 @@ class QuasiTransform:
     operators equal to the diagonal blocks of the full Jacobian and a
     remainder with Df(0) = 0.  invert_B and bmap take states (..., n), as
     the model's field does; invert_B starts every state cold at u = 0, while
-    pieces.frozen_along can start each row from the inversion state of an
+    pieces.sweep_inputs can start each row from the inversion state of an
     earlier call.
     """
 
@@ -371,7 +371,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     # the diagonal blocks of the full state-dependent Jacobian
     base = split_field(model, splitting)
     d = base.d_plus
-    BT, _, BinvT = base._transposes()
+    BinvT = base._transposes()[2]
     # the model at u = 0, where a cold inversion starts
     J0 = base.A0
     F0 = base.F0[None]
@@ -420,7 +420,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
                 break
             moved = act[stale[act]]
             if moved.size:
-                J[moved] = model.jacobian_many(eq + U[moved])
+                J[moved] = model.jacobian(eq + U[moved])
                 stale[moved] = False
             step = np.linalg.solve(db_of(J[act]),
                                    -res[act][:, :, None])[:, :, 0]
@@ -448,7 +448,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
                 f"Newton failed inverting B (residual {rnorm.max():.3e})")
         moved = np.flatnonzero(stale)
         if moved.size:
-            J[moved] = model.jacobian_many(eq + U[moved])
+            J[moved] = model.jacobian(eq + U[moved])
         return U, FU, J
 
     def invert_B(V):
@@ -460,7 +460,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         until its residual norm strictly drops.  The start u = 0 reuses the
         model values at the equilibrium taken at setup, so a batch whose
         states all satisfy B(0) = v makes no model call.  The LP sweeps
-        invert through pieces.frozen_along instead, each node starting from
+        invert through pieces.sweep_inputs instead, each node starting from
         its state at the previous sweep.
         """
         return _invert(V)[0].reshape(np.shape(V))
@@ -477,11 +477,11 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     def G(V):
         return transformed_field(_invert(V)).reshape(np.shape(V))
 
-    A_v0 = DB0 @ J0 @ np.linalg.inv(DB0)
-
     def G_jac(v):
+        # DG(0) = DB(0) A(0) DB(0)^-1 is A(0): CS is built from the spectral
+        # projectors of A(0), so DB(0) = A(0) - CS commutes with it
         if np.linalg.norm(v) < 1e-14:
-            return A_v0
+            return J0
         return finite_difference_jacobian(G, v, 1e-6)
 
     name = model.name + "_quasilinearized"
@@ -489,22 +489,21 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
                          jacobian=_per_row(G_jac, n, (n, n), name),
                          equilibrium=np.zeros(n), ladder=model.ladder)
 
-    def frozen_along(Y, start=None):
-        """Node blocks, remainder, transformed field G(B y) and the
-        inversion state along split states Y (rows), from one inversion of
-        B per row.  The inversion starts from start, the state an earlier
-        call returned for the same rows, or cold at u = 0.  The start is
-        consumed: the returned state holds its arrays, updated in place."""
-        state = _invert(Y @ BT, start)
+    def frozen_along(Y, BY, state=None):
+        """SplitPieces.sweep_inputs on this route: the remainder, the
+        transformed field G(B y), the node blocks and the inversion state
+        along split states Y (rows) with B(u) = BY, from one inversion of B
+        per row."""
+        state = _invert(BY, state)
         field = transformed_field(state)
         Afull = base.Binv @ state[2] @ base.B
         Ap, Ar = Afull[:, :d, :d], Afull[:, d:, d:]
         g = field @ BinvT
         g[:, :d] -= (Ap @ Y[:, :d, None])[:, :, 0]
         g[:, d:] -= (Ar @ Y[:, d:, None])[:, :, 0]
-        return Ap, Ar, g, field, state
+        return g, field, (Ap, Ar), state
 
-    pieces = replace(base, model=tmodel, A0=A_v0, frozen_along=frozen_along)
+    pieces = replace(base, model=tmodel, frozen_along=frozen_along)
     return QuasiTransform(pieces=pieces, invert_B=invert_B, bmap=bmap)
 
 
@@ -547,35 +546,30 @@ def _linear_flow(pieces: SplitPieces, h: float, m: int,
 
 
 def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
-             Y: np.ndarray, start: tuple | None = None
+             Y: np.ndarray, BY: np.ndarray | None = None,
+             state: tuple | None = None
              ) -> tuple[np.ndarray, float, tuple | None]:
     """One application of the Lyapunov-Perron operator on the grid.
 
     Returns the new split-coordinate orbit, the analytic bound on the
-    truncated tail of the complement integral and, on the quasilinear
-    route, the inversion state of B along Y (None on the autonomous route).
-    Passed as start to the next sweep, that state starts each node's
-    inversion from its value at this sweep; without start the inversions
-    start cold at the equilibrium.  The start is consumed: the returned
-    state holds its arrays, updated in place.
-
-    On the autonomous route start is the ambient image Y B^T of Y, where
-    the caller holds it (the fixed point forms it once per sweep, for its
-    increment), and the remainder is built from it.  Without start the
-    remainder forms it, except on the zero orbit: every node of that orbit
-    has the remainder of the equilibrium, evaluated on one row and repeated
-    over the m nodes.
+    truncated tail of the complement integral and the inversion state of B
+    along Y that pieces.sweep_inputs returns (None on the autonomous
+    route).  BY is the ambient image Y B^T where the caller holds it (the
+    fixed point forms it once per sweep, for its increment); without it
+    lp_apply forms it.  Passed as state to the next sweep, the inversion
+    state starts each node's inversion from its value at this sweep;
+    without it the inversions start cold at the equilibrium.  The state is
+    consumed: the returned state holds its arrays, updated in place.
     """
     v0_plus = as_state(v0_plus, pieces.d_plus)
-    h = _grid_step(cfg.T_max, cfg.dt)
-    if pieces.autonomous:
-        if start is None and not np.any(Y):
-            g = pieces._zero_orbit_remainder(len(Y))
-        else:
-            g = pieces.f_split(Y, start)
-        return (*_lp_sweep(pieces, cfg, h, v0_plus, g), None)
-    Ap, Ar, g, _, state = pieces.frozen_along(Y, start)
-    return (*_lp_sweep(pieces, cfg, h, v0_plus, g, (Ap, Ar)), state)
+    if BY is None:
+        BY = Y @ pieces._transposes()[0]
+    g, field, blocks, state = pieces.sweep_inputs(Y, BY, state)
+    # the sweep reads only the remainder; the field goes before the
+    # quadrature's arrays are made
+    del field
+    return (*_lp_sweep(pieces, cfg, _grid_step(cfg.T_max, cfg.dt), v0_plus,
+                       g, blocks), state)
 
 
 def _lp_sweep(pieces: SplitPieces, cfg: LpConfig, h: float,
@@ -583,14 +577,16 @@ def _lp_sweep(pieces: SplitPieces, cfg: LpConfig, h: float,
               blocks: tuple[np.ndarray, np.ndarray] | None = None
               ) -> tuple[np.ndarray, float]:
     """lp_apply on the grid of step h with the remainder g = f_split(Y)
-    already evaluated, and on the quasilinear route the node blocks
-    (A_plus, A_rest) along Y."""
+    already evaluated.  Without blocks the sweep is the exponential
+    quadrature of the fixed blocks, with their dichotomy constant in the
+    tail bound; with the node blocks (A_plus, A_rest) along Y
+    (sweep_inputs on the quasilinear route) it is two RK4 sweeps."""
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite remainder evaluation in lp_apply")
     d = pieces.d_plus
     gp, gr = g[:, :d], g[:, d:]
 
-    if pieces.autonomous:
+    if blocks is None:
         new = _lp_quadrature(pieces, h, v0_plus, g)
     else:
         # the unstable part runs backward from v0_plus at t = 0, the
@@ -602,8 +598,8 @@ def _lp_sweep(pieces: SplitPieces, cfg: LpConfig, h: float,
 
     if not pieces.d_rest:
         return new, 0.0
-    # the quasilinear route carries no dichotomy constant
-    c_rest = (pieces.rest_growth_constant(cfg.T_max) if pieces.autonomous
+    # varying blocks carry no dichotomy constant
+    c_rest = (pieces.rest_growth_constant(cfg.T_max) if blocks is None
               else 1.0)
     denom = cfg.lam - pieces.splitting.rest_max_re
     return new, c_rest * float(np.linalg.norm(gr[0])) / max(denom, 1e-12)
@@ -653,14 +649,15 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
 
     Each sweep forms the ambient image BY = Y B^T of its new orbit once.
     That product gives the increment, the weighted norm of the change of
-    BY, and on the autonomous route it is the start of the next sweep,
-    whose remainder is built from it.  On the autonomous route with F(eq)
-    exactly zero (pieces.rests_exactly) the remainder of the zero orbit is
-    zero, so the first sweep is the linear flow U_+(t, 0) v0_plus with a
-    zero complement and tail bound 0: one unstable scan, no model call.  It
-    still counts as a sweep.  Where F(eq) is only zero to roundoff, the
-    first sweep goes through lp_apply, which evaluates the zero orbit's
-    remainder on one row; the quasilinear route takes the full first sweep.
+    BY, and the next sweep's lp_apply builds its inputs from it.  On the
+    autonomous route every node of the zero orbit rests at the equilibrium,
+    so the first sweep's remainder is one row built from F0
+    (pieces._rest_remainder), with no model call: where that row is
+    exactly zero (F(eq) = 0), the sweep is the linear flow U_+(t, 0)
+    v0_plus with a zero complement and tail bound 0, one unstable scan;
+    elsewhere the row is repeated over the grid.  It still counts as a
+    sweep.  The quasilinear route takes its first sweep through lp_apply,
+    which starts the inversions of B that the later sweeps continue.
 
     Raises ValueError for lam outside the dichotomy gap or a base point
     outside the eps-ball, and NoContractionError when the sweeps stop above
@@ -700,24 +697,22 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
     # each sweep's inversions of B from the previous sweep's
     Y = np.zeros((len(times), pieces.dim))
     state = tail = None
-    # the first sweep acts on the zero orbit: where F(eq) is exactly zero
-    # its remainder is zero, and the sweep is the linear flow with tail 0
-    linear = pieces.autonomous and pieces.rests_exactly
+    h = _grid_step(cfg.T_max, cfg.dt)
 
     def sweep(BY):
-        # the iterate is the image BY of the orbit Y, which rides along with
-        # the state; on the autonomous route the state is BY itself
-        nonlocal Y, state, tail, linear
-        if linear:
-            linear, tail = False, 0.0
-            Y = _linear_flow(pieces, _grid_step(cfg.T_max, cfg.dt), len(Y),
-                             v0_plus)
+        # the iterate is the image BY of the orbit Y, which rides along
+        nonlocal Y, state, tail
+        if tail is None and pieces.autonomous:
+            # the first sweep, of the zero orbit
+            g = pieces._rest_remainder()
+            if np.any(g):
+                Y, tail = _lp_sweep(pieces, cfg, h, v0_plus,
+                                    np.repeat(g[None], len(Y), axis=0))
+            else:
+                Y, tail = _linear_flow(pieces, h, len(Y), v0_plus), 0.0
         else:
-            Y, tail, state = lp_apply(pieces, cfg, v0_plus, Y, state)
-        image = Y @ BT
-        if pieces.autonomous:
-            state = image
-        return image
+            Y, tail, state = lp_apply(pieces, cfg, v0_plus, Y, BY, state)
+        return Y @ BT
 
     BY, incs = _contract(sweep, np.zeros_like(Y), ambient_norm, cfg.tol,
                          cfg.max_iter)
@@ -731,12 +726,10 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     one more sweep (the fixed-point residual), the trajectory residual and
     the quadrature budget.  The ambient image Y B^T that the sweeps carry
     (one product per sweep, _lp_fixed_point) also serves the residual
-    sweep's remainder and the ambient orbit.  On the autonomous route the
-    zero orbit's remainder is one model row: where F(eq) is exactly zero
-    the first sweep is the linear flow and evaluates no model, elsewhere
-    it evaluates one row.  So a solve of k sweeps on a grid of m nodes
-    evaluates the model on k m rows, or on 1 + k m: k - 1 sweeps and the
-    residual sweep, each on the whole grid.
+    sweep's inputs and the ambient orbit.  On the autonomous route the
+    first sweep's remainder is built from F(eq) and evaluates no model, so
+    a solve of k sweeps on a grid of m nodes evaluates the model on k m
+    rows: k - 1 sweeps and the residual sweep, each on the whole grid.
 
     The diagnostic contraction_factor is the largest ratio of consecutive
     sweep increments (linalg._contraction_factor).
@@ -753,12 +746,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
 
     # fixed-point residual: one more sweep, measured in the same norm; its
     # remainder and ambient field also serve the two checks below
-    if pieces.autonomous:
-        g, field = pieces.remainder_and_field(Y, BY)
-        blocks = None
-    else:
-        Ap, Ar, g, field, _ = pieces.frozen_along(Y, state)
-        blocks = (Ap, Ar)
+    g, field, blocks, _ = pieces.sweep_inputs(Y, BY, state)
     Ychk, _ = _lp_sweep(pieces, cfg, h, v0_plus, g, blocks)
     fp_res = fp.norm(Ychk - Y)
 
@@ -1075,7 +1063,7 @@ def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig,
     Adiag[:d, :d] = pieces.A_plus
     Adiag[d:, d:] = pieces.A_rest
     # coupling along the base orbit: full Jacobian minus the frozen blocks
-    J = pieces.model.jacobian_many(base.orbit.states)
+    J = pieces.model.jacobian(base.orbit.states)
     AtilT = (pieces.Binv @ J @ pieces.B - Adiag).transpose(0, 2, 1)
 
     # W[j] = U^1(t_j)^T, one row per derivative direction; the initial

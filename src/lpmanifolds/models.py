@@ -56,10 +56,6 @@ class ModelSystem:
         """Vector field on a batch of states (rows)."""
         return self.vector_field(states)
 
-    def jacobian_many(self, states: np.ndarray) -> np.ndarray:
-        """Jacobians on a batch of states (rows), one (n, n) matrix per row."""
-        return self.jacobian(states)
-
 
 def _states(u, n: int) -> np.ndarray:
     """u as float states (..., n).  A single state goes through as_state,
@@ -147,7 +143,6 @@ class MmtParams:
     a: float
     xi0: int
     mode_set: tuple[int, ...]
-    period: float = 2.0 * math.pi
 
     def __post_init__(self):
         for name in ("alpha", "beta", "a"):

@@ -55,47 +55,39 @@ __all__ = ["CHECKS", "CRITERIA", "QUICK", "SUITES", "run_suite"]
 
 # ------------------------------------------------------------ shared setups
 
+def _setup(model, gap, cfg):
+    """(model, its splitting at gap, its SplitPieces, cfg); cfg is an
+    LpConfig, or a function of the splitting that gives one."""
+    sp = eigen_split(model.jacobian(model.equilibrium), gap)
+    return model, sp, split_field(model, sp), cfg(sp) if callable(cfg) else cfg
+
+
 def setup_saddle1():
-    m = saddle_toy("saddle1")
-    sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
-    pieces = split_field(m, sp)
-    cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.005, eps=0.12, tol=1e-10)
-    return m, sp, pieces, cfg
+    return _setup(saddle_toy("saddle1"), 0.5, LpConfig(
+        lam=0.9, T_max=20.0, dt=0.005, eps=0.12, tol=1e-10))
 
 
 def setup_saddle2_stable():
-    m = reversed_model(saddle_toy("saddle2"))
-    sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
-    pieces = split_field(m, sp)
-    cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.005, eps=0.25, tol=1e-10)
-    return m, sp, pieces, cfg
+    return _setup(reversed_model(saddle_toy("saddle2")), 0.5, LpConfig(
+        lam=0.9, T_max=20.0, dt=0.005, eps=0.25, tol=1e-10))
 
 
 def setup_saddle2_unstable():
-    m = saddle_toy("saddle2")
-    sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
-    pieces = split_field(m, sp)
-    cfg = LpConfig(lam=1.5, T_max=12.0, dt=0.005, eps=0.2, tol=1e-10)
-    return m, sp, pieces, cfg
+    return _setup(saddle_toy("saddle2"), 0.5, LpConfig(
+        lam=1.5, T_max=12.0, dt=0.005, eps=0.2, tol=1e-10))
 
 
 def setup_rd(lam_param, gap, lam, eps=0.08):
-    m = reaction_diffusion(lam_param, 6)
-    sp = eigen_split(m.jacobian(m.equilibrium), gap)
-    pieces = split_field(m, sp)
-    cfg = LpConfig(lam=lam, T_max=40.0, dt=0.01, eps=eps, tol=1e-10)
-    return m, sp, pieces, cfg
+    return _setup(reaction_diffusion(lam_param, 6), gap, LpConfig(
+        lam=lam, T_max=40.0, dt=0.01, eps=eps, tol=1e-10))
 
 
 def setup_mmt():
     p = MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
                   mode_set=mmt_mode_set(0, 3))
-    m = mmt_galerkin(p)
-    sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
-    pieces = split_field(m, sp)
-    cfg = LpConfig(lam=0.8 * sp.lambda_plus,
-                   T_max=12.0 / sp.lambda_plus, dt=0.005, eps=0.05, tol=1e-9)
-    return m, sp, pieces, cfg
+    return _setup(mmt_galerkin(p), 0.5, lambda sp: LpConfig(
+        lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus, dt=0.005,
+        eps=0.05, tol=1e-9))
 
 
 ALL_MODELS = [
@@ -104,6 +96,20 @@ ALL_MODELS = [
     ("rd2", lambda: setup_rd(2.0, 0.5, 0.8)),
     ("mmt", setup_mmt),
 ]
+
+
+def _all_pass(results) -> tuple[bool, str]:
+    """(every ok, the details joined by "; ") of (ok, detail) pairs, all of
+    which are evaluated."""
+    results = list(results)
+    return (all(ok for ok, _ in results),
+            "; ".join(detail for _, detail in results))
+
+
+def _per_model(check) -> tuple[bool, str]:
+    """_all_pass of check(name, model, splitting, pieces, cfg) over the
+    setups of ALL_MODELS."""
+    return _all_pass(check(name, *setup()) for name, setup in ALL_MODELS)
 
 
 # ------------------------------------------------------------------ criteria
@@ -131,16 +137,15 @@ def check_oracle_equivalence():
          [-0.05, 0.03, 0.05], 35.0),
         ("rd2", lambda: setup_rd(2.0, 0.5, 0.8), None, 25.0),
     ]
-    detail = []
-    ok = True
-    for name, setup, points, T in cases:
+
+    def one(name, setup, points, T):
         model, sp, pieces, cfg = setup()
         if points is None:
             pts = [np.array([0.05, 0.04]), np.array([-0.04, 0.02]),
                    np.array([0.02, -0.05])]
         else:
             pts = [np.array([x]) for x in points]
-        worst_ratio = 0.0
+        ok, worst_ratio = True, 0.0
         for pt in pts:
             res = lp_solve(pieces, cfg, pt)
             sh = backward_shoot(model, sp, pt, T=T, tol=1e-11)
@@ -149,8 +154,9 @@ def check_oracle_equivalence():
                              + sh.match_residual + 1e-8)
             worst_ratio = max(worst_ratio, diff / budget)
             ok = ok and diff <= budget
-        detail.append(f"{name} worst diff/budget {worst_ratio:.2f}")
-    return ok, "; ".join(detail)
+        return ok, f"{name} worst diff/budget {worst_ratio:.2f}"
+
+    return _all_pass(one(*case) for case in cases)
 
 
 def check_mmt_block_consistency():
@@ -242,10 +248,7 @@ def check_hamiltonian_spectral_symmetry():
 
 
 def check_decay_rate_window():
-    ok = True
-    details = []
-    for name, setup in ALL_MODELS:
-        model, sp, pieces, cfg = setup()
+    def one(name, model, sp, pieces, cfg):
         d = pieces.d_plus
         base = np.zeros(d)
         base[0] = 0.5 * cfg.eps
@@ -258,18 +261,16 @@ def check_decay_rate_window():
         g = sp.realized_gap
         inside = (lam_fit >= sp.rest_max_re + 0.05 * g
                   and lam_fit <= sp.lambda_plus_max + 0.05 * g)
-        ok = ok and inside and r2 > 0.99
-        details.append(f"{name}: {lam_fit:.3f} in "
-                       f"({sp.rest_max_re:.2f}, {sp.lambda_plus_max:.2f})"
-                       f"+margin, R2 {r2:.5f}")
-    return ok, "; ".join(details)
+        return inside and r2 > 0.99, (
+            f"{name}: {lam_fit:.3f} in "
+            f"({sp.rest_max_re:.2f}, {sp.lambda_plus_max:.2f})"
+            f"+margin, R2 {r2:.5f}")
+
+    return _per_model(one)
 
 
 def check_invariance_residual():
-    ok = True
-    details = []
-    for name, setup in ALL_MODELS:
-        model, sp, pieces, cfg = setup()
+    def one(name, model, sp, pieces, cfg):
         d = pieces.d_plus
         # samples inside the ball so the flowed base point stays admissible
         growth = math.exp(sp.lambda_plus_max * 0.1)
@@ -287,16 +288,13 @@ def check_invariance_residual():
         budget = 10.0 * (cfg.tol + float(np.nanmax(graph.error_budget))
                          + 1e-8)
         good = rep["skipped"] == 0 and rep["max_residual"] <= budget
-        ok = ok and good
-        details.append(f"{name}: {rep['max_residual']:.2e} <= {budget:.2e}")
-    return ok, "; ".join(details)
+        return good, f"{name}: {rep['max_residual']:.2e} <= {budget:.2e}"
+
+    return _per_model(one)
 
 
 def check_tangency():
-    ok = True
-    details = []
-    for name, setup in ALL_MODELS:
-        model, sp, pieces, cfg = setup()
+    def one(name, model, sp, pieces, cfg):
         d = pieces.d_plus
         res0 = lp_solve(pieces, cfg, np.zeros(d))
         _, Dq0 = lp_variational(res0, pieces, cfg)
@@ -317,18 +315,15 @@ def check_tangency():
             denom = max(np.linalg.norm(fd), 1e-7)
             worst_rel = max(worst_rel,
                             float(np.linalg.norm(Dq[:, j] - fd) / denom))
-        good = good and worst_rel <= 1e-3
-        ok = ok and good
-        details.append(f"{name}: |Dq(0)|={np.linalg.norm(Dq0):.1e}, "
-                       f"fd rel {worst_rel:.1e}")
-    return ok, "; ".join(details)
+        return good and worst_rel <= 1e-3, (
+            f"{name}: |Dq(0)|={np.linalg.norm(Dq0):.1e}, "
+            f"fd rel {worst_rel:.1e}")
+
+    return _per_model(one)
 
 
 def check_parameter_robustness():
-    ok = True
-    details = []
-    for name, setup in ALL_MODELS:
-        model, sp, pieces, cfg = setup()
+    def one(name, model, sp, pieces, cfg):
         d = pieces.d_plus
         base = np.zeros(d)
         base[0] = 0.4 * cfg.eps
@@ -350,9 +345,9 @@ def check_parameter_robustness():
         # 10x tol plus the shared quadrature budget: the dt-level error is
         # common to all variants, so the comparison floor is the tol scale
         thresh = 10 * cfg.tol + 1e-7
-        ok = ok and worst <= thresh
-        details.append(f"{name}: max shift {worst:.2e}")
-    return ok, "; ".join(details)
+        return worst <= thresh, f"{name}: max shift {worst:.2e}"
+
+    return _per_model(one)
 
 
 def check_contraction_budget():
@@ -412,8 +407,6 @@ def check_waterwave_criteria():
 
 
 def check_picard_integrator():
-    ok = True
-    details = []
     cases = [
         ("saddle1", saddle_toy("saddle1"), 0.1),
         ("saddle2", saddle_toy("saddle2"), 0.1),
@@ -423,22 +416,21 @@ def check_picard_integrator():
                                        xi0=0, mode_set=mmt_mode_set(0, 2))),
          0.05),
     ]
-    for name, model, amp in cases:
+
+    def one(name, model, amp):
         v0 = model.equilibrium.copy()
         v0[0] += amp
         orbit, diag = picard_solve(model, v0, 0.5, 1e-3, tol=1e-11)
         diff = np.linalg.norm(
             orbit.states[-1] - reference_flow(model.vector_field, v0, 0.0, 0.5))
         good = diff <= 1e-7 and diag["contraction_factor"] < 1.0
-        ok = ok and good
-        details.append(f"{name}: diff {diff:.1e}, "
-                       f"factor {diag['contraction_factor']:.2e}")
-    return ok, "; ".join(details)
+        return good, (f"{name}: diff {diff:.1e}, "
+                      f"factor {diag['contraction_factor']:.2e}")
+
+    return _all_pass(one(*case) for case in cases)
 
 
 def check_variational_flow():
-    ok = True
-    details = []
     cases = [
         ("saddle1", saddle_toy("saddle1"), 0.1, 1.0),
         ("saddle2", saddle_toy("saddle2"), 0.1, 1.0),
@@ -447,7 +439,8 @@ def check_variational_flow():
                                        xi0=0, mode_set=mmt_mode_set(0, 2))),
          0.05, 0.5),
     ]
-    for name, model, amp, T in cases:
+
+    def one(name, model, amp, T):
         u0 = model.equilibrium.copy()
         u0[0] += amp
         times = np.linspace(0.0, T, 501)
@@ -467,9 +460,9 @@ def check_variational_flow():
             fd = (up - um) / (2 * h)
             worst = max(worst, float(np.linalg.norm(D[:, j] - fd)
                                      / max(np.linalg.norm(fd), 1e-9)))
-        ok = ok and worst <= 1e-3
-        details.append(f"{name}: rel {worst:.1e}")
-    return ok, "; ".join(details)
+        return worst <= 1e-3, f"{name}: rel {worst:.1e}"
+
+    return _all_pass(one(*case) for case in cases)
 
 
 # ----------------------------------------------------------- structural checks

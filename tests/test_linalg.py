@@ -355,7 +355,7 @@ def _picard_loop(model, v0, T, dt, iterations):
     times = np.linspace(0.0, T, m)
     states = np.tile(v0, (m, 1))
     for _ in range(iterations):
-        A = model.jacobian_many(states)
+        A = model.jacobian(states)
         g = model.field_many(states) - (A @ states[:, :, None])[:, :, 0]
         states = rk4_affine(A, g, v0, times[1] - times[0])
     return states
@@ -364,7 +364,7 @@ def _picard_loop(model, v0, T, dt, iterations):
 def test_picard_first_sweep_evaluates_start_once(monkeypatch):
     model = saddle_toy("saddle1")
     v0 = np.array([0.1, 0.05])
-    rows = {"field_many": 0, "jacobian_many": 0}
+    rows = {"field_many": 0, "jacobian": 0}
     for name in rows:
         def counted(S, name=name, inner=getattr(model, name)):
             rows[name] += len(S)
@@ -374,7 +374,7 @@ def test_picard_first_sweep_evaluates_start_once(monkeypatch):
     it, m = diag["iterations"], len(orbit.times)
     assert it >= 3
     assert rows == {"field_many": 1 + (it - 1) * m,
-                    "jacobian_many": 1 + (it - 1) * m}
+                    "jacobian": 1 + (it - 1) * m}
     ref = _picard_loop(model, v0, 0.5, 1e-3, it)
     assert np.abs(orbit.states - ref).max() <= 1e-15
 

@@ -1245,49 +1245,9 @@ def test_linear_first_sweep_makes_no_field_call():
     assert len(rows) == fp.iterations * m
 
 
-@pytest.mark.parametrize("which", ["saddle1", "rd"])
-def test_linear_first_sweep_is_the_sweep_of_the_zero_orbit(which,
-                                                           monkeypatch):
-    # a tolerance the first sweep meets stops the fixed point there: its
-    # orbit is lp_apply's of the zero orbit, bit for bit, with an exactly
-    # zero complement and tail 0, and no sweep went through lp_apply
-    pieces, cfg, base = _fixed_point_case(which)
-    assert pieces.rests_exactly
-    Y0 = np.zeros((len(lp_grid(cfg)), pieces.dim))
-    want, want_tail, _ = lp_apply(pieces, cfg, base, Y0)
-    applied = []
-    monkeypatch.setattr(lp, "lp_apply",
-                        lambda *a: applied.append(1) or lp_apply(*a))
-    fp = lp._lp_fixed_point(pieces, dataclasses.replace(cfg, tol=1.0), base)
-    assert fp.iterations == 1 and not applied
-    assert np.array_equal(fp.Y, want)
-    assert np.all(fp.Y[:, pieces.d_plus:] == 0.0)
-    assert fp.tail == want_tail == 0.0
-
-
-@pytest.mark.parametrize("which", ["saddle1", "rd"])
-def test_linear_first_sweep_keeps_every_sweep(which):
-    # with the first sweep taken through lp_apply, as where F(eq) is not
-    # exactly zero, the orbit, increments and tail are the same, bit for bit
-    # (the autonomous sweeps read F0 only through rests_exactly)
-    pieces, cfg, base = _fixed_point_case(which)
-    fp = lp._lp_fixed_point(pieces, cfg, base)
-    moving = dataclasses.replace(pieces, F0=np.ones(pieces.dim))
-    assert not moving.rests_exactly
-    full = lp._lp_fixed_point(moving, cfg, base)
-    assert np.array_equal(fp.Y, full.Y)
-    assert fp.increments == full.increments
-    assert fp.tail == full.tail
-
-
-def test_mmt7_solve_evaluates_one_row_of_the_zero_orbit():
-    # the plane wave's F(eq) is roundoff, not zero, so the first sweep is
-    # not the linear flow; but every node of the zero orbit rests at the
-    # equilibrium, and the model is evaluated on one row for all of them.
-    # A solve of k sweeps evaluates 1 + k m rows: that row, k - 1 sweeps
-    # and the residual sweep on the whole grid (not (k + 1) m)
-    pieces, cfg, base = _fixed_point_case("mmt7")
-    assert not pieces.rests_exactly
+def _row_counted(pieces):
+    """pieces whose model records the number of states of each field
+    call."""
     n, field = pieces.dim, pieces.model.vector_field
     rows = []
 
@@ -1295,24 +1255,77 @@ def test_mmt7_solve_evaluates_one_row_of_the_zero_orbit():
         rows.append(np.size(u) // n)
         return field(u)
 
-    counted_pieces = dataclasses.replace(pieces, model=dataclasses.replace(
-        pieces.model, vector_field=counted))
-    res = lp_solve(counted_pieces, cfg, base)
+    return dataclasses.replace(pieces, model=dataclasses.replace(
+        pieces.model, vector_field=counted)), rows
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7"])
+def test_linear_first_sweep_is_the_sweep_of_the_zero_orbit(which,
+                                                           monkeypatch):
+    # a tolerance the first sweep meets stops the fixed point there: its
+    # orbit is lp_apply's of the zero orbit, bit for bit, no sweep went
+    # through lp_apply and no model was called, whether F(eq) is exactly
+    # zero (saddle1, rd: the linear flow, with an exactly zero complement
+    # and tail 0) or roundoff (mmt7: the remainder of F(eq) on every node)
+    pieces, cfg, base = _fixed_point_case(which)
+    rests = not np.any(pieces.F0)
+    assert rests == (which != "mmt7")
+    Y0 = np.zeros((len(lp_grid(cfg)), pieces.dim))
+    want, want_tail, _ = lp_apply(pieces, cfg, base, Y0)
+    counted, rows = _row_counted(pieces)
+    applied = []
+    monkeypatch.setattr(lp, "lp_apply",
+                        lambda *a: applied.append(1) or lp_apply(*a))
+    fp = lp._lp_fixed_point(counted, dataclasses.replace(cfg, tol=1.0), base)
+    assert fp.iterations == 1 and not applied and rows == []
+    assert np.array_equal(fp.Y, want)
+    assert fp.tail == want_tail
+    if rests:
+        assert np.all(fp.Y[:, pieces.d_plus:] == 0.0)
+        assert fp.tail == 0.0
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd"])
+def test_linear_first_sweep_keeps_every_sweep(which):
+    # with the first sweep taken through lp_apply, which evaluates the
+    # model on the whole zero orbit, the orbit, increments and tail are the
+    # same, bit for bit.  The copy's frozen_along hands back the autonomous
+    # sweep inputs, blocks None included, so only the first sweep's route
+    # differs
+    pieces, cfg, base = _fixed_point_case(which)
+    fp = lp._lp_fixed_point(pieces, cfg, base)
+    full_grid = dataclasses.replace(pieces, frozen_along=pieces.sweep_inputs)
+    assert not full_grid.autonomous
+    full = lp._lp_fixed_point(full_grid, cfg, base)
+    assert np.array_equal(fp.Y, full.Y)
+    assert fp.increments == full.increments
+    assert fp.tail == full.tail
+
+
+def test_mmt7_solve_evaluates_k_m_rows():
+    # the plane wave's F(eq) is roundoff, not zero, so the first sweep is
+    # not the linear flow; but every node of the zero orbit rests at the
+    # equilibrium, and its remainder is built from split_field's F(eq).  A
+    # solve of k sweeps evaluates k m rows: k - 1 sweeps and the residual
+    # sweep on the whole grid (not (k + 1) m)
+    pieces, cfg, base = _fixed_point_case("mmt7")
+    assert np.any(pieces.F0)
+    counted, rows = _row_counted(pieces)
+    res = lp_solve(counted, cfg, base)
     k, m = res.diagnostics["iterations"], len(lp_grid(cfg))
     assert k >= 3
-    assert rows[0] == 1 and rows[1:] == [m] * k
-    assert sum(rows) == 1 + k * m
+    assert rows == [m] * k
     want = lp_solve(pieces, cfg, base)
     assert np.array_equal(res.Y, want.Y)
 
 
 def _ambient_reference_solve(pieces, cfg, v0):
     """lp_solve as a plain fixed-point loop that forms Y B^T at every use:
-    each sweep evaluates the remainder of its whole orbit (the zero orbit
-    included) from Y, the increment is the weighted norm of Ynew B^T -
-    Y B^T, and the residual sweep's remainder and the orbit form the
-    product again.  Returns the fields of LpResult that lp_solve must
-    match bit for bit."""
+    each sweep takes the inputs of its whole orbit (the zero orbit
+    included) from Y and the inversion state of the sweep before, the
+    increment is the weighted norm of Ynew B^T - Y B^T, and the residual
+    sweep's inputs and the orbit form the product again.  Returns the
+    fields of LpResult that lp_solve must match bit for bit."""
     times = lp_grid(cfg)
     h = lp._grid_step(cfg.T_max, cfg.dt)
     BT = np.ascontiguousarray(pieces.B.T)
@@ -1323,14 +1336,16 @@ def _ambient_reference_solve(pieces, cfg, v0):
         return float(np.max(decay * np.sqrt(np.einsum("ij,ij->i", X, X))))
 
     Y = np.zeros((len(times), pieces.dim))
+    state = None
     for k in range(1, cfg.max_iter + 1):
-        Ynew, tail = lp._lp_sweep(pieces, cfg, h, v0, pieces.f_split(Y))
+        g, _, blocks, state = pieces.sweep_inputs(Y, Y @ BT, state)
+        Ynew, tail = lp._lp_sweep(pieces, cfg, h, v0, g, blocks)
         inc = weighted((Ynew @ BT - Y @ BT) * w)
         Y = Ynew
         if inc <= cfg.tol:
             break
-    g, _ = pieces.remainder_and_field(Y)
-    Ychk, _ = lp._lp_sweep(pieces, cfg, h, v0, g)
+    g, _, blocks, _ = pieces.sweep_inputs(Y, Y @ BT, state)
+    Ychk, _ = lp._lp_sweep(pieces, cfg, h, v0, g, blocks)
     D = g[2:] - 2 * g[1:-1] + g[:-2]
     quad = float(h * np.sqrt(np.einsum("ij,ij->i", D, D)).sum() / 12.0)
     return {"h_value": Y[-1, pieces.d_plus:], "Y": Y,
@@ -1340,11 +1355,13 @@ def _ambient_reference_solve(pieces, cfg, v0):
             "error_budget": cfg.tol + tail + quad}
 
 
-@pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "mmt33"])
+@pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "mmt33",
+                                   "quasi"])
 def test_lp_solve_is_the_ambient_reference_bit_for_bit(which):
-    # the sweeps carry one Y B^T each, and the zero orbit's remainder is one
-    # model row; the loop that forms the product at every use, and the
-    # remainder of every node, gives the same bits
+    # the sweeps carry one Y B^T each, and on the autonomous route the zero
+    # orbit's remainder is one row built from F(eq); the loop that forms the
+    # product at every use, and the inputs of every node, gives the same
+    # bits
     if which == "mmt33":
         _, sp, pieces = mmt_mi_pieces(half=16)
         cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
@@ -1361,6 +1378,20 @@ def test_lp_solve_is_the_ambient_reference_bit_for_bit(which):
     for key, want in ref.items():
         assert np.array_equal(got[key], want), key
         assert np.array_equal(np.signbit(got[key]), np.signbit(want)), key
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "quasi"])
+def test_lp_apply_forms_the_ambient_image_it_is_not_given(which):
+    # lp_apply without BY forms Y B^T itself: the same sweep, tail and
+    # inversion state, bit for bit, as with the image passed in
+    pieces, cfg, base = _fixed_point_case(which)
+    Y = lp_solve(pieces, cfg, base).Y
+    got = lp_apply(pieces, cfg, base, Y)
+    want = lp_apply(pieces, cfg, base, Y, Y @ pieces.B.T)
+    assert (got[2] is None) == (want[2] is None) == pieces.autonomous
+    for g, w in zip(got[:2] + (got[2] or ()), want[:2] + (want[2] or ())):
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
 @pytest.mark.parametrize("which", ["saddle1", "mmt7"])
@@ -1570,9 +1601,9 @@ def test_quasilinearize_takes_the_jacobian_at_the_equilibrium_once():
 
 
 def test_quasilinearize_takes_the_field_row_at_the_equilibrium_once():
-    # split_field's F(eq) row serves rests_exactly and the cold start of the
-    # inversion; the Df(0) check's central differences are single-state
-    # calls of the oracle, not batch rows
+    # split_field's F(eq) row serves the cold start of the inversion; the
+    # Df(0) check's central differences are single-state calls of the
+    # oracle, not batch rows
     m, sp, _ = _coupled_saddle()
     rows = []
 
@@ -1585,7 +1616,7 @@ def test_quasilinearize_takes_the_field_row_at_the_equilibrium_once():
                        omega_plus=1.0, omega_minus=-1.0)
     assert rows.count(tuple(m.equilibrium)) == 1
     assert np.array_equal(q.pieces.F0, m.vector_field(m.equilibrium))
-    assert q.pieces.rests_exactly
+    assert not q.pieces.F0.any()
 
 
 def test_quasilinearize_remainder_gradient_vanishes():
@@ -1638,9 +1669,9 @@ def test_quasilinear_solve_reuses_field_for_trajectory_residual():
     q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
     count = [0]
 
-    def counted(Y, start=None):
+    def counted(Y, BY, state=None):
         count[0] += len(Y)
-        return q.pieces.frozen_along(Y, start)
+        return q.pieces.frozen_along(Y, BY, state)
 
     def unexpected(*args):
         raise AssertionError("lp_solve called the transformed model")
@@ -1709,6 +1740,12 @@ def test_quasilinearize_newton_failure_message():
         q.invert_B(np.array([-1.0]))
 
 
+def _frozen(pieces, Y, state=None):
+    """pieces.sweep_inputs along the split states Y, with their ambient
+    image formed here."""
+    return pieces.sweep_inputs(Y, Y @ pieces.B.T, state)
+
+
 def _invert_B_loop(model, splitting, shifts, v, tol=1e-12, max_iter=60):
     """Reference for the batched inversion: damped Newton on one state with
     B and DB built from the single-state field and Jacobian and the shifts
@@ -1772,7 +1809,7 @@ def test_inversion_evaluates_model_once_per_new_state():
     res = lp_solve(q.pieces, cfg, np.array([0.06]))
     calls["F"].clear()
     calls["J"].clear()
-    q.pieces.frozen_along(res.Y)
+    _frozen(q.pieces, res.Y)
     eq = tuple(m.equilibrium)
     assert calls["F"] and calls["J"]
     assert eq not in calls["F"] and eq not in calls["J"]
@@ -1781,7 +1818,7 @@ def test_inversion_evaluates_model_once_per_new_state():
     # equilibrium and nothing calls the model
     calls["F"].clear()
     calls["J"].clear()
-    Ap, Ar, g, field, _ = q.pieces.frozen_along(np.zeros((4, 2)))
+    g, field, (Ap, Ar), _ = _frozen(q.pieces, np.zeros((4, 2)))
     assert calls == {"F": [], "J": []}
     assert np.abs(Ap - q.pieces.A_plus).max() <= 1e-15
     assert np.abs(Ar - q.pieces.A_rest).max() <= 1e-15
@@ -1827,7 +1864,7 @@ def test_quasilinearize_names_the_singular_shift():
 
 
 def test_warm_inversion_follows_every_row():
-    # frozen_along started from the state of nearby rows (the previous
+    # sweep_inputs started from the state of nearby rows (the previous
     # sweep's) agrees with a cold inversion converged to 1e-15 of each row's
     # scale: within newton_tol on every row, and within 1e-14 of the row's
     # scale where the start is already within newton_tol.  Such a row must
@@ -1842,11 +1879,11 @@ def test_warm_inversion_follows_every_row():
         Y = rng.normal(size=(50, 2))
         Y *= scale / np.linalg.norm(Y, axis=1, keepdims=True)
         prev = Y * (1.0 + 1e-3 * rng.normal(size=Y.shape))
-        start = q.pieces.frozen_along(prev)[4]
+        start = _frozen(q.pieces, prev)[3]
         # the call consumes start, so its rows are read before
         near = np.linalg.norm(q.bmap(start[0]) - Y @ q.pieces.B.T,
                               axis=1) <= 1e-12
-        U, FU, J = q.pieces.frozen_along(Y, start)[4]
+        U, FU, J = _frozen(q.pieces, Y, start)[3]
         ref = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0,
                              newton_tol=1e-15 * scale)
         err = np.linalg.norm(U - ref.invert_B(Y @ q.pieces.B.T), axis=1)
@@ -1860,18 +1897,18 @@ def test_warm_inversion_follows_every_row():
 
 
 def test_warm_inversion_updates_the_start_state_in_place():
-    # frozen_along consumes its start: the returned state holds the start's
+    # sweep_inputs consumes its state: the returned state holds the start's
     # arrays, so a sweep carries one stack of Jacobians, not two; the values
     # are those of a start that is left alone
     m, sp, _ = _coupled_saddle()
     q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
     Y = 0.05 * np.random.default_rng(8).normal(size=(40, 2))
-    start = q.pieces.frozen_along(1.01 * Y)[4]
-    want = q.pieces.frozen_along(Y, tuple(a.copy() for a in start))
-    got = q.pieces.frozen_along(Y, start)
-    for new, old in zip(got[4], start):
+    start = _frozen(q.pieces, 1.01 * Y)[3]
+    want = _frozen(q.pieces, Y, tuple(a.copy() for a in start))
+    got = _frozen(q.pieces, Y, start)
+    for new, old in zip(got[3], start):
         assert np.shares_memory(new, old)
-    for g, w in zip(got[:4] + got[4], want[:4] + want[4]):
+    for g, w in zip(got[:2] + got[2] + got[3], want[:2] + want[2] + want[3]):
         assert np.array_equal(g, w)
 
 
@@ -1881,14 +1918,14 @@ def test_warm_start_from_converged_solve_calls_model_once_per_row():
     cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.15, tol=1e-11)
     q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
     res = lp_solve(q.pieces, cfg, np.array([0.06]))
-    state = q.pieces.frozen_along(res.Y)[4]
+    state = _frozen(q.pieces, res.Y)[3]
     calls["F"].clear()
     calls["J"].clear()
-    q.pieces.frozen_along(res.Y, state)
+    _frozen(q.pieces, res.Y, state)
     assert 0 < len(calls["F"]) <= len(res.Y)
     assert len(calls["J"]) <= len(res.Y)
     with pytest.raises(ValueError, match="start state has 2001 rows for 5"):
-        q.pieces.frozen_along(res.Y[:5], state)
+        _frozen(q.pieces, res.Y[:5], state)
 
 
 @pytest.mark.parametrize("b", [0.048, 0.061, 0.073])
@@ -1899,7 +1936,8 @@ def test_warm_started_solve_matches_cold_start(b):
     cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.15, tol=1e-11)
     q = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0)
     cold = dataclasses.replace(
-        q.pieces, frozen_along=lambda Y, start=None: q.pieces.frozen_along(Y))
+        q.pieces, frozen_along=lambda Y, BY, state=None: (
+            q.pieces.frozen_along(Y, BY)))
     warm = lp_solve(q.pieces, cfg, np.array([b]))
     ref = lp_solve(cold, cfg, np.array([b]))
     assert warm.diagnostics["iterations"] == ref.diagnostics["iterations"]

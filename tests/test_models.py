@@ -472,11 +472,10 @@ def test_jacobian_many_matches_stacked_jacobian(name):
             ref[:, 0, 0], ref[:, 1, 0] = 1.0, 2.0 * S[:, 0]
         else:
             ref[:, 0, 0], ref[:, 0, 1] = 2.0, 2.0 * S[:, 1]
-    got = m.jacobian_many(S)
+    got = m.jacobian(S)
     # evaluated as one batch: the Python calls made do not grow with the
     # number of rows, as they would in a loop over rows
-    assert _python_calls(m.jacobian_many, S) == _python_calls(
-        m.jacobian_many, S[:2])
+    assert _python_calls(m.jacobian, S) == _python_calls(m.jacobian, S[:2])
     stacked = np.array([m.jacobian(s) for s in S])
     for other in (stacked, ref):
         assert got.shape == other.shape
@@ -491,7 +490,7 @@ def test_rd_jacobian_many_keeps_parity_coupling_exactly_zero(n):
     m = reaction_diffusion(2.0, n)
     S = np.random.default_rng(6).normal(size=(500, n))
     S[:, 1::2] = 0.0
-    J = m.jacobian_many(S)
+    J = m.jacobian(S)
     assert np.all(J[:, 0::2, 1::2] == 0.0)
     assert np.all(J[:, 1::2, 0::2] == 0.0)
     ref = np.array([_rd_jacobian_loop(2.0, n, s) for s in S])
