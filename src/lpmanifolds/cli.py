@@ -84,6 +84,24 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _by_dest(parser: argparse.ArgumentParser, cmd: str,
+             config: dict[str, str]) -> dict[str, str]:
+    """config (load_config_file) keyed by the dests of subcommand cmd's
+    long flags that its keys name, '_' standing for '-' (waterwave's
+    --sigma stores to sigma_t).  A key that names no flag of cmd, or names
+    --config itself, raises ValueError."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[cmd]
+    dests = {opt[2:].replace("-", "_"): action.dest
+             for action in sub._actions if action.dest not in ("help", "config")
+             for opt in action.option_strings if opt.startswith("--")}
+    for key in config:
+        if key not in dests:
+            raise ValueError(f"unknown config key {key!r}: {cmd} has no "
+                             f"--{key.replace('_', '-')} flag")
+    return {dests[key]: val for key, val in config.items()}
+
+
 def merged(args: argparse.Namespace, key: str, default, cast=float):
     """Flag value if given, else config-file value, else the default."""
     val = getattr(args, key, None)
@@ -459,10 +477,13 @@ _parser = functools.cache(make_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     cfg_path = getattr(args, "config", None)
     try:
-        args._file_config = load_config_file(cfg_path) if cfg_path else {}
+        args._file_config = (_by_dest(parser, args.cmd,
+                                      load_config_file(cfg_path))
+                             if cfg_path else {})
         code = COMMANDS[args.cmd](args)
     # LinAlgError subclasses ValueError, so it is caught first
     except (NoContractionError, RuntimeError, FloatingPointError,

@@ -125,3 +125,15 @@ class OrbitGrid:
 def _row_norms(X: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each row of X (k, n), in one einsum pass."""
     return np.sqrt(np.einsum("ij,ij->i", X, X))
+
+
+def _trajectory_residual(states: np.ndarray, field: np.ndarray,
+                         h: float) -> float:
+    """The largest centred-difference residual |(u_{j+1} - u_{j-1}) / 2h -
+    F(u_j)| over the interior nodes of states (m, n) on a uniform grid of
+    step h, with field (m, n) the vector field at the nodes; 0 when there
+    is no interior node."""
+    if len(states) <= 2:
+        return 0.0
+    deriv = np.gradient(states, h, axis=0)
+    return float(np.max(_row_norms((deriv - field)[1:-1])))

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 
-from .graded import OrbitGrid, as_state
+from .graded import OrbitGrid, _trajectory_residual, as_state
 
 __all__ = [
     "AmbiguousSplitError",
@@ -247,43 +247,28 @@ def dissipativity_check(form: LyapunovForm, A, omega: float) -> float:
 # ---------------------------------------------------------------------------
 # time stepping
 
-def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float, dt: float,
-                  record_times: Sequence[float] | None = None):
-    """Fixed-step classical RK4 from t0 to t1 (either direction).
-
-    Returns the final state, or (times, states) when record_times is given
-    (record_times must be monotone from t0 towards t1).  Without
-    record_times the final state is the record at t1.  Raises ValueError
-    for a dt that is not a positive finite number.
+def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float,
+                  dt: float) -> np.ndarray:
+    """Fixed-step classical RK4 from t0 to t1 (either direction), in
+    ceil(|t1 - t0| / dt) equal steps; returns the state at t1.  Raises
+    ValueError for a dt that is not a positive finite number.
     """
     _positive_finite("dt", dt)
+    y = np.array(y0, dtype=float)
     span = t1 - t0
     if span == 0:
-        if record_times is None:
-            return np.array(y0, dtype=float)
-        return np.array([t0]), np.array([y0], dtype=float)
+        return y
     nsteps = max(1, int(math.ceil(abs(span) / dt)))
     h = span / nsteps
-    rec = [t1] if record_times is None else list(record_times)
-    out = []
-    y_cur, t_cur = np.array(y0, dtype=float), t0
-    for tr in rec:
-        sub = tr - t_cur
-        # at least one substep whenever the record time moves, even by
-        # less than h/2
-        m = max(int(sub != 0), int(round(abs(sub) / abs(h))))
-        hh = sub / m if m else 0.0
-        for _ in range(m):
-            k1 = f(t_cur, y_cur)
-            k2 = f(t_cur + 0.5 * hh, y_cur + 0.5 * hh * k1)
-            k3 = f(t_cur + 0.5 * hh, y_cur + 0.5 * hh * k2)
-            k4 = f(t_cur + hh, y_cur + hh * k3)
-            y_cur = y_cur + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t_cur += hh
-        out.append(y_cur.copy())
-    if record_times is None:
-        return out[-1]
-    return np.array(rec), np.array(out)
+    t = t0
+    for _ in range(nsteps):
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+    return y
 
 
 def _block_nodes(d: int) -> int:
@@ -555,15 +540,29 @@ def rk4_affine(A: np.ndarray, g: np.ndarray, y0: np.ndarray,
     one step per interval, with A and g linear between the nodes; returns y
     at every node, y[0] = y0.
 
-    A has shape (m, d, d) and g (m, d).  A negative h steps backward in
-    time (pass the node arrays in the order of the steps).  With A and g
-    frozen, each step is an affine map y_{j+1} = M_j y_j + c_j; the
-    augmented maps [M_j | c_j] come from three batched matmuls, and
-    linear_scan solves the recurrence with the stack of M_j on its chunked
-    route: O(m*d^3) work for the chunk transfer matrices, in about
-    sqrt(m) batched matmuls.
+    A has shape (m, d, d) and g (m, d).  y0 is one state (d,), or r states
+    (r, d) as rows, which run as r recurrences through the same step maps
+    and come back as (m, r, d).  A negative h steps backward in time (pass
+    the node arrays in the order of the steps).  With A and g frozen, each
+    step is an affine map y_{j+1} = M_j y_j + c_j; the augmented maps
+    [M_j | c_j] come from three batched matmuls, and linear_scan solves the
+    recurrence with the stack of M_j on its chunked route: O(m*d^3) work
+    for the chunk transfer matrices, in about sqrt(m) batched matmuls.
     """
     m, d = g.shape
+    S = _rk4_step_maps(A, g, h)
+    y0 = np.asarray(y0, dtype=float)
+    X = np.empty((m,) + y0.shape)
+    X[0] = y0
+    # every recurrence takes the same c_j
+    X[1:] = S[:, :, d].reshape((m - 1,) + (1,) * (y0.ndim - 1) + (d,))
+    return linear_scan(S[:, :, :d] + np.eye(d), X)
+
+
+def _rk4_step_maps(A: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """The (m - 1, d, d + 1) increments h/6 (k1 + 2 k2 + 2 k3 + k4) of
+    rk4_affine's steps as affine maps [M_j - I | c_j] of y_j.  The stages
+    are freed on return, before the scan."""
     Am = 0.5 * (A[:-1] + A[1:])
     # stage k as an affine function of y: [K_k | c_k], k_k = K_k y + c_k
     K1 = np.concatenate([A[:-1], g[:-1, :, None]], axis=2)
@@ -571,23 +570,7 @@ def rk4_affine(A: np.ndarray, g: np.ndarray, y0: np.ndarray,
     K2 = Kmid + (0.5 * h) * (Am @ K1)
     K3 = Kmid + (0.5 * h) * (Am @ K2)
     K4 = np.concatenate([A[1:], g[1:, :, None]], axis=2) + h * (A[1:] @ K3)
-    S = (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-    X = np.empty((m, d))
-    X[0] = y0
-    X[1:] = S[:, :, d]
-    return linear_scan(S[:, :, :d] + np.eye(d), X)
-
-
-def _lerp_nodes(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    """values (one entry per node along axis 0) linearly interpolated at t:
-    np.interp on every component at once, exact at the nodes and clamped to
-    the end values outside [times[0], times[-1]]."""
-    t = min(max(t, times[0]), times[-1])
-    j = int(np.searchsorted(times, t, side="right")) - 1
-    if j >= len(times) - 1:
-        return values[-1].copy()
-    slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
-    return slope * (t - times[j]) + values[j]
+    return (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
 
 
 def _contract(sweep: Callable, x, increment: Callable[..., float],
@@ -675,32 +658,36 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
         "final_increment": incs[-1]}
 
 
-def variational_flow(model, orbit: OrbitGrid, dt: float) -> np.ndarray:
+def variational_flow(model, orbit: OrbitGrid) -> np.ndarray:
     """Integrate the matrix linearization U' = DF(u(t))U, U(first)=I, along
     an orbit, returning U at every grid node (shape m x n x n).
 
-    The orbit is validated by the centered-difference trajectory residual,
-    whose natural size is O(grid_dt^2): it is refused above
-    10 grid_dt^2 max(max|F|, 1) max(max|u|, 1) + 1e-9.
+    One batched Jacobian at the orbit's nodes and one rk4_affine run with
+    zero forcing, one RK4 step per interval and DF linear between the
+    nodes; the columns of U are n recurrences through the same step maps.
+    The orbit must have at least three nodes, uniformly spaced to within
+    1e-8 of its step (ValueError otherwise).  It is validated by the
+    centred-difference trajectory residual, whose natural size is
+    O(dt^2): it is refused above
+    10 dt^2 max(max|F|, 1) max(max|u|, 1) + 1e-9.
     """
     m, n = orbit.states.shape
     if m < 3:
         raise ValueError("orbit too short for a variational flow")
-    gdt = orbit.dt
+    h = orbit.dt
+    spacing = np.abs(np.diff(orbit.times) - h).max()
+    if spacing > 1e-8 * h:
+        raise ValueError(f"orbit times are not uniformly spaced: a step "
+                         f"differs from the first, {h:.6g}, by {spacing:.3e}")
     scale = max(1.0, float(np.abs(orbit.states).max()))
     F = model.field_many(orbit.states)
     fmax = float(np.linalg.norm(F, axis=1).max())
-    residual_tol = 10.0 * gdt ** 2 * max(fmax, 1.0) * scale + 1e-9
-    deriv = np.gradient(orbit.states, orbit.times, axis=0)
-    worst = float(np.linalg.norm(deriv - F, axis=1)[1:-1].max())
+    residual_tol = 10.0 * h ** 2 * max(fmax, 1.0) * scale + 1e-9
+    worst = _trajectory_residual(orbit.states, F, h)
     if worst > residual_tol:
         raise ValueError(
             f"not a trajectory: residual {worst:.3e} > {residual_tol:.3e}")
-
-    def f(t, yflat):
-        A = model.jacobian(_lerp_nodes(orbit.times, orbit.states, t))
-        return (A @ yflat.reshape(n, n)).reshape(-1)
-
-    _, flat = integrate_rk4(f, np.eye(n).reshape(-1), orbit.times[0],
-                            orbit.times[-1], dt, record_times=orbit.times)
-    return flat.reshape(m, n, n)
+    # row i of Y[j] is U_j e_i, the i-th column of U_j
+    Y = rk4_affine(model.jacobian(orbit.states), np.zeros((m, n)), np.eye(n),
+                   h)
+    return Y.swapaxes(1, 2)

@@ -21,7 +21,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .graded import NormLadder, OrbitGrid, _row_norms, as_state
+from .graded import (NormLadder, OrbitGrid, _row_norms,
+                     _trajectory_residual, as_state)
 from .linalg import (NoContractionError, SpectralSplitting, _contract,
                      _contraction_factor, _positive_finite, _scan_into,
                      integrate_rk4, rk4_affine, scan_plan)
@@ -234,7 +235,12 @@ class SplitPieces:
         return self._cache[key]
 
     def rest_growth_constant(self, T: float) -> float:
-        """max over s of ||e^{s A_rest}|| e^{-rest_max_re * s} on [0, T]."""
+        """The max of ||e^{s A_rest}||_2 e^{-rest_max_re * s} over 25
+        equally spaced samples s of [0, T], and at least 1 (1 when there is
+        no complement), cached per T.  It is a sampled estimate of the
+        growth constant, not a bound: the norm may peak between samples.
+        tail_bound takes it as the constant of the complement's
+        propagator."""
         key = ("crest", round(T, 12))
         if key not in self._cache:
             if self.d_rest == 0:
@@ -734,6 +740,13 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     The diagnostic contraction_factor is the largest ratio of consecutive
     sweep increments (linalg._contraction_factor).
 
+    error_budget = tol + tail_bound + quad_budget budgets the error of h
+    for the model as given, a Galerkin truncation, and not for the PDE it
+    truncates: it has no truncation term.  Neither of its last two terms
+    is a bound: tail_bound takes SplitPieces.rest_growth_constant, a
+    maximum over samples, and quad_budget is an estimate from the second
+    differences of the remainder.
+
     Raises NoContractionError when the sweeps stop above cfg.tol.
     """
     fp = _lp_fixed_point(pieces, cfg, v0_plus)
@@ -753,10 +766,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     # to_ambient(Y), from the image the sweeps carried, shifted in place
     # (nothing reads it after the residual sweep)
     orbit = OrbitGrid(times, np.add(BY, pieces.model.equilibrium, out=BY))
-    # centered-difference trajectory residual against the full field
-    deriv = np.gradient(orbit.states, h, axis=0)
-    traj_res = float(np.max(_row_norms(
-        (deriv - field)[1:-1]))) if m > 2 else 0.0
+    traj_res = _trajectory_residual(orbit.states, field, h)
 
     # quadrature error budget from measured second differences of f
     if m > 2:

@@ -408,6 +408,8 @@ def reaction_diffusion(lambda_param: float, n_modes: int) -> ModelSystem:
     """
     if n_modes < 2:
         raise ValueError("need at least two cosine modes")
+    if n_modes > 64:
+        raise ValueError("n_modes too large (desk scale is <= 64 modes)")
     if not math.isfinite(lambda_param):
         raise ValueError(f"lambda_param must be a finite number, got "
                          f"{lambda_param}")

@@ -1,10 +1,10 @@
 """The invariant checks behind `lpman verify` and the acceptance suite.
 
 Each check returns (ok, detail).  `CRITERIA` holds the thirteen acceptance
-criteria with their fixed tolerances and sample sets; `tests/test_acceptance.py`
-runs criterion NN as `test_NN_<name>`.  `CHECKS` adds the structural checks
-that have no acceptance counterpart.  Tolerances are fixed here, not
-calibrated at runtime.
+criteria, numbered 01..13, with their fixed tolerances and sample sets.
+`CHECKS` adds the structural checks that have no acceptance counterpart;
+`tests/test_acceptance.py` runs each of its entries as `test_<name>`.
+Tolerances are fixed here, not calibrated at runtime.
 """
 
 from __future__ import annotations
@@ -446,7 +446,7 @@ def check_variational_flow():
         times = np.linspace(0.0, T, 501)
         orbit = OrbitGrid(times, reference_flow(model.vector_field, u0, 0.0,
                                                 T, t_eval=times))
-        U = variational_flow(model, orbit, 1e-3)
+        U = variational_flow(model, orbit)
         D = U[-1]
         h = 1e-5
         worst = 0.0

@@ -292,6 +292,32 @@ def test_config_file_and_override(capsys, tmp_path):
     assert len(p2.read_text().splitlines()) == 4
 
 
+def test_config_key_of_no_flag_is_refused(capsys, tmp_path):
+    # a misspelt key once ran the default grid of 11 and exited 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=saddle1\ngird=3\n")
+    code, out, err = run_cli(capsys, "manifold", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'gird'" in err
+
+
+def test_config_key_reads_as_its_flag(capsys, tmp_path):
+    # --sigma of waterwave stores to sigma_t; the file key sigma once went
+    # unread and left B at its default
+    cfg = tmp_path / "ww.cfg"
+    cfg.write_text("sigma=5\nh0=1\nc=0.5\nn-k=7\n")
+    code, from_file, _ = run_cli(capsys, "waterwave", "froude", "--config",
+                                 str(cfg))
+    assert code == 0
+    code, from_flags, _ = run_cli(capsys, "waterwave", "froude", "--sigma",
+                                  "5", "--h0", "1", "--c", "0.5", "--n-k", "7")
+    assert code == 0
+    assert from_file == from_flags
+    assert "B=0.2" in from_file
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--max-iter", "0", "max_iter must be at least 1, got 0"),
     ("--max-iter", "-3", "max_iter must be at least 1, got -3"),
@@ -344,6 +370,13 @@ def test_non_finite_parameters_are_validation_errors(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_rd_above_desk_scale_is_a_validation_error(capsys):
+    code, out, err = run_cli(capsys, "split", "--model", "rd", "--modes", "65")
+    assert code == 1
+    assert out == ""
+    assert err == "error: n_modes too large (desk scale is <= 64 modes)\n"
 
 
 def test_manifold_refuses_delta_t_before_any_solve(capsys, monkeypatch):

@@ -9,7 +9,6 @@ from lpmanifolds.linalg import (
     AmbiguousSplitError,
     NoContractionError,
     _contract,
-    _lerp_nodes,
     dissipativity_check,
     eigen_split,
     hamiltonian_symmetry_check,
@@ -166,53 +165,34 @@ def test_lyapunov_random_stable_dimension_100():
 
 # ------------------------------------------------------------------ evolution
 
-def test_integrate_rk4_record_times_closer_than_half_step():
-    # record times 0.02 apart with h = 0.1 still advance the state
-    times, states = integrate_rk4(lambda t, y: y, [1.0], 0.0, 1.0, 0.1,
-                                  record_times=[0, 0.02, 0.04, 0.5, 1])
-    assert np.all(np.abs(states[:, 0] - np.exp(times)) <= 1e-6 * np.exp(times))
+def _rk4_step_loop(f, y0, t0, t1, dt):
+    """Reference for integrate_rk4: ceil(|t1 - t0| / dt) equal RK4 steps."""
+    n = max(1, math.ceil(abs(t1 - t0) / dt))
+    h = (t1 - t0) / n
+    y, t = np.array(y0, dtype=float), t0
+    for _ in range(n):
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+    return y
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, 1.3), (1.3, -0.4)],
                          ids=["forward", "backward"])
-def test_integrate_rk4_final_state_is_record_at_t1(t0, t1):
+def test_integrate_rk4_matches_step_loop(t0, t1):
+    # the same operations as the loop, so the same bits: the invariance
+    # residuals of the golden manifold files come from integrate_rk4
     def f(t, y):
         return np.array([y[1] * t, -np.sin(y[0]) + y[1] ** 2])
 
     y0 = np.array([0.3, -0.2])
-    final = integrate_rk4(f, y0, t0, t1, 0.07)
-    times, states = integrate_rk4(f, y0, t0, t1, 0.07, record_times=[t1])
-    assert times.tolist() == [t1]
-    assert np.array_equal(final, states[-1])
-    assert np.array_equal(np.signbit(final), np.signbit(states[-1]))
-
-
-def test_interpolation_matches_np_interp():
-    rng = np.random.default_rng(4)
-    times = np.cumsum(rng.uniform(0.1, 1.0, size=40)) - 3.0
-    states = rng.normal(size=(40, 3))
-    mats = rng.normal(size=(40, 3, 3))
-
-    def ref(values, t):
-        flat = values.reshape(len(times), -1)
-        return np.array([np.interp(t, times, flat[:, k])
-                         for k in range(flat.shape[1])]).reshape(
-                             values.shape[1:])
-
-    samples = np.concatenate([rng.uniform(times[0], times[-1], size=200),
-                              times, [times[0] - 1e-13, times[-1] + 1e-13]])
-    for values in (states, mats):
-        for t in samples:
-            got = _lerp_nodes(times, values, t)
-            expect = ref(values, t)
-            assert got.shape == expect.shape
-            assert np.abs(got - expect).max() <= 1e-15 * np.abs(values).max()
-        for j, t in enumerate(times):
-            assert np.array_equal(_lerp_nodes(times, values, t), values[j])
-        assert np.array_equal(_lerp_nodes(times, values, times[0] - 1.0),
-                              values[0])
-        assert np.array_equal(_lerp_nodes(times, values, times[-1] + 1.0),
-                              values[-1])
+    got = integrate_rk4(f, y0, t0, t1, 0.07)
+    ref = _rk4_step_loop(f, y0, t0, t1, 0.07)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def _rk4_stage_loop(A, g, y0, h):
@@ -232,22 +212,27 @@ def _rk4_stage_loop(A, g, y0, h):
 
 
 @pytest.mark.parametrize("h", [0.01, -0.01])
-@pytest.mark.parametrize(("d", "m"), [(1, 2001), (2, 2001), (5, 2001),
-                                      (2, 4001)],
-                         ids=["1", "2", "5", "2-4001"])
-def test_rk4_affine_matches_stage_loop(d, m, h):
+@pytest.mark.parametrize(("d", "m", "r"), [(1, 2001, None), (2, 2001, None),
+                                           (5, 2001, None), (2, 4001, None),
+                                           (3, 501, 4)],
+                         ids=["1", "2", "5", "2-4001", "3-rows"])
+def test_rk4_affine_matches_stage_loop(d, m, r, h):
     # a slowly varying operator with decay in the direction of the steps,
     # as in both sweeps of the Lyapunov-Perron iteration; d = 2 on 4001
-    # nodes is the size of a Picard solve in the benchmark
+    # nodes is the size of a Picard solve in the benchmark.  With r, y0
+    # holds r states as rows, each its own recurrence.
     rng = np.random.default_rng([d, h > 0])
     s = np.linspace(0.0, 1.0, m)[:, None, None]
     base = -np.sign(h) * np.eye(d) + 0.3 * rng.normal(size=(d, d))
     A = base + 0.2 * np.sin(3.0 * s) * rng.normal(size=(d, d))
     g = 0.1 * np.cos(5.0 * s[:, :, 0] + rng.normal(size=d))
-    y0 = rng.normal(size=d)
+    y0 = rng.normal(size=d if r is None else (r, d))
     got = rk4_affine(A, g, y0, h)
-    ref = _rk4_stage_loop(A, g, y0, h)
-    assert got.shape == (m, d)
+    if r is None:
+        ref = _rk4_stage_loop(A, g, y0, h)
+    else:
+        ref = np.stack([_rk4_stage_loop(A, g, row, h) for row in y0], axis=1)
+    assert got.shape == ((m, d) if r is None else (m, r, d))
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -454,7 +439,7 @@ def test_variational_scalar_linear():
                          np.zeros(1))
     times = np.linspace(0.0, 1.0, 201)
     states = np.exp(times).reshape(-1, 1) * 0.001
-    U = variational_flow(model, OrbitGrid(times, states), 1e-3)
+    U = variational_flow(model, OrbitGrid(times, states))
     assert U[-1][0, 0] == pytest.approx(math.e, rel=1e-7)
 
 
@@ -464,7 +449,7 @@ def test_variational_quadratic_scalar():
                          lambda u: np.array([[2.0 * u[0]]]), np.zeros(1))
     times = np.linspace(0.0, 1.0, 2001)
     states = (0.5 / (1.0 - 0.5 * times)).reshape(-1, 1)
-    U = variational_flow(model, OrbitGrid(times, states), 5e-4)
+    U = variational_flow(model, OrbitGrid(times, states))
     assert U[-1][0, 0] == pytest.approx(4.0, rel=1e-6)
 
 
@@ -474,20 +459,48 @@ def test_variational_rejects_non_trajectory():
     times = np.linspace(0.0, 1.0, 101)
     states = np.cos(times).reshape(-1, 1)
     with pytest.raises(ValueError, match="not a trajectory"):
-        variational_flow(model, OrbitGrid(times, states), 1e-3)
+        variational_flow(model, OrbitGrid(times, states))
+
+
+def test_variational_rejects_uneven_or_short_orbits():
+    model = custom_model("lin1", lambda u: u, lambda u: np.array([[1.0]]),
+                         np.zeros(1))
+    times = np.linspace(0.0, 1.0, 201)
+    times[100] += 1e-6
+    states = (0.001 * np.exp(times)).reshape(-1, 1)
+    with pytest.raises(ValueError, match="not uniformly spaced"):
+        variational_flow(model, OrbitGrid(times, states))
+    with pytest.raises(ValueError, match="too short"):
+        variational_flow(model, OrbitGrid(times[:2], states[:2]))
+
+
+def test_variational_takes_one_batched_jacobian(monkeypatch):
+    model = saddle_toy("saddle1")
+    times = np.linspace(0.0, 1.0, 201)
+    orbit = OrbitGrid(times, oracles.reference_flow(
+        model.vector_field, np.array([0.1, 0.0]), 0.0, 1.0, t_eval=times))
+    shapes = []
+
+    def jacobian(S, inner=model.jacobian):
+        shapes.append(S.shape)
+        return inner(S)
+
+    monkeypatch.setattr(model, "jacobian", jacobian)
+    U = variational_flow(model, orbit)
+    assert shapes == [(201, 2)]
+    assert U.shape == (201, 2, 2)
+    assert np.array_equal(U[0], np.eye(2))
 
 
 def test_variational_backward_matches_flow_fd():
     # saddle toy: U over [-1, 0] against central differences of the flow map
     model = saddle_toy("saddle1")
     u0 = np.array([0.1, 0.01 / 3.0])
-    from lpmanifolds.linalg import integrate_rk4
     times = np.linspace(-1.0, 0.0, 501)
-    _, back_states = integrate_rk4(lambda t, y: model.vector_field(y), u0,
-                                   0.0, -1.0, 1e-3,
-                                   record_times=times[::-1].copy())
+    back_states = oracles.reference_flow(model.vector_field, u0, 0.0, -1.0,
+                                         t_eval=times[::-1].copy())
     orbit = OrbitGrid(times, back_states[::-1])
-    U = variational_flow(model, orbit, 1e-3)
+    U = variational_flow(model, orbit)
     # U(t_first) relative to identity at t_last: D flow_{-1} = U[0] @ U[-1]^{-1}
     D = U[0] @ np.linalg.inv(U[-1])
     h = 1e-5

@@ -41,7 +41,7 @@ from lpmanifolds.models import (
     saddle_toy,
 )
 from lpmanifolds.oracles import backward_shoot
-from lpmanifolds.verify import setup_mmt
+from lpmanifolds.verify import ALL_MODELS, setup_mmt
 
 
 def saddle1_pieces():
@@ -124,6 +124,43 @@ def test_split_field_refuses_a_wrong_jacobian():
     sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
     with pytest.raises(ValueError, match="inconsistent with Jacobian"):
         split_field(m, sp)
+
+
+def test_rest_growth_constant_is_one_without_a_complement():
+    model = custom_model("grow", lambda u: u, lambda u: np.eye(2),
+                         np.zeros(2))
+    pieces = split_field(model, eigen_split(np.eye(2), 0.5))
+    assert pieces.d_rest == 0
+    assert pieces.rest_growth_constant(5.0) == 1.0
+
+
+@pytest.mark.parametrize("name", ["saddle1", "saddle2_stable", "rd2"])
+def test_rest_growth_constant_of_a_normal_block_is_one(name):
+    # a normal A_rest has ||e^{sA}|| = e^{s rest_max_re}: the constant is
+    # 1 up to the roundoff of the sampled norms
+    _, _, pieces, cfg = dict(ALL_MODELS)[name]()
+    c = pieces.rest_growth_constant(cfg.T_max)
+    assert 1.0 <= c <= 1.0 + 4 * np.finfo(float).eps
+
+
+def test_rest_growth_constant_is_the_max_of_25_samples_cached_per_t():
+    # MMT-7's complement is far from normal: the sampled constant is 25.2
+    _, sp, pieces, cfg = setup_mmt()
+    T = cfg.T_max
+    direct = max(np.linalg.norm(sla.expm(s * pieces.A_rest), 2)
+                 * math.exp(-sp.rest_max_re * s)
+                 for s in np.linspace(0.0, T, 25))
+    c = pieces.rest_growth_constant(T)
+    assert c == direct
+    assert c > 25.0
+
+    def entries():
+        return [k for k in pieces._cache if k[0] == "crest"]
+
+    assert pieces.rest_growth_constant(T) is c
+    assert len(entries()) == 1
+    pieces.rest_growth_constant(0.5 * T)
+    assert len(entries()) == 2
 
 
 # ------------------------------------------------------------------- lp_apply

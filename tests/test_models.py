@@ -619,6 +619,13 @@ def test_single_state_model_refuses_wrong_shaped_returns():
         ragged.vector_field(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+def test_rd_mode_cap():
+    # the product table has (2n - 1)^2 n entries, made before any other
+    # work: about 32 GB at 1000 modes
+    with pytest.raises(ValueError, match="desk scale"):
+        reaction_diffusion(2.0, 65)
+
+
 def test_rd_unstable_dimension_half():
     m = reaction_diffusion(0.5, 5)
     sp = eigen_split(m.jacobian(m.equilibrium), 0.25)
