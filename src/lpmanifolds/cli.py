@@ -1,9 +1,11 @@
 """Command line front end.
 
 Subcommands: split, manifold, mmt-scan, waterwave (symbol | froude | kh |
-scan), picard, verify.  Options may come from a plain key=value config file
-(--config); explicit flags override file values.  Output is deterministic
-CSV (comma-delimited, header row, LF endings, 17 significant digits).
+scan), picard, verify.  Each option resolves once, in resolve: the flag if
+given, else its value in the plain key=value --config file, else the
+default make_parser declares, which --help lists.  Commands read the
+resolved namespace.  Output is deterministic CSV (comma-delimited, header
+row, LF endings, 17 significant digits).
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
@@ -84,62 +86,58 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _by_dest(parser: argparse.ArgumentParser, cmd: str,
-             config: dict[str, str]) -> dict[str, str]:
-    """config (load_config_file) keyed by the dests of subcommand cmd's
-    long flags that its keys name, '_' standing for '-' (waterwave's
-    --sigma stores to sigma_t).  A key that names no flag of cmd, or names
-    --config itself, raises ValueError."""
+def resolve(parser: argparse.ArgumentParser,
+            args: argparse.Namespace) -> argparse.Namespace:
+    """args, parsed by parser, with each flag the command line did not give
+    taken from the --config file if it names the flag, converted and checked
+    by the flag's type and choices.  A key is a long flag of the subcommand
+    without its dashes, '_' standing for '-' (waterwave's --sigma stores to
+    sigma_t); any other key, and a value the flag refuses, raise ValueError."""
+    given = vars(args).pop("_given", set())
+    if args.config is None:
+        return args
     sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction)).choices[cmd]
-    dests = {opt[2:].replace("-", "_"): action.dest
+               if isinstance(a, argparse._SubParsersAction)).choices[args.cmd]
+    flags = {opt[2:].replace("-", "_"): action
              for action in sub._actions if action.dest not in ("help", "config")
              for opt in action.option_strings if opt.startswith("--")}
-    for key in config:
-        if key not in dests:
-            raise ValueError(f"unknown config key {key!r}: {cmd} has no "
+    for key, text in load_config_file(args.config).items():
+        action = flags.get(key)
+        if action is None:
+            raise ValueError(f"unknown config key {key!r}: {args.cmd} has no "
                              f"--{key.replace('_', '-')} flag")
-    return {dests[key]: val for key, val in config.items()}
-
-
-def merged(args: argparse.Namespace, key: str, default, cast=float):
-    """Flag value if given, else config-file value, else the default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    fileval = args._file_config.get(key)
-    if fileval is not None:
-        return cast(fileval)
-    return default
+        try:
+            value = text if action.type is None else action.type(text)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid "
+                             f"{action.type.__name__} value {text!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r}: unknown {key} {value!r} "
+                             f"(choose from {', '.join(action.choices)})")
+        if action.dest not in given:
+            setattr(args, action.dest, value)
+    return args
 
 
 def _mmt_params(args, half_width: int | None = None) -> MmtParams:
     """MMT parameters from the flags; the mode set spans xi0 +- half_width
     (default: the --half-width value)."""
-    xi0 = int(merged(args, "xi0", 0, int))
-    if half_width is None:
-        half_width = int(merged(args, "half_width", 3, int))
-    return MmtParams(
-        alpha=merged(args, "alpha", 1.0),
-        beta=merged(args, "beta", 0.0),
-        sigma=int(merged(args, "sigma", -1, int)),
-        a=merged(args, "a", 1.2),
-        xi0=xi0,
-        mode_set=mmt_mode_set(xi0, half_width))
+    half_width = args.half_width if half_width is None else half_width
+    return MmtParams(alpha=args.alpha, beta=args.beta, sigma=args.sigma,
+                     a=args.a, xi0=args.xi0,
+                     mode_set=mmt_mode_set(args.xi0, half_width))
 
 
 def build_model(args):
-    name = merged(args, "model", None, str)
-    if name is None:
+    if args.model is None:
         raise ValueError("--model is required")
-    if name in ("saddle1", "saddle2"):
-        return saddle_toy(name)
-    if name == "rd":
-        return reaction_diffusion(merged(args, "lambda_param", 0.5),
-                                  int(merged(args, "modes", 5, int)))
-    if name == "mmt":
+    if args.model in ("saddle1", "saddle2"):
+        return saddle_toy(args.model)
+    if args.model == "rd":
+        return reaction_diffusion(args.lambda_param, args.modes)
+    if args.model == "mmt":
         return mmt_galerkin(_mmt_params(args))
-    raise ValueError(f"unknown model {name!r}")
+    raise ValueError(f"unknown model {args.model!r}")
 
 
 def default_gap(A) -> float:
@@ -155,24 +153,17 @@ def _splitting(args, model):
     """The gap (--gap, else default_gap) and the spectral splitting of the
     model's Jacobian at its equilibrium."""
     A = model.jacobian(model.equilibrium)
-    gap = merged(args, "gap", None)
-    if gap is None:
-        gap = default_gap(A)
+    gap = default_gap(A) if args.gap is None else args.gap
     return gap, eigen_split(A, gap)
 
 
 def make_lp_config(args, splitting) -> LpConfig:
     lo, hi = splitting.rest_max_re, splitting.lambda_plus
-    lam_def = 0.5 * hi + 0.5 * max(lo, 0.0)
-    lam = merged(args, "lam", lam_def)
-    T_def = min(16.0 / max(hi, 1e-3), 60.0)
-    return LpConfig(
-        lam=lam,
-        T_max=merged(args, "t_max", T_def),
-        dt=merged(args, "dt", 0.005),
-        eps=merged(args, "eps", 0.05),
-        tol=merged(args, "tol", 1e-9),
-        max_iter=int(merged(args, "max_iter", 60, int)))
+    lam = 0.5 * hi + 0.5 * max(lo, 0.0) if args.lam is None else args.lam
+    T_max = (min(16.0 / max(hi, 1e-3), 60.0) if args.t_max is None
+             else args.t_max)
+    return LpConfig(lam=lam, T_max=T_max, dt=args.dt, eps=args.eps,
+                    tol=args.tol, max_iter=args.max_iter)
 
 
 def cmd_split(args) -> int:
@@ -186,8 +177,8 @@ def cmd_split(args) -> int:
           f"omega_minus={_fmt(sp.omega_minus)} "
           f"rest_max_re={_fmt(sp.rest_max_re)}")
     rows = [[z.real, z.imag, b] for z, b in zip(sp.eigenvalues, sp.blocks)]
-    write_csv(merged(args, "out", None, str), ["re", "im", "block"], rows)
-    if merged(args, "model", None, str) == "mmt":
+    write_csv(args.out, ["re", "im", "block"], rows)
+    if args.model == "mmt":
         p = _mmt_params(args)
         seen = set()
         print("pair blocks (xi, partner, c+, c-, c, discriminant):")
@@ -205,19 +196,17 @@ def cmd_split(args) -> int:
 
 def cmd_manifold(args) -> int:
     model = build_model(args)
-    if merged(args, "side", "unstable", str) == "stable":
+    if args.side == "stable":
         model = reversed_model(model)
     _, sp = _splitting(args, model)
     if sp.dim_plus == 0:
         raise ValueError("no unstable directions at this gap")
     pieces = split_field(model, sp)
     cfg = make_lp_config(args, sp)
-    n_grid = int(merged(args, "grid", 11, int))
-    seed = int(merged(args, "seed", 0, int))
-    delta_t = merged(args, "delta_t", 0.1)
-    _positive_finite("delta_t", delta_t)
-    graph = build_manifold_graph(pieces, cfg, grid_spec=n_grid, seed=seed)
-    inv = invariance_residual(graph, pieces, cfg, delta_t)
+    _positive_finite("delta_t", args.delta_t)
+    graph = build_manifold_graph(pieces, cfg, grid_spec=args.grid,
+                                 seed=args.seed)
+    inv = invariance_residual(graph, pieces, cfg, args.delta_t)
     header = ([f"base{i}" for i in range(sp.dim_plus)]
               + [f"h{i}" for i in range(pieces.d_rest)]
               + ["lambda_fit", "iterations", "fp_residual",
@@ -228,8 +217,8 @@ def cmd_manifold(args) -> int:
                     + [graph.lambda_fit[i], int(graph.iterations[i]),
                        graph.fp_residual[i], inv["residuals"][i],
                        graph.status[i].split(":")[0]])
-    write_csv(merged(args, "out", None, str), header, rows)
-    write_plot_data(merged(args, "plot_out", None, str),
+    write_csv(args.out, header, rows)
+    write_plot_data(args.plot_out,
                     [list(graph.base_points[i]) + list(graph.values[i])
                      for i in range(graph.base_points.shape[0])
                      if graph.status[i] == "ok"])
@@ -245,15 +234,13 @@ def cmd_manifold(args) -> int:
 
 
 def cmd_mmt_scan(args) -> int:
-    p = _mmt_params(args, max(1, int(merged(args, "xi_max", 8, int))))
-    lo = int(merged(args, "xi_min", -8, int))
-    hi = int(merged(args, "xi_max", 8, int))
+    p = _mmt_params(args, max(1, args.xi_max))
     rows = []
-    for row in mmt_unstable_scan(p, range(lo, hi + 1)):
+    for row in mmt_unstable_scan(p, range(args.xi_min, args.xi_max + 1)):
         rows.append([row["xi"], row["partner"], row["discriminant"],
                      int(row["flagged"]), row["max_re"],
                      int(row["confirmed"])])
-    write_csv(merged(args, "out", None, str),
+    write_csv(args.out,
               ["xi", "partner", "discriminant", "flagged", "max_re",
                "confirmed"], rows)
     bad = [r for r in rows if r[3] and not r[5]]
@@ -264,86 +251,71 @@ def cmd_mmt_scan(args) -> int:
 
 
 def _one_fluid(args) -> OneFluidConfig:
-    return OneFluidConfig(
-        g=merged(args, "g", 1.0),
-        sigma=merged(args, "sigma_t", 1.0),
-        h0=merged(args, "h0", math.inf),
-        c_vec=(merged(args, "c", 0.0),))
+    return OneFluidConfig(g=args.g, sigma=args.sigma_t, h0=args.h0,
+                          c_vec=(args.c,))
 
 
 def _two_fluid(args) -> TwoFluidConfig:
     return TwoFluidConfig(
-        rho_plus=merged(args, "rho_plus", 1.0),
-        rho_minus=merged(args, "rho_minus", 2.0),
-        nu_plus=(merged(args, "nu_plus", 0.0),),
-        nu_minus=(merged(args, "nu_minus", 0.0),),
-        h_plus=merged(args, "h_plus", math.inf),
-        h_minus=merged(args, "h_minus", math.inf),
-        g=merged(args, "g", 1.0),
-        sigma=merged(args, "sigma_t", 1.0))
+        rho_plus=args.rho_plus, rho_minus=args.rho_minus,
+        nu_plus=(args.nu_plus,), nu_minus=(args.nu_minus,),
+        h_plus=args.h_plus, h_minus=args.h_minus, g=args.g,
+        sigma=args.sigma_t)
+
+
+# waterwave's --n-k default depends on the subcommand
+_N_K = {"symbol": 101, "froude": 121, "scan": 101}
 
 
 def cmd_waterwave(args) -> int:
     sub = args.wavecmd
-    out = merged(args, "out", None, str)
+    n_k = _N_K.get(sub) if args.n_k is None else args.n_k
+    if sub in ("symbol", "scan"):
+        ks = np.logspace(math.log10(args.k_min), math.log10(args.k_max), n_k)
     if sub == "symbol":
-        h0 = merged(args, "h0", math.inf)
-        ks = np.logspace(math.log10(merged(args, "k_min", 1e-2)),
-                         math.log10(merged(args, "k_max", 1e2)),
-                         int(merged(args, "n_k", 101, int)))
-        write_csv(out, ["k", "symbol"],
-                  [[k, dn_flat_symbol(k, h0)] for k in ks])
+        write_csv(args.out, ["k", "symbol"],
+                  [[k, dn_flat_symbol(k, args.h0)] for k in ks])
     elif sub == "froude":
         cfg = _one_fluid(args)
         fr, bo, flag = froude_bond(cfg)
-        ks = np.logspace(-3, 3, int(merged(args, "n_k", 121, int)))
-        mvals = [capillary_multiplier(np.array([k]), cfg) for k in ks]
+        mvals = [capillary_multiplier(np.array([k]), cfg)
+                 for k in np.logspace(-3, 3, n_k)]
         negative = sum(1 for v in mvals if v < 0)
-        write_csv(out, ["froude", "bond", "coercive", "min_multiplier",
-                        "negative_modes"],
+        write_csv(args.out, ["froude", "bond", "coercive", "min_multiplier",
+                             "negative_modes"],
                   [[fr, bo, int(flag), min(mvals), negative]])
         print(f"F={_fmt(fr)} B={_fmt(bo)} coercive={flag} "
               f"min_multiplier={_fmt(min(mvals))}")
     elif sub == "kh":
         cfg = _two_fluid(args)
-        b = merged(args, "b", None)
-        if b is not None:
+        if args.b is not None:
             # interpret b as the total momentum flux sum rho |nu|^2 with
             # equal split between the two fluids
-            half = math.sqrt(b / (cfg.rho_plus + cfg.rho_minus))
+            half = math.sqrt(args.b / (cfg.rho_plus + cfg.rho_minus))
             cfg = TwoFluidConfig(cfg.rho_plus, cfg.rho_minus, (half,),
                                  (half,), cfg.h_plus, cfg.h_minus, cfg.g,
                                  cfg.sigma)
         bound = kh_bound(cfg)
-        write_csv(out, ["kh_bound"], [[bound]])
+        write_csv(args.out, ["kh_bound"], [[bound]])
         print(f"kh_bound={_fmt(bound)}")
-    elif sub == "scan":
-        cfg = _two_fluid(args)
-        ks = np.logspace(math.log10(merged(args, "k_min", 1e-2)),
-                         math.log10(merged(args, "k_max", 1e2)),
-                         int(merged(args, "n_k", 101, int)))
-        rows = [[k, kh_rt_multiplier(np.array([k]), cfg)] for k in ks]
-        write_csv(out, ["k", "multiplier"], rows)
-        write_plot_data(merged(args, "plot_out", None, str), rows)
-        bound = kh_bound(cfg)
-        print(f"min_multiplier={_fmt(min(r[1] for r in rows))} "
-              f"kh_bound={_fmt(bound)}")
     else:
-        raise ValueError(f"unknown waterwave subcommand {sub!r}")
+        cfg = _two_fluid(args)
+        rows = [[k, kh_rt_multiplier(np.array([k]), cfg)] for k in ks]
+        write_csv(args.out, ["k", "multiplier"], rows)
+        write_plot_data(args.plot_out, rows)
+        print(f"min_multiplier={_fmt(min(r[1] for r in rows))} "
+              f"kh_bound={_fmt(kh_bound(cfg))}")
     return 0
 
 
 def cmd_picard(args) -> int:
     model = build_model(args)
-    x0 = merged(args, "x0", 0.1)
     v0 = model.equilibrium.copy()
-    v0[0] += x0
-    T = merged(args, "t_final", 0.5)
-    orbit, diag = picard_solve(model, v0, T, merged(args, "dt", 1e-3),
-                               tol=merged(args, "tol", 1e-10))
-    discrepancy = np.linalg.norm(
-        orbit.states[-1] - reference_flow(model.vector_field, v0, 0.0, T))
-    write_csv(merged(args, "out", None, str),
+    v0[0] += args.x0
+    orbit, diag = picard_solve(model, v0, args.t_final, args.dt, tol=args.tol)
+    discrepancy = np.linalg.norm(orbit.states[-1] - reference_flow(
+        model.vector_field, v0, 0.0, args.t_final))
+    write_csv(args.out,
               ["t"] + [f"v{i}" for i in range(model.dimension)],
               [[t] + list(s) for t, s in zip(orbit.times, orbit.states)])
     print(f"iterations={diag['iterations']} "
@@ -353,9 +325,41 @@ def cmd_picard(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite = merged(args, "suite", "all", str)
-    ok = run_suite(suite)
-    return 0 if ok else 2
+    return 0 if run_suite(args.suite) else 2
+
+
+class _Store(argparse.Action):
+    """argparse's store action, noting its dest in the namespace's _given
+    set: resolve's flags given on the command line, abbreviated or not."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        vars(namespace).setdefault("_given", set()).add(self.dest)
+
+
+class _ShowDefaults(argparse.ArgumentDefaultsHelpFormatter):
+    """--help appends each flag's default, except None: that stands for a
+    default the command derives, and the flag's help says how."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
+class _Parser(argparse.ArgumentParser):
+    """The parser class of lpman and of its subcommands (add_subparsers
+    passes it on): flags store through _Store and --help shows defaults."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_ShowDefaults, **kwargs)
+        self.register("action", None, _Store)
+
+
+def _add(sp, *flags):
+    """Add each (flag, default, help) to sp, typed by its default."""
+    for flag, default, text in flags:
+        sp.add_argument(flag, type=type(default), default=default, help=text)
 
 
 def _add_common(sp):
@@ -364,100 +368,99 @@ def _add_common(sp):
 
 
 def _add_mmt(sp):
-    sp.add_argument("--alpha", type=float, help="mmt: dispersion exponent")
-    sp.add_argument("--beta", type=float, help="mmt: nonlinearity exponent")
-    sp.add_argument("--sigma", type=int, help="mmt: +1 or -1")
-    sp.add_argument("--a", type=float, help="mmt: plane-wave amplitude")
-    sp.add_argument("--xi0", type=int, help="mmt: carrier mode")
+    _add(sp, ("--alpha", 1.0, "mmt: dispersion exponent"),
+         ("--beta", 0.0, "mmt: nonlinearity exponent"),
+         ("--sigma", -1, "mmt: +1 or -1"),
+         ("--a", 1.2, "mmt: plane-wave amplitude"),
+         ("--xi0", 0, "mmt: carrier mode"))
 
 
 def _add_model(sp):
     """The flags build_model reads."""
-    sp.add_argument("--model", help="saddle1 | saddle2 | rd | mmt")
-    sp.add_argument("--lambda-param", dest="lambda_param", type=float,
-                    help="rd: linear growth parameter")
-    sp.add_argument("--modes", type=int, help="rd: number of cosine modes")
+    sp.add_argument("--model", help="saddle1 | saddle2 | rd | mmt (required)")
+    _add(sp, ("--lambda-param", 0.5, "rd: linear growth parameter"),
+         ("--modes", 5, "rd: number of cosine modes"))
     _add_mmt(sp)
-    sp.add_argument("--half-width", dest="half_width", type=int,
-                    help="mmt: mode set half width about xi0")
+    _add(sp, ("--half-width", 3, "mmt: mode set half width about xi0"))
 
 
-def _add_lp(sp):
-    sp.add_argument("--lam", type=float, help="LP decay rate inside the gap")
-    sp.add_argument("--t-max", dest="t_max", type=float,
-                    help="backward horizon")
-    sp.add_argument("--dt", type=float, help="grid step")
-    sp.add_argument("--eps", type=float, help="base-point ball radius")
-    sp.add_argument("--tol", type=float, help="fixed-point tolerance")
-    sp.add_argument("--max-iter", dest="max_iter", type=int)
+def _add_gap(sp):
+    sp.add_argument("--gap", type=float, help=(
+        "spectral splitting gap (default: half the smallest nonzero |Re| of "
+        "the Jacobian's eigenvalues, or 0.5)"))
 
 
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="lpman",
-        description="Invariant manifolds of Galerkin-truncated PDEs and "
-                    "explicit linear stability criteria")
+    ap = _Parser(prog="lpman",
+                 description="Invariant manifolds of Galerkin-truncated PDEs "
+                             "and explicit linear stability criteria")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("split", help="spectral splitting report")
     _add_common(sp)
     _add_model(sp)
-    sp.add_argument("--gap", type=float, help="spectral splitting gap")
+    _add_gap(sp)
 
     sp = sub.add_parser("manifold", help="sample a manifold graph")
     _add_common(sp)
     _add_model(sp)
-    sp.add_argument("--gap", type=float, help="spectral splitting gap")
-    _add_lp(sp)
-    sp.add_argument("--plot-out", dest="plot_out",
-                    help="whitespace-delimited plot data path")
-    sp.add_argument("--side", choices=["unstable", "stable"])
-    sp.add_argument("--grid", type=int, help="grid resolution per dimension")
-    sp.add_argument("--seed", type=int,
-                    help="seed of the Sobol base points above dimension 3")
-    sp.add_argument("--delta-t", dest="delta_t", type=float,
-                    help="invariance check horizon")
+    _add_gap(sp)
+    sp.add_argument("--lam", type=float, help=(
+        "LP decay rate inside the gap (default: midway between lambda_plus "
+        "and max(rest_max_re, 0))"))
+    sp.add_argument("--t-max", type=float, help=(
+        "backward horizon (default: min(16 / max(lambda_plus, 1e-3), 60))"))
+    _add(sp, ("--dt", 0.005, "grid step"),
+         ("--eps", 0.05, "base-point ball radius"),
+         ("--tol", 1e-9, "fixed-point tolerance"),
+         ("--max-iter", 60, "most fixed-point sweeps per sample"))
+    sp.add_argument("--plot-out", help="whitespace-delimited plot data path")
+    sp.add_argument("--side", choices=["unstable", "stable"],
+                    default="unstable", help="which manifold")
+    _add(sp, ("--grid", 11, "grid resolution per dimension"),
+         ("--seed", 0, "seed of the Sobol base points above dimension 3"),
+         ("--delta-t", 0.1, "invariance check horizon"))
 
     sp = sub.add_parser("mmt-scan", help="mode-pair instability scan")
     _add_common(sp)
     _add_mmt(sp)
-    sp.add_argument("--xi-min", dest="xi_min", type=int)
-    sp.add_argument("--xi-max", dest="xi_max", type=int)
+    _add(sp, ("--xi-min", -8, "first mode scanned"),
+         ("--xi-max", 8, "last mode scanned; the mode set is xi0 +- "
+                         "max(1, xi_max)"))
 
     sp = sub.add_parser("waterwave", help="linear water-wave criteria")
     sp.add_argument("wavecmd", choices=["symbol", "froude", "kh", "scan"])
-    sp.add_argument("--config")
-    sp.add_argument("--out")
-    sp.add_argument("--plot-out", dest="plot_out")
-    sp.add_argument("--g", type=float)
-    sp.add_argument("--sigma", dest="sigma_t", type=float,
-                    help="surface tension")
-    sp.add_argument("--h0", type=float)
-    sp.add_argument("--c", type=float, help="background speed")
-    sp.add_argument("--rho-plus", dest="rho_plus", type=float)
-    sp.add_argument("--rho-minus", dest="rho_minus", type=float)
-    sp.add_argument("--nu-plus", dest="nu_plus", type=float)
-    sp.add_argument("--nu-minus", dest="nu_minus", type=float)
-    sp.add_argument("--h-plus", dest="h_plus", type=float)
-    sp.add_argument("--h-minus", dest="h_minus", type=float)
-    sp.add_argument("--b", type=float,
-                    help="total momentum flux sum rho |nu|^2")
-    sp.add_argument("--k-min", dest="k_min", type=float)
-    sp.add_argument("--k-max", dest="k_max", type=float)
-    sp.add_argument("--n-k", dest="n_k", type=int)
+    _add_common(sp)
+    sp.add_argument("--plot-out", help="whitespace-delimited plot data path")
+    sp.add_argument("--sigma", dest="sigma_t", type=float, default=1.0,
+                    metavar="SIGMA", help="surface tension")
+    _add(sp, ("--g", 1.0, "gravity"), ("--h0", math.inf, "depth"),
+         ("--c", 0.0, "background speed"),
+         ("--rho-plus", 1.0, "upper density"),
+         ("--rho-minus", 2.0, "lower density"),
+         ("--nu-plus", 0.0, "upper velocity"),
+         ("--nu-minus", 0.0, "lower velocity"),
+         ("--h-plus", math.inf, "upper depth"),
+         ("--h-minus", math.inf, "lower depth"),
+         ("--k-min", 1e-2, "symbol, scan: smallest wavenumber"),
+         ("--k-max", 1e2, "symbol, scan: largest wavenumber"))
+    sp.add_argument("--b", type=float, help=(
+        "kh: total momentum flux sum rho |nu|^2, split equally (default: "
+        "the --nu-plus and --nu-minus values)"))
+    sp.add_argument("--n-k", type=int, help="number of wavenumbers (default: "
+                    + ", ".join(f"{n} for {c}" for c, n in _N_K.items()) + ")")
 
     sp = sub.add_parser("picard", help="contraction-mapping integrator")
     _add_common(sp)
     _add_model(sp)
-    sp.add_argument("--x0", type=float, help="first-coordinate offset")
-    sp.add_argument("--t-final", dest="t_final", type=float)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--tol", type=float)
+    _add(sp, ("--x0", 0.1, "first-coordinate offset"),
+         ("--t-final", 0.5, "end time"), ("--dt", 1e-3, "grid step"),
+         ("--tol", 1e-10, "sweep increment tolerance"))
 
     sp = sub.add_parser("verify", help="run the invariant suite")
-    sp.add_argument("--config")
-    sp.add_argument("--suite", choices=SUITES)
-
+    sp.add_argument("--config", help="key=value config file; flags override")
+    sp.add_argument("--suite", choices=SUITES, default="all",
+                    help="checks to run")
     return ap
 
 
@@ -472,19 +475,15 @@ COMMANDS = {
 
 
 # main's parser, built once per process: parse_args keeps no state between
-# calls
+# calls (a parse's given flags live in its namespace)
 _parser = functools.cache(make_parser)
 
 
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    cfg_path = getattr(args, "config", None)
     try:
-        args._file_config = (_by_dest(parser, args.cmd,
-                                      load_config_file(cfg_path))
-                             if cfg_path else {})
-        code = COMMANDS[args.cmd](args)
+        code = COMMANDS[args.cmd](resolve(parser, args))
     # LinAlgError subclasses ValueError, so it is caught first
     except (NoContractionError, RuntimeError, FloatingPointError,
             np.linalg.LinAlgError) as exc:

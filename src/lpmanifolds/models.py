@@ -246,9 +246,9 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
     time (one state is a one-row batch), and both transforms overwrite it in
     place; the retained modes are a basic slice of it when the mode set is
     ascending without gaps, and at beta = 0 the unit weights are not applied
-    to the state.  Each block is finished in its slice of the output with
-    the operations of the whole-batch formula, so the bits do not depend on
-    the block size.
+    to the state.  Only the cubic runs per block; disp z and the factor -1j
+    are applied to the whole batch, and every operation acts row by row, so
+    the bits do not depend on the block size.
     """
     if len(p.mode_set) > 64:
         raise ValueError("mode_set too large (desk scale is <= 64 modes)")
@@ -291,20 +291,20 @@ def mmt_galerkin(p: MmtParams) -> ModelSystem:
         return v[:, slots]
 
     def field_c(z: np.ndarray) -> np.ndarray:
-        """-1j (disp z + sigma wmul cubic(wmul z)) on the states z (..., N),
-        in blocks of rows through one padded buffer; each block is built in
-        place in its slice of the output.  At beta = 0 the weights are all
-        ones and z enters the cubic as it is."""
+        """-1j (disp z + sigma wmul cubic(wmul z)) on the states z (..., N):
+        disp z over the whole batch, then the cubic in blocks of rows through
+        one padded buffer, each added in place in its slice of the output,
+        then -1j over the whole batch.  At beta = 0 the weights are all ones
+        and z enters the cubic as it is."""
         rows = z.reshape(-1, N)
-        out = np.empty(rows.shape, dtype=complex)
+        out = np.multiply(disp, rows)
         v = np.empty((min(block, len(rows)), L), dtype=complex)
         for s in range(0, len(rows), block):
-            zb, ob = rows[s:s + block], out[s:s + block]
+            zb = rows[s:s + block]
             cub = cubic(zb if p.beta == 0.0 else wmul * zb, v[:len(zb)])
             np.multiply(sw, cub, out=cub)
-            np.multiply(disp, zb, out=ob)
-            ob += cub
-            np.multiply(-1j, ob, out=ob)
+            out[s:s + block] += cub
+        np.multiply(-1j, out, out=out)
         return out.reshape(z.shape)
 
     def F(u: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +318,119 @@ def test_config_key_reads_as_its_flag(capsys, tmp_path):
     assert code == 0
     assert from_file == from_flags
     assert "B=0.2" in from_file
+
+
+@pytest.mark.parametrize("text, key, value", [
+    ("model=saddle2\nside=sideways\n", "side", "sideways"),
+    ("model=saddle1\ngrid=3.7\n", "grid", "3.7"),
+    ("model=saddle1\neps=wide\n", "eps", "wide"),
+], ids=["choices", "int", "float"])
+def test_config_value_the_flag_would_refuse(capsys, tmp_path, text, key,
+                                            value):
+    # side=sideways once ran the unstable side and exited 0, and grid=3.7
+    # printed int()'s message without the key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "manifold", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{key}'" in err and f"'{value}'" in err
+
+
+def _subcommands():
+    """Subcommand name -> its parser."""
+    return next(a for a in cli.make_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _defaulted_flags():
+    """(subcommand, action) for every flag of a subcommand with a default."""
+    return [pytest.param(cmd, action, id=f"{cmd}{action.option_strings[0]}")
+            for cmd, sub in _subcommands().items() for action in sub._actions
+            if action.option_strings and action.default is not None
+            and action.dest != "help"]
+
+
+def _help_defaults(cmd):
+    """flag -> the default `lpman cmd --help` prints for it."""
+    help_text = _subcommands()[cmd].format_help()
+    options = help_text.split("\noptions:\n", 1)[1]
+    printed = {}
+    for entry in re.split(r"\n(?=  -)", options):
+        entry = " ".join(entry.split())
+        match = re.search(r"\(default: ([^()]*)\)$", entry)
+        if match:
+            printed[entry.split()[0].rstrip(",")] = match.group(1)
+    return printed
+
+
+def _resolved(monkeypatch, capsys, cmd, *argv):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, cmd, lambda args: seen.append(args))
+    head = [cmd, "symbol"] if cmd == "waterwave" else [cmd]
+    assert run_cli(capsys, *head, *argv)[0] is None
+    return seen[0]
+
+
+@pytest.mark.parametrize("cmd, action", _defaulted_flags())
+def test_flag_then_config_then_default(monkeypatch, capsys, tmp_path, cmd,
+                                       action):
+    flag, default = action.option_strings[0], action.default
+    if action.choices is not None:
+        # the flag, given at the default, still beats the file
+        in_file = next(c for c in action.choices if c != default)
+        on_line = default
+    else:
+        in_file = action.type(3) if math.isinf(default) else default + 1
+        on_line = in_file + 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]}={in_file}\n")
+    args = _resolved(monkeypatch, capsys, cmd, "--config", str(cfg),
+                     flag, str(on_line))
+    assert getattr(args, action.dest) == on_line
+    args = _resolved(monkeypatch, capsys, cmd, "--config", str(cfg))
+    assert getattr(args, action.dest) == in_file
+    args = _resolved(monkeypatch, capsys, cmd)
+    assert getattr(args, action.dest) == default
+    assert _help_defaults(cmd)[flag] == str(default)
+    assert "_given" not in vars(args)
+
+
+def test_every_flag_declares_its_default():
+    # None is left only to paths, the required --model and the defaults a
+    # command derives from the model (--gap, --lam, --t-max) or from the
+    # waterwave subcommand (--b, --n-k)
+    derived = {"config", "out", "plot_out", "model", "gap", "lam", "t_max",
+               "b", "n_k"}
+    undeclared = {(cmd, action.dest) for cmd, sub in _subcommands().items()
+                  for action in sub._actions
+                  if action.option_strings and action.default is None
+                  and action.dest not in derived}
+    assert undeclared == set()
+    assert _defaulted_flags()
+
+
+def test_dt_and_tol_defaults_differ_by_command():
+    assert _help_defaults("manifold")["--dt"] == "0.005"
+    assert _help_defaults("picard")["--dt"] == "0.001"
+    assert _help_defaults("manifold")["--tol"] == "1e-09"
+    assert _help_defaults("picard")["--tol"] == "1e-10"
+
+
+def test_abbreviated_flag_beats_config(monkeypatch, capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid=3\nsigma=1\n")
+    args = _resolved(monkeypatch, capsys, "manifold", "--config", str(cfg),
+                     "--gr", "7", "--sig=-1")
+    assert args.grid == 7 and args.sigma == -1
+
+
+def test_derived_defaults_stay_none(monkeypatch, capsys):
+    args = _resolved(monkeypatch, capsys, "manifold")
+    assert (args.gap, args.lam, args.t_max) == (None, None, None)
+    args = _resolved(monkeypatch, capsys, "waterwave")
+    assert (args.b, args.n_k) == (None, None)
 
 
 @pytest.mark.parametrize("flag, value, message", [
