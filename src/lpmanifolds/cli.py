@@ -90,22 +90,27 @@ def resolve(parser: argparse.ArgumentParser,
             args: argparse.Namespace) -> argparse.Namespace:
     """args, parsed by parser, with each flag the command line did not give
     taken from the --config file if it names the flag, converted and checked
-    by the flag's type and choices.  A key is a long flag of the subcommand
-    without its dashes, '_' standing for '-' (waterwave's --sigma stores to
-    sigma_t); any other key, and a value the flag refuses, raise ValueError."""
+    by the flag's type and choices.  A key is a long flag of the chosen
+    subcommand (waterwave's: of its chosen subcommand) without its dashes,
+    '_' standing for '-'; any other key, and a value the flag refuses, raise
+    ValueError."""
     given = vars(args).pop("_given", set())
     if args.config is None:
         return args
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction)).choices[args.cmd]
+    names, leaf = [], parser
+    while action := next((a for a in leaf._actions
+                          if isinstance(a, argparse._SubParsersAction)), None):
+        names.append(getattr(args, action.dest))
+        leaf = action.choices[names[-1]]
     flags = {opt[2:].replace("-", "_"): action
-             for action in sub._actions if action.dest not in ("help", "config")
+             for action in leaf._actions
+             if action.dest not in ("help", "config")
              for opt in action.option_strings if opt.startswith("--")}
     for key, text in load_config_file(args.config).items():
         action = flags.get(key)
         if action is None:
-            raise ValueError(f"unknown config key {key!r}: {args.cmd} has no "
-                             f"--{key.replace('_', '-')} flag")
+            raise ValueError(f"unknown config key {key!r}: {' '.join(names)} "
+                             f"has no --{key.replace('_', '-')} flag")
         try:
             value = text if action.type is None else action.type(text)
         except ValueError:
@@ -251,7 +256,7 @@ def cmd_mmt_scan(args) -> int:
 
 
 def _one_fluid(args) -> OneFluidConfig:
-    return OneFluidConfig(g=args.g, sigma=args.sigma_t, h0=args.h0,
+    return OneFluidConfig(g=args.g, sigma=args.sigma, h0=args.h0,
                           c_vec=(args.c,))
 
 
@@ -260,26 +265,36 @@ def _two_fluid(args) -> TwoFluidConfig:
         rho_plus=args.rho_plus, rho_minus=args.rho_minus,
         nu_plus=(args.nu_plus,), nu_minus=(args.nu_minus,),
         h_plus=args.h_plus, h_minus=args.h_minus, g=args.g,
-        sigma=args.sigma_t)
+        sigma=args.sigma)
 
 
-# waterwave's --n-k default depends on the subcommand
-_N_K = {"symbol": 101, "froude": 121, "scan": 101}
+def _n_k(args) -> int:
+    if args.n_k < 1:
+        raise ValueError(f"n_k must be at least 1, got {args.n_k}")
+    return args.n_k
+
+
+def _k_grid(args) -> np.ndarray:
+    """--n-k wavenumbers spaced evenly in log k from --k-min to --k-max."""
+    _positive_finite("k_min", args.k_min)
+    _positive_finite("k_max", args.k_max)
+    if args.k_min > args.k_max:
+        raise ValueError(f"k_min must not exceed k_max, got {args.k_min} > "
+                         f"{args.k_max}")
+    return np.logspace(math.log10(args.k_min), math.log10(args.k_max),
+                       _n_k(args))
 
 
 def cmd_waterwave(args) -> int:
     sub = args.wavecmd
-    n_k = _N_K.get(sub) if args.n_k is None else args.n_k
-    if sub in ("symbol", "scan"):
-        ks = np.logspace(math.log10(args.k_min), math.log10(args.k_max), n_k)
     if sub == "symbol":
         write_csv(args.out, ["k", "symbol"],
-                  [[k, dn_flat_symbol(k, args.h0)] for k in ks])
+                  [[k, dn_flat_symbol(k, args.h0)] for k in _k_grid(args)])
     elif sub == "froude":
         cfg = _one_fluid(args)
         fr, bo, flag = froude_bond(cfg)
         mvals = [capillary_multiplier(np.array([k]), cfg)
-                 for k in np.logspace(-3, 3, n_k)]
+                 for k in np.logspace(-3, 3, _n_k(args))]
         negative = sum(1 for v in mvals if v < 0)
         write_csv(args.out, ["froude", "bond", "coercive", "min_multiplier",
                              "negative_modes"],
@@ -289,6 +304,9 @@ def cmd_waterwave(args) -> int:
     elif sub == "kh":
         cfg = _two_fluid(args)
         if args.b is not None:
+            if not (math.isfinite(args.b) and args.b >= 0):
+                raise ValueError(f"b must be a non-negative finite number, "
+                                 f"got {args.b}")
             # interpret b as the total momentum flux sum rho |nu|^2 with
             # equal split between the two fluids
             half = math.sqrt(args.b / (cfg.rho_plus + cfg.rho_minus))
@@ -300,7 +318,8 @@ def cmd_waterwave(args) -> int:
         print(f"kh_bound={_fmt(bound)}")
     else:
         cfg = _two_fluid(args)
-        rows = [[k, kh_rt_multiplier(np.array([k]), cfg)] for k in ks]
+        rows = [[k, kh_rt_multiplier(np.array([k]), cfg)]
+                for k in _k_grid(args)]
         write_csv(args.out, ["k", "multiplier"], rows)
         write_plot_data(args.plot_out, rows)
         print(f"min_multiplier={_fmt(min(r[1] for r in rows))} "
@@ -429,26 +448,40 @@ def make_parser() -> argparse.ArgumentParser:
                          "max(1, xi_max)"))
 
     sp = sub.add_parser("waterwave", help="linear water-wave criteria")
-    sp.add_argument("wavecmd", choices=["symbol", "froude", "kh", "scan"])
+    wave = sp.add_subparsers(dest="wavecmd", required=True)
+    depth = ("--h0", math.inf, "depth")
+    fluid = (("--sigma", 1.0, "surface tension"), ("--g", 1.0, "gravity"))
+    two_fluid = (*fluid, ("--rho-plus", 1.0, "upper density"),
+                 ("--rho-minus", 2.0, "lower density"),
+                 ("--nu-plus", 0.0, "upper velocity"),
+                 ("--nu-minus", 0.0, "lower velocity"),
+                 ("--h-plus", math.inf, "upper depth"),
+                 ("--h-minus", math.inf, "lower depth"))
+    k_grid = (("--k-min", 1e-2, "smallest wavenumber"),
+              ("--k-max", 1e2, "largest wavenumber"),
+              ("--n-k", 101, "number of wavenumbers"))
+
+    sp = wave.add_parser("symbol", help="flat Dirichlet-Neumann symbol")
     _add_common(sp)
-    sp.add_argument("--plot-out", help="whitespace-delimited plot data path")
-    sp.add_argument("--sigma", dest="sigma_t", type=float, default=1.0,
-                    metavar="SIGMA", help="surface tension")
-    _add(sp, ("--g", 1.0, "gravity"), ("--h0", math.inf, "depth"),
-         ("--c", 0.0, "background speed"),
-         ("--rho-plus", 1.0, "upper density"),
-         ("--rho-minus", 2.0, "lower density"),
-         ("--nu-plus", 0.0, "upper velocity"),
-         ("--nu-minus", 0.0, "lower velocity"),
-         ("--h-plus", math.inf, "upper depth"),
-         ("--h-minus", math.inf, "lower depth"),
-         ("--k-min", 1e-2, "symbol, scan: smallest wavenumber"),
-         ("--k-max", 1e2, "symbol, scan: largest wavenumber"))
+    _add(sp, depth, *k_grid)
+
+    sp = wave.add_parser("froude", help="Froude and Bond numbers and the "
+                                        "capillary multiplier")
+    _add_common(sp)
+    _add(sp, *fluid, depth, ("--c", 0.0, "background speed"),
+         ("--n-k", 121, "number of wavenumbers in [1e-3, 1e3]"))
+
+    sp = wave.add_parser("kh", help="Kelvin-Helmholtz lower bound")
+    _add_common(sp)
+    _add(sp, *two_fluid)
     sp.add_argument("--b", type=float, help=(
-        "kh: total momentum flux sum rho |nu|^2, split equally (default: "
-        "the --nu-plus and --nu-minus values)"))
-    sp.add_argument("--n-k", type=int, help="number of wavenumbers (default: "
-                    + ", ".join(f"{n} for {c}" for c, n in _N_K.items()) + ")")
+        "total momentum flux sum rho |nu|^2, split equally (default: the "
+        "--nu-plus and --nu-minus values)"))
+
+    sp = wave.add_parser("scan", help="two-fluid interface multiplier")
+    _add_common(sp)
+    _add(sp, *two_fluid, *k_grid)
+    sp.add_argument("--plot-out", help="whitespace-delimited plot data path")
 
     sp = sub.add_parser("picard", help="contraction-mapping integrator")
     _add_common(sp)

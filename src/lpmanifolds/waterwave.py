@@ -27,6 +27,21 @@ __all__ = [
 ]
 
 
+_DEPTH_MESSAGE = "depth must be positive (math.inf allowed)"
+
+
+def _finite(cfg, *names) -> None:
+    """Refuse (ValueError) a field of cfg, or an entry of a sequence field,
+    that is not a finite number."""
+    for name in names:
+        x = getattr(cfg, name)
+        entries = ([(f"{name}[{i}]", v) for i, v in enumerate(x)]
+                   if np.ndim(x) else [(name, x)])
+        for label, v in entries:
+            if not math.isfinite(v):
+                raise ValueError(f"{label} must be a finite number, got {v}")
+
+
 @dataclass(frozen=True)
 class OneFluidConfig:
     g: float
@@ -35,12 +50,13 @@ class OneFluidConfig:
     c_vec: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
+        _finite(self, "g", "sigma", "c_vec")
         if self.sigma <= 0:
             raise ValueError("surface tension sigma must be positive")
         if self.g < 0:
             raise ValueError("gravity must be nonnegative")
         if not (self.h0 > 0):
-            raise ValueError("depth must be positive (math.inf allowed)")
+            raise ValueError(_DEPTH_MESSAGE)
 
     @property
     def c_norm(self) -> float:
@@ -59,6 +75,8 @@ class TwoFluidConfig:
     sigma: float
 
     def __post_init__(self):
+        _finite(self, "rho_plus", "rho_minus", "nu_plus", "nu_minus", "g",
+                "sigma")
         if self.rho_plus <= 0 or self.rho_minus <= 0:
             raise ValueError("densities must be positive")
         if self.sigma <= 0:
@@ -69,6 +87,8 @@ class TwoFluidConfig:
 
 def dn_flat_symbol(k: float, h0: float) -> float:
     """Flat Dirichlet-Neumann symbol: k tanh(h0 k), or k at infinite depth."""
+    if not (h0 > 0):
+        raise ValueError(_DEPTH_MESSAGE)
     if k < 0:
         raise ValueError("wavenumber magnitude k must be nonnegative")
     if k == 0.0:

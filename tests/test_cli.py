@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
 import math
+import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
@@ -164,6 +166,75 @@ def test_subcommands_refuse_flags_they_do_not_read(capsys, cmd, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# the flags each waterwave subcommand reads, besides --config and --out
+TWO_FLUID = {"--sigma", "--g", "--rho-plus", "--rho-minus", "--nu-plus",
+             "--nu-minus", "--h-plus", "--h-minus"}
+WATERWAVE_FLAGS = {
+    "symbol": {"--h0", "--k-min", "--k-max", "--n-k"},
+    "froude": {"--sigma", "--g", "--h0", "--c", "--n-k"},
+    "kh": TWO_FLUID | {"--b"},
+    "scan": TWO_FLUID | {"--k-min", "--k-max", "--n-k", "--plot-out"},
+}
+
+
+def test_waterwave_subcommands_declare_the_flags_they_read():
+    leaves = _subcommands()
+    declared = {(sub, opt) for sub in WATERWAVE_FLAGS
+                for action in leaves[f"waterwave {sub}"]._actions
+                if action.dest != "help" for opt in action.option_strings}
+    assert declared == {(sub, flag) for sub, flags in WATERWAVE_FLAGS.items()
+                        for flag in flags | {"--config", "--out"}}
+    assert len(declared) == 38
+
+
+@pytest.mark.parametrize("sub, flag", [
+    ("symbol", "--g"), ("froude", "--k-min"), ("kh", "--n-k"),
+    ("scan", "--b"),
+])
+def test_waterwave_subcommand_refuses_a_flag_it_does_not_read(
+        capsys, tmp_path, sub, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["waterwave", sub, flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}=1\n")
+    code, out, err = run_cli(capsys, "waterwave", sub, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == (f"error: unknown config key '{key}': waterwave {sub} has "
+                   f"no {flag} flag\n")
+
+
+def test_waterwave_flags_follow_the_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["waterwave", "--h0", "1", "symbol"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--n-k", "0"], "n_k must be at least 1, got 0"),
+    (["froude", "--h0", "1", "--n-k", "-2"], "n_k must be at least 1, got -2"),
+    (["symbol", "--k-min", "0"],
+     "k_min must be a positive finite number, got 0.0"),
+    (["scan", "--k-max", "nan"],
+     "k_max must be a positive finite number, got nan"),
+    (["symbol", "--k-min", "5", "--k-max", "1"],
+     "k_min must not exceed k_max, got 5.0 > 1.0"),
+    (["symbol", "--h0", "-1"], "depth must be positive (math.inf allowed)"),
+    (["kh", "--b", "-1"], "b must be a non-negative finite number, got -1.0"),
+    (["kh", "--b", "inf"], "b must be a non-negative finite number, got inf"),
+], ids=["scan-n-k0", "froude-n-k-2", "symbol-k-min0", "scan-k-max-nan",
+        "symbol-k-min-above-k-max", "symbol-h0-1", "kh-b-1", "kh-b-inf"])
+def test_waterwave_refuses_bad_grid_before_any_output(capsys, argv, message):
+    # scan --n-k 0 once wrote its CSV header before failing on an empty
+    # min(), and --k-min 0 or --b -1 reported a math domain error
+    code, out, err = run_cli(capsys, "waterwave", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_mmt_scan_csv(capsys, tmp_path):
     out_path = tmp_path / "scan.csv"
     code, out, _ = run_cli(capsys, "mmt-scan", "--alpha", "1", "--beta", "0",
@@ -306,8 +377,8 @@ def test_config_key_of_no_flag_is_refused(capsys, tmp_path):
 
 
 def test_config_key_reads_as_its_flag(capsys, tmp_path):
-    # --sigma of waterwave stores to sigma_t; the file key sigma once went
-    # unread and left B at its default
+    # --sigma of waterwave once stored to sigma_t, and the file key sigma
+    # went unread and left B at its default
     cfg = tmp_path / "ww.cfg"
     cfg.write_text("sigma=5\nh0=1\nc=0.5\nn-k=7\n")
     code, from_file, _ = run_cli(capsys, "waterwave", "froude", "--config",
@@ -339,22 +410,37 @@ def test_config_value_the_flag_would_refuse(capsys, tmp_path, text, key,
 
 
 def _subcommands():
-    """Subcommand name -> its parser."""
-    return next(a for a in cli.make_parser()._actions
-                if isinstance(a, argparse._SubParsersAction)).choices
+    """Leaf subcommand ('split', ..., 'waterwave kh', ...) -> its parser."""
+    leaves, todo = {}, [((), cli.make_parser())]
+    while todo:
+        names, parser = todo.pop(0)
+        action = next((a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)), None)
+        if action is None:
+            leaves[" ".join(names)] = parser
+        else:
+            todo += [((*names, name), sub)
+                     for name, sub in action.choices.items()]
+    return leaves
 
 
 def _defaulted_flags():
-    """(subcommand, action) for every flag of a subcommand with a default."""
-    return [pytest.param(cmd, action, id=f"{cmd}{action.option_strings[0]}")
-            for cmd, sub in _subcommands().items() for action in sub._actions
-            if action.option_strings and action.default is not None
-            and action.dest != "help"]
+    """One case per command and flag with a default: the (leaf, action) of
+    the flag under each leaf subcommand that declares it (waterwave's --g
+    under froude, kh and scan)."""
+    cases = {}
+    for leaf, sub in _subcommands().items():
+        for action in sub._actions:
+            if (action.option_strings and action.default is not None
+                    and action.dest != "help"):
+                key = leaf.split()[0] + action.option_strings[0]
+                cases.setdefault(key, []).append((leaf, action))
+    return [pytest.param(uses, id=key) for key, uses in cases.items()]
 
 
-def _help_defaults(cmd):
-    """flag -> the default `lpman cmd --help` prints for it."""
-    help_text = _subcommands()[cmd].format_help()
+def _help_defaults(leaf):
+    """flag -> the default `lpman leaf --help` prints for it."""
+    help_text = _subcommands()[leaf].format_help()
     options = help_text.split("\noptions:\n", 1)[1]
     printed = {}
     for entry in re.split(r"\n(?=  -)", options):
@@ -365,45 +451,45 @@ def _help_defaults(cmd):
     return printed
 
 
-def _resolved(monkeypatch, capsys, cmd, *argv):
+def _resolved(monkeypatch, capsys, leaf, *argv):
     seen = []
-    monkeypatch.setitem(cli.COMMANDS, cmd, lambda args: seen.append(args))
-    head = [cmd, "symbol"] if cmd == "waterwave" else [cmd]
+    head = leaf.split()
+    monkeypatch.setitem(cli.COMMANDS, head[0], lambda args: seen.append(args))
     assert run_cli(capsys, *head, *argv)[0] is None
     return seen[0]
 
 
-@pytest.mark.parametrize("cmd, action", _defaulted_flags())
-def test_flag_then_config_then_default(monkeypatch, capsys, tmp_path, cmd,
-                                       action):
-    flag, default = action.option_strings[0], action.default
-    if action.choices is not None:
-        # the flag, given at the default, still beats the file
-        in_file = next(c for c in action.choices if c != default)
-        on_line = default
-    else:
-        in_file = action.type(3) if math.isinf(default) else default + 1
-        on_line = in_file + 1
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{flag[2:]}={in_file}\n")
-    args = _resolved(monkeypatch, capsys, cmd, "--config", str(cfg),
-                     flag, str(on_line))
-    assert getattr(args, action.dest) == on_line
-    args = _resolved(monkeypatch, capsys, cmd, "--config", str(cfg))
-    assert getattr(args, action.dest) == in_file
-    args = _resolved(monkeypatch, capsys, cmd)
-    assert getattr(args, action.dest) == default
-    assert _help_defaults(cmd)[flag] == str(default)
-    assert "_given" not in vars(args)
+@pytest.mark.parametrize("uses", _defaulted_flags())
+def test_flag_then_config_then_default(monkeypatch, capsys, tmp_path, uses):
+    for leaf, action in uses:
+        flag, default = action.option_strings[0], action.default
+        if action.choices is not None:
+            # the flag, given at the default, still beats the file
+            in_file = next(c for c in action.choices if c != default)
+            on_line = default
+        else:
+            in_file = action.type(3) if math.isinf(default) else default + 1
+            on_line = in_file + 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]}={in_file}\n")
+        args = _resolved(monkeypatch, capsys, leaf, "--config", str(cfg),
+                         flag, str(on_line))
+        assert getattr(args, action.dest) == on_line
+        args = _resolved(monkeypatch, capsys, leaf, "--config", str(cfg))
+        assert getattr(args, action.dest) == in_file
+        args = _resolved(monkeypatch, capsys, leaf)
+        assert getattr(args, action.dest) == default
+        assert _help_defaults(leaf)[flag] == str(default)
+        assert "_given" not in vars(args)
 
 
 def test_every_flag_declares_its_default():
     # None is left only to paths, the required --model and the defaults a
     # command derives from the model (--gap, --lam, --t-max) or from the
-    # waterwave subcommand (--b, --n-k)
+    # fluid velocities (waterwave kh --b)
     derived = {"config", "out", "plot_out", "model", "gap", "lam", "t_max",
-               "b", "n_k"}
-    undeclared = {(cmd, action.dest) for cmd, sub in _subcommands().items()
+               "b"}
+    undeclared = {(leaf, action.dest) for leaf, sub in _subcommands().items()
                   for action in sub._actions
                   if action.option_strings and action.default is None
                   and action.dest not in derived}
@@ -429,8 +515,7 @@ def test_abbreviated_flag_beats_config(monkeypatch, capsys, tmp_path):
 def test_derived_defaults_stay_none(monkeypatch, capsys):
     args = _resolved(monkeypatch, capsys, "manifold")
     assert (args.gap, args.lam, args.t_max) == (None, None, None)
-    args = _resolved(monkeypatch, capsys, "waterwave")
-    assert (args.b, args.n_k) == (None, None)
+    assert _resolved(monkeypatch, capsys, "waterwave kh").b is None
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -477,7 +562,21 @@ def test_manifold_refuses_non_finite_inputs(capsys, flag, value):
      "a must be a finite number, got nan"),
     (["split", "--model", "rd", "--lambda-param", "nan"],
      "lambda_param must be a finite number, got nan"),
-], ids=["split-gap", "manifold-gap", "alpha", "beta", "a", "lambda-param"])
+    (["waterwave", "froude", "--h0", "1", "--g", "nan"],
+     "g must be a finite number, got nan"),
+    (["waterwave", "froude", "--h0", "1", "--sigma", "nan"],
+     "sigma must be a finite number, got nan"),
+    (["waterwave", "froude", "--h0", "1", "--c", "nan"],
+     "c_vec[0] must be a finite number, got nan"),
+    (["waterwave", "kh", "--rho-plus", "nan"],
+     "rho_plus must be a finite number, got nan"),
+    (["waterwave", "kh", "--nu-plus", "nan"],
+     "nu_plus[0] must be a finite number, got nan"),
+    (["waterwave", "scan", "--g", "nan"],
+     "g must be a finite number, got nan"),
+], ids=["split-gap", "manifold-gap", "alpha", "beta", "a", "lambda-param",
+        "froude-g", "froude-sigma", "froude-c", "kh-rho-plus", "kh-nu-plus",
+        "scan-g"])
 def test_non_finite_parameters_are_validation_errors(capsys, argv, message):
     # a NaN gap used to split as if every eigenvalue were central, and a
     # NaN model parameter reached the SVD as a numerical failure
@@ -520,6 +619,32 @@ def test_picard_refuses_bad_step_and_tol(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _readme_cli_lines(*commands):
+    """The lpman lines of README's CLI block that run one of commands, as
+    argv lists."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("lpman ") and line.split()[1] in commands]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines("split", "mmt-scan",
+                                                   "waterwave"), ids=" ".join)
+def test_readme_line_reads_the_same_from_a_config_file(capsys, tmp_path,
+                                                       argv):
+    n = 2 if argv[0] == "waterwave" else 1
+    head, flags = argv[:n], argv[n:]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{flag[2:]}={value}\n"
+                           for flag, value in zip(flags[::2], flags[1::2])))
+    code, from_flags, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, from_file, _ = run_cli(capsys, *head, "--config", str(cfg))
+    assert code == 0
+    assert from_file == from_flags
 
 
 def test_consecutive_mains_do_not_share_values(capsys, tmp_path):

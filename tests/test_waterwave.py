@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,16 @@ def test_symbol_monotone_and_depth_limit():
 def test_symbol_rejects_negative():
     with pytest.raises(ValueError):
         dn_flat_symbol(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("h0", [0.0, -1.0, math.nan])
+def test_symbol_rejects_depth_that_is_not_positive(h0):
+    # -1 once gave negative symbols; the message is OneFluidConfig's
+    with pytest.raises(ValueError) as exc:
+        dn_flat_symbol(1.0, h0)
+    with pytest.raises(ValueError) as cfg_exc:
+        OneFluidConfig(g=1.0, sigma=1.0, h0=h0)
+    assert str(exc.value) == str(cfg_exc.value)
 
 
 # --------------------------------------------------------- shape derivative
@@ -269,3 +280,37 @@ def test_kh_bound_lower_bounds_scan():
 def test_kh_zero_mode_rejected():
     with pytest.raises(ValueError):
         kh_rt_multiplier(np.array([0.0]), _cfg2())
+
+
+# --------------------------------------------------------------- validation
+
+@pytest.mark.parametrize("field, value, message", [
+    ("g", math.nan, "g must be a finite number, got nan"),
+    ("g", math.inf, "g must be a finite number, got inf"),
+    ("sigma", math.nan, "sigma must be a finite number, got nan"),
+    ("c_vec", (0.5, math.nan), "c_vec[1] must be a finite number, got nan"),
+], ids=["g-nan", "g-inf", "sigma-nan", "c_vec-nan"])
+def test_one_fluid_refuses_non_finite_parameters(field, value, message):
+    # each of these once reached the criteria and printed nan
+    kwargs = dict(g=1.0, sigma=1.0, h0=1.0, c_vec=(0.5, 0.0))
+    kwargs[field] = value
+    with pytest.raises(ValueError) as exc:
+        OneFluidConfig(**kwargs)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("rho_plus", math.nan, "rho_plus must be a finite number, got nan"),
+    ("rho_minus", math.inf, "rho_minus must be a finite number, got inf"),
+    ("nu_plus", (math.nan,), "nu_plus[0] must be a finite number, got nan"),
+    ("nu_minus", (0.0, math.inf),
+     "nu_minus[1] must be a finite number, got inf"),
+    ("g", math.nan, "g must be a finite number, got nan"),
+    ("sigma", math.nan, "sigma must be a finite number, got nan"),
+], ids=["rho_plus", "rho_minus", "nu_plus", "nu_minus", "g", "sigma"])
+def test_two_fluid_refuses_non_finite_parameters(field, value, message):
+    kwargs = dataclasses.asdict(_cfg2())
+    kwargs[field] = value
+    with pytest.raises(ValueError) as exc:
+        TwoFluidConfig(**kwargs)
+    assert str(exc.value) == message
