@@ -86,6 +86,17 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _leaf(parser: argparse.ArgumentParser, args: argparse.Namespace
+          ) -> tuple[list[str], argparse.ArgumentParser]:
+    """The names of the subcommands args chose and the last one's parser."""
+    names, leaf = [], parser
+    while action := next((a for a in leaf._actions
+                          if isinstance(a, argparse._SubParsersAction)), None):
+        names.append(getattr(args, action.dest))
+        leaf = action.choices[names[-1]]
+    return names, leaf
+
+
 def resolve(parser: argparse.ArgumentParser,
             args: argparse.Namespace) -> argparse.Namespace:
     """args, parsed by parser, with each flag the command line did not give
@@ -97,11 +108,7 @@ def resolve(parser: argparse.ArgumentParser,
     given = vars(args).pop("_given", set())
     if args.config is None:
         return args
-    names, leaf = [], parser
-    while action := next((a for a in leaf._actions
-                          if isinstance(a, argparse._SubParsersAction)), None):
-        names.append(getattr(args, action.dest))
-        leaf = action.choices[names[-1]]
+    names, leaf = _leaf(parser, args)
     flags = {opt[2:].replace("-", "_"): action
              for action in leaf._actions
              if action.dest not in ("help", "config")
@@ -449,7 +456,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("waterwave", help="linear water-wave criteria")
     wave = sp.add_subparsers(dest="wavecmd", required=True)
-    depth = ("--h0", math.inf, "depth")
     fluid = (("--sigma", 1.0, "surface tension"), ("--g", 1.0, "gravity"))
     two_fluid = (*fluid, ("--rho-plus", 1.0, "upper density"),
                  ("--rho-minus", 2.0, "lower density"),
@@ -463,12 +469,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = wave.add_parser("symbol", help="flat Dirichlet-Neumann symbol")
     _add_common(sp)
-    _add(sp, depth, *k_grid)
+    _add(sp, ("--h0", math.inf, "depth"), *k_grid)
 
     sp = wave.add_parser("froude", help="Froude and Bond numbers and the "
                                         "capillary multiplier")
     _add_common(sp)
-    _add(sp, *fluid, depth, ("--c", 0.0, "background speed"),
+    # froude_bond needs a finite depth
+    _add(sp, *fluid, ("--h0", 1.0, "depth"), ("--c", 0.0, "background speed"),
          ("--n-k", 121, "number of wavenumbers in [1e-3, 1e3]"))
 
     sp = wave.add_parser("kh", help="Kelvin-Helmholtz lower bound")
@@ -514,7 +521,11 @@ _parser = functools.cache(make_parser)
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # a flag the chosen subcommand does not read, with its usage line
+        _leaf(parser, args)[1].error(
+            f"unrecognized arguments: {' '.join(extra)}")
     try:
         code = COMMANDS[args.cmd](resolve(parser, args))
     # LinAlgError subclasses ValueError, so it is caught first

@@ -575,8 +575,9 @@ def _rk4_step_maps(A: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
 
 def _contract(sweep: Callable, x, increment: Callable[..., float],
               tol: float, max_iter: int) -> tuple:
-    """Iterate x <- sweep(x) until increment(sweep(x) - x) is at most tol;
-    returns the last iterate and the list of per-sweep increments.
+    """Iterate x <- sweep(x) until increment(sweep(x), x) is at most tol;
+    returns the last iterate and the list of per-sweep increments.  An
+    iterate need not be an array: increment measures new against old.
 
     Raises NoContractionError once three consecutive sweeps above tol did
     not shrink the increment, or when max_iter sweeps end above tol, and
@@ -590,7 +591,7 @@ def _contract(sweep: Callable, x, increment: Callable[..., float],
     n_bad = 0
     for _ in range(max_iter):
         new = sweep(x)
-        inc = increment(new - x)
+        inc = increment(new, x)
         x = new
         if incs and incs[-1] > 0:
             n_bad = n_bad + 1 if inc / incs[-1] >= 1.0 else 0
@@ -650,7 +651,8 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
         return rk4_affine(A, g, v0, h)
 
     states, incs = _contract(
-        sweep, start, lambda diff: float(np.max(np.linalg.norm(diff, axis=1))),
+        sweep, start,
+        lambda new, old: float(np.max(np.linalg.norm(new - old, axis=1))),
         tol, max_iter)
     return OrbitGrid(times, states), {
         "contraction_factor": _contraction_factor(incs),

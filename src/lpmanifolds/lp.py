@@ -129,12 +129,13 @@ class SplitPieces:
     split_field (the quasilinear route keeps the direct model's A0 and F0,
     the values its inversion starts from).  sweep_inputs is the one method
     that reads the route: fixed blocks A_plus, A_rest on the autonomous
-    split, node blocks from frozen_along on the quasilinear route.  The
-    cache holds the scan plans, the growth constant, the remainder of the
-    equilibrium and the contiguous transposes of B, A0 and Binv, which the
-    remainder's matmuls take (a transposed view takes NumPy's slower
-    strided path); it is not a field of the constructor, so
-    dataclasses.replace starts a fresh one.
+    split, node blocks from frozen_along on the quasilinear route.
+    __post_init__ derives the contiguous transposes _BT, _A0T and _BinvT,
+    which the row products take (a transposed view takes NumPy's slower
+    strided path), and _rest, f_split of the equilibrium on the autonomous
+    split; dataclasses.replace derives them again.  The cache holds the
+    scan plans and growth constants, one per step or horizon; it is not a
+    field of the constructor, so replace starts a fresh one.
     """
 
     model: ModelSystem
@@ -151,6 +152,15 @@ class SplitPieces:
     frozen_along: Callable[..., tuple] | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+
+    def __post_init__(self):
+        self._BT, self._A0T, self._BinvT = (
+            np.ascontiguousarray(a.T) for a in (self.B, self.A0, self.Binv))
+        # f_split of the equilibrium from F0, on two copies of the row: one
+        # row goes to gemv, whose sums round otherwise than a grid's gemm,
+        # and the first sweep must keep the bits of a grid's evaluation
+        two = np.repeat(self.F0[None], 2, axis=0)
+        self._rest = self._remainder(np.zeros_like(two), two)[0]
 
     @property
     def autonomous(self) -> bool:
@@ -170,7 +180,7 @@ class SplitPieces:
         """The remainder at split states Y (..., n)."""
         Y = np.asarray(Y, dtype=float)
         rows = Y.reshape(-1, self.dim)
-        g = self.sweep_inputs(rows, rows @ self._transposes()[0])[0]
+        g = self.sweep_inputs(rows, rows @ self._BT)[0]
         return g.reshape(Y.shape)
 
     def sweep_inputs(self, Y: np.ndarray, BY: np.ndarray,
@@ -196,29 +206,10 @@ class SplitPieces:
     def _remainder(self, BY: np.ndarray, field: np.ndarray) -> np.ndarray:
         """f_split from the ambient deviations BY = Y B^T (rows) and their
         field."""
-        _, A0T, BinvT = self._transposes()
-        return (field - BY @ A0T) @ BinvT
-
-    def _rest_remainder(self) -> np.ndarray:
-        """f_split of the equilibrium on the autonomous split, one row built
-        from F0, with no model call.  The products run on two copies of
-        that row: NumPy sends a single row to gemv, whose sums round
-        otherwise than the gemm of a whole grid, and a sweep of the zero
-        orbit keeps the bits of the grid's evaluation."""
-        if "rest" not in self._cache:
-            two = np.repeat(self.F0[None], 2, axis=0)
-            self._cache["rest"] = self._remainder(np.zeros_like(two), two)[0]
-        return self._cache["rest"]
+        return (field - BY @ self._A0T) @ self._BinvT
 
     def to_ambient(self, Y: np.ndarray) -> np.ndarray:
-        return Y @ self._transposes()[0] + self.model.equilibrium
-
-    def _transposes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """B^T, A0^T and Binv^T as contiguous arrays, made once."""
-        if "T" not in self._cache:
-            self._cache["T"] = tuple(np.ascontiguousarray(a.T)
-                                     for a in (self.B, self.A0, self.Binv))
-        return self._cache["T"]
+        return Y @ self._BT + self.model.equilibrium
 
     def propagators(self, h: float):
         """The linear_scan plans of the quadrature for the step h, built
@@ -377,7 +368,6 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     # the diagonal blocks of the full state-dependent Jacobian
     base = split_field(model, splitting)
     d = base.d_plus
-    BinvT = base._transposes()[2]
     # the model at u = 0, where a cold inversion starts
     J0 = base.A0
     F0 = base.F0[None]
@@ -504,7 +494,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         field = transformed_field(state)
         Afull = base.Binv @ state[2] @ base.B
         Ap, Ar = Afull[:, :d, :d], Afull[:, d:, d:]
-        g = field @ BinvT
+        g = field @ base._BinvT
         g[:, :d] -= (Ap @ Y[:, :d, None])[:, :, 0]
         g[:, d:] -= (Ar @ Y[:, d:, None])[:, :, 0]
         return g, field, (Ap, Ar), state
@@ -569,7 +559,7 @@ def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
     """
     v0_plus = as_state(v0_plus, pieces.d_plus)
     if BY is None:
-        BY = Y @ pieces._transposes()[0]
+        BY = Y @ pieces._BT
     g, field, blocks, state = pieces.sweep_inputs(Y, BY, state)
     # the sweep reads only the remainder; the field goes before the
     # quadrature's arrays are made
@@ -620,23 +610,16 @@ class LpResult:
     diagnostics: dict
 
 
-class _FixedPoint(NamedTuple):
-    """The converged orbit Y of _lp_fixed_point and its ambient image
-    BY = Y B^T, the increment of each sweep, and what else lp_solve's
-    diagnostics read: the last tail bound, the quasilinear inversion state
-    along Y and the increments' weighted norm, taken of a difference of
-    split orbits (the fixed-point residual)."""
+class _Iterate(NamedTuple):
+    """A Lyapunov-Perron iterate: the split orbit Y, its ambient image
+    BY = Y B^T, the tail bound of the sweep that made it (None for the zero
+    orbit) and the quasilinear inversion state of B along Y (None on the
+    autonomous route)."""
 
     Y: np.ndarray
     BY: np.ndarray
-    increments: list
-    tail: float
+    tail: float | None
     state: tuple | None
-    norm: Callable[[np.ndarray], float]
-
-    @property
-    def iterations(self) -> int:
-        return len(self.increments)
 
 
 def _require_lam_in_gap(pieces: SplitPieces, cfg: LpConfig) -> None:
@@ -647,23 +630,26 @@ def _require_lam_in_gap(pieces: SplitPieces, cfg: LpConfig) -> None:
             f"lambda={cfg.lam} outside the dichotomy gap ({lo}, {hi})")
 
 
-def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
-                    v0_plus: np.ndarray) -> _FixedPoint:
+def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
+                    ) -> tuple[_Iterate, list, Callable[[np.ndarray], float]]:
     """Iterate the Lyapunov-Perron operator from the zero orbit until the
     weighted-norm increment is at most cfg.tol; lp_solve without its
-    diagnostics, all that a re-solve of h needs.
+    diagnostics, all that a re-solve of h needs.  Returns the fixed point,
+    the increment of each sweep and their weighted norm, taken of a
+    difference of split orbits (lp_solve's fixed-point residual).
 
-    Each sweep forms the ambient image BY = Y B^T of its new orbit once.
-    That product gives the increment, the weighted norm of the change of
-    BY, and the next sweep's lp_apply builds its inputs from it.  On the
-    autonomous route every node of the zero orbit rests at the equilibrium,
-    so the first sweep's remainder is one row built from F0
-    (pieces._rest_remainder), with no model call: where that row is
-    exactly zero (F(eq) = 0), the sweep is the linear flow U_+(t, 0)
-    v0_plus with a zero complement and tail bound 0, one unstable scan;
-    elsewhere the row is repeated over the grid.  It still counts as a
-    sweep.  The quasilinear route takes its first sweep through lp_apply,
-    which starts the inversions of B that the later sweeps continue.
+    A sweep maps one _Iterate to the next and forms the ambient image
+    BY = Y B^T of its new orbit once.  That product gives the increment,
+    the weighted norm of the change of BY, and the next sweep's lp_apply
+    builds its inputs from it; the sweep consumes the inversion state of
+    the iterate it maps.  On the autonomous route every node of the zero
+    orbit rests at the equilibrium, so the first sweep's remainder is the
+    row pieces._rest, with no model call: where that row is exactly zero
+    (F(eq) = 0), the sweep is the linear flow U_+(t, 0) v0_plus with a zero
+    complement and tail bound 0, one unstable scan; elsewhere the row is
+    repeated over the grid.  It still counts as a sweep.  The quasilinear
+    route takes its first sweep through lp_apply, which starts the
+    inversions of B that the later sweeps continue.
 
     Raises ValueError for lam outside the dichotomy gap or a base point
     outside the eps-ball, and NoContractionError when the sweeps stop above
@@ -684,7 +670,6 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
     # changes no bit: the ambient increments skip it
     if np.all(w == 1.0):
         w = None
-    BT = pieces._transposes()[0]
 
     def weighted(X: np.ndarray) -> float:
         # a non-finite state makes its row norm, and so the max, non-finite
@@ -696,33 +681,31 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig,
     def norm(Ydiff: np.ndarray) -> float:
         return weighted(Ydiff @ WB)
 
-    def ambient_norm(BYdiff: np.ndarray) -> float:
+    def increment(new: _Iterate, old: _Iterate) -> float:
+        BYdiff = new.BY - old.BY
         return weighted(BYdiff if w is None else BYdiff * w)
 
-    # the split orbit of the current iterate; the quasilinear route starts
-    # each sweep's inversions of B from the previous sweep's
-    Y = np.zeros((len(times), pieces.dim))
-    state = tail = None
     h = _grid_step(cfg.T_max, cfg.dt)
 
-    def sweep(BY):
-        # the iterate is the image BY of the orbit Y, which rides along
-        nonlocal Y, state, tail
-        if tail is None and pieces.autonomous:
+    def sweep(it: _Iterate) -> _Iterate:
+        if it.tail is None and pieces.autonomous:
             # the first sweep, of the zero orbit
-            g = pieces._rest_remainder()
+            state, g = None, pieces._rest
             if np.any(g):
                 Y, tail = _lp_sweep(pieces, cfg, h, v0_plus,
-                                    np.repeat(g[None], len(Y), axis=0))
+                                    np.repeat(g[None], len(it.Y), axis=0))
             else:
-                Y, tail = _linear_flow(pieces, h, len(Y), v0_plus), 0.0
+                Y, tail = _linear_flow(pieces, h, len(it.Y), v0_plus), 0.0
         else:
-            Y, tail, state = lp_apply(pieces, cfg, v0_plus, Y, BY, state)
-        return Y @ BT
+            Y, tail, state = lp_apply(pieces, cfg, v0_plus, it.Y, it.BY,
+                                      it.state)
+        return _Iterate(Y, Y @ pieces._BT, tail, state)
 
-    BY, incs = _contract(sweep, np.zeros_like(Y), ambient_norm, cfg.tol,
-                         cfg.max_iter)
-    return _FixedPoint(Y, BY, incs, tail, state, norm)
+    # the zero orbit, which is its own image
+    zero = np.zeros((len(times), pieces.dim))
+    fixed, incs = _contract(sweep, _Iterate(zero, zero, None, None),
+                            increment, cfg.tol, cfg.max_iter)
+    return fixed, incs, norm
 
 
 def lp_solve(pieces: SplitPieces, cfg: LpConfig,
@@ -749,8 +732,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
 
     Raises NoContractionError when the sweeps stop above cfg.tol.
     """
-    fp = _lp_fixed_point(pieces, cfg, v0_plus)
-    Y, BY, state = fp.Y, fp.BY, fp.state
+    (Y, BY, tail, state), incs, norm = _lp_fixed_point(pieces, cfg, v0_plus)
     v0_plus = as_state(v0_plus)
     d = pieces.d_plus
     times = lp_grid(cfg)
@@ -761,7 +743,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     # remainder and ambient field also serve the two checks below
     g, field, blocks, _ = pieces.sweep_inputs(Y, BY, state)
     Ychk, _ = _lp_sweep(pieces, cfg, h, v0_plus, g, blocks)
-    fp_res = fp.norm(Ychk - Y)
+    fp_res = norm(Ychk - Y)
 
     # to_ambient(Y), from the image the sweeps carried, shifted in place
     # (nothing reads it after the residual sweep)
@@ -776,13 +758,13 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
         quad_budget = 0.0
     h_val = Y[-1, d:]
     diag = {
-        "iterations": fp.iterations,
-        "contraction_factor": _contraction_factor(fp.increments),
+        "iterations": len(incs),
+        "contraction_factor": _contraction_factor(incs),
         "fp_residual": fp_res,
-        "tail_bound": fp.tail,
+        "tail_bound": tail,
         "quad_budget": quad_budget,
         "trajectory_residual": traj_res,
-        "error_budget": cfg.tol + fp.tail + quad_budget,
+        "error_budget": cfg.tol + tail + quad_budget,
     }
     return LpResult(base_point=v0_plus, h_value=h_val, orbit=orbit, Y=Y,
                     diagnostics=diag)
@@ -1044,7 +1026,7 @@ def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
         ys = (u1 - model.equilibrium) @ pieces.Binv.T
     for i, yi in zip(ok, ys):
         try:
-            Y1 = _lp_fixed_point(pieces, cfg, yi[:d]).Y
+            Y1 = _lp_fixed_point(pieces, cfg, yi[:d])[0].Y
         except _SAMPLE_FAILURES:
             skipped += 1
             continue
@@ -1083,7 +1065,8 @@ def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig,
     decay = np.exp(-cfg.lam * times)
     W, _ = _contract(
         lambda X: _lp_quadrature(pieces, h, eye, X @ AtilT), W,
-        lambda dW: float(np.max(decay * np.linalg.norm(dW, axis=(1, 2)))),
+        lambda new, old: float(np.max(
+            decay * np.linalg.norm(new - old, axis=(1, 2)))),
         tol, max_iter)
     V = W.transpose(0, 2, 1)
     Dq = V[m - 1, d:, :].copy()

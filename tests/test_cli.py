@@ -1,13 +1,17 @@
 import argparse
 import dataclasses
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lpmanifolds
 from lpmanifolds import cli, lp, verify
 from lpmanifolds.cli import default_gap, main
 from lpmanifolds.linalg import AmbiguousSplitError, eigen_split, picard_solve
@@ -163,7 +167,11 @@ def test_subcommands_refuse_flags_they_do_not_read(capsys, cmd, flag):
     with pytest.raises(SystemExit) as exc:
         main([cmd, *model, flag, "1"])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the subcommand's usage line, not the one that lists the subcommands
+    assert err.startswith(f"usage: lpman {cmd} [-h]")
+    assert err.endswith(f"lpman {cmd}: error: unrecognized arguments: "
+                        f"{flag} 1\n")
 
 
 # the flags each waterwave subcommand reads, besides --config and --out
@@ -196,7 +204,9 @@ def test_waterwave_subcommand_refuses_a_flag_it_does_not_read(
     with pytest.raises(SystemExit) as exc:
         main(["waterwave", sub, flag, "1"])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: lpman waterwave {sub} [-h]")
+    assert "unrecognized arguments" in err
     key = flag[2:].replace("-", "_")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key}=1\n")
@@ -263,6 +273,61 @@ def test_waterwave_froude(capsys):
                            "--h0", "1", "--c", "0.5", "--sigma", "1")
     assert code == 0
     assert "F=0.5" in out and "B=1" in out and "coercive=True" in out
+
+
+def test_waterwave_froude_runs_at_its_defaults(capsys):
+    # froude_bond refuses infinite depth, so froude's --h0 defaults to 1;
+    # symbol's stays inf
+    code, out, err = run_cli(capsys, "waterwave", "froude")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "waterwave", "froude", "--h0", "1") == (0, out, "")
+    assert _help_defaults("waterwave symbol")["--h0"] == "inf"
+
+
+def _csv_rows(path):
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+@pytest.mark.parametrize("max_iter, n_ok", [("60", 5), ("1", 1)])
+def test_manifold_plot_out_holds_the_ok_samples(capsys, tmp_path, max_iter,
+                                                n_ok):
+    # one sweep reaches the fixed point only at the base point 0
+    out, plot = tmp_path / "g.csv", tmp_path / "g.dat"
+    code, _, _ = run_cli(capsys, "manifold", "--model", "saddle1", "--grid",
+                         "5", "--max-iter", max_iter, "--out", str(out),
+                         "--plot-out", str(plot))
+    assert code == 0
+    header, rows = _csv_rows(out)
+    cols = [i for i, name in enumerate(header)
+            if re.fullmatch(r"(base|h)\d+", name)]
+    assert [header[i] for i in cols] == ["base0", "h0"]
+    ok = [" ".join(row[i] for i in cols) for row in rows if row[-1] == "ok"]
+    assert len(ok) == n_ok and len(rows) == 5
+    assert plot.read_text().splitlines() == ok
+
+
+def test_waterwave_scan_plot_out_holds_every_row(capsys, tmp_path):
+    out, plot = tmp_path / "s.csv", tmp_path / "s.dat"
+    code, _, _ = run_cli(capsys, "waterwave", "scan", "--n-k", "7", "--out",
+                         str(out), "--plot-out", str(plot))
+    assert code == 0
+    header, rows = _csv_rows(out)
+    assert header == ["k", "multiplier"] and len(rows) == 7
+    assert plot.read_text().splitlines() == [" ".join(row) for row in rows]
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    _, out, _ = run_cli(capsys, "split", "--model", "saddle1")
+    src = pathlib.Path(lpmanifolds.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "lpmanifolds.cli", "split", "--model",
+         "saddle1"], capture_output=True, env={**os.environ,
+                                              "PYTHONPATH": path})
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == out.encode()
 
 
 def test_waterwave_symbol(capsys):

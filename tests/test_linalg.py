@@ -390,8 +390,13 @@ def _counted(f):
     return g
 
 
+def _change(new, old):
+    """_contract's increment of scalar iterates."""
+    return abs(new - old)
+
+
 def test_contract_halving_map_converges():
-    x, incs = _contract(lambda x: x / 2, 1.0, abs, 1e-6, 60)
+    x, incs = _contract(lambda x: x / 2, 1.0, _change, 1e-6, 60)
     assert incs[-1] <= 1e-6 < incs[-2]
     assert x == incs[-1]
     assert all(b == a / 2 for a, b in zip(incs, incs[1:]))
@@ -400,7 +405,7 @@ def test_contract_halving_map_converges():
 def test_contract_doubling_map_raises_after_three_growing_sweeps():
     sweep = _counted(lambda x: 2 * x)
     with pytest.raises(NoContractionError, match="^no contraction"):
-        _contract(sweep, 1.0, abs, 1e-6, 60)
+        _contract(sweep, 1.0, _change, 1e-6, 60)
     # increments 1, 2, 4, 8: the fourth sweep is the third that grew
     assert sweep.calls == 4
 
@@ -409,7 +414,7 @@ def test_contract_slow_map_raises_at_max_iter():
     sweep = _counted(lambda x: 0.99 * x)
     with pytest.raises(NoContractionError,
                        match="fixed point not reached in 3 sweeps"):
-        _contract(sweep, 1.0, abs, 1e-12, 3)
+        _contract(sweep, 1.0, _change, 1e-12, 3)
     assert sweep.calls == 3
 
 
@@ -422,13 +427,13 @@ def test_contract_slow_map_raises_at_max_iter():
 def test_contract_refuses_max_iter_below_one(max_iter, tol, message):
     sweep = _counted(lambda x: x / 2)
     with pytest.raises(ValueError, match=message):
-        _contract(sweep, 1.0, abs, tol, max_iter)
+        _contract(sweep, 1.0, _change, tol, max_iter)
     assert sweep.calls == 0
 
 
 def test_contract_allows_zero_tol():
     # x / 2 reaches 0 in floating point, so tol = 0 is reachable
-    x, incs = _contract(lambda x: x / 2, 1.0, abs, 0.0, 2000)
+    x, incs = _contract(lambda x: x / 2, 1.0, _change, 0.0, 2000)
     assert x == 0.0 and incs[-1] == 0.0
 
 

@@ -254,6 +254,21 @@ def test_linear_scan_step_matrices_match_loop(m, d):
             assert np.abs(got - ref).max() <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["one", "rows"])
+def test_linear_scan_step_stack_starts_at_x0(lead):
+    # x0 stands for the first row of X, bit for bit
+    rng = np.random.default_rng(7)
+    m, d = 65, 3
+    E = np.eye(d) + 0.01 * rng.normal(size=(m - 1, d, d))
+    X = rng.normal(size=(m,) + lead + (d,))
+    x0 = rng.normal(size=lead + (d,))
+    keep = X.copy()
+    first = X.copy()
+    first[0] = x0
+    assert np.array_equal(linear_scan(E, X, x0), linear_scan(E, first))
+    assert np.array_equal(X, keep)
+
+
 def test_linear_scan_rejects_wrong_step_count():
     with pytest.raises(ValueError, match="step matrices"):
         linear_scan(np.zeros((4, 2, 2)), np.zeros((4, 2)))
@@ -552,6 +567,25 @@ def test_split_pieces_replace_starts_a_fresh_cache():
     assert pieces.propagators(0.01)[0] is plan_m
 
 
+def test_split_pieces_derive_their_transposes_and_rest_row():
+    # the MMT plane wave's F(eq) is roundoff, so its remainder row is not 0
+    _, sp, pieces = mmt_mi_pieces(half=3)
+    for got, a in ((pieces._BT, pieces.B), (pieces._A0T, pieces.A0),
+                   (pieces._BinvT, pieces.Binv)):
+        assert got.flags.c_contiguous and np.array_equal(got, a.T)
+    zeros = np.zeros((5, pieces.dim))
+    assert np.any(pieces._rest)
+    assert np.array_equal(pieces._rest, pieces.f_split(zeros)[0])
+    # replace derives them again from its own fields
+    doubled = dataclasses.replace(pieces, F0=2.0 * pieces.F0)
+    assert np.array_equal(doubled._rest, 2.0 * pieces._rest)
+    # a solve caches the plans of its step and the growth constant alone
+    cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
+                   dt=0.01, eps=0.05, tol=1e-9)
+    lp_solve(pieces, cfg, np.array([0.03, 0.01]))
+    assert sorted(k[0] for k in pieces._cache) == ["crest", "plans"]
+
+
 def _phi_loop_matrices(pieces, h):
     """(Em, psi1, psi1 - psi2) of -A_plus and (Ep, phi1, phi2) of A_rest:
     the phi matrices the reference loops step with."""
@@ -783,6 +817,25 @@ def test_lp_fixed_point_property():
     _, _, pieces = saddle1_pieces()
     res = lp_solve(pieces, CFG1, np.array([0.08]))
     assert res.diagnostics["fp_residual"] <= 2 * CFG1.tol
+
+
+def test_all_unstable_splitting_has_an_empty_graph():
+    # x' = x, y' = 2y + x^2: every direction is unstable at gap 0.5, so the
+    # complement is empty, its phi matrices are 0 x 0 and every sweep's
+    # tail bound is 0
+    m = custom_model(
+        "unstable2", lambda u: np.array([u[0], 2.0 * u[1] + u[0] ** 2]),
+        lambda u: np.array([[1.0, 0.0], [2.0 * u[0], 2.0]]), np.zeros(2))
+    pieces = split_field(m, eigen_split(m.jacobian(m.equilibrium), 0.5))
+    assert (pieces.d_plus, pieces.d_rest) == (2, 0)
+    cfg = LpConfig(lam=0.75, T_max=10.0, dt=0.01, eps=0.1, tol=1e-10)
+    res = lp_solve(pieces, cfg, np.array([0.05, 0.03]))
+    assert res.h_value.shape == (0,)
+    assert res.diagnostics["tail_bound"] == 0.0
+    assert res.diagnostics["iterations"] >= 2
+    graph = build_manifold_graph(pieces, cfg, grid_spec=3)
+    assert graph.values.shape == (5, 0)
+    assert all(graph.ok)
 
 
 def test_lp_trajectory_residual_scales_with_dt():
@@ -1237,11 +1290,11 @@ def test_fixed_point_is_lp_solves_orbit(which):
     # the orbit and the sweep count are the same, bit for bit
     pieces, cfg, base = _fixed_point_case(which)
     assert pieces.autonomous == (which != "quasi")
-    fp = lp._lp_fixed_point(pieces, cfg, base)
+    fixed, incs, _ = lp._lp_fixed_point(pieces, cfg, base)
     res = lp_solve(pieces, cfg, base)
-    assert np.array_equal(fp.Y, res.Y)
-    assert fp.iterations == res.diagnostics["iterations"]
-    assert np.array_equal(fp.Y[-1, pieces.d_plus:], res.h_value)
+    assert np.array_equal(fixed.Y, res.Y)
+    assert len(incs) == res.diagnostics["iterations"]
+    assert np.array_equal(fixed.Y[-1, pieces.d_plus:], res.h_value)
 
 
 def _counted_saddle1():
@@ -1269,17 +1322,16 @@ def test_linear_first_sweep_makes_no_field_call():
     cfg = LpConfig(lam=0.9, T_max=10.0, dt=0.01, eps=0.12, tol=1e-10)
     m = len(lp_grid(cfg))
     rows.clear()
-    fp = lp._lp_fixed_point(pieces, cfg, np.array([0.1]))
-    assert fp.iterations >= 3
-    assert len(rows) == (fp.iterations - 1) * m
+    k = len(lp._lp_fixed_point(pieces, cfg, np.array([0.1]))[1])
+    assert k >= 3
+    assert len(rows) == (k - 1) * m
     rows.clear()
-    assert lp._lp_fixed_point(pieces, cfg, np.array([0.1])).iterations == (
-        fp.iterations)
-    assert len(rows) == (fp.iterations - 1) * m
+    assert len(lp._lp_fixed_point(pieces, cfg, np.array([0.1]))[1]) == k
+    assert len(rows) == (k - 1) * m
     rows.clear()
     res = lp_solve(pieces, cfg, np.array([0.1]))
-    assert res.diagnostics["iterations"] == fp.iterations
-    assert len(rows) == fp.iterations * m
+    assert res.diagnostics["iterations"] == k
+    assert len(rows) == k * m
 
 
 def _row_counted(pieces):
@@ -1313,13 +1365,14 @@ def test_linear_first_sweep_is_the_sweep_of_the_zero_orbit(which,
     applied = []
     monkeypatch.setattr(lp, "lp_apply",
                         lambda *a: applied.append(1) or lp_apply(*a))
-    fp = lp._lp_fixed_point(counted, dataclasses.replace(cfg, tol=1.0), base)
-    assert fp.iterations == 1 and not applied and rows == []
-    assert np.array_equal(fp.Y, want)
-    assert fp.tail == want_tail
+    fixed, incs, _ = lp._lp_fixed_point(
+        counted, dataclasses.replace(cfg, tol=1.0), base)
+    assert len(incs) == 1 and not applied and rows == []
+    assert np.array_equal(fixed.Y, want)
+    assert fixed.tail == want_tail
     if rests:
-        assert np.all(fp.Y[:, pieces.d_plus:] == 0.0)
-        assert fp.tail == 0.0
+        assert np.all(fixed.Y[:, pieces.d_plus:] == 0.0)
+        assert fixed.tail == 0.0
 
 
 @pytest.mark.parametrize("which", ["saddle1", "rd"])
@@ -1330,13 +1383,13 @@ def test_linear_first_sweep_keeps_every_sweep(which):
     # sweep inputs, blocks None included, so only the first sweep's route
     # differs
     pieces, cfg, base = _fixed_point_case(which)
-    fp = lp._lp_fixed_point(pieces, cfg, base)
+    fixed, incs, _ = lp._lp_fixed_point(pieces, cfg, base)
     full_grid = dataclasses.replace(pieces, frozen_along=pieces.sweep_inputs)
     assert not full_grid.autonomous
-    full = lp._lp_fixed_point(full_grid, cfg, base)
-    assert np.array_equal(fp.Y, full.Y)
-    assert fp.increments == full.increments
-    assert fp.tail == full.tail
+    full, full_incs, _ = lp._lp_fixed_point(full_grid, cfg, base)
+    assert np.array_equal(fixed.Y, full.Y)
+    assert incs == full_incs
+    assert fixed.tail == full.tail
 
 
 def test_mmt7_solve_evaluates_k_m_rows():
