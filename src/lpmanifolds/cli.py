@@ -536,6 +536,11 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # a grid too large for memory is an input error
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc)
+              else "error: out of memory", file=sys.stderr)
+        return 1
     return code
 
 

@@ -670,8 +670,9 @@ def variational_flow(model, orbit: OrbitGrid) -> np.ndarray:
     The orbit must have at least three nodes, uniformly spaced to within
     1e-8 of its step (ValueError otherwise).  It is validated by the
     centred-difference trajectory residual, whose natural size is
-    O(dt^2): it is refused above
-    10 dt^2 max(max|F|, 1) max(max|u|, 1) + 1e-9.
+    O(dt^2), about |u^(3)| dt^2 / 6: it is refused above
+    10 dt^2 (max(max|F|, 1) max(max|u|, 1) + max|DF DF F| / 6) + 1e-9,
+    with u^(3) taken as DF DF F from the Jacobians that the flow takes.
     """
     m, n = orbit.states.shape
     if m < 3:
@@ -683,13 +684,15 @@ def variational_flow(model, orbit: OrbitGrid) -> np.ndarray:
                          f"differs from the first, {h:.6g}, by {spacing:.3e}")
     scale = max(1.0, float(np.abs(orbit.states).max()))
     F = model.field_many(orbit.states)
+    J = model.jacobian(orbit.states)
     fmax = float(np.linalg.norm(F, axis=1).max())
-    residual_tol = 10.0 * h ** 2 * max(fmax, 1.0) * scale + 1e-9
+    third = float(np.linalg.norm(J @ (J @ F[:, :, None]), axis=1).max())
+    residual_tol = 10.0 * h ** 2 * (max(fmax, 1.0) * scale
+                                    + third / 6.0) + 1e-9
     worst = _trajectory_residual(orbit.states, F, h)
     if worst > residual_tol:
         raise ValueError(
             f"not a trajectory: residual {worst:.3e} > {residual_tol:.3e}")
     # row i of Y[j] is U_j e_i, the i-th column of U_j
-    Y = rk4_affine(model.jacobian(orbit.states), np.zeros((m, n)), np.eye(n),
-                   h)
+    Y = rk4_affine(J, np.zeros((m, n)), np.eye(n), h)
     return Y.swapaxes(1, 2)

@@ -133,7 +133,8 @@ class SplitPieces:
     __post_init__ derives the contiguous transposes _BT, _A0T and _BinvT,
     which the row products take (a transposed view takes NumPy's slower
     strided path), and _rest, f_split of the equilibrium on the autonomous
-    split; dataclasses.replace derives them again.  The cache holds the
+    split, the forcing of every node in the first sweep of the zero orbit;
+    dataclasses.replace derives them again.  The cache holds the
     scan plans and growth constants, one per step or horizon; it is not a
     field of the constructor, so replace starts a fresh one.
     """
@@ -527,28 +528,12 @@ def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
     return new
 
 
-def _linear_flow(pieces: SplitPieces, h: float, m: int,
-                 v0_plus: np.ndarray) -> np.ndarray:
-    """_lp_quadrature of zero forcing on m nodes of step h: the linear flow
-    U_+(t, 0) v0_plus, one unstable scan from v0_plus, with exact zeros in
-    the complement.  Axes of v0_plus before its last are independent
-    orbits, as in _lp_quadrature."""
-    d = pieces.d_plus
-    lead = (m,) + np.shape(v0_plus)[:-1]
-    new = np.zeros(lead + (pieces.dim,))
-    _scan_into(pieces.propagators(h)[0], np.zeros(lead + (d,)), v0_plus,
-               new[::-1, ..., :d])
-    return new
-
-
 def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
              Y: np.ndarray, BY: np.ndarray | None = None,
-             state: tuple | None = None
-             ) -> tuple[np.ndarray, float, tuple | None]:
+             state: tuple | None = None) -> tuple[np.ndarray, tuple | None]:
     """One application of the Lyapunov-Perron operator on the grid.
 
-    Returns the new split-coordinate orbit, the analytic bound on the
-    truncated tail of the complement integral and the inversion state of B
+    Returns the new split-coordinate orbit and the inversion state of B
     along Y that pieces.sweep_inputs returns (None on the autonomous
     route).  BY is the ambient image Y B^T where the caller holds it (the
     fixed point forms it once per sweep, for its increment); without it
@@ -564,41 +549,31 @@ def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
     # the sweep reads only the remainder; the field goes before the
     # quadrature's arrays are made
     del field
-    return (*_lp_sweep(pieces, cfg, _grid_step(cfg.T_max, cfg.dt), v0_plus,
-                       g, blocks), state)
+    return (_lp_sweep(pieces, _grid_step(cfg.T_max, cfg.dt), v0_plus, g,
+                      blocks), state)
 
 
-def _lp_sweep(pieces: SplitPieces, cfg: LpConfig, h: float,
-              v0_plus: np.ndarray, g: np.ndarray,
+def _lp_sweep(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
+              g: np.ndarray,
               blocks: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> tuple[np.ndarray, float]:
-    """lp_apply on the grid of step h with the remainder g = f_split(Y)
-    already evaluated.  Without blocks the sweep is the exponential
-    quadrature of the fixed blocks, with their dichotomy constant in the
-    tail bound; with the node blocks (A_plus, A_rest) along Y
-    (sweep_inputs on the quasilinear route) it is two RK4 sweeps."""
+              ) -> np.ndarray:
+    """The new orbit of lp_apply on the grid of step h, with the remainder
+    g = f_split(Y) already evaluated.  Without blocks the sweep is the
+    exponential quadrature of the fixed blocks; with the node blocks
+    (A_plus, A_rest) along Y (sweep_inputs on the quasilinear route) it is
+    two RK4 sweeps."""
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite remainder evaluation in lp_apply")
-    d = pieces.d_plus
-    gp, gr = g[:, :d], g[:, d:]
-
     if blocks is None:
-        new = _lp_quadrature(pieces, h, v0_plus, g)
-    else:
-        # the unstable part runs backward from v0_plus at t = 0, the
-        # complement forward from 0 at t = -T_max
-        Ap, Ar = blocks
-        new = np.empty_like(g)
-        new[:, :d] = rk4_affine(Ap[::-1], gp[::-1], v0_plus, -h)[::-1]
-        new[:, d:] = rk4_affine(Ar, gr, np.zeros(pieces.d_rest), h)
-
-    if not pieces.d_rest:
-        return new, 0.0
-    # varying blocks carry no dichotomy constant
-    c_rest = (pieces.rest_growth_constant(cfg.T_max) if blocks is None
-              else 1.0)
-    denom = cfg.lam - pieces.splitting.rest_max_re
-    return new, c_rest * float(np.linalg.norm(gr[0])) / max(denom, 1e-12)
+        return _lp_quadrature(pieces, h, v0_plus, g)
+    # the unstable part runs backward from v0_plus at t = 0, the
+    # complement forward from 0 at t = -T_max
+    d = pieces.d_plus
+    Ap, Ar = blocks
+    new = np.empty_like(g)
+    new[:, :d] = rk4_affine(Ap[::-1], g[::-1, :d], v0_plus, -h)[::-1]
+    new[:, d:] = rk4_affine(Ar, g[:, d:], np.zeros(pieces.d_rest), h)
+    return new
 
 
 @dataclass
@@ -612,13 +587,11 @@ class LpResult:
 
 class _Iterate(NamedTuple):
     """A Lyapunov-Perron iterate: the split orbit Y, its ambient image
-    BY = Y B^T, the tail bound of the sweep that made it (None for the zero
-    orbit) and the quasilinear inversion state of B along Y (None on the
-    autonomous route)."""
+    BY = Y B^T and the quasilinear inversion state of B along Y (None on
+    the autonomous route and for the zero orbit)."""
 
     Y: np.ndarray
     BY: np.ndarray
-    tail: float | None
     state: tuple | None
 
 
@@ -643,13 +616,12 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
     the weighted norm of the change of BY, and the next sweep's lp_apply
     builds its inputs from it; the sweep consumes the inversion state of
     the iterate it maps.  On the autonomous route every node of the zero
-    orbit rests at the equilibrium, so the first sweep's remainder is the
-    row pieces._rest, with no model call: where that row is exactly zero
-    (F(eq) = 0), the sweep is the linear flow U_+(t, 0) v0_plus with a zero
-    complement and tail bound 0, one unstable scan; elsewhere the row is
-    repeated over the grid.  It still counts as a sweep.  The quasilinear
-    route takes its first sweep through lp_apply, which starts the
-    inversions of B that the later sweeps continue.
+    orbit rests at the equilibrium, so the first sweep is the quadrature of
+    the row pieces._rest repeated over the grid, with no model call, whether
+    that row is exactly zero (F(eq) = 0) or roundoff.  It still counts as a
+    sweep.  The quasilinear route takes its first sweep through lp_apply,
+    which starts the inversions of B that the later sweeps continue.  No
+    sweep bounds the truncated tail: lp_solve takes it at the fixed point.
 
     Raises ValueError for lam outside the dichotomy gap or a base point
     outside the eps-ball, and NoContractionError when the sweeps stop above
@@ -687,24 +659,21 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
 
     h = _grid_step(cfg.T_max, cfg.dt)
 
-    def sweep(it: _Iterate) -> _Iterate:
-        if it.tail is None and pieces.autonomous:
-            # the first sweep, of the zero orbit
-            state, g = None, pieces._rest
-            if np.any(g):
-                Y, tail = _lp_sweep(pieces, cfg, h, v0_plus,
-                                    np.repeat(g[None], len(it.Y), axis=0))
-            else:
-                Y, tail = _linear_flow(pieces, h, len(it.Y), v0_plus), 0.0
-        else:
-            Y, tail, state = lp_apply(pieces, cfg, v0_plus, it.Y, it.BY,
-                                      it.state)
-        return _Iterate(Y, Y @ pieces._BT, tail, state)
-
     # the zero orbit, which is its own image
     zero = np.zeros((len(times), pieces.dim))
-    fixed, incs = _contract(sweep, _Iterate(zero, zero, None, None),
-                            increment, cfg.tol, cfg.max_iter)
+
+    def sweep(it: _Iterate) -> _Iterate:
+        if it.Y is zero and pieces.autonomous:
+            # the first sweep, of the zero orbit
+            state = None
+            Y = _lp_sweep(pieces, h, v0_plus,
+                          np.repeat(pieces._rest[None], len(zero), axis=0))
+        else:
+            Y, state = lp_apply(pieces, cfg, v0_plus, it.Y, it.BY, it.state)
+        return _Iterate(Y, Y @ pieces._BT, state)
+
+    fixed, incs = _contract(sweep, _Iterate(zero, zero, None), increment,
+                            cfg.tol, cfg.max_iter)
     return fixed, incs, norm
 
 
@@ -712,13 +681,14 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
              v0_plus: np.ndarray) -> LpResult:
     """Iterate the Lyapunov-Perron operator from the zero orbit to its fixed
     point; h(v0_plus) is the complement part of v(0).  The diagnostics add
-    one more sweep (the fixed-point residual), the trajectory residual and
-    the quadrature budget.  The ambient image Y B^T that the sweeps carry
-    (one product per sweep, _lp_fixed_point) also serves the residual
-    sweep's inputs and the ambient orbit.  On the autonomous route the
-    first sweep's remainder is built from F(eq) and evaluates no model, so
-    a solve of k sweeps on a grid of m nodes evaluates the model on k m
-    rows: k - 1 sweeps and the residual sweep, each on the whole grid.
+    one more sweep (the fixed-point residual), the trajectory residual, the
+    tail bound and the quadrature budget.  The ambient image Y B^T that
+    the sweeps carry (one product per sweep, _lp_fixed_point) also serves
+    the residual sweep's inputs and the ambient orbit.  On the autonomous
+    route the first sweep's remainder is built from F(eq) and evaluates no
+    model, so a solve of k sweeps on a grid of m nodes evaluates the model
+    on k m rows: k - 1 sweeps and the residual sweep, each on the whole
+    grid.
 
     The diagnostic contraction_factor is the largest ratio of consecutive
     sweep increments (linalg._contraction_factor).
@@ -726,13 +696,16 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     error_budget = tol + tail_bound + quad_budget budgets the error of h
     for the model as given, a Galerkin truncation, and not for the PDE it
     truncates: it has no truncation term.  Neither of its last two terms
-    is a bound: tail_bound takes SplitPieces.rest_growth_constant, a
-    maximum over samples, and quad_budget is an estimate from the second
-    differences of the remainder.
+    is a bound: tail_bound, taken once from the residual sweep's remainder
+    at the fixed point, is c ||g_rest(-T_max)|| / (lam - rest_max_re) with
+    c = SplitPieces.rest_growth_constant, a maximum over samples (1 on the
+    quasilinear route; the tail is 0 when there is no complement), and
+    quad_budget is an estimate from the second differences of the
+    remainder.
 
     Raises NoContractionError when the sweeps stop above cfg.tol.
     """
-    (Y, BY, tail, state), incs, norm = _lp_fixed_point(pieces, cfg, v0_plus)
+    (Y, BY, state), incs, norm = _lp_fixed_point(pieces, cfg, v0_plus)
     v0_plus = as_state(v0_plus)
     d = pieces.d_plus
     times = lp_grid(cfg)
@@ -742,8 +715,16 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     # fixed-point residual: one more sweep, measured in the same norm; its
     # remainder and ambient field also serve the two checks below
     g, field, blocks, _ = pieces.sweep_inputs(Y, BY, state)
-    Ychk, _ = _lp_sweep(pieces, cfg, h, v0_plus, g, blocks)
-    fp_res = norm(Ychk - Y)
+    fp_res = norm(_lp_sweep(pieces, h, v0_plus, g, blocks) - Y)
+
+    # the truncated tail of the complement integral, from the remainder at
+    # -T_max; varying blocks carry no dichotomy constant
+    tail = 0.0
+    if pieces.d_rest:
+        c_rest = (pieces.rest_growth_constant(cfg.T_max) if blocks is None
+                  else 1.0)
+        denom = cfg.lam - pieces.splitting.rest_max_re
+        tail = c_rest * float(np.linalg.norm(g[0, d:])) / max(denom, 1e-12)
 
     # to_ambient(Y), from the image the sweeps carried, shifted in place
     # (nothing reads it after the residual sweep)
@@ -1059,9 +1040,9 @@ def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig,
     AtilT = (pieces.Binv @ J @ pieces.B - Adiag).transpose(0, 2, 1)
 
     # W[j] = U^1(t_j)^T, one row per derivative direction; the initial
-    # iterate is the homogeneous unstable propagation of the identity
+    # iterate is the quadrature of zero forcing from the identity
     eye = np.eye(d)
-    W = _linear_flow(pieces, h, m, eye)
+    W = _lp_quadrature(pieces, h, eye, np.zeros((m, d, n)))
     decay = np.exp(-cfg.lam * times)
     W, _ = _contract(
         lambda X: _lp_quadrature(pieces, h, eye, X @ AtilT), W,

@@ -400,11 +400,15 @@ def test_numerical_failure_exit_code(capsys):
      "numerical failure: "),
     (AmbiguousSplitError("eigenvalue in band"), 1, "error: "),
     (ValueError("bad input"), 1, "error: "),
+    (MemoryError("Unable to allocate 7.28 TiB for an array"), 1,
+     "error: out of memory: "),
+    (MemoryError(), 1, "error: out of memory"),
 ], ids=["LinAlgError", "FloatingPointError", "AmbiguousSplitError",
-        "ValueError"])
+        "ValueError", "MemoryError", "MemoryError-no-message"])
 def test_exit_code_by_exception_type(capsys, monkeypatch, exc, code, prefix):
     # LinAlgError subclasses ValueError but is a numerical failure, as is a
-    # non-finite orbit
+    # non-finite orbit; a MemoryError (a grid too large for memory) is an
+    # input error, one line and no traceback
     def fails(*args, **kwargs):
         raise exc
 
@@ -412,6 +416,47 @@ def test_exit_code_by_exception_type(capsys, monkeypatch, exc, code, prefix):
     got, _, err = run_cli(capsys, "picard", "--model", "saddle1")
     assert got == code
     assert err == f"{prefix}{exc}\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["manifold", "--grid", "3"], 1, "error: --model is required"),
+    (["manifold", "--model", "mmt", "--half-width", "0"], 1,
+     "error: no unstable directions at this gap"),
+    (["manifold", "--model", "saddle1", "--grid", "4", "--max-iter", "1"], 2,
+     "numerical failure: empty manifold graph: every sample failed"),
+    (["manifold", "--model", "saddle1", "--dt", "1", "--t-max", "0.5"], 1,
+     "error: need 0 < dt < T_max"),
+    (["split", "--model", "mmt", "--sigma", "2"], 1,
+     "error: sigma must be +1 or -1"),
+    (["split", "--model", "mmt", "--beta", "2"], 1,
+     "error: beta must satisfy beta <= alpha"),
+    (["split", "--model", "mmt", "--alpha", "0"], 1,
+     "error: alpha must be positive"),
+], ids=["no-model", "no-unstable", "all-samples-fail", "dt-above-t-max",
+        "mmt-sigma", "mmt-beta", "mmt-alpha"])
+def test_refusals_print_one_line(capsys, argv, code, message):
+    # a validation error prints nothing on stdout; a graph whose samples
+    # were all tried still prints its rows
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert err == message + "\n"
+    if code == 1:
+        assert out == ""
+
+
+def test_config_file_skips_comments_and_blank_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment line\n\ngrid = 5  # trailing comment\n")
+    assert cli.load_config_file(str(cfg)) == {"grid": "5"}
+
+
+def test_config_line_without_equals_is_refused(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=saddle1\ngrid 5\n")
+    code, out, err = run_cli(capsys, "manifold", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == "error: bad config line (need key=value): 'grid 5'\n"
 
 
 def test_config_file_and_override(capsys, tmp_path):

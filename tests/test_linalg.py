@@ -18,7 +18,8 @@ from lpmanifolds.linalg import (
     rk4_affine,
     variational_flow,
 )
-from lpmanifolds.models import custom_model, mmt_block, MmtParams, saddle_toy
+from lpmanifolds.models import (custom_model, mmt_block, mmt_galerkin,
+                                mmt_mode_set, MmtParams, saddle_toy)
 
 
 # ---------------------------------------------------------------- eigen_split
@@ -465,6 +466,28 @@ def test_variational_rejects_non_trajectory():
     states = np.cos(times).reshape(-1, 1)
     with pytest.raises(ValueError, match="not a trajectory"):
         variational_flow(model, OrbitGrid(times, states))
+
+
+def test_variational_accepts_a_true_mmt33_orbit():
+    # the high modes make the centred difference's own error, about
+    # |u^(3)| dt^2 / 6, far larger than a limit scaled by max|F| alone; a
+    # DOP853 orbit of the 33-mode truncation is a trajectory, and U(T) e_0
+    # is the flow map's derivative along the first coordinate
+    model = mmt_galerkin(MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2,
+                                   xi0=0, mode_set=mmt_mode_set(0, 16)))
+    u0 = model.equilibrium.copy()
+    u0[0] += 0.05
+    times = np.linspace(0.0, 0.05, 501)
+    orbit = OrbitGrid(times, oracles.reference_flow(
+        model.vector_field, u0, 0.0, 0.05, t_eval=times))
+    U = variational_flow(model, orbit)
+    h = 1e-6
+    e = np.zeros(model.dimension)
+    e[0] = h
+    fd = (oracles.reference_flow(model.vector_field, u0 + e, 0.0, 0.05)
+          - oracles.reference_flow(model.vector_field, u0 - e, 0.0, 0.05)
+          ) / (2 * h)
+    assert np.abs(U[-1][:, 0] - fd).max() <= 1e-3
 
 
 def test_variational_rejects_uneven_or_short_orbits():

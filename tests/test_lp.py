@@ -173,10 +173,11 @@ def test_lp_apply_zero_remainder_is_linear_flow():
     cfg = LpConfig(lam=0.9, T_max=5.0, dt=0.01, eps=1.0, tol=1e-12)
     times = lp_grid(cfg)
     Y = np.zeros((len(times), 2))
-    Ynew, tail, _ = lp_apply(pieces, cfg, np.array([0.5]), Y)
+    Ynew, _ = lp_apply(pieces, cfg, np.array([0.5]), Y)
     assert Ynew[:, 0] == pytest.approx(0.5 * np.exp(times), abs=1e-12)
     assert np.abs(Ynew[:, 1]).max() == 0.0
-    assert tail == 0.0
+    assert lp_solve(pieces, cfg, np.array([0.5])).diagnostics[
+        "tail_bound"] == 0.0
 
 
 def _plain_plan(E):
@@ -545,7 +546,7 @@ def test_lp_sweeps_reuse_the_scan_plans(monkeypatch):
     calls = _route_spy(monkeypatch)
     m = len(lp_grid(CFG1))
     Y = np.zeros((m, pieces.dim))
-    Y, _, _ = lp_apply(pieces, CFG1, np.array([0.1]), Y)
+    Y, _ = lp_apply(pieces, CFG1, np.array([0.1]), Y)
     assert built == [(1, 1), (1, 1)]
     # the 2001 nodes are 32 blocks of 64, whose ends fit in one block
     assert ends == [(1, 1), (1, 1)]
@@ -630,8 +631,8 @@ def test_lp_apply_matches_loop_reference(which):
     # coordinate; apply the scan and the loop to it
     Y = np.zeros((len(lp_grid(cfg)), pieces.dim))
     for _ in range(2):
-        Y, _, _ = lp_apply(pieces, cfg, v0, Y)
-    got, _, _ = lp_apply(pieces, cfg, v0, Y)
+        Y, _ = lp_apply(pieces, cfg, v0, Y)
+    got, _ = lp_apply(pieces, cfg, v0, Y)
     ref = _lp_apply_loop(pieces, cfg, v0, Y)
     for cols in (slice(0, pieces.d_plus), slice(pieces.d_plus, None)):
         scale = np.abs(ref[:, cols]).max()
@@ -715,10 +716,10 @@ def test_lp_apply_first_and_second_iterate_saddle1():
     times = lp_grid(cfg)
     x0 = 0.1
     Y = np.zeros((len(times), 2))
-    Y1, _, _ = lp_apply(pieces, cfg, np.array([x0]), Y)
+    Y1, _ = lp_apply(pieces, cfg, np.array([x0]), Y)
     assert Y1[:, 0] == pytest.approx(x0 * np.exp(times), abs=1e-12)
     assert np.abs(Y1[:, 1]).max() <= 1e-14
-    Y2, _, _ = lp_apply(pieces, cfg, np.array([x0]), Y1)
+    Y2, _ = lp_apply(pieces, cfg, np.array([x0]), Y1)
     # closed form of the second iterate: y(t) = x0^2 e^{2t} / 3
     expect = x0 * x0 * np.exp(2.0 * times) / 3.0
     assert np.max(np.abs(Y2[:, 1] - expect)) <= 1e-7
@@ -1354,13 +1355,14 @@ def test_linear_first_sweep_is_the_sweep_of_the_zero_orbit(which,
     # a tolerance the first sweep meets stops the fixed point there: its
     # orbit is lp_apply's of the zero orbit, bit for bit, no sweep went
     # through lp_apply and no model was called, whether F(eq) is exactly
-    # zero (saddle1, rd: the linear flow, with an exactly zero complement
-    # and tail 0) or roundoff (mmt7: the remainder of F(eq) on every node)
+    # zero (saddle1, rd: the linear flow, with an exactly zero complement)
+    # or roundoff (mmt7): the quadrature of the remainder of F(eq) on every
+    # node
     pieces, cfg, base = _fixed_point_case(which)
     rests = not np.any(pieces.F0)
     assert rests == (which != "mmt7")
     Y0 = np.zeros((len(lp_grid(cfg)), pieces.dim))
-    want, want_tail, _ = lp_apply(pieces, cfg, base, Y0)
+    want, _ = lp_apply(pieces, cfg, base, Y0)
     counted, rows = _row_counted(pieces)
     applied = []
     monkeypatch.setattr(lp, "lp_apply",
@@ -1369,27 +1371,28 @@ def test_linear_first_sweep_is_the_sweep_of_the_zero_orbit(which,
         counted, dataclasses.replace(cfg, tol=1.0), base)
     assert len(incs) == 1 and not applied and rows == []
     assert np.array_equal(fixed.Y, want)
-    assert fixed.tail == want_tail
+    assert np.array_equal(np.signbit(fixed.Y), np.signbit(want))
     if rests:
         assert np.all(fixed.Y[:, pieces.d_plus:] == 0.0)
-        assert fixed.tail == 0.0
 
 
 @pytest.mark.parametrize("which", ["saddle1", "rd"])
 def test_linear_first_sweep_keeps_every_sweep(which):
     # with the first sweep taken through lp_apply, which evaluates the
-    # model on the whole zero orbit, the orbit, increments and tail are the
-    # same, bit for bit.  The copy's frozen_along hands back the autonomous
-    # sweep inputs, blocks None included, so only the first sweep's route
-    # differs
+    # model on the whole zero orbit, the orbit, increments and solve
+    # diagnostics (tail bound included) are the same, bit for bit.  The
+    # copy's frozen_along hands back the autonomous sweep inputs, blocks
+    # None included, so only the first sweep's route differs
     pieces, cfg, base = _fixed_point_case(which)
     fixed, incs, _ = lp._lp_fixed_point(pieces, cfg, base)
     full_grid = dataclasses.replace(pieces, frozen_along=pieces.sweep_inputs)
     assert not full_grid.autonomous
     full, full_incs, _ = lp._lp_fixed_point(full_grid, cfg, base)
     assert np.array_equal(fixed.Y, full.Y)
+    assert np.array_equal(np.signbit(fixed.Y), np.signbit(full.Y))
     assert incs == full_incs
-    assert fixed.tail == full.tail
+    assert (lp_solve(pieces, cfg, base).diagnostics
+            == lp_solve(full_grid, cfg, base).diagnostics)
 
 
 def test_mmt7_solve_evaluates_k_m_rows():
@@ -1414,8 +1417,9 @@ def _ambient_reference_solve(pieces, cfg, v0):
     each sweep takes the inputs of its whole orbit (the zero orbit
     included) from Y and the inversion state of the sweep before, the
     increment is the weighted norm of Ynew B^T - Y B^T, and the residual
-    sweep's inputs and the orbit form the product again.  Returns the
-    fields of LpResult that lp_solve must match bit for bit."""
+    sweep's inputs and the orbit form the product again.  The tail bound
+    comes from the residual sweep's remainder at -T_max, the fixed point's.
+    Returns the fields of LpResult that lp_solve must match bit for bit."""
     times = lp_grid(cfg)
     h = lp._grid_step(cfg.T_max, cfg.dt)
     BT = np.ascontiguousarray(pieces.B.T)
@@ -1429,13 +1433,16 @@ def _ambient_reference_solve(pieces, cfg, v0):
     state = None
     for k in range(1, cfg.max_iter + 1):
         g, _, blocks, state = pieces.sweep_inputs(Y, Y @ BT, state)
-        Ynew, tail = lp._lp_sweep(pieces, cfg, h, v0, g, blocks)
+        Ynew = lp._lp_sweep(pieces, h, v0, g, blocks)
         inc = weighted((Ynew @ BT - Y @ BT) * w)
         Y = Ynew
         if inc <= cfg.tol:
             break
     g, _, blocks, _ = pieces.sweep_inputs(Y, Y @ BT, state)
-    Ychk, _ = lp._lp_sweep(pieces, cfg, h, v0, g, blocks)
+    Ychk = lp._lp_sweep(pieces, h, v0, g, blocks)
+    c_rest = pieces.rest_growth_constant(cfg.T_max) if blocks is None else 1.0
+    tail = (c_rest * np.linalg.norm(g[0, pieces.d_plus:])
+            / (cfg.lam - pieces.splitting.rest_max_re))
     D = g[2:] - 2 * g[1:-1] + g[:-2]
     quad = float(h * np.sqrt(np.einsum("ij,ij->i", D, D)).sum() / 12.0)
     return {"h_value": Y[-1, pieces.d_plus:], "Y": Y,
@@ -1472,14 +1479,14 @@ def test_lp_solve_is_the_ambient_reference_bit_for_bit(which):
 
 @pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "quasi"])
 def test_lp_apply_forms_the_ambient_image_it_is_not_given(which):
-    # lp_apply without BY forms Y B^T itself: the same sweep, tail and
-    # inversion state, bit for bit, as with the image passed in
+    # lp_apply without BY forms Y B^T itself: the same sweep and inversion
+    # state, bit for bit, as with the image passed in
     pieces, cfg, base = _fixed_point_case(which)
     Y = lp_solve(pieces, cfg, base).Y
     got = lp_apply(pieces, cfg, base, Y)
     want = lp_apply(pieces, cfg, base, Y, Y @ pieces.B.T)
-    assert (got[2] is None) == (want[2] is None) == pieces.autonomous
-    for g, w in zip(got[:2] + (got[2] or ()), want[:2] + (want[2] or ())):
+    assert (got[1] is None) == (want[1] is None) == pieces.autonomous
+    for g, w in zip(got[:1] + (got[1] or ()), want[:1] + (want[1] or ())):
         assert np.array_equal(g, w)
         assert np.array_equal(np.signbit(g), np.signbit(w))
 
@@ -1500,18 +1507,33 @@ def test_lp_solve_orbit_is_to_ambient(which):
 @pytest.mark.parametrize("which", ["saddle1", "rd"])
 def test_variational_starts_from_the_linear_flow(which, monkeypatch):
     # lp_variational's first iterate is the linear flow of the identity,
-    # the quadrature of zero forcing: V and Dq are those of that start
+    # the quadrature of zero forcing: W[j] = (e^{t_j A_plus})^T in the
+    # unstable columns and exact zeros in the complement
     pieces, cfg, base = _fixed_point_case(which)
     res = lp_solve(pieces, cfg, base)
-    V, Dq = lp_variational(res, pieces, cfg)
+    V_ref, Dq_ref = lp_variational(res, pieces, cfg)
     d, m = pieces.d_plus, len(lp_grid(cfg))
     h = lp._grid_step(cfg.T_max, cfg.dt)
-    flow = lp._linear_flow(pieces, h, m, np.eye(d))
-    assert np.array_equal(flow, lp._lp_quadrature(
-        pieces, h, np.eye(d), np.zeros((m, d, pieces.dim))))
-    monkeypatch.setattr(lp, "_linear_flow", lambda p, h, m, v0: (
-        lp._lp_quadrature(p, h, v0, np.zeros((m, d, p.dim)))))
-    V_ref, Dq_ref = lp_variational(res, pieces, cfg)
+    calls = []
+    real = lp._lp_quadrature
+
+    def recording(p, step, v0, g):
+        calls.append((step, v0, g, real(p, step, v0, g)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(lp, "_lp_quadrature", recording)
+    V, Dq = lp_variational(res, pieces, cfg)
+    step, v0, g, flow = calls[0]
+    assert step == h and np.array_equal(v0, np.eye(d))
+    assert g.shape == (m, d, pieces.dim) and not np.any(g)
+    assert np.all(flow[:, :, d:] == 0.0)
+    assert not np.any(np.signbit(flow[:, :, d:]))
+    times = lp_grid(cfg)
+    for j in (0, m // 2, m - 1):
+        want = sla.expm(times[j] * pieces.A_plus).T
+        # the steps' rounding accumulates over the m - 1 scan steps
+        assert np.abs(flow[j, :, :d] - want).max() <= 1e-10 * np.abs(
+            want).max()
     assert np.abs(Dq).max() > 0
     assert np.array_equal(V, V_ref) and np.array_equal(Dq, Dq_ref)
 
@@ -1564,9 +1586,9 @@ def test_lp_solve_refuses_non_finite_orbit(monkeypatch):
     real = lp.lp_apply
 
     def overflowing(*args):
-        Y, tail, state = real(*args)
+        Y, state = real(*args)
         Y[3, 1] = np.nan
-        return Y, tail, state
+        return Y, state
 
     monkeypatch.setattr(lp, "lp_apply", overflowing)
     with pytest.raises(FloatingPointError,
