@@ -4,10 +4,14 @@ Subcommands: split, manifold, mmt-scan, waterwave (symbol | froude | kh |
 scan), picard, verify.  Each option resolves once, in resolve: the flag if
 given, else its value in the plain key=value --config file, else the
 default make_parser declares, which --help lists.  Commands read the
-resolved namespace.  Output is deterministic CSV (comma-delimited, header
-row, LF endings, 17 significant digits).
+resolved namespace.  split, manifold and picard take --model, a name of
+MODELS, which lists each model's builder and flags; a flag of another
+model is a usage error (exit 2), and as a --config key it exits 1.
+Output is deterministic CSV (comma-delimited, header row, LF endings, 17
+significant digits).
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 validation error, 2 numerical failure or usage
+error.
 """
 
 from __future__ import annotations
@@ -104,19 +108,32 @@ def resolve(parser: argparse.ArgumentParser,
     by the flag's type and choices.  A key is a long flag of the chosen
     subcommand (waterwave's: of its chosen subcommand) without its dashes,
     '_' standing for '-'; any other key, and a value the flag refuses, raise
-    ValueError."""
+    ValueError.  Once the model is known, from the flag or the file, a flag
+    of another model exits 2 with the subcommand's usage line, and such a
+    key raises ValueError."""
     given = vars(args).pop("_given", set())
-    if args.config is None:
-        return args
     names, leaf = _leaf(parser, args)
     flags = {opt[2:].replace("-", "_"): action
              for action in leaf._actions
              if action.dest not in ("help", "config")
              for opt in action.option_strings if opt.startswith("--")}
-    for key, text in load_config_file(args.config).items():
+    config = {} if args.config is None else load_config_file(args.config)
+    model = getattr(args, "model", None)
+    if "model" in flags and "model" not in given:
+        model = config.get("model", model)
+    # key -> flag of the other models' flags (none for an unknown model,
+    # which build_model refuses)
+    foreign = {flag[2:].replace("-", "_"): flag
+               for name, (_, model_flags) in MODELS.items()
+               if model in MODELS and name != model
+               for flag, _, _ in model_flags}
+    for dest in sorted(given & foreign.keys()):
+        leaf.error(f"model {model!r} has no {foreign[dest]} flag")
+    for key, text in config.items():
         action = flags.get(key)
-        if action is None:
-            raise ValueError(f"unknown config key {key!r}: {' '.join(names)} "
+        if action is None or key in foreign:
+            owner = f"model {model!r}" if key in foreign else " ".join(names)
+            raise ValueError(f"unknown config key {key!r}: {owner} "
                              f"has no --{key.replace('_', '-')} flag")
         try:
             value = text if action.type is None else action.type(text)
@@ -140,16 +157,32 @@ def _mmt_params(args, half_width: int | None = None) -> MmtParams:
                      mode_set=mmt_mode_set(args.xi0, half_width))
 
 
+# model name -> (its builder, the (flag, default, help) of each flag it
+# reads); split, manifold and picard declare every model's flags, and
+# resolve refuses those of a model other than the chosen one
+MODELS = {
+    "saddle1": (lambda args: saddle_toy("saddle1"), ()),
+    "saddle2": (lambda args: saddle_toy("saddle2"), ()),
+    "rd": (lambda args: reaction_diffusion(args.lambda_param, args.modes),
+           (("--lambda-param", 0.5, "rd: linear growth parameter"),
+            ("--modes", 5, "rd: number of cosine modes"))),
+    "mmt": (lambda args: mmt_galerkin(_mmt_params(args)),
+            (("--alpha", 1.0, "mmt: dispersion exponent"),
+             ("--beta", 0.0, "mmt: nonlinearity exponent"),
+             ("--sigma", -1, "mmt: +1 or -1"),
+             ("--a", 1.2, "mmt: plane-wave amplitude"),
+             ("--xi0", 0, "mmt: carrier mode"),
+             ("--half-width", 3, "mmt: mode set half width about xi0"))),
+}
+
+
 def build_model(args):
     if args.model is None:
         raise ValueError("--model is required")
-    if args.model in ("saddle1", "saddle2"):
-        return saddle_toy(args.model)
-    if args.model == "rd":
-        return reaction_diffusion(args.lambda_param, args.modes)
-    if args.model == "mmt":
-        return mmt_galerkin(_mmt_params(args))
-    raise ValueError(f"unknown model {args.model!r}")
+    if args.model not in MODELS:
+        raise ValueError(f"unknown model {args.model!r} "
+                         f"(choose from {', '.join(MODELS)})")
+    return MODELS[args.model][0](args)
 
 
 def default_gap(A) -> float:
@@ -246,6 +279,9 @@ def cmd_manifold(args) -> int:
 
 
 def cmd_mmt_scan(args) -> int:
+    if args.xi_min > args.xi_max:
+        raise ValueError(f"xi_min must not exceed xi_max, got {args.xi_min} "
+                         f"> {args.xi_max}")
     p = _mmt_params(args, max(1, args.xi_max))
     rows = []
     for row in mmt_unstable_scan(p, range(args.xi_min, args.xi_max + 1)):
@@ -393,21 +429,11 @@ def _add_common(sp):
     sp.add_argument("--out", help="CSV output path (default stdout)")
 
 
-def _add_mmt(sp):
-    _add(sp, ("--alpha", 1.0, "mmt: dispersion exponent"),
-         ("--beta", 0.0, "mmt: nonlinearity exponent"),
-         ("--sigma", -1, "mmt: +1 or -1"),
-         ("--a", 1.2, "mmt: plane-wave amplitude"),
-         ("--xi0", 0, "mmt: carrier mode"))
-
-
 def _add_model(sp):
-    """The flags build_model reads."""
-    sp.add_argument("--model", help="saddle1 | saddle2 | rd | mmt (required)")
-    _add(sp, ("--lambda-param", 0.5, "rd: linear growth parameter"),
-         ("--modes", 5, "rd: number of cosine modes"))
-    _add_mmt(sp)
-    _add(sp, ("--half-width", 3, "mmt: mode set half width about xi0"))
+    """--model and the flags of every model in MODELS."""
+    sp.add_argument("--model", help=f"{' | '.join(MODELS)} (required)")
+    for _, flags in MODELS.values():
+        _add(sp, *flags)
 
 
 def _add_gap(sp):
@@ -449,7 +475,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mmt-scan", help="mode-pair instability scan")
     _add_common(sp)
-    _add_mmt(sp)
+    # the mode set follows --xi-max, not --half-width
+    _add(sp, *(f for f in MODELS["mmt"][1] if f[0] != "--half-width"))
     _add(sp, ("--xi-min", -8, "first mode scanned"),
          ("--xi-max", 8, "last mode scanned; the mode set is xi0 +- "
                          "max(1, xi_max)"))

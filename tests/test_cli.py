@@ -223,6 +223,155 @@ def test_waterwave_flags_follow_the_subcommand(capsys):
     capsys.readouterr()
 
 
+# the flags each model reads, besides --model; split, manifold and picard
+# declare all of them and refuse those of a model other than the chosen one
+MODEL_FLAGS = {
+    "saddle1": set(),
+    "saddle2": set(),
+    "rd": {"--lambda-param", "--modes"},
+    "mmt": {"--alpha", "--beta", "--sigma", "--a", "--xi0", "--half-width"},
+}
+MODEL_COMMANDS = ("split", "manifold", "picard")
+FOREIGN_FLAGS = [(cmd, model, flag) for cmd in MODEL_COMMANDS
+                 for model in MODEL_FLAGS
+                 for flag in sorted(set().union(*MODEL_FLAGS.values())
+                                    - MODEL_FLAGS[model])]
+
+
+def _model_flags(capsys, cmd):
+    """model -> the long flags of cmd's parser that resolve accepts with
+    --model model and refuses with some other model."""
+    parser, actions = cli.make_parser(), _subcommands()[cmd]._actions
+    accepted = {}
+    for model in cli.MODELS:
+        accepted[model] = set()
+        for action in actions:
+            if action.dest in ("help", "config"):
+                continue
+            flag = action.option_strings[-1]
+            value = action.choices[0] if action.choices else "1"
+            args = parser.parse_args([cmd, "--model", model, flag, value])
+            try:
+                cli.resolve(parser, args)
+            except SystemExit:
+                continue
+            finally:
+                capsys.readouterr()
+            accepted[model].add(flag)
+    common = set.intersection(*accepted.values())
+    return {model: flags - common for model, flags in accepted.items()}
+
+
+def test_models_accept_only_the_flags_they_read(capsys):
+    accepted = {(cmd, model, flag) for cmd in MODEL_COMMANDS
+                for model, flags in _model_flags(capsys, cmd).items()
+                for flag in flags}
+    assert accepted == {(cmd, model, flag) for cmd in MODEL_COMMANDS
+                        for model, flags in MODEL_FLAGS.items()
+                        for flag in flags}
+    assert len(accepted) == 24
+    assert len(FOREIGN_FLAGS) == 72
+    # mmt-scan's mode set follows --xi-max, so it reads mmt's flags but
+    # --half-width
+    declared = {opt for action in _subcommands()["mmt-scan"]._actions
+                if action.dest != "help" for opt in action.option_strings}
+    assert declared == (MODEL_FLAGS["mmt"] - {"--half-width"}
+                        | {"--xi-min", "--xi-max", "--config", "--out"})
+
+
+@pytest.mark.parametrize("cmd, model, flag", FOREIGN_FLAGS,
+                         ids=lambda x: x.lstrip("-"))
+def test_model_refuses_a_flag_of_another_model(capsys, cmd, model, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--model", model, flag, "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: lpman {cmd} [-h]")
+    assert err.endswith(f"lpman {cmd}: error: model '{model}' has no {flag} "
+                        f"flag\n")
+
+
+@pytest.mark.parametrize("cmd, model, argv, flag", [
+    ("split", "rd", ["--alp", "5"], "--alpha"),
+    ("picard", "mmt", ["--lambda", "2"], "--lambda-param"),
+    ("manifold", "saddle1", ["--half=2"], "--half-width"),
+    ("split", "rd", ["--sigma", "-1"], "--sigma"),
+    ("manifold", "saddle2", ["--modes", "5"], "--modes"),
+    ("picard", "mmt", ["--lambda-param", "0.5"], "--lambda-param"),
+], ids=["abbreviated-alpha", "abbreviated-lambda-param",
+        "abbreviated-half-width", "default-sigma", "default-modes",
+        "default-lambda-param"])
+def test_model_refuses_a_foreign_flag_however_given(capsys, cmd, model, argv,
+                                                    flag):
+    # a flag once went unread without a word, abbreviated or at its default
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--model", model, *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: lpman {cmd} [-h]")
+    assert err.endswith(f"error: model '{model}' has no {flag} flag\n")
+
+
+def test_model_from_the_config_file_refuses_foreign_flags(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=rd\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["split", "--config", str(cfg), "--alpha", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lpman split [-h]")
+    assert err.endswith("error: model 'rd' has no --alpha flag\n")
+    assert run_cli(capsys, "split", "--config", str(cfg), "--modes", "3")[0] \
+        == 0
+
+
+@pytest.mark.parametrize("argv, text, key, flag, model", [
+    (["split"], "model=rd\nalpha=5\n", "alpha", "--alpha", "rd"),
+    (["picard", "--model", "saddle1"], "half-width=2\n", "half_width",
+     "--half-width", "saddle1"),
+    (["manifold"], "modes=5\nmodel=mmt\n", "modes", "--modes", "mmt"),
+], ids=["model-in-file", "model-on-line", "key-before-model"])
+def test_model_refuses_a_config_key_of_another_model(capsys, tmp_path, argv,
+                                                     text, key, flag, model):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == (f"error: unknown config key '{key}': model '{model}' has "
+                   f"no {flag} flag\n")
+
+
+def test_model_flag_beats_the_model_in_the_config_file(capsys, tmp_path):
+    # --model mmt reads the file's alpha, which rd would refuse
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=rd\nalpha=2\n")
+    code, from_file, _ = run_cli(capsys, "split", "--model", "mmt",
+                                 "--config", str(cfg))
+    assert code == 0
+    assert run_cli(capsys, "split", "--model", "mmt", "--alpha", "2") == (
+        0, from_file, "")
+
+
+def _readme_flag_lists():
+    """Name -> flags of each bullet of README's CLI section that lists a
+    model's or a waterwave subcommand's flags."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return {m[1]: set(m[2].split()) if m[2] is not None else set()
+            for m in re.finditer(r"^- `([\w-]+)`: (?:`([^`]*)`|no flags)",
+                                 section, re.MULTILINE)}
+
+
+def test_readme_flag_lists_match_the_parsers(capsys):
+    leaves = _subcommands()
+    wave = {sub: {opt for action in leaves[f"waterwave {sub}"]._actions
+                  if action.dest not in ("help", "config", "out")
+                  for opt in action.option_strings}
+            for sub in WATERWAVE_FLAGS}
+    for cmd in MODEL_COMMANDS:
+        assert _readme_flag_lists() == {**_model_flags(capsys, cmd), **wave}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["scan", "--n-k", "0"], "n_k must be at least 1, got 0"),
     (["froude", "--h0", "1", "--n-k", "-2"], "n_k must be at least 1, got -2"),
@@ -381,6 +530,13 @@ def test_manifold_grid_without_base_points_is_refused(capsys, argv):
     assert "--grid" in err and "eps" in err
 
 
+def test_mmt_scan_scans_one_mode_when_xi_min_is_xi_max(capsys):
+    # only an xi_min above xi_max is refused (test_refusals_print_one_line)
+    code, out, _ = run_cli(capsys, "mmt-scan", "--xi-min", "2", "--xi-max", "2")
+    assert code == 0
+    assert len(out.splitlines()) == 2
+
+
 def test_unknown_model_exit_code(capsys):
     code, _, err = run_cli(capsys, "split", "--model", "nope")
     assert code == 1
@@ -432,8 +588,14 @@ def test_exit_code_by_exception_type(capsys, monkeypatch, exc, code, prefix):
      "error: beta must satisfy beta <= alpha"),
     (["split", "--model", "mmt", "--alpha", "0"], 1,
      "error: alpha must be positive"),
+    (["split", "--model", "nope"], 1,
+     "error: unknown model 'nope' (choose from saddle1, saddle2, rd, mmt)"),
+    # an empty range once printed a header-only CSV and exited 0
+    (["mmt-scan", "--xi-min", "5", "--xi-max", "2"], 1,
+     "error: xi_min must not exceed xi_max, got 5 > 2"),
 ], ids=["no-model", "no-unstable", "all-samples-fail", "dt-above-t-max",
-        "mmt-sigma", "mmt-beta", "mmt-alpha"])
+        "mmt-sigma", "mmt-beta", "mmt-alpha", "unknown-model",
+        "mmt-scan-xi-min-above-xi-max"])
 def test_refusals_print_one_line(capsys, argv, code, message):
     # a validation error prints nothing on stdout; a graph whose samples
     # were all tried still prints its rows
