@@ -10,7 +10,6 @@ from .graded import NormLadder, OrbitGrid, graded_norm
 from .linalg import (
     AmbiguousSplitError,
     LyapunovForm,
-    ProjectionPair,
     SpectralSplitting,
     dissipativity_check,
     eigen_split,

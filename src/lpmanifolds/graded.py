@@ -114,10 +114,6 @@ class OrbitGrid:
             raise ValueError("orbit states contain non-finite entries")
 
     @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 

@@ -1,11 +1,11 @@
 """Spectral splitting, Lyapunov quadratic forms, and non-autonomous evolution.
 
-Splits the equilibrium linearization into unstable/center/stable blocks with
-true spectral projections (ordered Schur + Sylvester), builds the quadratic
-forms L solving A^T L + L A - 2 w L = -I that certify dissipativity at rate w,
-integrates linear systems v' = A(t)v along stored trajectories (the
-variational flow and Picard's frozen sweeps), and iterates contractions to
-their fixed points under one stopping rule.
+Splits the equilibrium linearization into unstable/center/stable blocks in
+split coordinates y = Binv (u - eq) from ordered real Schur bases, builds
+the quadratic forms L solving A^T L + L A - 2 w L = -I that certify
+dissipativity at rate w, integrates linear systems v' = A(t)v along stored
+trajectories (the variational flow and Picard's frozen sweeps), and
+iterates contractions to their fixed points under one stopping rule.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .graded import OrbitGrid, _trajectory_residual, as_state
 __all__ = [
     "AmbiguousSplitError",
     "NoContractionError",
-    "ProjectionPair",
     "SpectralSplitting",
     "LyapunovForm",
     "eigen_split",
@@ -63,16 +62,6 @@ def _as_matrix(A) -> np.ndarray:
 
 
 @dataclass
-class ProjectionPair:
-    """Spectral projections onto X_+ and its complement (center + stable)."""
-
-    basis_plus: np.ndarray      # columns: orthonormal basis of X_+
-    basis_rest: np.ndarray      # columns: orthonormal basis of the complement
-    projector_plus: np.ndarray
-    projector_rest: np.ndarray
-
-
-@dataclass
 class SpectralSplitting:
     """Eigen-decomposition of a linearization into +/0/- blocks with rates.
 
@@ -81,11 +70,17 @@ class SpectralSplitting:
     the realized extreme unstable rates, rest_max_re the fastest complement
     rate.  The dichotomy window used by the Lyapunov-Perron iteration is the
     open interval (rest_max_re, lambda_plus).
+
+    The split coordinates are y = Binv (u - eq): the first dim_plus columns
+    of B span X_+ and the others its complement, so the spectral projector
+    onto X_+ is B[:, :dim_plus] @ Binv[:dim_plus].  The columns of each block
+    are orthonormal, but B is not orthogonal when A is not normal.
     """
 
     eigenvalues: np.ndarray
     blocks: list[str]            # '+', '0' or '-' per eigenvalue
-    projection: ProjectionPair
+    B: np.ndarray
+    Binv: np.ndarray
     dim_plus: int
     dim_center: int
     dim_minus: int
@@ -97,10 +92,6 @@ class SpectralSplitting:
     gap: float
 
     @property
-    def dim(self) -> int:
-        return self.dim_plus + self.dim_center + self.dim_minus
-
-    @property
     def realized_gap(self) -> float:
         return self.lambda_plus - self.rest_max_re
 
@@ -108,8 +99,9 @@ class SpectralSplitting:
 def eigen_split(A, gap: float) -> SpectralSplitting:
     """Split A into X_+ (Re > gap) and the complement (Re <= gap).
 
-    Projections come from ordered real Schur forms plus a Sylvester solve, so
-    they are true spectral projectors (commute with A to roundoff).  An
+    Each block's basis is the leading Schur vectors of an ordered real Schur
+    form, the one with that block first, so B = [basis_plus, basis_rest]
+    block-diagonalizes A to roundoff and its projectors commute with A.  An
     eigenvalue with | |Re| - gap | < 0.1*gap is refused as ambiguous, and a
     gap that is not a positive finite number with ValueError.
     """
@@ -131,23 +123,15 @@ def eigen_split(A, gap: float) -> SpectralSplitting:
     if dim_plus == 0:
         basis_plus = np.zeros((n, 0))
         basis_rest = np.eye(n)
-        P_plus = np.zeros((n, n))
     elif dim_plus == n:
         basis_plus = np.eye(n)
         basis_rest = np.zeros((n, 0))
-        P_plus = np.eye(n)
     else:
-        T, Z, sdim = sla.schur(M, output='real', sort=lambda re, im: re > gap)
+        _, Z, sdim = sla.schur(M, output='real', sort=lambda re, im: re > gap)
         if sdim != dim_plus:
             raise AmbiguousSplitError(
                 f"Schur reordering found {sdim} unstable eigenvalues, "
                 f"eigvals found {dim_plus}; adjust gap")
-        T11, T12, T22 = T[:sdim, :sdim], T[:sdim, sdim:], T[sdim:, sdim:]
-        Y = sla.solve_sylvester(T11, -T22, T12)
-        core = np.zeros((n, n))
-        core[:sdim, :sdim] = np.eye(sdim)
-        core[:sdim, sdim:] = Y
-        P_plus = Z @ core @ Z.T
         basis_plus = Z[:, :sdim]
         _, Z2, sdim2 = sla.schur(M, output='real',
                                  sort=lambda re, im: re <= gap)
@@ -155,13 +139,13 @@ def eigen_split(A, gap: float) -> SpectralSplitting:
             raise AmbiguousSplitError(
                 "complementary Schur reordering inconsistent; adjust gap")
         basis_rest = Z2[:, :sdim2]
-    P_rest = np.eye(n) - P_plus
     # deterministic orientation: largest-magnitude entry of each column >= 0
     for Bmat in (basis_plus, basis_rest):
         for j in range(Bmat.shape[1]):
             k = int(np.argmax(np.abs(Bmat[:, j])))
             if Bmat[k, j] < 0:
                 Bmat[:, j] *= -1.0
+    B = np.hstack([basis_plus, basis_rest])
 
     plus_re = np.array([z.real for z, b in zip(lam, blocks) if b == '+'])
     rest_re = np.array([z.real for z, b in zip(lam, blocks) if b != '+'])
@@ -175,7 +159,7 @@ def eigen_split(A, gap: float) -> SpectralSplitting:
     return SpectralSplitting(
         eigenvalues=lam[order],
         blocks=[blocks[i] for i in order],
-        projection=ProjectionPair(basis_plus, basis_rest, P_plus, P_rest),
+        B=B, Binv=np.linalg.inv(B),
         dim_plus=dim_plus, dim_center=dim_center, dim_minus=dim_minus,
         omega_plus=omega_plus, omega_minus=omega_minus,
         lambda_plus=lambda_plus, lambda_plus_max=lambda_plus_max,

@@ -253,15 +253,12 @@ def split_field(model: ModelSystem, splitting: SpectralSplitting
 
     f(y) = F(y) - A(0) y has f(0) = 0 and Df(0) = 0; the latter is checked by
     central finite differences and refused if ||Df(0)|| exceeds
-    1e-6 max(||A(0)||_F, 1), the scale of the block-diagonal check.
+    1e-6 max(||A(0)||_F, 1), the scale of the block-diagonal check.  The
+    coordinates are the splitting's: SplitPieces.B and Binv are its arrays.
     """
-    Bp = splitting.projection.basis_plus
-    Br = splitting.projection.basis_rest
-    B = np.hstack([Bp, Br])
-    Binv = np.linalg.inv(B)
+    B, Binv, d = splitting.B, splitting.Binv, splitting.dim_plus
     A0 = model.jacobian(model.equilibrium)
     Ahat = Binv @ A0 @ B
-    d = Bp.shape[1]
     scale = max(np.linalg.norm(A0), 1.0)
     if 0 < d < B.shape[0]:
         off = max(np.linalg.norm(Ahat[:d, d:]), np.linalg.norm(Ahat[d:, :d]))
@@ -343,18 +340,20 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     om_p = splitting.omega_plus if omega_plus is None else omega_plus
     om_m = splitting.omega_minus if omega_minus is None else omega_minus
     sp, sm = om_p - 1.0, om_m + 1.0
-    Pp = splitting.projection.projector_plus
-    Pr = splitting.projection.projector_rest
     eq = model.equilibrium
     n = model.dimension
-    # DB(u) = DF(eq + u) - CS, as Pr = I - Pp
-    CS = sp * Pp + sm * Pr
-    # the row products take contiguous transposes, made once
-    PpT, PrT, CST = (np.ascontiguousarray(a.T) for a in (Pp, Pr, CS))
+    # the spectral projectors Pp onto X_+ and I - Pp onto its complement
+    # add to I, so B(u) = Pp (F - s+ u) + (I - Pp)(F - s- u) is F(eq + u)
+    # - CS u with the one shift matrix CS, and DB(u) = DF(eq + u) - CS
+    d = splitting.dim_plus
+    Pp = splitting.B[:, :d] @ splitting.Binv[:d]
+    CS = sp * Pp + sm * (np.eye(n) - Pp)
+    # the row products take the contiguous transpose, made once
+    CST = np.ascontiguousarray(CS.T)
 
     def bvals(U, FU):
         """B(U) from deviations U (rows) and their fields FU = F(eq + U)."""
-        return (FU - sp * U) @ PpT + (FU - sm * U) @ PrT
+        return FU - U @ CST
 
     def bmap_many(U):
         """(B(U), F(eq + U)) on deviations U (rows)."""
@@ -368,7 +367,6 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     # the transformed system keeps the original projections; its blocks are
     # the diagonal blocks of the full state-dependent Jacobian
     base = split_field(model, splitting)
-    d = base.d_plus
     # the model at u = 0, where a cold inversion starts
     J0 = base.A0
     F0 = base.F0[None]

@@ -32,7 +32,7 @@ __all__ = [
 @dataclass
 class ShootingResult:
     base_point: np.ndarray
-    matched_value: np.ndarray   # complement coordinates of u(0)
+    matched_value: np.ndarray   # complement part of Binv (u(0) - eq)
     shooting_time: float
     match_residual: float
     newton_iterations: int
@@ -61,31 +61,32 @@ def reference_flow(field, y0, t0: float, t1: float, t_eval=None):
 def backward_shoot(model, splitting: SpectralSplitting, target_plus,
                    T: float, tol: float = 1e-9,
                    max_iter: int = 50) -> ShootingResult:
-    """Manifold value at a base point by shooting from near the equilibrium.
+    """Manifold value at a base point by shooting from near the equilibrium,
+    in the split coordinates y = Binv (u - eq) of the splitting, as lp_solve
+    reads them.
 
-    Initial conditions at t = -T are parameterized as eps*w in the unstable
-    subspace (complement part zero), carried forward by `reference_flow`, and
-    the parameters solved so the unstable projection of u(0) hits target_plus.
-    Exponentially decaying orbits lie on the manifold, so the matched
-    complement part of u(0) is the oracle value.  Requires dim X_+ <= 3.
+    Initial conditions at t = -T are eq + B_plus w, in the unstable subspace
+    (complement part zero), carried forward by `reference_flow`, and the
+    parameters w solved so that the unstable part (Binv (u(0) - eq))[:d_plus]
+    hits target_plus.  Exponentially decaying orbits lie on the manifold, so
+    the matched complement part (Binv (u(0) - eq))[d_plus:] is the oracle
+    value.  Requires dim X_+ <= 3.
     """
     d_plus = splitting.dim_plus
     if d_plus == 0 or d_plus > 3:
         raise ValueError("backward shooting requires 1 <= dim X_+ <= 3")
     target = as_state(target_plus, d_plus)
-    Bp = splitting.projection.basis_plus
-    Br = splitting.projection.basis_rest
+    Bp, Binv = splitting.B[:, :d_plus], splitting.Binv
     eq = model.equilibrium
-    A_plus = Bp.T @ model.jacobian(eq) @ Bp
+    A_plus = Binv[:d_plus] @ model.jacobian(eq) @ Bp
     # parameterize through the backward linear flow so the unknowns stay
     # O(target) and the shot Jacobian stays O(1) despite the e^{rate*T} growth
     back = sla.expm(-T * A_plus)
 
     def flow_plus(theta):
         u = eq + Bp @ (back @ theta)
-        u_end = reference_flow(model.vector_field, u, -T, 0.0)
-        y_end = u_end - eq
-        return Bp.T @ y_end, Br.T @ y_end
+        y_end = Binv @ (reference_flow(model.vector_field, u, -T, 0.0) - eq)
+        return y_end[:d_plus], y_end[d_plus:]
 
     theta = target.copy()
     res_vec, rest = flow_plus(theta)

@@ -42,6 +42,15 @@ def _finite(cfg, *names) -> None:
                 raise ValueError(f"{label} must be a finite number, got {v}")
 
 
+def _velocity(name: str, v, xi: np.ndarray) -> np.ndarray:
+    """The velocity v as an array of xi's length; a mismatch is refused
+    (ValueError) rather than padded or cut."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != xi.shape:
+        raise ValueError(f"{name} has {v.size} entries but xi has {xi.size}")
+    return v
+
+
 @dataclass(frozen=True)
 class OneFluidConfig:
     g: float
@@ -148,16 +157,14 @@ def capillary_multiplier(xi, cfg: OneFluidConfig) -> float:
     """Completed-square multiplier m(xi) = -(c.xi)^2/G0(|xi|) + g + sigma|xi|^2.
 
     Negative values indicate failure of coercivity at that mode.  The zero
-    mode is quotiented out and refused.
+    mode is quotiented out and refused, and so is a c_vec whose length is
+    not xi's.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     k = float(np.linalg.norm(xi))
     if k == 0.0:
         raise ValueError("xi = 0: symbol singular, mode is quotiented")
-    c = np.asarray(cfg.c_vec, dtype=float)
-    if c.shape[0] != xi.shape[0]:
-        c = np.resize(c, xi.shape[0])
-    cdot = float(np.dot(c, xi))
+    cdot = float(np.dot(_velocity("c_vec", cfg.c_vec, xi), xi))
     # (c.xi)^2 / (k tanh(h0 k)) = (c.xihat)^2 * k / tanh(h0 k)
     transport = (cdot / k) ** 2 * _tanh_ratio(k, cfg.h0)
     return float(-transport + cfg.g + cfg.sigma * k * k)
@@ -181,17 +188,17 @@ def kh_rt_multiplier(xi, cfg: TwoFluidConfig) -> float:
     """Two-fluid interface multiplier at the flat state:
 
     sigma|xi|^2 + g(rho_- - rho_+) - sum_pm rho_pm (nu_pm . xi)^2 /
-    (|xi| tanh(h_pm |xi|)).
+    (|xi| tanh(h_pm |xi|)).  A velocity whose length is not xi's is refused.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     k = float(np.linalg.norm(xi))
     if k == 0.0:
         raise ValueError("xi = 0: symbol singular, mode is quotiented")
     out = cfg.sigma * k * k + cfg.g * (cfg.rho_minus - cfg.rho_plus)
-    for rho, nu, h in ((cfg.rho_plus, cfg.nu_plus, cfg.h_plus),
-                       (cfg.rho_minus, cfg.nu_minus, cfg.h_minus)):
-        nu = np.resize(np.asarray(nu, dtype=float), xi.shape[0])
-        cdot = float(np.dot(nu, xi))
+    for rho, name, nu, h in (
+            (cfg.rho_plus, "nu_plus", cfg.nu_plus, cfg.h_plus),
+            (cfg.rho_minus, "nu_minus", cfg.nu_minus, cfg.h_minus)):
+        cdot = float(np.dot(_velocity(name, nu, xi), xi))
         out -= rho * (cdot / k) ** 2 * _tanh_ratio(k, h)
     return float(out)
 

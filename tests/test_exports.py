@@ -1,9 +1,12 @@
 """The package's public names resolve: a deletion that leaves a stale entry
 in an __all__ or a stale re-export in lpmanifolds/__init__.py fails here,
-and so does a private helper that nothing in the package uses any more."""
+and so does a private helper that nothing in the package uses any more, or
+a README library example that no longer runs."""
 
 import ast
+import contextlib
 import importlib
+import io
 from collections import Counter
 import pkgutil
 from pathlib import Path
@@ -62,3 +65,16 @@ def test_every_private_helper_is_used():
     unused = [f"{name}: {node.name}" for name, node in private
               if uses[node.name] == _uses(node)[node.name]]
     assert unused == []
+
+
+def test_readme_library_example_runs():
+    # the python block of README's "Library example" section, run as it
+    # stands: it solves saddle1's manifold y = x^2/3 at x = 0.1
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(code, "README.md", "exec"), scope)
+    assert abs(scope["res"].h_value[0] - 0.1 ** 2 / 3.0) <= 1e-6
+    assert out.getvalue().count("\n") == 2

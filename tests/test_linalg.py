@@ -67,7 +67,9 @@ def test_projection_invariants_random():
             sp = eigen_split(A, 0.3)
         except AmbiguousSplitError:
             continue
-        P, R = sp.projection.projector_plus, sp.projection.projector_rest
+        # the projectors of the split coordinates y = Binv (u - eq)
+        d = sp.dim_plus
+        P, R = sp.B[:, :d] @ sp.Binv[:d], sp.B[:, d:] @ sp.Binv[d:]
         assert np.abs(P + R - np.eye(n)).max() < 1e-12 * max(
             1.0, np.abs(P).max())
         assert np.linalg.norm(P @ P - P) < 1e-10
@@ -76,7 +78,7 @@ def test_projection_invariants_random():
         assert np.linalg.norm(P @ A @ R) <= 1e-8 * nrm
         assert np.linalg.norm(R @ A @ P) <= 1e-8 * nrm
         # block bases are real and orthonormal
-        Bp = sp.projection.basis_plus
+        Bp = sp.B[:, :d]
         if Bp.shape[1]:
             assert np.linalg.norm(Bp.T @ Bp - np.eye(Bp.shape[1])) < 1e-12
 

@@ -1689,9 +1689,8 @@ def test_quasilinearize_roundtrip_saddle1():
     assert np.abs(q.invert_B(q.bmap(u)) - u).max() <= 1e-10
     # both shifts (omega_plus - 1, omega_minus + 1) are 0, so
     # DB(0) = (Pp + Pr) A(0)
-    proj = sp.projection
-    db0 = (proj.projector_plus + proj.projector_rest) @ m.jacobian(
-        m.equilibrium)
+    Pp, Pr = _projectors(sp)
+    db0 = (Pp + Pr) @ m.jacobian(m.equilibrium)
     assert np.linalg.cond(db0) < 1e3
 
 
@@ -1858,12 +1857,19 @@ def _frozen(pieces, Y, state=None):
     return pieces.sweep_inputs(Y, Y @ pieces.B.T, state)
 
 
+def _projectors(splitting):
+    """The spectral projectors (Pp, Pr) onto X_+ and its complement in the
+    split coordinates y = Binv (u - eq) of splitting."""
+    d = splitting.dim_plus
+    return (splitting.B[:, :d] @ splitting.Binv[:d],
+            splitting.B[:, d:] @ splitting.Binv[d:])
+
+
 def _invert_B_loop(model, splitting, shifts, v, tol=1e-12, max_iter=60):
     """Reference for the batched inversion: damped Newton on one state with
     B and DB built from the single-state field and Jacobian and the shifts
     (s+, s-) of the two blocks."""
-    Pp = splitting.projection.projector_plus
-    Pr = splitting.projection.projector_rest
+    Pp, Pr = _projectors(splitting)
     s_plus, s_rest = shifts
     n = model.dimension
 
@@ -1951,6 +1957,19 @@ def test_batched_inversion_matches_per_row():
     assert np.abs(U - rows).max() <= 1e-15
     assert np.abs(U - loop).max() <= 1e-15
     assert np.abs(np.array([q.bmap(u) for u in U]) - V).max() <= 1e-12
+
+
+def test_bmap_is_the_two_projector_form_on_mmt():
+    # on a non-normal splitting (MMT-7) B(u) = F - CS u, with the one
+    # shift matrix CS, equals Pp (F - s+ u) + Pr (F - s- u)
+    m, sp, _, _ = setup_mmt()
+    q = quasilinearize(m, sp)
+    Pp, Pr = _projectors(sp)
+    s_plus, s_rest = sp.omega_plus - 1.0, sp.omega_minus + 1.0
+    U = np.random.default_rng(3).normal(size=(6, m.dimension)) * 0.05
+    F = m.vector_field(m.equilibrium + U)
+    want = (F - s_plus * U) @ Pp.T + (F - s_rest * U) @ Pr.T
+    assert np.abs(q.bmap(U) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_batched_inversion_reports_newton_failure():

@@ -9,7 +9,7 @@ import pytest
 
 import lpmanifolds
 from lpmanifolds.linalg import eigen_split
-from lpmanifolds.lp import reversed_model, split_field
+from lpmanifolds.lp import lp_solve, reversed_model, split_field
 from lpmanifolds.models import reaction_diffusion, saddle_toy
 from lpmanifolds.oracles import (
     backward_shoot,
@@ -17,6 +17,7 @@ from lpmanifolds.oracles import (
     quartic_roots,
     reference_flow,
 )
+from lpmanifolds.verify import setup_mmt
 
 
 def test_shoot_saddle1_exact_manifold():
@@ -45,6 +46,22 @@ def test_shoot_trivial_target():
     sp = eigen_split(m.jacobian(m.equilibrium), 0.5)
     res = backward_shoot(m, sp, np.array([0.0]), T=10.0, tol=1e-12)
     assert np.abs(res.matched_value).max() <= 1e-9
+
+
+def test_shoot_agrees_with_lp_solve_on_a_non_normal_splitting():
+    # MMT-7's split basis is far from orthonormal (max|B^T B - I| is 0.29),
+    # so the oracle must read u(0) as Binv (u(0) - eq), as lp_solve does;
+    # the limit is criterion 02's
+    model, sp, pieces, cfg = setup_mmt()
+    B = sp.B
+    assert np.abs(B.T @ B - np.eye(len(B))).max() > 0.1
+    base = np.array([0.045, 0.0])
+    res = lp_solve(pieces, cfg, base)
+    sh = backward_shoot(model, sp, base, T=10.0, tol=1e-9)
+    diff = np.abs(res.h_value - sh.matched_value).max()
+    limit = 10.0 * (res.diagnostics["error_budget"] + sh.match_residual
+                    + 1e-8)
+    assert diff <= limit
 
 
 def test_shoot_requires_low_dimension():

@@ -172,6 +172,28 @@ def test_capillary_zero_mode_rejected():
         capillary_multiplier(np.array([0.0]), cfg)
 
 
+def test_capillary_two_dimensional_mode():
+    # xi = (1, 1), c = (0.5, 0): c.xi = 0.5 and k = |xi| = sqrt(2), so the
+    # multiplier is g + sigma k^2 - (c.xi / k)^2 k / tanh(h0 k)
+    cfg = OneFluidConfig(g=1.0, sigma=1.0, h0=1.0, c_vec=(0.5, 0.0))
+    m = capillary_multiplier(np.array([1.0, 1.0]), cfg)
+    k = math.sqrt(2.0)
+    assert m == pytest.approx(3.0 - 0.125 * k / math.tanh(k), rel=1e-14)
+    assert m == pytest.approx(2.801, abs=1e-3)
+
+
+@pytest.mark.parametrize("c_vec, xi, message", [
+    ((0.5,), (1.0, 1.0), "c_vec has 1 entries but xi has 2"),
+    ((0.1, 5.0), (1.0,), "c_vec has 2 entries but xi has 1"),
+], ids=["short", "long"])
+def test_capillary_refuses_a_velocity_of_another_length(c_vec, xi, message):
+    # the velocity was resized to xi's length: (0.5,) became (0.5, 0.5),
+    # and the 5.0 of (0.1, 5.0) was dropped
+    cfg = OneFluidConfig(g=1.0, sigma=1.0, h0=1.0, c_vec=c_vec)
+    with pytest.raises(ValueError, match=message):
+        capillary_multiplier(np.array(xi), cfg)
+
+
 # ---------------------------------------------------------------- froude-bond
 
 def test_froude_bond_basic():
@@ -242,6 +264,17 @@ def test_kh_rt_shear_band():
     # k^2 - 2k < 0 iff 0 < k < 2
     assert kh_rt_multiplier(np.array([1.0]), cfg) == pytest.approx(-1.0)
     assert kh_rt_multiplier(np.array([3.0]), cfg) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("nu_plus, nu_minus, xi, message", [
+    ((0.5,), (0.0, 0.0), (1.0, 1.0), "nu_plus has 1 entries but xi has 2"),
+    ((0.0,), (0.1, 5.0), (1.0,), "nu_minus has 2 entries but xi has 1"),
+], ids=["nu_plus-short", "nu_minus-long"])
+def test_kh_rt_refuses_a_velocity_of_another_length(nu_plus, nu_minus, xi,
+                                                    message):
+    cfg = dataclasses.replace(_cfg2(), nu_plus=nu_plus, nu_minus=nu_minus)
+    with pytest.raises(ValueError, match=message):
+        kh_rt_multiplier(np.array(xi), cfg)
 
 
 def test_kh_bound_no_shear():
