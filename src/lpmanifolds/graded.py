@@ -8,8 +8,8 @@ mu_i(0) = 1 and mu_i nondecreasing in r, so that
 
 For Fourier models the weights are Sobolev-type, mu_xi(r) = (1+|xi|^2)^(s(r)/2)
 normalized so the level-0 norm is Euclidean.  Orbits on a backward time grid
-carry the exponentially weighted sup norm max_j e^(-lam*t_j) ||v(t_j)||_r,
-in which lp._lp_fixed_point measures the Lyapunov-Perron increments.
+carry the exponentially weighted sup norm max_j e^(-lam*t_j) ||v(t_j)||_r;
+lp._lp_norm builds it, at level r - 1, for every Lyapunov-Perron increment.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ class NormLadder:
     weight_fn: Callable[[int, float], float]
 
     def weights(self, r: float) -> np.ndarray:
+        """mu_i(r) per coordinate; refuses (ValueError) r < 0 or NaN."""
+        if not r >= 0:
+            raise ValueError(f"norm level r must be nonnegative, got {r}")
         return np.array([self.weight_fn(i, r) for i in range(self.dim)])
 
     @staticmethod
@@ -80,8 +83,6 @@ class NormLadder:
 
 def graded_norm(v, ladder: NormLadder, r: float) -> float:
     """||v||_r = sqrt(sum mu_i(r)^2 v_i^2); 0 iff v = 0, nondecreasing in r."""
-    if r < 0:
-        raise ValueError("norm level r must be nonnegative")
     arr = as_state(v)
     if arr.shape[0] != ladder.dim:
         raise ValueError(

@@ -557,6 +557,16 @@ def _rk4_step_maps(A: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     return (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
 
 
+def _check_stopping(max_iter: int, tol: float) -> None:
+    """Refuse (ValueError) a max_iter not an integer >= 1, a tol < 0 or NaN."""
+    if not isinstance(max_iter, (int, np.integer)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
+
+
 def _contract(sweep: Callable, x, increment: Callable[..., float],
               tol: float, max_iter: int) -> tuple:
     """Iterate x <- sweep(x) until increment(sweep(x), x) is at most tol;
@@ -565,12 +575,9 @@ def _contract(sweep: Callable, x, increment: Callable[..., float],
 
     Raises NoContractionError once three consecutive sweeps above tol did
     not shrink the increment, or when max_iter sweeps end above tol, and
-    ValueError for max_iter < 1 or a tol that is negative or NaN.
+    ValueError for the stopping rules _check_stopping refuses.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not tol >= 0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
+    _check_stopping(max_iter, tol)
     incs: list[float] = []
     n_bad = 0
     for _ in range(max_iter):

@@ -23,9 +23,9 @@ import scipy.linalg as sla
 
 from .graded import (NormLadder, OrbitGrid, _row_norms,
                      _trajectory_residual, as_state)
-from .linalg import (NoContractionError, SpectralSplitting, _contract,
-                     _contraction_factor, _positive_finite, _scan_into,
-                     integrate_rk4, rk4_affine, scan_plan)
+from .linalg import (NoContractionError, SpectralSplitting, _check_stopping,
+                     _contract, _contraction_factor, _positive_finite,
+                     _scan_into, integrate_rk4, rk4_affine, scan_plan)
 from .models import ModelSystem, _per_row, _states
 from .oracles import finite_difference_jacobian
 
@@ -62,9 +62,10 @@ class LpConfig:
     """Parameters of the Lyapunov-Perron iteration.
 
     lam must lie strictly inside the dichotomy gap (rest_max_re, lambda_plus)
-    of the splitting; the fixed-point increment is measured in the
-    exponentially weighted norm at level r-1 and rate lam.  T_max, dt and
-    eps must be positive finite numbers, with dt < T_max.
+    of the splitting; lp_solve and lp_variational stop once an increment in
+    the exponentially weighted norm at level r-1 and rate lam (_lp_norm) is
+    at most tol, within max_iter sweeps.  T_max, dt and eps must be positive
+    finite numbers, with dt < T_max, and r a finite number of at least 1.
     """
 
     lam: float
@@ -80,11 +81,10 @@ class LpConfig:
             _positive_finite(name, getattr(self, name))
         if not self.dt < self.T_max:
             raise ValueError("need 0 < dt < T_max")
-        if self.max_iter < 1:
+        _check_stopping(self.max_iter, self.tol)
+        if not (math.isfinite(self.r) and self.r >= 1):
             raise ValueError(
-                f"max_iter must be at least 1, got {self.max_iter}")
-        if not self.tol >= 0:
-            raise ValueError(f"tol must be non-negative, got {self.tol}")
+                f"r must be a finite number of at least 1, got {self.r}")
 
 
 def lp_grid(cfg: LpConfig) -> np.ndarray:
@@ -601,13 +601,40 @@ def _require_lam_in_gap(pieces: SplitPieces, cfg: LpConfig) -> None:
             f"lambda={cfg.lam} outside the dichotomy gap ({lo}, {hi})")
 
 
+def _lp_norm(pieces: SplitPieces, cfg: LpConfig) -> Callable[..., float]:
+    """The norm max_j e^{-lam t_j} ||X_j||_{r-1} on lp_grid(cfg) of every LP
+    increment: of ambient differences X (m, n), or with split=True of split
+    differences X (m, ..., n), taken to X B^T first; ||X_j|| takes all the
+    entries of node j.  A non-finite X raises FloatingPointError."""
+    decay = np.exp(-cfg.lam * lp_grid(cfg))
+    w = pieces.model.ladder.weights(cfg.r - 1.0)
+    # the level weights folded into the map to ambient coordinates
+    WB = np.ascontiguousarray(pieces.B.T * w)
+    # at level 0 (r = 1) every weight is 1, and multiplying by the weights
+    # changes no bit: ambient differences skip it
+    level0 = bool(np.all(w == 1.0))
+
+    def norm(X: np.ndarray, split: bool = False) -> float:
+        if split:
+            X = X @ WB
+        elif not level0:
+            X = X * w
+        # a non-finite entry makes its node's norm, and the max, non-finite
+        inc = float(np.max(decay * _row_norms(X.reshape(len(X), -1))))
+        if not math.isfinite(inc):
+            raise FloatingPointError("orbit states contain non-finite entries")
+        return inc
+
+    return norm
+
+
 def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
-                    ) -> tuple[_Iterate, list, Callable[[np.ndarray], float]]:
+                    ) -> tuple[_Iterate, list, Callable[..., float]]:
     """Iterate the Lyapunov-Perron operator from the zero orbit until the
     weighted-norm increment is at most cfg.tol; lp_solve without its
     diagnostics, all that a re-solve of h needs.  Returns the fixed point,
-    the increment of each sweep and their weighted norm, taken of a
-    difference of split orbits (lp_solve's fixed-point residual).
+    the increment of each sweep and their norm, _lp_norm, which lp_solve
+    takes of a difference of split orbits (its fixed-point residual).
 
     A sweep maps one _Iterate to the next and forms the ambient image
     BY = Y B^T of its new orbit once.  That product gives the increment,
@@ -629,36 +656,11 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
     v0_plus = as_state(v0_plus, pieces.d_plus)
     if np.linalg.norm(v0_plus) > cfg.eps * (1 + 1e-12):
         raise ValueError("base point outside the eps-ball")
-    times = lp_grid(cfg)
-    # the norm of the increments: weighted at level r-1 and rate lam
-    decay = np.exp(-cfg.lam * times)
-    w = pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
-    # the level weights folded into the map to ambient coordinates, for
-    # differences of split orbits
-    WB = np.ascontiguousarray(pieces.B.T * w)
-    # at level 0 (r = 1) every weight is 1, and multiplying by the weights
-    # changes no bit: the ambient increments skip it
-    if np.all(w == 1.0):
-        w = None
-
-    def weighted(X: np.ndarray) -> float:
-        # a non-finite state makes its row norm, and so the max, non-finite
-        inc = float(np.max(decay * _row_norms(X)))
-        if not math.isfinite(inc):
-            raise FloatingPointError("orbit states contain non-finite entries")
-        return inc
-
-    def norm(Ydiff: np.ndarray) -> float:
-        return weighted(Ydiff @ WB)
-
-    def increment(new: _Iterate, old: _Iterate) -> float:
-        BYdiff = new.BY - old.BY
-        return weighted(BYdiff if w is None else BYdiff * w)
-
+    norm = _lp_norm(pieces, cfg)
     h = _grid_step(cfg.T_max, cfg.dt)
 
     # the zero orbit, which is its own image
-    zero = np.zeros((len(times), pieces.dim))
+    zero = np.zeros((len(lp_grid(cfg)), pieces.dim))
 
     def sweep(it: _Iterate) -> _Iterate:
         if it.Y is zero and pieces.autonomous:
@@ -670,7 +672,8 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
             Y, state = lp_apply(pieces, cfg, v0_plus, it.Y, it.BY, it.state)
         return _Iterate(Y, Y @ pieces._BT, state)
 
-    fixed, incs = _contract(sweep, _Iterate(zero, zero, None), increment,
+    fixed, incs = _contract(sweep, _Iterate(zero, zero, None),
+                            lambda new, old: norm(new.BY - old.BY),
                             cfg.tol, cfg.max_iter)
     return fixed, incs, norm
 
@@ -713,7 +716,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     # fixed-point residual: one more sweep, measured in the same norm; its
     # remainder and ambient field also serve the two checks below
     g, field, blocks, _ = pieces.sweep_inputs(Y, BY, state)
-    fp_res = norm(_lp_sweep(pieces, h, v0_plus, g, blocks) - Y)
+    fp_res = norm(_lp_sweep(pieces, h, v0_plus, g, blocks) - Y, split=True)
 
     # the truncated tail of the complement integral, from the remainder at
     # -T_max; varying blocks carry no dichotomy constant
@@ -888,7 +891,7 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
     diagnostics: dict = {}
     if ok.sum() >= 2:
         # over all pairs of ok samples, in the ambient norm at level r-1
-        w = pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
+        w = pieces.model.ladder.weights(cfg.r - 1.0)
         V, H = pts[ok], values[ok]
         diagnostics["lipschitz_low"] = _largest_pair_ratio(
             V, pieces.B[:, :d], H, pieces.B[:, d:], w)
@@ -934,8 +937,10 @@ def contraction_budget(C0: float, Cf: float, k: float, lambda_minus: float,
     if not (lambda_minus < lam < lambda_plus):
         raise ValueError(
             f"lambda={lam} outside the gap ({lambda_minus}, {lambda_plus})")
-    if C0 <= 0 or Cf < 0 or k <= 0:
-        raise ValueError("constants must be positive (Cf may be zero)")
+    for name, x in (("C0", C0), ("Cf", Cf), ("k", k)):
+        if not (math.isfinite(x) and (x > 0 or name == "Cf" and x == 0)):
+            raise ValueError("constants must be positive (Cf may be "
+                             f"zero), got {name} = {x}")
     Ck1 = C0 ** (2 * (k + 1))
     Ck = C0 ** (2 * k)
     L1 = Ck1 * Cf * (1.0 / (lam - lambda_minus) + 1.0 / (lambda_plus - lam))
@@ -1016,37 +1021,31 @@ def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
             "skipped": skipped}
 
 
-def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig,
-                   max_iter: int = 60, tol: float = 1e-10):
+def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig):
     """First derivative of the manifold orbit with respect to the base point.
 
     Solves the linear Lyapunov-Perron system for U^1(t) (columns = derivative
-    directions) by the same quadrature; returns (U1 trajectory, Dq) where Dq
-    is the complement block of U^1(0) -- the graph derivative at the base
-    point.  At the equilibrium Dq = 0 exactly (tangency).  Raises
-    NoContractionError when the sweeps stop above tol.
+    directions) by the same quadrature, from the zero orbit, with lp_solve's
+    norm (_lp_norm) and stopping rule (cfg.tol within cfg.max_iter sweeps);
+    returns (U1 trajectory, Dq) where Dq is the complement block of
+    U^1(0) -- the graph derivative at the base point.  At the equilibrium
+    Dq = 0 exactly (tangency).  Raises NoContractionError when the sweeps
+    stop above cfg.tol.
     """
-    times = lp_grid(cfg)
-    m = len(times)
-    h = times[1] - times[0]
+    h = _grid_step(cfg.T_max, cfg.dt)
     d, n = pieces.d_plus, pieces.dim
-    Adiag = np.zeros((n, n))
-    Adiag[:d, :d] = pieces.A_plus
-    Adiag[d:, d:] = pieces.A_rest
+    Adiag = sla.block_diag(pieces.A_plus, pieces.A_rest)
     # coupling along the base orbit: full Jacobian minus the frozen blocks
     J = pieces.model.jacobian(base.orbit.states)
     AtilT = (pieces.Binv @ J @ pieces.B - Adiag).transpose(0, 2, 1)
 
-    # W[j] = U^1(t_j)^T, one row per derivative direction; the initial
-    # iterate is the quadrature of zero forcing from the identity
+    # W[j] = U^1(t_j)^T, one row per derivative direction; the first sweep,
+    # of the zero orbit, is the quadrature of zero forcing from the identity
     eye = np.eye(d)
-    W = _lp_quadrature(pieces, h, eye, np.zeros((m, d, n)))
-    decay = np.exp(-cfg.lam * times)
-    W, _ = _contract(
-        lambda X: _lp_quadrature(pieces, h, eye, X @ AtilT), W,
-        lambda new, old: float(np.max(
-            decay * np.linalg.norm(new - old, axis=(1, 2)))),
-        tol, max_iter)
+    norm = _lp_norm(pieces, cfg)
+    W, _ = _contract(lambda X: _lp_quadrature(pieces, h, eye, X @ AtilT),
+                     np.zeros((len(lp_grid(cfg)), d, n)),
+                     lambda new, old: norm(new - old, split=True),
+                     cfg.tol, cfg.max_iter)
     V = W.transpose(0, 2, 1)
-    Dq = V[m - 1, d:, :].copy()
-    return V, Dq
+    return V, V[-1, d:].copy()

@@ -477,11 +477,11 @@ def kdv_wave_profile(c: float, p: float, a: float, x_grid) -> WaveProfile:
     The square root degenerates at the crest, so the first step off the
     turning point uses the series phi = phi_max - m x^2/4, m = -g'(phi_max).
     """
-    if c <= 0:
-        raise ValueError("wave speed c must be positive")
-    if p <= 1:
+    if not c > 0:
+        raise ValueError(f"wave speed c must be positive, got {c}")
+    if not p > 1:
         raise ValueError("power p must exceed 1")
-    if a < 0:
+    if not a >= 0:
         raise ValueError("metric coefficient a must be nonnegative")
     x_grid = np.asarray(x_grid, dtype=float)
     phi_max = (c * (p + 1) / 2.0) ** (1.0 / (p - 1.0))

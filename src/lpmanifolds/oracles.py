@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .graded import as_state
-from .linalg import SpectralSplitting
+from .linalg import SpectralSplitting, _positive_finite
 from .models import MmtParams, mmt_plane_wave_frequency
 
 __all__ = [
@@ -70,8 +70,9 @@ def backward_shoot(model, splitting: SpectralSplitting, target_plus,
     parameters w solved so that the unstable part (Binv (u(0) - eq))[:d_plus]
     hits target_plus.  Exponentially decaying orbits lie on the manifold, so
     the matched complement part (Binv (u(0) - eq))[d_plus:] is the oracle
-    value.  Requires dim X_+ <= 3.
+    value.  Requires dim X_+ <= 3 and a T that is a positive finite number.
     """
+    _positive_finite("T", T)
     d_plus = splitting.dim_plus
     if d_plus == 0 or d_plus > 3:
         raise ValueError("backward shooting requires 1 <= dim X_+ <= 3")
@@ -127,8 +128,8 @@ def backward_shoot(model, splitting: SpectralSplitting, target_plus,
 def finite_difference_jacobian(F, u, h_step: float = 1e-5) -> np.ndarray:
     """Central-difference Jacobian, column by column; F is called only at
     the perturbed states u +- h_step e_j."""
-    if h_step <= 0:
-        raise ValueError("h_step must be positive")
+    if not 0 < h_step < np.inf:
+        raise ValueError(f"h_step must be positive and finite, got {h_step}")
     u = as_state(u)
     if not u.size:
         raise ValueError("finite_difference_jacobian needs a nonempty state")

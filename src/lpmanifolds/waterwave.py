@@ -98,8 +98,8 @@ def dn_flat_symbol(k: float, h0: float) -> float:
     """Flat Dirichlet-Neumann symbol: k tanh(h0 k), or k at infinite depth."""
     if not (h0 > 0):
         raise ValueError(_DEPTH_MESSAGE)
-    if k < 0:
-        raise ValueError("wavenumber magnitude k must be nonnegative")
+    if not k >= 0:
+        raise ValueError(f"wavenumber magnitude k must be nonnegative, got {k}")
     if k == 0.0:
         return 0.0
     if math.isinf(h0):

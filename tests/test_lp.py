@@ -1423,7 +1423,7 @@ def _ambient_reference_solve(pieces, cfg, v0):
     times = lp_grid(cfg)
     h = lp._grid_step(cfg.T_max, cfg.dt)
     BT = np.ascontiguousarray(pieces.B.T)
-    w = pieces.model.ladder.weights(max(cfg.r - 1.0, 0.0))
+    w = pieces.model.ladder.weights(cfg.r - 1.0)
     decay = np.exp(-cfg.lam * times)
 
     def weighted(X):
@@ -1631,12 +1631,57 @@ def test_variational_matches_graph_fd():
 
 
 def test_variational_stopping_above_tol_raises():
-    # two sweeps cannot reach 1e-30 on rd: the unconverged Dq is refused
+    # two sweeps cannot reach tol = 0 on rd: the unconverged Dq is refused
     _, _, pieces = rd_pieces(2.0, 6)
     cfg = LpConfig(lam=0.8, T_max=30.0, dt=0.01, eps=0.1, tol=1e-11)
     res = lp_solve(pieces, cfg, np.array([0.05, 0.04]))
     with pytest.raises(NoContractionError, match="not reached in 2 sweeps"):
-        lp_variational(res, pieces, cfg, max_iter=2, tol=1e-30)
+        lp_variational(res, pieces,
+                       dataclasses.replace(cfg, max_iter=2, tol=0.0))
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_variational_increments_are_lp_norm_of_ambient_change(r, monkeypatch):
+    # lp_variational starts from the zero orbit and measures each increment
+    # in lp_solve's norm: max_j e^{-lam t_j} ||(W_new - W_old)_j B^T||, with
+    # the weights of level r - 1, over all the entries of node j.  MMT-7's
+    # B is not orthonormal, so the norm of the split change differs.
+    pieces, cfg, base = _fixed_point_case("mmt7")
+    cfg = dataclasses.replace(cfg, r=r)
+    n = pieces.dim
+    assert np.abs(pieces.B.T @ pieces.B - np.eye(n)).max() > 0.1
+    w = pieces.model.ladder.weights(r - 1.0)
+    assert np.any(w != 1.0) == (r != 1.0)
+    res = lp_solve(pieces, cfg, base)
+    iterates, recorded = [], []
+    real = lp._contract
+
+    def recording(sweep, x, increment, tol, max_iter):
+        def traced(X):
+            iterates.append(X)
+            return sweep(X)
+        x, incs = real(traced, x, increment, tol, max_iter)
+        iterates.append(x)
+        recorded.extend(incs)
+        return x, incs
+
+    monkeypatch.setattr(lp, "_contract", recording)
+    lp_variational(res, pieces, cfg)
+    assert len(recorded) >= 3 and recorded[-1] <= cfg.tol
+    assert not np.any(iterates[0])
+    decay = np.exp(-cfg.lam * lp_grid(cfg))
+    apart = 0.0
+    for inc, new, old in zip(recorded, iterates[1:], iterates):
+        amb = ((new - old) @ pieces.B.T) * w
+        want = np.max(decay * np.sqrt(np.sum(amb ** 2, axis=(1, 2))))
+        assert abs(inc - want) <= 1e-12 * want
+        split = np.max(decay * np.linalg.norm(new - old, axis=(1, 2)))
+        apart = max(apart, abs(split - want) / want)
+    # at level 0 each max falls on t = 0, where only the complement moves
+    # and B's complement columns are orthonormal, so the norm of the split
+    # change agrees there; the weights of level 1 tell the two apart
+    if r != 1.0:
+        assert apart > 1e-3
 
 
 def test_no_contraction_error_is_one_class():

@@ -10,7 +10,8 @@ import pytest
 from lpmanifolds import verify
 from lpmanifolds.graded import NormLadder, OrbitGrid, as_state, graded_norm
 from lpmanifolds.linalg import LyapunovForm, eigen_split, scan_plan
-from lpmanifolds.lp import contraction_budget, quasilinearize, split_field
+from lpmanifolds.lp import (LpConfig, contraction_budget, decay_rate_fit,
+                            quasilinearize, split_field)
 from lpmanifolds.models import (
     MmtParams,
     kdv_wave_profile,
@@ -18,8 +19,9 @@ from lpmanifolds.models import (
     reaction_diffusion,
     saddle_toy,
 )
-from lpmanifolds.oracles import finite_difference_jacobian
-from lpmanifolds.waterwave import OneFluidConfig, TwoFluidConfig, froude_bond
+from lpmanifolds.oracles import backward_shoot, finite_difference_jacobian
+from lpmanifolds.waterwave import (OneFluidConfig, TwoFluidConfig,
+                                   dn_flat_symbol, froude_bond)
 
 
 def _mmt(**kw):
@@ -41,6 +43,25 @@ def _foreign_split():
                 eigen_split(np.array([[1.0, 0.0], [1.0, -1.0]]), 0.5))
 
 
+def _lp_config(**kw):
+    return LpConfig(**{"lam": 0.9, "T_max": 20.0, "dt": 0.01, "eps": 0.12,
+                       **kw})
+
+
+def _decay_fit(r):
+    return decay_rate_fit(OrbitGrid(np.arange(10.0), np.ones((10, 1))),
+                          NormLadder.euclidean(1), r)
+
+
+def _shoot(T):
+    # refused before any flow: T = -5 would shoot forward from t = 5
+    # (h = -2724.18 with a residual of 1e-14, against 8.33e-4), T = 0
+    # would return 0 unflowed, and T = nan fails inside SciPy
+    m = saddle_toy("saddle1")
+    backward_shoot(m, eigen_split(m.jacobian(m.equilibrium), 0.5),
+                   np.array([0.05]), T)
+
+
 def _invert_nan():
     # a batch: a single state is refused earlier, by as_state
     m = saddle_toy("saddle1")
@@ -54,6 +75,13 @@ CASES = {
     "graded_norm-negative-r": (
         lambda: graded_norm(np.ones(2), NormLadder.euclidean(2), -1.0),
         "norm level r must be nonnegative"),
+    "graded_norm-nan-r": (
+        lambda: graded_norm(np.ones(2), NormLadder.euclidean(2), math.nan),
+        "norm level r must be nonnegative, got nan"),
+    "decay_rate_fit-negative-r": (lambda: _decay_fit(-1.0),
+                                  "norm level r must be nonnegative, got -1"),
+    "decay_rate_fit-nan-r": (lambda: _decay_fit(math.nan),
+                             "norm level r must be nonnegative, got nan"),
     "orbit-times-not-increasing": (
         lambda: OrbitGrid([0.0, 0.0], np.zeros((2, 1))),
         "strictly increasing"),
@@ -93,14 +121,42 @@ CASES = {
     "kdv-negative-a": (
         lambda: kdv_wave_profile(1.0, 2.0, -1.0, np.linspace(-1, 1, 5)),
         "metric coefficient a must be nonnegative"),
+    "kdv-nan-c": (
+        lambda: kdv_wave_profile(math.nan, 2.0, 0.0, np.linspace(-1, 1, 5)),
+        "wave speed c must be positive, got nan"),
     "fd-jacobian-step": (
         lambda: finite_difference_jacobian(lambda u: u, np.zeros(2), 0.0),
         "h_step must be positive"),
+    "fd-jacobian-nan-step": (
+        lambda: finite_difference_jacobian(lambda u: u, np.zeros(2), math.nan),
+        "h_step must be positive and finite, got nan"),
+    "backward_shoot-negative-T": (lambda: _shoot(-5.0),
+                                  "T must be a positive finite number"),
+    "backward_shoot-zero-T": (lambda: _shoot(0.0),
+                              "T must be a positive finite number"),
+    "backward_shoot-nan-T": (lambda: _shoot(math.nan),
+                             "T must be a positive finite number"),
     "run_suite-unknown": (lambda: verify.run_suite("nope"),
                           "unknown suite 'nope'"),
     "contraction_budget-C0": (
         lambda: contraction_budget(0.0, 0.1, 1.0, -1.0, 1.0, 0.0),
         "constants must be positive"),
+    "contraction_budget-nan-Cf": (
+        lambda: contraction_budget(1.0, math.nan, 1.0, -1.0, 1.0, 0.0),
+        r"constants must be positive \(Cf may be zero\), got Cf = nan"),
+    "contraction_budget-nan-k": (
+        lambda: contraction_budget(1.0, 0.1, math.nan, -1.0, 1.0, 0.0),
+        r"constants must be positive \(Cf may be zero\), got k = nan"),
+    "lp_config-fractional-max_iter": (lambda: _lp_config(max_iter=2.5),
+                                      "max_iter must be an integer, got 2.5"),
+    "lp_config-nan-r": (lambda: _lp_config(r=math.nan),
+                        "r must be a finite number of at least 1, got nan"),
+    "lp_config-r-below-1": (
+        lambda: _lp_config(r=0.5),
+        "r must be a finite number of at least 1, got 0.5"),
+    "dn_flat_symbol-nan-k": (
+        lambda: dn_flat_symbol(math.nan, 1.0),
+        "wavenumber magnitude k must be nonnegative, got nan"),
     "one-fluid-sigma": (lambda: OneFluidConfig(g=1.0, sigma=0.0, h0=1.0),
                         "surface tension sigma must be positive"),
     "one-fluid-g": (lambda: OneFluidConfig(g=-1.0, sigma=1.0, h0=1.0),
