@@ -555,9 +555,9 @@ def main(argv=None) -> int:
             f"unrecognized arguments: {' '.join(extra)}")
     try:
         code = COMMANDS[args.cmd](resolve(parser, args))
-    # LinAlgError subclasses ValueError, so it is caught first
-    except (NoContractionError, RuntimeError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
+    # LinAlgError subclasses ValueError, so it is caught first;
+    # NoContractionError is a RuntimeError
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, FileNotFoundError) as exc:

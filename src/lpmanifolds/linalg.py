@@ -89,7 +89,6 @@ class SpectralSplitting:
     lambda_plus: float
     lambda_plus_max: float
     rest_max_re: float
-    gap: float
 
     @property
     def realized_gap(self) -> float:
@@ -163,7 +162,7 @@ def eigen_split(A, gap: float) -> SpectralSplitting:
         dim_plus=dim_plus, dim_center=dim_center, dim_minus=dim_minus,
         omega_plus=omega_plus, omega_minus=omega_minus,
         lambda_plus=lambda_plus, lambda_plus_max=lambda_plus_max,
-        rest_max_re=rest_max_re, gap=gap)
+        rest_max_re=rest_max_re)
 
 
 def hamiltonian_symmetry_check(A) -> dict:
@@ -558,13 +557,16 @@ def _rk4_step_maps(A: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
 
 
 def _check_stopping(max_iter: int, tol: float) -> None:
-    """Refuse (ValueError) a max_iter not an integer >= 1, a tol < 0 or NaN."""
+    """Refuse (ValueError) a max_iter not an integer >= 1, and a tol < 0,
+    NaN or infinite (at which the first sweep would stop as converged)."""
     if not isinstance(max_iter, (int, np.integer)):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not tol >= 0:
         raise ValueError(f"tol must be non-negative, got {tol}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
 
 
 def _contract(sweep: Callable, x, increment: Callable[..., float],
@@ -607,7 +609,7 @@ def _contraction_factor(incs: list) -> float:
     return max(ratios) if ratios else 0.0
 
 
-def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
+def picard_solve(model, v0, T: float, dt: float,
                  tol: float = 1e-10) -> tuple[OrbitGrid, dict]:
     """Fixed point of v(t) = U(t,0)v0 + int_0^t U(t,s) f(v(s)) ds on [0, T].
 
@@ -615,9 +617,10 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
     integrates the linear system v' = A(t)v + f(v_prev(t)) with
     f(v) = F(v) - DF(v)v.  Diagnostics report the iterations, the last
     increment and contraction_factor, the largest ratio of consecutive
-    sweep increments (_contraction_factor).  Raises ValueError for a T or
-    dt that is not a positive finite number, and NoContractionError when
-    the sweeps stop above tol.
+    sweep increments (_contraction_factor).  The sweeps stop once the
+    increment is at most tol, within the constant 40 sweeps.  Raises
+    ValueError for a T or dt that is not a positive finite number, and
+    NoContractionError when the sweeps stop above tol.
     """
     _positive_finite("T", T)
     _positive_finite("dt", dt)
@@ -644,7 +647,7 @@ def picard_solve(model, v0, T: float, dt: float, max_iter: int = 40,
     states, incs = _contract(
         sweep, start,
         lambda new, old: float(np.max(np.linalg.norm(new - old, axis=1))),
-        tol, max_iter)
+        tol, 40)
     return OrbitGrid(times, states), {
         "contraction_factor": _contraction_factor(incs),
         "iterations": len(incs),

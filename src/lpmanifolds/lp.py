@@ -40,7 +40,6 @@ __all__ = [
     "quasilinearize",
     "QuasiTransform",
     "reversed_model",
-    "lp_grid",
     "lp_apply",
     "lp_solve",
     "build_manifold_graph",
@@ -52,12 +51,12 @@ __all__ = [
 
 
 # failures that mark one manifold sample as failed instead of aborting a
-# graph; numpy's LinAlgError is a ValueError
-_SAMPLE_FAILURES = (NoContractionError, ValueError, RuntimeError,
-                   FloatingPointError)
+# graph; numpy's LinAlgError is a ValueError and NoContractionError a
+# RuntimeError
+_SAMPLE_FAILURES = (ValueError, RuntimeError, FloatingPointError)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LpConfig:
     """Parameters of the Lyapunov-Perron iteration.
 
@@ -65,7 +64,10 @@ class LpConfig:
     of the splitting; lp_solve and lp_variational stop once an increment in
     the exponentially weighted norm at level r-1 and rate lam (_lp_norm) is
     at most tol, within max_iter sweeps.  T_max, dt and eps must be positive
-    finite numbers, with dt < T_max, and r a finite number of at least 1.
+    finite numbers, with dt < T_max, tol a finite number of at least 0, and
+    r a finite number of at least 1.  The config is frozen and owns the grid
+    of every sweep, built once per config: times, the round(T_max/dt) + 1
+    nodes of linspace(-T_max, 0), read-only, and its step h.
     """
 
     lam: float
@@ -86,22 +88,15 @@ class LpConfig:
             raise ValueError(
                 f"r must be a finite number of at least 1, got {self.r}")
 
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        times = np.linspace(-self.T_max, 0.0, round(self.T_max / self.dt) + 1)
+        times.flags.writeable = False
+        return times
 
-def lp_grid(cfg: LpConfig) -> np.ndarray:
-    return _grid(cfg.T_max, cfg.dt)
-
-
-def _grid(T_max: float, dt: float) -> np.ndarray:
-    m = int(round(T_max / dt)) + 1
-    return np.linspace(-T_max, 0.0, m)
-
-
-@functools.lru_cache(maxsize=32)
-def _grid_step(T_max: float, dt: float) -> float:
-    """times[1] - times[0] of lp_grid, kept so that a sweep does not
-    rebuild the grid."""
-    times = _grid(T_max, dt)
-    return float(times[1] - times[0])
+    @functools.cached_property
+    def h(self) -> float:
+        return float(self.times[1] - self.times[0])
 
 
 def _phi_matrices(A: np.ndarray, h: float):
@@ -130,22 +125,20 @@ class SplitPieces:
     the values its inversion starts from).  sweep_inputs is the one method
     that reads the route: fixed blocks A_plus, A_rest on the autonomous
     split, node blocks from frozen_along on the quasilinear route.
-    __post_init__ derives the contiguous transposes _BT, _A0T and _BinvT,
-    which the row products take (a transposed view takes NumPy's slower
-    strided path), and _rest, f_split of the equilibrium on the autonomous
-    split, the forcing of every node in the first sweep of the zero orbit;
-    dataclasses.replace derives them again.  The cache holds the
-    scan plans and growth constants, one per step or horizon; it is not a
-    field of the constructor, so replace starts a fresh one.
+    __post_init__ derives the rest, and dataclasses.replace derives it
+    again: B, Binv and d_plus are the splitting's; A_plus and A_rest are
+    the diagonal blocks of Binv A0 B, whose other blocks must be within
+    1e-8 max(||A0||_F, 1) of 0 (ValueError otherwise); _BT, _A0T and _BinvT
+    are the contiguous transposes the row products take (a transposed view
+    takes NumPy's slower strided path); _rest is f_split of the equilibrium
+    on the autonomous split, the forcing of every node in the first sweep
+    of the zero orbit.  The cache holds the scan plans and growth
+    constants, one per step or horizon; it is not a field of the
+    constructor, so replace starts a fresh one.
     """
 
     model: ModelSystem
     splitting: SpectralSplitting
-    B: np.ndarray
-    Binv: np.ndarray
-    A_plus: np.ndarray
-    A_rest: np.ndarray
-    d_plus: int
     A0: np.ndarray
     F0: np.ndarray
     # quasilinear route: sweep_inputs along split states Y (rows) with
@@ -155,6 +148,15 @@ class SplitPieces:
                          compare=False)
 
     def __post_init__(self):
+        self.B, self.Binv = self.splitting.B, self.splitting.Binv
+        d = self.d_plus = self.splitting.dim_plus
+        Ahat = self.Binv @ self.A0 @ self.B
+        if 0 < d < self.B.shape[0]:
+            off = max(np.linalg.norm(Ahat[:d, d:]),
+                      np.linalg.norm(Ahat[d:, :d]))
+            if off > 1e-8 * max(np.linalg.norm(self.A0), 1.0):
+                raise ValueError("splitting does not block-diagonalize A(0)")
+        self.A_plus, self.A_rest = Ahat[:d, :d], Ahat[d:, d:]
         self._BT, self._A0T, self._BinvT = (
             np.ascontiguousarray(a.T) for a in (self.B, self.A0, self.Binv))
         # f_split of the equilibrium from F0, on two copies of the row: one
@@ -209,9 +211,6 @@ class SplitPieces:
         field."""
         return (field - BY @ self._A0T) @ self._BinvT
 
-    def to_ambient(self, Y: np.ndarray) -> np.ndarray:
-        return Y @ self._BT + self.model.equilibrium
-
     def propagators(self, h: float):
         """The linear_scan plans of the quadrature for the step h, built
         once per h from the phi matrices (Em, psi1, psi2) of -A_plus and
@@ -251,33 +250,24 @@ def split_field(model: ModelSystem, splitting: SpectralSplitting
                 ) -> SplitPieces:
     """Semilinear realization: autonomous blocks of A(0) plus remainder f.
 
-    f(y) = F(y) - A(0) y has f(0) = 0 and Df(0) = 0; the latter is checked by
-    central finite differences and refused if ||Df(0)|| exceeds
-    1e-6 max(||A(0)||_F, 1), the scale of the block-diagonal check.  The
-    coordinates are the splitting's: SplitPieces.B and Binv are its arrays.
+    The SplitPieces of A0 = DF(equilibrium) and F0 = F(equilibrium) in the
+    splitting's coordinates.  Their remainder f_split has f(0) = 0 and
+    Df(0) = 0; the latter is checked by central finite differences of
+    f_split itself, in split coordinates, and refused if ||Df(0)|| exceeds
+    1e-6 max(||A(0)||_F, 1).
     """
-    B, Binv, d = splitting.B, splitting.Binv, splitting.dim_plus
     A0 = model.jacobian(model.equilibrium)
-    Ahat = Binv @ A0 @ B
-    scale = max(np.linalg.norm(A0), 1.0)
-    if 0 < d < B.shape[0]:
-        off = max(np.linalg.norm(Ahat[:d, d:]), np.linalg.norm(Ahat[d:, :d]))
-        if off > 1e-8 * scale:
-            raise ValueError("splitting does not block-diagonalize A(0)")
-
-    def f_amb(y):
-        u = model.equilibrium + y
-        return model.vector_field(u) - A0 @ y
-
-    Df0 = finite_difference_jacobian(f_amb, np.zeros(model.dimension), 1e-6)
-    if np.linalg.norm(Df0) > 1e-6 * scale:
+    pieces = SplitPieces(model=model, splitting=splitting, A0=A0,
+                         F0=model.field_many(model.equilibrium[None])[0])
+    # row j is the central difference along e_j: Df(0) transposed, on one
+    # batch of states per side
+    E = 1e-6 * np.eye(model.dimension)
+    Df0 = (pieces.f_split(E) - pieces.f_split(-E)) / 2e-6
+    if np.linalg.norm(Df0) > 1e-6 * max(np.linalg.norm(A0), 1.0):
         raise ValueError(
             f"splitting inconsistent with Jacobian: ||Df(0)|| = "
             f"{np.linalg.norm(Df0):.3e}")
-    return SplitPieces(
-        model=model, splitting=splitting, B=B, Binv=Binv,
-        A_plus=Ahat[:d, :d], A_rest=Ahat[d:, d:], d_plus=d, A0=A0,
-        F0=model.field_many(model.equilibrium[None])[0])
+    return pieces
 
 
 def reversed_model(model: ModelSystem) -> ModelSystem:
@@ -331,12 +321,13 @@ def _shift_clash(splitting: SpectralSplitting, sp: float, sm: float) -> str:
 
 def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
                    omega_plus: float | None = None,
-                   omega_minus: float | None = None,
-                   newton_tol: float = 1e-12) -> QuasiTransform:
+                   omega_minus: float | None = None) -> QuasiTransform:
     """The QuasiTransform of model with the shifts of omega_plus and
     omega_minus (default: the splitting's).  B is inverted by at most 60
-    damped Newton steps to the residual newton_tol; a DB(0) of condition
-    number above 1e12 is refused with ValueError naming the shift."""
+    damped Newton steps to the residual newton_tol, the constant 1e-12; a
+    DB(0) of condition number above 1e12 is refused with ValueError naming
+    the shift."""
+    newton_tol = 1e-12
     om_p = splitting.omega_plus if omega_plus is None else omega_plus
     om_m = splitting.omega_minus if omega_minus is None else omega_minus
     sp, sm = om_p - 1.0, om_m + 1.0
@@ -547,8 +538,7 @@ def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
     # the sweep reads only the remainder; the field goes before the
     # quadrature's arrays are made
     del field
-    return (_lp_sweep(pieces, _grid_step(cfg.T_max, cfg.dt), v0_plus, g,
-                      blocks), state)
+    return _lp_sweep(pieces, cfg.h, v0_plus, g, blocks), state
 
 
 def _lp_sweep(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
@@ -602,11 +592,11 @@ def _require_lam_in_gap(pieces: SplitPieces, cfg: LpConfig) -> None:
 
 
 def _lp_norm(pieces: SplitPieces, cfg: LpConfig) -> Callable[..., float]:
-    """The norm max_j e^{-lam t_j} ||X_j||_{r-1} on lp_grid(cfg) of every LP
+    """The norm max_j e^{-lam t_j} ||X_j||_{r-1} on cfg.times of every LP
     increment: of ambient differences X (m, n), or with split=True of split
     differences X (m, ..., n), taken to X B^T first; ||X_j|| takes all the
     entries of node j.  A non-finite X raises FloatingPointError."""
-    decay = np.exp(-cfg.lam * lp_grid(cfg))
+    decay = np.exp(-cfg.lam * cfg.times)
     w = pieces.model.ladder.weights(cfg.r - 1.0)
     # the level weights folded into the map to ambient coordinates
     WB = np.ascontiguousarray(pieces.B.T * w)
@@ -657,16 +647,15 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
     if np.linalg.norm(v0_plus) > cfg.eps * (1 + 1e-12):
         raise ValueError("base point outside the eps-ball")
     norm = _lp_norm(pieces, cfg)
-    h = _grid_step(cfg.T_max, cfg.dt)
 
     # the zero orbit, which is its own image
-    zero = np.zeros((len(lp_grid(cfg)), pieces.dim))
+    zero = np.zeros((len(cfg.times), pieces.dim))
 
     def sweep(it: _Iterate) -> _Iterate:
         if it.Y is zero and pieces.autonomous:
             # the first sweep, of the zero orbit
             state = None
-            Y = _lp_sweep(pieces, h, v0_plus,
+            Y = _lp_sweep(pieces, cfg.h, v0_plus,
                           np.repeat(pieces._rest[None], len(zero), axis=0))
         else:
             Y, state = lp_apply(pieces, cfg, v0_plus, it.Y, it.BY, it.state)
@@ -709,9 +698,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     (Y, BY, state), incs, norm = _lp_fixed_point(pieces, cfg, v0_plus)
     v0_plus = as_state(v0_plus)
     d = pieces.d_plus
-    times = lp_grid(cfg)
-    m = len(times)
-    h = times[1] - times[0]
+    m, h = len(cfg.times), cfg.h
 
     # fixed-point residual: one more sweep, measured in the same norm; its
     # remainder and ambient field also serve the two checks below
@@ -727,9 +714,10 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
         denom = cfg.lam - pieces.splitting.rest_max_re
         tail = c_rest * float(np.linalg.norm(g[0, d:])) / max(denom, 1e-12)
 
-    # to_ambient(Y), from the image the sweeps carried, shifted in place
-    # (nothing reads it after the residual sweep)
-    orbit = OrbitGrid(times, np.add(BY, pieces.model.equilibrium, out=BY))
+    # Y B^T + eq, from the image the sweeps carried, shifted in place
+    # (nothing reads it after the residual sweep), on a copy of the grid
+    orbit = OrbitGrid(cfg.times.copy(),
+                      np.add(BY, pieces.model.equilibrium, out=BY))
     traj_res = _trajectory_residual(orbit.states, field, h)
 
     # quadrature error budget from measured second differences of f
@@ -752,14 +740,14 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
                     diagnostics=diag)
 
 
-def decay_rate_fit(orbit: OrbitGrid, ladder: NormLadder, r: float,
-                   floor: float = 1e-12) -> tuple[float, float]:
+def decay_rate_fit(orbit: OrbitGrid, ladder: NormLadder, r: float
+                   ) -> tuple[float, float]:
     """Least-squares slope of log ||v(t)||_r over the window where the norm
-    exceeds the floor; returns (lambda_fit, R^2)."""
+    exceeds the floor, the constant 1e-12; returns (lambda_fit, R^2)."""
     norms = _row_norms(orbit.states * ladder.weights(r))
     if np.max(norms) <= 1e-300:
         raise ValueError("trivial orbit")
-    mask = norms > floor
+    mask = norms > 1e-12
     if mask.sum() < 10:
         raise ValueError("orbit too short for a decay fit (need 10 nodes)")
     # the least-squares line through the centred points
@@ -849,10 +837,10 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
 
     Samples are solved independently; failures are marked in the status
     column rather than aborting the graph.  A cfg.lam outside the dichotomy
-    gap, and an integer grid_spec that puts no point in the eps-ball, are
-    refused with ValueError before any sample.  Diagnostics carry
-    the Lipschitz estimate at level r-1 and the tangency fit of
-    ||h|| / ||v|| vs ||v||.
+    gap, an integer grid_spec that puts no point in the eps-ball and base
+    points not d_plus wide are refused with ValueError before any sample.
+    Diagnostics carry the Lipschitz estimate at level r-1 and the tangency
+    fit of ||h|| / ||v|| vs ||v||.
     """
     _require_lam_in_gap(pieces, cfg)
     d = pieces.d_plus
@@ -860,6 +848,9 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
         pts = _ball_grid(d, cfg.eps, int(grid_spec), seed=seed)
     else:
         pts = np.atleast_2d(np.asarray(grid_spec, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != d:
+            raise ValueError(f"base points must form an array of shape "
+                             f"(samples, {d}), got shape {pts.shape}")
     nsamp = pts.shape[0]
     dr = pieces.d_rest
     values = np.full((nsamp, dr), np.nan)
@@ -959,7 +950,7 @@ def contraction_budget(C0: float, Cf: float, k: float, lambda_minus: float,
             return False
         t1 = Ck1 * Cf * (1.0 / (lam - lambda_minus - sh1)
                          + 1.0 / (lambda_plus - lam - sh1))
-        if t1 > min(l, 0.5 * (1.0 + L1)):
+        if t1 > l:
             return False
         sh2 = 2.0 * k * Ck * M1 * eps
         if lam - lambda_minus - sh2 <= 0 or lambda_plus - lam - sh2 <= 0:
@@ -1032,7 +1023,6 @@ def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig):
     Dq = 0 exactly (tangency).  Raises NoContractionError when the sweeps
     stop above cfg.tol.
     """
-    h = _grid_step(cfg.T_max, cfg.dt)
     d, n = pieces.d_plus, pieces.dim
     Adiag = sla.block_diag(pieces.A_plus, pieces.A_rest)
     # coupling along the base orbit: full Jacobian minus the frozen blocks
@@ -1043,8 +1033,8 @@ def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig):
     # of the zero orbit, is the quadrature of zero forcing from the identity
     eye = np.eye(d)
     norm = _lp_norm(pieces, cfg)
-    W, _ = _contract(lambda X: _lp_quadrature(pieces, h, eye, X @ AtilT),
-                     np.zeros((len(lp_grid(cfg)), d, n)),
+    W, _ = _contract(lambda X: _lp_quadrature(pieces, cfg.h, eye, X @ AtilT),
+                     np.zeros((len(cfg.times), d, n)),
                      lambda new, old: norm(new - old, split=True),
                      cfg.tol, cfg.max_iter)
     V = W.transpose(0, 2, 1)

@@ -59,8 +59,7 @@ def reference_flow(field, y0, t0: float, t1: float, t_eval=None):
 
 
 def backward_shoot(model, splitting: SpectralSplitting, target_plus,
-                   T: float, tol: float = 1e-9,
-                   max_iter: int = 50) -> ShootingResult:
+                   T: float, tol: float = 1e-9) -> ShootingResult:
     """Manifold value at a base point by shooting from near the equilibrium,
     in the split coordinates y = Binv (u - eq) of the splitting, as lp_solve
     reads them.
@@ -70,7 +69,9 @@ def backward_shoot(model, splitting: SpectralSplitting, target_plus,
     parameters w solved so that the unstable part (Binv (u(0) - eq))[:d_plus]
     hits target_plus.  Exponentially decaying orbits lie on the manifold, so
     the matched complement part (Binv (u(0) - eq))[d_plus:] is the oracle
-    value.  Requires dim X_+ <= 3 and a T that is a positive finite number.
+    value.  Newton stops once the residual is at most tol, within the
+    constant 50 iterations (RuntimeError beyond).  Requires dim X_+ <= 3
+    and a T that is a positive finite number.
     """
     _positive_finite("T", T)
     d_plus = splitting.dim_plus
@@ -96,9 +97,9 @@ def backward_shoot(model, splitting: SpectralSplitting, target_plus,
     it = 0
     while res > tol:
         it += 1
-        if it > max_iter:
+        if it > 50:
             raise RuntimeError(
-                f"shooting Newton failed after {max_iter} iterations "
+                "shooting Newton failed after 50 iterations "
                 f"(residual {res:.3e})")
         J = np.empty((d_plus, d_plus))
         h = 1e-6 * (1.0 + np.linalg.norm(theta))

@@ -301,9 +301,12 @@ def check_tangency():
         res0 = lp_solve(pieces, cfg, np.zeros(d))
         _, Dq0 = lp_variational(res0, pieces, cfg)
         good = np.linalg.norm(Dq0) <= 1e-6
-        # finite differences of the graph at an interior sample
+        # finite differences of the graph at an interior sample, off the
+        # axes as in criterion 06 (on rd2's axis (0.5 eps, 0) h is 0)
         base = np.zeros(d)
         base[0] = 0.5 * cfg.eps
+        if d > 1:
+            base[1] = 0.25 * cfg.eps
         res = lp_solve(pieces, cfg, base)
         _, Dq = lp_variational(res, pieces, cfg)
         step = 1e-4 * max(cfg.eps, 1e-2)

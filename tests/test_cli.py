@@ -794,10 +794,12 @@ def test_derived_defaults_stay_none(monkeypatch, capsys):
     ("--max-iter", "0", "max_iter must be at least 1, got 0"),
     ("--max-iter", "-3", "max_iter must be at least 1, got -3"),
     ("--tol", "-1", "tol must be non-negative, got -1.0"),
-], ids=["0", "-3", "tol-1"])
+    ("--tol", "inf", "tol must be finite, got inf"),
+], ids=["0", "-3", "tol-1", "tol-inf"])
 def test_manifold_refuses_max_iter_below_one(capsys, flag, value, message):
-    # without a sweep every sample would report h = 0 as converged; below
-    # tol = 0 every sample would fail as a numerical failure
+    # without a sweep, or with every increment at most tol = inf, every
+    # sample would report h = 0 as converged; below tol = 0 every sample
+    # would fail as a numerical failure
     code, out, err = run_cli(capsys, "manifold", "--model", "saddle1",
                              "--grid", "5", flag, value)
     assert code == 1
@@ -883,13 +885,13 @@ def test_manifold_refuses_delta_t_before_any_solve(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--dt", "0"], ["--dt", "-0.001"], ["--tol", "-1"],
-], ids=["dt0", "dt-negative", "tol-1"])
+    ["--dt", "0"], ["--dt", "-0.001"], ["--tol", "-1"], ["--tol", "inf"],
+], ids=["dt0", "dt-negative", "tol-1", "tol-inf"])
 def test_picard_refuses_bad_step_and_tol(capsys, argv):
     code, out, err = run_cli(capsys, "picard", "--model", "saddle1", *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

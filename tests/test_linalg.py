@@ -372,14 +372,18 @@ def test_picard_no_contraction_error():
     model = custom_model("blow", lambda u: u * u,
                          lambda u: np.array([[2.0 * u[0]]]), np.zeros(1))
     with pytest.raises(RuntimeError, match="no contraction"):
-        picard_solve(model, np.array([1.0]), 0.999, 1e-3, max_iter=40)
+        picard_solve(model, np.array([1.0]), 0.999, 1e-3)
 
 
 def test_picard_stopping_above_tol_raises():
-    # two sweeps cannot reach 1e-30: the unconverged orbit is refused
-    with pytest.raises(NoContractionError, match="not reached in 2 sweeps"):
-        picard_solve(saddle_toy("saddle1"), np.array([0.1, 0.05]), 0.5, 1e-3,
-                     max_iter=2, tol=1e-30)
+    # v' = -v with the Jacobian given as -1/2: each sweep is the Volterra
+    # map of the kernel e^{-(t-s)/2}/2, whose increments on [0, 60] shrink
+    # too slowly to reach 1e-12 in the 40 sweeps: the unconverged orbit is
+    # refused
+    model = custom_model("slow", lambda u: -u, lambda u: np.array([[-0.5]]),
+                         np.zeros(1))
+    with pytest.raises(NoContractionError, match="not reached in 40 sweeps"):
+        picard_solve(model, np.array([1.0]), 60.0, 1e-2, tol=1e-12)
 
 
 # ------------------------------------------------------- contraction loop
@@ -426,7 +430,8 @@ def test_contract_slow_map_raises_at_max_iter():
     (-1, 1e-6, "max_iter must be at least 1"),
     (60, -1.0, "tol must be non-negative"),
     (60, math.nan, "tol must be non-negative"),
-], ids=["0", "-1", "tol-1", "tol-nan"])
+    (60, math.inf, "tol must be finite, got inf"),
+], ids=["0", "-1", "tol-1", "tol-nan", "tol-inf"])
 def test_contract_refuses_max_iter_below_one(max_iter, tol, message):
     sweep = _counted(lambda x: x / 2)
     with pytest.raises(ValueError, match=message):

@@ -24,7 +24,6 @@ from lpmanifolds.lp import (
     decay_rate_fit,
     invariance_residual,
     lp_apply,
-    lp_grid,
     lp_solve,
     lp_variational,
     quasilinearize,
@@ -106,7 +105,8 @@ def test_split_mmt_remainder_superlinear():
 
 def test_split_field_scales_the_df0_check_with_a0():
     # the 63-mode beta = 1 MMT has ||A0||_F = 3.5e3, and its right
-    # splitting has a roundoff ||Df(0)|| of 3.7e-6 (above an absolute 1e-6)
+    # splitting has a roundoff ||Df(0)|| of 6.7e-6 in split coordinates
+    # (above an absolute 1e-6)
     p = MmtParams(alpha=1.0, beta=1.0, sigma=-1, a=0.8, xi0=1,
                   mode_set=mmt_mode_set(1, 31))
     m = mmt_galerkin(p)
@@ -171,7 +171,7 @@ def test_lp_apply_zero_remainder_is_linear_flow():
     sp = eigen_split(A, 0.5)
     pieces = split_field(m, sp)
     cfg = LpConfig(lam=0.9, T_max=5.0, dt=0.01, eps=1.0, tol=1e-12)
-    times = lp_grid(cfg)
+    times = cfg.times
     Y = np.zeros((len(times), 2))
     Ynew, _ = lp_apply(pieces, cfg, np.array([0.5]), Y)
     assert Ynew[:, 0] == pytest.approx(0.5 * np.exp(times), abs=1e-12)
@@ -544,7 +544,7 @@ def test_lp_sweeps_reuse_the_scan_plans(monkeypatch):
     monkeypatch.setattr(linalg, "scan_plan", counting)
     monkeypatch.setattr(linalg, "_plan", counting_ends)
     calls = _route_spy(monkeypatch)
-    m = len(lp_grid(CFG1))
+    m = len(CFG1.times)
     Y = np.zeros((m, pieces.dim))
     Y, _ = lp_apply(pieces, CFG1, np.array([0.1]), Y)
     assert built == [(1, 1), (1, 1)]
@@ -561,7 +561,8 @@ def test_split_pieces_replace_starts_a_fresh_cache():
     _, _, pieces = saddle1_pieces()
     plan_m = pieces.propagators(0.01)[0]
     assert plan_m.E[0, 0] == pytest.approx(math.exp(-0.01), rel=1e-14)
-    twice = dataclasses.replace(pieces, A_plus=2 * pieces.A_plus)
+    # A0 = diag(1, -1) doubled: replace derives A_plus = 2 again
+    twice = dataclasses.replace(pieces, A0=2 * pieces.A0)
     assert twice.propagators(0.01)[0].E[0, 0] == pytest.approx(
         math.exp(-0.02), rel=1e-14)
     # the original keeps its own
@@ -587,6 +588,34 @@ def test_split_pieces_derive_their_transposes_and_rest_row():
     assert sorted(k[0] for k in pieces._cache) == ["crest", "plans"]
 
 
+def test_split_pieces_replace_rederives_the_splitting_arrays():
+    # rd2 split at gap 1.5 has one unstable direction, at gap 0.5 two: the
+    # pieces of the other splitting take its B, Binv and d_plus and the
+    # blocks of its own product Binv A0 B, the values split_field gives
+    m, _, pieces = rd_pieces(2.0, 6, gap=0.5)
+    other = eigen_split(pieces.A0, 1.5)
+    moved = dataclasses.replace(pieces, splitting=other)
+    fresh = split_field(m, other)
+    assert (pieces.d_plus, moved.d_plus) == (2, 1)
+    assert moved.B is other.B and moved.Binv is other.Binv
+    for name in ("A_plus", "A_rest", "_BT", "_BinvT", "_rest"):
+        assert np.array_equal(getattr(moved, name), getattr(fresh, name))
+    Ahat = other.Binv @ pieces.A0 @ other.B
+    assert np.array_equal(moved.A_plus, Ahat[:1, :1])
+    assert np.array_equal(moved.A_rest, Ahat[1:, 1:])
+
+
+def test_split_pieces_refuse_a_foreign_splitting():
+    # the splitting of [[1, 0], [1, -1]] does not block-diagonalize
+    # saddle1's A0 = diag(1, -1): refused however the pieces are made
+    _, _, pieces = saddle1_pieces()
+    foreign = eigen_split(np.array([[1.0, 0.0], [1.0, -1.0]]), 0.5)
+    with pytest.raises(ValueError, match="does not block-diagonalize"):
+        dataclasses.replace(pieces, splitting=foreign)
+    with pytest.raises(ValueError, match="does not block-diagonalize"):
+        lp.SplitPieces(pieces.model, foreign, pieces.A0, pieces.F0)
+
+
 def _phi_loop_matrices(pieces, h):
     """(Em, psi1, psi1 - psi2) of -A_plus and (Ep, phi1, phi2) of A_rest:
     the phi matrices the reference loops step with."""
@@ -597,7 +626,7 @@ def _phi_loop_matrices(pieces, h):
 def _lp_apply_loop(pieces, cfg, v0_plus, Y):
     """Reference for the autonomous lp_apply: the node-by-node recurrences."""
     g = pieces.f_split(Y)
-    times = lp_grid(cfg)
+    times = cfg.times
     m, h, d = len(times), times[1] - times[0], pieces.d_plus
     gp, gr = g[:, :d], g[:, d:]
     Em, p1m, p12m, Ep, p1p, p2p = _phi_loop_matrices(pieces, h)
@@ -629,7 +658,7 @@ def test_lp_apply_matches_loop_reference(which):
         v0 = np.array([0.03, 0.0])
     # two sweeps from the zero orbit give an orbit with forcing in every
     # coordinate; apply the scan and the loop to it
-    Y = np.zeros((len(lp_grid(cfg)), pieces.dim))
+    Y = np.zeros((len(cfg.times), pieces.dim))
     for _ in range(2):
         Y, _ = lp_apply(pieces, cfg, v0, Y)
     got, _ = lp_apply(pieces, cfg, v0, Y)
@@ -713,7 +742,7 @@ def test_variational_matches_forcing_formula(which, monkeypatch):
 def test_lp_apply_first_and_second_iterate_saddle1():
     _, _, pieces = saddle1_pieces()
     cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.005, eps=0.2, tol=1e-12)
-    times = lp_grid(cfg)
+    times = cfg.times
     x0 = 0.1
     Y = np.zeros((len(times), 2))
     Y1, _ = lp_apply(pieces, cfg, np.array([x0]), Y)
@@ -778,6 +807,41 @@ def test_lp_config_refuses_max_iter_below_one(max_iter, tol, message):
 
 def test_lp_config_allows_zero_tol():
     assert LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.12, tol=0.0).tol == 0
+
+
+@pytest.mark.parametrize("T_max, dt", [(20.0, 0.01), (16.0, 0.005),
+                                        (12.0 / 1.37, 0.005), (1.0, 0.3)])
+def test_lp_config_owns_its_grid(T_max, dt):
+    cfg = LpConfig(lam=0.9, T_max=T_max, dt=dt, eps=0.1)
+    want = np.linspace(-T_max, 0.0, int(round(T_max / dt)) + 1)
+    assert np.array_equal(cfg.times, want)
+    assert cfg.h == want[1] - want[0] and type(cfg.h) is float
+    # built once, and read-only
+    assert cfg.times is cfg.times
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.times[0] = 1.0
+    # a replaced config has its own grid; the original keeps its own
+    finer = dataclasses.replace(cfg, dt=0.5 * dt)
+    assert np.array_equal(finer.times, np.linspace(
+        -T_max, 0.0, int(round(T_max / (0.5 * dt))) + 1))
+    assert len(finer.times) > len(cfg.times)
+    assert np.array_equal(cfg.times, want)
+
+
+def test_lp_config_fields_cannot_be_assigned():
+    cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.12)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.dt = 0.005
+    assert len(cfg.times) == 2001
+
+
+def test_lp_solve_orbit_times_are_a_writable_copy_of_the_grid():
+    _, _, pieces = saddle1_pieces()
+    cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.01, eps=0.12, tol=1e-10)
+    res = lp_solve(pieces, cfg, np.array([0.05]))
+    assert np.array_equal(res.orbit.times, cfg.times)
+    assert res.orbit.times.flags.writeable
+    assert not np.shares_memory(res.orbit.times, cfg.times)
 
 
 def _coupled_saddle():
@@ -949,11 +1013,14 @@ def test_decay_fit_matches_lstsq_on_noisy_lines(seed):
     states = np.exp(logs)[:, None] * direction / np.linalg.norm(direction)
     ladder = NormLadder(dim, lambda i, r: (1.0 + i) ** r)
     r = float(rng.uniform(0.0, 2.0))
-    floor = float(np.quantile(np.exp(logs), 0.1))
-    slope, r2 = decay_rate_fit(OrbitGrid(times, states), ladder, r, floor)
+    # about a tenth of the nodes below the fit's floor, 1e-12
+    states *= 1e-12 / np.quantile(
+        np.linalg.norm(states * ladder.weights(r), axis=1), 0.1)
+    slope, r2 = decay_rate_fit(OrbitGrid(times, states), ladder, r)
 
     norms = np.linalg.norm(states * ladder.weights(r), axis=1)
-    keep = norms > floor
+    keep = norms > 1e-12
+    assert 0 < (~keep).sum() < n - 10
     t, y = times[keep], np.log(norms[keep])
     A = np.vstack([t, np.ones_like(t)]).T
     coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -1321,7 +1388,7 @@ def test_linear_first_sweep_makes_no_field_call():
     # residual sweep included); split_field took the one row of F(eq)
     pieces, rows = _counted_saddle1()
     cfg = LpConfig(lam=0.9, T_max=10.0, dt=0.01, eps=0.12, tol=1e-10)
-    m = len(lp_grid(cfg))
+    m = len(cfg.times)
     rows.clear()
     k = len(lp._lp_fixed_point(pieces, cfg, np.array([0.1]))[1])
     assert k >= 3
@@ -1361,7 +1428,7 @@ def test_linear_first_sweep_is_the_sweep_of_the_zero_orbit(which,
     pieces, cfg, base = _fixed_point_case(which)
     rests = not np.any(pieces.F0)
     assert rests == (which != "mmt7")
-    Y0 = np.zeros((len(lp_grid(cfg)), pieces.dim))
+    Y0 = np.zeros((len(cfg.times), pieces.dim))
     want, _ = lp_apply(pieces, cfg, base, Y0)
     counted, rows = _row_counted(pieces)
     applied = []
@@ -1405,7 +1472,7 @@ def test_mmt7_solve_evaluates_k_m_rows():
     assert np.any(pieces.F0)
     counted, rows = _row_counted(pieces)
     res = lp_solve(counted, cfg, base)
-    k, m = res.diagnostics["iterations"], len(lp_grid(cfg))
+    k, m = res.diagnostics["iterations"], len(cfg.times)
     assert k >= 3
     assert rows == [m] * k
     want = lp_solve(pieces, cfg, base)
@@ -1420,8 +1487,8 @@ def _ambient_reference_solve(pieces, cfg, v0):
     sweep's inputs and the orbit form the product again.  The tail bound
     comes from the residual sweep's remainder at -T_max, the fixed point's.
     Returns the fields of LpResult that lp_solve must match bit for bit."""
-    times = lp_grid(cfg)
-    h = lp._grid_step(cfg.T_max, cfg.dt)
+    times = cfg.times
+    h = times[1] - times[0]
     BT = np.ascontiguousarray(pieces.B.T)
     w = pieces.model.ladder.weights(cfg.r - 1.0)
     decay = np.exp(-cfg.lam * times)
@@ -1446,7 +1513,8 @@ def _ambient_reference_solve(pieces, cfg, v0):
     D = g[2:] - 2 * g[1:-1] + g[:-2]
     quad = float(h * np.sqrt(np.einsum("ij,ij->i", D, D)).sum() / 12.0)
     return {"h_value": Y[-1, pieces.d_plus:], "Y": Y,
-            "orbit": pieces.to_ambient(Y), "iterations": k,
+            "orbit": Y @ pieces._BT + pieces.model.equilibrium,
+            "iterations": k,
             "fp_residual": weighted((Ychk - Y) @ np.ascontiguousarray(
                 pieces.B.T * w)),
             "error_budget": cfg.tol + tail + quad}
@@ -1494,12 +1562,12 @@ def test_lp_apply_forms_the_ambient_image_it_is_not_given(which):
 @pytest.mark.parametrize("which", ["saddle1", "mmt7"])
 def test_lp_solve_orbit_is_to_ambient(which):
     # the orbit comes from the ambient image the sweeps carried, plus the
-    # equilibrium, with the bits of to_ambient: signed zeros too (saddle1
-    # rests at eq = 0, where to_ambient's + 0 clears the sign of a -0)
+    # equilibrium, with the bits of Y B^T + eq: signed zeros too (saddle1
+    # rests at eq = 0, where the + 0 clears the sign of a -0)
     pieces, cfg, base = _fixed_point_case(which)
     assert np.any(pieces.model.equilibrium) == (which == "mmt7")
     res = lp_solve(pieces, cfg, base)
-    want = pieces.to_ambient(res.Y)
+    want = res.Y @ pieces._BT + pieces.model.equilibrium
     assert np.array_equal(res.orbit.states, want)
     assert np.array_equal(np.signbit(res.orbit.states), np.signbit(want))
 
@@ -1512,8 +1580,8 @@ def test_variational_starts_from_the_linear_flow(which, monkeypatch):
     pieces, cfg, base = _fixed_point_case(which)
     res = lp_solve(pieces, cfg, base)
     V_ref, Dq_ref = lp_variational(res, pieces, cfg)
-    d, m = pieces.d_plus, len(lp_grid(cfg))
-    h = lp._grid_step(cfg.T_max, cfg.dt)
+    d, m = pieces.d_plus, len(cfg.times)
+    h = cfg.h
     calls = []
     real = lp._lp_quadrature
 
@@ -1528,7 +1596,7 @@ def test_variational_starts_from_the_linear_flow(which, monkeypatch):
     assert g.shape == (m, d, pieces.dim) and not np.any(g)
     assert np.all(flow[:, :, d:] == 0.0)
     assert not np.any(np.signbit(flow[:, :, d:]))
-    times = lp_grid(cfg)
+    times = cfg.times
     for j in (0, m // 2, m - 1):
         want = sla.expm(times[j] * pieces.A_plus).T
         # the steps' rounding accumulates over the m - 1 scan steps
@@ -1669,7 +1737,7 @@ def test_variational_increments_are_lp_norm_of_ambient_change(r, monkeypatch):
     lp_variational(res, pieces, cfg)
     assert len(recorded) >= 3 and recorded[-1] <= cfg.tol
     assert not np.any(iterates[0])
-    decay = np.exp(-cfg.lam * lp_grid(cfg))
+    decay = np.exp(-cfg.lam * cfg.times)
     apart = 0.0
     for inc, new, old in zip(recorded, iterates[1:], iterates):
         amb = ((new - old) @ pieces.B.T) * w
@@ -1839,7 +1907,7 @@ def test_quasilinear_solve_reuses_field_for_trajectory_residual():
     pieces = dataclasses.replace(q.pieces, model=tmodel,
                                  frozen_along=counted)
     res = lp_solve(pieces, cfg, np.array([0.06]))
-    nodes = len(lp_grid(cfg))
+    nodes = len(cfg.times)
     assert nodes == 2001
     # one inversion per node for each iteration sweep and for the residual
     # sweep
@@ -2060,9 +2128,11 @@ def test_warm_inversion_follows_every_row():
         near = np.linalg.norm(q.bmap(start[0]) - Y @ q.pieces.B.T,
                               axis=1) <= 1e-12
         U, FU, J = _frozen(q.pieces, Y, start)[3]
-        ref = quasilinearize(m, sp, omega_plus=1.0, omega_minus=-1.0,
-                             newton_tol=1e-15 * scale)
-        err = np.linalg.norm(U - ref.invert_B(Y @ q.pieces.B.T), axis=1)
+        # the shifts omega_plus - 1 and omega_minus + 1
+        ref = np.array([_invert_B_loop(m, sp, (0.0, 0.0), v,
+                                       tol=1e-15 * scale)
+                        for v in Y @ q.pieces.B.T])
+        err = np.linalg.norm(U - ref, axis=1)
         close += near.sum()
         assert np.all(err <= 1e-12)
         assert np.all(err[near] <= 1e-14 * scale)

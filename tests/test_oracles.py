@@ -93,8 +93,8 @@ def test_fd_jacobian_refuses_empty_state():
 
 
 def test_split_field_makes_no_single_state_call_at_equilibrium():
-    # the Df(0) check differences F at eq +- h e_j only; F(eq) itself comes
-    # from one batch call
+    # the Df(0) check differences F at eq +- h B e_j only; F(eq) itself
+    # comes from one batch call
     model = saddle_toy("saddle1")
     field, eq = model.vector_field, model.equilibrium
     at_eq = []

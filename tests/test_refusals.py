@@ -9,8 +9,10 @@ import pytest
 
 from lpmanifolds import verify
 from lpmanifolds.graded import NormLadder, OrbitGrid, as_state, graded_norm
-from lpmanifolds.linalg import LyapunovForm, eigen_split, scan_plan
-from lpmanifolds.lp import (LpConfig, contraction_budget, decay_rate_fit,
+from lpmanifolds.linalg import (LyapunovForm, eigen_split, picard_solve,
+                                scan_plan)
+from lpmanifolds.lp import (LpConfig, build_manifold_graph,
+                            contraction_budget, decay_rate_fit,
                             quasilinearize, split_field)
 from lpmanifolds.models import (
     MmtParams,
@@ -46,6 +48,15 @@ def _foreign_split():
 def _lp_config(**kw):
     return LpConfig(**{"lam": 0.9, "T_max": 20.0, "dt": 0.01, "eps": 0.12,
                        **kw})
+
+
+def _wide_base_points():
+    # saddle1 has one unstable direction: rows of 5 are refused before any
+    # sample, not failed one by one
+    m = saddle_toy("saddle1")
+    build_manifold_graph(
+        split_field(m, eigen_split(m.jacobian(m.equilibrium), 0.5)),
+        _lp_config(), grid_spec=np.zeros((3, 5)))
 
 
 def _decay_fit(r):
@@ -151,6 +162,16 @@ CASES = {
                                       "max_iter must be an integer, got 2.5"),
     "lp_config-nan-r": (lambda: _lp_config(r=math.nan),
                         "r must be a finite number of at least 1, got nan"),
+    "lp_config-inf-tol": (lambda: _lp_config(tol=math.inf),
+                          "tol must be finite, got inf"),
+    "picard_solve-inf-tol": (
+        lambda: picard_solve(saddle_toy("saddle1"), np.array([0.1, 0.0]),
+                             0.5, 1e-3, tol=math.inf),
+        "tol must be finite, got inf"),
+    "build_manifold_graph-wide-base-points": (
+        _wide_base_points,
+        r"base points must form an array of shape \(samples, 1\), got "
+        r"shape \(3, 5\)"),
     "lp_config-r-below-1": (
         lambda: _lp_config(r=0.5),
         "r must be a finite number of at least 1, got 0.5"),
