@@ -26,8 +26,7 @@ from .graded import (NormLadder, OrbitGrid, _row_norms,
 from .linalg import (NoContractionError, SpectralSplitting, _check_stopping,
                      _contract, _contraction_factor, _positive_finite,
                      _scan_into, integrate_rk4, rk4_affine, scan_plan)
-from .models import ModelSystem, _per_row, _states
-from .oracles import finite_difference_jacobian
+from .models import ModelSystem, _states
 
 __all__ = [
     "NoContractionError",
@@ -113,7 +112,7 @@ def _phi_matrices(A: np.ndarray, h: float):
     return E[:d, :d], E[:d, d:2 * d], E[:d, 2 * d:]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitPieces:
     """Block-diagonal linear parts and the superlinear remainder.
 
@@ -125,14 +124,15 @@ class SplitPieces:
     the values its inversion starts from).  sweep_inputs is the one method
     that reads the route: fixed blocks A_plus, A_rest on the autonomous
     split, node blocks from frozen_along on the quasilinear route.
-    __post_init__ derives the rest, and dataclasses.replace derives it
-    again: B, Binv and d_plus are the splitting's; A_plus and A_rest are
-    the diagonal blocks of Binv A0 B, whose other blocks must be within
-    1e-8 max(||A0||_F, 1) of 0 (ValueError otherwise); _BT, _A0T and _BinvT
-    are the contiguous transposes the row products take (a transposed view
-    takes NumPy's slower strided path); _rest is f_split of the equilibrium
-    on the autonomous split, the forcing of every node in the first sweep
-    of the zero orbit.  The cache holds the scan plans and growth
+    The value is frozen.  __post_init__ derives the rest, and
+    dataclasses.replace derives it again: B, Binv and d_plus are the
+    splitting's; A_plus and A_rest are the diagonal blocks of Binv A0 B,
+    whose other blocks must be within 1e-8 max(||A0||_F, 1) of 0
+    (ValueError otherwise); _BT, _A0T and _BinvT are the contiguous
+    transposes the row products take (a transposed view takes NumPy's
+    slower strided path); _rest is f_split of the equilibrium on the
+    autonomous split, the forcing of every node in the first sweep of the
+    zero orbit.  The cache holds the scan plans and growth
     constants, one per step or horizon; it is not a field of the
     constructor, so replace starts a fresh one.
     """
@@ -148,22 +148,25 @@ class SplitPieces:
                          compare=False)
 
     def __post_init__(self):
-        self.B, self.Binv = self.splitting.B, self.splitting.Binv
-        d = self.d_plus = self.splitting.dim_plus
-        Ahat = self.Binv @ self.A0 @ self.B
-        if 0 < d < self.B.shape[0]:
+        sp, d = self.splitting, self.splitting.dim_plus
+        Ahat = sp.Binv @ self.A0 @ sp.B
+        if 0 < d < sp.B.shape[0]:
             off = max(np.linalg.norm(Ahat[:d, d:]),
                       np.linalg.norm(Ahat[d:, :d]))
             if off > 1e-8 * max(np.linalg.norm(self.A0), 1.0):
                 raise ValueError("splitting does not block-diagonalize A(0)")
-        self.A_plus, self.A_rest = Ahat[:d, :d], Ahat[d:, d:]
-        self._BT, self._A0T, self._BinvT = (
-            np.ascontiguousarray(a.T) for a in (self.B, self.A0, self.Binv))
+        c = np.ascontiguousarray
+        for name, value in dict(
+                B=sp.B, Binv=sp.Binv, d_plus=d, A_plus=Ahat[:d, :d],
+                A_rest=Ahat[d:, d:], _BT=c(sp.B.T), _A0T=c(self.A0.T),
+                _BinvT=c(sp.Binv.T)).items():
+            object.__setattr__(self, name, value)
         # f_split of the equilibrium from F0, on two copies of the row: one
         # row goes to gemv, whose sums round otherwise than a grid's gemm,
         # and the first sweep must keep the bits of a grid's evaluation
         two = np.repeat(self.F0[None], 2, axis=0)
-        self._rest = self._remainder(np.zeros_like(two), two)[0]
+        object.__setattr__(self, "_rest",
+                           self._remainder(np.zeros_like(two), two)[0])
 
     @property
     def autonomous(self) -> bool:
@@ -271,12 +274,14 @@ def split_field(model: ModelSystem, splitting: SpectralSplitting
 
 
 def reversed_model(model: ModelSystem) -> ModelSystem:
-    """Time-reversed system; its unstable manifold is the stable manifold."""
+    """Time-reversed system; its unstable manifold is the stable manifold.
+    u' = -F(u) conserves what u' = F(u) conserves, so the energy is kept."""
     return ModelSystem(
         name=model.name + "_reversed",
         vector_field=lambda u: -model.vector_field(u),
         jacobian=lambda u: -model.jacobian(u),
-        equilibrium=model.equilibrium, ladder=model.ladder)
+        equilibrium=model.equilibrium, ladder=model.ladder,
+        energy=model.energy)
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +356,13 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         Fu = model.field_many(eq + U)
         return bvals(U, Fu), Fu
 
-    def db_of(J):
-        """DB(u) from the Jacobians J = DF(eq + u), one per leading index."""
-        return J - CS
-
     # the transformed system keeps the original projections; its blocks are
     # the diagonal blocks of the full state-dependent Jacobian
     base = split_field(model, splitting)
     # the model at u = 0, where a cold inversion starts
     J0 = base.A0
     F0 = base.F0[None]
-    DB0 = db_of(J0)
-    cond = float(np.linalg.cond(DB0))
+    cond = float(np.linalg.cond(J0 - CS))
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError(
             f"DB(0) numerically singular (condition number {cond:.3e}): "
@@ -377,8 +377,8 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         same rows, or from u = 0 with the model values taken at setup.  The
         start is consumed: its arrays are updated in place and returned, so
         a sweep holds one (m, n, n) Jacobian stack, not two.  The starting
-        residual comes from the carried field, and a row's DF is
-        taken again only once its U has moved.  Every row with a nonzero
+        residual comes from the carried field, and a row's DF is taken
+        again where a step of that row is accepted.  Every row with a nonzero
         residual takes at least one full step: a row that starts within
         newton_tol of its state, but far from it relative to its own size
         (the tiny rows near t = -T_max), must not keep the start, since the
@@ -397,18 +397,13 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
             if U.shape != V.shape:
                 raise ValueError(
                     f"start state has {len(U)} rows for {len(V)} states")
-        stale = np.zeros(len(V), dtype=bool)
         res = bvals(U, FU) - V
         rnorm = np.linalg.norm(res, axis=1)
         act = np.flatnonzero(rnorm > 0.0)
         for _ in range(60):
             if act.size == 0:
                 break
-            moved = act[stale[act]]
-            if moved.size:
-                J[moved] = model.jacobian(eq + U[moved])
-                stale[moved] = False
-            step = np.linalg.solve(db_of(J[act]),
+            step = np.linalg.solve(J[act] - CS,
                                    -res[act][:, :, None])[:, :, 0]
             lam = 1.0
             while act.size:
@@ -424,7 +419,8 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
                 done = act[ok]
                 U[done], res[done], rnorm[done] = cand[ok], rc[ok], rcn[ok]
                 FU[done] = fc[ok]
-                stale[done] = True
+                if done.size:
+                    J[done] = model.jacobian(eq + U[done])
                 halve = ~ok & (rnorm[act] > newton_tol)
                 act, step = act[halve], step[halve]
                 lam *= 0.5
@@ -432,9 +428,6 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         if np.any(rnorm > newton_tol):
             raise RuntimeError(
                 f"Newton failed inverting B (residual {rnorm.max():.3e})")
-        moved = np.flatnonzero(stale)
-        if moved.size:
-            J[moved] = model.jacobian(eq + U[moved])
         return U, FU, J
 
     def invert_B(V):
@@ -463,16 +456,21 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     def G(V):
         return transformed_field(_invert(V)).reshape(np.shape(V))
 
-    def G_jac(v):
-        # DG(0) = DB(0) A(0) DB(0)^-1 is A(0): CS is built from the spectral
-        # projectors of A(0), so DB(0) = A(0) - CS commutes with it
-        if np.linalg.norm(v) < 1e-14:
-            return J0
-        return finite_difference_jacobian(G, v, 1e-6)
+    def G_jac(V):
+        # central differences of G, step 1e-6, on all 2n shifted copies of
+        # each state at once; DG(0) = DB(0) A(0) DB(0)^-1 is A(0), kept exact:
+        # CS is built from the spectral projectors of A(0), so DB(0) = A(0) -
+        # CS commutes with it
+        V = _states(V, n)
+        E = 1e-6 * np.eye(n)
+        Gs = G(np.concatenate([V[..., None, :] + E, V[..., None, :] - E],
+                              axis=-2))
+        DG = np.swapaxes((Gs[..., :n, :] - Gs[..., n:, :]) / 2e-6, -1, -2)
+        at0 = np.linalg.norm(V, axis=-1) < 1e-14
+        return np.where(at0[..., None, None], J0, DG)
 
-    name = model.name + "_quasilinearized"
-    tmodel = ModelSystem(name=name, vector_field=G,
-                         jacobian=_per_row(G_jac, n, (n, n), name),
+    tmodel = ModelSystem(name=model.name + "_quasilinearized",
+                         vector_field=G, jacobian=G_jac,
                          equilibrium=np.zeros(n), ladder=model.ladder)
 
     def frozen_along(Y, BY, state=None):

@@ -10,6 +10,7 @@ Tolerances are fixed here, not calibrated at runtime.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -82,10 +83,21 @@ def setup_rd(lam_param, gap, lam, eps=0.08):
         lam=lam, T_max=40.0, dt=0.01, eps=eps, tol=1e-10))
 
 
+def _mmt_plane_wave(half_width):
+    """The CLI's default MMT parameters, the focusing plane wave at xi0 = 0,
+    on the modes -half_width..half_width."""
+    return MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
+                     mode_set=mmt_mode_set(0, half_width))
+
+
+def _mmt_beta1(half_width):
+    """The defocusing beta = 1 family at xi0 = 2 of criteria 03 and 05."""
+    return MmtParams(alpha=1.0, beta=1.0, sigma=1, a=1.0, xi0=2,
+                     mode_set=mmt_mode_set(2, half_width))
+
+
 def setup_mmt():
-    p = MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
-                  mode_set=mmt_mode_set(0, 3))
-    return _setup(mmt_galerkin(p), 0.5, lambda sp: LpConfig(
+    return _setup(mmt_galerkin(_mmt_plane_wave(3)), 0.5, lambda sp: LpConfig(
         lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus, dt=0.005,
         eps=0.05, tol=1e-9))
 
@@ -110,6 +122,28 @@ def _per_model(check) -> tuple[bool, str]:
     """_all_pass of check(name, model, splitting, pieces, cfg) over the
     setups of ALL_MODELS."""
     return _all_pass(check(name, *setup()) for name, setup in ALL_MODELS)
+
+
+def _interior_base(d, eps, fractions=(0.5, 0.25)):
+    """The interior base point of criteria 06, 08 and 09: fractions of eps
+    on the first unstable coordinates, as many as d has, and 0 on the rest.
+    The default is off the axes (on rd2's axis (0.5 eps, 0) h is 0)."""
+    base = np.zeros(d)
+    base[:len(fractions)] = np.multiply(fractions[:d], eps)
+    return base
+
+
+def _flow_models():
+    """(name, model, Picard start amplitude, (amplitude, T) of the
+    variational check or None to skip it) for the flows of criteria 12 and
+    13."""
+    return [
+        ("saddle1", saddle_toy("saddle1"), 0.1, (0.1, 1.0)),
+        ("saddle2", saddle_toy("saddle2"), 0.1, (0.1, 1.0)),
+        ("rd0.5", reaction_diffusion(0.5, 5), 0.08, None),
+        ("rd2", reaction_diffusion(2.0, 5), 0.08, (0.05, 1.0)),
+        ("mmt", mmt_galerkin(_mmt_plane_wave(2)), 0.05, (0.05, 0.5)),
+    ]
 
 
 # ------------------------------------------------------------------ criteria
@@ -138,7 +172,7 @@ def check_oracle_equivalence():
         ("saddle2", setup_saddle2_unstable, [-0.15, 0.1, 0.15], 8.0, 1e-11),
         ("rd0.5", lambda: setup_rd(0.5, 0.25, 0.4, eps=0.06),
          [-0.05, 0.03, 0.05], 35.0, 1e-11),
-        ("rd2", lambda: setup_rd(2.0, 0.5, 0.8),
+        ("rd2", dict(ALL_MODELS)["rd2"],
          [(0.05, 0.04), (-0.04, 0.02), (0.02, -0.05)], 25.0, 1e-11),
         ("mmt", setup_mmt, [(0.045, 0.0), (0.02, 0.03), (0.0, -0.04)],
          10.0, 1e-9),
@@ -190,10 +224,7 @@ def check_mmt_block_consistency():
         draws += 1
     # pairwise block-diagonality of the full Galerkin Jacobian
     worst_off = 0.0
-    for p in (MmtParams(alpha=1.0, beta=1.0, sigma=1, a=1.0, xi0=2,
-                        mode_set=mmt_mode_set(2, 3)),
-              MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
-                        mode_set=mmt_mode_set(0, 3))):
+    for p in (_mmt_beta1(3), _mmt_plane_wave(3)):
         m = mmt_galerkin(p)
         J = m.jacobian(m.equilibrium)
         modes = list(p.mode_set)
@@ -235,12 +266,10 @@ def check_lyapunov_identity():
 
 def check_hamiltonian_spectral_symmetry():
     worst = 0.0
-    for p in (MmtParams(alpha=1.0, beta=1.0, sigma=1, a=1.0, xi0=2,
-                        mode_set=mmt_mode_set(2, 15)),      # 31 modes
+    for p in (_mmt_beta1(15),      # 31 modes
               MmtParams(alpha=0.75, beta=0.5, sigma=-1, a=0.8, xi0=1,
                         mode_set=mmt_mode_set(1, 15)),
-              MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
-                        mode_set=mmt_mode_set(0, 15))):
+              _mmt_plane_wave(15)):
         m = mmt_galerkin(p)
         rep = hamiltonian_symmetry_check(m.jacobian(m.equilibrium))
         worst = max(worst, rep["worst"])
@@ -251,12 +280,7 @@ def check_hamiltonian_spectral_symmetry():
 
 def check_decay_rate_window():
     def one(name, model, sp, pieces, cfg):
-        d = pieces.d_plus
-        base = np.zeros(d)
-        base[0] = 0.5 * cfg.eps
-        if d > 1:
-            base[1] = 0.25 * cfg.eps
-        res = lp_solve(pieces, cfg, base)
+        res = lp_solve(pieces, cfg, _interior_base(pieces.d_plus, cfg.eps))
         dev = OrbitGrid(res.orbit.times,
                         res.orbit.states - model.equilibrium)
         lam_fit, r2 = decay_rate_fit(dev, model.ladder, cfg.r)
@@ -301,12 +325,8 @@ def check_tangency():
         res0 = lp_solve(pieces, cfg, np.zeros(d))
         _, Dq0 = lp_variational(res0, pieces, cfg)
         good = np.linalg.norm(Dq0) <= 1e-6
-        # finite differences of the graph at an interior sample, off the
-        # axes as in criterion 06 (on rd2's axis (0.5 eps, 0) h is 0)
-        base = np.zeros(d)
-        base[0] = 0.5 * cfg.eps
-        if d > 1:
-            base[1] = 0.25 * cfg.eps
+        # finite differences of the graph at criterion 06's base point
+        base = _interior_base(d, cfg.eps)
         res = lp_solve(pieces, cfg, base)
         _, Dq = lp_variational(res, pieces, cfg)
         step = 1e-4 * max(cfg.eps, 1e-2)
@@ -329,22 +349,15 @@ def check_tangency():
 
 def check_parameter_robustness():
     def one(name, model, sp, pieces, cfg):
-        d = pieces.d_plus
-        base = np.zeros(d)
-        base[0] = 0.4 * cfg.eps
+        base = _interior_base(pieces.d_plus, cfg.eps, (0.4,))
         g = sp.realized_gap
         lam0 = sp.rest_max_re + 0.5 * g
-        cfg0 = LpConfig(lam=lam0, T_max=cfg.T_max, dt=cfg.dt, eps=cfg.eps,
-                        tol=cfg.tol)
+        cfg0 = replace(cfg, lam=lam0)
         h0 = lp_solve(pieces, cfg0, base).h_value
         worst = 0.0
-        for variant in (
-                LpConfig(lam=lam0, T_max=2 * cfg.T_max, dt=cfg.dt,
-                         eps=cfg.eps, tol=cfg.tol),
-                LpConfig(lam=lam0 + 0.2 * g, T_max=cfg.T_max, dt=cfg.dt,
-                         eps=cfg.eps, tol=cfg.tol),
-                LpConfig(lam=lam0 - 0.2 * g, T_max=cfg.T_max, dt=cfg.dt,
-                         eps=cfg.eps, tol=cfg.tol)):
+        for variant in (replace(cfg0, T_max=2 * cfg.T_max),
+                        replace(cfg0, lam=lam0 + 0.2 * g),
+                        replace(cfg0, lam=lam0 - 0.2 * g)):
             h1 = lp_solve(pieces, variant, base).h_value
             worst = max(worst, float(np.abs(h1 - h0).max()))
         # 10x tol plus the shared quadrature budget: the dt-level error is
@@ -412,16 +425,6 @@ def check_waterwave_criteria():
 
 
 def check_picard_integrator():
-    cases = [
-        ("saddle1", saddle_toy("saddle1"), 0.1),
-        ("saddle2", saddle_toy("saddle2"), 0.1),
-        ("rd0.5", reaction_diffusion(0.5, 5), 0.08),
-        ("rd2", reaction_diffusion(2.0, 5), 0.08),
-        ("mmt", mmt_galerkin(MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2,
-                                       xi0=0, mode_set=mmt_mode_set(0, 2))),
-         0.05),
-    ]
-
     def one(name, model, amp):
         v0 = model.equilibrium.copy()
         v0[0] += amp
@@ -432,19 +435,11 @@ def check_picard_integrator():
         return good, (f"{name}: diff {diff:.1e}, "
                       f"factor {diag['contraction_factor']:.2e}")
 
-    return _all_pass(one(*case) for case in cases)
+    return _all_pass(one(name, model, amp)
+                     for name, model, amp, _ in _flow_models())
 
 
 def check_variational_flow():
-    cases = [
-        ("saddle1", saddle_toy("saddle1"), 0.1, 1.0),
-        ("saddle2", saddle_toy("saddle2"), 0.1, 1.0),
-        ("rd2", reaction_diffusion(2.0, 5), 0.05, 1.0),
-        ("mmt", mmt_galerkin(MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2,
-                                       xi0=0, mode_set=mmt_mode_set(0, 2))),
-         0.05, 0.5),
-    ]
-
     def one(name, model, amp, T):
         u0 = model.equilibrium.copy()
         u0[0] += amp
@@ -467,7 +462,8 @@ def check_variational_flow():
                                      / max(np.linalg.norm(fd), 1e-9)))
         return worst <= 1e-3, f"{name}: rel {worst:.1e}"
 
-    return _all_pass(one(*case) for case in cases)
+    return _all_pass(one(name, model, *var)
+                     for name, model, _, var in _flow_models() if var)
 
 
 # ----------------------------------------------------------- structural checks
@@ -489,7 +485,7 @@ def check_projector_algebra():
     worst = 0.0
     for model, gap in ((saddle_toy("saddle1"), 0.5),
                        (reaction_diffusion(0.5, 5), 0.25),
-                       (setup_mmt()[0], 0.5)):
+                       (mmt_galerkin(_mmt_plane_wave(3)), 0.5)):
         A = model.jacobian(model.equilibrium)
         sp = eigen_split(A, gap)
         # the spectral projectors of the split coordinates y = Binv (u - eq)

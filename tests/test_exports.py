@@ -67,6 +67,28 @@ def test_every_private_helper_is_used():
     assert unused == []
 
 
+def test_every_imported_name_is_used():
+    # a name that a module binds by a module-level import is read in that
+    # module or listed in its __all__; the package's __init__, which only
+    # re-exports, is exempt
+    unused = []
+    for name in MODULES:
+        path = Path(lpmanifolds.__file__).parent / f"{name}.py"
+        tree = ast.parse(path.read_text())
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)}
+        exported = set(getattr(importlib.import_module(f"lpmanifolds.{name}"),
+                               "__all__", ()))
+        unused += [f"{name}: {bound}" for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   for bound in [alias.asname or alias.name.split(".")[0]]
+                   if bound not in reads | exported]
+    assert unused == []
+
+
 def test_readme_library_example_runs():
     # the python block of README's "Library example" section, run as it
     # stands: it solves saddle1's manifold y = x^2/3 at x = 0.1

@@ -588,14 +588,25 @@ def test_split_pieces_derive_their_transposes_and_rest_row():
     assert sorted(k[0] for k in pieces._cache) == ["crest", "plans"]
 
 
+def test_split_pieces_are_frozen():
+    _, sp, pieces = saddle1_pieces()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pieces.splitting = sp
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pieces.A_plus = pieces.A_plus
+
+
 def test_split_pieces_replace_rederives_the_splitting_arrays():
     # rd2 split at gap 1.5 has one unstable direction, at gap 0.5 two: the
     # pieces of the other splitting take its B, Binv and d_plus and the
-    # blocks of its own product Binv A0 B, the values split_field gives
+    # blocks of its own product Binv A0 B, the values split_field gives,
+    # and start with an empty plan cache
     m, _, pieces = rd_pieces(2.0, 6, gap=0.5)
+    pieces.propagators(0.01)
     other = eigen_split(pieces.A0, 1.5)
     moved = dataclasses.replace(pieces, splitting=other)
     fresh = split_field(m, other)
+    assert moved._cache == {} and pieces._cache
     assert (pieces.d_plus, moved.d_plus) == (2, 1)
     assert moved.B is other.B and moved.Binv is other.Binv
     for name in ("A_plus", "A_rest", "_BT", "_BinvT", "_rest"):

@@ -20,7 +20,8 @@ from lpmanifolds.models import (
     reaction_diffusion,
     saddle_toy,
 )
-from lpmanifolds.oracles import finite_difference_jacobian, mmt_cubic_direct
+from lpmanifolds.oracles import (finite_difference_jacobian,
+                                 mmt_cubic_direct, reference_flow)
 
 
 def _p(alpha=1.0, beta=1.0, sigma=1, a=1.0, xi0=1, half=2):
@@ -165,6 +166,20 @@ def test_galerkin_block_structure_at_plane_wave():
             for s in ii + jj:
                 mask[r, s] = True
     assert np.abs(J[~mask]).max() <= 1e-12
+
+
+def test_reversed_model_keeps_the_energy():
+    # u' = -F(u) conserves every quantity that u' = F(u) does
+    m = mmt_galerkin(MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=0,
+                               mode_set=mmt_mode_set(0, 3)))
+    r = reversed_model(m)
+    assert r.energy is m.energy
+    u0 = m.equilibrium + 0.05 * np.random.default_rng(8).normal(
+        size=m.dimension)
+    times = np.linspace(0.0, 0.5, 11)
+    states = reference_flow(r.vector_field, u0, 0.0, 0.5, t_eval=times)
+    e0 = r.energy(u0)
+    assert max(abs(r.energy(u) - e0) for u in states) <= 1e-9
 
 
 def test_galerkin_energy_conserved_orderly():
