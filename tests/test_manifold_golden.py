@@ -7,7 +7,7 @@ status columns, exact zeros kept exact, the h columns within
 from the orbit.  A change that only reorders sums passes; a change of the
 manifold, of the iteration count or of a sample's status fails.
 
-To re-record after an intended change of the output, run the four commands
+To re-record after an intended change of the output, run the commands
 of CASES with `--out tests/data/manifold_<case>.csv` and save the printed
 summary line as tests/data/manifold_<case>.summary.
 """
@@ -28,6 +28,12 @@ CASES = {
     "rd": ["--model", "rd", "--lambda-param", "2", "--modes", "6",
            "--grid", "5"],
     "mmt": ["--model", "mmt", "--half-width", "3", "--grid", "3"],
+    # the wide cases, whose split parts the sweeps take in mode blocks: MMT-33
+    # (d_rest = 64, 4x4 blocks) and rd at 20 modes (d_rest = 18, 1x1 blocks,
+    # exact zeros in the axis samples)
+    "mmt33": ["--model", "mmt", "--half-width", "16", "--grid", "3"],
+    "rd20": ["--model", "rd", "--lambda-param", "2", "--modes", "20",
+             "--grid", "3"],
 }
 
 # Relative tolerance of the least-squares decay slope and of the summary's
