@@ -265,21 +265,26 @@ def _block_nodes(d: int) -> int:
 @dataclass(frozen=True)
 class ScanPlan:
     """Tables of linear_scan for one (d, d) matrix E and the forcing taps
-    (P, Q) of x_j = E x_{j-1} + P u_{j-1} + Q u_j.
+    (P, Q) of x_j = E x_{j-1} + P u_{j-1} + Q u_j, or for a stack (K, d, d)
+    of per-block matrices E, P and Q, whose k-th matrices step the k-th of
+    K recurrences.
 
     b is the number of nodes per block of the blocked route (_block_nodes(d),
-    or fewer in a plan of block ends), 0 when the route does not apply to
-    this d (the plan then carries only E and the taps).  The taps are kept
-    as P^T and Q^T, contiguous, the operands of the chunked route's two
-    gemms (a transposed view takes NumPy's slower strided path).  `table`
-    is the ((b+1)*d, b*d) matrix whose block (l, i) is
-    (E^{i-l+1} Q + E^{i-l} P)^T, a power below 0 counting as 0, without
-    the Q term in block row l = 0: a row of the b + 1 inputs
-    u_{k-1}, ..., u_{k+b-1} times `table` is the scan of the b nodes
-    k, ..., k+b-1 from x_{k-1} = 0.  `carry` is the (d, b*d) row of blocks
-    (E^{i+1})^T taking the state before a block to each of its nodes.
-    `ends` keeps the plans that scan the block or chunk ends of the grids
-    scanned so far (_ends_plan): plain recurrences, which keep no taps.
+    for a stack at most max(4, 32 // d), or fewer in a plan of block
+    ends), 0 when the route does not apply to
+    this d (the plan then carries only E and the taps; a stack needs the
+    blocked route).  The taps are kept as P^T and Q^T, contiguous, the
+    operands of the chunked route's two gemms (a transposed view takes
+    NumPy's slower strided path).  `table` is the ((b+1)*d, b*d) matrix
+    whose block (l, i) is (E^{i-l+1} Q + E^{i-l} P)^T, a power below 0
+    counting as 0, without the Q term in block row l = 0: a row of the
+    b + 1 inputs u_{k-1}, ..., u_{k+b-1} times `table` is the scan of the b
+    nodes k, ..., k+b-1 from x_{k-1} = 0.  `carry` is the (d, b*d) row of
+    blocks (E^{i+1})^T taking the state before a block to each of its
+    nodes.  A stack has one table and one carry per block, on a leading
+    axis.  `ends` keeps the plans that scan the block or chunk ends of the
+    grids scanned so far (_ends_plan): plain recurrences, which keep no
+    taps.
     """
 
     E: np.ndarray
@@ -293,30 +298,40 @@ class ScanPlan:
 
 def scan_plan(E, P, Q) -> ScanPlan:
     """The ScanPlan of E with the forcing taps P and Q, all (d, d)
-    matrices; build it once to reuse it over many scans.  The taps 0 and I
-    give the plain recurrence x_j = E x_{j-1} + u_j."""
+    matrices, or all stacks (K, d, d) of per-block matrices with d <= 16
+    (the blocked route's sizes); build it once to reuse it over many scans.
+    The taps 0 and I give the plain recurrence x_j = E x_{j-1} + u_j."""
     E = np.asarray(E, dtype=float)
-    if E.ndim != 2 or E.shape[0] != E.shape[1]:
+    if E.ndim not in (2, 3) or E.shape[-1] != E.shape[-2]:
         raise ValueError(f"expected a square step matrix, got shape {E.shape}")
-    d = E.shape[0]
+    d = E.shape[-1]
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-    if P.shape != (d, d) or Q.shape != (d, d):
+    if P.shape != E.shape or Q.shape != E.shape:
         raise ValueError(f"expected forcing taps of size {d}, got shapes "
                          f"{P.shape} and {Q.shape}")
-    return _plan(E, _block_nodes(d), P, Q)
+    b = _block_nodes(d)
+    if E.ndim == 3:
+        if not b:
+            raise ValueError(f"per-block step matrices must be at most 16 "
+                             f"wide, got {d}")
+        # many small recurrences: tables about 32 wide halve the table
+        # product's work, which their extra ends level repays
+        b = min(b, max(4, 32 // d))
+    return _plan(E, b, P, Q)
 
 
 def _plan(E: np.ndarray, b: int, P=None, Q=None) -> ScanPlan:
     """scan_plan(E, P, Q) in blocks of b nodes, without its checks; without
-    P and Q, the plan of an ends scan, which keeps no taps."""
-    d = E.shape[0]
-    taps = () if P is None else (np.ascontiguousarray(P.T),
-                                 np.ascontiguousarray(Q.T))
+    P and Q, the plan of an ends scan, which keeps no taps.  E may be a
+    stack, whose blocks lead every table."""
+    d, lead = E.shape[-1], E.shape[:-2]
+    taps = () if P is None else (np.ascontiguousarray(np.swapaxes(P, -1, -2)),
+                                 np.ascontiguousarray(np.swapaxes(Q, -1, -2)))
     if not b:
         return ScanPlan(E, 0, *taps)
     # powers[k] = (E^k)^T; a diagonal E keeps exact zeros off the diagonal
-    powers = np.empty((b + 1, d, d))
-    powers[0], powers[1] = np.eye(d), E.T
+    powers = np.empty((b + 1,) + lead + (d, d))
+    powers[0], powers[1] = np.eye(d), np.swapaxes(E, -1, -2)
     k = 1
     while k < b:
         n = min(k, b - k)
@@ -326,17 +341,19 @@ def _plan(E: np.ndarray, b: int, P=None, Q=None) -> ScanPlan:
     # head[i] = (E^i P)^T that of the input just before a block in its
     # node i, which the block's scan from 0 does not see through Q
     if P is None:
-        head, tap = np.zeros((b, d, d)), powers[:b]
+        head, tap = np.zeros((b,) + lead + (d, d)), powers[:b]
     else:
-        head, tap = P.T @ powers[:b], Q.T @ powers[:b]
+        head = np.swapaxes(P, -1, -2) @ powers[:b]
+        tap = np.swapaxes(Q, -1, -2) @ powers[:b]
         tap[1:] += head[:-1]
     l, i = np.triu_indices(b + 1, -1, b)
     keep = l > 0
-    table = np.zeros((b + 1, d, b, d))
-    table[l[keep], :, i[keep], :] = tap[i[keep] - l[keep] + 1]
-    table[0] = head.transpose(1, 0, 2)
-    carry = powers[1:].transpose(1, 0, 2).reshape(d, b * d)
-    return ScanPlan(E, b, *taps, table=table.reshape((b + 1) * d, b * d),
+    table = np.zeros(lead + (b + 1, d, b, d))
+    table[..., l[keep], :, i[keep], :] = tap[i[keep] - l[keep] + 1]
+    table[..., 0, :, :, :] = np.moveaxis(head, 0, -2)
+    carry = np.moveaxis(powers[1:], 0, -2).reshape(lead + (d, b * d))
+    return ScanPlan(E, b, *taps,
+                    table=table.reshape(lead + ((b + 1) * d, b * d)),
                     carry=carry)
 
 
@@ -353,7 +370,8 @@ def _ends_plan(plan: ScanPlan, s: int, n: int) -> ScanPlan:
 def _blocked_scan(plan: ScanPlan, rows: np.ndarray, x0: np.ndarray,
                   out: np.ndarray) -> None:
     """The scan of rows (m, r, d) from x0 (r, d) with the plan's taps,
-    written into out (m, r, d), which may be rows itself."""
+    written into out (m, r, d), which may be rows itself; a plan of
+    per-block matrices has r of them."""
     m, r, d = rows.shape
     b = plan.b
     nb = -(-(m - 1) // b)
@@ -375,7 +393,15 @@ def _blocked_scan(plan: ScanPlan, rows: np.ndarray, x0: np.ndarray,
     ends[1:] = Z[:, :-1, -1].swapaxes(0, 1)
     if nb > 1:
         _blocked_scan(_ends_plan(plan, b, nb), ends, ends[0], ends)
-    Z += (ends.reshape(-1, d) @ plan.carry).reshape(nb, r, b, d).swapaxes(0, 1)
+    if plan.carry.ndim == 2:
+        Z += (ends.reshape(-1, d) @ plan.carry).reshape(
+            nb, r, b, d).swapaxes(0, 1)
+    else:
+        # one carry per recurrence; its product goes into U, which the
+        # table has read, instead of a new array
+        carried = U.reshape(-1)[:r * nb * b * d].reshape(r, nb, b * d)
+        np.matmul(ends.swapaxes(0, 1), plan.carry, out=carried)
+        Z += carried.reshape(r, nb, b, d)
     out[0] = x0
     out[1:] = Z.reshape(r, nb * b, d)[:, :m - 1].swapaxes(0, 1)
 
@@ -447,15 +473,21 @@ def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
     stack of m - 1 matrices, E[j - 1] taking x_{j-1} to x_j.  The states
     lie along the last axis of X; axes in between hold independent
     recurrences with the same matrices, and x0 broadcasts against X[0].
+    A plan of K per-block matrices (E, P and Q stacks of K (d, d) blocks)
+    takes exactly K recurrences in between, the k-th with the k-th
+    matrices: a block-diagonal recurrence of K*d states scanned as K small
+    ones.
 
     A plan with b = 64 // d >= 4 (d <= 16) takes the blocked route: nodes
     1 .. m-1 fall into blocks of b, and one gemm of the plan's table with a
     strided window of b + 1 input rows per block scans every block at once,
-    taps included.  The block ends form the plain recurrence of E^b, which
-    the same route scans with a plan of E^b kept on the plan, about
-    log(m)/log(b) levels deep, and a second gemm adds each carry times
-    E^{i+1} at node i of its block: O(m*b*d^2) work.  A plan costs b small
-    matmuls, so keep it when the same E is scanned repeatedly.
+    taps included (one batched matmul of the K tables for a per-block
+    plan, whose blocks hold b = max(4, 32 // d) nodes).  The block ends
+    form the plain recurrence of E^b, which the same route scans with a
+    plan of E^b kept on the plan, about log(m)/log(b) levels deep, and a
+    second gemm adds each carry times E^{i+1} at node i of its block:
+    O(m*b*d^2) work per recurrence.  A plan costs b small matmuls, so keep
+    it when the same E is scanned repeatedly.
 
     Otherwise (d > 16, or step stacks) the chunked route: a plan's taps
     first form the plain inputs P X[j-1] + Q X[j] in two gemms; the nodes
@@ -481,9 +513,12 @@ def _scan_into(E, X: np.ndarray, x0, out: np.ndarray) -> None:
     plan = E if isinstance(E, ScanPlan) else None
     if plan is not None:
         E = plan.E
-        if E.shape != (d, d):
+        if E.shape[-2:] != (d, d):
             raise ValueError(f"expected one step matrix of size {d}, got "
                              f"shape {E.shape}")
+        if E.ndim == 3 and np.prod(X.shape[1:-1], dtype=int) != len(E):
+            raise ValueError(f"expected {len(E)} recurrences for the "
+                             f"per-block step matrices, got shape {X.shape}")
     elif np.shape(E) != (m - 1, d, d):
         raise ValueError(f"expected a ScanPlan or {m - 1} step matrices of "
                          f"size {d}, got shape {np.shape(E)}")

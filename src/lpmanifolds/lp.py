@@ -99,17 +99,237 @@ class LpConfig:
 
 
 def _phi_matrices(A: np.ndarray, h: float):
-    """(e^{hA}, psi1(hA), psi2(hA)) via one augmented matrix exponential."""
-    d = A.shape[0]
+    """(e^{hA}, psi1(hA), psi2(hA)) via one augmented matrix exponential, of
+    a matrix A or of each matrix of a stack (K, d, d)."""
+    d = A.shape[-1]
     if d == 0:
-        z = np.zeros((0, 0))
+        z = np.zeros(A.shape)
         return z, z, z
-    M = np.zeros((3 * d, 3 * d))
-    M[:d, :d] = h * A
-    M[:d, d:2 * d] = np.eye(d)
-    M[d:2 * d, 2 * d:] = np.eye(d)
+    M = np.zeros(A.shape[:-2] + (3 * d, 3 * d))
+    M[..., :d, :d] = h * A
+    M[..., :d, d:2 * d] = np.eye(d)
+    M[..., d:2 * d, 2 * d:] = np.eye(d)
     E = sla.expm(M)
-    return E[:d, :d], E[:d, d:2 * d], E[:d, 2 * d:]
+    return E[..., :d, :d], E[..., :d, d:2 * d], E[..., :d, 2 * d:]
+
+
+def _quadrature_plans(A_plus: np.ndarray, A_rest: np.ndarray, h: float):
+    """The linear_scan plans of the quadrature for the step h, from the phi
+    matrices (Em, psi1, psi2) of -A_plus and (Ep, phi1, phi2) of A_rest:
+    Em with the taps (-h (psi1 - psi2), -h psi2) and Ep with
+    (h (phi1 - phi2), h phi2).  The blocks may be stacks of per-block
+    matrices."""
+    Em, p1m, p2m = _phi_matrices(-A_plus, h)
+    Ep, p1p, p2p = _phi_matrices(A_rest, h)
+    return (scan_plan(Em, -h * (p1m - p2m), -h * p2m),
+            scan_plan(Ep, h * (p1p - p2p), h * p2p))
+
+
+# an entry of B or Binv at most this fraction of the matrix's largest entry
+# couples no ambient coordinate to a split one (_mode_blocks)
+_COUPLING_FLOOR = 1e-14
+# the widest split part swept densely: linear_scan's blocked route takes
+# states of at most 16, wider ones the chunked route
+_DENSE_WIDTH = 16
+
+
+class _Part(NamedTuple):
+    """One part (unstable or complement) of the split on the mode blocks:
+    the slice `blocks` of the blocks that hold its coordinates, each in
+    its first width[k] of w slots (the rest padded with 0), and the blocks
+    of the part's matrices in those slots, zero-padded: BT (k, w, wa) and
+    BinvT (k, wa, w) of B^T and Binv^T from and to the ambient slots, and A
+    (k, w, w) of A_plus or A_rest.  Coordinate i of the part lies in slot
+    slot[i] of its block block[i] (counted within the part)."""
+
+    blocks: slice
+    width: np.ndarray
+    block: np.ndarray
+    slot: np.ndarray
+    BT: np.ndarray
+    BinvT: np.ndarray
+    A: np.ndarray
+
+
+@dataclass(frozen=True)
+class _ModeBlocks:
+    """The coupling blocks of A(0) and the block layout of the sweeps.
+
+    Block k joins the ambient coordinates amb[k] with the split coordinates
+    that B and Binv couple to them; no entry of A0 couples two blocks, and
+    B and Binv vanish outside them up to _COUPLING_FLOOR.  The blocks with
+    unstable coordinates come first and those with complement coordinates
+    last, so that each _Part is a slice of them.  The sweeps hold a split
+    orbit as the pair (plus, rest) of (k, m, w) arrays, one per part, each
+    contiguous, so that a part's scan reads and writes whole recurrences.
+    Ambient states stay rows in model order, as the field takes them; a
+    block's ambient coordinates take the wa slots amb[k] (pads repeat its
+    first), and amb_slot[i] is the flat slot k * wa + l of ambient i.
+    """
+
+    amb: np.ndarray
+    amb_slot: np.ndarray
+    plus: _Part
+    rest: _Part
+    _plans: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def split(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The block layout of split rows Y (m, n)."""
+        out, at = [], 0
+        for part in (self.plus, self.rest):
+            d = len(part.block)
+            X = np.zeros(part.A.shape[:1] + (len(Y),) + part.A.shape[2:])
+            X[part.block, :, part.slot] = Y[:, at:at + d].T
+            out.append(X)
+            at += d
+        return out[0], out[1]
+
+    def rows(self, Y: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The split rows (m, n) of Y in the block layout."""
+        d = len(self.plus.block)
+        out = np.empty((Y[0].shape[1], d + len(self.rest.block)))
+        for part, X, cols in zip((self.plus, self.rest), Y,
+                                 (slice(0, d), slice(d, None))):
+            out[:, cols] = X[part.block, :, part.slot].T
+        return out
+
+    def image(self, Y: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The ambient image Y B^T, as rows (m, n), of Y in the block
+        layout: each part's batched matmul writes (or, in blocks holding
+        both parts, adds to) its blocks' ambient slots, then one take puts
+        the rows in model order."""
+        Yp, Yr = Y
+        m = Yr.shape[1]
+        slots = np.empty((m,) + self.amb.shape)
+        by_block = slots.swapaxes(0, 1)
+        np.matmul(Yr, self.rest.BT, out=by_block[self.rest.blocks])
+        plus = Yp @ self.plus.BT
+        mixed = self.rest.blocks.start
+        by_block[:mixed] = plus[:mixed]
+        by_block[mixed:self.plus.blocks.stop] += plus[mixed:]
+        return np.take(slots.reshape(m, -1), self.amb_slot, axis=1)
+
+    def remainder(self, Y: tuple[np.ndarray, np.ndarray],
+                  field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f_split in the block layout along Y, from the field at eq + Y B^T
+        (rows): per part, field Binv_part^T - Y_part A_part^T, two batched
+        matmuls.  It is Binv (F - A0 B y) with A0 B = B blockdiag(A_plus,
+        A_rest) taken in split coordinates, which keeps the parts apart and
+        needs no second gather of the ambient orbit; the quasilinear route
+        forms its remainder the same way.  A pad slot repeats its block's
+        first ambient coordinate and meets a zero row of BinvT."""
+        m = len(field)
+        F = np.take(field, self.amb.ravel(), axis=1).reshape(
+            (m,) + self.amb.shape).swapaxes(0, 1)
+        out = []
+        for part, X in zip((self.plus, self.rest), Y):
+            g = F[part.blocks] @ part.BinvT
+            g -= X @ part.A.swapaxes(1, 2)
+            out.append(g)
+        return out[0], out[1]
+
+    def propagators(self, h: float):
+        """_quadrature_plans of the parts' blocks for the step h, per-block
+        plans built once per h from one batched matrix exponential per
+        part."""
+        key = round(h, 15)
+        if key not in self._plans:
+            self._plans[key] = _quadrature_plans(self.plus.A, self.rest.A, h)
+        return self._plans[key]
+
+    def quadrature(self, h: float, v0_plus: np.ndarray,
+                   g: tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """_lp_quadrature in the block layout: each part is one linear_scan
+        of its blocks with the per-block plans of propagators(h), the
+        unstable part backward from v0_plus at t = 0, the complement
+        forward from 0."""
+        plan_m, plan_p = self.propagators(h)
+        (gp, gr), part = g, self.plus
+        start = np.zeros(part.A.shape[:2])
+        start[part.block, part.slot] = v0_plus
+        new_p, new_r = np.empty_like(gp), np.empty_like(gr)
+        # linear_scan takes the time axis first
+        _scan_into(plan_m, gp[:, ::-1].swapaxes(0, 1), start,
+                   new_p[:, ::-1].swapaxes(0, 1))
+        _scan_into(plan_p, gr.swapaxes(0, 1), 0.0, new_r.swapaxes(0, 1))
+        return new_p, new_r
+
+
+def _mode_blocks(B: np.ndarray, Binv: np.ndarray, A0: np.ndarray, d: int,
+                 A_plus: np.ndarray, A_rest: np.ndarray) -> _ModeBlocks | None:
+    """The coupling blocks of the split (B, Binv, d) of A0, or None where
+    the sweeps stay dense: when both parts are at most _DENSE_WIDTH wide,
+    when A0 does not decouple, when a block's part is wider than that or
+    when a block's B times its Binv is not I to 1e-12.
+
+    The blocks are the connected components of the graph that joins
+    ambient i to split j where |B_ij| or |Binv_ji| exceeds _COUPLING_FLOOR
+    of that matrix's largest entry, and ambient i to i' where A0_ii' is
+    not 0."""
+    n = len(B)
+    if not (0 < d < n and max(d, n - d) > _DENSE_WIDTH):
+        return None
+    link = ((np.abs(B) > _COUPLING_FLOOR * np.abs(B).max())
+            | (np.abs(Binv.T) > _COUPLING_FLOOR * np.abs(Binv).max()))
+    # ambient coordinates that share a split one or an entry of A0, closed
+    # under composition by repeated squaring; each block is labelled by
+    # its first ambient index
+    near = ((link.astype(float) @ link.T.astype(float) > 0) | (A0 != 0)
+            | (A0.T != 0) | np.eye(n, dtype=bool))
+    while True:
+        wider = (near.astype(float) @ near.astype(float)) > 0
+        if np.array_equal(wider, near):
+            break
+        near = wider
+    label = near.argmax(axis=1)
+    amb = [np.flatnonzero(label == k) for k in np.unique(label)]
+    if len(amb) < 2:
+        return None
+    split = [np.flatnonzero(link[a].any(axis=0)) for a in amb]
+    for a, s in zip(amb, split):
+        if len(a) != len(s) or np.abs(
+                B[np.ix_(a, s)] @ Binv[np.ix_(s, a)]
+                - np.eye(len(a))).max() > 1e-12:
+            return None
+    # unstable-only blocks, then mixed ones, then complement-only ones
+    order = sorted(range(len(amb)), key=lambda k: (
+        int(np.all(split[k] >= d)) + int(np.any(split[k] >= d)), amb[k][0]))
+    amb = [amb[k] for k in order]
+    split = [split[k] for k in order]
+    K, wa = len(amb), max(map(len, amb))
+    amb_idx = np.empty((K, wa), dtype=np.intp)
+    amb_slot = np.empty(n, dtype=np.intp)
+    for k, a in enumerate(amb):
+        amb_idx[k] = a[0]
+        amb_idx[k, :len(a)] = a
+        amb_slot[a] = k * wa + np.arange(len(a))
+
+    def part(lo, hi, A):
+        """The _Part of the split coordinates lo <= j < hi, whose blocks
+        of Binv A0 B are A."""
+        ks = [k for k in range(K) if np.any((split[k] >= lo)
+                                            & (split[k] < hi))]
+        idx = [split[k][(split[k] >= lo) & (split[k] < hi)] for k in ks]
+        width = np.array([len(i) for i in idx])
+        w = int(width.max())
+        block, slot = np.empty(hi - lo, np.intp), np.empty(hi - lo, np.intp)
+        BT = np.zeros((len(ks), w, wa))
+        BinvT = np.zeros((len(ks), wa, w))
+        Ab = np.zeros((len(ks), w, w))
+        for j, (k, i) in enumerate(zip(ks, idx)):
+            a, c = amb[k], np.arange(len(i))
+            block[i - lo], slot[i - lo] = j, c
+            BT[j][np.ix_(c, range(len(a)))] = B[np.ix_(a, i)].T
+            BinvT[j][np.ix_(range(len(a)), c)] = Binv[np.ix_(i, a)].T
+            Ab[j][np.ix_(c, c)] = A[np.ix_(i - lo, i - lo)]
+        return _Part(slice(ks[0], ks[-1] + 1), width, block, slot, BT,
+                     BinvT, Ab)
+
+    plus, rest = part(0, d, A_plus), part(d, n, A_rest)
+    if max(plus.A.shape[-1], rest.A.shape[-1]) > _DENSE_WIDTH:
+        return None
+    return _ModeBlocks(amb=amb_idx, amb_slot=amb_slot, plus=plus, rest=rest)
 
 
 @dataclass(frozen=True)
@@ -135,6 +355,15 @@ class SplitPieces:
     zero orbit.  The cache holds the scan plans and growth
     constants, one per step or horizon; it is not a field of the
     constructor, so replace starts a fresh one.
+
+    mode_blocks holds the coupling blocks of A0 on the autonomous split
+    (_mode_blocks), found from B, Binv and A0 where a part of the split is
+    wider than 16 and A0 decouples, else None.  With them the sweeps hold
+    split orbits and remainders in the block layout of _ModeBlocks, and
+    image, sweep_inputs and the quadrature work block by block, each
+    product one batched matmul; sweep_layout and split_rows convert.
+    Without them the sweep layout is the rows (m, n) and the products
+    are dense.
     """
 
     model: ModelSystem
@@ -156,17 +385,24 @@ class SplitPieces:
             if off > 1e-8 * max(np.linalg.norm(self.A0), 1.0):
                 raise ValueError("splitting does not block-diagonalize A(0)")
         c = np.ascontiguousarray
+        A_plus, A_rest = Ahat[:d, :d], Ahat[d:, d:]
         for name, value in dict(
-                B=sp.B, Binv=sp.Binv, d_plus=d, A_plus=Ahat[:d, :d],
-                A_rest=Ahat[d:, d:], _BT=c(sp.B.T), _A0T=c(self.A0.T),
-                _BinvT=c(sp.Binv.T)).items():
+                B=sp.B, Binv=sp.Binv, d_plus=d, A_plus=A_plus,
+                A_rest=A_rest, _BT=c(sp.B.T), _A0T=c(self.A0.T),
+                _BinvT=c(sp.Binv.T),
+                mode_blocks=_mode_blocks(sp.B, sp.Binv, self.A0, d, A_plus,
+                                         A_rest) if self.autonomous
+                else None).items():
             object.__setattr__(self, name, value)
         # f_split of the equilibrium from F0, on two copies of the row: one
         # row goes to gemv, whose sums round otherwise than a grid's gemm,
-        # and the first sweep must keep the bits of a grid's evaluation
+        # and the first sweep must keep the bits of a grid's evaluation,
+        # by the remainder the sweeps take
         two = np.repeat(self.F0[None], 2, axis=0)
-        object.__setattr__(self, "_rest",
-                           self._remainder(np.zeros_like(two), two)[0])
+        zero, mb = np.zeros_like(two), self.mode_blocks
+        rest = (self._remainder(zero, two) if mb is None
+                else mb.rows(mb.remainder(mb.split(zero), two)))
+        object.__setattr__(self, "_rest", rest[0])
 
     @property
     def autonomous(self) -> bool:
@@ -183,31 +419,57 @@ class SplitPieces:
         return self.dim - self.d_plus
 
     def f_split(self, Y: np.ndarray) -> np.ndarray:
-        """The remainder at split states Y (..., n)."""
+        """The remainder at split states Y (..., n), from dense products."""
         Y = np.asarray(Y, dtype=float)
         rows = Y.reshape(-1, self.dim)
-        g = self.sweep_inputs(rows, rows @ self._BT)[0]
+        BY = rows @ self._BT
+        g = (self._remainder(BY, self._field(BY)) if self.autonomous
+             else self.frozen_along(rows, BY)[0])
         return g.reshape(Y.shape)
+
+    def sweep_layout(self, Y: np.ndarray) -> np.ndarray:
+        """Split rows Y (m, n) in the sweep layout: Y itself, or its block
+        layout on mode blocks."""
+        return Y if self.mode_blocks is None else self.mode_blocks.split(Y)
+
+    def split_rows(self, Y: np.ndarray) -> np.ndarray:
+        """The split rows (m, n) of Y in the sweep layout."""
+        return Y if self.mode_blocks is None else self.mode_blocks.rows(Y)
+
+    def image(self, Y: np.ndarray) -> np.ndarray:
+        """The ambient image Y B^T, as rows (m, n), of the split orbit Y in
+        the sweep layout: one gemm, or one batched matmul of the mode
+        blocks."""
+        if self.mode_blocks is None:
+            return Y @ self._BT
+        return self.mode_blocks.image(Y)
 
     def sweep_inputs(self, Y: np.ndarray, BY: np.ndarray,
                      state: tuple | None = None) -> tuple:
-        """(g, field, blocks, state) along the split states Y (rows), whose
-        ambient image Y B^T is BY: the remainder g = f_split(Y), the ambient
-        field it is built from, the node blocks (A_plus, A_rest) and the
-        inversion state of B.
+        """(g, field, blocks, state) along the split states Y, whose ambient
+        image Y B^T is BY (rows): the remainder g = f_split(Y) in the sweep
+        layout, the ambient field it is built from, the node blocks
+        (A_plus, A_rest) and the inversion state of B.
 
         On the autonomous route the field is the model's at eq + BY, and
         blocks and state are None: the blocks are the fixed ones.  On the
-        quasilinear route it is frozen_along, which inverts B at BY, one
-        inversion per row, starting from state, the state an earlier call
-        returned for the same rows, or cold at u = 0.  The state is
-        consumed: the returned state holds its arrays, updated in place.
+        quasilinear route (rows Y) it is frozen_along, which inverts B at
+        BY, one inversion per row, starting from state, the state an
+        earlier call returned for the same rows, or cold at u = 0.  The
+        state is consumed: the returned state holds its arrays, updated in
+        place.
         """
         if not self.autonomous:
             return self.frozen_along(Y, BY, state)
+        field = self._field(BY)
+        g = (self._remainder(BY, field) if self.mode_blocks is None
+             else self.mode_blocks.remainder(Y, field))
+        return g, field, None, None
+
+    def _field(self, BY: np.ndarray) -> np.ndarray:
+        """The model's field at eq + BY (rows)."""
         eq = self.model.equilibrium
-        field = self.model.field_many(BY + eq if np.any(eq) else BY)
-        return self._remainder(BY, field), field, None, None
+        return self.model.field_many(BY + eq if np.any(eq) else BY)
 
     def _remainder(self, BY: np.ndarray, field: np.ndarray) -> np.ndarray:
         """f_split from the ambient deviations BY = Y B^T (rows) and their
@@ -215,36 +477,39 @@ class SplitPieces:
         return (field - BY @ self._A0T) @ self._BinvT
 
     def propagators(self, h: float):
-        """The linear_scan plans of the quadrature for the step h, built
-        once per h from the phi matrices (Em, psi1, psi2) of -A_plus and
-        (Ep, phi1, phi2) of A_rest: Em with the taps (-h (psi1 - psi2),
-        -h psi2) and Ep with (h (phi1 - phi2), h phi2)."""
+        """The dense linear_scan plans of the quadrature for the step h
+        (_quadrature_plans of A_plus and A_rest), built once per h; the
+        mode blocks keep their own per-block plans."""
         key = ("plans", round(h, 15))
         if key not in self._cache:
-            Em, p1m, p2m = _phi_matrices(-self.A_plus, h)
-            Ep, p1p, p2p = _phi_matrices(self.A_rest, h)
-            self._cache[key] = (
-                scan_plan(Em, -h * (p1m - p2m), -h * p2m),
-                scan_plan(Ep, h * (p1p - p2p), h * p2p))
+            self._cache[key] = _quadrature_plans(self.A_plus, self.A_rest, h)
         return self._cache[key]
 
     def rest_growth_constant(self, T: float) -> float:
         """The max of ||e^{s A_rest}||_2 e^{-rest_max_re * s} over 25
         equally spaced samples s of [0, T], and at least 1 (1 when there is
-        no complement), cached per T.  It is a sampled estimate of the
-        growth constant, not a bound: the norm may peak between samples.
-        tail_bound takes it as the constant of the complement's
-        propagator."""
+        no complement), cached per T.  On mode blocks the norm of each
+        sample is the largest of its complement blocks' norms, taken by
+        batched exponentials of the blocks of each width.  It is a sampled
+        estimate of the growth constant, not a bound: the norm may peak
+        between samples.  tail_bound takes it as the constant of the
+        complement's propagator."""
         key = ("crest", round(T, 12))
         if key not in self._cache:
             if self.d_rest == 0:
                 self._cache[key] = 1.0
             else:
+                mb = self.mode_blocks
+                blocks = [self.A_rest] if mb is None else [
+                    mb.rest.A[mb.rest.width == w][:, :w, :w]
+                    for w in np.unique(mb.rest.width)]
                 rate = self.splitting.rest_max_re
                 c = 1.0
                 for s in np.linspace(0.0, T, 25):
-                    c = max(c, np.linalg.norm(sla.expm(s * self.A_rest), 2)
-                            * math.exp(-rate * s))
+                    norm = max(np.linalg.norm(sla.expm(s * A), 2,
+                                              axis=(-2, -1)).max()
+                               for A in blocks)
+                    c = max(c, norm * math.exp(-rate * s))
                 self._cache[key] = c
         return self._cache[key]
 
@@ -504,7 +769,9 @@ def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
     S_j = Em S_{j+1} - h (psi1 - psi2) g_{j+1} - h psi2 g_j, and the
     complement forward from 0 at t = -T_max,
     R_{j+1} = Ep R_j + h (phi1 - phi2) g_j + h phi2 g_{j+1}: each one
-    linear_scan of the remainder rows with the taps of propagators(h).
+    linear_scan of the remainder rows with the taps of the dense
+    propagators(h).  The sweeps of mode blocks take _ModeBlocks.quadrature
+    instead.
     """
     d = pieces.d_plus
     plan_m, plan_p = pieces.propagators(h)
@@ -520,37 +787,48 @@ def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
              state: tuple | None = None) -> tuple[np.ndarray, tuple | None]:
     """One application of the Lyapunov-Perron operator on the grid.
 
-    Returns the new split-coordinate orbit and the inversion state of B
-    along Y that pieces.sweep_inputs returns (None on the autonomous
-    route).  BY is the ambient image Y B^T where the caller holds it (the
-    fixed point forms it once per sweep, for its increment); without it
-    lp_apply forms it.  Passed as state to the next sweep, the inversion
-    state starts each node's inversion from its value at this sweep;
-    without it the inversions start cold at the equilibrium.  The state is
-    consumed: the returned state holds its arrays, updated in place.
+    Y is the split orbit as rows (m, n), or in the sweep layout of pieces
+    (SplitPieces.sweep_layout), which the fixed point carries; the new
+    orbit comes back in the layout of Y.  Returns it and the inversion
+    state of B along Y that pieces.sweep_inputs returns (None on the
+    autonomous route).  BY is the ambient image Y B^T (rows) where the
+    caller holds it (the fixed point forms it once per sweep, for its
+    increment); without it lp_apply forms it with pieces.image.  Passed as
+    state to the next sweep, the inversion state starts each node's
+    inversion from its value at this sweep; without it the inversions
+    start cold at the equilibrium.  The state is consumed: the returned
+    state holds its arrays, updated in place.
     """
     v0_plus = as_state(v0_plus, pieces.d_plus)
+    rows = pieces.mode_blocks is not None and not isinstance(Y, tuple)
+    if rows:
+        Y = pieces.sweep_layout(Y)
     if BY is None:
-        BY = Y @ pieces._BT
+        BY = pieces.image(Y)
     g, field, blocks, state = pieces.sweep_inputs(Y, BY, state)
     # the sweep reads only the remainder; the field goes before the
     # quadrature's arrays are made
     del field
-    return _lp_sweep(pieces, cfg.h, v0_plus, g, blocks), state
+    new = _lp_sweep(pieces, cfg.h, v0_plus, g, blocks)
+    return (pieces.split_rows(new) if rows else new), state
 
 
 def _lp_sweep(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
               g: np.ndarray,
               blocks: tuple[np.ndarray, np.ndarray] | None = None
               ) -> np.ndarray:
-    """The new orbit of lp_apply on the grid of step h, with the remainder
-    g = f_split(Y) already evaluated.  Without blocks the sweep is the
-    exponential quadrature of the fixed blocks; with the node blocks
+    """The new orbit of lp_apply on the grid of step h, in the sweep
+    layout, with the remainder g = f_split(Y) already evaluated in that
+    layout.  Without blocks the sweep is the exponential quadrature of the
+    fixed blocks (block by block on mode blocks); with the node blocks
     (A_plus, A_rest) along Y (sweep_inputs on the quasilinear route) it is
     two RK4 sweeps."""
-    if not np.all(np.isfinite(g)):
+    if not all(np.all(np.isfinite(x)) for x in
+               (g if isinstance(g, tuple) else (g,))):
         raise FloatingPointError("non-finite remainder evaluation in lp_apply")
     if blocks is None:
+        if pieces.mode_blocks is not None:
+            return pieces.mode_blocks.quadrature(h, v0_plus, g)
         return _lp_quadrature(pieces, h, v0_plus, g)
     # the unstable part runs backward from v0_plus at t = 0, the
     # complement forward from 0 at t = -T_max
@@ -572,9 +850,10 @@ class LpResult:
 
 
 class _Iterate(NamedTuple):
-    """A Lyapunov-Perron iterate: the split orbit Y, its ambient image
-    BY = Y B^T and the quasilinear inversion state of B along Y (None on
-    the autonomous route and for the zero orbit)."""
+    """A Lyapunov-Perron iterate: the split orbit Y in the sweep layout,
+    its ambient image BY = Y B^T (rows) and the quasilinear inversion
+    state of B along Y (None on the autonomous route and for the zero
+    orbit)."""
 
     Y: np.ndarray
     BY: np.ndarray
@@ -625,7 +904,8 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
     takes of a difference of split orbits (its fixed-point residual).
 
     A sweep maps one _Iterate to the next and forms the ambient image
-    BY = Y B^T of its new orbit once.  That product gives the increment,
+    BY = Y B^T of its new orbit once (SplitPieces.image; the orbit stays in
+    the sweep layout).  That product gives the increment,
     the weighted norm of the change of BY, and the next sweep's lp_apply
     builds its inputs from it; the sweep consumes the inversion state of
     the iterate it maps.  On the autonomous route every node of the zero
@@ -646,20 +926,21 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
         raise ValueError("base point outside the eps-ball")
     norm = _lp_norm(pieces, cfg)
 
-    # the zero orbit, which is its own image
-    zero = np.zeros((len(cfg.times), pieces.dim))
+    # the zero orbit, whose image is zero
+    rows = np.zeros((len(cfg.times), pieces.dim))
+    zero = pieces.sweep_layout(rows)
 
     def sweep(it: _Iterate) -> _Iterate:
         if it.Y is zero and pieces.autonomous:
             # the first sweep, of the zero orbit
             state = None
-            Y = _lp_sweep(pieces, cfg.h, v0_plus,
-                          np.repeat(pieces._rest[None], len(zero), axis=0))
+            Y = _lp_sweep(pieces, cfg.h, v0_plus, pieces.sweep_layout(
+                np.repeat(pieces._rest[None], len(rows), axis=0)))
         else:
             Y, state = lp_apply(pieces, cfg, v0_plus, it.Y, it.BY, it.state)
-        return _Iterate(Y, Y @ pieces._BT, state)
+        return _Iterate(Y, pieces.image(Y), state)
 
-    fixed, incs = _contract(sweep, _Iterate(zero, zero, None),
+    fixed, incs = _contract(sweep, _Iterate(zero, rows, None),
                             lambda new, old: norm(new.BY - old.BY),
                             cfg.tol, cfg.max_iter)
     return fixed, incs, norm
@@ -699,9 +980,16 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     m, h = len(cfg.times), cfg.h
 
     # fixed-point residual: one more sweep, measured in the same norm; its
-    # remainder and ambient field also serve the two checks below
+    # remainder and ambient field also serve the two checks below, which
+    # read split rows
     g, field, blocks, _ = pieces.sweep_inputs(Y, BY, state)
-    fp_res = norm(_lp_sweep(pieces, h, v0_plus, g, blocks) - Y, split=True)
+    new = _lp_sweep(pieces, h, v0_plus, g, blocks)
+    # one layout at a time goes to rows, each freed as it goes
+    new = pieces.split_rows(new)
+    Y = pieces.split_rows(Y)
+    fp_res = norm(new - Y, split=True)
+    del new
+    g = pieces.split_rows(g)
 
     # the truncated tail of the complement integral, from the remainder at
     # -T_max; varying blocks carry no dichotomy constant
@@ -999,7 +1287,7 @@ def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
         ys = (u1 - model.equilibrium) @ pieces.Binv.T
     for i, yi in zip(ok, ys):
         try:
-            Y1 = _lp_fixed_point(pieces, cfg, yi[:d])[0].Y
+            Y1 = pieces.split_rows(_lp_fixed_point(pieces, cfg, yi[:d])[0].Y)
         except _SAMPLE_FAILURES:
             skipped += 1
             continue

@@ -270,6 +270,26 @@ def test_linear_scan_step_stack_starts_at_x0(lead):
     assert np.array_equal(X, keep)
 
 
+def test_per_block_plans_scan_each_recurrence_with_its_block():
+    # a plan of K per-block matrices scans K recurrences, the k-th with the
+    # k-th matrices, as K scans of one block each (to roundoff: the stack's
+    # tables span fewer nodes)
+    rng = np.random.default_rng(5)
+    K, d, m = 5, 4, 1001
+    E = 0.3 * rng.normal(size=(K, d, d))
+    P, Q = rng.normal(size=(2, K, d, d))
+    X, x0 = rng.normal(size=(m, K, d)), rng.normal(size=(K, d))
+    got = linear_scan(scan_plan(E, P, Q), X, x0)
+    for k in range(K):
+        want = linear_scan(scan_plan(E[k], P[k], Q[k]), X[:, k], x0[k])
+        assert np.abs(got[:, k] - want).max() <= 1e-13 * np.abs(want).max()
+    with pytest.raises(ValueError, match="expected 5 recurrences"):
+        linear_scan(scan_plan(E, P, Q), X[:, :4])
+    with pytest.raises(ValueError, match="at most 16 wide"):
+        scan_plan(np.zeros((2, 17, 17)), np.zeros((2, 17, 17)),
+                  np.zeros((2, 17, 17)))
+
+
 def test_linear_scan_rejects_wrong_step_count():
     with pytest.raises(ValueError, match="step matrices"):
         linear_scan(np.zeros((4, 2, 2)), np.zeros((4, 2)))
@@ -1497,34 +1517,39 @@ def _ambient_reference_solve(pieces, cfg, v0):
     increment is the weighted norm of Ynew B^T - Y B^T, and the residual
     sweep's inputs and the orbit form the product again.  The tail bound
     comes from the residual sweep's remainder at -T_max, the fixed point's.
-    Returns the fields of LpResult that lp_solve must match bit for bit."""
+    The loop holds Y in the pieces' sweep layout and forms Y B^T as the
+    sweeps define it: a dense gemm, or the batched product of the mode
+    blocks (pieces.image).  Returns the fields of LpResult that lp_solve
+    must match bit for bit."""
     times = cfg.times
     h = times[1] - times[0]
     BT = np.ascontiguousarray(pieces.B.T)
+    image = (lambda Y: Y @ BT) if pieces.mode_blocks is None else pieces.image
     w = pieces.model.ladder.weights(cfg.r - 1.0)
     decay = np.exp(-cfg.lam * times)
 
     def weighted(X):
         return float(np.max(decay * np.sqrt(np.einsum("ij,ij->i", X, X))))
 
-    Y = np.zeros((len(times), pieces.dim))
+    Y = pieces.sweep_layout(np.zeros((len(times), pieces.dim)))
     state = None
     for k in range(1, cfg.max_iter + 1):
-        g, _, blocks, state = pieces.sweep_inputs(Y, Y @ BT, state)
+        g, _, blocks, state = pieces.sweep_inputs(Y, image(Y), state)
         Ynew = lp._lp_sweep(pieces, h, v0, g, blocks)
-        inc = weighted((Ynew @ BT - Y @ BT) * w)
+        inc = weighted((image(Ynew) - image(Y)) * w)
         Y = Ynew
         if inc <= cfg.tol:
             break
-    g, _, blocks, _ = pieces.sweep_inputs(Y, Y @ BT, state)
+    g, _, blocks, _ = pieces.sweep_inputs(Y, image(Y), state)
     Ychk = lp._lp_sweep(pieces, h, v0, g, blocks)
+    orbit = image(Y) + pieces.model.equilibrium
+    Y, Ychk, g = (pieces.split_rows(X) for X in (Y, Ychk, g))
     c_rest = pieces.rest_growth_constant(cfg.T_max) if blocks is None else 1.0
     tail = (c_rest * np.linalg.norm(g[0, pieces.d_plus:])
             / (cfg.lam - pieces.splitting.rest_max_re))
     D = g[2:] - 2 * g[1:-1] + g[:-2]
     quad = float(h * np.sqrt(np.einsum("ij,ij->i", D, D)).sum() / 12.0)
-    return {"h_value": Y[-1, pieces.d_plus:], "Y": Y,
-            "orbit": Y @ pieces._BT + pieces.model.equilibrium,
+    return {"h_value": Y[-1, pieces.d_plus:], "Y": Y, "orbit": orbit,
             "iterations": k,
             "fp_residual": weighted((Ychk - Y) @ np.ascontiguousarray(
                 pieces.B.T * w)),
@@ -2249,3 +2274,121 @@ def test_two_admissible_gaps_same_graph():
         cfg = LpConfig(lam=0.9, T_max=20.0, dt=0.005, eps=0.12, tol=1e-11)
         hs.append(lp_solve(pieces, cfg, np.array([0.1])).h_value[0])
     assert hs[0] == pytest.approx(hs[1], abs=1e-9)
+
+
+# ---------------------------------------------------------------- mode blocks
+
+def _mmt_pieces(xi0, half, beta):
+    """MMT pieces at the CLI's default gap: beta = 0 is the focusing plane
+    wave of mmt_mi_pieces, beta > 0 the case of
+    test_split_field_scales_the_df0_check_with_a0."""
+    if beta == 0.0:
+        p = MmtParams(alpha=1.0, beta=0.0, sigma=-1, a=1.2, xi0=xi0,
+                      mode_set=mmt_mode_set(xi0, half))
+    else:
+        p = MmtParams(alpha=1.0, beta=beta, sigma=-1, a=0.8, xi0=xi0,
+                      mode_set=mmt_mode_set(xi0, half))
+    m = mmt_galerkin(p)
+    A0 = m.jacobian(m.equilibrium)
+    return p, split_field(m, eigen_split(A0, cli.default_gap(A0)))
+
+
+@pytest.mark.parametrize("xi0, half, beta", [(0, 8, 0.0), (0, 16, 0.0),
+                                              (0, 31, 0.0), (1, 31, 1.0)])
+def test_mode_blocks_of_mmt_are_the_mode_pairs(xi0, half, beta):
+    # an ambient state interleaves (Re, Im) of each mode, and A(0) couples
+    # the pair (xi0 + k, xi0 - k): every block holds the modes of one pair,
+    # or one mode: the carrier, and at beta = 1 the modes of the pair at
+    # xi = 0, whose weight |0|^beta decouples it
+    p, pieces = _mmt_pieces(xi0, half, beta)
+    mb = pieces.mode_blocks
+    assert mb is not None
+    K, wa = mb.amb.shape
+    modes = np.array(p.mode_set)
+    blocks = [modes[np.flatnonzero(mb.amb_slot // wa == k) // 2]
+              for k in range(K)]
+    for b in blocks:
+        assert len(b) == 2 * len(set(b)) and len(set(b)) in (1, 2)
+        assert len({abs(xi - xi0) for xi in b}) == 1
+    assert sorted(xi for b in blocks for xi in set(b)) == sorted(modes)
+    singles = sorted(int(b[0]) for b in blocks if len(set(b)) == 1)
+    assert singles == ([xi0] if beta == 0.0 else [0, xi0, 2 * xi0])
+    # every split coordinate lies in one slot of one block of its part
+    for part, d in ((mb.plus, pieces.d_plus), (mb.rest, pieces.d_rest)):
+        assert len(set(zip(part.block, part.slot))) == len(part.block) == d
+    if beta:
+        # d_plus = 60: both parts are wider than 16 and take the blocks
+        assert pieces.d_plus == 60 and len(mb.plus.width) == 30
+
+
+def test_mode_blocks_keep_dense_where_nothing_decouples():
+    # a dense random A(0) of size 40 couples every coordinate; MMT-7 and
+    # rd at 6 modes have parts of at most 16
+    rng = np.random.default_rng(40)
+    A = rng.normal(size=(40, 40))
+    A += np.diag(np.where(np.arange(40) < 3, 8.0, -8.0))
+    m = custom_model("dense40", lambda u: u @ A.T + u ** 2,
+                     lambda u: A + np.diag(2 * u), np.zeros(40))
+    sp = eigen_split(A, cli.default_gap(A))
+    assert max(sp.dim_plus, 40 - sp.dim_plus) > 16
+    assert split_field(m, sp).mode_blocks is None
+    for pieces in (mmt_mi_pieces(3)[2], rd_pieces(2.0, 6)[2]):
+        assert pieces.mode_blocks is None
+    # rd at 20 modes: A(0) is diagonal, so every block is 1 x 1
+    mb = rd_pieces(2.0, 20)[2].mode_blocks
+    assert mb.rest.A.shape == (18, 1, 1) and mb.plus.A.shape == (2, 1, 1)
+
+
+def test_mode_block_layout_matches_the_dense_products():
+    # the layout's conversions copy exactly, and its image and remainder
+    # are the dense products Y B^T and f_split to roundoff
+    _, _, pieces = mmt_mi_pieces(16)
+    mb = pieces.mode_blocks
+    rng = np.random.default_rng(33)
+    Y = 0.01 * rng.normal(size=(7, pieces.dim))
+    blocks = pieces.sweep_layout(Y)
+    assert np.array_equal(pieces.split_rows(blocks), Y)
+    BY = pieces.image(blocks)
+    assert np.abs(BY - Y @ pieces.B.T).max() <= 1e-15
+    g = pieces.split_rows(pieces.sweep_inputs(blocks, BY)[0])
+    want = pieces.f_split(Y)
+    assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+    # pad slots stay exact zeros
+    assert np.all(blocks[1][mb.rest.width == 2][:, :, 2:] == 0.0)
+
+
+def test_rest_growth_constant_per_block_is_the_dense_one():
+    # on the blocks the growth constant is the largest block's: the same
+    # samples as the dense exponential of the 64-wide A_rest
+    _, sp, pieces = mmt_mi_pieces(16)
+    assert pieces.mode_blocks is not None
+    T = 12.0 / sp.lambda_plus
+    c = pieces.rest_growth_constant(T)
+    dense = max([1.0] + [np.linalg.norm(sla.expm(s * pieces.A_rest), 2)
+                         * math.exp(-sp.rest_max_re * s)
+                         for s in np.linspace(0.0, T, 25)])
+    assert c > 1.0
+    assert c == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+def test_mode_block_sweeps_match_the_dense_sweeps(monkeypatch):
+    # the 63-mode beta = 1 MMT with d_plus = 60: the block path's sweep
+    # count and h equal the dense path's within the golden CSV's
+    # tolerances (h within 1e-12 max|h|, exact zeros kept exact)
+    _, pieces = _mmt_pieces(1, 31, 1.0)
+    sp = pieces.splitting
+    cfg = LpConfig(lam=0.5 * sp.lambda_plus + 0.5 * max(sp.rest_max_re, 0.0),
+                   T_max=min(16.0 / sp.lambda_plus, 60.0), dt=0.01, eps=0.05,
+                   tol=1e-9)
+    base = np.zeros(pieces.d_plus)
+    base[[0, 7, 31]] = [0.002, -0.001, 0.0015]
+    got = lp_solve(pieces, cfg, base)
+    monkeypatch.setattr(lp, "_mode_blocks", lambda *args: None)
+    dense = dataclasses.replace(pieces)
+    assert dense.mode_blocks is None
+    want = lp_solve(dense, cfg, base)
+    assert (got.diagnostics["iterations"]
+            == want.diagnostics["iterations"] >= 3)
+    scale = np.abs(want.h_value).max()
+    assert np.abs(got.h_value - want.h_value).max() <= 1e-12 * scale
+    assert np.all(got.h_value[want.h_value == 0.0] == 0.0)
