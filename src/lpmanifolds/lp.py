@@ -113,16 +113,23 @@ def _phi_matrices(A: np.ndarray, h: float):
     return E[..., :d, :d], E[..., :d, d:2 * d], E[..., :d, 2 * d:]
 
 
-def _quadrature_plans(A_plus: np.ndarray, A_rest: np.ndarray, h: float):
-    """The linear_scan plans of the quadrature for the step h, from the phi
-    matrices (Em, psi1, psi2) of -A_plus and (Ep, phi1, phi2) of A_rest:
-    Em with the taps (-h (psi1 - psi2), -h psi2) and Ep with
-    (h (phi1 - phi2), h phi2).  The blocks may be stacks of per-block
-    matrices."""
-    Em, p1m, p2m = _phi_matrices(-A_plus, h)
-    Ep, p1p, p2p = _phi_matrices(A_rest, h)
-    return (scan_plan(Em, -h * (p1m - p2m), -h * p2m),
-            scan_plan(Ep, h * (p1p - p2p), h * p2p))
+def _quadrature_plans(cache: dict, A_plus: np.ndarray, A_rest: np.ndarray,
+                      h: float):
+    """The linear_scan plans of the exponential-trapezoid LP quadrature
+    for the step h, built once per h into cache, a layout's plan cache.
+    The unstable part runs backward from v0_plus at t = 0,
+    S_j = Em S_{j+1} - h (psi1 - psi2) g_{j+1} - h psi2 g_j, and the
+    complement forward from 0 at t = -T_max,
+    R_{j+1} = Ep R_j + h (phi1 - phi2) g_j + h phi2 g_{j+1}, from the phi
+    matrices (Em, psi1, psi2) of -A_plus and (Ep, phi1, phi2) of A_rest,
+    which may be stacks of per-block matrices."""
+    key = round(h, 15)
+    if key not in cache:
+        Em, p1m, p2m = _phi_matrices(-A_plus, h)
+        Ep, p1p, p2p = _phi_matrices(A_rest, h)
+        cache[key] = (scan_plan(Em, -h * (p1m - p2m), -h * p2m),
+                      scan_plan(Ep, h * (p1p - p2p), h * p2p))
+    return cache[key]
 
 
 # an entry of B or Binv at most this fraction of the matrix's largest entry
@@ -131,6 +138,61 @@ _COUPLING_FLOOR = 1e-14
 # the widest split part swept densely: linear_scan's blocked route takes
 # states of at most 16, wider ones the chunked route
 _DENSE_WIDTH = 16
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The dense sweep layout: a split orbit is its rows (m, n), the first
+    d columns unstable, and each product one gemm with BT, BinvT or AT,
+    the contiguous transposes of B, Binv and blockdiag(A_plus, A_rest) (a
+    transposed view takes NumPy's slower strided path)."""
+
+    d: int
+    BT: np.ndarray
+    BinvT: np.ndarray
+    A_plus: np.ndarray
+    A_rest: np.ndarray
+    AT: np.ndarray
+    _plans: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def split(self, Y: np.ndarray) -> np.ndarray:
+        return Y
+
+    def rows(self, Y: np.ndarray) -> np.ndarray:
+        return Y
+
+    def image(self, Y: np.ndarray) -> np.ndarray:
+        return Y @ self.BT
+
+    def remainder(self, Y: np.ndarray, field: np.ndarray) -> np.ndarray:
+        """f_split along Y, field Binv^T - Y blockdiag(A_plus, A_rest)^T,
+        from the field at eq + Y B^T (rows)."""
+        g = field @ self.BinvT
+        g -= Y @ self.AT
+        return g
+
+    def all_finite(self, g: np.ndarray) -> bool:
+        return bool(np.all(np.isfinite(g)))
+
+    @property
+    def rest_blocks(self) -> list[np.ndarray]:
+        """The complement blocks rest_growth_constant takes: A_rest."""
+        return [self.A_rest]
+
+    def quadrature(self, h: float, v0_plus: np.ndarray,
+                   g: np.ndarray) -> np.ndarray:
+        """The LP quadrature (_quadrature_plans) of the forcing g at the m
+        grid nodes: each part one linear_scan of its columns.  Axes between
+        the first and the last are independent orbits, each with its own
+        row of v0_plus."""
+        d = self.d
+        plan_m, plan_p = _quadrature_plans(self._plans, self.A_plus,
+                                           self.A_rest, h)
+        new = np.empty_like(g)
+        # each scan writes its rows straight into its part of new
+        _scan_into(plan_m, g[::-1, ..., :d], v0_plus, new[::-1, ..., :d])
+        _scan_into(plan_p, g[..., d:], 0.0, new[..., d:])
+        return new
 
 
 class _Part(NamedTuple):
@@ -213,11 +275,9 @@ class _ModeBlocks:
                   field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f_split in the block layout along Y, from the field at eq + Y B^T
         (rows): per part, field Binv_part^T - Y_part A_part^T, two batched
-        matmuls.  It is Binv (F - A0 B y) with A0 B = B blockdiag(A_plus,
-        A_rest) taken in split coordinates, which keeps the parts apart and
-        needs no second gather of the ambient orbit; the quasilinear route
-        forms its remainder the same way.  A pad slot repeats its block's
-        first ambient coordinate and meets a zero row of BinvT."""
+        matmuls, the split form of _Rows.remainder.  A pad slot repeats
+        its block's first ambient coordinate and meets a zero row of
+        BinvT."""
         m = len(field)
         F = np.take(field, self.amb.ravel(), axis=1).reshape(
             (m,) + self.amb.shape).swapaxes(0, 1)
@@ -228,23 +288,23 @@ class _ModeBlocks:
             out.append(g)
         return out[0], out[1]
 
-    def propagators(self, h: float):
-        """_quadrature_plans of the parts' blocks for the step h, per-block
-        plans built once per h from one batched matrix exponential per
-        part."""
-        key = round(h, 15)
-        if key not in self._plans:
-            self._plans[key] = _quadrature_plans(self.plus.A, self.rest.A, h)
-        return self._plans[key]
+    def all_finite(self, g: tuple[np.ndarray, np.ndarray]) -> bool:
+        return all(bool(np.all(np.isfinite(x))) for x in g)
+
+    @property
+    def rest_blocks(self) -> list[np.ndarray]:
+        """The complement blocks rest_growth_constant takes: one stack
+        (k, w, w) per block width w."""
+        A, width = self.rest.A, self.rest.width
+        return [A[width == w][:, :w, :w] for w in np.unique(width)]
 
     def quadrature(self, h: float, v0_plus: np.ndarray,
                    g: tuple[np.ndarray, np.ndarray]
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """_lp_quadrature in the block layout: each part is one linear_scan
-        of its blocks with the per-block plans of propagators(h), the
-        unstable part backward from v0_plus at t = 0, the complement
-        forward from 0."""
-        plan_m, plan_p = self.propagators(h)
+        """The LP quadrature (_quadrature_plans) in the block layout: each
+        part one linear_scan of its blocks with per-block plans."""
+        plan_m, plan_p = _quadrature_plans(self._plans, self.plus.A,
+                                           self.rest.A, h)
         (gp, gr), part = g, self.plus
         start = np.zeros(part.A.shape[:2])
         start[part.block, part.slot] = v0_plus
@@ -263,41 +323,38 @@ def _mode_blocks(B: np.ndarray, Binv: np.ndarray, A0: np.ndarray, d: int,
     when A0 does not decouple, when a block's part is wider than that or
     when a block's B times its Binv is not I to 1e-12.
 
-    The blocks are the connected components of the graph that joins
-    ambient i to split j where |B_ij| or |Binv_ji| exceeds _COUPLING_FLOOR
-    of that matrix's largest entry, and ambient i to i' where A0_ii' is
-    not 0."""
+    The blocks are the connected components of the graph on the ambient
+    and the split coordinates that joins ambient i to split j where |B_ij|
+    or |Binv_ji| exceeds _COUPLING_FLOOR of that matrix's largest entry,
+    and ambient i to i' where A0_ii' is not 0."""
     n = len(B)
     if not (0 < d < n and max(d, n - d) > _DENSE_WIDTH):
         return None
+    # imported here, where a part is wide, so that the models swept in
+    # rows do not load it
+    from scipy.sparse.csgraph import connected_components
     link = ((np.abs(B) > _COUPLING_FLOOR * np.abs(B).max())
             | (np.abs(Binv.T) > _COUPLING_FLOOR * np.abs(Binv).max()))
-    # ambient coordinates that share a split one or an entry of A0, closed
-    # under composition by repeated squaring; each block is labelled by
-    # its first ambient index
-    near = ((link.astype(float) @ link.T.astype(float) > 0) | (A0 != 0)
-            | (A0.T != 0) | np.eye(n, dtype=bool))
-    while True:
-        wider = (near.astype(float) @ near.astype(float)) > 0
-        if np.array_equal(wider, near):
-            break
-        near = wider
-    label = near.argmax(axis=1)
-    amb = [np.flatnonzero(label == k) for k in np.unique(label)]
-    if len(amb) < 2:
+    # nodes 0, ..., n - 1 are the ambient coordinates, n, ..., 2n - 1 the
+    # split ones
+    K, label = connected_components(
+        np.block([[A0 != 0, link], [np.zeros((n, 2 * n), dtype=bool)]]),
+        directed=False)
+    if K < 2:
         return None
-    split = [np.flatnonzero(link[a].any(axis=0)) for a in amb]
+    amb = [np.flatnonzero(label[:n] == k) for k in range(K)]
+    split = [np.flatnonzero(label[n:] == k) for k in range(K)]
     for a, s in zip(amb, split):
         if len(a) != len(s) or np.abs(
                 B[np.ix_(a, s)] @ Binv[np.ix_(s, a)]
                 - np.eye(len(a))).max() > 1e-12:
             return None
     # unstable-only blocks, then mixed ones, then complement-only ones
-    order = sorted(range(len(amb)), key=lambda k: (
+    order = sorted(range(K), key=lambda k: (
         int(np.all(split[k] >= d)) + int(np.any(split[k] >= d)), amb[k][0]))
     amb = [amb[k] for k in order]
     split = [split[k] for k in order]
-    K, wa = len(amb), max(map(len, amb))
+    wa = max(map(len, amb))
     amb_idx = np.empty((K, wa), dtype=np.intp)
     amb_slot = np.empty(n, dtype=np.intp)
     for k, a in enumerate(amb):
@@ -341,29 +398,26 @@ class SplitPieces:
     Binv (F(eq + B y) - A0 B y), which vanishes to second order at 0;
     A0 = DF(equilibrium) and F0 = F(equilibrium), one row, both taken by
     split_field (the quasilinear route keeps the direct model's A0 and F0,
-    the values its inversion starts from).  sweep_inputs is the one method
-    that reads the route: fixed blocks A_plus, A_rest on the autonomous
-    split, node blocks from frozen_along on the quasilinear route.
+    the values its inversion starts from).  Every route takes it in the
+    split form Binv F - blockdiag(A_plus, A_rest) y; sweep_inputs is the one
+    method that reads the route: fixed blocks on the autonomous split, node
+    blocks from frozen_along on the quasilinear route.
     The value is frozen.  __post_init__ derives the rest, and
     dataclasses.replace derives it again: B, Binv and d_plus are the
     splitting's; A_plus and A_rest are the diagonal blocks of Binv A0 B,
     whose other blocks must be within 1e-8 max(||A0||_F, 1) of 0
-    (ValueError otherwise); _BT, _A0T and _BinvT are the contiguous
-    transposes the row products take (a transposed view takes NumPy's
-    slower strided path); _rest is f_split of the equilibrium on the
+    (ValueError otherwise); _rest is f_split of the equilibrium on the
     autonomous split, the forcing of every node in the first sweep of the
-    zero orbit.  The cache holds the scan plans and growth
-    constants, one per step or horizon; it is not a field of the
-    constructor, so replace starts a fresh one.
+    zero orbit.  The cache holds the growth constants, one per horizon; it
+    is not a field of the constructor, so replace starts a fresh one.
 
-    mode_blocks holds the coupling blocks of A0 on the autonomous split
-    (_mode_blocks), found from B, Binv and A0 where a part of the split is
-    wider than 16 and A0 decouples, else None.  With them the sweeps hold
-    split orbits and remainders in the block layout of _ModeBlocks, and
-    image, sweep_inputs and the quadrature work block by block, each
-    product one batched matmul; sweep_layout and split_rows convert.
-    Without them the sweep layout is the rows (m, n) and the products
-    are dense.
+    dense is the rows layout (_Rows) of f_split, lp_variational and the
+    quasilinear route.  layout is the one layout of the sweeps: the
+    coupling blocks of A0 (_ModeBlocks) where _mode_blocks finds them on
+    the autonomous split, else dense; the sweeps call its split, rows,
+    image, remainder and quadrature, and it owns the scan plans, one per
+    step.  Both layouts stay: taken as one block, a dense model solves up
+    to 1.5 times slower.
     """
 
     model: ModelSystem
@@ -386,22 +440,22 @@ class SplitPieces:
                 raise ValueError("splitting does not block-diagonalize A(0)")
         c = np.ascontiguousarray
         A_plus, A_rest = Ahat[:d, :d], Ahat[d:, d:]
+        dense = _Rows(d, c(sp.B.T), c(sp.Binv.T), A_plus, A_rest,
+                      c(sla.block_diag(A_plus, A_rest).T))
+        blocks = (_mode_blocks(sp.B, sp.Binv, self.A0, d, A_plus, A_rest)
+                  if self.autonomous else None)
+        layout = dense if blocks is None else blocks
         for name, value in dict(
                 B=sp.B, Binv=sp.Binv, d_plus=d, A_plus=A_plus,
-                A_rest=A_rest, _BT=c(sp.B.T), _A0T=c(self.A0.T),
-                _BinvT=c(sp.Binv.T),
-                mode_blocks=_mode_blocks(sp.B, sp.Binv, self.A0, d, A_plus,
-                                         A_rest) if self.autonomous
-                else None).items():
+                A_rest=A_rest, dense=dense, layout=layout).items():
             object.__setattr__(self, name, value)
         # f_split of the equilibrium from F0, on two copies of the row: one
         # row goes to gemv, whose sums round otherwise than a grid's gemm,
         # and the first sweep must keep the bits of a grid's evaluation,
         # by the remainder the sweeps take
         two = np.repeat(self.F0[None], 2, axis=0)
-        zero, mb = np.zeros_like(two), self.mode_blocks
-        rest = (self._remainder(zero, two) if mb is None
-                else mb.rows(mb.remainder(mb.split(zero), two)))
+        rest = layout.rows(layout.remainder(
+            layout.split(np.zeros_like(two)), two))
         object.__setattr__(self, "_rest", rest[0])
 
     @property
@@ -422,34 +476,17 @@ class SplitPieces:
         """The remainder at split states Y (..., n), from dense products."""
         Y = np.asarray(Y, dtype=float)
         rows = Y.reshape(-1, self.dim)
-        BY = rows @ self._BT
-        g = (self._remainder(BY, self._field(BY)) if self.autonomous
+        BY = self.dense.image(rows)
+        g = (self.dense.remainder(rows, self._field(BY)) if self.autonomous
              else self.frozen_along(rows, BY)[0])
         return g.reshape(Y.shape)
 
-    def sweep_layout(self, Y: np.ndarray) -> np.ndarray:
-        """Split rows Y (m, n) in the sweep layout: Y itself, or its block
-        layout on mode blocks."""
-        return Y if self.mode_blocks is None else self.mode_blocks.split(Y)
-
-    def split_rows(self, Y: np.ndarray) -> np.ndarray:
-        """The split rows (m, n) of Y in the sweep layout."""
-        return Y if self.mode_blocks is None else self.mode_blocks.rows(Y)
-
-    def image(self, Y: np.ndarray) -> np.ndarray:
-        """The ambient image Y B^T, as rows (m, n), of the split orbit Y in
-        the sweep layout: one gemm, or one batched matmul of the mode
-        blocks."""
-        if self.mode_blocks is None:
-            return Y @ self._BT
-        return self.mode_blocks.image(Y)
-
     def sweep_inputs(self, Y: np.ndarray, BY: np.ndarray,
                      state: tuple | None = None) -> tuple:
-        """(g, field, blocks, state) along the split states Y, whose ambient
-        image Y B^T is BY (rows): the remainder g = f_split(Y) in the sweep
-        layout, the ambient field it is built from, the node blocks
-        (A_plus, A_rest) and the inversion state of B.
+        """(g, field, blocks, state) along the split states Y in the
+        layout, whose ambient image Y B^T is BY (rows): the remainder
+        g = f_split(Y) in the layout, the ambient field it is built from,
+        the node blocks (A_plus, A_rest) and the inversion state of B.
 
         On the autonomous route the field is the model's at eq + BY, and
         blocks and state are None: the blocks are the fixed ones.  On the
@@ -462,35 +499,19 @@ class SplitPieces:
         if not self.autonomous:
             return self.frozen_along(Y, BY, state)
         field = self._field(BY)
-        g = (self._remainder(BY, field) if self.mode_blocks is None
-             else self.mode_blocks.remainder(Y, field))
-        return g, field, None, None
+        return self.layout.remainder(Y, field), field, None, None
 
     def _field(self, BY: np.ndarray) -> np.ndarray:
         """The model's field at eq + BY (rows)."""
         eq = self.model.equilibrium
         return self.model.field_many(BY + eq if np.any(eq) else BY)
 
-    def _remainder(self, BY: np.ndarray, field: np.ndarray) -> np.ndarray:
-        """f_split from the ambient deviations BY = Y B^T (rows) and their
-        field."""
-        return (field - BY @ self._A0T) @ self._BinvT
-
-    def propagators(self, h: float):
-        """The dense linear_scan plans of the quadrature for the step h
-        (_quadrature_plans of A_plus and A_rest), built once per h; the
-        mode blocks keep their own per-block plans."""
-        key = ("plans", round(h, 15))
-        if key not in self._cache:
-            self._cache[key] = _quadrature_plans(self.A_plus, self.A_rest, h)
-        return self._cache[key]
-
     def rest_growth_constant(self, T: float) -> float:
         """The max of ||e^{s A_rest}||_2 e^{-rest_max_re * s} over 25
         equally spaced samples s of [0, T], and at least 1 (1 when there is
-        no complement), cached per T.  On mode blocks the norm of each
-        sample is the largest of its complement blocks' norms, taken by
-        batched exponentials of the blocks of each width.  It is a sampled
+        no complement), cached per T.  The norm of each sample is the
+        largest over the layout's complement blocks, taken by batched
+        exponentials of the blocks of each width.  It is a sampled
         estimate of the growth constant, not a bound: the norm may peak
         between samples.  tail_bound takes it as the constant of the
         complement's propagator."""
@@ -499,10 +520,7 @@ class SplitPieces:
             if self.d_rest == 0:
                 self._cache[key] = 1.0
             else:
-                mb = self.mode_blocks
-                blocks = [self.A_rest] if mb is None else [
-                    mb.rest.A[mb.rest.width == w][:, :w, :w]
-                    for w in np.unique(mb.rest.width)]
+                blocks = self.layout.rest_blocks
                 rate = self.splitting.rest_max_re
                 c = 1.0
                 for s in np.linspace(0.0, T, 25):
@@ -747,7 +765,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         field = transformed_field(state)
         Afull = base.Binv @ state[2] @ base.B
         Ap, Ar = Afull[:, :d, :d], Afull[:, d:, d:]
-        g = field @ base._BinvT
+        g = field @ base.dense.BinvT
         g[:, :d] -= (Ap @ Y[:, :d, None])[:, :, 0]
         g[:, d:] -= (Ar @ Y[:, d:, None])[:, :, 0]
         return g, field, (Ap, Ar), state
@@ -759,77 +777,44 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
 # ---------------------------------------------------------------------------
 # the integral operator and its fixed point
 
-def _lp_quadrature(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
-                   g: np.ndarray) -> np.ndarray:
-    """Exponential-trapezoid LP quadrature on the autonomous split.
-
-    g holds the forcing at the m grid nodes, with the split coordinates on
-    its last axis; axes in between are independent orbits, each with its own
-    row of v0_plus.  The unstable part runs backward from v0_plus at t = 0,
-    S_j = Em S_{j+1} - h (psi1 - psi2) g_{j+1} - h psi2 g_j, and the
-    complement forward from 0 at t = -T_max,
-    R_{j+1} = Ep R_j + h (phi1 - phi2) g_j + h phi2 g_{j+1}: each one
-    linear_scan of the remainder rows with the taps of the dense
-    propagators(h).  The sweeps of mode blocks take _ModeBlocks.quadrature
-    instead.
-    """
-    d = pieces.d_plus
-    plan_m, plan_p = pieces.propagators(h)
-    new = np.empty_like(g)
-    # each scan writes its rows straight into its part of new
-    _scan_into(plan_m, g[::-1, ..., :d], v0_plus, new[::-1, ..., :d])
-    _scan_into(plan_p, g[..., d:], 0.0, new[..., d:])
-    return new
-
-
 def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
              Y: np.ndarray, BY: np.ndarray | None = None,
              state: tuple | None = None) -> tuple[np.ndarray, tuple | None]:
     """One application of the Lyapunov-Perron operator on the grid.
 
-    Y is the split orbit as rows (m, n), or in the sweep layout of pieces
-    (SplitPieces.sweep_layout), which the fixed point carries; the new
-    orbit comes back in the layout of Y.  Returns it and the inversion
-    state of B along Y that pieces.sweep_inputs returns (None on the
-    autonomous route).  BY is the ambient image Y B^T (rows) where the
-    caller holds it (the fixed point forms it once per sweep, for its
-    increment); without it lp_apply forms it with pieces.image.  Passed as
-    state to the next sweep, the inversion state starts each node's
-    inversion from its value at this sweep; without it the inversions
-    start cold at the equilibrium.  The state is consumed: the returned
-    state holds its arrays, updated in place.
+    Y is the split orbit in pieces.layout (rows (m, n) unless the sweeps
+    take mode blocks), and the new orbit comes back in it.  Returns it and
+    the inversion state of B along Y that pieces.sweep_inputs returns (None
+    on the autonomous route), which the next sweep takes as state and
+    consumes; without a state the inversions start cold.  BY is the
+    ambient image Y B^T (rows) where the caller holds it (the fixed point
+    forms it once per sweep, for its increment); without it lp_apply forms
+    it with the layout's image.
     """
     v0_plus = as_state(v0_plus, pieces.d_plus)
-    rows = pieces.mode_blocks is not None and not isinstance(Y, tuple)
-    if rows:
-        Y = pieces.sweep_layout(Y)
     if BY is None:
-        BY = pieces.image(Y)
+        BY = pieces.layout.image(Y)
     g, field, blocks, state = pieces.sweep_inputs(Y, BY, state)
     # the sweep reads only the remainder; the field goes before the
     # quadrature's arrays are made
     del field
-    new = _lp_sweep(pieces, cfg.h, v0_plus, g, blocks)
-    return (pieces.split_rows(new) if rows else new), state
+    return _lp_sweep(pieces, cfg.h, v0_plus, g, blocks), state
 
 
 def _lp_sweep(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
               g: np.ndarray,
               blocks: tuple[np.ndarray, np.ndarray] | None = None
               ) -> np.ndarray:
-    """The new orbit of lp_apply on the grid of step h, in the sweep
-    layout, with the remainder g = f_split(Y) already evaluated in that
-    layout.  Without blocks the sweep is the exponential quadrature of the
-    fixed blocks (block by block on mode blocks); with the node blocks
-    (A_plus, A_rest) along Y (sweep_inputs on the quasilinear route) it is
-    two RK4 sweeps."""
-    if not all(np.all(np.isfinite(x)) for x in
-               (g if isinstance(g, tuple) else (g,))):
+    """The new orbit of lp_apply on the grid of step h, in the layout of
+    pieces, with the remainder g = f_split(Y) already evaluated in that
+    layout.  Without blocks the sweep is the layout's exponential
+    quadrature of the fixed blocks; with the node blocks (A_plus, A_rest)
+    along Y (sweep_inputs on the quasilinear route, rows) it is two RK4
+    sweeps."""
+    if not pieces.layout.all_finite(g):
         raise FloatingPointError("non-finite remainder evaluation in lp_apply")
     if blocks is None:
-        if pieces.mode_blocks is not None:
-            return pieces.mode_blocks.quadrature(h, v0_plus, g)
-        return _lp_quadrature(pieces, h, v0_plus, g)
+        return pieces.layout.quadrature(h, v0_plus, g)
     # the unstable part runs backward from v0_plus at t = 0, the
     # complement forward from 0 at t = -T_max
     d = pieces.d_plus
@@ -850,7 +835,7 @@ class LpResult:
 
 
 class _Iterate(NamedTuple):
-    """A Lyapunov-Perron iterate: the split orbit Y in the sweep layout,
+    """A Lyapunov-Perron iterate: the split orbit Y in the layout,
     its ambient image BY = Y B^T (rows) and the quasilinear inversion
     state of B along Y (None on the autonomous route and for the zero
     orbit)."""
@@ -904,8 +889,8 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
     takes of a difference of split orbits (its fixed-point residual).
 
     A sweep maps one _Iterate to the next and forms the ambient image
-    BY = Y B^T of its new orbit once (SplitPieces.image; the orbit stays in
-    the sweep layout).  That product gives the increment,
+    BY = Y B^T of its new orbit once (the layout's image; the orbit stays
+    in the layout).  That product gives the increment,
     the weighted norm of the change of BY, and the next sweep's lp_apply
     builds its inputs from it; the sweep consumes the inversion state of
     the iterate it maps.  On the autonomous route every node of the zero
@@ -927,18 +912,19 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
     norm = _lp_norm(pieces, cfg)
 
     # the zero orbit, whose image is zero
+    layout = pieces.layout
     rows = np.zeros((len(cfg.times), pieces.dim))
-    zero = pieces.sweep_layout(rows)
+    zero = layout.split(rows)
 
     def sweep(it: _Iterate) -> _Iterate:
         if it.Y is zero and pieces.autonomous:
             # the first sweep, of the zero orbit
             state = None
-            Y = _lp_sweep(pieces, cfg.h, v0_plus, pieces.sweep_layout(
+            Y = _lp_sweep(pieces, cfg.h, v0_plus, layout.split(
                 np.repeat(pieces._rest[None], len(rows), axis=0)))
         else:
             Y, state = lp_apply(pieces, cfg, v0_plus, it.Y, it.BY, it.state)
-        return _Iterate(Y, pieces.image(Y), state)
+        return _Iterate(Y, layout.image(Y), state)
 
     fixed, incs = _contract(sweep, _Iterate(zero, rows, None),
                             lambda new, old: norm(new.BY - old.BY),
@@ -984,12 +970,13 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     # read split rows
     g, field, blocks, _ = pieces.sweep_inputs(Y, BY, state)
     new = _lp_sweep(pieces, h, v0_plus, g, blocks)
-    # one layout at a time goes to rows, each freed as it goes
-    new = pieces.split_rows(new)
-    Y = pieces.split_rows(Y)
+    # one array at a time goes to rows, each freed as it goes
+    rows = pieces.layout.rows
+    new = rows(new)
+    Y = rows(Y)
     fp_res = norm(new - Y, split=True)
     del new
-    g = pieces.split_rows(g)
+    g = rows(g)
 
     # the truncated tail of the complement integral, from the remainder at
     # -T_max; varying blocks carry no dichotomy constant
@@ -1287,7 +1274,7 @@ def invariance_residual(graph: ManifoldGraph, pieces: SplitPieces,
         ys = (u1 - model.equilibrium) @ pieces.Binv.T
     for i, yi in zip(ok, ys):
         try:
-            Y1 = pieces.split_rows(_lp_fixed_point(pieces, cfg, yi[:d])[0].Y)
+            Y1 = pieces.layout.rows(_lp_fixed_point(pieces, cfg, yi[:d])[0].Y)
         except _SAMPLE_FAILURES:
             skipped += 1
             continue
@@ -1310,16 +1297,16 @@ def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig):
     stop above cfg.tol.
     """
     d, n = pieces.d_plus, pieces.dim
-    Adiag = sla.block_diag(pieces.A_plus, pieces.A_rest)
     # coupling along the base orbit: full Jacobian minus the frozen blocks
+    # blockdiag(A_plus, A_rest)
     J = pieces.model.jacobian(base.orbit.states)
-    AtilT = (pieces.Binv @ J @ pieces.B - Adiag).transpose(0, 2, 1)
+    AtilT = (pieces.Binv @ J @ pieces.B - pieces.dense.AT.T).transpose(0, 2, 1)
 
     # W[j] = U^1(t_j)^T, one row per derivative direction; the first sweep,
     # of the zero orbit, is the quadrature of zero forcing from the identity
     eye = np.eye(d)
     norm = _lp_norm(pieces, cfg)
-    W, _ = _contract(lambda X: _lp_quadrature(pieces, cfg.h, eye, X @ AtilT),
+    W, _ = _contract(lambda X: pieces.dense.quadrature(cfg.h, eye, X @ AtilT),
                      np.zeros((len(cfg.times), d, n)),
                      lambda new, old: norm(new - old, split=True),
                      cfg.tol, cfg.max_iter)

@@ -545,8 +545,8 @@ def test_linear_scan_diagonal_matrix_keeps_exact_zeros(m):
 
 def test_lp_sweeps_reuse_the_scan_plans(monkeypatch):
     # the plans of Em and Ep with the quadrature's taps are built once per
-    # step h, by propagators, and the plans of their block ends by the
-    # first sweep; later sweeps build none
+    # step h, into the layout's plan cache, and the plans of their block
+    # ends by the first sweep; later sweeps build none
     _, _, pieces = saddle1_pieces()
     built, ends = [], []
     real, real_plan = linalg.scan_plan, linalg._plan
@@ -577,23 +577,33 @@ def test_lp_sweeps_reuse_the_scan_plans(monkeypatch):
     assert calls.count(m) > 4
 
 
+def _dense_plans(pieces, h):
+    """The quadrature plans of the pieces' dense layout for the step h,
+    from (or into) its plan cache."""
+    return lp._quadrature_plans(pieces.dense._plans, pieces.A_plus,
+                                pieces.A_rest, h)
+
+
 def test_split_pieces_replace_starts_a_fresh_cache():
     _, _, pieces = saddle1_pieces()
-    plan_m = pieces.propagators(0.01)[0]
+    plan_m = _dense_plans(pieces, 0.01)[0]
     assert plan_m.E[0, 0] == pytest.approx(math.exp(-0.01), rel=1e-14)
     # A0 = diag(1, -1) doubled: replace derives A_plus = 2 again
     twice = dataclasses.replace(pieces, A0=2 * pieces.A0)
-    assert twice.propagators(0.01)[0].E[0, 0] == pytest.approx(
+    assert twice.dense._plans == {}
+    assert _dense_plans(twice, 0.01)[0].E[0, 0] == pytest.approx(
         math.exp(-0.02), rel=1e-14)
     # the original keeps its own
-    assert pieces.propagators(0.01)[0] is plan_m
+    assert _dense_plans(pieces, 0.01)[0] is plan_m
 
 
 def test_split_pieces_derive_their_transposes_and_rest_row():
     # the MMT plane wave's F(eq) is roundoff, so its remainder row is not 0
     _, sp, pieces = mmt_mi_pieces(half=3)
-    for got, a in ((pieces._BT, pieces.B), (pieces._A0T, pieces.A0),
-                   (pieces._BinvT, pieces.Binv)):
+    rows = pieces.dense
+    assert pieces.layout is rows
+    for got, a in ((rows.BT, pieces.B), (rows.BinvT, pieces.Binv),
+                   (rows.AT, sla.block_diag(pieces.A_plus, pieces.A_rest))):
         assert got.flags.c_contiguous and np.array_equal(got, a.T)
     zeros = np.zeros((5, pieces.dim))
     assert np.any(pieces._rest)
@@ -601,11 +611,13 @@ def test_split_pieces_derive_their_transposes_and_rest_row():
     # replace derives them again from its own fields
     doubled = dataclasses.replace(pieces, F0=2.0 * pieces.F0)
     assert np.array_equal(doubled._rest, 2.0 * pieces._rest)
-    # a solve caches the plans of its step and the growth constant alone
+    # a solve caches the growth constant alone, and its layout the plans
+    # of its step
     cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
                    dt=0.01, eps=0.05, tol=1e-9)
     lp_solve(pieces, cfg, np.array([0.03, 0.01]))
-    assert sorted(k[0] for k in pieces._cache) == ["crest", "plans"]
+    assert [k[0] for k in pieces._cache] == ["crest"]
+    assert list(rows._plans) == [round(cfg.h, 15)]
 
 
 def test_split_pieces_are_frozen():
@@ -620,17 +632,22 @@ def test_split_pieces_replace_rederives_the_splitting_arrays():
     # rd2 split at gap 1.5 has one unstable direction, at gap 0.5 two: the
     # pieces of the other splitting take its B, Binv and d_plus and the
     # blocks of its own product Binv A0 B, the values split_field gives,
-    # and start with an empty plan cache
+    # and start with empty caches
     m, _, pieces = rd_pieces(2.0, 6, gap=0.5)
-    pieces.propagators(0.01)
+    pieces.rest_growth_constant(1.0)
+    _dense_plans(pieces, 0.01)
     other = eigen_split(pieces.A0, 1.5)
     moved = dataclasses.replace(pieces, splitting=other)
     fresh = split_field(m, other)
     assert moved._cache == {} and pieces._cache
+    assert moved.dense._plans == {} and pieces.dense._plans
     assert (pieces.d_plus, moved.d_plus) == (2, 1)
     assert moved.B is other.B and moved.Binv is other.Binv
-    for name in ("A_plus", "A_rest", "_BT", "_BinvT", "_rest"):
+    for name in ("A_plus", "A_rest", "_rest"):
         assert np.array_equal(getattr(moved, name), getattr(fresh, name))
+    for name in ("BT", "BinvT", "AT"):
+        assert np.array_equal(getattr(moved.dense, name),
+                              getattr(fresh.dense, name))
     Ahat = other.Binv @ pieces.A0 @ other.B
     assert np.array_equal(moved.A_plus, Ahat[:1, :1])
     assert np.array_equal(moved.A_rest, Ahat[1:, 1:])
@@ -738,7 +755,7 @@ def test_lp_quadrature_matches_forcing_formula(which, monkeypatch):
     for g, v0 in ((rng.normal(size=(m, n)), rng.normal(size=d)),
                   (rng.normal(size=(m, 3, n)), rng.normal(size=(3, d)))):
         calls.clear()
-        got = lp._lp_quadrature(pieces, h, v0, g)
+        got = pieces.dense.quadrature(h, v0, g)
         # the scans of the remainder rows; the others scan block ends
         assert calls.count(m) == (1 if which == "mmt17" else 2)
         assert all(n < m for n in calls if n != m)
@@ -764,7 +781,8 @@ def test_variational_matches_forcing_formula(which, monkeypatch):
         base = np.array([0.03, 0.0])
     res = lp_solve(pieces, cfg, base)
     _, Dq = lp_variational(res, pieces, cfg)
-    monkeypatch.setattr(lp, "_lp_quadrature", _lp_quadrature_formula)
+    monkeypatch.setattr(lp._Rows, "quadrature", lambda self, h, v0, g:
+                        _lp_quadrature_formula(pieces, h, v0, g))
     _, Dq_ref = lp_variational(res, pieces, cfg)
     assert np.abs(Dq_ref).max() > 1e-3
     assert np.abs(Dq - Dq_ref).max() <= 1e-12
@@ -1517,21 +1535,21 @@ def _ambient_reference_solve(pieces, cfg, v0):
     increment is the weighted norm of Ynew B^T - Y B^T, and the residual
     sweep's inputs and the orbit form the product again.  The tail bound
     comes from the residual sweep's remainder at -T_max, the fixed point's.
-    The loop holds Y in the pieces' sweep layout and forms Y B^T as the
-    sweeps define it: a dense gemm, or the batched product of the mode
-    blocks (pieces.image).  Returns the fields of LpResult that lp_solve
-    must match bit for bit."""
+    The loop holds Y in the pieces' layout and forms Y B^T as the layout
+    defines it: a dense gemm, or the batched product of the mode blocks.
+    Returns the fields of LpResult that lp_solve must match bit for
+    bit."""
     times = cfg.times
     h = times[1] - times[0]
-    BT = np.ascontiguousarray(pieces.B.T)
-    image = (lambda Y: Y @ BT) if pieces.mode_blocks is None else pieces.image
+    layout = pieces.layout
+    image = layout.image
     w = pieces.model.ladder.weights(cfg.r - 1.0)
     decay = np.exp(-cfg.lam * times)
 
     def weighted(X):
         return float(np.max(decay * np.sqrt(np.einsum("ij,ij->i", X, X))))
 
-    Y = pieces.sweep_layout(np.zeros((len(times), pieces.dim)))
+    Y = layout.split(np.zeros((len(times), pieces.dim)))
     state = None
     for k in range(1, cfg.max_iter + 1):
         g, _, blocks, state = pieces.sweep_inputs(Y, image(Y), state)
@@ -1543,7 +1561,7 @@ def _ambient_reference_solve(pieces, cfg, v0):
     g, _, blocks, _ = pieces.sweep_inputs(Y, image(Y), state)
     Ychk = lp._lp_sweep(pieces, h, v0, g, blocks)
     orbit = image(Y) + pieces.model.equilibrium
-    Y, Ychk, g = (pieces.split_rows(X) for X in (Y, Ychk, g))
+    Y, Ychk, g = (layout.rows(X) for X in (Y, Ychk, g))
     c_rest = pieces.rest_growth_constant(cfg.T_max) if blocks is None else 1.0
     tail = (c_rest * np.linalg.norm(g[0, pieces.d_plus:])
             / (cfg.lam - pieces.splitting.rest_max_re))
@@ -1603,7 +1621,7 @@ def test_lp_solve_orbit_is_to_ambient(which):
     pieces, cfg, base = _fixed_point_case(which)
     assert np.any(pieces.model.equilibrium) == (which == "mmt7")
     res = lp_solve(pieces, cfg, base)
-    want = res.Y @ pieces._BT + pieces.model.equilibrium
+    want = res.Y @ pieces.dense.BT + pieces.model.equilibrium
     assert np.array_equal(res.orbit.states, want)
     assert np.array_equal(np.signbit(res.orbit.states), np.signbit(want))
 
@@ -1619,13 +1637,13 @@ def test_variational_starts_from_the_linear_flow(which, monkeypatch):
     d, m = pieces.d_plus, len(cfg.times)
     h = cfg.h
     calls = []
-    real = lp._lp_quadrature
+    real = lp._Rows.quadrature
 
-    def recording(p, step, v0, g):
-        calls.append((step, v0, g, real(p, step, v0, g)))
+    def recording(rows, step, v0, g):
+        calls.append((step, v0, g, real(rows, step, v0, g)))
         return calls[-1][3]
 
-    monkeypatch.setattr(lp, "_lp_quadrature", recording)
+    monkeypatch.setattr(lp._Rows, "quadrature", recording)
     V, Dq = lp_variational(res, pieces, cfg)
     step, v0, g, flow = calls[0]
     assert step == h and np.array_equal(v0, np.eye(d))
@@ -2301,8 +2319,8 @@ def test_mode_blocks_of_mmt_are_the_mode_pairs(xi0, half, beta):
     # or one mode: the carrier, and at beta = 1 the modes of the pair at
     # xi = 0, whose weight |0|^beta decouples it
     p, pieces = _mmt_pieces(xi0, half, beta)
-    mb = pieces.mode_blocks
-    assert mb is not None
+    mb = pieces.layout
+    assert isinstance(mb, lp._ModeBlocks)
     K, wa = mb.amb.shape
     modes = np.array(p.mode_set)
     blocks = [modes[np.flatnonzero(mb.amb_slot // wa == k) // 2]
@@ -2331,37 +2349,93 @@ def test_mode_blocks_keep_dense_where_nothing_decouples():
                      lambda u: A + np.diag(2 * u), np.zeros(40))
     sp = eigen_split(A, cli.default_gap(A))
     assert max(sp.dim_plus, 40 - sp.dim_plus) > 16
-    assert split_field(m, sp).mode_blocks is None
+    pieces = split_field(m, sp)
+    assert pieces.layout is pieces.dense
     for pieces in (mmt_mi_pieces(3)[2], rd_pieces(2.0, 6)[2]):
-        assert pieces.mode_blocks is None
+        assert pieces.layout is pieces.dense
     # rd at 20 modes: A(0) is diagonal, so every block is 1 x 1
-    mb = rd_pieces(2.0, 20)[2].mode_blocks
+    mb = rd_pieces(2.0, 20)[2].layout
     assert mb.rest.A.shape == (18, 1, 1) and mb.plus.A.shape == (2, 1, 1)
 
 
-def test_mode_block_layout_matches_the_dense_products():
-    # the layout's conversions copy exactly, and its image and remainder
-    # are the dense products Y B^T and f_split to roundoff
-    _, _, pieces = mmt_mi_pieces(16)
-    mb = pieces.mode_blocks
-    rng = np.random.default_rng(33)
-    Y = 0.01 * rng.normal(size=(7, pieces.dim))
-    blocks = pieces.sweep_layout(Y)
-    assert np.array_equal(pieces.split_rows(blocks), Y)
-    BY = pieces.image(blocks)
+def test_mode_blocks_keep_dense_where_a_block_is_too_wide(monkeypatch):
+    # A(0) decouples into a 20 x 20 block, whose complement part is 19
+    # wide, and ten 2 x 2 blocks: the blocks are found, but the wide part
+    # would leave the blocked scan, so the sweeps keep the rows, and solve
+    rng = np.random.default_rng(41)
+    wide = rng.normal(scale=0.5, size=(20, 20)) - 6.0 * np.eye(20)
+    wide[0, :] = 0.0
+    wide[0, 0] = 1.0
+    pairs = [np.array([[-2.0 - k, 1.0], [-1.0, -2.0 - k]]) for k in range(10)]
+    A = sla.block_diag(wide, *pairs)
+    m = custom_model("wide40", lambda u: u @ A.T + u ** 2,
+                     lambda u: A + np.diag(2 * u), np.zeros(40))
+    sp = eigen_split(A, cli.default_gap(A))
+    assert (sp.dim_plus, 40 - sp.dim_plus) == (1, 39)
+    pieces = split_field(m, sp)
+    assert pieces.layout is pieces.dense
+    cfg = LpConfig(lam=0.5, T_max=20.0, dt=0.01, eps=0.1, tol=1e-10)
+    res = lp_solve(pieces, cfg, np.array([0.05]))
+    assert res.diagnostics["iterations"] >= 3
+    assert res.diagnostics["fp_residual"] <= cfg.tol
+    assert np.abs(res.h_value).max() > 0
+    # with room for the wide part, the same A(0) takes eleven blocks
+    monkeypatch.setattr(lp, "_DENSE_WIDTH", 19)
+    blocks = dataclasses.replace(pieces).layout
+    assert isinstance(blocks, lp._ModeBlocks) and len(blocks.amb) == 11
+
+
+def _layout_case(which):
+    """Pieces and a config of the layout contract: rows on saddle1, rd at
+    6 modes and MMT-7, mode blocks on MMT-33 and rd at 20 modes."""
+    if which in ("saddle1", "rd", "mmt7"):
+        pieces, cfg, _ = _fixed_point_case(which)
+    elif which == "mmt33":
+        _, sp, pieces = mmt_mi_pieces(16)
+        cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
+                       dt=0.01, eps=0.05, tol=1e-9)
+    else:
+        _, _, pieces = rd_pieces(2.0, 20)
+        cfg = LpConfig(lam=0.5, T_max=16.0, dt=0.01, eps=0.08, tol=1e-9)
+    return pieces, dataclasses.replace(cfg, T_max=2.0)
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "mmt33", "rd20"])
+def test_mode_block_layout_matches_the_dense_products(which):
+    # each layout answers the same calls: its conversions copy exactly,
+    # its image and remainder are the dense products Y B^T and f_split to
+    # roundoff, and its quadrature is the loop of the recurrences
+    pieces, cfg = _layout_case(which)
+    layout = pieces.layout
+    assert (layout is pieces.dense) == (which in ("saddle1", "rd", "mmt7"))
+    rng = np.random.default_rng(list(map(ord, which)))
+    Y = 0.01 * rng.normal(size=(len(cfg.times), pieces.dim))
+    v0 = 0.01 * rng.normal(size=pieces.d_plus)
+    Ys = layout.split(Y)
+    assert np.array_equal(layout.rows(Ys), Y)
+    BY = layout.image(Ys)
     assert np.abs(BY - Y @ pieces.B.T).max() <= 1e-15
-    g = pieces.split_rows(pieces.sweep_inputs(blocks, BY)[0])
+    g, field, _, _ = pieces.sweep_inputs(Ys, BY)
     want = pieces.f_split(Y)
-    assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
-    # pad slots stay exact zeros
-    assert np.all(blocks[1][mb.rest.width == 2][:, :, 2:] == 0.0)
+    assert np.abs(layout.rows(g) - want).max() <= 1e-13 * np.abs(want).max()
+    new = layout.rows(layout.quadrature(cfg.h, v0, g))
+    ref = _lp_apply_loop(pieces, cfg, v0, Y)
+    for cols in (slice(0, pieces.d_plus), slice(pieces.d_plus, None)):
+        scale = np.abs(ref[:, cols]).max()
+        assert scale > 0
+        assert np.abs(new[:, cols] - ref[:, cols]).max() <= 1e-12 * scale
+    if layout is not pieces.dense:
+        # pad slots stay exact zeros
+        for part, X in zip((layout.plus, layout.rest), Ys):
+            pad = np.arange(X.shape[2]) >= part.width[:, None]
+            assert np.all(X.swapaxes(1, 2)[pad] == 0.0)
 
 
 def test_rest_growth_constant_per_block_is_the_dense_one():
     # on the blocks the growth constant is the largest block's: the same
     # samples as the dense exponential of the 64-wide A_rest
     _, sp, pieces = mmt_mi_pieces(16)
-    assert pieces.mode_blocks is not None
+    assert isinstance(pieces.layout, lp._ModeBlocks)
     T = 12.0 / sp.lambda_plus
     c = pieces.rest_growth_constant(T)
     dense = max([1.0] + [np.linalg.norm(sla.expm(s * pieces.A_rest), 2)
@@ -2385,7 +2459,7 @@ def test_mode_block_sweeps_match_the_dense_sweeps(monkeypatch):
     got = lp_solve(pieces, cfg, base)
     monkeypatch.setattr(lp, "_mode_blocks", lambda *args: None)
     dense = dataclasses.replace(pieces)
-    assert dense.mode_blocks is None
+    assert dense.layout is dense.dense
     want = lp_solve(dense, cfg, base)
     assert (got.diagnostics["iterations"]
             == want.diagnostics["iterations"] >= 3)
