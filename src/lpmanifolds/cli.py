@@ -560,7 +560,8 @@ def main(argv=None) -> int:
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:
+    # OSError: a --out or --config path that cannot be opened
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # a grid too large for memory is an input error

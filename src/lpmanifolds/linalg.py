@@ -254,14 +254,6 @@ def integrate_rk4(f, y0: np.ndarray, t0: float, t1: float,
     return y
 
 
-def _block_nodes(d: int) -> int:
-    """Nodes per block of linear_scan's blocked route for states of size d:
-    b = 64 // d, so the plan's table is about 64 wide, or 0 below 4 nodes
-    (d > 16), whose scans take the chunked route instead."""
-    b = 64 // d if d else 0
-    return b if b >= 4 else 0
-
-
 @dataclass(frozen=True)
 class ScanPlan:
     """Tables of linear_scan for one (d, d) matrix E and the forcing taps
@@ -269,38 +261,30 @@ class ScanPlan:
     of per-block matrices E, P and Q, whose k-th matrices step the k-th of
     K recurrences.
 
-    b is the number of nodes per block of the blocked route (_block_nodes(d),
-    for a stack at most max(4, 32 // d), or fewer in a plan of block
-    ends), 0 when the route does not apply to
-    this d (the plan then carries only E and the taps; a stack needs the
-    blocked route).  The taps are kept as P^T and Q^T, contiguous, the
-    operands of the chunked route's two gemms (a transposed view takes
-    NumPy's slower strided path).  `table` is the ((b+1)*d, b*d) matrix
-    whose block (l, i) is (E^{i-l+1} Q + E^{i-l} P)^T, a power below 0
-    counting as 0, without the Q term in block row l = 0: a row of the
-    b + 1 inputs u_{k-1}, ..., u_{k+b-1} times `table` is the scan of the b
-    nodes k, ..., k+b-1 from x_{k-1} = 0.  `carry` is the (d, b*d) row of
-    blocks (E^{i+1})^T taking the state before a block to each of its
-    nodes.  A stack has one table and one carry per block, on a leading
-    axis.  `ends` keeps the plans that scan the block or chunk ends of the
-    grids scanned so far (_ends_plan): plain recurrences, which keep no
-    taps.
+    b is the number of nodes per block (scan_plan's, or fewer in a plan of
+    block ends).  `table` is the ((b+1)*d, b*d) matrix whose block (l, i)
+    is (E^{i-l+1} Q + E^{i-l} P)^T, a power below 0 counting as 0, without
+    the Q term in block row l = 0: a row of the b + 1 inputs u_{k-1}, ...,
+    u_{k+b-1} times `table` is the scan of the b nodes k, ..., k+b-1 from
+    x_{k-1} = 0.  `carry` is the (d, b*d) row of blocks (E^{i+1})^T taking
+    the state before a block to each of its nodes.  A stack has one table
+    and one carry per block, on a leading axis.  `ends` keeps, by block
+    count, the plans that scan the block ends of the grids scanned so far
+    (_ends_plan).
     """
 
     E: np.ndarray
     b: int
-    PT: np.ndarray | None = None
-    QT: np.ndarray | None = None
-    table: np.ndarray | None = None
-    carry: np.ndarray | None = None
+    table: np.ndarray
+    carry: np.ndarray
     ends: dict = field(default_factory=dict)
 
 
 def scan_plan(E, P, Q) -> ScanPlan:
     """The ScanPlan of E with the forcing taps P and Q, all (d, d)
-    matrices, or all stacks (K, d, d) of per-block matrices with d <= 16
-    (the blocked route's sizes); build it once to reuse it over many scans.
-    The taps 0 and I give the plain recurrence x_j = E x_{j-1} + u_j."""
+    matrices, or all stacks (K, d, d) of per-block matrices; build it once
+    to reuse it over many scans.  The taps 0 and I give the plain
+    recurrence x_j = E x_{j-1} + u_j."""
     E = np.asarray(E, dtype=float)
     if E.ndim not in (2, 3) or E.shape[-1] != E.shape[-2]:
         raise ValueError(f"expected a square step matrix, got shape {E.shape}")
@@ -309,26 +293,19 @@ def scan_plan(E, P, Q) -> ScanPlan:
     if P.shape != E.shape or Q.shape != E.shape:
         raise ValueError(f"expected forcing taps of size {d}, got shapes "
                          f"{P.shape} and {Q.shape}")
-    b = _block_nodes(d)
-    if E.ndim == 3:
-        if not b:
-            raise ValueError(f"per-block step matrices must be at most 16 "
-                             f"wide, got {d}")
-        # many small recurrences: tables about 32 wide halve the table
-        # product's work, which their extra ends level repays
-        b = min(b, max(4, 32 // d))
-    return _plan(E, b, P, Q)
+    # blocks of b = 64 // d nodes (at least 2) make the table about 64
+    # wide; many small recurrences take tables about 32 wide, which halve
+    # the table product's work, repaid by their extra ends level
+    w = max(d, 1)
+    b = max(2, 64 // w)
+    return _plan(E, min(b, max(4, 32 // w)) if E.ndim == 3 else b, P, Q)
 
 
 def _plan(E: np.ndarray, b: int, P=None, Q=None) -> ScanPlan:
     """scan_plan(E, P, Q) in blocks of b nodes, without its checks; without
-    P and Q, the plan of an ends scan, which keeps no taps.  E may be a
+    P and Q, the plan of the plain recurrence of an ends scan.  E may be a
     stack, whose blocks lead every table."""
     d, lead = E.shape[-1], E.shape[:-2]
-    taps = () if P is None else (np.ascontiguousarray(np.swapaxes(P, -1, -2)),
-                                 np.ascontiguousarray(np.swapaxes(Q, -1, -2)))
-    if not b:
-        return ScanPlan(E, 0, *taps)
     # powers[k] = (E^k)^T; a diagonal E keeps exact zeros off the diagonal
     powers = np.empty((b + 1,) + lead + (d, d))
     powers[0], powers[1] = np.eye(d), np.swapaxes(E, -1, -2)
@@ -352,19 +329,18 @@ def _plan(E: np.ndarray, b: int, P=None, Q=None) -> ScanPlan:
     table[..., l[keep], :, i[keep], :] = tap[i[keep] - l[keep] + 1]
     table[..., 0, :, :, :] = np.moveaxis(head, 0, -2)
     carry = np.moveaxis(powers[1:], 0, -2).reshape(lead + (d, b * d))
-    return ScanPlan(E, b, *taps,
-                    table=table.reshape(lead + ((b + 1) * d, b * d)),
-                    carry=carry)
+    return ScanPlan(E, b, table.reshape(lead + ((b + 1) * d, b * d)), carry)
 
 
-def _ends_plan(plan: ScanPlan, s: int, n: int) -> ScanPlan:
-    """The plan of E^s that scans the n ends of plan's blocks or chunks of
-    s nodes, kept on plan.  Its blocks hold at most n - 1 nodes, so its
-    table holds no power of E past the grid's, where a growing E overflows."""
-    key = (s, min(plan.b, n - 1))
-    if key not in plan.ends:
-        plan.ends[key] = _plan(np.linalg.matrix_power(plan.E, s), key[1])
-    return plan.ends[key]
+def _ends_plan(plan: ScanPlan, n: int) -> ScanPlan:
+    """The plan of E^b that scans the n ends of plan's blocks of b nodes,
+    kept on plan by its own block count.  Its blocks hold at most n - 1
+    nodes, so its table holds no power of E past the grid's, where a
+    growing E overflows."""
+    b = min(plan.b, n - 1)
+    if b not in plan.ends:
+        plan.ends[b] = _plan(np.linalg.matrix_power(plan.E, plan.b), b)
+    return plan.ends[b]
 
 
 def _blocked_scan(plan: ScanPlan, rows: np.ndarray, x0: np.ndarray,
@@ -392,7 +368,7 @@ def _blocked_scan(plan: ScanPlan, rows: np.ndarray, x0: np.ndarray,
     ends[:1] = x0  # a grid of one node has no block
     ends[1:] = Z[:, :-1, -1].swapaxes(0, 1)
     if nb > 1:
-        _blocked_scan(_ends_plan(plan, b, nb), ends, ends[0], ends)
+        _blocked_scan(_ends_plan(plan, nb), ends, ends[0], ends)
     if plan.carry.ndim == 2:
         Z += (ends.reshape(-1, d) @ plan.carry).reshape(
             nb, r, b, d).swapaxes(0, 1)
@@ -406,58 +382,44 @@ def _blocked_scan(plan: ScanPlan, rows: np.ndarray, x0: np.ndarray,
     out[1:] = Z.reshape(r, nb * b, d)[:, :m - 1].swapaxes(0, 1)
 
 
-def _chunked_scan(E, rows: np.ndarray, out: np.ndarray) -> None:
-    """The scan of rows (m, r, d), written into out (m, r, d), which may be
-    rows itself, with the step matrix of a ScanPlan E (the rows already
-    hold its taps' forcing) or with a stack E (m - 1, d, d) of transposed
-    step matrices: E[j] = E_j^T, E_j taking node j to node j + 1.
+def _chunked_scan(E: np.ndarray, rows: np.ndarray, x0: np.ndarray,
+                  out: np.ndarray) -> None:
+    """The scan of rows (m, r, d) from x0 (r, d), written into out
+    (m, r, d), which may be rows itself, with a stack E (m - 1, d, d) of
+    transposed step matrices: E[j] = E_j^T, E_j taking node j to node
+    j + 1.
 
     The nodes fall into K chunks of c = ceil(sqrt(m)) (the last one padded
     with zeros), laid out so that position i of every chunk is one slab.
-    The recurrence steps inside all chunks at once, one matmul per
-    position, where the rows of a constant E stack into a single gemm.
-    Step stacks carry d extra rows per chunk, started at the step into the
-    chunk, which the same matmuls turn into the chunk's transfer matrices.
-    The K - 1 chunk ends then form a short recurrence, which this scan
-    solves again: with the plan of E^c kept on the plan, or with the
-    stacked transfers.  Each true chunk end finally enters the next chunk
-    through the powers of E, one matmul per position, or through the
-    stored transfers in a single batched matmul.
+    The recurrence steps inside all chunks at once, one batched matmul per
+    position, which also carries d extra rows per chunk, started at the
+    step into the chunk, and so turns them into the chunk's transfer
+    matrices.  The K - 1 chunk ends then form a short recurrence through
+    the stacked transfers, which this scan solves again, and each true
+    chunk end enters the next chunk through the stored transfers in a
+    single batched matmul.
     """
     m, r, d = rows.shape
     c = math.isqrt(m - 1) + 1
     K, full = -(-m // c), m // c
-    stack = not isinstance(E, ScanPlan)
-    t = d if stack else 0
-    # W[i, k] holds node k*c + i: its r rows, then its t transfer rows
-    W = np.zeros((c, K, r + t, d))
+    # W[i, k] holds node k*c + i: its r rows, then its d transfer rows
+    W = np.zeros((c, K, r + d, d))
     Wk = W.swapaxes(0, 1)
     Wk[:full, :, :r] = rows[:full * c].reshape(full, c, r, d)
     if full < K:
         Wk[full, :m - full * c, :r] = rows[full * c:]
-    if stack:
-        P = np.zeros((K * c, d, d))
-        P[1:m] = E
-        P = P.reshape(K, c, d, d).swapaxes(0, 1)
-        W[0, 1:, r:] = P[0, 1:]
-    else:
-        Q = E.E.T
-        P = np.broadcast_to(Q, (c, 1, d, d))
-    grid = W.reshape(c, P.shape[1], -1, d)
+    W[0, 0, :r] = x0
+    P = np.zeros((K * c, d, d))
+    P[1:m] = E
+    P = P.reshape(K, c, d, d).swapaxes(0, 1)
+    W[0, 1:, r:] = P[0, 1:]
     for i in range(1, c):
-        grid[i] += grid[i - 1] @ P[i]
+        W[i] += W[i - 1] @ P[i]
     Z, T = W[:, :, :r], W[:, :, r:]
     if K > 1:
         ends = Z[-1, :-1].copy()
-        if stack:
-            _chunked_scan(T[-1, 1:-1], ends, ends)
-            Z[:, 1:] += ends @ T[:, 1:]
-        else:
-            _chunked_scan(_ends_plan(E, c, K - 1), ends, ends)
-            carry = ends.reshape(-1, d)
-            for i in range(c):
-                carry = carry @ Q
-                Z[i, 1:] += carry.reshape(K - 1, r, d)
+        _chunked_scan(T[-1, 1:-1], ends, ends[0], ends)
+        Z[:, 1:] += ends @ T[:, 1:]
     # node k*c + i goes back from W[i, k]: the full chunks, then the rest
     out[:full * c].reshape(full, c, r, d)[...] = Z[:, :full].swapaxes(0, 1)
     if full < K:
@@ -478,24 +440,22 @@ def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
     matrices: a block-diagonal recurrence of K*d states scanned as K small
     ones.
 
-    A plan with b = 64 // d >= 4 (d <= 16) takes the blocked route: nodes
-    1 .. m-1 fall into blocks of b, and one gemm of the plan's table with a
-    strided window of b + 1 input rows per block scans every block at once,
-    taps included (one batched matmul of the K tables for a per-block
-    plan, whose blocks hold b = max(4, 32 // d) nodes).  The block ends
-    form the plain recurrence of E^b, which the same route scans with a
-    plan of E^b kept on the plan, about log(m)/log(b) levels deep, and a
-    second gemm adds each carry times E^{i+1} at node i of its block:
-    O(m*b*d^2) work per recurrence.  A plan costs b small matmuls, so keep
-    it when the same E is scanned repeatedly.
+    A plan takes the blocked route: nodes 1 .. m-1 fall into blocks of
+    b = max(2, 64 // d), and one gemm of the plan's table with a strided
+    window of b + 1 input rows per block scans every block at once, taps
+    included (one batched matmul of the K tables for a per-block plan,
+    whose blocks hold at most max(4, 32 // d) nodes).  The block ends form
+    the plain recurrence of E^b, which the same route scans with a plan of
+    E^b kept on the plan, about log(m)/log(b) levels deep, and a second
+    gemm adds each carry times E^{i+1} at node i of its block: O(m*b*d^2)
+    work per recurrence.  A plan costs b small matmuls, so keep it when the
+    same E is scanned repeatedly.
 
-    Otherwise (d > 16, or step stacks) the chunked route: a plan's taps
-    first form the plain inputs P X[j-1] + Q X[j] in two gemms; the nodes
-    fall into about sqrt(m) chunks of about sqrt(m) nodes, one pass steps
-    inside every chunk at once, the same route scans the chunk ends (with
-    a plan of E^c kept on the plan, or with the chunks' transfer matrices),
-    and a second pass adds the carries: O(m*d^2) work for a plan and
-    O(m*d^3) for a stack, in about 2*sqrt(m) matmuls.
+    A stack takes the chunked route: the nodes fall into about sqrt(m)
+    chunks of about sqrt(m) nodes, one pass steps inside every chunk at
+    once and forms the chunks' transfer matrices, the same route scans the
+    chunk ends with them, and a second pass adds the carries: O(m*d^3)
+    work in about sqrt(m) batched matmuls.
     """
     X = np.asarray(X, dtype=float)
     out = np.empty(X.shape)
@@ -533,23 +493,10 @@ def _scan_into(E, X: np.ndarray, x0, out: np.ndarray) -> None:
         start = np.asarray(x0, dtype=float)
         if start.ndim > 1:
             start = start.reshape(-1, d)
-    if plan is not None and plan.b:
+    if plan is None:
+        _chunked_scan(np.swapaxes(E, -1, -2), rows, start, dest)
+    else:
         _blocked_scan(plan, rows, start, dest)
-        return
-    if plan is not None or x0 is not None:
-        inputs = np.empty(rows.shape)
-        inputs[0] = start
-        if plan is not None:
-            # the taps on the (m - 1) * r input rows, as two 2-D gemms
-            flat, r = rows.reshape(-1, d), rows.shape[1]
-            forced = inputs[1:].reshape(-1, d)
-            np.matmul(flat[:-r], plan.PT, out=forced)
-            forced += flat[r:] @ plan.QT
-        else:
-            inputs[1:] = rows[1:]
-        rows = inputs
-    _chunked_scan(np.swapaxes(E, -1, -2) if plan is None else plan, rows,
-                  dest)
 
 
 def rk4_affine(A: np.ndarray, g: np.ndarray, y0: np.ndarray,

@@ -135,8 +135,8 @@ def _quadrature_plans(cache: dict, A_plus: np.ndarray, A_rest: np.ndarray,
 # an entry of B or Binv at most this fraction of the matrix's largest entry
 # couples no ambient coordinate to a split one (_mode_blocks)
 _COUPLING_FLOOR = 1e-14
-# the widest split part swept densely: linear_scan's blocked route takes
-# states of at most 16, wider ones the chunked route
+# the widest split part swept densely and the widest part of a mode block:
+# linear_scan's blocks hold 64 // d >= 4 nodes up to d = 16
 _DENSE_WIDTH = 16
 
 
@@ -160,6 +160,10 @@ class _Rows:
 
     def rows(self, Y: np.ndarray) -> np.ndarray:
         return Y
+
+    def shape(self, m: int) -> tuple:
+        """The shape of a split orbit of m nodes: its rows (m, n)."""
+        return (m, len(self.BT))
 
     def image(self, Y: np.ndarray) -> np.ndarray:
         return Y @ self.BT
@@ -245,6 +249,11 @@ class _ModeBlocks:
             out.append(X)
             at += d
         return out[0], out[1]
+
+    def shape(self, m: int) -> tuple:
+        """The shapes of a split orbit of m nodes: one (k, m, w) per part."""
+        return tuple(p.A.shape[:1] + (m,) + p.A.shape[2:]
+                     for p in (self.plus, self.rest))
 
     def rows(self, Y: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """The split rows (m, n) of Y in the block layout."""
@@ -789,9 +798,19 @@ def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
     consumes; without a state the inversions start cold.  BY is the
     ambient image Y B^T (rows) where the caller holds it (the fixed point
     forms it once per sweep, for its increment); without it lp_apply forms
-    it with the layout's image.
+    it with the layout's image.  An orbit that is not in pieces.layout on
+    the nodes of cfg.times is refused (ValueError).
     """
     v0_plus = as_state(v0_plus, pieces.d_plus)
+    m = len(cfg.times)
+    want = pieces.layout.shape(m)
+    got = (tuple(np.shape(x) for x in Y) if isinstance(Y, tuple)
+           else np.shape(Y))
+    if got != want:
+        raise ValueError(
+            f"expected a split orbit on the {m} nodes of cfg.times in "
+            f"pieces.layout, of shape {want}, got {got}; "
+            f"pieces.layout.split takes split rows (m, n) to it")
     if BY is None:
         BY = pieces.layout.image(Y)
     g, field, blocks, state = pieces.sweep_inputs(Y, BY, state)

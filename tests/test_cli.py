@@ -606,6 +606,18 @@ def test_refusals_print_one_line(capsys, argv, code, message):
         assert out == ""
 
 
+@pytest.mark.parametrize("argv", [["split", "--model", "saddle1", "--out"],
+                                  ["manifold", "--config"]],
+                         ids=["out", "config"])
+def test_path_that_is_a_directory_exits_1(capsys, tmp_path, argv):
+    # a file path that names a directory is an input error, as a missing
+    # directory is: one error line, not an IsADirectoryError traceback
+    code, _, err = run_cli(capsys, *argv, str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
 def test_config_file_skips_comments_and_blank_lines(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# a comment line\n\ngrid = 5  # trailing comment\n")

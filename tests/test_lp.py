@@ -180,6 +180,33 @@ def test_lp_apply_zero_remainder_is_linear_flow():
         "tail_bound"] == 0.0
 
 
+def test_lp_apply_refuses_an_orbit_off_the_layout_or_grid():
+    # saddle1 sweeps rows (m, 2): an orbit of 5 or 2 nodes is not on the
+    # 2001 nodes of CFG1.times
+    _, _, pieces = saddle1_pieces()
+    m = len(CFG1.times)
+    for rows in (5, 2):
+        with pytest.raises(ValueError, match=(
+                rf"on the {m} nodes of cfg.times in pieces.layout, of shape "
+                rf"\({m}, 2\), got \({rows}, 2\); pieces.layout.split")):
+            lp_apply(pieces, CFG1, np.array([0.1]), np.zeros((rows, 2)))
+    # MMT-17 sweeps mode blocks: its split rows go through layout.split
+    _, sp, pieces = mmt_mi_pieces(8)
+    cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=1.0, dt=0.01, eps=0.05,
+                   tol=1e-10)
+    layout = pieces.layout
+    assert isinstance(layout, lp._ModeBlocks)
+    rows = np.zeros((len(cfg.times), pieces.dim))
+    with pytest.raises(ValueError, match=r"got \(101, 34\); "
+                       r"pieces.layout.split takes split rows"):
+        lp_apply(pieces, cfg, np.array([0.01, 0.0]), rows)
+    Y, _ = lp_apply(pieces, cfg, np.array([0.01, 0.0]), layout.split(rows))
+    assert tuple(x.shape for x in Y) == layout.shape(101)
+    with pytest.raises(ValueError, match="pieces.layout.split"):
+        lp_apply(pieces, dataclasses.replace(cfg, T_max=2.0),
+                 np.array([0.01, 0.0]), Y)
+
+
 def _plain_plan(E):
     """The ScanPlan of the plain recurrence x_j = E x_{j-1} + u_j: taps 0
     and I."""
@@ -207,11 +234,12 @@ def _scan_matrix(kind, d, rng):
     return sla.expm(0.005 * np.eye(d, k=1))
 
 
-# Widths past the blocked route's d <= 16 take the chunked route for one
-# matrix too; 63, 64 and 65 nodes make 8 chunks of c = ceil(sqrt(m)) = 8, 8
-# and 9 nodes (the last one padded, full, padded), and 1751 (the MMT grid)
-# makes 42 chunks, whose ends a step stack scans again in chunks.  Width 64
-# stops at 1751 nodes to keep the (m, d, d) step stacks small.
+# A plan takes the blocked route at every width, b = max(2, 64 // d) nodes
+# per block; a step stack takes the chunked route, where 63, 64 and 65
+# nodes make 8 chunks of c = ceil(sqrt(m)) = 8, 8 and 9 nodes (the last one
+# padded, full, padded), and 1751 (the MMT grid) makes 42 chunks, whose
+# ends the stack of transfers scans again in chunks.  Width 64 stops at
+# 1751 nodes to keep the (m, d, d) step stacks small.
 SCAN_SIZES = [(m, d) for d in (0, 1, 5, 17, 64)
               for m in (2, 3, 63, 64, 65, 1000, 1751, 3201)
               if d < 64 or m <= 1751]
@@ -273,21 +301,21 @@ def test_linear_scan_step_stack_starts_at_x0(lead):
 def test_per_block_plans_scan_each_recurrence_with_its_block():
     # a plan of K per-block matrices scans K recurrences, the k-th with the
     # k-th matrices, as K scans of one block each (to roundoff: the stack's
-    # tables span fewer nodes)
+    # tables span fewer nodes), at any block width: 4 (b = 8), 17 (b = 3)
+    # and 24 (b = 2), each E of spectral radius about 0.6
     rng = np.random.default_rng(5)
-    K, d, m = 5, 4, 1001
-    E = 0.3 * rng.normal(size=(K, d, d))
-    P, Q = rng.normal(size=(2, K, d, d))
-    X, x0 = rng.normal(size=(m, K, d)), rng.normal(size=(K, d))
-    got = linear_scan(scan_plan(E, P, Q), X, x0)
-    for k in range(K):
-        want = linear_scan(scan_plan(E[k], P[k], Q[k]), X[:, k], x0[k])
-        assert np.abs(got[:, k] - want).max() <= 1e-13 * np.abs(want).max()
-    with pytest.raises(ValueError, match="expected 5 recurrences"):
-        linear_scan(scan_plan(E, P, Q), X[:, :4])
-    with pytest.raises(ValueError, match="at most 16 wide"):
-        scan_plan(np.zeros((2, 17, 17)), np.zeros((2, 17, 17)),
-                  np.zeros((2, 17, 17)))
+    m = 1001
+    for K, d in ((5, 4), (3, 17), (2, 24)):
+        E = 0.6 / math.sqrt(d) * rng.normal(size=(K, d, d))
+        P, Q = rng.normal(size=(2, K, d, d))
+        X, x0 = rng.normal(size=(m, K, d)), rng.normal(size=(K, d))
+        got = linear_scan(scan_plan(E, P, Q), X, x0)
+        for k in range(K):
+            want = linear_scan(scan_plan(E[k], P[k], Q[k]), X[:, k], x0[k])
+            assert np.abs(got[:, k] - want).max() <= (
+                1e-13 * np.abs(want).max())
+    with pytest.raises(ValueError, match="expected 2 recurrences"):
+        linear_scan(scan_plan(E, P, Q), X[:, :1])
 
 
 def test_linear_scan_rejects_wrong_step_count():
@@ -345,9 +373,9 @@ def _blocked_levels(m, b):
 
 
 @pytest.mark.parametrize("kind", ["nonnormal", "jordan"])
-@pytest.mark.parametrize("d", [1, 2, 15, 16, 17])
+@pytest.mark.parametrize("d", [1, 2, 15, 16, 17, 24, 64])
 def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
-    # b = 64 // d nodes per block while b >= 4 (d <= 16), on every grid
+    # b = 64 // d nodes per block, at least 2 (d > 21), on every grid
     rng = np.random.default_rng([d, 2])
     E = _scan_matrix(kind, d, rng)
     # nonzero forcing taps of the size of the quadrature's h * phi weights
@@ -355,11 +383,10 @@ def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
     plan = _plain_plan(E)
     tapped = scan_plan(E, P, Q)
     b = plan.b
-    assert b == tapped.b == (64 // d if d <= 16 else 0)
+    assert b == tapped.b == max(2, 64 // d)
     calls = _route_spy(monkeypatch)
-    # one to seven blocks, not a multiple of b; d = 17 is past the cut-off
-    # and runs the chunked route at every m
-    for m in ([2 * b - 1, 2 * b, 2 * b + 1, 7 * b + 3] if b else [8, 9, 75]):
+    # one to seven blocks, not a multiple of b
+    for m in (2 * b - 1, 2 * b, 2 * b + 1, 7 * b + 3):
         # recurrences on in-between axes, as lp_variational has them
         for X in (rng.normal(size=(m, d)), rng.normal(size=(m, 3, d)),
                   rng.normal(size=(m, 2, 3, d))):
@@ -375,7 +402,7 @@ def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
             for EE, start, ref in cases:
                 calls.clear()
                 got = linear_scan(EE, X, start)
-                assert calls == (_blocked_levels(m, b) if b else [])
+                assert calls == _blocked_levels(m, b)
                 assert np.array_equal(X, keep)
                 assert got.shape == ref.shape
                 scale = np.abs(ref).max()
@@ -404,8 +431,8 @@ def test_blocked_scan_every_short_grid(d, monkeypatch):
     # only the 2b nodes have two blocks, whose two ends are one block of
     # one node of the plan of E^b
     for kept in (plan, tapped):
-        assert list(kept.ends) == [(b, 1)]
-        assert kept.ends[b, 1].b == 1 and not kept.ends[b, 1].ends
+        assert list(kept.ends) == [1]
+        assert kept.ends[1].b == 1 and not kept.ends[1].ends
 
 
 def test_blocked_scan_of_a_growing_matrix():
@@ -418,29 +445,30 @@ def test_blocked_scan_of_a_growing_matrix():
     got = linear_scan(plan, X)
     ref = _scan_loop(E, X)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert list(plan.ends) == [(64, 2)]
+    assert list(plan.ends) == [2]
 
 
 def _plan_tree(plan):
     """The ends plans kept under plan, depth first, as (step count, plan)."""
-    return [node for (s, _), sub in plan.ends.items()
-            for node in [(s, sub)] + _plan_tree(sub)]
+    return [node for sub in plan.ends.values()
+            for node in [(plan.b, sub)] + _plan_tree(sub)]
 
 
 @pytest.mark.parametrize("kind", ["nonnormal", "jordan"])
-@pytest.mark.parametrize(("route", "d", "m"),
-                         [("_blocked_scan", 12, 20001),
-                          ("_chunked_scan", 17, 3201)])
-def test_ends_scanned_levels_deep(route, d, m, kind, monkeypatch):
-    # d = 12 (b = 5) on 20001 nodes scans its block ends six levels deep;
-    # d = 17 on 3201 nodes has 56 chunk ends, themselves in 7 chunks whose
-    # 6 ends are scanned again
+@pytest.mark.parametrize(("d", "m", "levels"), [
+    pytest.param(12, 20001, [20001, 4000, 800, 160, 32, 7, 2],
+                 id="_blocked_scan-12-20001"),
+    pytest.param(17, 3201, [3201, 1067, 356, 119, 40, 13, 4],
+                 id="_blocked_scan-17-3201")])
+def test_ends_scanned_levels_deep(d, m, levels, kind, monkeypatch):
+    # d = 12 (b = 5) on 20001 nodes and d = 17 (b = 3) on 3201 nodes scan
+    # their block ends six levels deep
     rng = np.random.default_rng([d, 6])
     E = _scan_matrix(kind, d, rng)
     P, Q = 0.01 * rng.normal(size=(2, d, d))
     X = rng.normal(size=(m, 2, d))
     x0 = rng.normal(size=(2, d))
-    calls = _route_spy(monkeypatch, route)
+    calls = _route_spy(monkeypatch)
     built = []
     real = linalg._plan
 
@@ -455,19 +483,14 @@ def test_ends_scanned_levels_deep(route, d, m, kind, monkeypatch):
         built.clear()
         got = linear_scan(plan, X, ref[0])
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        if route == "_blocked_scan":
-            assert calls == _blocked_levels(m, plan.b)
-            assert calls == [20001, 4000, 800, 160, 32, 7, 2]
-        else:
-            assert calls == [3201, 56, 6, 1]
+        assert calls == _blocked_levels(m, plan.b) == levels
         # one plan per level below the top, each of E to the product of
-        # the step counts above it, keeping no taps
+        # the step counts above it
         tree = _plan_tree(plan)
         assert len(built) == len(tree) == len(calls) - 1
         power = 1
         for s, sub in tree:
             power *= s
-            assert sub.PT is None and sub.QT is None
             assert np.allclose(sub.E, np.linalg.matrix_power(E, power),
                                rtol=1e-12, atol=1e-12 * np.abs(sub.E).max())
         # a second scan builds no plan and gives the same bits
@@ -475,29 +498,6 @@ def test_ends_scanned_levels_deep(route, d, m, kind, monkeypatch):
         assert np.array_equal(linear_scan(plan, X, ref[0]), got)
         assert len(built) == len(tree)
         assert [id(sub) for _, sub in _plan_tree(plan)] == kept
-
-
-@pytest.mark.parametrize("d", [17, 64])
-def test_chunked_scan_keeps_one_ends_plan_per_chunk_length(d):
-    # one plan scans every grid length of SCAN_SIZES: the chunked route
-    # keeps the plan of E^c per chunk length c = ceil(sqrt(m)) of a grid
-    # with two chunks or more, so a grid never reads the plan kept for
-    # another c, and a second scan gives the same bits as the first
-    rng = np.random.default_rng([d, 7])
-    E = _scan_matrix("nonnormal", d, rng)
-    plan = _plain_plan(E)
-    assert plan.b == 0 and not plan.ends
-    sizes = [m for m, dd in SCAN_SIZES if dd == d]
-    for m in sizes:
-        X = rng.normal(size=(m, 2, d))
-        got = linear_scan(plan, X, X[0])
-        ref = _scan_loop(E, X)
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert np.array_equal(linear_scan(plan, X, X[0]), got)
-    chunks = {m: math.isqrt(m - 1) + 1 for m in sizes}
-    assert set(plan.ends) == {(c, 0) for m, c in chunks.items() if m > c}
-    for (c, _), sub in plan.ends.items():
-        assert np.array_equal(sub.E, np.linalg.matrix_power(E, c))
 
 
 @pytest.mark.parametrize("d", [2, 17])
@@ -738,16 +738,14 @@ def _lp_quadrature_formula(pieces, h, v0_plus, g):
 
 @pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "mmt17"])
 def test_lp_quadrature_matches_forcing_formula(which, monkeypatch):
-    # saddle1, rd (n = 6) and MMT-7 scan both parts on the blocked route;
-    # MMT-17's 32-wide complement takes the chunked route
+    # every part scans on the blocked route: MMT-17's 32-wide complement in
+    # blocks of b = 2 nodes, the narrower parts in blocks of 64 // d
     pieces = {"saddle1": lambda: saddle1_pieces()[2],
               "rd": lambda: rd_pieces(2.0, 6)[2],
               "mmt7": lambda: mmt_mi_pieces(3)[2],
               "mmt17": lambda: mmt_mi_pieces(8)[2]}[which]()
     d, n = pieces.d_plus, pieces.dim
-    assert (linalg._block_nodes(d) > 0,
-            linalg._block_nodes(pieces.d_rest) > 0) == (
-                True, which != "mmt17")
+    assert (pieces.d_rest == 32) == (which == "mmt17")
     calls = _route_spy(monkeypatch)
     h, m = 0.005, 1201
     rng = np.random.default_rng(list(map(ord, which)))
@@ -757,7 +755,7 @@ def test_lp_quadrature_matches_forcing_formula(which, monkeypatch):
         calls.clear()
         got = pieces.dense.quadrature(h, v0, g)
         # the scans of the remainder rows; the others scan block ends
-        assert calls.count(m) == (1 if which == "mmt17" else 2)
+        assert calls.count(m) == 2
         assert all(n < m for n in calls if n != m)
         ref = _lp_quadrature_formula(pieces, h, v0, g)
         for cols in (slice(0, d), slice(d, None)):
@@ -1752,6 +1750,27 @@ def test_variational_matches_graph_fd():
         assert np.linalg.norm(Dq[:, j] - fd) / denom <= 1e-3
 
 
+def test_variational_mmt17_matches_graph_fd():
+    # MMT-17's 32-wide complement: lp_variational scans it in the rows'
+    # plans of b = 2 nodes per block, and its Dq is the central
+    # difference quotient of lp_solve's h
+    _, sp, pieces = mmt_mi_pieces(8)
+    assert (pieces.d_plus, pieces.d_rest) == (2, 32)
+    cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
+                   dt=0.01, eps=0.05, tol=1e-10)
+    base = np.array([0.02, 0.01])
+    _, Dq = lp_variational(lp_solve(pieces, cfg, base), pieces, cfg)
+    h_step = 1e-6
+    fd = np.empty_like(Dq)
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = h_step
+        fd[:, j] = (lp_solve(pieces, cfg, base + e).h_value
+                    - lp_solve(pieces, cfg, base - e).h_value) / (2 * h_step)
+    assert np.abs(fd).max() > 1e-3
+    assert np.linalg.norm(Dq - fd) / np.linalg.norm(fd) <= 1e-6
+
+
 def test_variational_stopping_above_tol_raises():
     # two sweeps cannot reach tol = 0 on rd: the unconverged Dq is refused
     _, _, pieces = rd_pieces(2.0, 6)
@@ -2361,7 +2380,7 @@ def test_mode_blocks_keep_dense_where_nothing_decouples():
 def test_mode_blocks_keep_dense_where_a_block_is_too_wide(monkeypatch):
     # A(0) decouples into a 20 x 20 block, whose complement part is 19
     # wide, and ten 2 x 2 blocks: the blocks are found, but the wide part
-    # would leave the blocked scan, so the sweeps keep the rows, and solve
+    # is past _DENSE_WIDTH, so the sweeps keep the rows, and solve
     rng = np.random.default_rng(41)
     wide = rng.normal(scale=0.5, size=(20, 20)) - 6.0 * np.eye(20)
     wide[0, :] = 0.0
