@@ -11,6 +11,7 @@ iterates contractions to their fixed points under one stopping rule.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -198,17 +199,36 @@ def lyapunov_form(A, omega: float) -> LyapunovForm:
 
     Equivalently the unique symmetric solution of A^T L + L A - 2 omega L = -I,
     which exists iff omega exceeds the spectral abscissa of A.  Solved by
-    the Bartels-Stewart (Schur) method.
+    the Bartels-Stewart (Schur) method, as
+    scipy.linalg.solve_continuous_lyapunov solves it, on one real Schur form
+    of (A - omega I)^T, whose largest diagonal entry plus omega is also the
+    abscissa that the refusal names.
     """
     M = _as_matrix(A)
-    abscissa = np.linalg.eigvals(M).real.max()
+    n = M.shape[0]
+    # B^T L + L B = -I with B = A - omega I; the diagonal of the real Schur
+    # form holds the real parts of the eigenvalues, a 2 x 2 block's twice
+    R, U = sla.schur((M - omega * np.eye(n)).T, output='real')
+    abscissa = np.diag(R).max() + omega
     if omega <= abscissa:
         raise ValueError(
             f"spectral abscissa violated: omega={omega} <= max Re sigma(A)="
             f"{abscissa}")
-    n = M.shape[0]
-    # B^T L + L B = -I with B = A - omega I
-    L = sla.solve_continuous_lyapunov((M - omega * np.eye(n)).T, -np.eye(n))
+    Q = -np.eye(n)
+    F = U.conj().T.dot(Q.dot(U))
+    trsyl = sla.get_lapack_funcs('trsyl', (R, F))
+    Y, scale, info = trsyl(R, R, F, tranb='T')
+    if info < 0:
+        raise ValueError('?TRSYL exited with the internal error "illegal '
+                         f'value in argument number {-info}.". See LAPACK '
+                         'documentation for the ?TRSYL error codes.')
+    if info == 1:
+        warnings.warn('Input "a" has an eigenvalue pair whose sum is very '
+                      'close to or exactly zero. The solution is obtained '
+                      'via perturbing the coefficients.', RuntimeWarning,
+                      stacklevel=2)
+    Y *= scale
+    L = U.dot(Y).dot(U.conj().T)
     L = 0.5 * (L + L.T)
     residual = np.linalg.norm(M.T @ L + L @ M - 2 * omega * L + np.eye(n))
     if residual > 1e-10:
@@ -343,43 +363,90 @@ def _ends_plan(plan: ScanPlan, n: int) -> ScanPlan:
     return plan.ends[b]
 
 
-def _blocked_scan(plan: ScanPlan, rows: np.ndarray, x0: np.ndarray,
-                  out: np.ndarray) -> None:
-    """The scan of rows (m, r, d) from x0 (r, d) with the plan's taps,
-    written into out (m, r, d), which may be rows itself; a plan of
-    per-block matrices has r of them."""
-    m, r, d = rows.shape
-    b = plan.b
+# bytes of the table and carry products that _blocked_scan forms at once, a
+# chunk of blocks at a time.  A chunk's product stays in L2 cache and the
+# heap hands its memory to the next chunk, while a product of the whole
+# grid is a fresh array of its size, handed back to the system after a
+# sweep and faulted in again by the next (as _FIELD_BLOCK_BYTES in
+# models.py).
+_SCAN_CHUNK_BYTES = 2 ** 18
+
+
+def _chunks(lo: int, hi: int, per: int) -> list[tuple[int, int]]:
+    """lo .. hi - 1 in runs (start, stop) of max(2, per), a last run of
+    one merged into the run before."""
+    per = max(2, per)
+    if hi - lo <= per:
+        return [(lo, hi)]
+    bounds = list(range(lo, hi, per))
+    if hi - bounds[-1] == 1:
+        bounds.pop()
+    return list(zip(bounds, bounds[1:] + [hi]))
+
+
+def _blocked_scan(plan: ScanPlan, X: np.ndarray, x0) -> None:
+    """Scan the recurrences X (r, m, d) in place from x0 (r, d), or a
+    state or scalar that broadcasts, with the plan's taps; a plan of
+    per-block matrices has r of them.
+
+    Node k*b + i + 1 of block k is the window of inputs k*b .. k*b + b
+    times the table: windows of b + 1 rows, b rows apart, of each
+    recurrence's (m, d) rows.  The blocks go in chunks of at most
+    _SCAN_CHUNK_BYTES of products, from the top chunk down: chunk [k0, k1)
+    reads the inputs k0*b .. k1*b and writes the nodes k0*b + 1 .. k1*b,
+    which no lower chunk reads.  Where X is C-contiguous a chunk's windows lie in X
+    itself; the top chunk, whose last window may run past the grid, and
+    every chunk of any other X (a column slice of rows, a part read
+    backward) read a zero-padded copy of their rows.  Every chunk holds
+    two blocks or more unless the grid has one block, so no product has a
+    single row (NumPy sends that to gemv, whose sums round otherwise).
+    """
+    r, m, d = X.shape
+    b, bd = plan.b, plan.b * d
     nb = -(-(m - 1) // b)
-    # node k*b + i + 1 of block k is the window of inputs k*b .. k*b + b
-    # times the table: windows of b + 1 rows, b rows apart, of each
-    # recurrence's contiguous (nb*b + 1, d) inputs
-    n = nb * b + 1
-    U = np.zeros((r, n, d))
-    U[:, :m] = rows.swapaxes(0, 1)
-    step = U.itemsize
-    win = np.ndarray((r, nb, (b + 1) * d), buffer=U,
-                     strides=(n * d * step, b * d * step, step))
-    Z = (win @ plan.table).reshape(r, nb, b, d)
+    if nb == 0:
+        X[:, 0] = x0  # a grid of one node has no block
+        return
+    chunks = _chunks(0, nb, _SCAN_CHUNK_BYTES // (X.itemsize * r * bd))
+    inplace = X.flags.c_contiguous
     # the state before block k: z_0 = x0, z_k = E^b z_{k-1} + (scan of
     # block k - 1 alone at its end), the plain recurrence of E^b, which
     # the blocked scan of its own plan solves
-    ends = np.empty((nb, r, d))
-    ends[:1] = x0  # a grid of one node has no block
-    ends[1:] = Z[:, :-1, -1].swapaxes(0, 1)
+    ends = np.empty((r, nb, d))
+    ends[:, 0] = x0
+    step = X.itemsize
+    spans = []
+    for k0, k1 in reversed(chunks):
+        lo, n = k0 * b, min(k1 * b, m - 1) - k0 * b
+        spans.append((k0, k1, lo, n))
+        if k1 < nb and inplace:
+            src, at = X, lo * d * step
+        else:
+            src, at = np.zeros((r, (k1 - k0) * b + 1, d)), 0
+            src[:, :n + 1] = X[:, lo:lo + n + 1]
+        win = np.ndarray((r, k1 - k0, (b + 1) * d), buffer=src, offset=at,
+                         strides=(src.strides[0], bd * step, step))
+        Z = win @ plan.table
+        # block k's end goes to ends[k + 1]; the last block has none
+        ends[:, k0 + 1:k1 + 1] = Z[:, :k1 - k0 - (k1 == nb), -d:]
+        # the lowest chunk, scanned last, keeps its products until its carry
+        if k0:
+            X[:, lo + 1:lo + 1 + n] = Z.reshape(r, -1, d)[:, :n]
     if nb > 1:
-        _blocked_scan(_ends_plan(plan, nb), ends, ends[0], ends)
-    if plan.carry.ndim == 2:
-        Z += (ends.reshape(-1, d) @ plan.carry).reshape(
-            nb, r, b, d).swapaxes(0, 1)
-    else:
-        # one carry per recurrence; its product goes into U, which the
-        # table has read, instead of a new array
-        carried = U.reshape(-1)[:r * nb * b * d].reshape(r, nb, b * d)
-        np.matmul(ends.swapaxes(0, 1), plan.carry, out=carried)
-        Z += carried.reshape(r, nb, b, d)
-    out[0] = x0
-    out[1:] = Z.reshape(r, nb * b, d)[:, :m - 1].swapaxes(0, 1)
+        _blocked_scan(_ends_plan(plan, nb), ends, ends[:, 0])
+    X[:, 0] = ends[:, 0]
+    # each node of block k takes its carry E^{i+1} z_k
+    for k0, k1, lo, n in reversed(spans):
+        if plan.carry.ndim == 2:
+            C = (ends[:, k0:k1].reshape(-1, d) @ plan.carry).reshape(
+                r, -1, d)
+        else:
+            C = (ends[:, k0:k1] @ plan.carry).reshape(r, -1, d)
+        if k0:
+            X[:, lo + 1:lo + 1 + n] += C[:, :n]
+        else:
+            C += Z.reshape(r, -1, d)
+            X[:, 1:1 + n] = C[:, :n]
 
 
 def _chunked_scan(E: np.ndarray, rows: np.ndarray, x0: np.ndarray,
@@ -441,15 +508,16 @@ def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
     ones.
 
     A plan takes the blocked route: nodes 1 .. m-1 fall into blocks of
-    b = max(2, 64 // d), and one gemm of the plan's table with a strided
-    window of b + 1 input rows per block scans every block at once, taps
-    included (one batched matmul of the K tables for a per-block plan,
-    whose blocks hold at most max(4, 32 // d) nodes).  The block ends form
-    the plain recurrence of E^b, which the same route scans with a plan of
-    E^b kept on the plan, about log(m)/log(b) levels deep, and a second
-    gemm adds each carry times E^{i+1} at node i of its block: O(m*b*d^2)
-    work per recurrence.  A plan costs b small matmuls, so keep it when the
-    same E is scanned repeatedly.
+    b = max(2, 64 // d), and a gemm of the plan's table with a strided
+    window of b + 1 input rows per block scans a chunk of blocks at once,
+    taps included (one batched matmul of the K tables for a per-block
+    plan, whose blocks hold at most max(4, 32 // d) nodes).  The block ends
+    form the plain recurrence of E^b, which the same route scans with a
+    plan of E^b kept on the plan, about log(m)/log(b) levels deep, and a
+    second gemm per chunk adds each carry times E^{i+1} at node i of its
+    block: O(m*b*d^2) work per recurrence, scanned in place in a copy of X
+    with the time axis second to last (_blocked_scan).  A plan costs b
+    small matmuls, so keep it when the same E is scanned repeatedly.
 
     A stack takes the chunked route: the nodes fall into about sqrt(m)
     chunks of about sqrt(m) nodes, one pass steps inside every chunk at
@@ -458,45 +526,50 @@ def linear_scan(E, X: np.ndarray, x0=None) -> np.ndarray:
     work in about sqrt(m) batched matmuls.
     """
     X = np.asarray(X, dtype=float)
-    out = np.empty(X.shape)
-    _scan_into(E, X, x0, out)
-    return out
-
-
-def _scan_into(E, X: np.ndarray, x0, out: np.ndarray) -> None:
-    """linear_scan(E, X, x0) written into out, an array of X's shape (for
-    instance a slice of the last axis of a wider array, read backward or
-    not) whose axes between the first and the last reshape without a copy,
-    so the kernels store their rows in the caller's array."""
-    X = np.asarray(X, dtype=float)
     m, d = X.shape[0], X.shape[-1]
     plan = E if isinstance(E, ScanPlan) else None
     if plan is not None:
-        E = plan.E
-        if E.shape[-2:] != (d, d):
+        if plan.E.shape[-2:] != (d, d):
             raise ValueError(f"expected one step matrix of size {d}, got "
-                             f"shape {E.shape}")
-        if E.ndim == 3 and np.prod(X.shape[1:-1], dtype=int) != len(E):
-            raise ValueError(f"expected {len(E)} recurrences for the "
+                             f"shape {plan.E.shape}")
+        if plan.E.ndim == 3 and np.prod(X.shape[1:-1], dtype=int) != len(
+                plan.E):
+            raise ValueError(f"expected {len(plan.E)} recurrences for the "
                              f"per-block step matrices, got shape {X.shape}")
     elif np.shape(E) != (m - 1, d, d):
         raise ValueError(f"expected a ScanPlan or {m - 1} step matrices of "
                          f"size {d}, got shape {np.shape(E)}")
     if X.size == 0:
-        return
+        return np.empty(X.shape)
     rows = X.reshape(m, -1, d)
-    dest = out.reshape(rows.shape)
-    if x0 is None:
-        start = rows[0]
-    else:
-        # a scalar or one state broadcasts over the recurrences as it is
-        start = np.asarray(x0, dtype=float)
-        if start.ndim > 1:
-            start = start.reshape(-1, d)
+    # a scalar or one state broadcasts over the recurrences as it is
+    start = rows[0] if x0 is None else np.asarray(x0, dtype=float)
+    if start.ndim > 1:
+        start = start.reshape(-1, d)
     if plan is None:
-        _chunked_scan(np.swapaxes(E, -1, -2), rows, start, dest)
-    else:
-        _blocked_scan(plan, rows, start, dest)
+        out = np.empty(X.shape)
+        _chunked_scan(np.swapaxes(E, -1, -2), rows, start,
+                      out.reshape(rows.shape))
+        return out
+    # the plan scans in place: a contiguous copy with the time axis second
+    # to last keeps X intact
+    R = np.moveaxis(X, 0, -2).copy()
+    _scan_into(plan, R, start)
+    return np.ascontiguousarray(np.moveaxis(R, -2, 0))
+
+
+def _scan_into(plan: ScanPlan, X: np.ndarray, x0) -> None:
+    """The blocked scan with plan of the recurrences X (..., m, d), time
+    axis second to last, in place, from x0 (..., d), or a state or scalar
+    that broadcasts.  X may be a view (a column slice of rows, a part read
+    backward) whose leading axes reshape to one without a copy."""
+    if X.size == 0:
+        return
+    m, d = X.shape[-2:]
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim > 1:
+        x0 = x0.reshape(-1, d)
+    _blocked_scan(plan, X.reshape(-1, m, d), x0)
 
 
 def rk4_affine(A: np.ndarray, g: np.ndarray, y0: np.ndarray,

@@ -24,8 +24,9 @@ import scipy.linalg as sla
 from .graded import (NormLadder, OrbitGrid, _row_norms,
                      _trajectory_residual, as_state)
 from .linalg import (NoContractionError, SpectralSplitting, _check_stopping,
-                     _contract, _contraction_factor, _positive_finite,
-                     _scan_into, integrate_rk4, rk4_affine, scan_plan)
+                     _SCAN_CHUNK_BYTES, _chunks, _contract,
+                     _contraction_factor, _positive_finite, _scan_into,
+                     integrate_rk4, rk4_affine, scan_plan)
 from .models import ModelSystem, _states
 
 __all__ = [
@@ -158,8 +159,9 @@ class _Rows:
     def split(self, Y: np.ndarray) -> np.ndarray:
         return Y
 
-    def rows(self, Y: np.ndarray) -> np.ndarray:
-        return Y
+    def rows(self, Y: np.ndarray, at: slice = slice(None)) -> np.ndarray:
+        """The split rows of Y on the nodes at (a view)."""
+        return Y[at]
 
     def shape(self, m: int) -> tuple:
         """The shape of a split orbit of m nodes: its rows (m, n)."""
@@ -186,17 +188,17 @@ class _Rows:
     def quadrature(self, h: float, v0_plus: np.ndarray,
                    g: np.ndarray) -> np.ndarray:
         """The LP quadrature (_quadrature_plans) of the forcing g at the m
-        grid nodes: each part one linear_scan of its columns.  Axes between
-        the first and the last are independent orbits, each with its own
-        row of v0_plus."""
+        grid nodes, written over g, which it returns: each part one scan of
+        its columns.  Axes between the first and the last are independent
+        orbits, each with its own row of v0_plus."""
         d = self.d
         plan_m, plan_p = _quadrature_plans(self._plans, self.A_plus,
                                            self.A_rest, h)
-        new = np.empty_like(g)
-        # each scan writes its rows straight into its part of new
-        _scan_into(plan_m, g[::-1, ..., :d], v0_plus, new[::-1, ..., :d])
-        _scan_into(plan_p, g[..., d:], 0.0, new[..., d:])
-        return new
+        # the time axis second to last
+        axes = tuple(range(1, g.ndim - 1)) + (0, g.ndim - 1)
+        _scan_into(plan_m, g[::-1, ..., :d].transpose(axes), v0_plus)
+        _scan_into(plan_p, g[..., d:].transpose(axes), 0.0)
+        return g
 
 
 class _Part(NamedTuple):
@@ -255,8 +257,11 @@ class _ModeBlocks:
         return tuple(p.A.shape[:1] + (m,) + p.A.shape[2:]
                      for p in (self.plus, self.rest))
 
-    def rows(self, Y: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The split rows (m, n) of Y in the block layout."""
+    def rows(self, Y: tuple[np.ndarray, np.ndarray],
+             at: slice = slice(None)) -> np.ndarray:
+        """The split rows (m, n) of Y in the block layout, on the nodes
+        at."""
+        Y = tuple(X[:, at] for X in Y)
         d = len(self.plus.block)
         out = np.empty((Y[0].shape[1], d + len(self.rest.block)))
         for part, X, cols in zip((self.plus, self.rest), Y,
@@ -290,11 +295,12 @@ class _ModeBlocks:
         m = len(field)
         F = np.take(field, self.amb.ravel(), axis=1).reshape(
             (m,) + self.amb.shape).swapaxes(0, 1)
-        out = []
-        for part, X in zip((self.plus, self.rest), Y):
-            g = F[part.blocks] @ part.BinvT
+        parts = (self.plus, self.rest)
+        out = [F[part.blocks] @ part.BinvT for part in parts]
+        # the gathered field goes before the second products are made
+        del F
+        for g, part, X in zip(out, parts, Y):
             g -= X @ part.A.swapaxes(1, 2)
-            out.append(g)
         return out[0], out[1]
 
     def all_finite(self, g: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -310,19 +316,17 @@ class _ModeBlocks:
     def quadrature(self, h: float, v0_plus: np.ndarray,
                    g: tuple[np.ndarray, np.ndarray]
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """The LP quadrature (_quadrature_plans) in the block layout: each
-        part one linear_scan of its blocks with per-block plans."""
+        """The LP quadrature (_quadrature_plans) in the block layout,
+        written over g, which it returns: each part one scan of its blocks
+        with per-block plans, the unstable part read backward."""
         plan_m, plan_p = _quadrature_plans(self._plans, self.plus.A,
                                            self.rest.A, h)
         (gp, gr), part = g, self.plus
         start = np.zeros(part.A.shape[:2])
         start[part.block, part.slot] = v0_plus
-        new_p, new_r = np.empty_like(gp), np.empty_like(gr)
-        # linear_scan takes the time axis first
-        _scan_into(plan_m, gp[:, ::-1].swapaxes(0, 1), start,
-                   new_p[:, ::-1].swapaxes(0, 1))
-        _scan_into(plan_p, gr.swapaxes(0, 1), 0.0, new_r.swapaxes(0, 1))
-        return new_p, new_r
+        _scan_into(plan_m, gp[:, ::-1], start)
+        _scan_into(plan_p, gr, 0.0)
+        return g
 
 
 def _mode_blocks(B: np.ndarray, Binv: np.ndarray, A0: np.ndarray, d: int,
@@ -826,10 +830,10 @@ def _lp_sweep(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
               ) -> np.ndarray:
     """The new orbit of lp_apply on the grid of step h, in the layout of
     pieces, with the remainder g = f_split(Y) already evaluated in that
-    layout.  Without blocks the sweep is the layout's exponential
-    quadrature of the fixed blocks; with the node blocks (A_plus, A_rest)
-    along Y (sweep_inputs on the quasilinear route, rows) it is two RK4
-    sweeps."""
+    layout; it is written over g, which is returned.  Without blocks the
+    sweep is the layout's exponential quadrature of the fixed blocks; with
+    the node blocks (A_plus, A_rest) along Y (sweep_inputs on the
+    quasilinear route, rows) it is two RK4 sweeps."""
     if not pieces.layout.all_finite(g):
         raise FloatingPointError("non-finite remainder evaluation in lp_apply")
     if blocks is None:
@@ -838,10 +842,10 @@ def _lp_sweep(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
     # complement forward from 0 at t = -T_max
     d = pieces.d_plus
     Ap, Ar = blocks
-    new = np.empty_like(g)
-    new[:, :d] = rk4_affine(Ap[::-1], g[::-1, :d], v0_plus, -h)[::-1]
-    new[:, d:] = rk4_affine(Ar, g[:, d:], np.zeros(pieces.d_rest), h)
-    return new
+    # each RK4 sweep reads all of its part of g before it returns
+    g[:, :d] = rk4_affine(Ap[::-1], g[::-1, :d], v0_plus, -h)[::-1]
+    g[:, d:] = rk4_affine(Ar, g[:, d:], np.zeros(pieces.d_rest), h)
+    return g
 
 
 @dataclass
@@ -856,8 +860,7 @@ class LpResult:
 class _Iterate(NamedTuple):
     """A Lyapunov-Perron iterate: the split orbit Y in the layout,
     its ambient image BY = Y B^T (rows) and the quasilinear inversion
-    state of B along Y (None on the autonomous route and for the zero
-    orbit)."""
+    state of B along Y (None on the autonomous route)."""
 
     Y: np.ndarray
     BY: np.ndarray
@@ -876,7 +879,9 @@ def _lp_norm(pieces: SplitPieces, cfg: LpConfig) -> Callable[..., float]:
     """The norm max_j e^{-lam t_j} ||X_j||_{r-1} on cfg.times of every LP
     increment: of ambient differences X (m, n), or with split=True of split
     differences X (m, ..., n), taken to X B^T first; ||X_j|| takes all the
-    entries of node j.  A non-finite X raises FloatingPointError."""
+    entries of node j.  With nodes, X holds only the nodes cfg.times[nodes]
+    and the max runs over them.  A non-finite X raises
+    FloatingPointError."""
     decay = np.exp(-cfg.lam * cfg.times)
     w = pieces.model.ladder.weights(cfg.r - 1.0)
     # the level weights folded into the map to ambient coordinates
@@ -885,13 +890,14 @@ def _lp_norm(pieces: SplitPieces, cfg: LpConfig) -> Callable[..., float]:
     # changes no bit: ambient differences skip it
     level0 = bool(np.all(w == 1.0))
 
-    def norm(X: np.ndarray, split: bool = False) -> float:
+    def norm(X: np.ndarray, split: bool = False,
+             nodes: slice = slice(None)) -> float:
         if split:
             X = X @ WB
         elif not level0:
             X = X * w
         # a non-finite entry makes its node's norm, and the max, non-finite
-        inc = float(np.max(decay * _row_norms(X.reshape(len(X), -1))))
+        inc = float(np.max(decay[nodes] * _row_norms(X.reshape(len(X), -1))))
         if not math.isfinite(inc):
             raise FloatingPointError("orbit states contain non-finite entries")
         return inc
@@ -914,11 +920,13 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
     builds its inputs from it; the sweep consumes the inversion state of
     the iterate it maps.  On the autonomous route every node of the zero
     orbit rests at the equilibrium, so the first sweep is the quadrature of
-    the row pieces._rest repeated over the grid, with no model call, whether
-    that row is exactly zero (F(eq) = 0) or roundoff.  It still counts as a
-    sweep.  The quasilinear route takes its first sweep through lp_apply,
-    which starts the inversions of B that the later sweeps continue.  No
-    sweep bounds the truncated tail: lp_solve takes it at the fixed point.
+    the row pieces._rest repeated over the grid, with no model call and
+    no zero orbit, whether that row is exactly zero (F(eq) = 0) or
+    roundoff; its increment is the norm of its image.  It
+    still counts as a sweep.  The quasilinear route takes its first sweep
+    through lp_apply of the zero orbit, which starts the inversions of B
+    that the later sweeps continue.  No sweep bounds the truncated tail:
+    lp_solve takes it at the fixed point.
 
     Raises ValueError for lam outside the dichotomy gap or a base point
     outside the eps-ball, and NoContractionError when the sweeps stop above
@@ -929,26 +937,35 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
     if np.linalg.norm(v0_plus) > cfg.eps * (1 + 1e-12):
         raise ValueError("base point outside the eps-ball")
     norm = _lp_norm(pieces, cfg)
+    layout, m = pieces.layout, len(cfg.times)
 
-    # the zero orbit, whose image is zero
-    layout = pieces.layout
-    rows = np.zeros((len(cfg.times), pieces.dim))
-    zero = layout.split(rows)
-
-    def sweep(it: _Iterate) -> _Iterate:
-        if it.Y is zero and pieces.autonomous:
-            # the first sweep, of the zero orbit
-            state = None
-            Y = _lp_sweep(pieces, cfg.h, v0_plus, layout.split(
-                np.repeat(pieces._rest[None], len(rows), axis=0)))
-        else:
+    def sweep(it: _Iterate | None) -> _Iterate:
+        if it is not None:
             Y, state = lp_apply(pieces, cfg, v0_plus, it.Y, it.BY, it.state)
+        elif pieces.autonomous:
+            Y, state = _lp_sweep(pieces, cfg.h, v0_plus, layout.split(
+                np.repeat(pieces._rest[None], m, axis=0))), None
+        else:
+            # the zero orbit, whose image is zero
+            zero = np.zeros((m, pieces.dim))
+            Y, state = lp_apply(pieces, cfg, v0_plus, layout.split(zero),
+                                zero)
         return _Iterate(Y, layout.image(Y), state)
 
-    fixed, incs = _contract(sweep, _Iterate(zero, rows, None),
-                            lambda new, old: norm(new.BY - old.BY),
-                            cfg.tol, cfg.max_iter)
+    fixed, incs = _contract(
+        sweep, None,
+        lambda new, old: norm(new.BY if old is None else new.BY - old.BY),
+        cfg.tol, cfg.max_iter)
     return fixed, incs, norm
+
+
+def _node_chunks(lo: int, hi: int, n: int) -> list[slice]:
+    """The nodes lo .. hi - 1 in slices of about _SCAN_CHUNK_BYTES of rows
+    of n floats, each of two nodes or more where there are two: a product
+    of one row goes to gemv, whose sums round otherwise than a grid's
+    gemm."""
+    return [slice(a, b)
+            for a, b in _chunks(lo, hi, _SCAN_CHUNK_BYTES // (8 * max(n, 1)))]
 
 
 def lp_solve(pieces: SplitPieces, cfg: LpConfig,
@@ -962,7 +979,9 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     route the first sweep's remainder is built from F(eq) and evaluates no
     model, so a solve of k sweeps on a grid of m nodes evaluates the model
     on k m rows: k - 1 sweeps and the residual sweep, each on the whole
-    grid.
+    grid.  The epilogue holds no full-grid array beyond the residual
+    sweep's inputs: the checks read the remainder before the sweep
+    consumes it, and take split rows in node chunks (_node_chunks).
 
     The diagnostic contraction_factor is the largest ratio of consecutive
     sweep increments (linalg._contraction_factor).
@@ -981,21 +1000,17 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     """
     (Y, BY, state), incs, norm = _lp_fixed_point(pieces, cfg, v0_plus)
     v0_plus = as_state(v0_plus)
-    d = pieces.d_plus
+    layout, d = pieces.layout, pieces.d_plus
     m, h = len(cfg.times), cfg.h
 
-    # fixed-point residual: one more sweep, measured in the same norm; its
-    # remainder and ambient field also serve the two checks below, which
-    # read split rows
+    # the residual sweep's inputs; the field serves the trajectory
+    # residual, and the ambient image, shifted in place (nothing reads it
+    # after), the orbit, on a copy of the grid
     g, field, blocks, _ = pieces.sweep_inputs(Y, BY, state)
-    new = _lp_sweep(pieces, h, v0_plus, g, blocks)
-    # one array at a time goes to rows, each freed as it goes
-    rows = pieces.layout.rows
-    new = rows(new)
-    Y = rows(Y)
-    fp_res = norm(new - Y, split=True)
-    del new
-    g = rows(g)
+    orbit = OrbitGrid(cfg.times.copy(),
+                      np.add(BY, pieces.model.equilibrium, out=BY))
+    traj_res = _trajectory_residual(orbit.states, field, h)
+    del field
 
     # the truncated tail of the complement integral, from the remainder at
     # -T_max; varying blocks carry no dichotomy constant
@@ -1004,20 +1019,25 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
         c_rest = (pieces.rest_growth_constant(cfg.T_max) if blocks is None
                   else 1.0)
         denom = cfg.lam - pieces.splitting.rest_max_re
-        tail = c_rest * float(np.linalg.norm(g[0, d:])) / max(denom, 1e-12)
+        tail = c_rest * float(np.linalg.norm(
+            layout.rows(g, slice(0, 1))[0, d:])) / max(denom, 1e-12)
 
-    # Y B^T + eq, from the image the sweeps carried, shifted in place
-    # (nothing reads it after the residual sweep), on a copy of the grid
-    orbit = OrbitGrid(cfg.times.copy(),
-                      np.add(BY, pieces.model.equilibrium, out=BY))
-    traj_res = _trajectory_residual(orbit.states, field, h)
+    # quadrature error budget from measured second differences of f at the
+    # interior nodes
+    second = np.empty(max(m - 2, 0))
+    for at in _node_chunks(1, m - 1, pieces.dim):
+        G = layout.rows(g, slice(at.start - 1, at.stop + 1))
+        second[at.start - 1:at.stop - 1] = _row_norms(
+            G[2:] - 2 * G[1:-1] + G[:-2])
+    quad_budget = float(h * second.sum() / 12.0) if m > 2 else 0.0
 
-    # quadrature error budget from measured second differences of f
-    if m > 2:
-        second = _row_norms(g[2:] - 2 * g[1:-1] + g[:-2])
-        quad_budget = float(h * second.sum() / 12.0)
-    else:
-        quad_budget = 0.0
+    # fixed-point residual: one more sweep, which consumes g, measured in
+    # the same norm
+    new = _lp_sweep(pieces, h, v0_plus, g, blocks)
+    fp_res = max(norm(layout.rows(new, at) - layout.rows(Y, at), split=True,
+                      nodes=at) for at in _node_chunks(0, m, pieces.dim))
+    del new, g
+    Y = layout.rows(Y)
     h_val = Y[-1, d:]
     diag = {
         "iterations": len(incs),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from lpmanifolds import oracles
 from lpmanifolds.graded import NormLadder, OrbitGrid
@@ -150,6 +151,37 @@ def test_dissipativity_of_lyapunov_form_random():
         res = np.linalg.norm(A.T @ form.L + form.L @ A - 2 * om * form.L
                              + np.eye(n))
         assert res <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["normal", "nonnormal", "complex_pair"])
+def test_lyapunov_form_is_scipys_solution_bit_for_bit(kind):
+    # one real Schur form of (A - omega I)^T serves the abscissa and the
+    # Bartels-Stewart solve, whose L is solve_continuous_lyapunov's,
+    # symmetrized, bit for bit
+    rng = np.random.default_rng(list(map(ord, kind)))
+    n = 6
+    if kind == "normal":
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        A = Q @ np.diag(-rng.uniform(0.5, 3.0, size=n)) @ Q.T
+    elif kind == "nonnormal":
+        A = np.diag(-rng.uniform(0.5, 3.0, size=n)) + 5.0 * np.triu(
+            rng.normal(size=(n, n)), 1)
+    else:
+        # the pairs -0.3 +/- 2i and -1 +/- 0.5i, and two real eigenvalues
+        A = sla.block_diag([[-0.3, 2.0], [-2.0, -0.3]],
+                           [[-1.0, 0.5], [-0.5, -1.0]], [[-2.0]], [[-0.7]])
+        S = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+        A = S @ A @ np.linalg.inv(S)
+    om = 0.1
+    L = sla.solve_continuous_lyapunov((A - om * np.eye(n)).T, -np.eye(n))
+    assert np.array_equal(lyapunov_form(A, om).L, 0.5 * (L + L.T))
+    # the refusal names the abscissa, the largest real part of sigma(A)
+    top = np.linalg.eigvals(A).real.max()
+    with pytest.raises(ValueError, match="spectral abscissa violated: "
+                       r"omega=-2.5 <= max Re sigma\(A\)=") as err:
+        lyapunov_form(A, -2.5)
+    named = float(str(err.value).rsplit("=", 1)[1])
+    assert named == pytest.approx(top, abs=1e-12)
 
 
 def test_lyapunov_random_stable_dimension_100():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,17 +349,17 @@ def _tap_scan_loop(E, P, Q, U, x0):
     return x
 
 
-def _route_spy(monkeypatch, route="_blocked_scan"):
-    """Record the node count of each call of one of linear_scan's routes,
-    its scans of block or chunk ends included."""
+def _route_spy(monkeypatch):
+    """Record the node count of each call of the blocked scan, whose
+    recurrences are (r, m, d), its scans of block ends included."""
     calls = []
-    real = getattr(linalg, route)
+    real = linalg._blocked_scan
 
-    def spy(E, rows, *args):
-        calls.append(len(rows))
-        return real(E, rows, *args)
+    def spy(plan, X, x0):
+        calls.append(X.shape[1])
+        return real(plan, X, x0)
 
-    monkeypatch.setattr(linalg, route, spy)
+    monkeypatch.setattr(linalg, "_blocked_scan", spy)
     return calls
 
 
@@ -502,9 +503,10 @@ def test_ends_scanned_levels_deep(d, m, levels, kind, monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 17])
 def test_scan_into_a_view_keeps_the_bits(d):
-    # the quadrature's scans write into slices of its result, read backward
-    # for the unstable part; the rows are linear_scan's, bit for bit, and
-    # nothing outside the slice is touched
+    # the rows quadrature scans column slices of the remainder in place,
+    # read backward for the unstable part, through a contiguous copy; the
+    # rows are linear_scan's, bit for bit, and nothing outside the slice is
+    # touched
     rng = np.random.default_rng([d, 8])
     E = _scan_matrix("nonnormal", d, rng)
     plan = scan_plan(E, *(0.01 * rng.normal(size=(2, d, d))))
@@ -514,10 +516,61 @@ def test_scan_into_a_view_keeps_the_bits(d):
             x0 = rng.normal(size=shape[1:])
             want = linear_scan(plan, X[::-1], x0)
             wide = np.full(shape[:-1] + (d + 3,), np.nan)
-            linalg._scan_into(plan, X[::-1], x0, wide[::-1, ..., 1:d + 1])
-            assert np.array_equal(wide[::-1, ..., 1:d + 1], want)
+            view = wide[::-1, ..., 1:d + 1]
+            view[...] = X[::-1]
+            linalg._scan_into(plan, np.moveaxis(view, 0, -2), x0)
+            assert np.array_equal(view, want)
             assert np.isnan(wide[..., 0]).all()
             assert np.isnan(wide[..., d + 1:]).all()
+
+
+def test_scan_chunks_hold_two_blocks_or_more():
+    # runs of per, a last run of one block merged into the run before, so
+    # no chunk's product has a single row; a grid of one block is one run
+    assert linalg._chunks(0, 7, 3) == [(0, 3), (3, 7)]
+    assert linalg._chunks(0, 8, 3) == [(0, 3), (3, 6), (6, 8)]
+    assert linalg._chunks(0, 6, 3) == [(0, 3), (3, 6)]
+    assert linalg._chunks(0, 5, 9) == [(0, 5)]
+    assert linalg._chunks(0, 1, 1) == [(0, 1)]
+    assert linalg._chunks(1, 6, 1) == [(1, 3), (3, 6)]
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["plan", "per_block"])
+@pytest.mark.parametrize("budget", [None, 1], ids=["one_chunk", "chunks"])
+def test_blocked_scan_in_place_matches_the_copying_route(stack, budget,
+                                                         monkeypatch):
+    # the kernel scans contiguous (r, m, d) recurrences over themselves,
+    # and any other view through padded copies of its chunks: the rows are
+    # linear_scan's (which scans a copy, leaving X intact), bit for bit,
+    # on grids where b divides m - 1, with a ragged tail, of one block and
+    # of m = 2, in one chunk or in chunks of two or three blocks; both are
+    # the loop to 1e-13
+    if budget is not None:
+        monkeypatch.setattr(linalg, "_SCAN_CHUNK_BYTES", budget)
+    rng = np.random.default_rng([int(stack), int(budget is None)])
+    d, K = 3, 4
+    E = 0.9 * np.linalg.qr(rng.normal(size=(K, d, d)))[0]
+    P, Q = 0.1 * rng.normal(size=(2, K, d, d))
+    plan = scan_plan(E, P, Q) if stack else scan_plan(E[0], P[0], Q[0])
+    b = plan.b
+    for m in (2, b, b + 1, 3 * b + 1, 7 * b + 1, 7 * b + 3, 20 * b + 2):
+        U = rng.normal(size=(m, K, d))
+        for x0 in (0.0, rng.normal(size=(K, d))):
+            want = linear_scan(plan, U, x0)
+            X = np.ascontiguousarray(U.swapaxes(0, 1))
+            linalg._scan_into(plan, X, x0)
+            assert np.array_equal(X, want.swapaxes(0, 1))
+            # the same recurrences as a strided view of a wider array
+            wide = np.full((K, m, d + 2), np.nan)
+            wide[..., 1:-1] = U.swapaxes(0, 1)
+            linalg._scan_into(plan, wide[..., 1:-1], x0)
+            assert np.array_equal(wide[..., 1:-1], X)
+            assert np.isnan(wide[..., ::d + 1]).all()
+            start = np.broadcast_to(x0, (K, d))
+            for k in range(K):
+                ref = _tap_scan_loop(E[k if stack else 0], P[k if stack else 0],
+                                     Q[k if stack else 0], U[:, k], start[k])
+                assert np.abs(X[k] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("m", [7, 32, 33, 3201])
@@ -752,12 +805,14 @@ def test_lp_quadrature_matches_forcing_formula(which, monkeypatch):
     # one orbit, and orbits on an in-between axis as lp_variational has them
     for g, v0 in ((rng.normal(size=(m, n)), rng.normal(size=d)),
                   (rng.normal(size=(m, 3, n)), rng.normal(size=(3, d)))):
+        # the reference first: the quadrature writes its orbit over g
+        ref = _lp_quadrature_formula(pieces, h, v0, g)
         calls.clear()
         got = pieces.dense.quadrature(h, v0, g)
+        assert got is g
         # the scans of the remainder rows; the others scan block ends
         assert calls.count(m) == 2
         assert all(n < m for n in calls if n != m)
-        ref = _lp_quadrature_formula(pieces, h, v0, g)
         for cols in (slice(0, d), slice(d, None)):
             scale = np.abs(ref[..., cols]).max()
             assert np.abs(got[..., cols] - ref[..., cols]).max() <= (
@@ -1557,9 +1612,11 @@ def _ambient_reference_solve(pieces, cfg, v0):
         if inc <= cfg.tol:
             break
     g, _, blocks, _ = pieces.sweep_inputs(Y, image(Y), state)
+    # the remainder in rows, copied before the sweep writes over it
+    g_rows = layout.rows(g).copy()
     Ychk = lp._lp_sweep(pieces, h, v0, g, blocks)
     orbit = image(Y) + pieces.model.equilibrium
-    Y, Ychk, g = (layout.rows(X) for X in (Y, Ychk, g))
+    Y, Ychk, g = layout.rows(Y), layout.rows(Ychk), g_rows
     c_rest = pieces.rest_growth_constant(cfg.T_max) if blocks is None else 1.0
     tail = (c_rest * np.linalg.norm(g[0, pieces.d_plus:])
             / (cfg.lam - pieces.splitting.rest_max_re))
@@ -1595,6 +1652,74 @@ def test_lp_solve_is_the_ambient_reference_bit_for_bit(which):
     for key, want in ref.items():
         assert np.array_equal(got[key], want), key
         assert np.array_equal(np.signbit(got[key]), np.signbit(want)), key
+
+
+def _mmt33_case():
+    _, sp, pieces = mmt_mi_pieces(half=16)
+    cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
+                   dt=0.01, eps=0.05, tol=1e-9)
+    return pieces, cfg, np.array([0.02, -0.02])
+
+
+@pytest.mark.parametrize("which", ["saddle1", "mmt7", "mmt33", "quasi"])
+def test_lp_apply_leaves_its_inputs_untouched(which):
+    # the quadrature writes the new orbit over the remainder it is given,
+    # an array of lp_apply's own: the orbit, its image and the base point
+    # keep their bits, and the new orbit shares no memory with them
+    pieces, cfg, base = (_mmt33_case() if which == "mmt33"
+                         else _fixed_point_case(which))
+    layout = pieces.layout
+    Y = layout.split(lp_solve(pieces, cfg, base).Y)
+    BY = layout.image(Y)
+    parts = Y if isinstance(Y, tuple) else (Y,)
+    kept = [x.copy() for x in parts + (BY, base)]
+    new, _ = lp_apply(pieces, cfg, base, Y, BY)
+    for x, k in zip(parts + (BY, base), kept):
+        assert np.array_equal(x, k)
+        for y in (new if isinstance(new, tuple) else (new,)):
+            assert not np.shares_memory(x, y)
+
+
+def test_consecutive_solves_share_no_memory():
+    # no array of a solve outlives it in the pieces, their layout or their
+    # plans: a second solve on the same MMT-33 pieces returns fresh arrays
+    # and leaves the first result as it was
+    pieces, cfg, base = _mmt33_case()
+    assert isinstance(pieces.layout, lp._ModeBlocks)
+    first = lp_solve(pieces, cfg, base)
+    kept = {k: np.copy(getattr(first, k))
+            for k in ("base_point", "h_value", "Y")}
+    states = first.orbit.states.copy()
+    second = lp_solve(pieces, cfg, 0.5 * base)
+
+    def arrays(res):
+        return [res.base_point, res.h_value, res.Y, res.orbit.states,
+                res.orbit.times]
+
+    for a in arrays(first):
+        for b in arrays(second):
+            assert not np.shares_memory(a, b)
+    for k, v in kept.items():
+        assert np.array_equal(getattr(first, k), v)
+    assert np.array_equal(first.orbit.states, states)
+
+
+def test_warm_mmt33_solve_holds_few_full_grid_arrays():
+    # the sweeps scan the remainder in place and the epilogue takes split
+    # rows in node chunks: the Python-heap peak of one warm MMT-33 solve,
+    # its returned Y and orbit included, is at most 6.5 arrays of the grid
+    # (m n floats)
+    pieces, cfg, base = _mmt33_case()
+    lp_solve(pieces, cfg, base)
+    full = len(cfg.times) * pieces.dim * 8
+    tracemalloc.start()
+    try:
+        res = lp_solve(pieces, cfg, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.diagnostics["iterations"] >= 3
+    assert peak <= 6.5 * full
 
 
 @pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "quasi"])
@@ -1638,7 +1763,8 @@ def test_variational_starts_from_the_linear_flow(which, monkeypatch):
     real = lp._Rows.quadrature
 
     def recording(rows, step, v0, g):
-        calls.append((step, v0, g, real(rows, step, v0, g)))
+        # the forcing is copied before the quadrature writes over it
+        calls.append((step, v0, g.copy(), real(rows, step, v0, g)))
         return calls[-1][3]
 
     monkeypatch.setattr(lp._Rows, "quadrature", recording)
