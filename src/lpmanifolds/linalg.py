@@ -384,6 +384,24 @@ def _chunks(lo: int, hi: int, per: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:] + [hi]))
 
 
+def _windows(src: np.ndarray, at: int, k: int, b: int) -> np.ndarray:
+    """The k windows of b + 1 rows, b rows apart, of each recurrence of
+    src (r, rows, d), the first at row at: (r, k, (b + 1) d), a view."""
+    d, step = src.shape[2], src.itemsize
+    return np.ndarray((len(src), k, (b + 1) * d), buffer=src,
+                      offset=at * d * step,
+                      strides=(src.strides[0], b * d * step, step))
+
+
+def _carries(ends: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """The carries E^{i+1} z_k of the states z_k = ends (r, k, d) before k
+    blocks, at each node i of their block: (r, k b, d)."""
+    r, _, d = ends.shape
+    if carry.ndim == 2:
+        return (ends.reshape(-1, d) @ carry).reshape(r, -1, d)
+    return (ends @ carry).reshape(r, -1, d)
+
+
 def _blocked_scan(plan: ScanPlan, X: np.ndarray, x0) -> None:
     """Scan the recurrences X (r, m, d) in place from x0 (r, d), or a
     state or scalar that broadcasts, with the plan's taps; a plan of
@@ -400,6 +418,8 @@ def _blocked_scan(plan: ScanPlan, X: np.ndarray, x0) -> None:
     backward) read a zero-padded copy of their rows.  Every chunk holds
     two blocks or more unless the grid has one block, so no product has a
     single row (NumPy sends that to gemv, whose sums round otherwise).
+    A grid of one chunk takes _one_chunk_scan, the same products in fewer
+    steps.
     """
     r, m, d = X.shape
     b, bd = plan.b, plan.b * d
@@ -407,46 +427,75 @@ def _blocked_scan(plan: ScanPlan, X: np.ndarray, x0) -> None:
     if nb == 0:
         X[:, 0] = x0  # a grid of one node has no block
         return
-    chunks = _chunks(0, nb, _SCAN_CHUNK_BYTES // (X.itemsize * r * bd))
+    per = _SCAN_CHUNK_BYTES // (X.itemsize * r * bd)
+    if nb <= max(2, per):
+        _one_chunk_scan(plan, X, x0, nb)
+        return
+    chunks = _chunks(0, nb, per)
     inplace = X.flags.c_contiguous
     # the state before block k: z_0 = x0, z_k = E^b z_{k-1} + (scan of
     # block k - 1 alone at its end), the plain recurrence of E^b, which
     # the blocked scan of its own plan solves
     ends = np.empty((r, nb, d))
     ends[:, 0] = x0
-    step = X.itemsize
     spans = []
     for k0, k1 in reversed(chunks):
         lo, n = k0 * b, min(k1 * b, m - 1) - k0 * b
         spans.append((k0, k1, lo, n))
         if k1 < nb and inplace:
-            src, at = X, lo * d * step
+            src, at = X, lo
         else:
             src, at = np.zeros((r, (k1 - k0) * b + 1, d)), 0
             src[:, :n + 1] = X[:, lo:lo + n + 1]
-        win = np.ndarray((r, k1 - k0, (b + 1) * d), buffer=src, offset=at,
-                         strides=(src.strides[0], bd * step, step))
-        Z = win @ plan.table
+        Z = _windows(src, at, k1 - k0, b) @ plan.table
         # block k's end goes to ends[k + 1]; the last block has none
         ends[:, k0 + 1:k1 + 1] = Z[:, :k1 - k0 - (k1 == nb), -d:]
         # the lowest chunk, scanned last, keeps its products until its carry
         if k0:
             X[:, lo + 1:lo + 1 + n] = Z.reshape(r, -1, d)[:, :n]
-    if nb > 1:
-        _blocked_scan(_ends_plan(plan, nb), ends, ends[:, 0])
+    _blocked_scan(_ends_plan(plan, nb), ends, ends[:, 0])
     X[:, 0] = ends[:, 0]
     # each node of block k takes its carry E^{i+1} z_k
     for k0, k1, lo, n in reversed(spans):
-        if plan.carry.ndim == 2:
-            C = (ends[:, k0:k1].reshape(-1, d) @ plan.carry).reshape(
-                r, -1, d)
-        else:
-            C = (ends[:, k0:k1] @ plan.carry).reshape(r, -1, d)
+        C = _carries(ends[:, k0:k1], plan.carry)
         if k0:
             X[:, lo + 1:lo + 1 + n] += C[:, :n]
         else:
             C += Z.reshape(r, -1, d)
             X[:, 1:1 + n] = C[:, :n]
+
+
+def _one_chunk_scan(plan: ScanPlan, X: np.ndarray, x0, nb: int) -> None:
+    """_blocked_scan of a grid of nb blocks that fit in one chunk, with
+    the chunked route's products: one table product of every window (in
+    X itself where X is C-contiguous and its blocks end at its last node,
+    else in a zero-padded copy), the scan of the block ends, then one
+    carry product.  Ends that fit in one block of their plan are scanned
+    here, their window the ends themselves."""
+    r, m, d = X.shape
+    b = plan.b
+    if nb * b == m - 1 and X.flags.c_contiguous:
+        src = X
+    else:
+        src = np.zeros((r, nb * b + 1, d))
+        src[:, :m] = X
+    Z = _windows(src, 0, nb, b) @ plan.table
+    ends = np.empty((r, nb, d))
+    ends[:, 0] = x0
+    if nb > 1:
+        # block k's end goes to ends[k + 1]; the last block has none
+        ends[:, 1:] = Z[:, :-1, -d:]
+        sub = _ends_plan(plan, nb)
+        if sub.b < nb - 1:
+            _blocked_scan(sub, ends, ends[:, 0])
+        else:
+            C = _carries(ends[:, :1], sub.carry)
+            C += (ends.reshape(r, 1, -1) @ sub.table).reshape(r, -1, d)
+            ends[:, 1:] = C
+    X[:, 0] = ends[:, 0]
+    C = _carries(ends, plan.carry)
+    C += Z.reshape(r, -1, d)
+    X[:, 1:] = C[:, :m - 1]
 
 
 def _chunked_scan(E: np.ndarray, rows: np.ndarray, x0: np.ndarray,

@@ -98,6 +98,12 @@ class LpConfig:
     def h(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    @functools.cached_property
+    def _decay(self) -> np.ndarray:
+        decay = np.exp(-self.lam * self.times)
+        decay.flags.writeable = False
+        return decay
+
 
 def _phi_matrices(A: np.ndarray, h: float):
     """(e^{hA}, psi1(hA), psi2(hA)) via one augmented matrix exponential, of
@@ -185,19 +191,22 @@ class _Rows:
         """The complement blocks rest_growth_constant takes: A_rest."""
         return [self.A_rest]
 
-    def quadrature(self, h: float, v0_plus: np.ndarray,
-                   g: np.ndarray) -> np.ndarray:
+    def quadrature(self, h: float, v0_plus: np.ndarray, g: np.ndarray,
+                   rest: bool = True) -> np.ndarray:
         """The LP quadrature (_quadrature_plans) of the forcing g at the m
         grid nodes, written over g, which it returns: each part one scan of
         its columns.  Axes between the first and the last are independent
-        orbits, each with its own row of v0_plus."""
+        orbits, each with its own row of v0_plus.  With rest False the
+        complement is not scanned: the caller's complement forcing is +0.0,
+        whose scan from 0 is +0.0."""
         d = self.d
         plan_m, plan_p = _quadrature_plans(self._plans, self.A_plus,
                                            self.A_rest, h)
         # the time axis second to last
         axes = tuple(range(1, g.ndim - 1)) + (0, g.ndim - 1)
         _scan_into(plan_m, g[::-1, ..., :d].transpose(axes), v0_plus)
-        _scan_into(plan_p, g[..., d:].transpose(axes), 0.0)
+        if rest:
+            _scan_into(plan_p, g[..., d:].transpose(axes), 0.0)
         return g
 
 
@@ -314,18 +323,20 @@ class _ModeBlocks:
         return [A[width == w][:, :w, :w] for w in np.unique(width)]
 
     def quadrature(self, h: float, v0_plus: np.ndarray,
-                   g: tuple[np.ndarray, np.ndarray]
+                   g: tuple[np.ndarray, np.ndarray], rest: bool = True
                    ) -> tuple[np.ndarray, np.ndarray]:
         """The LP quadrature (_quadrature_plans) in the block layout,
         written over g, which it returns: each part one scan of its blocks
-        with per-block plans, the unstable part read backward."""
+        with per-block plans, the unstable part read backward.  With rest
+        False the complement is not scanned (_Rows.quadrature)."""
         plan_m, plan_p = _quadrature_plans(self._plans, self.plus.A,
                                            self.rest.A, h)
         (gp, gr), part = g, self.plus
         start = np.zeros(part.A.shape[:2])
         start[part.block, part.slot] = v0_plus
         _scan_into(plan_m, gp[:, ::-1], start)
-        _scan_into(plan_p, gr, 0.0)
+        if rest:
+            _scan_into(plan_p, gr, 0.0)
         return g
 
 
@@ -400,6 +411,14 @@ def _mode_blocks(B: np.ndarray, Binv: np.ndarray, A0: np.ndarray, d: int,
     if max(plus.A.shape[-1], rest.A.shape[-1]) > _DENSE_WIDTH:
         return None
     return _ModeBlocks(amb=amb_idx, amb_slot=amb_slot, plus=plus, rest=rest)
+
+
+def _normal(A: np.ndarray) -> bool:
+    """Whether the matrix A, or every matrix of a stack (k, w, w), commutes
+    with its transpose to 1e-14 of its squared Frobenius norm."""
+    At = np.swapaxes(A, -1, -2)
+    gap = np.linalg.norm(A @ At - At @ A, axis=(-2, -1))
+    return bool(np.all(gap <= 1e-14 * np.linalg.norm(A, axis=(-2, -1)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -526,14 +545,17 @@ class SplitPieces:
         largest over the layout's complement blocks, taken by batched
         exponentials of the blocks of each width.  It is a sampled
         estimate of the growth constant, not a bound: the norm may peak
-        between samples.  tail_bound takes it as the constant of the
-        complement's propagator."""
+        between samples.  Where every block commutes with its transpose
+        (to 1e-14 of its squared norm), the constant is exactly 1 and no
+        exponential is taken: a normal block has ||e^{sA}||_2 = e^{s a},
+        a its spectral abscissa, at most rest_max_re.  tail_bound takes it
+        as the constant of the complement's propagator."""
         key = ("crest", round(T, 12))
         if key not in self._cache:
-            if self.d_rest == 0:
+            blocks = self.layout.rest_blocks if self.d_rest else []
+            if all(map(_normal, blocks)):
                 self._cache[key] = 1.0
             else:
-                blocks = self.layout.rest_blocks
                 rate = self.splitting.rest_max_re
                 c = 1.0
                 for s in np.linspace(0.0, T, 25):
@@ -824,6 +846,13 @@ def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
     return _lp_sweep(pieces, cfg.h, v0_plus, g, blocks), state
 
 
+def _shift(eq: np.ndarray) -> np.ndarray | float:
+    """eq, or the scalar 0.0 where eq is exactly zero: adding or
+    subtracting either gives the same bits (-0.0 + 0.0 is +0.0 with both),
+    and the scalar takes no pass of a row broadcast over the orbit."""
+    return eq if np.any(eq) else 0.0
+
+
 def _lp_sweep(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
               g: np.ndarray,
               blocks: tuple[np.ndarray, np.ndarray] | None = None
@@ -882,7 +911,7 @@ def _lp_norm(pieces: SplitPieces, cfg: LpConfig) -> Callable[..., float]:
     entries of node j.  With nodes, X holds only the nodes cfg.times[nodes]
     and the max runs over them.  A non-finite X raises
     FloatingPointError."""
-    decay = np.exp(-cfg.lam * cfg.times)
+    decay = cfg._decay
     w = pieces.model.ladder.weights(cfg.r - 1.0)
     # the level weights folded into the map to ambient coordinates
     WB = np.ascontiguousarray(pieces.B.T * w)
@@ -920,13 +949,13 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
     builds its inputs from it; the sweep consumes the inversion state of
     the iterate it maps.  On the autonomous route every node of the zero
     orbit rests at the equilibrium, so the first sweep is the quadrature of
-    the row pieces._rest repeated over the grid, with no model call and
-    no zero orbit, whether that row is exactly zero (F(eq) = 0) or
-    roundoff; its increment is the norm of its image.  It
-    still counts as a sweep.  The quasilinear route takes its first sweep
-    through lp_apply of the zero orbit, which starts the inversions of B
-    that the later sweeps continue.  No sweep bounds the truncated tail:
-    lp_solve takes it at the fixed point.
+    the row pieces._rest on every node (_first_sweep), with no model call
+    and no zero orbit, whether that row is exactly zero (F(eq) = 0; the
+    complement is then not scanned) or roundoff; its increment is the norm
+    of its image.  It still counts as a sweep.  The quasilinear route
+    takes its first sweep through lp_apply of the zero orbit, which starts
+    the inversions of B that the later sweeps continue.  No sweep bounds
+    the truncated tail: lp_solve takes it at the fixed point.
 
     Raises ValueError for lam outside the dichotomy gap or a base point
     outside the eps-ball, and NoContractionError when the sweeps stop above
@@ -943,8 +972,7 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
         if it is not None:
             Y, state = lp_apply(pieces, cfg, v0_plus, it.Y, it.BY, it.state)
         elif pieces.autonomous:
-            Y, state = _lp_sweep(pieces, cfg.h, v0_plus, layout.split(
-                np.repeat(pieces._rest[None], m, axis=0))), None
+            Y, state = _first_sweep(pieces, cfg.h, v0_plus, m), None
         else:
             # the zero orbit, whose image is zero
             zero = np.zeros((m, pieces.dim))
@@ -957,6 +985,29 @@ def _lp_fixed_point(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray
         lambda new, old: norm(new.BY if old is None else new.BY - old.BY),
         cfg.tol, cfg.max_iter)
     return fixed, incs, norm
+
+
+def _first_sweep(pieces: SplitPieces, h: float, v0_plus: np.ndarray,
+                 m: int) -> np.ndarray:
+    """The autonomous first sweep on m nodes, from the zero orbit, whose
+    every node rests at the equilibrium: the quadrature of the row
+    pieces._rest on every node, in the layout.  Where the complement part
+    of that row is exactly zero (F(eq) = 0), the complement of the new
+    orbit is the scan of zero from 0, +0.0, and stays as np.zeros made it:
+    only the unstable part is scanned."""
+    rest, d = pieces._rest, pieces.d_plus
+    if not np.all(np.isfinite(rest)):
+        raise FloatingPointError("non-finite remainder evaluation in lp_apply")
+    moves = bool(np.any(rest[d:]))
+    rows = np.zeros((m, pieces.dim))
+    if moves:
+        rows[...] = rest
+    else:
+        rows[:, :d] = rest[:d]
+    g = pieces.layout.split(rows)
+    # on mode blocks the rows are a copy: it goes before the scans
+    del rows
+    return pieces.layout.quadrature(h, v0_plus, g, rest=moves)
 
 
 def _node_chunks(lo: int, hi: int, n: int) -> list[slice]:
@@ -1008,7 +1059,7 @@ def lp_solve(pieces: SplitPieces, cfg: LpConfig,
     # after), the orbit, on a copy of the grid
     g, field, blocks, _ = pieces.sweep_inputs(Y, BY, state)
     orbit = OrbitGrid(cfg.times.copy(),
-                      np.add(BY, pieces.model.equilibrium, out=BY))
+                      np.add(BY, _shift(pieces.model.equilibrium), out=BY))
     traj_res = _trajectory_residual(orbit.states, field, h)
     del field
 
@@ -1056,7 +1107,10 @@ def decay_rate_fit(orbit: OrbitGrid, ladder: NormLadder, r: float
                    ) -> tuple[float, float]:
     """Least-squares slope of log ||v(t)||_r over the window where the norm
     exceeds the floor, the constant 1e-12; returns (lambda_fit, R^2)."""
-    norms = _row_norms(orbit.states * ladder.weights(r))
+    w = ladder.weights(r)
+    # unit weights change no bit: the states go as they are
+    norms = _row_norms(orbit.states if np.all(w == 1.0)
+                       else orbit.states * w)
     if np.max(norms) <= 1e-300:
         raise ValueError("trivial orbit")
     mask = norms > 1e-12
@@ -1170,6 +1224,7 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
     iters = np.zeros(nsamp)
     fp_res = np.full(nsamp, np.nan)
     budget = np.full(nsamp, np.nan)
+    eq = _shift(pieces.model.equilibrium)
     status: list[str] = []
     for i in range(nsamp):
         try:
@@ -1179,8 +1234,7 @@ def build_manifold_graph(pieces: SplitPieces, cfg: LpConfig,
             fp_res[i] = res.diagnostics["fp_residual"]
             budget[i] = res.diagnostics["error_budget"]
             if np.linalg.norm(pts[i]) > 0:
-                dev = OrbitGrid(res.orbit.times,
-                                res.orbit.states - pieces.model.equilibrium)
+                dev = OrbitGrid(res.orbit.times, res.orbit.states - eq)
                 try:
                     lam_fit[i] = decay_rate_fit(
                         dev, pieces.model.ladder, cfg.r)[0]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lpmanifolds.graded import NormLadder, OrbitGrid, graded_norm
+from lpmanifolds.graded import (_GEMV_WIDTHS, NormLadder, OrbitGrid,
+                                _row_norms, graded_norm)
 
 
 def test_zero_vector_any_ladder():
@@ -52,3 +53,30 @@ def test_fourier_ladder_level_zero_is_euclidean():
 def test_empty_orbit_rejected():
     with pytest.raises(ValueError):
         OrbitGrid(np.array([]), np.zeros((0, 2)))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", _GEMV_WIDTHS)
+def test_row_norms_gemv_widths_equal_the_einsum_bit_for_bit(n):
+    # at the widths routed to the gemv of the squares with ones, the norms
+    # are the einsum's, bit for bit: on random rows of scales 1e-150 ..
+    # 1e150, on zero and -0.0 rows (+0.0 norms) and on rows with inf or
+    # NaN (inf and NaN norms)
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(3201, n)) * np.exp(
+        rng.uniform(-345, 345, size=(3201, 1)))
+    X[:3] = 0.0
+    X[1, 0] = -0.0
+    X[2] = -0.0
+    X[3, -1], X[4, 0], X[5] = np.inf, -np.inf, np.nan
+    X[6, 0], X[6, -1] = np.nan, np.inf
+    got = _row_norms(X)
+    want = np.sqrt(np.einsum("ij,ij->i", X, X))
+    assert np.array_equal(_bits(got), _bits(np.where(np.isnan(want),
+                                                      got, want)))
+    assert np.isnan(got[[5, 6]]).all() and np.isnan(want[[5, 6]]).all()
+    assert np.all(got[:3] == 0.0) and not np.signbit(got[:3]).any()
+    assert np.isinf(got[[3, 4]]).all()

@@ -144,6 +144,33 @@ def test_rest_growth_constant_of_a_normal_block_is_one(name):
     assert 1.0 <= c <= 1.0 + 4 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("which", ["saddle1", "saddle2", "rd6", "rd20",
+                                   "mmt7"])
+def test_rest_growth_constant_of_normal_blocks_takes_no_exponential(
+        which, monkeypatch):
+    # complement blocks that commute with their transposes (the diagonal
+    # blocks of the saddles and of rd at 6 and 20 modes, the latter on mode
+    # blocks) give exactly 1 with no expm; MMT-7's non-normal complement
+    # keeps its 25 sampled exponentials
+    if which.startswith("saddle"):
+        m = saddle_toy(which)
+        pieces = split_field(m, eigen_split(m.jacobian(m.equilibrium), 0.5))
+    elif which.startswith("rd"):
+        pieces = rd_pieces(2.0, int(which[2:]))[2]
+    else:
+        pieces = setup_mmt()[2]
+    assert (pieces.layout is not pieces.dense) == (which == "rd20")
+    calls = []
+    real = sla.expm
+    monkeypatch.setattr(lp.sla, "expm",
+                        lambda A: calls.append(1) or real(A))
+    c = pieces.rest_growth_constant(10.0)
+    if which == "mmt7":
+        assert len(calls) == 25 and c > 25.0
+    else:
+        assert calls == [] and c == 1.0
+
+
 def test_rest_growth_constant_is_the_max_of_25_samples_cached_per_t():
     # MMT-7's complement is far from normal: the sampled constant is 25.2
     _, sp, pieces, cfg = setup_mmt()
@@ -349,17 +376,35 @@ def _tap_scan_loop(E, P, Q, U, x0):
     return x
 
 
+def _bits(x):
+    """The bits of the floats x, signs of zeros included."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
 def _route_spy(monkeypatch):
-    """Record the node count of each call of the blocked scan, whose
-    recurrences are (r, m, d), its scans of block ends included."""
-    calls = []
-    real = linalg._blocked_scan
+    """Record the node count of each level of the blocked scan, whose
+    recurrences are (r, m, d): of each outermost call, then of each of its
+    scans of block ends, counted where they take their plan from
+    _ends_plan (ends that fit in one block are scanned by the level above,
+    with no call of the blocked scan of their own)."""
+    calls, depth = [], [0]
+    real, real_ends = linalg._blocked_scan, linalg._ends_plan
 
     def spy(plan, X, x0):
-        calls.append(X.shape[1])
-        return real(plan, X, x0)
+        if not depth[0]:
+            calls.append(X.shape[1])
+        depth[0] += 1
+        try:
+            return real(plan, X, x0)
+        finally:
+            depth[0] -= 1
+
+    def ends_spy(plan, n):
+        calls.append(n)
+        return real_ends(plan, n)
 
     monkeypatch.setattr(linalg, "_blocked_scan", spy)
+    monkeypatch.setattr(linalg, "_ends_plan", ends_spy)
     return calls
 
 
@@ -544,33 +589,44 @@ def test_blocked_scan_in_place_matches_the_copying_route(stack, budget,
     # linear_scan's (which scans a copy, leaving X intact), bit for bit,
     # on grids where b divides m - 1, with a ragged tail, of one block and
     # of m = 2, in one chunk or in chunks of two or three blocks; both are
-    # the loop to 1e-13
+    # the loop to 1e-13.  A grid of one chunk takes the one-chunk route,
+    # whose rows are the chunked route's bit for bit, at d = 3 and at the
+    # narrow widths d = 1, 2 and 4 of the saddles and rd
     if budget is not None:
         monkeypatch.setattr(linalg, "_SCAN_CHUNK_BYTES", budget)
     rng = np.random.default_rng([int(stack), int(budget is None)])
-    d, K = 3, 4
-    E = 0.9 * np.linalg.qr(rng.normal(size=(K, d, d)))[0]
-    P, Q = 0.1 * rng.normal(size=(2, K, d, d))
-    plan = scan_plan(E, P, Q) if stack else scan_plan(E[0], P[0], Q[0])
-    b = plan.b
-    for m in (2, b, b + 1, 3 * b + 1, 7 * b + 1, 7 * b + 3, 20 * b + 2):
-        U = rng.normal(size=(m, K, d))
-        for x0 in (0.0, rng.normal(size=(K, d))):
-            want = linear_scan(plan, U, x0)
-            X = np.ascontiguousarray(U.swapaxes(0, 1))
-            linalg._scan_into(plan, X, x0)
-            assert np.array_equal(X, want.swapaxes(0, 1))
-            # the same recurrences as a strided view of a wider array
-            wide = np.full((K, m, d + 2), np.nan)
-            wide[..., 1:-1] = U.swapaxes(0, 1)
-            linalg._scan_into(plan, wide[..., 1:-1], x0)
-            assert np.array_equal(wide[..., 1:-1], X)
-            assert np.isnan(wide[..., ::d + 1]).all()
-            start = np.broadcast_to(x0, (K, d))
-            for k in range(K):
-                ref = _tap_scan_loop(E[k if stack else 0], P[k if stack else 0],
-                                     Q[k if stack else 0], U[:, k], start[k])
-                assert np.abs(X[k] - ref).max() <= 1e-13 * np.abs(ref).max()
+    K = 4
+    for d in (3, 1, 2, 4) if budget is None else (3,):
+        E = 0.9 * np.linalg.qr(rng.normal(size=(K, d, d)))[0]
+        P, Q = 0.1 * rng.normal(size=(2, K, d, d))
+        plan = scan_plan(E, P, Q) if stack else scan_plan(E[0], P[0], Q[0])
+        b = plan.b
+        for m in (2, b, b + 1, 3 * b + 1, 7 * b + 1, 7 * b + 3, 20 * b + 2):
+            U = rng.normal(size=(m, K, d))
+            for x0 in (0.0, rng.normal(size=(K, d))):
+                want = linear_scan(plan, U, x0)
+                X = np.ascontiguousarray(U.swapaxes(0, 1))
+                linalg._scan_into(plan, X, x0)
+                assert np.array_equal(X, want.swapaxes(0, 1))
+                if budget is None:
+                    chunked = np.ascontiguousarray(U.swapaxes(0, 1))
+                    with monkeypatch.context() as mp:
+                        mp.setattr(linalg, "_SCAN_CHUNK_BYTES", 1)
+                        linalg._scan_into(plan, chunked, x0)
+                    assert np.array_equal(_bits(X), _bits(chunked))
+                # the same recurrences as a strided view of a wider array
+                wide = np.full((K, m, d + 2), np.nan)
+                wide[..., 1:-1] = U.swapaxes(0, 1)
+                linalg._scan_into(plan, wide[..., 1:-1], x0)
+                assert np.array_equal(wide[..., 1:-1], X)
+                assert np.isnan(wide[..., ::d + 1]).all()
+                start = np.broadcast_to(x0, (K, d))
+                for k in range(K):
+                    kk = k if stack else 0
+                    ref = _tap_scan_loop(E[kk], P[kk], Q[kk], U[:, k],
+                                         start[k])
+                    assert np.abs(X[k] - ref).max() <= (
+                        1e-13 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("m", [7, 32, 33, 3201])
@@ -1442,6 +1498,11 @@ def _fixed_point_case(which):
         _, _, pieces = rd_pieces(2.0, 6)
         cfg = LpConfig(lam=0.5, T_max=16.0, dt=0.01, eps=0.08, tol=1e-9)
         return pieces, cfg, np.array([0.05, -0.04])
+    if which == "rd20":
+        # the sweeps take mode blocks (d_rest = 18 > 16)
+        _, _, pieces = rd_pieces(2.0, 20)
+        cfg = LpConfig(lam=0.5, T_max=16.0, dt=0.01, eps=0.08, tol=1e-9)
+        return pieces, cfg, np.array([0.05, -0.04])
     if which == "mmt7":
         _, sp, pieces = mmt_mi_pieces(half=3)
         cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
@@ -1484,6 +1545,22 @@ def _counted_saddle1():
     return split_field(m, sp), rows
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_lp_norm_refuses_non_finite_rows_at_a_gemv_width(bad):
+    # saddle1's rows are two wide, a width whose row norms take the gemv:
+    # an ambient increment with a non-finite entry still raises
+    from lpmanifolds import graded
+    _, _, pieces = saddle1_pieces()
+    assert pieces.dim in graded._GEMV_WIDTHS
+    norm = lp._lp_norm(pieces, CFG1)
+    m = len(CFG1.times)
+    X = np.zeros((m, 2))
+    assert norm(X) == 0.0
+    X[m // 2, 1] = bad
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        norm(X)
+
+
 def test_linear_first_sweep_makes_no_field_call():
     # the first sweep from the zero orbit is the linear flow: a fixed point
     # of k sweeps evaluates the field on k - 1 grids, lp_solve on k (its
@@ -1518,19 +1595,27 @@ def _row_counted(pieces):
         pieces.model, vector_field=counted)), rows
 
 
-@pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7"])
+def _parts(Y):
+    """The arrays of a split orbit in its layout: rows, or both parts."""
+    return Y if isinstance(Y, tuple) else (Y,)
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "rd20"])
 def test_linear_first_sweep_is_the_sweep_of_the_zero_orbit(which,
                                                            monkeypatch):
     # a tolerance the first sweep meets stops the fixed point there: its
-    # orbit is lp_apply's of the zero orbit, bit for bit, no sweep went
-    # through lp_apply and no model was called, whether F(eq) is exactly
-    # zero (saddle1, rd: the linear flow, with an exactly zero complement)
-    # or roundoff (mmt7): the quadrature of the remainder of F(eq) on every
+    # orbit is lp_apply's of the zero orbit, bit for bit (signs of zeros
+    # included), no sweep went through lp_apply and no model was called,
+    # whether F(eq) is exactly zero (saddle1, rd and rd20 on mode blocks:
+    # the linear flow, with a complement of +0.0 that is not scanned) or
+    # roundoff (mmt7): the quadrature of the remainder of F(eq) on every
     # node
     pieces, cfg, base = _fixed_point_case(which)
+    layout = pieces.layout
+    assert (layout is not pieces.dense) == (which == "rd20")
     rests = not np.any(pieces.F0)
     assert rests == (which != "mmt7")
-    Y0 = np.zeros((len(cfg.times), pieces.dim))
+    Y0 = layout.split(np.zeros((len(cfg.times), pieces.dim)))
     want, _ = lp_apply(pieces, cfg, base, Y0)
     counted, rows = _row_counted(pieces)
     applied = []
@@ -1539,29 +1624,58 @@ def test_linear_first_sweep_is_the_sweep_of_the_zero_orbit(which,
     fixed, incs, _ = lp._lp_fixed_point(
         counted, dataclasses.replace(cfg, tol=1.0), base)
     assert len(incs) == 1 and not applied and rows == []
-    assert np.array_equal(fixed.Y, want)
-    assert np.array_equal(np.signbit(fixed.Y), np.signbit(want))
+    for got, ref in zip(_parts(fixed.Y), _parts(want), strict=True):
+        assert np.array_equal(_bits(got), _bits(ref))
     if rests:
-        assert np.all(fixed.Y[:, pieces.d_plus:] == 0.0)
+        rest = layout.rows(fixed.Y)[:, pieces.d_plus:]
+        assert np.array_equal(_bits(rest), _bits(np.zeros(rest.shape)))
 
 
-@pytest.mark.parametrize("which", ["saddle1", "rd"])
-def test_linear_first_sweep_keeps_every_sweep(which):
-    # with the first sweep taken through lp_apply, which evaluates the
-    # model on the whole zero orbit, the orbit, increments and solve
-    # diagnostics (tail bound included) are the same, bit for bit.  The
-    # copy's frozen_along hands back the autonomous sweep inputs, blocks
-    # None included, so only the first sweep's route differs
+@pytest.mark.parametrize("which", ["saddle1", "rd", "rd20"])
+def test_linear_first_sweep_keeps_every_sweep(which, monkeypatch):
+    # with the first sweep taken through lp_apply of the zero orbit in the
+    # layout, which evaluates the model on the whole zero orbit and scans
+    # both parts, the orbit, increments and solve diagnostics (tail bound
+    # included) are the same, bit for bit, on rows and on mode blocks
     pieces, cfg, base = _fixed_point_case(which)
     fixed, incs, _ = lp._lp_fixed_point(pieces, cfg, base)
-    full_grid = dataclasses.replace(pieces, frozen_along=pieces.sweep_inputs)
-    assert not full_grid.autonomous
-    full, full_incs, _ = lp._lp_fixed_point(full_grid, cfg, base)
-    assert np.array_equal(fixed.Y, full.Y)
-    assert np.array_equal(np.signbit(fixed.Y), np.signbit(full.Y))
+    solved = lp_solve(pieces, cfg, base)
+    counted, rows = _row_counted(pieces)
+
+    def through_lp_apply(pieces, h, v0_plus, m):
+        zero = pieces.layout.split(np.zeros((m, pieces.dim)))
+        return lp_apply(pieces, cfg, v0_plus, zero)[0]
+
+    monkeypatch.setattr(lp, "_first_sweep", through_lp_apply)
+    full, full_incs, _ = lp._lp_fixed_point(counted, cfg, base)
+    m = len(cfg.times)
+    assert rows == [m] * len(incs)
+    for got, ref in zip(_parts(fixed.Y), _parts(full.Y), strict=True):
+        assert np.array_equal(_bits(got), _bits(ref))
     assert incs == full_incs
-    assert (lp_solve(pieces, cfg, base).diagnostics
-            == lp_solve(full_grid, cfg, base).diagnostics)
+    again = lp_solve(pieces, cfg, base)
+    assert solved.diagnostics == again.diagnostics
+    assert np.array_equal(_bits(solved.Y), _bits(again.Y))
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd", "rd20"])
+def test_exactly_zero_first_sweep_scans_only_the_unstable_part(which,
+                                                              monkeypatch):
+    # F(eq) = 0: the first sweep scans the unstable part alone, every later
+    # sweep both parts, so a fixed point of k sweeps makes 2k - 1 part
+    # scans and lp_solve, its residual sweep included, 2k + 1
+    pieces, cfg, base = _fixed_point_case(which)
+    assert not np.any(pieces._rest)
+    scans = []
+    real = lp._scan_into
+    monkeypatch.setattr(lp, "_scan_into",
+                        lambda *a: scans.append(1) or real(*a))
+    k = len(lp._lp_fixed_point(pieces, cfg, base)[1])
+    assert k >= 3
+    assert len(scans) == 2 * k - 1
+    scans.clear()
+    assert lp_solve(pieces, cfg, base).diagnostics["iterations"] == k
+    assert len(scans) == 2 * k + 1
 
 
 def test_mmt7_solve_evaluates_k_m_rows():

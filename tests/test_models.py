@@ -383,6 +383,27 @@ def test_saddle_unknown_name():
         saddle_toy("saddle3")
 
 
+@pytest.mark.parametrize("name", ["saddle1", "saddle2"])
+def test_saddle_field_is_lin_times_state_plus_the_square_bit_for_bit(name):
+    # the field, formed a column at a time, is lin * S plus the square of
+    # the other coordinate, on one state as on batches (m, 2) and (k, m, 2),
+    # sign bits included (-0.0 states and products among them)
+    a, j = (1.0, 0) if name == "saddle1" else (2.0, 1)
+    lin = np.array([a, -1.0])
+    m = saddle_toy(name)
+    rng = np.random.default_rng(list(map(ord, name)))
+    for S in (rng.normal(size=(3201, 2)), rng.normal(size=(3, 401, 2))):
+        S[..., :7, :] = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0],
+                         [1e-200, -0.0], [-0.0, 1e-200], [-1.0, 1.0]]
+        want = lin * S
+        want[..., 1 - j] += S[..., j] * S[..., j]
+        for got in (m.vector_field(S), m.field_many(S),
+                    np.array([m.vector_field(s) for s in S.reshape(-1, 2)]
+                             ).reshape(S.shape)):
+            assert got.shape == S.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # -------------------------------------------------------- reaction-diffusion
 
 def _rd_field_loop(lam_param, n, a):
