@@ -119,20 +119,13 @@ class OrbitGrid:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
 
-# the row widths at which the gemv of the squares with ones is faster than
-# the einsum and rounds its sums alike (on (3201, n), one BLAS thread,
-# 2-core x86-64: 8.6 vs 20.4 us at n = 2, 13.2 vs 21.8 us at n = 4); at
-# n = 1 the einsum is faster, and at n = 3 and from n = 5 on the two sum
-# in other orders
-_GEMV_WIDTHS = (2, 4)
-
-
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of X (k, n): one gemv of the squares
-    with ones at the _GEMV_WIDTHS, else one einsum pass."""
+    """The Euclidean norm of each row of X (k, n): at n = 2 one gemv of the
+    squares with ones, which is faster than the einsum there and, with two
+    terms per sum, rounds alike on any BLAS; else one einsum pass."""
     n = X.shape[1]
-    if n in _GEMV_WIDTHS:
-        return np.sqrt(np.square(X) @ np.ones(n))
+    if n == 2:
+        return np.sqrt(np.square(X) @ np.ones(2))
     return np.sqrt(np.einsum("ij,ij->i", X, X))
 
 

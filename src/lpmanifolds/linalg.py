@@ -470,8 +470,7 @@ def _one_chunk_scan(plan: ScanPlan, X: np.ndarray, x0, nb: int) -> None:
     the chunked route's products: one table product of every window (in
     X itself where X is C-contiguous and its blocks end at its last node,
     else in a zero-padded copy), the scan of the block ends, then one
-    carry product.  Ends that fit in one block of their plan are scanned
-    here, their window the ends themselves."""
+    carry product."""
     r, m, d = X.shape
     b = plan.b
     if nb * b == m - 1 and X.flags.c_contiguous:
@@ -485,13 +484,7 @@ def _one_chunk_scan(plan: ScanPlan, X: np.ndarray, x0, nb: int) -> None:
     if nb > 1:
         # block k's end goes to ends[k + 1]; the last block has none
         ends[:, 1:] = Z[:, :-1, -d:]
-        sub = _ends_plan(plan, nb)
-        if sub.b < nb - 1:
-            _blocked_scan(sub, ends, ends[:, 0])
-        else:
-            C = _carries(ends[:, :1], sub.carry)
-            C += (ends.reshape(r, 1, -1) @ sub.table).reshape(r, -1, d)
-            ends[:, 1:] = C
+        _blocked_scan(_ends_plan(plan, nb), ends, ends[:, 0])
     X[:, 0] = ends[:, 0]
     C = _carries(ends, plan.carry)
     C += Z.reshape(r, -1, d)

@@ -415,10 +415,9 @@ def _mode_blocks(B: np.ndarray, Binv: np.ndarray, A0: np.ndarray, d: int,
 
 def _normal(A: np.ndarray) -> bool:
     """Whether the matrix A, or every matrix of a stack (k, w, w), commutes
-    with its transpose to 1e-14 of its squared Frobenius norm."""
+    with its transpose exactly (a diagonal block does)."""
     At = np.swapaxes(A, -1, -2)
-    gap = np.linalg.norm(A @ At - At @ A, axis=(-2, -1))
-    return bool(np.all(gap <= 1e-14 * np.linalg.norm(A, axis=(-2, -1)) ** 2))
+    return np.array_equal(A @ At, At @ A)
 
 
 @dataclass(frozen=True)
@@ -546,7 +545,7 @@ class SplitPieces:
         exponentials of the blocks of each width.  It is a sampled
         estimate of the growth constant, not a bound: the norm may peak
         between samples.  Where every block commutes with its transpose
-        (to 1e-14 of its squared norm), the constant is exactly 1 and no
+        exactly, the constant is exactly 1 and no
         exponential is taken: a normal block has ||e^{sA}||_2 = e^{s a},
         a its spectral abscissa, at most rest_max_re.  tail_bound takes it
         as the constant of the complement's propagator."""
@@ -847,10 +846,12 @@ def lp_apply(pieces: SplitPieces, cfg: LpConfig, v0_plus: np.ndarray,
 
 
 def _shift(eq: np.ndarray) -> np.ndarray | float:
-    """eq, or the scalar 0.0 where eq is exactly zero: adding or
+    """eq, or the scalar 0.0 where every entry of eq is +0.0: adding or
     subtracting either gives the same bits (-0.0 + 0.0 is +0.0 with both),
-    and the scalar takes no pass of a row broadcast over the orbit."""
-    return eq if np.any(eq) else 0.0
+    and the scalar takes no pass of a row broadcast over the orbit.  An
+    eq with a -0.0 entry is kept: adding or subtracting -0.0 keeps or flips
+    a zero's sign otherwise than +0.0 does."""
+    return eq if np.any(eq) or np.signbit(eq).any() else 0.0
 
 
 def _lp_sweep(pieces: SplitPieces, h: float, v0_plus: np.ndarray,

@@ -382,29 +382,16 @@ def _bits(x):
 
 
 def _route_spy(monkeypatch):
-    """Record the node count of each level of the blocked scan, whose
-    recurrences are (r, m, d): of each outermost call, then of each of its
-    scans of block ends, counted where they take their plan from
-    _ends_plan (ends that fit in one block are scanned by the level above,
-    with no call of the blocked scan of their own)."""
-    calls, depth = [], [0]
-    real, real_ends = linalg._blocked_scan, linalg._ends_plan
+    """Record the node count of each call of the blocked scan, whose
+    recurrences are (r, m, d), its scans of block ends included."""
+    calls = []
+    real = linalg._blocked_scan
 
     def spy(plan, X, x0):
-        if not depth[0]:
-            calls.append(X.shape[1])
-        depth[0] += 1
-        try:
-            return real(plan, X, x0)
-        finally:
-            depth[0] -= 1
-
-    def ends_spy(plan, n):
-        calls.append(n)
-        return real_ends(plan, n)
+        calls.append(X.shape[1])
+        return real(plan, X, x0)
 
     monkeypatch.setattr(linalg, "_blocked_scan", spy)
-    monkeypatch.setattr(linalg, "_ends_plan", ends_spy)
     return calls
 
 
@@ -1546,12 +1533,11 @@ def _counted_saddle1():
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_lp_norm_refuses_non_finite_rows_at_a_gemv_width(bad):
-    # saddle1's rows are two wide, a width whose row norms take the gemv:
+def test_lp_norm_refuses_non_finite_rows_at_the_gemv_width(bad):
+    # saddle1's rows are two wide, the width whose row norms take the gemv:
     # an ambient increment with a non-finite entry still raises
-    from lpmanifolds import graded
     _, _, pieces = saddle1_pieces()
-    assert pieces.dim in graded._GEMV_WIDTHS
+    assert pieces.dim == 2
     norm = lp._lp_norm(pieces, CFG1)
     m = len(CFG1.times)
     X = np.zeros((m, 2))
@@ -1861,6 +1847,34 @@ def test_lp_solve_orbit_is_to_ambient(which):
     want = res.Y @ pieces.dense.BT + pieces.model.equilibrium
     assert np.array_equal(res.orbit.states, want)
     assert np.array_equal(np.signbit(res.orbit.states), np.signbit(want))
+
+
+@pytest.mark.parametrize("eq", [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0)])
+def test_signed_zero_equilibrium_shifts_as_the_row(eq, monkeypatch):
+    # an equilibrium of zeros with a -0.0 entry is added and subtracted as
+    # the row itself, whose -0.0 keeps or flips a zero's sign otherwise
+    # than +0.0; only an all +0.0 row becomes the scalar.  On a saddle1
+    # with that equilibrium, lp_solve's orbit is Y B^T + eq and
+    # build_manifold_graph's deviation is the orbit - eq, bit for bit
+    eq = np.array(eq)
+    states = np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, -2.0]])
+    for op in (np.add, np.subtract):
+        got, want = op(states, lp._shift(eq)), op(states, eq)
+        assert np.array_equal(_bits(got), _bits(want))
+    true = saddle_toy("saddle1")
+    m = custom_model("signed_saddle1", true.vector_field, true.jacobian, eq)
+    pieces = split_field(m, eigen_split(m.jacobian(m.equilibrium), 0.5))
+    devs = []
+    real = lp.decay_rate_fit
+    monkeypatch.setattr(lp, "decay_rate_fit",
+                        lambda dev, *a, **k: devs.append(dev.states)
+                        or real(dev, *a, **k))
+    base = np.array([0.09])
+    res = lp_solve(pieces, CFG1, base)
+    want = res.Y @ pieces.dense.BT + eq
+    assert np.array_equal(_bits(res.orbit.states), _bits(want))
+    build_manifold_graph(pieces, CFG1, base[None])
+    assert np.array_equal(_bits(devs[0]), _bits(res.orbit.states - eq))
 
 
 @pytest.mark.parametrize("which", ["saddle1", "rd"])
