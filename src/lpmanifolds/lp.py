@@ -193,20 +193,16 @@ class _Rows:
 
     def quadrature(self, h: float, v0_plus: np.ndarray, g: np.ndarray,
                    rest: bool = True) -> np.ndarray:
-        """The LP quadrature (_quadrature_plans) of the forcing g at the m
-        grid nodes, written over g, which it returns: each part one scan of
-        its columns.  Axes between the first and the last are independent
-        orbits, each with its own row of v0_plus.  With rest False the
-        complement is not scanned: the caller's complement forcing is +0.0,
-        whose scan from 0 is +0.0."""
-        d = self.d
+        """The LP quadrature (_quadrature_plans) of the forcing g, rows
+        (m, n) at the m grid nodes, written over g, which it returns: each
+        part one scan of its columns.  With rest False the complement is
+        not scanned: the caller's complement forcing is +0.0, whose scan
+        from 0 is +0.0."""
         plan_m, plan_p = _quadrature_plans(self._plans, self.A_plus,
                                            self.A_rest, h)
-        # the time axis second to last
-        axes = tuple(range(1, g.ndim - 1)) + (0, g.ndim - 1)
-        _scan_into(plan_m, g[::-1, ..., :d].transpose(axes), v0_plus)
+        _scan_into(plan_m, g[::-1, :self.d], v0_plus)
         if rest:
-            _scan_into(plan_p, g[..., d:].transpose(axes), 0.0)
+            _scan_into(plan_p, g[:, self.d:], 0.0)
         return g
 
 
@@ -442,13 +438,12 @@ class SplitPieces:
     zero orbit.  The cache holds the growth constants, one per horizon; it
     is not a field of the constructor, so replace starts a fresh one.
 
-    dense is the rows layout (_Rows) of f_split, lp_variational and the
-    quasilinear route.  layout is the one layout of the sweeps: the
-    coupling blocks of A0 (_ModeBlocks) where _mode_blocks finds them on
-    the autonomous split, else dense; the sweeps call its split, rows,
-    image, remainder and quadrature, and it owns the scan plans, one per
-    step.  Both layouts stay: taken as one block, a dense model solves up
-    to 1.5 times slower.
+    layout is the one layout of the pieces: the coupling blocks of A0
+    (_ModeBlocks) where _mode_blocks finds them on the autonomous split,
+    else the rows (_Rows).  The sweeps, f_split and lp_variational call
+    its split, rows, image, remainder and quadrature, and it owns the scan
+    plans, one per step.  Rows stay where no blocks are found: taken as
+    one block, a dense model solves up to 1.5 times slower.
     """
 
     model: ModelSystem
@@ -471,14 +466,14 @@ class SplitPieces:
                 raise ValueError("splitting does not block-diagonalize A(0)")
         c = np.ascontiguousarray
         A_plus, A_rest = Ahat[:d, :d], Ahat[d:, d:]
-        dense = _Rows(d, c(sp.B.T), c(sp.Binv.T), A_plus, A_rest,
-                      c(sla.block_diag(A_plus, A_rest).T))
         blocks = (_mode_blocks(sp.B, sp.Binv, self.A0, d, A_plus, A_rest)
                   if self.autonomous else None)
-        layout = dense if blocks is None else blocks
+        # the rows are built only where they are the layout
+        layout = blocks or _Rows(d, c(sp.B.T), c(sp.Binv.T), A_plus, A_rest,
+                                 c(sla.block_diag(A_plus, A_rest).T))
         for name, value in dict(
                 B=sp.B, Binv=sp.Binv, d_plus=d, A_plus=A_plus,
-                A_rest=A_rest, dense=dense, layout=layout).items():
+                A_rest=A_rest, layout=layout).items():
             object.__setattr__(self, name, value)
         # f_split of the equilibrium from F0, on two copies of the row: one
         # row goes to gemv, whose sums round otherwise than a grid's gemm,
@@ -504,13 +499,11 @@ class SplitPieces:
         return self.dim - self.d_plus
 
     def f_split(self, Y: np.ndarray) -> np.ndarray:
-        """The remainder at split states Y (..., n), from dense products."""
-        Y = np.asarray(Y, dtype=float)
-        rows = Y.reshape(-1, self.dim)
-        BY = self.dense.image(rows)
-        g = (self.dense.remainder(rows, self._field(BY)) if self.autonomous
-             else self.frozen_along(rows, BY)[0])
-        return g.reshape(Y.shape)
+        """The remainder at split states Y (..., n): the rows of
+        sweep_inputs' remainder along Y in the layout."""
+        X = self.layout.split(np.asarray(Y, float).reshape(-1, self.dim))
+        g = self.sweep_inputs(X, self.layout.image(X))[0]
+        return self.layout.rows(g).reshape(np.shape(Y))
 
     def sweep_inputs(self, Y: np.ndarray, BY: np.ndarray,
                      state: tuple | None = None) -> tuple:
@@ -529,13 +522,9 @@ class SplitPieces:
         """
         if not self.autonomous:
             return self.frozen_along(Y, BY, state)
-        field = self._field(BY)
-        return self.layout.remainder(Y, field), field, None, None
-
-    def _field(self, BY: np.ndarray) -> np.ndarray:
-        """The model's field at eq + BY (rows)."""
         eq = self.model.equilibrium
-        return self.model.field_many(BY + eq if np.any(eq) else BY)
+        field = self.model.field_many(BY + eq if np.any(eq) else BY)
+        return self.layout.remainder(Y, field), field, None, None
 
     def rest_growth_constant(self, T: float) -> float:
         """The max of ||e^{s A_rest}||_2 e^{-rest_max_re * s} over 25
@@ -661,8 +650,8 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
     d = splitting.dim_plus
     Pp = splitting.B[:, :d] @ splitting.Binv[:d]
     CS = sp * Pp + sm * (np.eye(n) - Pp)
-    # the row products take the contiguous transpose, made once
-    CST = np.ascontiguousarray(CS.T)
+    # the row products take the contiguous transposes, made once
+    CST, BinvT = (np.ascontiguousarray(M.T) for M in (CS, splitting.Binv))
 
     def bvals(U, FU):
         """B(U) from deviations U (rows) and their fields FU = F(eq + U)."""
@@ -799,7 +788,7 @@ def quasilinearize(model: ModelSystem, splitting: SpectralSplitting,
         field = transformed_field(state)
         Afull = base.Binv @ state[2] @ base.B
         Ap, Ar = Afull[:, :d, :d], Afull[:, d:, d:]
-        g = field @ base.dense.BinvT
+        g = field @ BinvT
         g[:, :d] -= (Ap @ Y[:, :d, None])[:, :, 0]
         g[:, d:] -= (Ar @ Y[:, d:, None])[:, :, 0]
         return g, field, (Ap, Ar), state
@@ -1387,22 +1376,36 @@ def lp_variational(base: LpResult, pieces: SplitPieces, cfg: LpConfig):
     norm (_lp_norm) and stopping rule (cfg.tol within cfg.max_iter sweeps);
     returns (U1 trajectory, Dq) where Dq is the complement block of
     U^1(0) -- the graph derivative at the base point.  At the equilibrium
-    Dq = 0 exactly (tangency).  Raises NoContractionError when the sweeps
-    stop above cfg.tol.
+    Dq = 0 exactly (tangency).  Each unstable direction e_i is one split
+    orbit x in pieces.layout, swept in turn: its forcing is the layout's
+    remainder of the field J(u) B x along the base orbit u, that is
+    Binv J B x - blockdiag(A_plus, A_rest) x, scanned from e_i with the
+    plans lp_solve cached; an increment takes the change of every
+    direction.  Raises ValueError for a base orbit that is not on the
+    nodes of cfg.times, and NoContractionError when the sweeps stop above
+    cfg.tol.
     """
-    d, n = pieces.d_plus, pieces.dim
-    # coupling along the base orbit: full Jacobian minus the frozen blocks
-    # blockdiag(A_plus, A_rest)
-    J = pieces.model.jacobian(base.orbit.states)
-    AtilT = (pieces.Binv @ J @ pieces.B - pieces.dense.AT.T).transpose(0, 2, 1)
+    orbit, layout, d = base.orbit, pieces.layout, pieces.d_plus
+    if not np.array_equal(orbit.times, cfg.times):
+        raise ValueError(
+            f"expected a base orbit on the {len(cfg.times)} nodes of "
+            f"cfg.times, got one on {len(orbit.times)} other nodes")
+    J = pieces.model.jacobian(orbit.states)
 
-    # W[j] = U^1(t_j)^T, one row per derivative direction; the first sweep,
-    # of the zero orbit, is the quadrature of zero forcing from the identity
-    eye = np.eye(d)
+    def sweep(X: list) -> list:
+        return [layout.quadrature(cfg.h, e, layout.remainder(
+            x, np.matmul(J, layout.image(x)[:, :, None])[:, :, 0]))
+            for e, x in zip(np.eye(d), X)]
+
+    def rows(X: list) -> np.ndarray:
+        """The split rows (d, m, n) of the directions X (d may be 0)."""
+        return np.reshape([layout.rows(x) for x in X],
+                          (d,) + orbit.states.shape)
+
+    # an increment takes the change of every direction at once
     norm = _lp_norm(pieces, cfg)
-    W, _ = _contract(lambda X: pieces.dense.quadrature(cfg.h, eye, X @ AtilT),
-                     np.zeros((len(cfg.times), d, n)),
-                     lambda new, old: norm(new - old, split=True),
-                     cfg.tol, cfg.max_iter)
-    V = W.transpose(0, 2, 1)
+    X, _ = _contract(sweep, [layout.split(np.zeros_like(orbit.states))] * d,
+                     lambda new, old: norm((rows(new) - rows(old)).swapaxes(
+                         0, 1), split=True), cfg.tol, cfg.max_iter)
+    V = rows(X).transpose(1, 2, 0)
     return V, V[-1, d:].copy()

@@ -159,7 +159,7 @@ def test_rest_growth_constant_of_normal_blocks_takes_no_exponential(
         pieces = rd_pieces(2.0, int(which[2:]))[2]
     else:
         pieces = setup_mmt()[2]
-    assert (pieces.layout is not pieces.dense) == (which == "rd20")
+    assert isinstance(pieces.layout, lp._ModeBlocks) == (which == "rd20")
     calls = []
     real = sla.expm
     monkeypatch.setattr(lp.sla, "expm",
@@ -420,7 +420,7 @@ def test_linear_scan_blocked_route_matches_loop(d, kind, monkeypatch):
     calls = _route_spy(monkeypatch)
     # one to seven blocks, not a multiple of b
     for m in (2 * b - 1, 2 * b, 2 * b + 1, 7 * b + 3):
-        # recurrences on in-between axes, as lp_variational has them
+        # independent recurrences on in-between axes
         for X in (rng.normal(size=(m, d)), rng.normal(size=(m, 3, d)),
                   rng.normal(size=(m, 2, 3, d))):
             keep = X.copy()
@@ -673,31 +673,40 @@ def test_lp_sweeps_reuse_the_scan_plans(monkeypatch):
     assert calls.count(m) > 4
 
 
-def _dense_plans(pieces, h):
-    """The quadrature plans of the pieces' dense layout for the step h,
+def _rows_plans(pieces, h):
+    """The quadrature plans of the pieces' rows layout for the step h,
     from (or into) its plan cache."""
-    return lp._quadrature_plans(pieces.dense._plans, pieces.A_plus,
+    assert isinstance(pieces.layout, lp._Rows)
+    return lp._quadrature_plans(pieces.layout._plans, pieces.A_plus,
                                 pieces.A_rest, h)
+
+
+def _rows_reference(pieces):
+    """The pieces on the rows layout (_Rows), as SplitPieces.__post_init__
+    derives them where _mode_blocks finds no blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_mode_blocks", lambda *args: None)
+        return dataclasses.replace(pieces)
 
 
 def test_split_pieces_replace_starts_a_fresh_cache():
     _, _, pieces = saddle1_pieces()
-    plan_m = _dense_plans(pieces, 0.01)[0]
+    plan_m = _rows_plans(pieces, 0.01)[0]
     assert plan_m.E[0, 0] == pytest.approx(math.exp(-0.01), rel=1e-14)
     # A0 = diag(1, -1) doubled: replace derives A_plus = 2 again
     twice = dataclasses.replace(pieces, A0=2 * pieces.A0)
-    assert twice.dense._plans == {}
-    assert _dense_plans(twice, 0.01)[0].E[0, 0] == pytest.approx(
+    assert twice.layout._plans == {}
+    assert _rows_plans(twice, 0.01)[0].E[0, 0] == pytest.approx(
         math.exp(-0.02), rel=1e-14)
     # the original keeps its own
-    assert _dense_plans(pieces, 0.01)[0] is plan_m
+    assert _rows_plans(pieces, 0.01)[0] is plan_m
 
 
 def test_split_pieces_derive_their_transposes_and_rest_row():
     # the MMT plane wave's F(eq) is roundoff, so its remainder row is not 0
     _, sp, pieces = mmt_mi_pieces(half=3)
-    rows = pieces.dense
-    assert pieces.layout is rows
+    rows = pieces.layout
+    assert isinstance(rows, lp._Rows)
     for got, a in ((rows.BT, pieces.B), (rows.BinvT, pieces.Binv),
                    (rows.AT, sla.block_diag(pieces.A_plus, pieces.A_rest))):
         assert got.flags.c_contiguous and np.array_equal(got, a.T)
@@ -731,19 +740,19 @@ def test_split_pieces_replace_rederives_the_splitting_arrays():
     # and start with empty caches
     m, _, pieces = rd_pieces(2.0, 6, gap=0.5)
     pieces.rest_growth_constant(1.0)
-    _dense_plans(pieces, 0.01)
+    _rows_plans(pieces, 0.01)
     other = eigen_split(pieces.A0, 1.5)
     moved = dataclasses.replace(pieces, splitting=other)
     fresh = split_field(m, other)
     assert moved._cache == {} and pieces._cache
-    assert moved.dense._plans == {} and pieces.dense._plans
+    assert moved.layout._plans == {} and pieces.layout._plans
     assert (pieces.d_plus, moved.d_plus) == (2, 1)
     assert moved.B is other.B and moved.Binv is other.Binv
     for name in ("A_plus", "A_rest", "_rest"):
         assert np.array_equal(getattr(moved, name), getattr(fresh, name))
     for name in ("BT", "BinvT", "AT"):
-        assert np.array_equal(getattr(moved.dense, name),
-                              getattr(fresh.dense, name))
+        assert np.array_equal(getattr(moved.layout, name),
+                              getattr(fresh.layout, name))
     Ahat = other.Binv @ pieces.A0 @ other.B
     assert np.array_equal(moved.A_plus, Ahat[:1, :1])
     assert np.array_equal(moved.A_rest, Ahat[1:, 1:])
@@ -816,7 +825,7 @@ def test_lp_apply_matches_loop_reference(which):
 def _lp_quadrature_formula(pieces, h, v0_plus, g):
     """Reference for the tapped quadrature scans: the exponential-trapezoid
     forcing built by two matmuls on g and its differences, then the plain
-    recurrences by a loop; axes in between are independent orbits."""
+    recurrences by a loop."""
     d = pieces.d_plus
     Em, p1m, p12m, Ep, p1p, p2p = _phi_loop_matrices(pieces, h)
     gp, gr = g[..., :d], g[..., d:]
@@ -834,38 +843,36 @@ def _lp_quadrature_formula(pieces, h, v0_plus, g):
 
 @pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "mmt17"])
 def test_lp_quadrature_matches_forcing_formula(which, monkeypatch):
-    # every part scans on the blocked route: MMT-17's 32-wide complement in
-    # blocks of b = 2 nodes, the narrower parts in blocks of 64 // d
-    pieces = {"saddle1": lambda: saddle1_pieces()[2],
-              "rd": lambda: rd_pieces(2.0, 6)[2],
-              "mmt7": lambda: mmt_mi_pieces(3)[2],
-              "mmt17": lambda: mmt_mi_pieces(8)[2]}[which]()
+    # every part of the rows scans on the blocked route: MMT-17's 32-wide
+    # complement (its rows reference) in blocks of b = 2 nodes, the
+    # narrower parts in blocks of 64 // d
+    pieces = _rows_reference({"saddle1": lambda: saddle1_pieces()[2],
+                              "rd": lambda: rd_pieces(2.0, 6)[2],
+                              "mmt7": lambda: mmt_mi_pieces(3)[2],
+                              "mmt17": lambda: mmt_mi_pieces(8)[2]}[which]())
     d, n = pieces.d_plus, pieces.dim
     assert (pieces.d_rest == 32) == (which == "mmt17")
     calls = _route_spy(monkeypatch)
     h, m = 0.005, 1201
     rng = np.random.default_rng(list(map(ord, which)))
-    # one orbit, and orbits on an in-between axis as lp_variational has them
-    for g, v0 in ((rng.normal(size=(m, n)), rng.normal(size=d)),
-                  (rng.normal(size=(m, 3, n)), rng.normal(size=(3, d)))):
-        # the reference first: the quadrature writes its orbit over g
-        ref = _lp_quadrature_formula(pieces, h, v0, g)
-        calls.clear()
-        got = pieces.dense.quadrature(h, v0, g)
-        assert got is g
-        # the scans of the remainder rows; the others scan block ends
-        assert calls.count(m) == 2
-        assert all(n < m for n in calls if n != m)
-        for cols in (slice(0, d), slice(d, None)):
-            scale = np.abs(ref[..., cols]).max()
-            assert np.abs(got[..., cols] - ref[..., cols]).max() <= (
-                1e-13 * scale)
+    g, v0 = rng.normal(size=(m, n)), rng.normal(size=d)
+    # the reference first: the quadrature writes its orbit over g
+    ref = _lp_quadrature_formula(pieces, h, v0, g)
+    calls.clear()
+    got = pieces.layout.quadrature(h, v0, g)
+    assert got is g
+    # the scans of the remainder rows; the others scan block ends
+    assert calls.count(m) == 2
+    assert all(n < m for n in calls if n != m)
+    for cols in (slice(0, d), slice(d, None)):
+        scale = np.abs(ref[:, cols]).max()
+        assert np.abs(got[:, cols] - ref[:, cols]).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("which", ["rd", "mmt7"])
 def test_variational_matches_forcing_formula(which, monkeypatch):
-    # the (m, d, n) rows of lp_variational through the tapped scans give
-    # the Dq of the forcing formula
+    # each direction's rows of lp_variational through the tapped scans
+    # give the Dq of the forcing formula
     if which == "rd":
         _, _, pieces = rd_pieces(2.0, 6)
         cfg = LpConfig(lam=0.8, T_max=30.0, dt=0.01, eps=0.1, tol=1e-11)
@@ -1598,7 +1605,7 @@ def test_linear_first_sweep_is_the_sweep_of_the_zero_orbit(which,
     # node
     pieces, cfg, base = _fixed_point_case(which)
     layout = pieces.layout
-    assert (layout is not pieces.dense) == (which == "rd20")
+    assert isinstance(layout, lp._ModeBlocks) == (which == "rd20")
     rests = not np.any(pieces.F0)
     assert rests == (which != "mmt7")
     Y0 = layout.split(np.zeros((len(cfg.times), pieces.dim)))
@@ -1844,7 +1851,7 @@ def test_lp_solve_orbit_is_to_ambient(which):
     pieces, cfg, base = _fixed_point_case(which)
     assert np.any(pieces.model.equilibrium) == (which == "mmt7")
     res = lp_solve(pieces, cfg, base)
-    want = res.Y @ pieces.dense.BT + pieces.model.equilibrium
+    want = res.Y @ pieces.layout.BT + pieces.model.equilibrium
     assert np.array_equal(res.orbit.states, want)
     assert np.array_equal(np.signbit(res.orbit.states), np.signbit(want))
 
@@ -1871,7 +1878,7 @@ def test_signed_zero_equilibrium_shifts_as_the_row(eq, monkeypatch):
                         or real(dev, *a, **k))
     base = np.array([0.09])
     res = lp_solve(pieces, CFG1, base)
-    want = res.Y @ pieces.dense.BT + eq
+    want = res.Y @ pieces.layout.BT + eq
     assert np.array_equal(_bits(res.orbit.states), _bits(want))
     build_manifold_graph(pieces, CFG1, base[None])
     assert np.array_equal(_bits(devs[0]), _bits(res.orbit.states - eq))
@@ -1879,13 +1886,15 @@ def test_signed_zero_equilibrium_shifts_as_the_row(eq, monkeypatch):
 
 @pytest.mark.parametrize("which", ["saddle1", "rd"])
 def test_variational_starts_from_the_linear_flow(which, monkeypatch):
-    # lp_variational's first iterate is the linear flow of the identity,
-    # the quadrature of zero forcing: W[j] = (e^{t_j A_plus})^T in the
-    # unstable columns and exact zeros in the complement
+    # lp_variational's first iterate is the linear flow of each direction
+    # e_i, the quadrature of zero forcing from v0 = e_i: the rows
+    # e^{t_j A_plus} e_i in the unstable columns and exact zeros in the
+    # complement
     pieces, cfg, base = _fixed_point_case(which)
     res = lp_solve(pieces, cfg, base)
     V_ref, Dq_ref = lp_variational(res, pieces, cfg)
     d, m = pieces.d_plus, len(cfg.times)
+    assert d == (1 if which == "saddle1" else 2)
     h = cfg.h
     calls = []
     real = lp._Rows.quadrature
@@ -1897,17 +1906,18 @@ def test_variational_starts_from_the_linear_flow(which, monkeypatch):
 
     monkeypatch.setattr(lp._Rows, "quadrature", recording)
     V, Dq = lp_variational(res, pieces, cfg)
-    step, v0, g, flow = calls[0]
-    assert step == h and np.array_equal(v0, np.eye(d))
-    assert g.shape == (m, d, pieces.dim) and not np.any(g)
-    assert np.all(flow[:, :, d:] == 0.0)
-    assert not np.any(np.signbit(flow[:, :, d:]))
     times = cfg.times
-    for j in (0, m // 2, m - 1):
-        want = sla.expm(times[j] * pieces.A_plus).T
-        # the steps' rounding accumulates over the m - 1 scan steps
-        assert np.abs(flow[j, :, :d] - want).max() <= 1e-10 * np.abs(
-            want).max()
+    # the first sweep scans the directions in turn
+    for i, (step, v0, g, flow) in enumerate(calls[:d]):
+        assert step == h and np.array_equal(v0, np.eye(d)[i])
+        assert g.shape == (m, pieces.dim) and not np.any(g)
+        assert np.all(flow[:, d:] == 0.0)
+        assert not np.any(np.signbit(flow[:, d:]))
+        for j in (0, m // 2, m - 1):
+            want = sla.expm(times[j] * pieces.A_plus)[:, i]
+            # the steps' rounding accumulates over the m - 1 scan steps
+            assert np.abs(flow[j, :d] - want).max() <= 1e-10 * np.abs(
+                want).max()
     assert np.abs(Dq).max() > 0
     assert np.array_equal(V, V_ref) and np.array_equal(Dq, Dq_ref)
 
@@ -2005,9 +2015,9 @@ def test_variational_matches_graph_fd():
 
 
 def test_variational_mmt17_matches_graph_fd():
-    # MMT-17's 32-wide complement: lp_variational scans it in the rows'
-    # plans of b = 2 nodes per block, and its Dq is the central
-    # difference quotient of lp_solve's h
+    # MMT-17's 32-wide complement: lp_variational scans it on the mode
+    # blocks the solve takes, and its Dq is the central difference
+    # quotient of lp_solve's h
     _, sp, pieces = mmt_mi_pieces(8)
     assert (pieces.d_plus, pieces.d_rest) == (2, 32)
     cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
@@ -2063,6 +2073,10 @@ def test_variational_increments_are_lp_norm_of_ambient_change(r, monkeypatch):
     monkeypatch.setattr(lp, "_contract", recording)
     lp_variational(res, pieces, cfg)
     assert len(recorded) >= 3 and recorded[-1] <= cfg.tol
+    # an iterate holds one split orbit per direction: as W[j] = U^1(t_j)^T,
+    # one row per direction
+    iterates = [np.stack([pieces.layout.rows(x) for x in X], axis=1)
+                for X in iterates]
     assert not np.any(iterates[0])
     decay = np.exp(-cfg.lam * cfg.times)
     apart = 0.0
@@ -2106,6 +2120,118 @@ def test_variational_batched_jacobian_matches_per_node(which):
         res, dataclasses.replace(pieces, model=looped), cfg)
     assert np.abs(Dq).max() > 0
     assert np.abs(Dq - Dq_loop).max() <= 1e-13 * np.abs(Dq_loop).max()
+
+
+def test_variational_refuses_a_base_orbit_of_another_grid():
+    # a saddle1 base solved at T_max 20, dt 0.01 has the 2001 nodes of a
+    # T_max 10, dt 0.005 grid, yet not its times: refused, as is a base of
+    # another node count; on its own grid Dq is 2 x0 / 3 = 0.06
+    _, _, pieces = saddle1_pieces()
+    res = lp_solve(pieces, CFG1, np.array([0.09]))
+    assert lp_variational(res, pieces, CFG1)[1][0, 0] == pytest.approx(
+        0.06, abs=1e-5)
+    for other in (dataclasses.replace(CFG1, T_max=10.0, dt=0.005),
+                  dataclasses.replace(CFG1, dt=0.02)):
+        with pytest.raises(ValueError, match="nodes of cfg.times"):
+            lp_variational(res, pieces, other)
+    assert len(CFG1.times) == len(
+        dataclasses.replace(CFG1, T_max=10.0, dt=0.005).times)
+
+
+def test_variational_without_unstable_directions_is_empty():
+    # a split with no unstable direction has a trivial graph: the tangent
+    # has no columns
+    A = np.diag([-1.0, -2.0])
+    m = custom_model("stable2", lambda u: u @ A.T + u ** 2,
+                     lambda u: A + np.diag(2 * u), np.zeros(2))
+    pieces = split_field(m, eigen_split(A, 0.5))
+    cfg = LpConfig(lam=0.0, T_max=5.0, dt=0.1, eps=0.1)
+    assert pieces.d_plus == 0
+    V, Dq = lp_variational(lp_solve(pieces, cfg, np.zeros(0)), pieces, cfg)
+    assert V.shape == (len(cfg.times), 2, 0) and Dq.shape == (2, 0)
+
+
+def _tangent_case(which):
+    """A solved base, its pieces and config for the tangent: MMT-7 on
+    rows, MMT-17, MMT-33 and rd at 20 modes on mode blocks."""
+    if which in ("mmt7", "rd20"):
+        pieces, cfg, base = _fixed_point_case(which)
+    elif which == "mmt33":
+        pieces, cfg, base = _mmt33_case()
+    else:
+        _, sp, pieces = mmt_mi_pieces(8)
+        cfg = LpConfig(lam=0.8 * sp.lambda_plus, T_max=12.0 / sp.lambda_plus,
+                       dt=0.01, eps=0.05, tol=1e-9)
+        base = np.array([0.02, 0.01])
+    assert isinstance(pieces.layout, lp._Rows) == (which == "mmt7")
+    return pieces, cfg, lp_solve(pieces, cfg, base)
+
+
+@pytest.mark.parametrize("which, stacks", [("mmt7", 2.25), ("mmt17", 2.25),
+                                           ("rd20", 1.75)])
+def test_warm_variational_holds_few_jacobian_stacks(which, stacks):
+    # the tangent's forcing is the layout's remainder of J(u) B x, one
+    # direction at a time: the Python-heap peak of a warm lp_variational
+    # is that of its Jacobian stack (m n n floats), built by one batched
+    # call on rd and row by row on MMT, with no Binv J B stack beside it
+    pieces, cfg, res = _tangent_case(which)
+    lp_variational(res, pieces, cfg)
+    stack = len(cfg.times) * pieces.dim ** 2 * 8
+    tracemalloc.start()
+    try:
+        lp_variational(res, pieces, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stacks * stack
+
+
+@pytest.mark.parametrize("which", ["rd20", "mmt17", "mmt33"])
+def test_variational_on_mode_blocks_matches_the_rows(which):
+    # the tangent on the blocks the solve takes is the tangent of the same
+    # base on its rows reference
+    pieces, cfg, res = _tangent_case(which)
+    V, Dq = lp_variational(res, pieces, cfg)
+    V_ref, Dq_ref = lp_variational(res, _rows_reference(pieces), cfg)
+    assert np.abs(Dq_ref).max() > 1e-3
+    assert np.abs(Dq - Dq_ref).max() <= 1e-14 * np.abs(Dq_ref).max()
+    assert np.abs(V - V_ref).max() <= 1e-14 * np.abs(V_ref).max()
+
+
+@pytest.mark.parametrize("which", ["rd20", "mmt17", "mmt33"])
+def test_f_split_on_mode_blocks_matches_the_rows(which):
+    # f_split on the blocks is the rows reference's to roundoff of the
+    # terms it is the difference of: the split field and the linear part
+    pieces = _tangent_case(which)[0]
+    ref = _rows_reference(pieces)
+    rng = np.random.default_rng(list(map(ord, which)))
+    for size in (0.01, 0.1):
+        Y = size * rng.normal(size=(40, pieces.dim))
+        got, want = pieces.f_split(Y), ref.f_split(Y)
+        scale = max(np.abs(want).max(), np.abs(Y @ ref.layout.AT).max())
+        assert np.abs(got - want).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "quasi"])
+def test_f_split_on_rows_is_the_gemm_remainder(which):
+    # on rows the remainder is the gemm form Binv F(eq + B y) - A y, and on
+    # the quasilinear route the remainder frozen_along gives, bit for bit
+    pieces, cfg, _ = _fixed_point_case(which)
+    assert isinstance(pieces.layout, lp._Rows)
+    rng = np.random.default_rng(list(map(ord, which)))
+    Y = 0.05 * rng.normal(size=(30, pieces.dim))
+    BY = Y @ np.ascontiguousarray(pieces.B.T)
+    if pieces.autonomous:
+        eq = pieces.model.equilibrium
+        F = pieces.model.field_many(BY + eq if np.any(eq) else BY)
+        want = (F @ np.ascontiguousarray(pieces.Binv.T)
+                - Y @ np.ascontiguousarray(
+                    sla.block_diag(pieces.A_plus, pieces.A_rest).T))
+    else:
+        want = pieces.frozen_along(Y, BY)[0]
+    got = pieces.f_split(Y)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ----------------------------------------------------------- quasilinearize
@@ -2623,9 +2749,9 @@ def test_mode_blocks_keep_dense_where_nothing_decouples():
     sp = eigen_split(A, cli.default_gap(A))
     assert max(sp.dim_plus, 40 - sp.dim_plus) > 16
     pieces = split_field(m, sp)
-    assert pieces.layout is pieces.dense
+    assert isinstance(pieces.layout, lp._Rows)
     for pieces in (mmt_mi_pieces(3)[2], rd_pieces(2.0, 6)[2]):
-        assert pieces.layout is pieces.dense
+        assert isinstance(pieces.layout, lp._Rows)
     # rd at 20 modes: A(0) is diagonal, so every block is 1 x 1
     mb = rd_pieces(2.0, 20)[2].layout
     assert mb.rest.A.shape == (18, 1, 1) and mb.plus.A.shape == (2, 1, 1)
@@ -2646,7 +2772,7 @@ def test_mode_blocks_keep_dense_where_a_block_is_too_wide(monkeypatch):
     sp = eigen_split(A, cli.default_gap(A))
     assert (sp.dim_plus, 40 - sp.dim_plus) == (1, 39)
     pieces = split_field(m, sp)
-    assert pieces.layout is pieces.dense
+    assert isinstance(pieces.layout, lp._Rows)
     cfg = LpConfig(lam=0.5, T_max=20.0, dt=0.01, eps=0.1, tol=1e-10)
     res = lp_solve(pieces, cfg, np.array([0.05]))
     assert res.diagnostics["iterations"] >= 3
@@ -2676,11 +2802,13 @@ def _layout_case(which):
 @pytest.mark.parametrize("which", ["saddle1", "rd", "mmt7", "mmt33", "rd20"])
 def test_mode_block_layout_matches_the_dense_products(which):
     # each layout answers the same calls: its conversions copy exactly,
-    # its image and remainder are the dense products Y B^T and f_split to
-    # roundoff, and its quadrature is the loop of the recurrences
+    # its image and remainder are the dense products Y B^T and the rows
+    # reference's f_split to roundoff, and its quadrature is the loop of
+    # the recurrences
     pieces, cfg = _layout_case(which)
     layout = pieces.layout
-    assert (layout is pieces.dense) == (which in ("saddle1", "rd", "mmt7"))
+    assert isinstance(layout, lp._Rows) == (which in ("saddle1", "rd",
+                                                      "mmt7"))
     rng = np.random.default_rng(list(map(ord, which)))
     Y = 0.01 * rng.normal(size=(len(cfg.times), pieces.dim))
     v0 = 0.01 * rng.normal(size=pieces.d_plus)
@@ -2689,7 +2817,7 @@ def test_mode_block_layout_matches_the_dense_products(which):
     BY = layout.image(Ys)
     assert np.abs(BY - Y @ pieces.B.T).max() <= 1e-15
     g, field, _, _ = pieces.sweep_inputs(Ys, BY)
-    want = pieces.f_split(Y)
+    want = _rows_reference(pieces).f_split(Y)
     assert np.abs(layout.rows(g) - want).max() <= 1e-13 * np.abs(want).max()
     new = layout.rows(layout.quadrature(cfg.h, v0, g))
     ref = _lp_apply_loop(pieces, cfg, v0, Y)
@@ -2697,7 +2825,7 @@ def test_mode_block_layout_matches_the_dense_products(which):
         scale = np.abs(ref[:, cols]).max()
         assert scale > 0
         assert np.abs(new[:, cols] - ref[:, cols]).max() <= 1e-12 * scale
-    if layout is not pieces.dense:
+    if isinstance(layout, lp._ModeBlocks):
         # pad slots stay exact zeros
         for part, X in zip((layout.plus, layout.rest), Ys):
             pad = np.arange(X.shape[2]) >= part.width[:, None]
@@ -2718,7 +2846,7 @@ def test_rest_growth_constant_per_block_is_the_dense_one():
     assert c == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
-def test_mode_block_sweeps_match_the_dense_sweeps(monkeypatch):
+def test_mode_block_sweeps_match_the_dense_sweeps():
     # the 63-mode beta = 1 MMT with d_plus = 60: the block path's sweep
     # count and h equal the dense path's within the golden CSV's
     # tolerances (h within 1e-12 max|h|, exact zeros kept exact)
@@ -2730,9 +2858,8 @@ def test_mode_block_sweeps_match_the_dense_sweeps(monkeypatch):
     base = np.zeros(pieces.d_plus)
     base[[0, 7, 31]] = [0.002, -0.001, 0.0015]
     got = lp_solve(pieces, cfg, base)
-    monkeypatch.setattr(lp, "_mode_blocks", lambda *args: None)
-    dense = dataclasses.replace(pieces)
-    assert dense.layout is dense.dense
+    dense = _rows_reference(pieces)
+    assert isinstance(dense.layout, lp._Rows)
     want = lp_solve(dense, cfg, base)
     assert (got.diagnostics["iterations"]
             == want.diagnostics["iterations"] >= 3)
